@@ -44,7 +44,6 @@ class RunConfig:
     ldm_iterations: int = 50
     beta_tolerance: float = 1e-3
     seed: int = 0
-    boundability_mode: str = "dominated"
     step3_mode: str = "per-link"
     jobs: int = 1
 
@@ -72,6 +71,26 @@ class RunConfig:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_object(path: str, parse):
+    """``parse`` applied to the version-``VERSION`` JSON object in ``path``.
+
+    A wrong or missing version and a missing or malformed field all raise
+    ``InvalidInputError``, never a bare ``KeyError``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != VERSION:
+        raise InvalidInputError(f"{path}: version {version!r}, expected"
+                                f" {VERSION}")
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed field ({exc})")
 
 
 def write_tm_sequence(path: str, seq: TmSequence, extra: dict = None):
@@ -121,15 +140,12 @@ def write_physical_topology(path: str, phys: PhysicalTopology):
 
 
 def read_physical_topology(path: str) -> PhysicalTopology:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
+    def parse(obj):
         return PhysicalTopology(int(obj["num_pods"]), int(obj["num_ocs"]),
                                 np.array(obj["h_eg"], dtype=int),
                                 np.array(obj["h_ig"], dtype=int),
                                 float(obj.get("bandwidth_gbps", 1.0)))
-    except KeyError as exc:
-        raise InvalidInputError(f"{path}: missing field {exc}")
+    return _read_object(path, parse)
 
 
 def write_critical_set(path: str, crit: CriticalSet):
@@ -141,12 +157,12 @@ def write_critical_set(path: str, crit: CriticalSet):
 
 
 def read_critical_set(path: str) -> CriticalSet:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    mats = tuple(TrafficMatrix(np.array(m, dtype=float))
-                 for m in obj["matrices"])
-    return CriticalSet(mats, tuple(obj.get("assignment", ())),
-                       int(obj.get("seed", 0)))
+    def parse(obj):
+        mats = tuple(TrafficMatrix(np.array(m, dtype=float))
+                     for m in obj["matrices"])
+        return CriticalSet(mats, tuple(obj.get("assignment", ())),
+                           int(obj.get("seed", 0)))
+    return _read_object(path, parse)
 
 
 def _omega_json(omega: RoutingWeights) -> list:
@@ -166,15 +182,15 @@ def write_solution(path: str, sol: optimize.FractionalSolution):
 
 
 def read_solution(path: str) -> optimize.FractionalSolution:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    weights = {Path(e["src"], e["dst"], e.get("via")): float(e["w"])
-               for e in obj["omega"]}
-    omega = RoutingWeights(weights, mu=float(obj["mu"]),
-                           beta=obj.get("beta"))
-    return optimize.FractionalSolution(
-        FractionalTopology(np.array(obj["d"], dtype=float)), omega,
-        float(obj["mu"]), obj.get("beta"))
+    def parse(obj):
+        weights = {Path(e["src"], e["dst"], e.get("via")): float(e["w"])
+                   for e in obj["omega"]}
+        omega = RoutingWeights(weights, mu=float(obj["mu"]),
+                               beta=obj.get("beta"))
+        return optimize.FractionalSolution(
+            FractionalTopology(np.array(obj["d"], dtype=float)), omega,
+            float(obj["mu"]), obj.get("beta"))
+    return _read_object(path, parse)
 
 
 def write_integer_topology(path: str, topo: IntegerTopology):
@@ -184,9 +200,8 @@ def write_integer_topology(path: str, topo: IntegerTopology):
 
 
 def read_integer_topology(path: str) -> IntegerTopology:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return IntegerTopology(np.array(obj["x"], dtype=int))
+    return _read_object(
+        path, lambda obj: IntegerTopology(np.array(obj["x"], dtype=int)))
 
 
 def write_plot_series(path: str, xs, ys):
@@ -388,8 +403,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--beta-tolerance", type=float, dest="beta_tolerance")
     parser.add_argument("--step3-mode", choices=["per-link", "literal"],
                         dest="step3_mode")
-    parser.add_argument("--boundability-mode", choices=["exact", "dominated"],
-                        dest="boundability_mode")
     parser.add_argument("--jobs", type=int,
                         default=None, help="parallel matrix evaluations "
                                            "(default: COUDER_JOBS or 1)")
@@ -411,7 +424,6 @@ def _build_parser() -> _Parser:
     p.add_argument("phys_file")
     p.add_argument("solution_file")
     p.add_argument("--method", choices=["ldm", "greedy"], default="ldm")
-    p.add_argument("--iters", type=int, dest="ldm_iterations_flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_round)
 
@@ -462,11 +474,9 @@ def main(argv=None) -> int:
     if jobs is None:
         jobs = int(os.environ.get("COUDER_JOBS", "1"))
     overrides = {"k": args.k, "seed": args.seed, "lookback": args.lookback,
-                 "ldm_iterations": getattr(args, "ldm_iterations_flag", None)
-                 or args.ldm_iterations,
+                 "ldm_iterations": args.ldm_iterations,
                  "beta_tolerance": args.beta_tolerance,
                  "step3_mode": args.step3_mode,
-                 "boundability_mode": args.boundability_mode,
                  "jobs": jobs}
     try:
         cfg = RunConfig.load(args.config, overrides)

@@ -3,18 +3,27 @@
 The Lagrangian dual method relaxes the per-pair matching constraints
 floor(d*) <= sum_m x_ij^m <= ceil(d*) with projected dual prices and
 visits switches one at a time: each visit re-optimizes that switch's
-cells within a one-link move window as a min-cost circulation, then
-takes an immediate subgradient step on the prices.  Port budgets are
-enforced inside every subproblem, so hard feasibility holds at all
-times; the best solution by matching-constraint goodness is kept.
+cells within a one-link move window, then takes an immediate subgradient
+step on the prices.  Port budgets are enforced inside every subproblem,
+so hard feasibility holds at all times; the best solution by
+matching-constraint goodness is kept.
 
 The per-switch utility -(x - h)^2 is concave, so inside the move window
-it decomposes exactly into per-unit arcs with decreasing gains
+it decomposes exactly into per-unit variables with decreasing gains
 (2h + 1 - 2a for the a-th link).  A midpoint linearization would price
 "keep the current link" and "add one more" identically, which lets the
 solver flip cells freely once the dual prices balance and keeps the
 iteration from ever settling; the exact unit gains leave a stability
 band of width 2 around the current state.
+
+Each subproblem is a small LP solved by HiGHS dual simplex: one [0, 1]
+variable per unit, one egress and one ingress budget row per pod.  Every
+variable sits in exactly one egress and one ingress row, so the
+constraint matrix is a bipartite incidence matrix, totally unimodular,
+and the simplex vertex is integral.  A reward of at most 1e-9 per unit
+breaks exact ties toward more links; HiGHS's feasibility tolerances are
+tightened to 1e-10 because at their default of 1e-7 the solver ignores
+a reward that small and can stop short of a full matching.
 
 Both rounders share one completion pass.  The dual method stops at the
 first iterate that meets every bracket, which can leave ports idle on
@@ -34,9 +43,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from . import lp, optimize
-from .circulation import FlowNetwork, solve_circulation
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UndefinedGapError)
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
@@ -45,6 +54,12 @@ from .traffic import CriticalSet
 
 #: Guard against LP float fuzz when snapping d* to its integer brackets.
 _SNAP = 1e-9
+#: HiGHS's default feasibility tolerances (1e-7) would ignore the tie reward
+#: of at most 1e-9 toward more links; these resolve it.
+_HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
+                "primal_feasibility_tolerance": 1e-10}
+#: Largest distance from an integer at which a vertex entry still rounds.
+_INTEGRAL_TOL = 1e-6
 
 
 @dataclass
@@ -147,6 +162,27 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
+def solve_circulation(cost: np.ndarray, budgets: np.ndarray,
+                      limits: np.ndarray) -> np.ndarray:
+    """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
+
+    ``budgets`` holds one egress and one ingress row per pod, so it is the
+    incidence matrix of a bipartite graph and totally unimodular; with
+    integral ``limits`` every vertex of the feasible set is integral, and
+    HiGHS dual simplex ends on a vertex.  Equivalently, this is the
+    min-cost circulation through a source, the egress ports, the ingress
+    ports and a sink.
+    """
+    res = linprog(cost, A_ub=budgets, b_ub=limits, bounds=(0, 1),
+                  method="highs-ds", options=_HIGHS_TIGHT)
+    if res.status != 0:
+        raise InternalError(f"per-switch subproblem ended: {res.message}")
+    flows = np.rint(res.x)
+    if np.abs(res.x - flows).max(initial=0.0) > _INTEGRAL_TOL:
+        raise InternalError("per-switch subproblem vertex is not integral")
+    return flows.astype(int)
+
+
 def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
                              x_hat: np.ndarray, ingress: np.ndarray,
                              egress: np.ndarray) -> np.ndarray:
@@ -154,52 +190,47 @@ def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
 
     Maximizes sum of -(x - h)^2 + p_net * x per cell subject to the
     switch's port budgets and max(x̂-1, 0) <= x <= x̂+1.  The concave
-    utility splits into per-unit arcs with gains 2h + 1 - 2a, so the
-    minimum-cost circulation is exact and integral.
+    utility splits into one [0, 1] variable per unit of the window, with
+    gains 2h + 1 - 2a for the a-th link, so the LP over the units is exact.
+    The window's fixed lower part comes off the port budgets.  A reward
+    eps <= 1e-9 per unit breaks exact ties toward more links; it stays
+    well under the smallest gain gap.  HiGHS dual simplex solves the LP
+    (``solve_circulation``) with feasibility tolerances of 1e-10, since at
+    the default 1e-7 it would ignore eps; its vertex is integral because
+    the budget rows form a bipartite incidence matrix.
     """
     n = h.shape[0]
-    net = FlowNetwork(2 * n + 2)
-    source, sink = 2 * n, 2 * n + 1
-    for i in range(n):
-        net.add_arc(source, i, 0, int(egress[i]), 0.0)
-    for j in range(n):
-        net.add_arc(n + j, sink, 0, int(ingress[j]), 0.0)
-    cell_arcs = {}
-    unit_gains = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            low = max(int(x_hat[i, j]) - 1, 0)
-            high = int(x_hat[i, j]) + 1
-            arcs = []
-            if low > 0:
-                arcs.append(net.add_arc(i, n + j, low, low, 0.0))
-            for unit in range(low + 1, high + 1):
-                gain = (2.0 * h[i, j] + 1.0 - 2.0 * unit) + p_net[i, j]
-                unit_gains.append(gain)
-                arcs.append(net.add_arc(i, n + j, 0, 1, -gain))
-            cell_arcs[(i, j)] = arcs
-    # Feedback reward breaks exact ties toward assigning more links; keep it
-    # well under the smallest gain gap.
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    low = np.maximum(x_hat[rows, cols] - 1, 0)
+    width = x_hat[rows, cols] + 1 - low
+    cell = np.repeat(np.arange(len(rows)), width)
+    first = np.repeat(np.cumsum(width) - width, width)
+    unit = low[cell] + 1 + np.arange(len(cell)) - first
+    gain = (2.0 * h[rows, cols][cell] + 1.0 - 2.0 * unit
+            + p_net[rows, cols][cell])
     eps = 1e-9
-    distinct = np.unique(np.round(unit_gains, 12))
+    distinct = np.unique(np.round(gain, 12))
     if len(distinct) > 1:
         eps = min(eps, float(np.diff(distinct).min()) / 4)
-    net.add_arc(sink, source, 0, int(egress.sum()), -abs(eps))
-    result = solve_circulation(net)
-    if not result.feasible:
-        raise InternalError("per-switch subproblem infeasible")
+    var = np.arange(len(cell))
+    budgets = np.zeros((2 * n, len(cell)))
+    budgets[rows[cell], var] = 1.0
+    budgets[n + cols[cell], var] = 1.0
+    limits = np.concatenate([egress - np.bincount(rows, low, n),
+                             ingress - np.bincount(cols, low, n)])
+    flows = solve_circulation(-(gain + eps), budgets, limits)
     x = np.zeros((n, n), dtype=int)
-    for (i, j), arcs in cell_arcs.items():
-        x[i, j] = sum(int(result.flows[a]) for a in arcs)
+    x[rows, cols] = low + np.bincount(cell, flows, len(rows)).astype(int)
     return x
 
 
 def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
               tau_max: int = 200) -> RoundingReport:
-    """Dual-ascent rounding with per-switch circulation subproblems.
+    """Dual-ascent rounding with per-switch HiGHS subproblems.
 
+    Each iteration re-optimizes every switch in turn with an LP that HiGHS
+    dual simplex solves to an integral vertex (the budget matrix is totally
+    unimodular), with tolerances tight enough to honour the tie reward.
     Keeps the iterate with the best goodness, stopping early once every
     matching constraint holds, then applies the completion pass: the
     result stays within ceil(d*) and every port budget, and its goodness

@@ -6,7 +6,6 @@ import itertools
 
 import numpy as np
 
-from couder.circulation import FlowNetwork
 from couder.model import (FractionalTopology, PhysicalTopology, TrafficMatrix)
 from couder.traffic import CriticalSet
 
@@ -92,23 +91,56 @@ def random_mesh_topology(rng: np.random.Generator, n: int, uplinks: int
     return X
 
 
-def brute_force_circulation(net: FlowNetwork):
-    """Exhaustive minimum-cost circulation; None when infeasible."""
-    ranges = [range(a.lower, a.upper + 1) for a in net.arcs]
-    best_cost, best_flow = None, None
-    for flows in itertools.product(*ranges):
-        balance = np.zeros(net.num_nodes)
-        for f, a in zip(flows, net.arcs):
-            balance[a.tail] -= f
-            balance[a.head] += f
-        if np.abs(balance).max(initial=0.0) > 1e-9:
-            continue
-        cost = sum(f * a.cost for f, a in zip(flows, net.arcs))
-        if best_cost is None or cost < best_cost - 1e-12:
-            best_cost, best_flow = cost, flows
-    if best_cost is None:
+def brute_force_unit_flow(cost: np.ndarray, budgets: np.ndarray,
+                          limits: np.ndarray):
+    """Least cost . f over f in {0, 1}^m with budgets @ f <= limits.
+
+    Returns None when no such f exists.
+    """
+    flows = np.array(list(itertools.product((0, 1), repeat=len(cost))))
+    fits = (flows @ budgets.T <= limits + 1e-9).all(axis=1)
+    if not fits.any():
         return None
-    return best_cost, best_flow
+    return float((flows[fits] @ cost).min())
+
+
+def random_window_instance(rng: np.random.Generator, n: int):
+    """Random h, p_net, port budgets and an x̂ that fits the budgets."""
+    egress = rng.integers(1, 4, size=n)
+    ingress = rng.integers(1, 4, size=n)
+    h = rng.integers(0, 4, size=(n, n))
+    p_net = rng.normal(0.0, 2.0, size=(n, n))
+    x_hat = np.zeros((n, n), dtype=int)
+    eg_left, ig_left = egress.copy(), ingress.copy()
+    for _ in range(3 * n):
+        i, j = rng.integers(n, size=2)
+        if i != j and eg_left[i] and ig_left[j]:
+            x_hat[i, j] += 1
+            eg_left[i] -= 1
+            ig_left[j] -= 1
+    return h, p_net, x_hat, ingress, egress
+
+
+def window_utility(x: np.ndarray, h: np.ndarray, p_net: np.ndarray) -> float:
+    """Per-switch LDM utility: sum of -(x - h)^2 + p_net * x off the diagonal."""
+    off = ~np.eye(len(h), dtype=bool)
+    return float((-(x - h) ** 2 + p_net * x)[off].sum())
+
+
+def brute_force_window_max(h, p_net, x_hat, ingress, egress) -> float:
+    """Best utility over every assignment in the window that fits the ports."""
+    n = len(h)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    ranges = [np.arange(max(x_hat[i, j] - 1, 0), x_hat[i, j] + 2)
+              for i, j in zip(rows, cols)]
+    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
+    cells = grid.reshape(-1, len(rows))
+    eg_use = np.stack([cells[:, rows == i].sum(axis=1) for i in range(n)], 1)
+    ig_use = np.stack([cells[:, cols == j].sum(axis=1) for j in range(n)], 1)
+    fits = (eg_use <= egress).all(axis=1) & (ig_use <= ingress).all(axis=1)
+    cells = cells[fits]
+    h_off, p_off = h[rows, cols], p_net[rows, cols]
+    return float((-(cells - h_off) ** 2 + p_off * cells).sum(axis=1).max())
 
 
 def convex_combination(rng: np.random.Generator, crit: CriticalSet

@@ -1,188 +1,173 @@
-import itertools
+"""The per-switch unit-flow LP and the LDM subproblem built on it.
+
+``round.solve_circulation`` is a min-cost circulation through a source,
+one switch's egress ports, its ingress ports and a sink, written as an LP
+over unit arcs; ``round._solve_switch_subproblem`` builds that LP from a
+switch's move window.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from couder.circulation import (FlowNetwork, SubproblemSpec, build_subproblem,
-                                solve_circulation, solve_subproblem)
-from couder.errors import InvalidInputError
-from helpers import brute_force_circulation
+from couder.errors import InternalError
+from couder.round import _solve_switch_subproblem, solve_circulation
+from helpers import (brute_force_unit_flow, brute_force_window_max,
+                     random_window_instance, window_utility)
 
 
-def random_network(rng, num_nodes=6, num_arcs=8, max_upper=3,
-                   with_lowers=True) -> FlowNetwork:
-    net = FlowNetwork(num_nodes)
-    for _ in range(num_arcs):
-        v, w = rng.integers(num_nodes, size=2)
-        if v == w:
-            w = (w + 1) % num_nodes
-        upper = int(rng.integers(0, max_upper + 1))
-        lower = int(rng.integers(0, upper + 1)) if with_lowers and upper else 0
-        cost = float(rng.integers(-5, 6))
-        net.add_arc(int(v), int(w), lower, upper, cost)
-    return net
+def random_network(rng, pods=3, num_units=8, max_limit=2):
+    """Random unit arcs from egress to ingress ports of one switch.
+
+    Returns the arc costs, the bipartite budget matrix (one egress and one
+    ingress row per pod) and the integer port limits.
+    """
+    tails = rng.integers(pods, size=num_units)
+    heads = rng.integers(pods, size=num_units)
+    budgets = np.zeros((2 * pods, num_units))
+    budgets[tails, np.arange(num_units)] = 1.0
+    budgets[pods + heads, np.arange(num_units)] = 1.0
+    limits = rng.integers(0, max_limit + 1, size=2 * pods).astype(float)
+    cost = rng.integers(-5, 6, size=num_units).astype(float)
+    return cost, budgets, limits
 
 
 class TestSolveCirculation:
-    def test_forced_two_cycle(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1, 3.0)
-        net.add_arc(1, 0, 1, 1, -1.0)
-        res = solve_circulation(net)
-        assert res.feasible
-        assert res.flows.tolist() == [1, 1]
-        assert res.cost == pytest.approx(2.0)
-
-    def test_invalid_bounds_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(InvalidInputError):
-            net.add_arc(0, 1, 1, 0, 1.0)
-        with pytest.raises(InvalidInputError):
-            net.add_arc(0, 1, -1, 2, 1.0)
-
     def test_unsatisfiable_lower_bound_infeasible(self):
-        # Forced flow into a node with no way out.
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 1, 1, 0.0)
-        net.add_arc(2, 0, 0, 5, 0.0)
-        res = solve_circulation(net)
-        assert not res.feasible
-        assert res.flows is None
+        # A fixed lower part above the ports leaves a negative limit.
+        with pytest.raises(InternalError):
+            solve_circulation(np.ones(1), np.ones((1, 1)), np.array([-1.0]))
+        x_hat = np.array([[0, 2], [0, 0]])
+        with pytest.raises(InternalError):
+            _solve_switch_subproblem(np.zeros((2, 2)), np.zeros((2, 2)),
+                                     x_hat, np.array([2, 2]),
+                                     np.array([0, 2]))
 
     def test_zero_network_trivially_feasible(self):
-        net = FlowNetwork(4)
-        net.add_arc(0, 1, 0, 3, 1.0)
-        res = solve_circulation(net)
-        assert res.feasible
-        assert res.cost == pytest.approx(0.0)
+        rng = np.random.default_rng(0)
+        _, budgets, limits = random_network(rng)
+        flows = solve_circulation(np.ones(budgets.shape[1]), budgets, limits)
+        assert flows.dtype.kind == "i"
+        assert flows.tolist() == [0] * budgets.shape[1]
 
     def test_negative_cycle_saturates(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 0, 2, -1.0)
-        net.add_arc(1, 2, 0, 2, -1.0)
-        net.add_arc(2, 0, 0, 2, -1.0)
-        res = solve_circulation(net)
-        assert res.feasible
-        assert res.flows.tolist() == [2, 2, 2]
-        assert res.cost == pytest.approx(-6.0)
+        # Negative cost on every arc of the source-egress-ingress-sink cycle
+        # with room on every port: every unit is used.
+        budgets = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                            [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        flows = solve_circulation(-np.ones(3), budgets,
+                                  np.array([2.0, 1.0, 1.0, 2.0]))
+        assert flows.tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        net = random_network(rng)
-        res = solve_circulation(net)
-        oracle = brute_force_circulation(net)
-        if oracle is None:
-            assert not res.feasible
-            return
-        assert res.feasible
-        assert res.cost == pytest.approx(oracle[0], abs=1e-9)
+        cost, budgets, limits = random_network(rng)
+        flows = solve_circulation(cost, budgets, limits)
+        oracle = brute_force_unit_flow(cost, budgets, limits)
+        assert oracle is not None
+        assert float(cost @ flows) == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(25, 40))
     def test_integrality_and_conservation(self, seed):
         rng = np.random.default_rng(seed)
-        net = random_network(rng, num_nodes=5, num_arcs=10)
-        res = solve_circulation(net)
-        if not res.feasible:
-            return
-        assert res.flows.dtype.kind == "i"
-        balance = np.zeros(net.num_nodes)
-        for f, a in zip(res.flows, net.arcs):
-            assert a.lower <= f <= a.upper
-            balance[a.tail] -= f
-            balance[a.head] += f
-        assert np.abs(balance).max() == 0
+        cost, budgets, limits = random_network(rng, pods=5, num_units=10,
+                                               max_limit=3)
+        flows = solve_circulation(cost, budgets, limits)
+        assert flows.dtype.kind == "i"
+        assert ((flows == 0) | (flows == 1)).all()
+        used = budgets @ flows
+        assert (used <= limits).all()
+        # Flow out of the source through the egress ports equals flow into
+        # the sink through the ingress ports.
+        assert used[:5].sum() == used[5:].sum() == flows.sum()
 
     def test_constant_cost_shift_with_pinned_total(self):
-        # Bipartite 2x2 with the feedback arc pinned, so total flow is fixed
-        # and a constant cost shift cannot change the argmin set.
-        def build(shift):
-            net = FlowNetwork(6)
-            source, sink = 4, 5
-            net.add_arc(source, 0, 0, 2, 0.0)
-            net.add_arc(source, 1, 0, 2, 0.0)
-            net.add_arc(2, sink, 0, 2, 0.0)
-            net.add_arc(3, sink, 0, 2, 0.0)
-            costs = [1.0, 4.0, 2.0, 0.5]
-            for idx, (i, j) in enumerate([(0, 2), (0, 3), (1, 2), (1, 3)]):
-                net.add_arc(i, j, 0, 2, costs[idx] + shift)
-            net.add_arc(sink, source, 3, 3, 0.0)
-            return net
+        # Bipartite 2x2, two units per cell, the total pinned to 3 by a pair
+        # of rows, so a constant cost shift cannot change the argmin set.
+        cell_cost = np.array([1.0, 4.0, 2.0, 0.5])
+        cell = np.repeat(np.arange(4), 2)
+        budgets = np.zeros((6, 8))
+        budgets[cell // 2, np.arange(8)] = 1.0
+        budgets[2 + cell % 2, np.arange(8)] = 1.0
+        budgets[4], budgets[5] = 1.0, -1.0
+        limits = np.array([2.0, 2.0, 2.0, 2.0, 3.0, -3.0])
 
-        base = solve_circulation(build(0.0))
-        shifted = solve_circulation(build(10.0))
-        assert base.feasible and shifted.feasible
-        assert base.flows[4:8].tolist() == shifted.flows[4:8].tolist()
-        assert shifted.cost == pytest.approx(base.cost + 10.0 * 3)
+        base = solve_circulation(cell_cost[cell], budgets, limits)
+        shifted = solve_circulation(cell_cost[cell] + 10.0, budgets, limits)
+        assert np.bincount(cell, base).tolist() == [1, 0, 0, 2]
+        assert np.bincount(cell, shifted).tolist() == [1, 0, 0, 2]
+        assert float((cell_cost[cell] + 10.0) @ shifted) == pytest.approx(
+            float(cell_cost[cell] @ base) + 10.0 * 3)
+
+    def test_forced_two_cycle(self):
+        # Pods 0 and 1 hold two links each way; the window keeps at least
+        # one on each however much the prices push them down.
+        x_hat = np.array([[0, 2], [2, 0]])
+        x = _solve_switch_subproblem(np.zeros((2, 2)), np.full((2, 2), -50.0),
+                                     x_hat, np.array([2, 2]),
+                                     np.array([2, 2]))
+        assert x.tolist() == [[0, 1], [1, 0]]
 
 
 class TestBuildSubproblem:
     def test_negative_cost_saturates(self):
-        spec = SubproblemSpec(C=np.array([[-1.0]]), P=np.array([2]),
-                              Q=np.array([2]), L=np.array([[0]]),
-                              U=np.array([[2]]))
-        a, obj = solve_subproblem(spec)
-        assert a[0, 0] == 2
-        assert obj == pytest.approx(-2.0)
+        # A large price on (0, 1) makes every unit of its window pay off, up
+        # to x̂ + 1; the priced-down (1, 0) falls to its window floor.
+        p_net = np.zeros((2, 2))
+        p_net[0, 1], p_net[1, 0] = 10.0, -10.0
+        x = _solve_switch_subproblem(np.zeros((2, 2)), p_net,
+                                     np.array([[0, 1], [1, 0]]),
+                                     np.array([3, 3]), np.array([3, 3]))
+        assert x.tolist() == [[0, 2], [0, 0]]
 
     def test_epsilon_maximizes_flow_on_ties(self):
-        spec = SubproblemSpec(C=np.zeros((2, 2)), P=np.array([1, 2]),
-                              Q=np.array([2, 2]), L=np.zeros((2, 2), dtype=int),
-                              U=np.full((2, 2), 3))
-        a, obj = solve_subproblem(spec)
-        assert a.sum() == min(spec.P.sum(), spec.Q.sum())
-        assert obj == pytest.approx(0.0)
+        # Every unit gains exactly 0, so only the tie reward decides; it
+        # must reach the largest link count the uneven ports allow.
+        egress, ingress = np.array([1, 2, 2]), np.array([2, 2, 1])
+        h, p_net = np.ones((3, 3)), -np.ones((3, 3))
+        x = _solve_switch_subproblem(h, p_net, np.zeros((3, 3), dtype=int),
+                                     ingress, egress)
+        off = ~np.eye(3, dtype=bool)
+        budgets = np.zeros((6, 6))
+        rows, cols = np.nonzero(off)
+        budgets[rows, np.arange(6)] = 1.0
+        budgets[3 + cols, np.arange(6)] = 1.0
+        most = -brute_force_unit_flow(-np.ones(6), budgets,
+                                      np.concatenate([egress, ingress]))
+        assert x.sum() == most
+        assert window_utility(x, h, p_net) == pytest.approx(-6.0)
 
     def test_epsilon_shrinks_below_cost_gap(self):
-        # Cost gap of 1e-7 forces epsilon below 5e-8: the cheaper cell wins.
-        spec = SubproblemSpec(C=np.array([[1.0, 1.0 + 1e-7]]),
-                              P=np.array([1, 1]), Q=np.array([1]),
-                              L=np.zeros((1, 2), dtype=int),
-                              U=np.ones((1, 2), dtype=int))
-        net = build_subproblem(spec)
-        feedback = net.arcs[-1]
-        assert abs(feedback.cost) < 5e-8
+        # Units (0, 1) and (0, 2) lose 1.6e-9 and 8e-10; the default reward
+        # of 1e-9 would make the second pay off, but the reward shrinks
+        # below their gap, so neither is taken.
+        p_net = np.full((3, 3), -50.0)
+        p_net[0, 1], p_net[0, 2] = -1.0 - 1.6e-9, -1.0 - 8e-10
+        x = _solve_switch_subproblem(np.ones((3, 3)), p_net,
+                                     np.zeros((3, 3), dtype=int),
+                                     np.array([1, 1, 1]), np.array([2, 1, 1]))
+        assert x.sum() == 0
 
     def test_respects_caps_and_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            I, J = rng.integers(2, 4, size=2)
-            U = rng.integers(0, 3, size=(I, J))
-            L = np.minimum(rng.integers(0, 2, size=(I, J)), U)
-            spec = SubproblemSpec(C=rng.integers(-4, 5, size=(I, J)).astype(float),
-                                  P=rng.integers(1, 5, size=J),
-                                  Q=rng.integers(1, 5, size=I), L=L, U=U)
-            solved = solve_subproblem(spec)
-            if solved is None:
-                continue
-            a, _ = solved
-            assert (a >= spec.L).all() and (a <= spec.U).all()
-            assert (a.sum(axis=0) <= spec.P).all()
-            assert (a.sum(axis=1) <= spec.Q).all()
+            n = int(rng.integers(2, 5))
+            h, p_net, x_hat, ingress, egress = random_window_instance(rng, n)
+            x = _solve_switch_subproblem(h, p_net, x_hat, ingress, egress)
+            assert (x >= np.maximum(x_hat - 1, 0)).all()
+            assert (x <= x_hat + 1).all()
+            assert (x.sum(axis=1) <= egress).all()
+            assert (x.sum(axis=0) <= ingress).all()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_exhaustive_assignment(self, seed):
-        # The rounding subproblem shape: 3x3 with move limits and port caps.
+        # From no links, every cell is 0 or 1; integer h and prices make
+        # many units tie exactly.
         rng = np.random.default_rng(100 + seed)
-        I = J = 3
-        U = rng.integers(0, 2, size=(I, J))
-        np.fill_diagonal(U, 0)
-        L = np.zeros((I, J), dtype=int)
-        C = rng.integers(-5, 6, size=(I, J)).astype(float)
-        P = rng.integers(1, 4, size=J)
-        Q = rng.integers(1, 4, size=I)
-        spec = SubproblemSpec(C=C, P=P, Q=Q, L=L, U=U)
-        a, obj = solve_subproblem(spec)
-
-        best = None
-        for cells in itertools.product(
-                *[range(U.flat[i] + 1) for i in range(U.size)]):
-            m = np.array(cells).reshape(I, J)
-            if (m.sum(axis=0) > P).any() or (m.sum(axis=1) > Q).any():
-                continue
-            cost = float((C * m).sum())
-            if best is None or cost < best:
-                best = cost
-        assert obj == pytest.approx(best, abs=1e-9)
+        h = rng.integers(0, 3, size=(3, 3)).astype(float)
+        p_net = rng.integers(-5, 6, size=(3, 3)).astype(float)
+        x_hat = np.zeros((3, 3), dtype=int)
+        egress, ingress = rng.integers(1, 4, size=3), rng.integers(1, 4, size=3)
+        x = _solve_switch_subproblem(h, p_net, x_hat, ingress, egress)
+        best = brute_force_window_max(h, p_net, x_hat, ingress, egress)
+        assert window_utility(x, h, p_net) == pytest.approx(best, abs=1e-9)

@@ -269,3 +269,56 @@ class TestExitCodes:
         rc = cli.main(["--config", str(cfg), "extract", str(seqfile),
                        "--out", str(tmp_path / "c.json")])
         assert rc == 1
+
+
+class TestMalformedFiles:
+    """A versioned file with a missing field or a foreign version exits 1."""
+
+    MISSING = {"phys": {"version": 1, "num_pods": 3},
+               "crit": {"version": 1, "k": 1},
+               "sol": {"version": 1},
+               "topo": {"version": 1}}
+
+    @staticmethod
+    def command(tmp_path, bad):
+        files = {name: tmp_path / f"{name}.json" for name in
+                 ("phys", "crit", "sol", "topo")}
+        d = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+        cli.write_physical_topology(str(files["phys"]), make_fabric(3, 1, 4))
+        from couder.traffic import CriticalSet
+        cli.write_critical_set(str(files["crit"]),
+                               CriticalSet((TrafficMatrix(d),)))
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        cli.write_solution(str(files["sol"]), FractionalSolution(
+            FractionalTopology(d),
+            RoutingWeights({Path(i, j): 1.0 for i, j in pairs}, mu=0.5), 0.5))
+        cli.write_integer_topology(str(files["topo"]),
+                                   IntegerTopology(d[None].astype(int)))
+        seqfile = tmp_path / "seq.jsonl"
+        write_seq(seqfile, [d])
+        phys, out = str(files["phys"]), str(tmp_path / "out.json")
+        argv = {"phys": ["optimize", phys, str(files["crit"]), "--out", out],
+                "crit": ["optimize", phys, str(files["crit"]), "--out", out],
+                "sol": ["round", phys, str(files["sol"]), "--out", out],
+                "topo": ["evaluate", phys, str(seqfile), "--baseline",
+                         "direct", "--topology", str(files["topo"]),
+                         "--out", out]}[bad]
+        return files[bad], argv
+
+    @pytest.mark.parametrize("bad", ["phys", "crit", "sol", "topo"])
+    def test_missing_field_exits_1(self, tmp_path, capsys, bad):
+        path, argv = self.command(tmp_path, bad)
+        path.write_text(json.dumps(self.MISSING[bad]))
+        assert cli.main(argv) == 1
+        assert "missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["phys", "crit", "sol", "topo"])
+    def test_foreign_version_exits_1(self, tmp_path, capsys, bad):
+        path, argv = self.command(tmp_path, bad)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        obj = json.loads(path.read_text())
+        obj["version"] = cli.VERSION + 1
+        path.write_text(json.dumps(obj))
+        assert cli.main(argv) == 1
+        assert "version" in capsys.readouterr().err
