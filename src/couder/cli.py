@@ -3,7 +3,8 @@
 All files are UTF-8 JSON.  Traffic sequences and per-matrix metrics are
 JSON Lines (one object per line) so long traces stream; everything else
 is a single versioned object.  Exit codes: 0 success, 1 validation
-error, 2 infeasibility, 64 usage error.
+error, 2 infeasibility, 3 the LP solver hit an iteration or numerical
+limit, 64 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import evaluate, optimize, round as rounding, traffic
 from .errors import (InfeasibleRoutingError, InvalidInputError,
-                     UnboundedThroughputError)
+                     SolverLimitError, UnboundedThroughputError)
 from .evaluate import ReconfigPolicy
 from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
@@ -30,6 +31,7 @@ from .traffic import CriticalSet
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
+EXIT_SOLVER_LIMIT = 3
 EXIT_USAGE = 64
 
 VERSION = 1
@@ -181,20 +183,28 @@ def write_solution(path: str, sol: optimize.FractionalSolution):
         fh.write(_dump(obj) + "\n")
 
 
+def _omega_parse(obj) -> RoutingWeights:
+    weights = {Path(e["src"], e["dst"], e.get("via")): float(e["w"])
+               for e in obj["omega"]}
+    return RoutingWeights(weights, mu=float(obj["mu"]), beta=obj.get("beta"))
+
+
 def read_solution(path: str) -> optimize.FractionalSolution:
     def parse(obj):
-        weights = {Path(e["src"], e["dst"], e.get("via")): float(e["w"])
-                   for e in obj["omega"]}
-        omega = RoutingWeights(weights, mu=float(obj["mu"]),
-                               beta=obj.get("beta"))
+        omega = _omega_parse(obj)
         return optimize.FractionalSolution(
             FractionalTopology(np.array(obj["d"], dtype=float)), omega,
-            float(obj["mu"]), obj.get("beta"))
+            omega.mu, omega.beta)
     return _read_object(path, parse)
 
 
-def write_integer_topology(path: str, topo: IntegerTopology):
+def write_integer_topology(path: str, topo: IntegerTopology,
+                           routing: RoutingWeights = None):
+    """X, and beside it the weights, mu and beta recomputed on X if given."""
     obj = {"version": VERSION, "x": topo.x.tolist()}
+    if routing is not None:
+        obj.update(mu=routing.mu, beta=routing.beta,
+                   omega=_omega_json(routing))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(obj) + "\n")
 
@@ -202,6 +212,16 @@ def write_integer_topology(path: str, topo: IntegerTopology):
 def read_integer_topology(path: str) -> IntegerTopology:
     return _read_object(
         path, lambda obj: IntegerTopology(np.array(obj["x"], dtype=int)))
+
+
+def read_topology_routing(path: str) -> RoutingWeights:
+    """The weights ``round`` recomputed on a topology file's X."""
+    def parse(obj):
+        if "omega" not in obj:
+            raise InvalidInputError(f"{path}: no routing weights; run round"
+                                    " with the critical-set file")
+        return _omega_parse(obj)
+    return _read_object(path, parse)
 
 
 def write_plot_series(path: str, xs, ys):
@@ -235,11 +255,17 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 def _cmd_round(args, cfg: RunConfig) -> int:
     phys = read_physical_topology(args.phys_file)
     sol = read_solution(args.solution_file)
+    crit = read_critical_set(args.crit_file) if args.crit_file else None
     if args.method == "ldm":
         report = rounding.ldm_round(phys, sol.d, cfg.ldm_iterations)
     else:
         report = rounding.greedy_round(phys, sol.d)
-    write_integer_topology(args.out, report.topo)
+    routing = None
+    if crit is not None:  # desensitized when the fractional plan was
+        routing = optimize.recompute_routing(
+            phys, report.topo, crit, desensitized=sol.beta is not None,
+            mode=cfg.step3_mode, beta_tol=cfg.beta_tolerance).omega
+    write_integer_topology(args.out, report.topo, routing)
     print(_dump({"goodness": report.goodness,
                  "violation_ratio": report.violation_ratio,
                  "iterations_run": report.iterations_run}))
@@ -264,15 +290,13 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     if args.baseline in ("none", "direct") and not args.topology_file:
         raise InvalidInputError(f"baseline {args.baseline} needs --topology")
     if args.baseline == "none":
-        if not args.solution_file:
-            raise InvalidInputError("baseline none needs --solution")
         topo = read_integer_topology(args.topology_file)
-        sol = read_solution(args.solution_file)
-        sen = evaluate.sensitivity_map(topo, sol.omega, b)
+        omega = read_topology_routing(args.topology_file)
+        sen = evaluate.sensitivity_map(topo, omega, b)
         max_sen = float(sen[np.isfinite(sen)].max(initial=0.0))
 
         def run(t):
-            rec = evaluate.evaluate_static(topo, sol.omega, t, b)
+            rec = evaluate.evaluate_static(topo, omega, t, b)
             return rec, {"max_sensitivity": max_sen}
     elif args.baseline == "mesh":
         mesh = evaluate.uniform_mesh(phys)
@@ -423,6 +447,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("round", help="round onto the switch bank")
     p.add_argument("phys_file")
     p.add_argument("solution_file")
+    p.add_argument("crit_file", nargs="?",
+                   help="critical set: recompute routing on the rounded"
+                        " topology and write it beside X")
     p.add_argument("--method", choices=["ldm", "greedy"], default="ldm")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_round)
@@ -431,9 +458,8 @@ def _build_parser() -> _Parser:
     p.add_argument("phys_file")
     p.add_argument("tm_file")
     p.add_argument("--topology", dest="topology_file",
-                   help="integer topology (baselines none/direct)")
-    p.add_argument("--solution", dest="solution_file",
-                   help="solution file (baseline none)")
+                   help="integer topology (baselines none/direct); none"
+                        " needs the routing round wrote beside X")
     p.add_argument("--baseline", default="none",
                    choices=["none", "mesh", "vlb", "fattree", "direct",
                             "ideal"])
@@ -487,6 +513,9 @@ def main(argv=None) -> int:
     except (InfeasibleRoutingError, UnboundedThroughputError) as exc:
         print(f"couder: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SolverLimitError as exc:
+        print(f"couder: solver limit: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_LIMIT
 
 
 if __name__ == "__main__":

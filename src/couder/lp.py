@@ -38,16 +38,25 @@ class LpSolution:
 
 
 class LpModel:
-    """Incrementally built LP: named bounded variables, linear rows, objective."""
+    """Incrementally built LP: named bounded variables, linear rows, objective.
+
+    A row may also carry scaled terms, whose coefficients are multiplied by
+    ``scale`` at solve time.  LPs that differ only in that one block of
+    coefficients are then one model, built once and re-solved after each
+    change of ``scale``; its constraint matrix is assembled once.
+    """
 
     def __init__(self, name: str = "lp"):
         self.name = name
+        self.scale = 1.0
         self._index = {}
         self._lb = []
         self._ub = []
-        self._rows = []  # (terms, relation, rhs); terms = [(var_idx, coef)]
+        # (terms, scaled terms, relation, rhs); terms = (indices, coefs)
+        self._rows = []
         self._sense = "min"
-        self._objective = []  # [(var_idx, coef)]
+        self._objective = ([], [])  # (var indices, coefficients)
+        self._assembled = None
 
     @property
     def num_variables(self) -> int:
@@ -66,25 +75,33 @@ class LpModel:
         self._index[name] = len(self._lb)
         self._lb.append(-np.inf if lb is None else float(lb))
         self._ub.append(np.inf if ub is None else float(ub))
+        self._assembled = None
         return name
 
-    def _terms(self, expr) -> list:
+    def _terms(self, expr) -> tuple:
+        """(variable indices, coefficients) of the non-zero terms."""
         items = expr.items() if isinstance(expr, dict) else expr
-        terms = []
+        idxs, coefs = [], []
         for name, coef in items:
             idx = self._index.get(name)
             if idx is None:
                 raise InvalidInputError(f"term references undeclared variable {name!r}")
             c = float(coef)
             if c != 0.0:
-                terms.append((idx, c))
-        return terms
+                idxs.append(idx)
+                coefs.append(c)
+        return idxs, coefs
 
-    def add_constraint(self, expr, relation: str, rhs: float):
-        """Add ``expr relation rhs`` where expr maps variable names to coefficients."""
+    def add_constraint(self, expr, relation: str, rhs: float, scaled=()):
+        """Add ``expr + scale * scaled  relation  rhs``.
+
+        ``expr`` and ``scaled`` map variable names to coefficients.
+        """
         if relation not in _RELATIONS:
             raise InvalidInputError(f"unknown relation {relation!r}")
-        self._rows.append((self._terms(expr), relation, float(rhs)))
+        self._rows.append((self._terms(expr), self._terms(scaled), relation,
+                           float(rhs)))
+        self._assembled = None
 
     def set_objective(self, sense: str, expr):
         if sense not in ("min", "max"):
@@ -92,69 +109,56 @@ class LpModel:
         self._sense = sense
         self._objective = self._terms(expr)
 
+    def _assemble(self) -> list:
+        """(A, A_scaled, b) of the inequality rows, as <=, and of the
+        equality rows; an empty block is all None."""
+        blocks = []
+        for equality in (False, True):
+            base, scaled, b = _Triplets(), _Triplets(), []
+            for terms, scaled_terms, rel, rhs in self._rows:
+                if (rel == EQ) != equality:
+                    continue
+                sign = -1.0 if rel == GE else 1.0
+                base.add(len(b), terms, sign)
+                scaled.add(len(b), scaled_terms, sign)
+                b.append(sign * rhs)
+            if not b:
+                blocks.append((None, None, None))
+                continue
+            shape = (len(b), self.num_variables)
+            blocks.append((base.csr(shape),
+                           scaled.csr(shape) if scaled.vals else None,
+                           np.array(b)))
+        return blocks
+
     def _matrices(self):
-        n = self.num_variables
-        c = np.zeros(n)
-        for idx, coef in self._objective:
-            c[idx] += coef
-        ub_data, ub_rows, ub_cols, b_ub = [], [], [], []
-        eq_data, eq_rows, eq_cols, b_eq = [], [], [], []
-        for terms, rel, rhs in self._rows:
-            if rel == EQ:
-                r = len(b_eq)
-                for idx, coef in terms:
-                    eq_rows.append(r)
-                    eq_cols.append(idx)
-                    eq_data.append(coef)
-                b_eq.append(rhs)
-            else:
-                sign = 1.0 if rel == LE else -1.0
-                r = len(b_ub)
-                for idx, coef in terms:
-                    ub_rows.append(r)
-                    ub_cols.append(idx)
-                    ub_data.append(sign * coef)
-                b_ub.append(sign * rhs)
-        A_ub = sp.csr_matrix((ub_data, (ub_rows, ub_cols)),
-                             shape=(len(b_ub), n)) if b_ub else None
-        A_eq = sp.csr_matrix((eq_data, (eq_rows, eq_cols)),
-                             shape=(len(b_eq), n)) if b_eq else None
-        return c, A_ub, (np.array(b_ub) if b_ub else None), \
-            A_eq, (np.array(b_eq) if b_eq else None)
+        if self._assembled is None:
+            self._assembled = self._assemble()
+        c = np.zeros(self.num_variables)
+        idxs, coefs = self._objective
+        np.add.at(c, idxs, coefs)
+        out = [c]
+        for A, A_scaled, b in self._assembled:
+            if A_scaled is not None:
+                A = A + self.scale * A_scaled
+            out.extend((A, b))
+        return tuple(out)
 
-    def to_lp_format(self) -> str:
-        """Render the model in LP text format for external cross-checking."""
-        names = [None] * self.num_variables
-        for name, idx in self._index.items():
-            names[idx] = name
 
-        def expr_str(terms):
-            if not terms:
-                return "0 " + (names[0] if names else "x")
-            parts = []
-            for k, (idx, coef) in enumerate(terms):
-                sign = "-" if coef < 0 else ("+" if k else "")
-                parts.append(f"{sign} {abs(coef):.12g} {names[idx]}".strip())
-            return " ".join(parts)
+class _Triplets:
+    """Row, column and value lists of a sparse matrix being assembled."""
 
-        lines = [f"\\ {self.name}",
-                 "Maximize" if self._sense == "max" else "Minimize",
-                 f" obj: {expr_str(self._objective)}",
-                 "Subject To"]
-        for r, (terms, rel, rhs) in enumerate(self._rows):
-            op = {LE: "<=", EQ: "=", GE: ">="}[rel]
-            lines.append(f" c{r}: {expr_str(terms)} {op} {rhs:.12g}")
-        lines.append("Bounds")
-        for idx, name in enumerate(names):
-            lo, hi = self._lb[idx], self._ub[idx]
-            if lo == -np.inf and hi == np.inf:
-                lines.append(f" {name} free")
-            elif hi == np.inf:
-                lines.append(f" {name} >= {lo:.12g}")
-            else:
-                lines.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+    def __init__(self):
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, row: int, terms: tuple, sign: float):
+        idxs, coefs = terms
+        self.rows.extend([row] * len(idxs))
+        self.cols.extend(idxs)
+        self.vals.extend(coefs if sign > 0 else [-c for c in coefs])
+
+    def csr(self, shape) -> sp.csr_matrix:
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=shape)
 
 
 def solve(model: LpModel) -> LpSolution:
@@ -178,7 +182,7 @@ def solve(model: LpModel) -> LpSolution:
 def solve_feasibility(model: LpModel) -> LpSolution:
     """Feasibility check: solve with a zero objective."""
     saved_sense, saved_obj = model._sense, model._objective
-    model._sense, model._objective = "min", []
+    model._sense, model._objective = "min", ([], [])
     try:
         return solve(model)
     finally:

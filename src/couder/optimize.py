@@ -4,8 +4,9 @@ Three LP stages over a set of critical traffic matrices:
 
 1. maximize the worst-case throughput scale factor mu shared by all
    critical matrices (a single routing weight set serves every matrix);
-2. desensitize: binary-search the smallest per-link sensitivity bound
-   beta that still supports mu;
+2. desensitize: find the smallest per-link sensitivity bound beta that
+   still supports mu (a bisection over beta, or one LP once link counts
+   are fixed);
 3. minimize average hop count by maximizing worst-case direct-path
    traffic subject to mu and beta.
 
@@ -32,7 +33,7 @@ from .traffic import CriticalSet
 
 SensitivityMode = Literal["per-link", "literal"]
 
-#: Relative bracket width at which the beta binary search stops.
+#: Relative bracket width at which the beta bisection stops.
 BETA_TOL = 1e-3
 BETA_CAP = 1e6
 
@@ -150,40 +151,41 @@ class _StageBuilder:
                     model.add_constraint(terms, lp.LE,
                                          self.b * self.fixed[a, b])
 
-    def add_sensitivity_constraints(self, model: lp.LpModel, beta: float,
+    def add_sensitivity_constraints(self, model: lp.LpModel,
                                     mode: SensitivityMode,
-                                    weight_scale: float = 1.0):
+                                    beta: Optional[float] = None):
         """Cap path weights at beta times link capacity.
 
         per-link: every link along the path constrains its weight;
         literal: only the pair's direct link count does.
-        ``weight_scale`` adapts the cap to scaled weight variables.
+        With free link counts the cap's d term is a scaled term and beta is
+        ``model.scale``.  With fixed link counts beta is the variable
+        ``beta``, pinned to ``beta`` when given and free otherwise.
         """
         if mode == "per-link":
-            for a, b in _pairs(self.n):
-                cap_pairs = [(p, (a, b)) for p in self.crossing[(a, b)]]
-                self._add_caps(model, cap_pairs, beta, weight_scale)
+            cap_pairs = [(p, link) for link in _pairs(self.n)
+                         for p in self.crossing[link]]
         elif mode == "literal":
-            for i, j in _pairs(self.n):
-                cap_pairs = [(p, (i, j)) for p in self.paths[(i, j)]]
-                self._add_caps(model, cap_pairs, beta, weight_scale)
+            cap_pairs = [(p, pair) for pair in _pairs(self.n)
+                         for p in self.paths[pair]]
         else:
             raise InvalidInputError(f"unknown sensitivity mode {mode!r}")
-
-    def _add_caps(self, model, cap_pairs, beta, weight_scale):
+        if self.fixed is None:
+            if beta is not None:
+                model.scale = beta
+        else:
+            model.add_var("beta", 0.0 if beta is None else beta, beta)
         for p, (a, b) in cap_pairs:
             pair = (p.src, p.dst)
             if pair not in self.pair_paths or p not in self.pair_paths[pair]:
                 continue
             if self.fixed is None:
-                model.add_constraint(
-                    {_wname(p): 1.0,
-                     _dname(a, b): -beta * self.b * weight_scale},
-                    lp.LE, 0.0)
+                model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
+                                     scaled={_dname(a, b): -self.b})
             else:
                 model.add_constraint(
-                    {_wname(p): 1.0}, lp.LE,
-                    beta * self.b * weight_scale * self.fixed[a, b])
+                    {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
+                    lp.LE, 0.0)
 
     def add_split_constraints(self, model: lp.LpModel, total):
         """Per-pair weight sums: either a constant or a variable name."""
@@ -247,10 +249,15 @@ class _StageBuilder:
         return np.maximum(d, load / self.b)
 
 
-def solve_maxmin_throughput(phys: PhysicalTopology,
-                            crit: CriticalSet) -> FractionalSolution:
-    """Stage 1: jointly choose link counts and one weight set maximizing mu."""
-    builder = _StageBuilder(phys, crit)
+def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
+                            _fixed: Optional[np.ndarray] = None
+                            ) -> FractionalSolution:
+    """Stage 1: jointly choose link counts and one weight set maximizing mu.
+
+    With ``_fixed`` the link counts are those constants and only the
+    weights are chosen.
+    """
+    builder = _StageBuilder(phys, crit, fixed=_fixed)
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
     model = builder.new_model("maxmin-throughput", None)
@@ -272,14 +279,42 @@ def solve_maxmin_throughput(phys: PhysicalTopology,
                               RoutingWeights(weights, mu=mu), mu)
 
 
-def _feasible_at_beta(builder: _StageBuilder, mu_star: float, beta: float,
-                      mode: SensitivityMode):
-    model = builder.new_model("desensitize", 1.0)
-    builder.add_split_constraints(model, 1.0)
-    builder.add_load_constraints(model, mu_star)
-    builder.add_sensitivity_constraints(model, beta, mode)
-    sol = lp.solve_feasibility(model)
-    return sol if sol.optimal else None
+def _bisect_beta(builder: _StageBuilder, model: lp.LpModel, beta_tol: float):
+    """Smallest feasible beta of the joint stage-2 model, to ``beta_tol``.
+
+    The bracket starts at a provable lower bound.  Pod i splits one unit
+    for each of its n - 1 pairs.  Per-link mode caps each path at its first
+    link (i, x), the first link of n - 1 of those paths; literal mode caps
+    it at the pair's direct link, shared by the pair's n - 1 paths.  Either
+    way n - 1 <= (n - 1) * beta * b * sum_x d_ix <= (n - 1) * beta * b *
+    r_eg[i], so beta >= 1 / (b * r_eg[i]); ingress likewise.  The upper end
+    doubles from there until feasible.  Only ``model.scale`` changes
+    between solves.
+    """
+    radix = int(min(builder.phys.egress_radix.min(),
+                    builder.phys.ingress_radix.min()))
+
+    def feasible(beta):
+        model.scale = beta
+        sol = lp.solve_feasibility(model)
+        return sol if sol.optimal else None
+
+    lo = hi = 1.0 / (builder.b * radix) if radix > 0 else float("inf")
+    while hi <= BETA_CAP:
+        best = feasible(hi)
+        if best is not None:
+            break
+        lo, hi = hi, hi * 2
+    else:
+        raise InternalError("no feasible sensitivity bound below cap")
+    while hi - lo > beta_tol * hi:
+        mid = (lo + hi) / 2
+        sol = feasible(mid)
+        if sol is None:
+            lo = mid
+        else:
+            hi, best = mid, sol
+    return hi, best
 
 
 def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
@@ -288,32 +323,32 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
                 _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 2: smallest sensitivity bound beta preserving throughput mu*.
 
-    Feasibility LPs at candidate beta values are bisected until the bracket's
-    relative width drops below ``beta_tol``; the solution kept is the one at
-    the final feasible upper bracket.
+    With free link counts the caps are bilinear in (beta, d), so feasibility
+    LPs at candidate beta values are bisected until the bracket's relative
+    width drops below ``beta_tol``; the solution kept is the one at the
+    final feasible upper bracket.  With link counts fixed by ``_fixed`` the
+    caps are linear in beta, and one LP minimizes it.
     """
     if mu_star <= 0:
         raise InvalidInputError("mu_star must be positive")
     builder = _StageBuilder(phys, crit, fixed=_fixed)
-    lo, hi = 0.0, 1.0
-    best = _feasible_at_beta(builder, mu_star, hi, mode)
-    while best is None:
-        lo, hi = hi, hi * 2
-        if hi > BETA_CAP:
+    model = builder.new_model("desensitize", 1.0)
+    builder.add_split_constraints(model, 1.0)
+    builder.add_load_constraints(model, mu_star)
+    builder.add_sensitivity_constraints(model, mode)
+    if _fixed is None:
+        beta, best = _bisect_beta(builder, model, beta_tol)
+    else:
+        model.set_objective("min", {"beta": 1.0})
+        best = lp.solve(model)
+        if not best.optimal or best.values["beta"] > BETA_CAP:
             raise InternalError("no feasible sensitivity bound below cap")
-        best = _feasible_at_beta(builder, mu_star, hi, mode)
-    while hi - lo > beta_tol * hi:
-        mid = (lo + hi) / 2
-        sol = _feasible_at_beta(builder, mu_star, mid, mode)
-        if sol is None:
-            lo = mid
-        else:
-            hi, best = mid, sol
+        beta = best.values["beta"]
     d, weights = builder.extract(best)
     d = builder.lift_d(d, weights, mu_star)
     return FractionalSolution(FractionalTopology(d),
-                              RoutingWeights(weights, mu=mu_star, beta=hi),
-                              mu_star, hi)
+                              RoutingWeights(weights, mu=mu_star, beta=beta),
+                              mu_star, beta)
 
 
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
@@ -332,7 +367,7 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     builder.add_split_constraints(model, 1.0)
     builder.add_load_constraints(model, mu_star)
     if beta is not None:
-        builder.add_sensitivity_constraints(model, beta, mode)
+        builder.add_sensitivity_constraints(model, mode, beta)
     for k in range(len(crit)):
         terms = {"z": -1.0}
         for (i, j), paths in builder.pair_paths.items():
@@ -372,23 +407,7 @@ def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
     if validate(phys, topo):
         raise InvalidInputError("integer topology violates port budgets")
     fixed = topo.X.astype(float)
-    builder = _StageBuilder(phys, crit, fixed=fixed)  # raises if disconnected
-    if not builder.demanded.any():
-        raise UnboundedThroughputError("all critical matrices are zero")
-    model = builder.new_model("recompute-throughput", None)
-    model.add_var("mu", 0.0, None)
-    builder.add_split_constraints(model, "mu")
-    builder.add_load_constraints(model, 1.0)
-    model.set_objective("max", {"mu": 1.0})
-    sol = lp.solve(model)
-    if sol.status == "unbounded":
-        raise UnboundedThroughputError("throughput is unbounded")
-    if not sol.optimal:
-        raise InternalError(f"recompute stage-1 LP ended {sol.status}")
-    mu = sol.values["mu"]
-    if mu <= 1e-12:
-        raise InfeasibleRoutingError("demand cannot be routed over topology",
-                                     mu=0.0)
+    mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
     beta = None
     if desensitized:
         beta = desensitize(phys, crit, mu, mode, beta_tol, _fixed=fixed).beta

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from . import lp, optimize
+from . import optimize
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UndefinedGapError)
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
@@ -297,20 +297,20 @@ def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
                    d_star: FractionalTopology, crit: CriticalSet) -> float:
     """Throughput lost by rounding: 1 - mu_int / mu_frac.
 
-    mu_frac is the stage-1 throughput over the fractional link counts and
-    mu_int the recomputed throughput over the rounded topology.  A rounded
+    mu_frac is the stage-1 throughput with link counts fixed at the
+    fractional d* and mu_int the same with them fixed at the rounded
+    topology.  A rounded
     topology can only be better through matching-constraint violations, so
     negative gaps are clamped to zero with a warning.
     """
     try:
-        mu_frac = _fixed_throughput(phys, d_star.d, crit)
+        mu_frac = optimize.solve_maxmin_throughput(phys, crit,
+                                                   _fixed=d_star.d).mu
     except InfeasibleRoutingError:
         raise UndefinedGapError("fractional throughput is zero")
-    if mu_frac <= 0:
-        raise UndefinedGapError("fractional throughput is zero")
     try:
-        mu_int = optimize.recompute_routing(phys, report.topo, crit,
-                                            desensitized=False).mu
+        mu_int = optimize.solve_maxmin_throughput(
+            phys, crit, _fixed=report.topo.X.astype(float)).mu
     except InfeasibleRoutingError:
         mu_int = 0.0
     gap = 1.0 - mu_int / mu_frac
@@ -321,17 +321,3 @@ def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
         gap = 0.0
     return min(gap, 1.0)
 
-
-def _fixed_throughput(phys: PhysicalTopology, capacity: np.ndarray,
-                      crit: CriticalSet) -> float:
-    """Stage-1 throughput with link counts frozen at ``capacity``."""
-    builder = optimize._StageBuilder(phys, crit, fixed=capacity)
-    model = builder.new_model("fixed-throughput", None)
-    model.add_var("mu", 0.0, None)
-    builder.add_split_constraints(model, "mu")
-    builder.add_load_constraints(model, 1.0)
-    model.set_objective("max", {"mu": 1.0})
-    sol = lp.solve(model)
-    if not sol.optimal:
-        raise InternalError(f"fixed-capacity throughput LP ended {sol.status}")
-    return sol.values["mu"]

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from couder import cli
+from couder import cli, lp
+from couder.errors import SolverLimitError
+from couder.evaluate import evaluate_static
 from couder.model import (FractionalTopology, IntegerTopology, Path,
                           PhysicalTopology, RoutingWeights, TmSequence,
                           TrafficMatrix)
 from couder.optimize import FractionalSolution
-from helpers import make_fabric, random_tm
+from helpers import make_fabric, random_criticals, random_tm
 
 
 def write_seq(path, demands, times=None):
@@ -151,26 +153,65 @@ class TestCommands:
         cli.write_physical_topology(str(physfile), phys)
         x = np.full((3, 3), 2)
         np.fill_diagonal(x, 0)
-        topofile = tmp_path / "topo.json"
-        cli.write_integer_topology(str(topofile), IntegerTopology(x[None]))
         weights = {}
         for i in range(3):
             for j in range(3):
                 if i != j:
                     weights[Path(i, j)] = 1.0
-        solfile = tmp_path / "sol.json"
-        cli.write_solution(str(solfile), FractionalSolution(
-            FractionalTopology(x.astype(float)), RoutingWeights(weights, 1.0),
-            1.0))
+        topofile = tmp_path / "topo.json"
+        cli.write_integer_topology(str(topofile), IntegerTopology(x[None]),
+                                   RoutingWeights(weights, 1.0))
         seqfile = tmp_path / "seq.jsonl"
         write_seq(seqfile, constant_seq(3, 4, 1.0))
         out = tmp_path / "metrics.jsonl"
         rc = cli.main(["evaluate", str(physfile), str(seqfile),
-                       "--topology", str(topofile), "--solution",
-                       str(solfile), "--out", str(out)])
+                       "--topology", str(topofile), "--out", str(out)])
         assert rc == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(line["mlu"] == pytest.approx(0.5) for line in lines)
+
+    def test_evaluate_uses_weights_recomputed_on_rounded_topology(
+            self, tmp_path):
+        # Stage-3 weights of this plan cross links that rounding removes:
+        # scored on the rounded X they load a dead link.  round with the
+        # critical set writes weights recomputed on X, which evaluate uses.
+        rng = np.random.default_rng(4)
+        phys = make_fabric(4, 1, 3)
+        crit = random_criticals(rng, 4, 2, scale=5.0)
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
+        cli.write_physical_topology(str(physfile), phys)
+        cli.write_critical_set(str(critfile), crit)
+        assert cli.main(["optimize", str(physfile), str(critfile),
+                         "--out", str(solfile)]) == 0
+        assert cli.main(["round", str(physfile), str(solfile), str(critfile),
+                         "--out", str(topofile)]) == 0
+        topo = cli.read_integer_topology(str(topofile))
+        stage3 = cli.read_solution(str(solfile)).omega
+        assert not all(evaluate_static(topo, stage3, t).feasible
+                       for t in crit)
+        routed = cli.read_topology_routing(str(topofile))
+        assert routed.mu > 0 and routed.beta is not None
+        seqfile, out = tmp_path / "seq.jsonl", tmp_path / "metrics.jsonl"
+        write_seq(seqfile, [t.demand for t in crit])
+        assert cli.main(["evaluate", str(physfile), str(seqfile),
+                         "--topology", str(topofile), "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert all(line["feasible"] for line in lines)
+        assert all(line["mlu"] <= 1.0 / routed.mu + 1e-6 for line in lines)
+
+    def test_evaluate_none_needs_recomputed_routing(self, tmp_path, capsys):
+        physfile, topofile = tmp_path / "phys.json", tmp_path / "topo.json"
+        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
+        x = np.full((3, 3), 2) - 2 * np.eye(3, dtype=int)
+        cli.write_integer_topology(str(topofile), IntegerTopology(x[None]))
+        seqfile = tmp_path / "seq.jsonl"
+        write_seq(seqfile, constant_seq(3, 2, 1.0))
+        rc = cli.main(["evaluate", str(physfile), str(seqfile),
+                       "--topology", str(topofile),
+                       "--out", str(tmp_path / "m.jsonl")])
+        assert rc == 1
+        assert "no routing weights" in capsys.readouterr().err
 
     def test_synth_storage(self, tmp_path):
         out = tmp_path / "seq.jsonl"
@@ -247,6 +288,22 @@ class TestExitCodes:
         rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
                        str(out)])
         assert rc == 2
+
+    def test_solver_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        def breakdown(model):
+            raise SolverLimitError("iteration limit reached")
+
+        monkeypatch.setattr(lp, "solve", breakdown)
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        rng = np.random.default_rng(8)
+        cli.write_critical_set(str(critfile), random_criticals(rng, 3, 1))
+        rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
+                       str(tmp_path / "sol.json")])
+        assert rc == cli.EXIT_SOLVER_LIMIT == 3
+        err = capsys.readouterr().err
+        assert "iteration limit reached" in err
+        assert "Traceback" not in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -140,15 +140,28 @@ def test_constraints_hold_at_optimum():
         assert val <= rhs + lp.FEAS_TOL
 
 
-def test_lp_format_dump():
-    m = lp.LpModel("demo")
-    m.add_var("x", 0.0, 3.0)
-    m.add_var("y", 0.0, None)
-    m.add_constraint({"x": 1.0, "y": -2.0}, lp.GE, 1.0)
-    m.set_objective("max", {"x": 3.0, "y": 2.0})
-    text = m.to_lp_format()
-    assert "Maximize" in text
-    assert "Subject To" in text
-    assert "Bounds" in text
-    assert "End" in text
-    assert ">= 1" in text
+
+def test_scaled_terms_follow_scale():
+    # max x  s.t.  x - scale * y <= 0,  y <= 2: the optimum is 2 * scale.
+    m = lp.LpModel()
+    m.add_var("x", 0.0, None)
+    m.add_var("y", 0.0, 2.0)
+    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
+    m.set_objective("max", {"x": 1.0})
+    for scale in (0.5, 3.0, 1.25):
+        m.scale = scale
+        assert lp.solve(m)["x"] == pytest.approx(2.0 * scale, abs=1e-9)
+
+
+def test_rows_added_after_a_solve_count():
+    m = lp.LpModel()
+    m.add_var("x", 0.0, 5.0)
+    m.set_objective("max", {"x": 1.0})
+    assert lp.solve(m)["x"] == pytest.approx(5.0, abs=1e-9)
+    m.add_constraint({"x": -1.0}, lp.GE, -3.0, scaled={"x": 0.0})
+    assert lp.solve(m)["x"] == pytest.approx(3.0, abs=1e-9)
+    m.add_var("y", 0.0, 1.0)
+    m.add_constraint({"x": 1.0, "y": 1.0}, lp.EQ, 2.5)
+    sol = lp.solve(m)
+    assert sol["x"] == pytest.approx(2.5, abs=1e-9)
+    assert sol["y"] == pytest.approx(0.0, abs=1e-9)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from couder.errors import (InfeasibleRoutingError, InvalidInputError,
-                           UnboundedThroughputError)
+from couder import lp
+from couder.errors import (InfeasibleRoutingError, InternalError,
+                           InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           TrafficMatrix)
-from couder.optimize import (compute_path_capacity, desensitize, minimize_ahc,
-                             recompute_routing, run_pipeline,
-                             solve_maxmin_per_tm, solve_maxmin_throughput)
+from couder.optimize import (BETA_TOL, _StageBuilder, compute_path_capacity,
+                             desensitize, minimize_ahc, recompute_routing,
+                             run_pipeline, solve_maxmin_per_tm,
+                             solve_maxmin_throughput)
+from couder.round import greedy_round
 from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet
-from helpers import (convex_combination, make_fabric, random_criticals,
-                     random_mesh_topology)
+from helpers import (bisect_beta, convex_combination, feasible_at_beta,
+                     hetero_fabric, make_fabric, random_criticals,
+                     random_fabric, random_fractional, random_mesh_topology)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -155,6 +159,109 @@ class TestDesensitize:
         sen1 = sensitivity_map(s1.d, s1.omega, phys.link_bandwidth)
         s2 = desensitize(phys, crit, s1.mu)
         assert s2.beta <= sen1[np.isfinite(sen1)].max() * (1 + 2e-3) + 1e-12
+
+
+def record_solves(monkeypatch) -> list:
+    """The models ``lp.solve`` is given from now on, in order."""
+    models = []
+    real = lp.solve
+
+    def recording(model):
+        models.append(model)
+        return real(model)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return models
+
+
+def within_tol(a: float, b: float) -> bool:
+    """Two bisection results that each end within BETA_TOL of the same
+    smallest feasible beta differ by at most BETA_TOL of the larger."""
+    return abs(a - b) <= BETA_TOL * max(a, b)
+
+
+def rounded_instance(seed: int, fabric):
+    rng = np.random.default_rng(500 + seed)
+    phys = fabric(rng, 4, 2, qmin=2, qmax=6)
+    crit = random_criticals(rng, 4, 2)
+    X = greedy_round(phys, random_fractional(rng, phys)).topo.X.astype(float)
+    return phys, crit, X
+
+
+class TestStage2Bracket:
+    @pytest.mark.parametrize("mode", ["per-link", "literal"])
+    @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
+    def test_fixed_topology_one_lp_matches_bisection(self, monkeypatch,
+                                                     fabric, mode):
+        # Literal mode caps every path of a pair at the pair's direct link,
+        # so a pair that rounding left without one has no feasible beta:
+        # then both the oracle and desensitize give up at the cap.
+        for seed in range(6):
+            phys, crit, X = rounded_instance(seed, fabric)
+            mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
+            oracle = bisect_beta(phys, crit, mu, mode, fixed=X)
+            models = record_solves(monkeypatch)
+            if oracle is None:
+                with pytest.raises(InternalError):
+                    desensitize(phys, crit, mu, mode, _fixed=X)
+            else:
+                beta = desensitize(phys, crit, mu, mode, _fixed=X).beta
+                assert beta <= oracle * (1 + 1e-7)
+                assert within_tol(beta, oracle)
+            assert [m.name for m in models] == ["desensitize"]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_joint_beta_above_radix_bound_and_matches_unit_bracket(self,
+                                                                   seed):
+        rng = np.random.default_rng(600 + seed)
+        fabric = random_fabric if seed % 2 else hetero_fabric
+        phys = fabric(rng, 4, 2, qmin=2, qmax=5)
+        crit = random_criticals(rng, 4, 2)
+        mu = solve_maxmin_throughput(phys, crit).mu
+        radix = min(phys.egress_radix.min(), phys.ingress_radix.min())
+        bound = 1.0 / (phys.link_bandwidth * radix)
+        builder = _StageBuilder(phys, crit)
+        for mode in ("per-link", "literal"):
+            beta = desensitize(phys, crit, mu, mode).beta
+            assert beta >= bound
+            assert not feasible_at_beta(builder, mu, bound * (1 - 1e-3), mode)
+            assert within_tol(beta, bisect_beta(phys, crit, mu, mode))
+
+    def test_n2_lower_bracket_is_optimal_after_one_lp(self, monkeypatch):
+        phys, crit = n2_instance()
+        models = record_solves(monkeypatch)
+        sol = desensitize(phys, crit, 0.5)
+        assert sol.beta == 0.25
+        assert [m.name for m in models] == ["desensitize"]
+
+    def test_joint_bisection_reuses_one_model(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        phys = make_fabric(4, 2, 3)
+        crit = random_criticals(rng, 4, 2)
+        mu = solve_maxmin_throughput(phys, crit).mu
+        models = record_solves(monkeypatch)
+        desensitize(phys, crit, mu)
+        assert len(models) > 1
+        assert all(m is models[0] for m in models)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_bound_above_cap_raises(self, fixed):
+        phys = make_fabric(3, 1, 2, bandwidth=1e-7)
+        X = np.ones((3, 3)) - np.eye(3)
+        t = np.ones((3, 3)) - np.eye(3)
+        crit = CriticalSet((TrafficMatrix(t),))
+        with pytest.raises(InternalError):
+            desensitize(phys, crit, 1e-12, _fixed=X if fixed else None)
+
+    def test_fixed_topology_infeasible_mu_raises(self):
+        phys = make_fabric(3, 1, 2)
+        X = np.ones((3, 3)) - np.eye(3)
+        t = np.ones((3, 3)) - np.eye(3)
+        crit = CriticalSet((TrafficMatrix(t),))
+        mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
+        with pytest.raises(InternalError):
+            desensitize(phys, crit, 2 * mu, _fixed=X)
 
 
 class TestMinimizeAhc:
