@@ -4,7 +4,8 @@ All files are UTF-8 JSON.  Traffic sequences and per-matrix metrics are
 JSON Lines (one object per line) so long traces stream; everything else
 is a single versioned object.  Exit codes: 0 success, 1 validation
 error, 2 infeasibility, 3 the LP solver hit an iteration or numerical
-limit, 64 usage error.
+limit, 4 internal error (an LP ended in a state its stage rules out, such
+as no sensitivity bound below the cap), 64 usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import evaluate, optimize, round as rounding, traffic
-from .errors import (InfeasibleRoutingError, InvalidInputError,
-                     SolverLimitError, UnboundedThroughputError)
+from .errors import (InfeasibleRoutingError, InternalError,
+                     InvalidInputError, SolverLimitError,
+                     UnboundedThroughputError)
 from .evaluate import ReconfigPolicy
 from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_SOLVER_LIMIT = 3
+EXIT_INTERNAL = 4
 EXIT_USAGE = 64
 
 VERSION = 1
@@ -264,7 +267,7 @@ def _cmd_round(args, cfg: RunConfig) -> int:
     if crit is not None:  # desensitized when the fractional plan was
         routing = optimize.recompute_routing(
             phys, report.topo, crit, desensitized=sol.beta is not None,
-            mode=cfg.step3_mode, beta_tol=cfg.beta_tolerance).omega
+            mode=cfg.step3_mode).omega
     write_integer_topology(args.out, report.topo, routing)
     print(_dump({"goodness": report.goodness,
                  "violation_ratio": report.violation_ratio,
@@ -516,6 +519,9 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         print(f"couder: solver limit: {exc}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
+    except InternalError as exc:
+        print(f"couder: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

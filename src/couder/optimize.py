@@ -327,7 +327,8 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     LPs at candidate beta values are bisected until the bracket's relative
     width drops below ``beta_tol``; the solution kept is the one at the
     final feasible upper bracket.  With link counts fixed by ``_fixed`` the
-    caps are linear in beta, and one LP minimizes it.
+    caps are linear in beta, and one LP minimizes it exactly; there is no
+    bracket then and ``beta_tol`` is unused.
     """
     if mu_star <= 0:
         raise InvalidInputError("mu_star must be positive")
@@ -401,16 +402,19 @@ def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,
 def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
                       crit: CriticalSet,
                       desensitized: bool = True,
-                      mode: SensitivityMode = "per-link",
-                      beta_tol: float = BETA_TOL) -> FractionalSolution:
-    """Rerun the three stages with link counts frozen to the integer topology."""
+                      mode: SensitivityMode = "per-link"
+                      ) -> FractionalSolution:
+    """Rerun the three stages with link counts frozen to the integer topology.
+
+    Stage 2 is one LP here, so stage 3 runs at its exact minimum beta.
+    """
     if validate(phys, topo):
         raise InvalidInputError("integer topology violates port budgets")
     fixed = topo.X.astype(float)
     mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
     beta = None
     if desensitized:
-        beta = desensitize(phys, crit, mu, mode, beta_tol, _fixed=fixed).beta
+        beta = desensitize(phys, crit, mu, mode, _fixed=fixed).beta
     return minimize_ahc(phys, crit, mu, beta, mode, _fixed=fixed)
 
 

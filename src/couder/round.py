@@ -299,10 +299,12 @@ def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
 
     mu_frac is the stage-1 throughput with link counts fixed at the
     fractional d* and mu_int the same with them fixed at the rounded
-    topology.  A rounded
-    topology can only be better through matching-constraint violations, so
-    negative gaps are clamped to zero with a warning.
+    topology, which must fit the port budgets.  A rounded topology can only
+    be better through matching-constraint violations, so negative gaps are
+    clamped to zero with a warning.
     """
+    if validate(phys, report.topo):
+        raise InvalidInputError("integer topology violates port budgets")
     try:
         mu_frac = optimize.solve_maxmin_throughput(phys, crit,
                                                    _fixed=d_star.d).mu

@@ -11,6 +11,7 @@ from couder.model import (FractionalTopology, IntegerTopology, Path,
                           PhysicalTopology, RoutingWeights, TmSequence,
                           TrafficMatrix)
 from couder.optimize import FractionalSolution
+from couder.traffic import CriticalSet
 from helpers import make_fabric, random_criticals, random_tm
 
 
@@ -304,6 +305,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "iteration limit reached" in err
         assert "Traceback" not in err
+
+    def test_literal_mode_without_sensitivity_bound_exits_4(self, tmp_path,
+                                                            capsys):
+        # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a
+        # usable 2-hop path.  Literal mode caps that path at beta * b *
+        # X[0, 2] = 0 at every beta, so no sensitivity bound exists; per-link
+        # mode routes it over the path's own links.
+        phys = make_fabric(3, 1, 2)
+        d = np.zeros((3, 3))
+        d[0, 1] = d[1, 2] = d[2, 0] = 2.0
+        t = np.zeros((3, 3))
+        t[0, 1] = 1.0
+        sol = FractionalSolution(
+            FractionalTopology(d),
+            RoutingWeights({Path(0, 1): 1.0}, mu=4.0), 4.0, beta=0.5)
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
+        cli.write_physical_topology(str(physfile), phys)
+        cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
+        cli.write_solution(str(solfile), sol)
+        args = ["round", str(physfile), str(solfile), str(critfile),
+                "--out", str(topofile)]
+        rc = cli.main(["--step3-mode", "literal"] + args)
+        assert rc == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert "no feasible sensitivity bound" in err
+        assert "Traceback" not in err
+        assert cli.main(args) == 0
+        assert cli.read_topology_routing(str(topofile)).beta is not None
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -184,8 +184,8 @@ def rounded_instance(seed: int, fabric):
     rng = np.random.default_rng(500 + seed)
     phys = fabric(rng, 4, 2, qmin=2, qmax=6)
     crit = random_criticals(rng, 4, 2)
-    X = greedy_round(phys, random_fractional(rng, phys)).topo.X.astype(float)
-    return phys, crit, X
+    topo = greedy_round(phys, random_fractional(rng, phys)).topo
+    return phys, crit, topo
 
 
 class TestStage2Bracket:
@@ -197,7 +197,8 @@ class TestStage2Bracket:
         # so a pair that rounding left without one has no feasible beta:
         # then both the oracle and desensitize give up at the cap.
         for seed in range(6):
-            phys, crit, X = rounded_instance(seed, fabric)
+            phys, crit, topo = rounded_instance(seed, fabric)
+            X = topo.X.astype(float)
             mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
             oracle = bisect_beta(phys, crit, mu, mode, fixed=X)
             models = record_solves(monkeypatch)
@@ -210,6 +211,25 @@ class TestStage2Bracket:
                 assert within_tol(beta, oracle)
             assert [m.name for m in models] == ["desensitize"]
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
+    def test_recompute_stage3_feasible_at_exact_fixed_beta(self, fabric):
+        # Stage 3 of recompute_routing runs with mu and beta both at their
+        # LP optima, so it has no slack in either; it must still solve.
+        for seed in range(6):
+            phys, crit, topo = rounded_instance(seed, fabric)
+            X = topo.X.astype(float)
+            b = phys.link_bandwidth
+            mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
+            beta = desensitize(phys, crit, mu, _fixed=X).beta
+            routed = recompute_routing(phys, topo, crit)
+            assert routed.mu == pytest.approx(mu, rel=1e-9)
+            assert routed.beta == pytest.approx(beta, rel=1e-9)
+            assert sensitivity_map(topo, routed.omega, b).max() \
+                <= beta * (1 + 1e-6)
+            for t in crit:
+                rec = evaluate_static(topo, routed.omega, t, b)
+                assert rec.mlu <= 1.0 / mu + 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_joint_beta_above_radix_bound_and_matches_unit_bracket(self,

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from couder.errors import InvalidInputError, UndefinedGapError
+from couder.errors import (InvalidInputError, UnboundedThroughputError,
+                           UndefinedGapError)
 from couder.model import (FractionalTopology, IntegerTopology,
                           PhysicalTopology, TrafficMatrix, validate)
-from couder.round import (DualState, _brackets, _complete, _goodness,
-                          greedy_round, ldm_round, optimality_gap)
+from couder.round import (DualState, RoundingReport, _brackets, _complete,
+                          _goodness, greedy_round, ldm_round, optimality_gap)
 from couder.traffic import CriticalSet
 from helpers import (hetero_fabric, make_fabric, random_criticals,
                      random_fabric, random_fractional)
@@ -294,6 +295,24 @@ class TestOptimalityGap:
         crit = CriticalSet((TrafficMatrix(t),))
         report = greedy_round(phys, FractionalTopology(d))
         with pytest.raises(UndefinedGapError):
+            optimality_gap(phys, report, FractionalTopology(d), crit)
+
+    def test_topology_over_port_budget_is_rejected(self):
+        # Two links per pair need 4 ports per pod; the fabric has 2.
+        phys = make_fabric(3, 1, 2)
+        d = np.full((3, 3), 1.0) - np.eye(3)
+        x = 2 * (np.ones((1, 3, 3), dtype=int) - np.eye(3, dtype=int))
+        report = RoundingReport(IntegerTopology(x), 6, 0.0, 0)
+        crit = CriticalSet((TrafficMatrix(d),))
+        with pytest.raises(InvalidInputError):
+            optimality_gap(phys, report, FractionalTopology(d), crit)
+
+    def test_all_zero_criticals_are_unbounded(self):
+        phys = make_fabric(3, 1, 2)
+        d = np.full((3, 3), 1.0) - np.eye(3)
+        report = greedy_round(phys, FractionalTopology(d))
+        crit = CriticalSet((TrafficMatrix(np.zeros((3, 3))),))
+        with pytest.raises(UnboundedThroughputError):
             optimality_gap(phys, report, FractionalTopology(d), crit)
 
 
