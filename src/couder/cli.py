@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,10 +45,7 @@ class RunConfig:
     k: int = 5
     lookback: float = 3600.0
     ldm_iterations: int = 50
-    beta_tolerance: float = 1e-3
     seed: int = 0
-    step3_mode: str = "per-link"
-    jobs: int = 1
 
     @classmethod
     def load(cls, path, overrides: dict) -> "RunConfig":
@@ -248,9 +243,8 @@ def _cmd_extract(args, cfg: RunConfig) -> int:
 def _cmd_optimize(args, cfg: RunConfig) -> int:
     phys = read_physical_topology(args.phys_file)
     crit = read_critical_set(args.crit_file)
-    sol = optimize.run_pipeline(phys, crit, desensitized=not args.no_desensitize,
-                                mode=cfg.step3_mode,
-                                beta_tol=cfg.beta_tolerance)
+    sol = optimize.run_pipeline(phys, crit,
+                                desensitized=not args.no_desensitize)
     write_solution(args.out, sol)
     return EXIT_OK
 
@@ -266,8 +260,8 @@ def _cmd_round(args, cfg: RunConfig) -> int:
     routing = None
     if crit is not None:  # desensitized when the fractional plan was
         routing = optimize.recompute_routing(
-            phys, report.topo, crit, desensitized=sol.beta is not None,
-            mode=cfg.step3_mode).omega
+            phys, report.topo, crit,
+            desensitized=sol.beta is not None).omega
     write_integer_topology(args.out, report.topo, routing)
     print(_dump({"goodness": report.goodness,
                  "violation_ratio": report.violation_ratio,
@@ -338,11 +332,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown baseline {args.baseline}")
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, seq.matrices))
-    else:
-        results = [run(t) for t in seq]
+    results = [run(t) for t in seq]
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for idx, (rec, extra) in enumerate(results):
@@ -368,8 +358,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
                             alpha_pred=args.alpha_pred,
                             lookback=cfg.lookback, k=cfg.k)
     points, epochs = evaluate.simulate_reconfig(
-        phys, seq, policy, seed=cfg.seed, mode=cfg.step3_mode,
-        tau_max=cfg.ldm_iterations)
+        phys, seq, policy, seed=cfg.seed, tau_max=cfg.ldm_iterations)
     with open(args.out, "w", encoding="utf-8") as fh:
         for ep in epochs:
             fh.write(_dump({"event": "reconfig", "t": ep.time,
@@ -427,12 +416,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--lookback", type=float,
                         help="history window in seconds")
     parser.add_argument("--ldm-iterations", type=int, dest="ldm_iterations")
-    parser.add_argument("--beta-tolerance", type=float, dest="beta_tolerance")
-    parser.add_argument("--step3-mode", choices=["per-link", "literal"],
-                        dest="step3_mode")
-    parser.add_argument("--jobs", type=int,
-                        default=None, help="parallel matrix evaluations "
-                                           "(default: COUDER_JOBS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="cluster a sequence into criticals")
@@ -499,14 +482,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("COUDER_JOBS", "1"))
     overrides = {"k": args.k, "seed": args.seed, "lookback": args.lookback,
-                 "ldm_iterations": args.ldm_iterations,
-                 "beta_tolerance": args.beta_tolerance,
-                 "step3_mode": args.step3_mode,
-                 "jobs": jobs}
+                 "ldm_iterations": args.ldm_iterations}
     try:
         cfg = RunConfig.load(args.config, overrides)
         return args.func(args, cfg)

@@ -9,17 +9,17 @@ sentinel is reserved for demand crossing a zero-capacity link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
-from . import lp, optimize, round as rounding, traffic
+from . import optimize, round as rounding, traffic
 from .errors import (InfeasibleRoutingError, InvalidInputError,
                      UnboundedThroughputError)
 from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
-                    TrafficMatrix, enumerate_paths, validate)
+                    TrafficMatrix)
 from .traffic import CriticalSet
 
 Capacity = Union[IntegerTopology, FractionalTopology, np.ndarray]
@@ -113,60 +113,36 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     return EvalRecord(mlu, ahc, util, direct_fraction, feasible)
 
 
+def _single_matrix_mlu(phys: PhysicalTopology, t: TrafficMatrix,
+                       fixed: Optional[np.ndarray] = None):
+    """1/mu of stage 1 on the one matrix t, with its weights.
+
+    An all-zero t has MLU 0 under any weights; a t that cannot be routed
+    has an infinite MLU and no weights.
+    """
+    try:
+        sol = optimize.solve_maxmin_throughput(phys, CriticalSet((t,)),
+                                               _fixed=fixed)
+    except UnboundedThroughputError:
+        return 0.0, RoutingWeights({})
+    except InfeasibleRoutingError:
+        return math.inf, None
+    return 1.0 / sol.mu, sol.omega
+
+
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
                         bandwidth: float = 1.0,
                         return_weights: bool = False):
-    """Offline-optimal split: the smallest MLU any weights achieve on x."""
-    cap = _capacity_matrix(x) * bandwidth
-    if cap.shape != t.demand.shape:
-        raise InvalidInputError("topology and matrix shapes differ")
-    n = t.num_pods
-    paths = enumerate_paths(n)
-    model = lp.LpModel("optimal-routing")
-    model.add_var("mlu", 0.0, None)
+    """Offline-optimal split: the smallest MLU any weights achieve on x.
 
-    def name(p: Path) -> str:
-        return f"w_{p.src}.{p.via}.{p.dst}" if p.via is not None \
-            else f"w_{p.src}.{p.dst}"
-
-    demanded = [(i, j) for i in range(n) for j in range(n)
-                if t.demand[i, j] > 0]
-    usable = {}
-    for (i, j) in demanded:
-        ps = [p for p in paths[(i, j)]
-              if all(cap[a, b] > 0 for a, b in p.links())]
-        if not ps:
-            return (math.inf, None) if return_weights else math.inf
-        usable[(i, j)] = ps
-        for p in ps:
-            model.add_var(name(p), 0.0, 1.0)
-        model.add_constraint({name(p): 1.0 for p in ps}, lp.EQ, 1.0)
-    for a in range(n):
-        for b in range(n):
-            if a == b or cap[a, b] <= 0:
-                continue
-            terms = {}
-            for (i, j), ps in usable.items():
-                for p in ps:
-                    if (a, b) in p.links():
-                        terms[name(p)] = terms.get(name(p), 0.0) \
-                            + t.demand[i, j]
-            if terms:
-                terms["mlu"] = -cap[a, b]
-                model.add_constraint(terms, lp.LE, 0.0)
-    model.set_objective("min", {"mlu": 1.0})
-    sol = lp.solve(model)
-    if not sol.optimal:
-        return (math.inf, None) if return_weights else math.inf
-    if not return_weights:
-        return sol.objective_value
-    weights = {}
-    for (i, j), ps in usable.items():
-        for p in ps:
-            w = sol.values[name(p)]
-            if w > 0:
-                weights[p] = w
-    return sol.objective_value, RoutingWeights(weights)
+    This is stage 1 on t with link counts fixed at x, which reads only the
+    pod count and link bandwidth of its fabric, so the fabric has no ports.
+    """
+    cap = _capacity_matrix(x)
+    no_ports = np.zeros((1, cap.shape[0]), dtype=int)
+    phys = PhysicalTopology(cap.shape[0], 1, no_ports, no_ports, bandwidth)
+    mlu, omega = _single_matrix_mlu(phys, t, cap)
+    return (mlu, omega) if return_weights else mlu
 
 
 def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
@@ -176,13 +152,7 @@ def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
         phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
                                 phys.egress_ports, phys.ingress_ports,
                                 bandwidth)
-    try:
-        sol = optimize.solve_maxmin_throughput(phys, CriticalSet((t,)))
-    except UnboundedThroughputError:
-        return 0.0
-    except InfeasibleRoutingError:
-        return math.inf
-    return 1.0 / sol.mu
+    return _single_matrix_mlu(phys, t)[0]
 
 
 def uniform_mesh(phys: PhysicalTopology) -> IntegerTopology:
@@ -347,7 +317,6 @@ def _changing_circuits(old: np.ndarray, new: np.ndarray) -> list:
 
 def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
                       policy: ReconfigPolicy, *, seed: int = 0,
-                      mode: optimize.SensitivityMode = "per-link",
                       tau_max: int = 50):
     """Periodic reconfiguration over a matrix sequence.
 
@@ -384,9 +353,9 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
         crit = traffic.extract_critical(
             TmSequence(tuple(history), seq.aggregation_window),
             min(policy.k, len(history)), seed)
-        frac = optimize.run_pipeline(phys, crit, mode=mode)
+        frac = optimize.run_pipeline(phys, crit)
         report = rounding.ldm_round(phys, frac.d, tau_max)
-        routed = optimize.recompute_routing(phys, report.topo, crit, mode=mode)
+        routed = optimize.recompute_routing(phys, report.topo, crit)
         return report.topo, routed
 
     epoch_idx = -1

@@ -258,10 +258,6 @@ class RoutingWeights:
     def weight(self, path: Path) -> float:
         return self.weights.get(path, 0.0)
 
-    def pair_weights(self, src: int, dst: int) -> dict:
-        return {p: w for p, w in self.weights.items()
-                if p.src == src and p.dst == dst}
-
     def arrays(self, num_pods: int):
         """Dense views: (N,N) direct weights and (N,N,N) [src,dst,via] weights."""
         direct = np.zeros((num_pods, num_pods))

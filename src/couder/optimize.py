@@ -4,9 +4,12 @@ Three LP stages over a set of critical traffic matrices:
 
 1. maximize the worst-case throughput scale factor mu shared by all
    critical matrices (a single routing weight set serves every matrix);
-2. desensitize: find the smallest per-link sensitivity bound beta that
-   still supports mu (a bisection over beta, or one LP once link counts
-   are fixed);
+2. desensitize: find the smallest sensitivity bound beta that still
+   supports mu (a bisection over beta, or one LP once link counts are
+   fixed).  The bound caps every path on every link it crosses,
+   w_p <= beta * b * d_ab, so beta bounds the utilization a unit burst on
+   one pair can add to any link: exactly what
+   ``evaluate.sensitivity_map`` reports;
 3. minimize average hop count by maximizing worst-case direct-path
    traffic subject to mu and beta.
 
@@ -19,7 +22,7 @@ recompute routing after rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +33,6 @@ from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, enumerate_paths,
                     validate)
 from .traffic import CriticalSet
-
-SensitivityMode = Literal["per-link", "literal"]
 
 #: Relative bracket width at which the beta bisection stops.
 BETA_TOL = 1e-3
@@ -152,40 +153,32 @@ class _StageBuilder:
                                          self.b * self.fixed[a, b])
 
     def add_sensitivity_constraints(self, model: lp.LpModel,
-                                    mode: SensitivityMode,
                                     beta: Optional[float] = None):
-        """Cap path weights at beta times link capacity.
+        """Cap each path weight at beta times every link the path crosses.
 
-        per-link: every link along the path constrains its weight;
-        literal: only the pair's direct link count does.
-        With free link counts the cap's d term is a scaled term and beta is
+        w_p <= beta * b * d_ab for each link (a, b) of p, so no link's
+        utilization rises by more than beta per unit of one pair's demand;
+        ``evaluate.sensitivity_map`` reports the same quantity.  With free
+        link counts the cap's d term is a scaled term and beta is
         ``model.scale``.  With fixed link counts beta is the variable
         ``beta``, pinned to ``beta`` when given and free otherwise.
         """
-        if mode == "per-link":
-            cap_pairs = [(p, link) for link in _pairs(self.n)
-                         for p in self.crossing[link]]
-        elif mode == "literal":
-            cap_pairs = [(p, pair) for pair in _pairs(self.n)
-                         for p in self.paths[pair]]
-        else:
-            raise InvalidInputError(f"unknown sensitivity mode {mode!r}")
         if self.fixed is None:
             if beta is not None:
                 model.scale = beta
         else:
             model.add_var("beta", 0.0 if beta is None else beta, beta)
-        for p, (a, b) in cap_pairs:
-            pair = (p.src, p.dst)
-            if pair not in self.pair_paths or p not in self.pair_paths[pair]:
-                continue
-            if self.fixed is None:
-                model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
-                                     scaled={_dname(a, b): -self.b})
-            else:
-                model.add_constraint(
-                    {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
-                    lp.LE, 0.0)
+        for (a, b), paths in self.crossing.items():
+            for p in paths:
+                if p not in self.pair_paths.get((p.src, p.dst), ()):
+                    continue
+                if self.fixed is None:
+                    model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
+                                         scaled={_dname(a, b): -self.b})
+                else:
+                    model.add_constraint(
+                        {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
+                        lp.LE, 0.0)
 
     def add_split_constraints(self, model: lp.LpModel, total):
         """Per-pair weight sums: either a constant or a variable name."""
@@ -279,17 +272,15 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
                               RoutingWeights(weights, mu=mu), mu)
 
 
-def _bisect_beta(builder: _StageBuilder, model: lp.LpModel, beta_tol: float):
-    """Smallest feasible beta of the joint stage-2 model, to ``beta_tol``.
+def _bisect_beta(builder: _StageBuilder, model: lp.LpModel):
+    """Smallest feasible beta of the joint stage-2 model, to ``BETA_TOL``.
 
     The bracket starts at a provable lower bound.  Pod i splits one unit
-    for each of its n - 1 pairs.  Per-link mode caps each path at its first
-    link (i, x), the first link of n - 1 of those paths; literal mode caps
-    it at the pair's direct link, shared by the pair's n - 1 paths.  Either
-    way n - 1 <= (n - 1) * beta * b * sum_x d_ix <= (n - 1) * beta * b *
-    r_eg[i], so beta >= 1 / (b * r_eg[i]); ingress likewise.  The upper end
-    doubles from there until feasible.  Only ``model.scale`` changes
-    between solves.
+    for each of its n - 1 pairs, and each path is capped at its first link
+    (i, x), the first link of n - 1 of those paths.  So n - 1 <= (n - 1) *
+    beta * b * sum_x d_ix <= (n - 1) * beta * b * r_eg[i], and beta >=
+    1 / (b * r_eg[i]); ingress likewise.  The upper end doubles from there
+    until feasible.  Only ``model.scale`` changes between solves.
     """
     radix = int(min(builder.phys.egress_radix.min(),
                     builder.phys.ingress_radix.min()))
@@ -307,7 +298,7 @@ def _bisect_beta(builder: _StageBuilder, model: lp.LpModel, beta_tol: float):
         lo, hi = hi, hi * 2
     else:
         raise InternalError("no feasible sensitivity bound below cap")
-    while hi - lo > beta_tol * hi:
+    while hi - lo > BETA_TOL * hi:
         mid = (lo + hi) / 2
         sol = feasible(mid)
         if sol is None:
@@ -318,17 +309,14 @@ def _bisect_beta(builder: _StageBuilder, model: lp.LpModel, beta_tol: float):
 
 
 def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
-                mode: SensitivityMode = "per-link",
-                beta_tol: float = BETA_TOL,
                 _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 2: smallest sensitivity bound beta preserving throughput mu*.
 
     With free link counts the caps are bilinear in (beta, d), so feasibility
     LPs at candidate beta values are bisected until the bracket's relative
-    width drops below ``beta_tol``; the solution kept is the one at the
+    width drops below ``BETA_TOL``; the solution kept is the one at the
     final feasible upper bracket.  With link counts fixed by ``_fixed`` the
-    caps are linear in beta, and one LP minimizes it exactly; there is no
-    bracket then and ``beta_tol`` is unused.
+    caps are linear in beta, and one LP minimizes it exactly.
     """
     if mu_star <= 0:
         raise InvalidInputError("mu_star must be positive")
@@ -336,9 +324,9 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     model = builder.new_model("desensitize", 1.0)
     builder.add_split_constraints(model, 1.0)
     builder.add_load_constraints(model, mu_star)
-    builder.add_sensitivity_constraints(model, mode)
+    builder.add_sensitivity_constraints(model)
     if _fixed is None:
-        beta, best = _bisect_beta(builder, model, beta_tol)
+        beta, best = _bisect_beta(builder, model)
     else:
         model.set_objective("min", {"beta": 1.0})
         best = lp.solve(model)
@@ -354,7 +342,6 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
 
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
                  beta: Optional[float],
-                 mode: SensitivityMode = "per-link",
                  _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 3: maximize worst-case direct-path traffic at fixed mu* and beta.
 
@@ -368,7 +355,7 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     builder.add_split_constraints(model, 1.0)
     builder.add_load_constraints(model, mu_star)
     if beta is not None:
-        builder.add_sensitivity_constraints(model, mode, beta)
+        builder.add_sensitivity_constraints(model, beta)
     for k in range(len(crit)):
         terms = {"z": -1.0}
         for (i, j), paths in builder.pair_paths.items():
@@ -388,22 +375,18 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
 
 
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,
-                 desensitized: bool = True,
-                 mode: SensitivityMode = "per-link",
-                 beta_tol: float = BETA_TOL) -> FractionalSolution:
+                 desensitized: bool = True) -> FractionalSolution:
     """Full stage 1 -> 2 -> 3 run; stage 2 is skipped when not desensitized."""
     step1 = solve_maxmin_throughput(phys, crit)
     beta = None
     if desensitized:
-        beta = desensitize(phys, crit, step1.mu, mode, beta_tol).beta
-    return minimize_ahc(phys, crit, step1.mu, beta, mode)
+        beta = desensitize(phys, crit, step1.mu).beta
+    return minimize_ahc(phys, crit, step1.mu, beta)
 
 
 def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
                       crit: CriticalSet,
-                      desensitized: bool = True,
-                      mode: SensitivityMode = "per-link"
-                      ) -> FractionalSolution:
+                      desensitized: bool = True) -> FractionalSolution:
     """Rerun the three stages with link counts frozen to the integer topology.
 
     Stage 2 is one LP here, so stage 3 runs at its exact minimum beta.
@@ -414,8 +397,8 @@ def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
     mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
     beta = None
     if desensitized:
-        beta = desensitize(phys, crit, mu, mode, _fixed=fixed).beta
-    return minimize_ahc(phys, crit, mu, beta, mode, _fixed=fixed)
+        beta = desensitize(phys, crit, mu, _fixed=fixed).beta
+    return minimize_ahc(phys, crit, mu, beta, _fixed=fixed)
 
 
 def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
@@ -461,21 +444,15 @@ def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
     mu = sol.values["mu"]
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
-    d = np.zeros((n, n))
-    for i, j in _pairs(n):
-        d[i, j] = max(sol.values[_dname(i, j)], 0.0)
     omegas = []
     for k in range(K):
-        weights = {}
-        for pair, paths in builder.pair_paths.items():
-            vals = np.array([sol.values[kname(k, p)] for p in paths]) / mu
-            total = vals.sum()
-            if total <= 1e-12:
-                weights[Path(*pair)] = 1.0
-                continue
-            for p, w in zip(paths, vals / total):
-                if w > 0:
-                    weights[p] = float(w)
+        # Matrix k's weights under the shared names, so extract reads them.
+        values = dict(sol.values)
+        values.update((_wname(p), sol.values[kname(k, p)])
+                      for paths in builder.pair_paths.values() for p in paths)
+        d, weights = builder.extract(
+            lp.LpSolution(sol.status, values, sol.objective_value),
+            normalize=mu)
         omegas.append(RoutingWeights(weights, mu=mu))
     return FractionalTopology(d), omegas, mu
 

@@ -39,7 +39,6 @@ one.  Run from an empty assignment, the same pass is the greedy baseline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,8 +275,8 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                    iterations)
 
 
-def greedy_round(phys: PhysicalTopology, d_star: FractionalTopology,
-                 tau_max: int = 0) -> RoundingReport:
+def greedy_round(phys: PhysicalTopology, d_star: FractionalTopology
+                 ) -> RoundingReport:
     """Largest-residual-first matching baseline.
 
     Each switch in index order repeatedly grants one link to the pod pair
@@ -294,20 +293,19 @@ def greedy_round(phys: PhysicalTopology, d_star: FractionalTopology,
 
 
 def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
-                   d_star: FractionalTopology, crit: CriticalSet) -> float:
-    """Throughput lost by rounding: 1 - mu_int / mu_frac.
+                   crit: CriticalSet) -> float:
+    """Throughput lost by rounding: 1 - mu_int / mu*.
 
-    mu_frac is the stage-1 throughput with link counts fixed at the
-    fractional d* and mu_int the same with them fixed at the rounded
-    topology, which must fit the port budgets.  A rounded topology can only
-    be better through matching-constraint violations, so negative gaps are
-    clamped to zero with a warning.
+    mu* is the joint stage-1 throughput and mu_int the stage-1 throughput
+    with link counts fixed at the rounded topology, which must fit the
+    port budgets.  Such a topology is a feasible d of the joint LP, so
+    mu_int <= mu* and the gap lies in [0, 1]; float fuzz below zero snaps
+    to 0, and a gap below -1e-9 is an internal error.
     """
     if validate(phys, report.topo):
         raise InvalidInputError("integer topology violates port budgets")
     try:
-        mu_frac = optimize.solve_maxmin_throughput(phys, crit,
-                                                   _fixed=d_star.d).mu
+        mu_star = optimize.solve_maxmin_throughput(phys, crit).mu
     except InfeasibleRoutingError:
         raise UndefinedGapError("fractional throughput is zero")
     try:
@@ -315,11 +313,8 @@ def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
             phys, crit, _fixed=report.topo.X.astype(float)).mu
     except InfeasibleRoutingError:
         mu_int = 0.0
-    gap = 1.0 - mu_int / mu_frac
-    if gap < 0:
-        warnings.warn("integer topology beat the fractional one; gap clamped"
-                      " to 0 (matching-constraint violations let it borrow"
-                      " capacity)")
-        gap = 0.0
-    return min(gap, 1.0)
-
+    gap = 1.0 - mu_int / mu_star
+    if gap < -1e-9:
+        raise InternalError(f"rounded throughput {mu_int} exceeds the"
+                            f" fractional optimum {mu_star}")
+    return max(gap, 0.0)

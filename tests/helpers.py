@@ -155,46 +155,40 @@ def convex_combination(rng: np.random.Generator, crit: CriticalSet
     return TrafficMatrix(t)
 
 
-def feasible_at_beta(builder, mu_star: float, beta: float, mode: str) -> bool:
+def feasible_at_beta(builder, mu_star: float, beta: float) -> bool:
     """Whether stage 2's rows admit weights at this beta: one feasibility
     LP built from scratch, the caps written with beta as a constant."""
     model = builder.new_model("oracle", 1.0)
     builder.add_split_constraints(model, 1.0)
     builder.add_load_constraints(model, mu_star)
-    if mode == "per-link":
-        caps = [(p, link) for link in _pairs(builder.n)
-                for p in builder.crossing[link]]
-    else:
-        caps = [(p, pair) for pair in _pairs(builder.n)
-                for p in builder.paths[pair]]
-    for p, (a, b) in caps:
-        if p not in builder.pair_paths.get((p.src, p.dst), ()):
-            continue
-        if builder.fixed is None:
-            model.add_constraint({_wname(p): 1.0,
-                                  _dname(a, b): -beta * builder.b},
-                                 lp.LE, 0.0)
-        else:
-            model.add_constraint({_wname(p): 1.0}, lp.LE,
-                                 beta * builder.b * builder.fixed[a, b])
+    for a, b in _pairs(builder.n):
+        for p in builder.crossing[(a, b)]:
+            if p not in builder.pair_paths.get((p.src, p.dst), ()):
+                continue
+            if builder.fixed is None:
+                model.add_constraint({_wname(p): 1.0,
+                                      _dname(a, b): -beta * builder.b},
+                                     lp.LE, 0.0)
+            else:
+                model.add_constraint({_wname(p): 1.0}, lp.LE,
+                                     beta * builder.b * builder.fixed[a, b])
     return lp.solve_feasibility(model).optimal
 
 
 def bisect_beta(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
-                mode: str = "per-link", fixed=None, tol: float = 1e-3
-                ):
+                fixed=None, tol: float = 1e-3):
     """Smallest feasible beta by bisection from the bracket [0, 1], whose
     upper end doubles until feasible; stops at relative width ``tol``.
     None when no beta up to ``BETA_CAP`` is feasible."""
     builder = _StageBuilder(phys, crit, fixed=fixed)
     lo, hi = 0.0, 1.0
-    while not feasible_at_beta(builder, mu_star, hi, mode):
+    while not feasible_at_beta(builder, mu_star, hi):
         lo, hi = hi, 2 * hi
         if hi > BETA_CAP:
             return None
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2
-        if feasible_at_beta(builder, mu_star, mid, mode):
+        if feasible_at_beta(builder, mu_star, mid):
             hi = mid
         else:
             lo = mid

@@ -201,6 +201,17 @@ class TestCommands:
         assert all(line["feasible"] for line in lines)
         assert all(line["mlu"] <= 1.0 / routed.mu + 1e-6 for line in lines)
 
+    def test_evaluate_mesh_marks_zero_matrix_feasible(self, tmp_path):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
+        write_seq(seqfile, [np.zeros((3, 3))] + constant_seq(3, 1, 1.0))
+        out = tmp_path / "metrics.jsonl"
+        assert cli.main(["evaluate", str(physfile), str(seqfile),
+                         "--baseline", "mesh", "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert all(line["feasible"] for line in lines)
+        assert lines[0]["mlu"] == 0.0 and lines[1]["mlu"] > 0.0
+
     def test_evaluate_none_needs_recomputed_routing(self, tmp_path, capsys):
         physfile, topofile = tmp_path / "phys.json", tmp_path / "topo.json"
         cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
@@ -306,12 +317,26 @@ class TestExitCodes:
         assert "iteration limit reached" in err
         assert "Traceback" not in err
 
-    def test_literal_mode_without_sensitivity_bound_exits_4(self, tmp_path,
-                                                            capsys):
+    def test_internal_error_exits_4(self, tmp_path, capsys):
+        # At b = 1e-7 the radix lower bound on beta, 1 / (b * 4), lies above
+        # BETA_CAP, so stage 2 finds no sensitivity bound below the cap.
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        cli.write_physical_topology(str(physfile),
+                                    make_fabric(3, 1, 2, bandwidth=1e-7))
+        t = np.ones((3, 3)) - np.eye(3)
+        cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
+        rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
+                       str(tmp_path / "sol.json")])
+        assert rc == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no feasible sensitivity bound" in err
+        assert "Traceback" not in err
+
+    def test_round_routes_pair_without_direct_link(self, tmp_path):
         # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a
-        # usable 2-hop path.  Literal mode caps that path at beta * b *
-        # X[0, 2] = 0 at every beta, so no sensitivity bound exists; per-link
-        # mode routes it over the path's own links.
+        # usable 2-hop path; the recompute caps that path on its own links,
+        # so a sensitivity bound exists.
         phys = make_fabric(3, 1, 2)
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 2] = d[2, 0] = 2.0
@@ -325,15 +350,25 @@ class TestExitCodes:
         cli.write_physical_topology(str(physfile), phys)
         cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
         cli.write_solution(str(solfile), sol)
-        args = ["round", str(physfile), str(solfile), str(critfile),
-                "--out", str(topofile)]
-        rc = cli.main(["--step3-mode", "literal"] + args)
-        assert rc == cli.EXIT_INTERNAL == 4
-        err = capsys.readouterr().err
-        assert "no feasible sensitivity bound" in err
-        assert "Traceback" not in err
-        assert cli.main(args) == 0
+        assert cli.main(["round", str(physfile), str(solfile), str(critfile),
+                         "--out", str(topofile)]) == 0
         assert cli.read_topology_routing(str(topofile)).beta is not None
+
+    @pytest.mark.parametrize("key, value", [("step3_mode", "per-link"),
+                                            ("jobs", 2),
+                                            ("beta_tolerance", 1e-3)])
+    def test_removed_knob_rejected(self, tmp_path, capsys, key, value):
+        seqfile, cfg = tmp_path / "seq.jsonl", tmp_path / "cfg.json"
+        write_seq(seqfile, constant_seq())
+        argv = ["extract", str(seqfile), "--out", str(tmp_path / "c.json")]
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([f"{flag}={value}"] + argv)
+        assert exc.value.code == cli.EXIT_USAGE == 64
+        assert flag in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: value}))
+        assert cli.main(["--config", str(cfg)] + argv) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

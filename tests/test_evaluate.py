@@ -118,6 +118,13 @@ class TestOptimalRouting:
             rec = evaluate_static(topo, RoutingWeights(weights), t, 1.0)
             assert opt <= rec.mlu + 1e-9
 
+    def test_all_zero_matrix_has_zero_mlu_and_weights(self):
+        t = TrafficMatrix(np.zeros((3, 3)))
+        mlu, omega = optimal_routing_mlu(mesh_topology(3, 2), t, 1.0,
+                                         return_weights=True)
+        assert mlu == 0.0
+        assert omega is not None
+
     def test_unroutable_returns_infinity(self):
         X = np.zeros((3, 3), dtype=int)
         topo = IntegerTopology(X[None])

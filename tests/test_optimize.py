@@ -189,26 +189,18 @@ def rounded_instance(seed: int, fabric):
 
 
 class TestStage2Bracket:
-    @pytest.mark.parametrize("mode", ["per-link", "literal"])
     @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
     def test_fixed_topology_one_lp_matches_bisection(self, monkeypatch,
-                                                     fabric, mode):
-        # Literal mode caps every path of a pair at the pair's direct link,
-        # so a pair that rounding left without one has no feasible beta:
-        # then both the oracle and desensitize give up at the cap.
+                                                     fabric):
         for seed in range(6):
             phys, crit, topo = rounded_instance(seed, fabric)
             X = topo.X.astype(float)
             mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
-            oracle = bisect_beta(phys, crit, mu, mode, fixed=X)
+            oracle = bisect_beta(phys, crit, mu, fixed=X)
             models = record_solves(monkeypatch)
-            if oracle is None:
-                with pytest.raises(InternalError):
-                    desensitize(phys, crit, mu, mode, _fixed=X)
-            else:
-                beta = desensitize(phys, crit, mu, mode, _fixed=X).beta
-                assert beta <= oracle * (1 + 1e-7)
-                assert within_tol(beta, oracle)
+            beta = desensitize(phys, crit, mu, _fixed=X).beta
+            assert beta <= oracle * (1 + 1e-7)
+            assert within_tol(beta, oracle)
             assert [m.name for m in models] == ["desensitize"]
             monkeypatch.undo()
 
@@ -242,11 +234,10 @@ class TestStage2Bracket:
         radix = min(phys.egress_radix.min(), phys.ingress_radix.min())
         bound = 1.0 / (phys.link_bandwidth * radix)
         builder = _StageBuilder(phys, crit)
-        for mode in ("per-link", "literal"):
-            beta = desensitize(phys, crit, mu, mode).beta
-            assert beta >= bound
-            assert not feasible_at_beta(builder, mu, bound * (1 - 1e-3), mode)
-            assert within_tol(beta, bisect_beta(phys, crit, mu, mode))
+        beta = desensitize(phys, crit, mu).beta
+        assert beta >= bound
+        assert not feasible_at_beta(builder, mu, bound * (1 - 1e-3))
+        assert within_tol(beta, bisect_beta(phys, crit, mu))
 
     def test_n2_lower_bracket_is_optimal_after_one_lp(self, monkeypatch):
         phys, crit = n2_instance()
@@ -335,15 +326,6 @@ class TestMinimizeAhc:
         sol = run_pipeline(phys, crit)
         sen = sensitivity_map(sol.d, sol.omega, phys.link_bandwidth)
         assert sen[np.isfinite(sen)].max() <= sol.beta + 1e-6
-
-    def test_literal_mode_runs(self):
-        phys, crit = n3_instance()
-        mu = solve_maxmin_throughput(phys, crit).mu
-        sol_lit = desensitize(phys, crit, mu, mode="literal")
-        final = minimize_ahc(phys, crit, mu, sol_lit.beta, mode="literal")
-        for p, w in final.omega.weights.items():
-            cap = final.d.d[p.src, p.dst]
-            assert w <= sol_lit.beta * cap + 1e-6
 
 
 class TestLemma2Property:

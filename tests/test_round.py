@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from couder.errors import (InvalidInputError, UnboundedThroughputError,
-                           UndefinedGapError)
+from couder import optimize
+from couder.errors import (InternalError, InvalidInputError,
+                           UnboundedThroughputError, UndefinedGapError)
 from couder.model import (FractionalTopology, IntegerTopology,
                           PhysicalTopology, TrafficMatrix, validate)
 from couder.round import (DualState, RoundingReport, _brackets, _complete,
@@ -271,7 +273,7 @@ class TestOptimalityGap:
         d = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]], dtype=float)
         crit = CriticalSet((TrafficMatrix(d * 0.7),))
         report = ldm_round(phys, FractionalTopology(d), tau_max=10)
-        gap = optimality_gap(phys, report, FractionalTopology(d), crit)
+        gap = optimality_gap(phys, report, crit)
         assert gap == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -283,19 +285,41 @@ class TestOptimalityGap:
         for rounder in (ldm_round, greedy_round):
             report = rounder(phys, d_star) if rounder is greedy_round \
                 else rounder(phys, d_star, 15)
-            gap = optimality_gap(phys, report, d_star, crit)
+            gap = optimality_gap(phys, report, crit)
             assert 0.0 <= gap <= 1.0
 
     def test_zero_fractional_throughput_is_undefined(self):
-        phys = make_fabric(3, 1, 2)
+        # Pod 0 has no egress port, so its demand cannot be routed on any
+        # topology and mu* is 0.
+        eg = np.array([[0, 2, 2]])
+        ig = np.array([[2, 1, 1]])
+        phys = PhysicalTopology(3, 1, eg, ig)
         d = np.zeros((3, 3))
-        d[0, 1] = 1.0
+        d[1, 2] = 1.0
         t = np.zeros((3, 3))
-        t[1, 0] = 1.0  # demand where the fractional topology has no capacity
+        t[0, 1] = 1.0
         crit = CriticalSet((TrafficMatrix(t),))
         report = greedy_round(phys, FractionalTopology(d))
         with pytest.raises(UndefinedGapError):
-            optimality_gap(phys, report, FractionalTopology(d), crit)
+            optimality_gap(phys, report, crit)
+
+    def test_rounded_above_joint_optimum_is_internal_error(self,
+                                                           monkeypatch):
+        phys = make_fabric(3, 1, 4)
+        d = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+        crit = CriticalSet((TrafficMatrix(d),))
+        report = greedy_round(phys, FractionalTopology(d))
+        real = optimize.solve_maxmin_throughput
+
+        def inflated(phys, crit, _fixed=None):
+            sol = real(phys, crit, _fixed)
+            if _fixed is None:
+                return sol
+            return dataclasses.replace(sol, mu=sol.mu * (1 + 1e-6))
+
+        monkeypatch.setattr(optimize, "solve_maxmin_throughput", inflated)
+        with pytest.raises(InternalError):
+            optimality_gap(phys, report, crit)
 
     def test_topology_over_port_budget_is_rejected(self):
         # Two links per pair need 4 ports per pod; the fabric has 2.
@@ -305,7 +329,7 @@ class TestOptimalityGap:
         report = RoundingReport(IntegerTopology(x), 6, 0.0, 0)
         crit = CriticalSet((TrafficMatrix(d),))
         with pytest.raises(InvalidInputError):
-            optimality_gap(phys, report, FractionalTopology(d), crit)
+            optimality_gap(phys, report, crit)
 
     def test_all_zero_criticals_are_unbounded(self):
         phys = make_fabric(3, 1, 2)
@@ -313,7 +337,7 @@ class TestOptimalityGap:
         report = greedy_round(phys, FractionalTopology(d))
         crit = CriticalSet((TrafficMatrix(np.zeros((3, 3))),))
         with pytest.raises(UnboundedThroughputError):
-            optimality_gap(phys, report, FractionalTopology(d), crit)
+            optimality_gap(phys, report, crit)
 
 
 class TestPairedComparison:
