@@ -28,6 +28,8 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict
     objective_value: float
+    #: d(objective)/d(``model.scale``) at an optimum; 0 without scaled terms.
+    slope: float = 0.0
 
     @property
     def optimal(self) -> bool:
@@ -132,17 +134,20 @@ class LpModel:
         return blocks
 
     def _matrices(self):
+        """(c, A_ub, b_ub, A_eq, b_eq) at the current ``scale``, and the
+        scaled blocks (A_ub_scaled, A_eq_scaled), None where absent."""
         if self._assembled is None:
             self._assembled = self._assemble()
         c = np.zeros(self.num_variables)
         idxs, coefs = self._objective
         np.add.at(c, idxs, coefs)
-        out = [c]
+        out, scaled = [c], []
         for A, A_scaled, b in self._assembled:
             if A_scaled is not None:
                 A = A + self.scale * A_scaled
             out.extend((A, b))
-        return tuple(out)
+            scaled.append(A_scaled)
+        return tuple(out), scaled
 
 
 class _Triplets:
@@ -162,28 +167,30 @@ class _Triplets:
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Optimize the model; raises SolverLimitError on solver breakdown."""
+    """Optimize the model; raises SolverLimitError on solver breakdown.
+
+    A model without an objective is a feasibility check.  At an optimum the
+    solution carries the objective's slope in ``model.scale``: by the
+    envelope theorem, scaling the rows' scaled terms moves the objective
+    by -sum_i y_i (A_scaled x)_i, with y the row duals of the minimization
+    HiGHS solves.
+    """
     if model.num_variables == 0:
         return LpSolution("optimal", {}, 0.0)
-    c, A_ub, b_ub, A_eq, b_eq = model._matrices()
+    (c, A_ub, b_ub, A_eq, b_eq), scaled = model._matrices()
     sign = -1.0 if model._sense == "max" else 1.0
     res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=list(zip(model._lb, model._ub)), method="highs")
     if res.status == 0:
         values = {name: float(res.x[idx]) for name, idx in model._index.items()}
-        return LpSolution("optimal", values, float(sign * res.fun))
+        slope = 0.0
+        for A_scaled, duals in zip(scaled, (res.ineqlin, res.eqlin)):
+            if A_scaled is not None:
+                slope -= float(duals.marginals @ (A_scaled @ res.x))
+        return LpSolution("optimal", values, float(sign * res.fun),
+                          sign * slope)
     if res.status == 2:
         return LpSolution("infeasible", {}, float("nan"))
     if res.status == 3:
         return LpSolution("unbounded", {}, float("inf"))
     raise SolverLimitError(f"solver did not converge: {res.message}")
-
-
-def solve_feasibility(model: LpModel) -> LpSolution:
-    """Feasibility check: solve with a zero objective."""
-    saved_sense, saved_obj = model._sense, model._objective
-    model._sense, model._objective = "min", ([], [])
-    try:
-        return solve(model)
-    finally:
-        model._sense, model._objective = saved_sense, saved_obj

@@ -5,11 +5,16 @@ Three LP stages over a set of critical traffic matrices:
 1. maximize the worst-case throughput scale factor mu shared by all
    critical matrices (a single routing weight set serves every matrix);
 2. desensitize: find the smallest sensitivity bound beta that still
-   supports mu (a bisection over beta, or one LP once link counts are
-   fixed).  The bound caps every path on every link it crosses,
+   supports mu.  The bound caps every path on every link it crosses,
    w_p <= beta * b * d_ab, so beta bounds the utilization a unit burst on
    one pair can add to any link: exactly what
-   ``evaluate.sensitivity_map`` reports;
+   ``evaluate.sensitivity_map`` reports.  With free link counts the caps
+   are bilinear in (beta, d); written in stage 1's scaled weights as
+   w_p <= gamma * b * d_ab they are linear for a fixed gamma, and the
+   largest throughput F(gamma) under them is one LP whose duals also give
+   F'(gamma).  Stage 2 is a safeguarded Newton root-find of
+   F(gamma) = mu* (Dinkelbach's method), and beta = gamma / F.  With link
+   counts fixed it is one LP minimizing beta;
 3. minimize average hop count by maximizing worst-case direct-path
    traffic subject to mu and beta.
 
@@ -21,6 +26,7 @@ recompute routing after rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +40,12 @@ from .model import (FractionalTopology, IntegerTopology, Path,
                     validate)
 from .traffic import CriticalSet
 
-#: Relative bracket width at which the beta bisection stops.
+#: Relative throughput slack of the joint stage 2: it accepts a cap gamma
+#: once F(gamma) >= mu* (1 - MU_SLACK), and hands stage 3 that F, lowered
+#: by the same factor.
+MU_SLACK = 1e-7
+#: Relative width at which stage 2's fallback bracket on gamma stops.  Only
+#: a Newton step that overshoots onto the plateau F = mu* falls back to it.
 BETA_TOL = 1e-3
 BETA_CAP = 1e6
 
@@ -111,9 +122,12 @@ class _StageBuilder:
             else:
                 self.fallback_pairs.append((i, j))
 
-    def new_model(self, name: str, weight_ub: Optional[float]) -> lp.LpModel:
+    def new_model(self, name: str, weight_ub: Optional[float],
+                  weights: bool = True) -> lp.LpModel:
+        """Link-count columns and port rows, plus one weight column per
+        usable path unless ``weights`` is false."""
         model = lp.LpModel(name)
-        for paths in self.pair_paths.values():
+        for paths in self.pair_paths.values() if weights else ():
             for p in paths:
                 model.add_var(_wname(p), 0.0, weight_ub)
         if self.fixed is None:
@@ -242,6 +256,17 @@ class _StageBuilder:
         return np.maximum(d, load / self.b)
 
 
+def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
+    """Stage 1's LP in scaled weights: maximize mu subject to weights
+    summing to mu per pair and every critical's load within capacity."""
+    model = builder.new_model(name, None)
+    model.add_var("mu", 0.0, None)
+    builder.add_split_constraints(model, "mu")
+    builder.add_load_constraints(model, 1.0)
+    model.set_objective("max", {"mu": 1.0})
+    return model
+
+
 def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
                             _fixed: Optional[np.ndarray] = None
                             ) -> FractionalSolution:
@@ -253,12 +278,7 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
-    model = builder.new_model("maxmin-throughput", None)
-    model.add_var("mu", 0.0, None)
-    builder.add_split_constraints(model, "mu")
-    builder.add_load_constraints(model, 1.0)
-    model.set_objective("max", {"mu": 1.0})
-    sol = lp.solve(model)
+    sol = lp.solve(_throughput_model(builder, "maxmin-throughput"))
     if sol.status == "unbounded":
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
@@ -272,72 +292,99 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
                               RoutingWeights(weights, mu=mu), mu)
 
 
-def _bisect_beta(builder: _StageBuilder, model: lp.LpModel):
-    """Smallest feasible beta of the joint stage-2 model, to ``BETA_TOL``.
+def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
+    """(beta, F, solution) of the joint stage 2, with F >= mu* (1 - MU_SLACK).
 
-    The bracket starts at a provable lower bound.  Pod i splits one unit
-    for each of its n - 1 pairs, and each path is capped at its first link
-    (i, x), the first link of n - 1 of those paths.  So n - 1 <= (n - 1) *
-    beta * b * sum_x d_ix <= (n - 1) * beta * b * r_eg[i], and beta >=
-    1 / (b * r_eg[i]); ingress likewise.  The upper end doubles from there
-    until feasible.  Only ``model.scale`` changes between solves.
+    ``model`` is stage 1's LP plus the caps w_p <= gamma * b * d_ab, gamma
+    being ``model.scale``; its optimum F(gamma) does not decrease in gamma
+    and each solve gives the slope F'(gamma).  A point (F, gamma) has
+    beta = gamma / F.  The search starts at the radix bound: pod i splits
+    F over each of its n - 1 pairs, and each path is capped at its first
+    link (i, x), the first link of n - 1 of those paths, so
+    F <= gamma * b * sum_x d_ix <= gamma * b * r_eg[i]; ingress likewise.
+    Below target, gamma takes the Newton step gamma + (mu* - F) / F' when
+    F' > 0 and the step stays inside the bracket (lo, hi); otherwise it
+    doubles while there is no upper end and bisects once there is.  At or
+    above target a rising F is accepted; a flat one has overshot onto the
+    plateau F = mu*, so it becomes the upper end, kept once the bracket is
+    narrower than ``BETA_TOL``.
     """
     radix = int(min(builder.phys.egress_radix.min(),
                     builder.phys.ingress_radix.min()))
-
-    def feasible(beta):
-        model.scale = beta
-        sol = lp.solve_feasibility(model)
-        return sol if sol.optimal else None
-
-    lo = hi = 1.0 / (builder.b * radix) if radix > 0 else float("inf")
-    while hi <= BETA_CAP:
-        best = feasible(hi)
-        if best is not None:
-            break
-        lo, hi = hi, hi * 2
-    else:
+    if radix <= 0:
         raise InternalError("no feasible sensitivity bound below cap")
-    while hi - lo > BETA_TOL * hi:
-        mid = (lo + hi) / 2
-        sol = feasible(mid)
-        if sol is None:
-            lo = mid
+    beta_lo = 1.0 / (builder.b * radix)
+    target = mu_star * (1.0 - MU_SLACK)
+    gamma = lo = mu_star * beta_lo
+    hi = math.inf
+    while True:
+        if gamma > BETA_CAP * mu_star:
+            raise InternalError("no feasible sensitivity bound below cap")
+        model.scale = gamma
+        sol = lp.solve(model)
+        if not sol.optimal:
+            raise InternalError(f"stage-2 LP ended {sol.status}")
+        F = sol.values["mu"]
+        # A slope this small moves F by less than the slack as gamma doubles.
+        rising = sol.slope * gamma > MU_SLACK * F
+        if F >= target and rising:
+            break
+        if F >= target:
+            hi, best = gamma, sol
         else:
-            hi, best = mid, sol
-    return hi, best
+            lo = gamma
+        if lo >= (1.0 - BETA_TOL) * hi:
+            gamma, sol = hi, best
+            break
+        step = gamma + (mu_star - F) / sol.slope if rising else math.nan
+        if lo < step < hi:
+            gamma = step
+        elif math.isinf(hi):
+            gamma = 2.0 * gamma
+        else:
+            gamma = (lo + hi) / 2.0
+    # The radix bound is a proof; float noise in F, or in gamma / F itself,
+    # can put the quotient an ulp below it.
+    F = sol.values["mu"]
+    return max(gamma / F, beta_lo), F, sol
 
 
 def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
                 _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 2: smallest sensitivity bound beta preserving throughput mu*.
 
-    With free link counts the caps are bilinear in (beta, d), so feasibility
-    LPs at candidate beta values are bisected until the bracket's relative
-    width drops below ``BETA_TOL``; the solution kept is the one at the
-    final feasible upper bracket.  With link counts fixed by ``_fixed`` the
-    caps are linear in beta, and one LP minimizes it exactly.
+    With free link counts this is ``_newton_beta``'s root-find of
+    F(gamma) = mu*, one re-solve of one model per step.  The solution has
+    beta = gamma / F and mu = F (1 - MU_SLACK), both meant for stage 3:
+    stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS has
+    called stage 3 infeasible exactly there, so stage 3 gets that slack.
+    With link counts fixed by ``_fixed`` the caps are linear in beta, one
+    LP minimizes it exactly, and mu is mu*.
     """
     if mu_star <= 0:
         raise InvalidInputError("mu_star must be positive")
     builder = _StageBuilder(phys, crit, fixed=_fixed)
-    model = builder.new_model("desensitize", 1.0)
-    builder.add_split_constraints(model, 1.0)
-    builder.add_load_constraints(model, mu_star)
-    builder.add_sensitivity_constraints(model)
     if _fixed is None:
-        beta, best = _bisect_beta(builder, model)
+        model = _throughput_model(builder, "desensitize")
+        builder.add_sensitivity_constraints(model)
+        beta, F, best = _newton_beta(builder, model, mu_star)
+        mu = F * (1.0 - MU_SLACK)
+        d, weights = builder.extract(best, normalize=best.values["mu"])
     else:
+        model = builder.new_model("desensitize", 1.0)
+        builder.add_split_constraints(model, 1.0)
+        builder.add_load_constraints(model, mu_star)
+        builder.add_sensitivity_constraints(model)
         model.set_objective("min", {"beta": 1.0})
         best = lp.solve(model)
         if not best.optimal or best.values["beta"] > BETA_CAP:
             raise InternalError("no feasible sensitivity bound below cap")
-        beta = best.values["beta"]
-    d, weights = builder.extract(best)
-    d = builder.lift_d(d, weights, mu_star)
+        beta, mu = best.values["beta"], mu_star
+        d, weights = builder.extract(best)
+    d = builder.lift_d(d, weights, mu)
     return FractionalSolution(FractionalTopology(d),
-                              RoutingWeights(weights, mu=mu_star, beta=beta),
-                              mu_star, beta)
+                              RoutingWeights(weights, mu=mu, beta=beta),
+                              mu, beta)
 
 
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
@@ -377,11 +424,10 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,
                  desensitized: bool = True) -> FractionalSolution:
     """Full stage 1 -> 2 -> 3 run; stage 2 is skipped when not desensitized."""
-    step1 = solve_maxmin_throughput(phys, crit)
-    beta = None
+    step = solve_maxmin_throughput(phys, crit)
     if desensitized:
-        beta = desensitize(phys, crit, step1.mu).beta
-    return minimize_ahc(phys, crit, step1.mu, beta)
+        step = desensitize(phys, crit, step.mu)
+    return minimize_ahc(phys, crit, step.mu, step.beta)
 
 
 def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
@@ -411,7 +457,7 @@ def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
     n, K = builder.n, len(crit)
-    model = builder.new_model("maxmin-per-tm", None)
+    model = builder.new_model("maxmin-per-tm", None, weights=False)
     model.add_var("mu", 0.0, None)
 
     def kname(k: int, p: Path) -> str:

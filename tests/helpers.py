@@ -172,7 +172,7 @@ def feasible_at_beta(builder, mu_star: float, beta: float) -> bool:
             else:
                 model.add_constraint({_wname(p): 1.0}, lp.LE,
                                      beta * builder.b * builder.fixed[a, b])
-    return lp.solve_feasibility(model).optimal
+    return lp.solve(model).optimal
 
 
 def bisect_beta(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,

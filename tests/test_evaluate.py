@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from couder import optimize
 from couder.errors import InvalidInputError
 from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
                              evaluate_static, fat_tree_eval, ideal_toe_mlu,
@@ -323,6 +324,28 @@ class TestSimulateReconfig:
         for pa, pb in zip(a, b):
             assert pa.record.mlu == pb.record.mlu
             assert pa.stage is None and pb.stage is None
+
+    def test_stage3_solves_at_stage2_output(self, monkeypatch):
+        # Stage 3 has been called infeasible exactly at stage 2's (F,
+        # gamma / F) on one of these plans; it gets mu = F (1 - MU_SLACK).
+        calls = []
+        real = optimize.desensitize
+
+        def recording(phys, crit, mu_star, _fixed=None):
+            if _fixed is None:
+                calls.append((phys, crit, mu_star))
+            return real(phys, crit, mu_star, _fixed)
+
+        monkeypatch.setattr(optimize, "desensitize", recording)
+        phys = make_fabric(4, 2, 4)
+        policy = ReconfigPolicy(frequency=8.0, stage_latency=0.0,
+                                alpha_pred=0.8, lookback=5.0, k=2)
+        simulate_reconfig(phys, small_sequence(seed=3), policy, seed=2)
+        monkeypatch.undo()
+        assert calls
+        for phys, crit, mu_star in calls:
+            s2 = optimize.desensitize(phys, crit, mu_star)
+            optimize.minimize_ahc(phys, crit, s2.mu, s2.beta)
 
     def test_infinite_frequency_degenerates_to_static(self):
         phys = make_fabric(4, 2, 4)

@@ -44,7 +44,7 @@ def test_unbounded():
 def test_feasibility_empty_constraints():
     m = lp.LpModel()
     m.add_var("x", 0.0, 5.0)
-    sol = lp.solve_feasibility(m)
+    sol = lp.solve(m)
     assert sol.optimal
 
 
@@ -53,7 +53,7 @@ def test_feasibility_contradiction():
     m.add_var("x", None, None)
     m.add_constraint({"x": 1.0}, lp.EQ, 1.0)
     m.add_constraint({"x": 1.0}, lp.EQ, 2.0)
-    assert lp.solve_feasibility(m).status == "infeasible"
+    assert lp.solve(m).status == "infeasible"
 
 
 def test_feasibility_simplex_witness():
@@ -62,7 +62,7 @@ def test_feasibility_simplex_witness():
         m.add_var(f"l{k}", 0.0, None)
     m.add_constraint({f"l{k}": 1.0 for k in range(3)}, lp.LE, 1.0)
     m.add_constraint({"l0": 2.0}, lp.EQ, 1.0)
-    sol = lp.solve_feasibility(m)
+    sol = lp.solve(m)
     assert sol.optimal
     assert sol["l0"] == pytest.approx(0.5, abs=1e-9)
 
@@ -151,6 +151,32 @@ def test_scaled_terms_follow_scale():
     for scale in (0.5, 3.0, 1.25):
         m.scale = scale
         assert lp.solve(m)["x"] == pytest.approx(2.0 * scale, abs=1e-9)
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_slope_matches_finite_difference(sense):
+    # max x + y + z  s.t.  scale * x + y <= 4,  y >= 1,  z - scale * x = 0:
+    # the optimum is 4 + 3 / scale, one scaled term in each row block.
+    sign = 1.0 if sense == "max" else -1.0
+    m = lp.LpModel()
+    for name in "xyz":
+        m.add_var(name, 0.0, None)
+    m.add_constraint({"y": 1.0}, lp.LE, 4.0, scaled={"x": 1.0})
+    m.add_constraint({"y": 1.0}, lp.GE, 1.0)
+    m.add_constraint({"z": 1.0}, lp.EQ, 0.0, scaled={"x": -1.0})
+    m.set_objective(sense, {name: sign for name in "xyz"})
+
+    def objective(scale):
+        m.scale = scale
+        return lp.solve(m)
+
+    h = 1e-5
+    sol = objective(0.5)
+    fd = (objective(0.5 + h).objective_value
+          - objective(0.5 - h).objective_value) / (2 * h)
+    assert sol.objective_value == pytest.approx(sign * 10.0, abs=1e-9)
+    assert sol.slope == pytest.approx(fd, rel=1e-6)
+    assert sol.slope == pytest.approx(sign * -12.0, abs=1e-9)
 
 
 def test_rows_added_after_a_solve_count():

@@ -6,7 +6,8 @@ from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           TrafficMatrix)
-from couder.optimize import (BETA_TOL, _StageBuilder, compute_path_capacity,
+from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
+                             compute_path_capacity,
                              desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_per_tm,
                              solve_maxmin_throughput)
@@ -175,7 +176,7 @@ def record_solves(monkeypatch) -> list:
 
 
 def within_tol(a: float, b: float) -> bool:
-    """Two bisection results that each end within BETA_TOL of the same
+    """Two stage-2 results that each end within BETA_TOL of the same
     smallest feasible beta differ by at most BETA_TOL of the larger."""
     return abs(a - b) <= BETA_TOL * max(a, b)
 
@@ -246,7 +247,7 @@ class TestStage2Bracket:
         assert sol.beta == 0.25
         assert [m.name for m in models] == ["desensitize"]
 
-    def test_joint_bisection_reuses_one_model(self, monkeypatch):
+    def test_joint_newton_reuses_one_model(self, monkeypatch):
         rng = np.random.default_rng(7)
         phys = make_fabric(4, 2, 3)
         crit = random_criticals(rng, 4, 2)
@@ -273,6 +274,70 @@ class TestStage2Bracket:
         mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
         with pytest.raises(InternalError):
             desensitize(phys, crit, 2 * mu, _fixed=X)
+
+
+def record_stage2(monkeypatch) -> list:
+    """(gamma, F, slope) of each solve of the joint stage-2 model."""
+    steps = []
+    real = lp.solve
+
+    def recording(model):
+        sol = real(model)
+        if model.name == "desensitize":
+            steps.append((model.scale, sol.values["mu"], sol.slope))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return steps
+
+
+def joint_instances():
+    """The fabrics and criticals of the stage-2 bracket tests."""
+    for fabric in (random_fabric, hetero_fabric):
+        for seed in range(6):
+            phys, crit, _ = rounded_instance(seed, fabric)
+            yield phys, crit
+    for seed in range(4):
+        rng = np.random.default_rng(600 + seed)
+        fabric = random_fabric if seed % 2 else hetero_fabric
+        phys = fabric(rng, 4, 2, qmin=2, qmax=5)
+        yield phys, random_criticals(rng, 4, 2)
+
+
+class TestStage2Newton:
+    def test_overshoot_onto_plateau_keeps_beta_within_tol(self, monkeypatch):
+        # A Newton step lands on the plateau F = mu* here; accepting it
+        # leaves beta 0.18 % above the smallest feasible one.
+        rng = np.random.default_rng(926)
+        phys = hetero_fabric(rng, 7, 2, qmin=2, qmax=6)
+        crit = random_criticals(rng, 7, 3)
+        mu = solve_maxmin_throughput(phys, crit).mu
+        steps = record_stage2(monkeypatch)
+        beta = desensitize(phys, crit, mu).beta
+        monkeypatch.undo()
+        assert any(F >= mu * (1 - MU_SLACK) and slope * gamma <= MU_SLACK * F
+                   for gamma, F, slope in steps[:-1])
+        assert within_tol(beta, bisect_beta(phys, crit, mu))
+
+    def test_stage3_solves_at_stage2_output(self):
+        for phys, crit in joint_instances():
+            mu = solve_maxmin_throughput(phys, crit).mu
+            s2 = desensitize(phys, crit, mu)
+            assert mu * (1 - 3 * MU_SLACK) <= s2.mu < mu
+            s3 = minimize_ahc(phys, crit, s2.mu, s2.beta)
+            assert sensitivity_map(s3.d, s3.omega, phys.link_bandwidth).max() \
+                <= s2.beta * (1 + 1e-6)
+
+    @pytest.mark.parametrize("ports", [3, 5, 6, 7])
+    def test_beta_never_below_radix_bound(self, ports):
+        # N = 2 attains the radix bound 1 / ports; gamma / F must not round
+        # below it for any demand.
+        phys = make_fabric(2, 1, ports)
+        for t in np.linspace(1.3, 9.7, 25):
+            demand = np.array([[0.0, t], [t, 0.0]])
+            crit = CriticalSet((TrafficMatrix(demand),))
+            mu = solve_maxmin_throughput(phys, crit).mu
+            assert desensitize(phys, crit, mu).beta >= 1.0 / ports
 
 
 class TestMinimizeAhc:
@@ -425,6 +490,30 @@ class TestPerTmOracle:
         assert stale.mlu > 1.0 / mu_per + 0.5
         ours = evaluate_static(shared.d, shared.omega, mix, 1.0)
         assert ours.mlu <= 1.0 / shared.mu + 1e-5
+
+    def test_model_has_no_empty_columns(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        phys = random_fabric(rng, 6, 2, qmin=2, qmax=6)
+        crit = random_criticals(rng, 6, 3)
+        models = record_solves(monkeypatch)
+        solve_maxmin_per_tm(phys, crit)
+        used = set(models[0]._objective[0])
+        for terms, scaled, _, _ in models[0]._rows:
+            used.update(terms[0])
+            used.update(scaled[0])
+        assert used == set(range(models[0].num_variables))
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, 0.2617625180912281), (1, 0.11987698791244554),
+        (2, 0.09640875569203007)])
+    def test_mu_of_seeded_instances(self, seed, expected):
+        # Values of the model that still declared the shared weight columns.
+        rng = np.random.default_rng(700 + seed)
+        fabric = hetero_fabric if seed % 2 else random_fabric
+        phys = fabric(rng, 5 + seed, 2, qmin=2, qmax=6)
+        crit = random_criticals(rng, 5 + seed, 3)
+        assert solve_maxmin_per_tm(phys, crit)[2] == pytest.approx(
+            expected, rel=1e-9)
 
 
 class TestPathCapacity:
