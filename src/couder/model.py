@@ -45,8 +45,9 @@ class PhysicalTopology:
             raise InvalidInputError("need at least 2 pods")
         if self.num_ocs < 1:
             raise InvalidInputError("need at least 1 circuit switch")
-        if self.link_bandwidth <= 0:
-            raise InvalidInputError("link bandwidth must be positive")
+        if not 0 < self.link_bandwidth < np.inf:  # False for NaN too
+            raise InvalidInputError("link bandwidth must be positive and"
+                                    " finite")
         eg = np.asarray(self.egress_ports, dtype=int)
         ig = np.asarray(self.ingress_ports, dtype=int)
         if eg.shape != (self.num_ocs, self.num_pods) or ig.shape != eg.shape:

@@ -307,7 +307,9 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     doubles while there is no upper end and bisects once there is.  At or
     above target a rising F is accepted; a flat one has overshot onto the
     plateau F = mu*, so it becomes the upper end, kept once the bracket is
-    narrower than ``BETA_TOL``.
+    narrower than ``BETA_TOL``.  After a Newton step overshoots, the next
+    gamma probes hi (1 - ``BETA_TOL``): if F falls short there, that
+    closes the bracket.
     """
     radix = int(min(builder.phys.egress_radix.min(),
                     builder.phys.ingress_radix.min()))
@@ -317,6 +319,7 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     target = mu_star * (1.0 - MU_SLACK)
     gamma = lo = mu_star * beta_lo
     hi = math.inf
+    newton = False  # whether gamma came from a Newton step
     while True:
         if gamma > BETA_CAP * mu_star:
             raise InternalError("no feasible sensitivity bound below cap")
@@ -337,7 +340,14 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
             gamma, sol = hi, best
             break
         step = gamma + (mu_star - F) / sol.slope if rising else math.nan
-        if lo < step < hi:
+        # A Newton step that overshot onto the plateau lands just above the
+        # root where F is convex below it: one probe just under it closes
+        # the bracket.  A bisection midpoint can land anywhere above it.
+        probe = F >= target and newton
+        newton = not probe and lo < step < hi
+        if probe:
+            gamma = (1.0 - BETA_TOL) * hi
+        elif newton:
             gamma = step
         elif math.isinf(hi):
             gamma = 2.0 * gamma

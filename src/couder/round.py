@@ -23,7 +23,12 @@ constraint matrix is a bipartite incidence matrix, totally unimodular,
 and the simplex vertex is integral.  A reward of at most 1e-9 per unit
 breaks exact ties toward more links; HiGHS's feasibility tolerances are
 tightened to 1e-10 because at their default of 1e-7 the solver ignores
-a reward that small and can stop short of a full matching.
+a reward that small and can stop short of a full matching.  The LP goes
+to HiGHS through ``lp._run_highs`` with the simplex solver forced,
+presolve on and those tolerances, the options scipy's
+``linprog(method="highs-ds")`` used.  One rounding run reuses one HiGHS
+object for all its subproblems; loading each model resets it, so every
+solve is cold and ends on the vertex a fresh solver would.
 
 Both rounders share one completion pass.  The dual method stops at the
 first iterate that meets every bracket, which can leave ports idle on
@@ -42,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse as sp
 
-from . import optimize
+from . import lp, optimize
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UndefinedGapError)
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
@@ -57,6 +62,7 @@ _SNAP = 1e-9
 #: of at most 1e-9 toward more links; these resolve it.
 _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
                 "primal_feasibility_tolerance": 1e-10}
+_SUBPROBLEM_OPTIONS = lp._highs_options(solver="simplex", **_HIGHS_TIGHT)
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
 
@@ -161,21 +167,26 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
-def solve_circulation(cost: np.ndarray, budgets: np.ndarray,
-                      limits: np.ndarray) -> np.ndarray:
+def solve_circulation(cost: np.ndarray, budgets, limits: np.ndarray,
+                      solver=None) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
-    ``budgets`` holds one egress and one ingress row per pod, so it is the
-    incidence matrix of a bipartite graph and totally unimodular; with
-    integral ``limits`` every vertex of the feasible set is integral, and
-    HiGHS dual simplex ends on a vertex.  Equivalently, this is the
-    min-cost circulation through a source, the egress ports, the ingress
-    ports and a sink.
+    ``budgets``, dense or CSC, holds one egress and one ingress row per
+    pod, so it is the incidence matrix of a bipartite graph and totally
+    unimodular; with integral ``limits`` every vertex of the feasible set
+    is integral, and HiGHS dual simplex ends on a vertex.  Equivalently,
+    this is the min-cost circulation through a source, the egress ports,
+    the ingress ports and a sink.  HiGHS is called directly, through
+    ``lp._run_highs``, with the simplex solver, presolve on and
+    feasibility tolerances of 1e-10; ``solver`` is the HiGHS object to
+    reuse, a fresh one when None.  The solve is cold either way.
     """
-    res = linprog(cost, A_ub=budgets, b_ub=limits, bounds=(0, 1),
-                  method="highs-ds", options=_HIGHS_TIGHT)
-    if res.status != 0:
-        raise InternalError(f"per-switch subproblem ended: {res.message}")
+    units = len(cost)
+    model = lp._highs_lp(cost, budgets, limits, 0, np.zeros(units),
+                         np.ones(units))
+    res = lp._run_highs(model, _SUBPROBLEM_OPTIONS, solver=solver)
+    if res.status != "optimal":
+        raise InternalError(f"per-switch subproblem ended {res.status}")
     flows = np.rint(res.x)
     if np.abs(res.x - flows).max(initial=0.0) > _INTEGRAL_TOL:
         raise InternalError("per-switch subproblem vertex is not integral")
@@ -184,7 +195,7 @@ def solve_circulation(cost: np.ndarray, budgets: np.ndarray,
 
 def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
                              x_hat: np.ndarray, ingress: np.ndarray,
-                             egress: np.ndarray) -> np.ndarray:
+                             egress: np.ndarray, solver=None) -> np.ndarray:
     """Re-optimize one switch's cells within a one-link move window.
 
     Maximizes sum of -(x - h)^2 + p_net * x per cell subject to the
@@ -194,9 +205,10 @@ def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
     The window's fixed lower part comes off the port budgets.  A reward
     eps <= 1e-9 per unit breaks exact ties toward more links; it stays
     well under the smallest gain gap.  HiGHS dual simplex solves the LP
-    (``solve_circulation``) with feasibility tolerances of 1e-10, since at
-    the default 1e-7 it would ignore eps; its vertex is integral because
-    the budget rows form a bipartite incidence matrix.
+    (``solve_circulation``, on ``solver`` when given) with feasibility
+    tolerances of 1e-10, since at the default 1e-7 it would ignore eps;
+    its vertex is integral because the budget rows form a bipartite
+    incidence matrix, built here in CSC with two entries per unit.
     """
     n = h.shape[0]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
@@ -211,13 +223,15 @@ def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
     distinct = np.unique(np.round(gain, 12))
     if len(distinct) > 1:
         eps = min(eps, float(np.diff(distinct).min()) / 4)
-    var = np.arange(len(cell))
-    budgets = np.zeros((2 * n, len(cell)))
-    budgets[rows[cell], var] = 1.0
-    budgets[n + cols[cell], var] = 1.0
+    units = len(cell)
+    # Unit k sits in egress row rows[cell[k]] and ingress row n + cols[...].
+    index = np.column_stack([rows[cell], n + cols[cell]]).ravel()
+    budgets = sp.csc_array((np.ones(2 * units), index,
+                            np.arange(0, 2 * units + 1, 2)),
+                           shape=(2 * n, units))
     limits = np.concatenate([egress - np.bincount(rows, low, n),
                              ingress - np.bincount(cols, low, n)])
-    flows = solve_circulation(-(gain + eps), budgets, limits)
+    flows = solve_circulation(-(gain + eps), budgets, limits, solver)
     x = np.zeros((n, n), dtype=int)
     x[rows, cols] = low + np.bincount(cell, flows, len(rows)).astype(int)
     return x
@@ -251,6 +265,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     best_good = _goodness(x_hat.sum(axis=0), c_minus, c_plus)
     total_pairs = n * (n - 1)
     dual = DualState(np.zeros((n, n)), np.zeros((n, n)), c_minus, c_plus)
+    solver = lp._highs._Highs()
 
     iterations = 0
     for tau in range(1, tau_max + 1):
@@ -259,7 +274,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         for m in range(M):
             x_hat[m] = _solve_switch_subproblem(
                 h[m], dual.p_minus - dual.p_plus, x_hat[m],
-                phys.ingress_ports[m], phys.egress_ports[m])
+                phys.ingress_ports[m], phys.egress_ports[m], solver)
             if (x_hat[m].sum(axis=1) > phys.egress_ports[m]).any() \
                     or (x_hat[m].sum(axis=0) > phys.ingress_ports[m]).any():
                 raise InternalError("port budget violated after subproblem")

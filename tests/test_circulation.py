@@ -8,9 +8,13 @@ switch's move window.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from couder.errors import InternalError
-from couder.round import _solve_switch_subproblem, solve_circulation
+from couder.round import (_HIGHS_TIGHT, _solve_switch_subproblem,
+                          solve_circulation)
 from helpers import (brute_force_unit_flow, brute_force_window_max,
                      random_window_instance, window_utility)
 
@@ -80,6 +84,26 @@ class TestSolveCirculation:
         # Flow out of the source through the egress ports equals flow into
         # the sink through the ingress ports.
         assert used[:5].sum() == used[5:].sum() == flows.sum()
+
+    @pytest.mark.parametrize("seed", range(40, 60))
+    def test_same_vertex_as_linprog(self, seed):
+        # solve_circulation calls HiGHS directly; scipy's linprog with the
+        # same options must end on the very same vertex, also when one
+        # HiGHS object is reused across solves, as ldm_round does.
+        rng = np.random.default_rng(seed)
+        solver = _highs._Highs()
+        for _ in range(5):
+            pods = int(rng.integers(2, 7))
+            cost, budgets, limits = random_network(
+                rng, pods=pods, num_units=int(rng.integers(1, 40)),
+                max_limit=3)
+            ref = linprog(cost, A_ub=budgets, b_ub=limits, bounds=(0, 1),
+                          method="highs-ds", options=_HIGHS_TIGHT)
+            assert ref.status == 0
+            for flows in (solve_circulation(cost, budgets, limits),
+                          solve_circulation(cost, sp.csc_array(budgets),
+                                            limits, solver)):
+                assert flows.tolist() == np.rint(ref.x).astype(int).tolist()
 
     def test_constant_cost_shift_with_pinned_total(self):
         # Bipartite 2x2, two units per cell, the total pinned to 3 by a pair

@@ -333,6 +333,23 @@ class TestExitCodes:
         assert "no feasible sensitivity bound" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity"])
+    def test_non_finite_bandwidth_exits_1(self, tmp_path, capsys, spelling):
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        obj = json.loads(physfile.read_text())
+        obj["bandwidth_gbps"] = float(spelling)
+        physfile.write_text(json.dumps(obj))
+        assert spelling in physfile.read_text()
+        rng = np.random.default_rng(8)
+        cli.write_critical_set(str(critfile), random_criticals(rng, 3, 1))
+        rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
+                       str(tmp_path / "sol.json")])
+        assert rc == cli.EXIT_VALIDATION == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "link bandwidth" in err
+
     def test_round_routes_pair_without_direct_link(self, tmp_path):
         # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a
         # usable 2-hop path; the recompute caps that path on its own links,

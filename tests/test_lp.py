@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from couder import lp
-from couder.errors import InvalidInputError
+from couder.errors import InternalError, InvalidInputError, SolverLimitError
 
 
 def test_simple_bounded_max():
@@ -191,3 +196,229 @@ def test_rows_added_after_a_solve_count():
     sol = lp.solve(m)
     assert sol["x"] == pytest.approx(2.5, abs=1e-9)
     assert sol["y"] == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# couder.lp calls HiGHS directly; scipy's linprog, which calls the same
+# HiGHS through its own wrapper, is the oracle for what it must compute.
+
+def test_private_highs_api_used_is_present():
+    # couder.lp drives scipy's private HiGHS binding; a scipy release that
+    # moves one of these names fails here rather than inside a stage.
+    solver = _highs._Highs()
+    for name in ("passOptions", "passModel", "setBasis", "getBasis", "run",
+                 "getModelStatus", "getSolution", "getInfo",
+                 "modelStatusToString"):
+        assert callable(getattr(solver, name)), name
+    model = _highs.HighsLp()
+    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_",
+                 "col_upper_", "row_lower_", "row_upper_", "a_matrix_"):
+        assert hasattr(model, name), name
+    for name in ("format_", "num_col_", "num_row_", "start_", "index_",
+                 "value_"):
+        assert hasattr(model.a_matrix_, name), name
+    options = _highs.HighsOptions()
+    for name in ("presolve", "simplex_strategy", "output_flag",
+                 "log_to_console", "solver", "dual_feasibility_tolerance",
+                 "primal_feasibility_tolerance"):
+        assert hasattr(options, name), name
+    info = solver.getInfo()
+    for name in ("simplex_iteration_count", "ipm_iteration_count",
+                 "objective_function_value"):
+        assert hasattr(info, name), name
+    solution = solver.getSolution()
+    assert hasattr(solution, "col_value") and hasattr(solution, "row_dual")
+    for name in ("kOptimal", "kInfeasible", "kModelError", "kUnbounded",
+                 "kUnboundedOrInfeasible"):
+        assert hasattr(_highs.HighsModelStatus, name), name
+    assert hasattr(_highs.HighsStatus, "kError")
+    assert hasattr(_highs.MatrixFormat, "kColwise")
+
+
+def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):
+    """Dense random LP data; many instances are infeasible or unbounded."""
+    def block(m):
+        return rng.uniform(-1, 1, (m, n)) * (rng.random((m, n)) < 0.6)
+    lb = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1, 0, n))
+    ub = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(1, 4, n))
+    return (rng.normal(size=n), block(num_ub), rng.uniform(-1, 3, num_ub),
+            block(num_eq), rng.uniform(-1, 1, num_eq), lb, ub)
+
+
+def model_of(c, A_ub, b_ub, A_eq, b_eq, lb, ub) -> lp.LpModel:
+    m = lp.LpModel()
+    names = [m.add_var(f"x{k}", None if np.isinf(lo) else lo,
+                       None if np.isinf(hi) else hi)
+             for k, (lo, hi) in enumerate(zip(lb, ub))]
+    for A, b, rel in ((A_ub, b_ub, lp.LE), (A_eq, b_eq, lp.EQ)):
+        for row, rhs in zip(A, b):
+            m.add_constraint(dict(zip(names, row)), rel, rhs)
+    m.set_objective("min", dict(zip(names, c)))
+    return m
+
+
+def test_solve_matches_linprog():
+    # Models with no rows, only inequalities, only equalities and both.
+    statuses = set()
+    for shape in [(0, 0), (4, 0), (0, 2), (6, 2), (3, 3)]:
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(30):
+            data = random_lp(rng, *shape)
+            c, A_ub, b_ub, A_eq, b_eq, lb, ub = data
+            ref = linprog(c, A_ub=A_ub if len(b_ub) else None,
+                          b_ub=b_ub if len(b_ub) else None,
+                          A_eq=A_eq if len(b_eq) else None,
+                          b_eq=b_eq if len(b_eq) else None,
+                          bounds=list(zip(lb, ub)), method="highs")
+            sol = lp.solve(model_of(*data))
+            assert sol.status == {0: "optimal", 2: "infeasible",
+                                  3: "unbounded"}[ref.status]
+            if sol.optimal:
+                assert sol.objective_value == pytest.approx(
+                    ref.fun, rel=1e-9, abs=1e-9)
+            statuses.add((shape == (0, 0), sol.status))
+    assert statuses >= {(True, "optimal"), (True, "unbounded"),
+                        (False, "optimal"), (False, "unbounded"),
+                        (False, "infeasible")}
+
+
+class FakeSolver:
+    """Stands in for HiGHS and ends every solve with one model status."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def passOptions(self, options):
+        pass
+
+    def passModel(self, model):
+        return _highs.HighsStatus.kOk
+
+    def run(self):
+        return _highs.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return self.status
+
+    def modelStatusToString(self, status):
+        return str(status)
+
+    def getInfo(self):
+        return SimpleNamespace(simplex_iteration_count=3,
+                               ipm_iteration_count=0,
+                               objective_function_value=0.0)
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=[0.0], row_dual=[])
+
+    def getBasis(self):
+        return None
+
+
+@pytest.mark.parametrize("status",
+                         list(_highs.HighsModelStatus.__members__.values()))
+def test_model_status_maps_as_linprog_did(status):
+    code, _ = _highs_to_scipy_status_message(status, "")
+    model = lp._highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0), 0,
+                         np.zeros(1), np.ones(1))
+    solver = FakeSolver(status)
+    if code in (1, 4):
+        with pytest.raises(SolverLimitError):
+            lp._run_highs(model, lp._OPTIONS, solver=solver)
+    else:
+        res = lp._run_highs(model, lp._OPTIONS, solver=solver)
+        assert res.status == {0: "optimal", 2: "infeasible",
+                              3: "unbounded"}[code]
+
+
+def record_highs(monkeypatch) -> list:
+    """(warm, simplex iterations) of each HiGHS call ``lp.solve`` makes."""
+    calls = []
+    real = lp.linprog
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs.get("basis") is not None, res.nit))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rescaled_model_resolves_warm(monkeypatch, seed):
+    # Stage 2's model re-solved after a change of scale: the same optimum
+    # as the model built afresh and solved cold, in no more iterations.
+    from couder.optimize import _StageBuilder, _throughput_model
+    from helpers import random_criticals, random_fabric
+    rng = np.random.default_rng(seed)
+    phys = random_fabric(rng, 5, 2, qmin=2, qmax=5)
+    builder = _StageBuilder(phys, random_criticals(rng, 5, 3))
+
+    def stage2(scale):
+        model = _throughput_model(builder, "desensitize")
+        builder.add_sensitivity_constraints(model, scale)
+        return model
+
+    calls = record_highs(monkeypatch)
+    model = stage2(0.05)
+    lp.solve(model)
+    for scale in (0.06, 0.08, 0.12):
+        model.scale = scale
+        warm = lp.solve(model)
+        cold = lp.solve(stage2(scale))
+        assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                     abs=1e-9)
+    assert [w for w, _ in calls] == [False] + [True, False] * 3
+    for (_, warm_nit), (_, cold_nit) in zip(calls[1::2], calls[2::2]):
+        assert warm_nit <= cold_nit
+
+
+def test_new_row_or_objective_drops_the_basis(monkeypatch):
+    calls = record_highs(monkeypatch)
+    m = lp.LpModel()
+    m.add_var("x", 0.0, None)
+    m.add_var("y", 0.0, 2.0)
+    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
+    m.set_objective("max", {"x": 1.0})
+    lp.solve(m)
+    m.scale = 2.0
+    assert lp.solve(m)["x"] == pytest.approx(4.0, abs=1e-9)
+    m.add_constraint({"x": 1.0}, lp.LE, 3.0)
+    assert lp.solve(m)["x"] == pytest.approx(3.0, abs=1e-9)
+    m.set_objective("min", {"x": 1.0})
+    assert lp.solve(m)["x"] == pytest.approx(0.0, abs=1e-9)
+    m.add_var("z", 0.0, 1.0)
+    lp.solve(m)
+    assert [warm for warm, _ in calls] == [False, True, False, False, False]
+
+
+def test_infeasible_resolve_keeps_no_basis(monkeypatch):
+    # x >= 1 and x <= scale: infeasible below scale 1, so the solve after
+    # it starts cold again.
+    calls = record_highs(monkeypatch)
+    m = lp.LpModel()
+    m.add_var("x", 1.0, None)
+    m.add_var("y", 1.0, 1.0)
+    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
+    m.set_objective("max", {"x": 1.0})
+    for scale, status in ((2.0, "optimal"), (0.5, "infeasible"),
+                          (3.0, "optimal")):
+        m.scale = scale
+        assert lp.solve(m).status == status
+    assert [warm for warm, _ in calls] == [False, True, False]
+
+
+@pytest.mark.parametrize("where", ["objective", "row", "rhs", "scaled"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entry_is_internal_error(where, value):
+    m = lp.LpModel()
+    m.add_var("x", 0.0, 1.0)
+    m.add_var("y", 0.0, 1.0)
+    m.set_objective("max", {"x": value if where == "objective" else 1.0})
+    m.add_constraint({"x": value if where == "row" else 1.0, "y": 1.0},
+                     lp.LE, value if where == "rhs" else 1.0,
+                     scaled={"y": 1.0})
+    m.scale = value if where == "scaled" else 1.0
+    with pytest.raises(InternalError):
+        lp.solve(m)

@@ -319,6 +319,20 @@ class TestStage2Newton:
                    for gamma, F, slope in steps[:-1])
         assert within_tol(beta, bisect_beta(phys, crit, mu))
 
+    def test_probe_below_newton_overshoot_closes_bracket(self, monkeypatch):
+        # F is convex just below the root here, so Newton steps overshoot
+        # onto the plateau by a little; without the probe just below each
+        # overshoot, stage 2 took 18 LPs, and the bisection 13.
+        rng = np.random.default_rng(1030)
+        phys = hetero_fabric(rng, 5, 2, qmin=2, qmax=6)
+        crit = random_criticals(rng, 5, 3)
+        mu = solve_maxmin_throughput(phys, crit).mu
+        steps = record_stage2(monkeypatch)
+        beta = desensitize(phys, crit, mu).beta
+        monkeypatch.undo()
+        assert len(steps) <= 13
+        assert within_tol(beta, bisect_beta(phys, crit, mu))
+
     def test_stage3_solves_at_stage2_output(self):
         for phys, crit in joint_instances():
             mu = solve_maxmin_throughput(phys, crit).mu
