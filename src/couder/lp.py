@@ -1,7 +1,12 @@
 """Minimal linear-programming core used by the optimization modules.
 
-The model builder keeps named variables with bounds, linear constraints,
-and a linear objective.  Every LP in the toolkit is solved by HiGHS
+The model builder keeps named variables with bounds, a linear objective
+and one store of constraint rows, kept as blocks of (row, column, value)
+triplets.  Rows are added either a block at a time from column indices
+(``add_rows``, how the stage builders fill their models) or one at a
+time from variable names (``add_constraint``); both land in the same
+store, and the matrices passed to HiGHS are the same whichever call
+added a row.  Every LP in the toolkit is solved by HiGHS
 through the binding scipy ships (``scipy.optimize._highspy._core``),
 called directly rather than through ``scipy.optimize.linprog``, whose
 Python wrapper cost several times the solve on the small LPs here.  One
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +60,24 @@ class LpSolution:
         return self.values[name]
 
 
+class _Block(NamedTuple):
+    """Rows added in one call: (row, column, value) triplets, the rows
+    numbered from 0 within the block, and one right-hand side per row."""
+
+    relation: str
+    terms: tuple  # (rows, cols, coefs) arrays
+    scaled: Optional[tuple]  # the same for the scaled terms, or None
+    rhs: np.ndarray
+
+
 class LpModel:
     """Incrementally built LP: named bounded variables, linear rows, objective.
+
+    Rows live in one store of blocks.  ``add_rows`` appends a block of
+    rows from column indices in one call; ``add_constraint`` appends a
+    one-row block from variable names.  Assembly stacks the blocks per
+    relation in insertion order, so the matrices HiGHS receives do not
+    depend on which of the two calls added a row.
 
     A row may also carry scaled terms, whose coefficients are multiplied by
     ``scale`` at solve time.  LPs that differ only in that one block of
@@ -71,8 +92,8 @@ class LpModel:
         self._index = {}
         self._lb = []
         self._ub = []
-        # (terms, scaled terms, relation, rhs); terms = (indices, coefs)
-        self._rows = []
+        self._blocks = []
+        self._num_rows = 0
         self._sense = "min"
         self._objective = ([], [])  # (var indices, coefficients)
         self._assembled = None
@@ -84,7 +105,7 @@ class LpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return self._num_rows
 
     def add_var(self, name: str, lb: float = 0.0,
                 ub: Optional[float] = None) -> str:
@@ -98,18 +119,42 @@ class LpModel:
         self._assembled = self._basis = None
         return name
 
+    def add_vars(self, names, lb=0.0, ub=None) -> np.ndarray:
+        """Declare one variable per name, as ``add_var`` does, bounds
+        broadcast from ``lb`` and ``ub``; returns their column indices."""
+        names = list(names)
+        start, count = len(self._lb), len(names)
+        lbs, ubs = (np.broadcast_to(np.asarray(default if bound is None
+                                               else bound, dtype=float),
+                                    count).tolist()
+                    for bound, default in ((lb, -np.inf), (ub, np.inf)))
+        if len(set(names)) < count or not self._index.keys().isdisjoint(names):
+            name = next(nm for k, nm in enumerate(names)
+                        if nm in self._index or nm in names[:k])
+            raise InvalidInputError(f"variable {name!r} already declared")
+        for name, low, up in zip(names, lbs, ubs):
+            if low > up:
+                raise InvalidInputError(f"variable {name!r} has lb > ub")
+        self._index.update(zip(names, range(start, start + count)))
+        self._lb.extend(lbs)
+        self._ub.extend(ubs)
+        self._assembled = self._basis = None
+        return np.arange(start, start + count)
+
+    def column(self, name: str) -> int:
+        """Column index of a declared variable."""
+        return self._terms({name: 0.0})[0][0]
+
     def _terms(self, expr) -> tuple:
-        """(variable indices, coefficients) of the non-zero terms."""
+        """(variable indices, coefficients) of the terms."""
         items = expr.items() if isinstance(expr, dict) else expr
         idxs, coefs = [], []
         for name, coef in items:
             idx = self._index.get(name)
             if idx is None:
                 raise InvalidInputError(f"term references undeclared variable {name!r}")
-            c = float(coef)
-            if c != 0.0:
-                idxs.append(idx)
-                coefs.append(c)
+            idxs.append(idx)
+            coefs.append(coef)
         return idxs, coefs
 
     def add_constraint(self, expr, relation: str, rhs: float, scaled=()):
@@ -117,10 +162,37 @@ class LpModel:
 
         ``expr`` and ``scaled`` map variable names to coefficients.
         """
+        idxs, coefs = self._terms(expr)
+        s_idxs, s_coefs = self._terms(scaled)
+        self._append(relation, _triplets([0] * len(idxs), idxs, coefs),
+                     _triplets([0] * len(s_idxs), s_idxs, s_coefs)
+                     if s_idxs else None, np.array([rhs], dtype=float))
+
+    def add_rows(self, rows, cols, coefs, relation: str, rhs, scaled=None):
+        """Add ``len(rhs)`` rows as one block.
+
+        Row r reads ``sum(coefs[t] * x[cols[t]] for t with rows[t] == r)
+        relation rhs[r]``.  The triplets ``scaled`` = (rows, cols, coefs),
+        when given, add terms whose coefficients are multiplied by
+        ``scale``.
+        """
+        rhs = np.array(rhs, dtype=float, ndmin=1)
+        blocks = [None if t is None else _triplets(*t)
+                  for t in ((rows, cols, coefs), scaled)]
+        for r, c, v in filter(None, blocks):
+            if not r.shape == c.shape == v.shape or r.ndim != 1:
+                raise InvalidInputError("rows, cols and coefs must be"
+                                        " vectors of one length")
+            if len(r) and (r.min() < 0 or r.max() >= len(rhs) or c.min() < 0
+                           or c.max() >= self.num_variables):
+                raise InvalidInputError("row or column index out of range")
+        self._append(relation, *blocks, rhs)
+
+    def _append(self, relation: str, terms, scaled, rhs: np.ndarray):
         if relation not in _RELATIONS:
             raise InvalidInputError(f"unknown relation {relation!r}")
-        self._rows.append((self._terms(expr), self._terms(scaled), relation,
-                           float(rhs)))
+        self._blocks.append(_Block(relation, terms, scaled, rhs))
+        self._num_rows += len(rhs)
         self._assembled = self._basis = None
 
     def set_objective(self, sense: str, expr):
@@ -133,24 +205,24 @@ class LpModel:
     def _assemble(self) -> list:
         """(A, A_scaled, b) of the inequality rows, as <=, and of the
         equality rows; an empty block is all None."""
-        blocks = []
+        out = []
         for equality in (False, True):
-            base, scaled, b = _Triplets(), _Triplets(), []
-            for terms, scaled_terms, rel, rhs in self._rows:
-                if (rel == EQ) != equality:
-                    continue
-                sign = -1.0 if rel == GE else 1.0
-                base.add(len(b), terms, sign)
-                scaled.add(len(b), scaled_terms, sign)
-                b.append(sign * rhs)
-            if not b:
-                blocks.append((None, None, None))
+            group = [blk for blk in self._blocks
+                     if (blk.relation == EQ) == equality]
+            if not group:
+                out.append((None, None, None))
                 continue
-            shape = (len(b), self.num_variables)
-            blocks.append((base.csr(shape),
-                           scaled.csr(shape) if scaled.vals else None,
-                           np.array(b)))
-        return blocks
+            sizes = [len(blk.rhs) for blk in group]
+            offsets = np.cumsum([0] + sizes[:-1])
+            signs = [-1.0 if blk.relation == GE else 1.0 for blk in group]
+            shape = (sum(sizes), self.num_variables)
+            A_scaled = _stack([blk.scaled for blk in group], offsets, signs,
+                              shape)
+            out.append((
+                _stack([blk.terms for blk in group], offsets, signs, shape),
+                A_scaled if A_scaled.nnz else None,
+                np.concatenate([s * blk.rhs for s, blk in zip(signs, group)])))
+        return out
 
     def _matrices(self):
         """(c, A_ub, b_ub, A_eq, b_eq) at the current ``scale``, and the
@@ -169,20 +241,25 @@ class LpModel:
         return tuple(out), scaled
 
 
-class _Triplets:
-    """Row, column and value lists of a sparse matrix being assembled."""
+def _triplets(rows, cols, coefs) -> tuple:
+    return (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int),
+            np.asarray(coefs, dtype=float))
 
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
 
-    def add(self, row: int, terms: tuple, sign: float):
-        idxs, coefs = terms
-        self.rows.extend([row] * len(idxs))
-        self.cols.extend(idxs)
-        self.vals.extend(coefs if sign > 0 else [-c for c in coefs])
-
-    def csr(self, shape) -> sp.csr_matrix:
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=shape)
+def _stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
+    """CSR matrix of the blocks' (rows, cols, coefs) triplets, block k's
+    rows moved down by ``offsets[k]`` and its values multiplied by
+    ``signs[k]``; a block may be None, and zero values are dropped."""
+    kept = [k for k, blk in enumerate(blocks) if blk is not None]
+    if not kept:
+        return sp.csr_matrix(shape)
+    sizes = [len(blocks[k][0]) for k in kept]
+    rows, cols, vals = (np.concatenate([blocks[k][part] for k in kept])
+                        for part in range(3))
+    rows += np.repeat([offsets[k] for k in kept], sizes)
+    vals *= np.repeat([signs[k] for k in kept], sizes)
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 _STATUS = _highs.HighsModelStatus
@@ -252,16 +329,19 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
     on a fresh HiGHS object when that is None.
 
     ``passModel`` clears whatever ``solver`` held, so a solve without a
-    basis is cold.  Model statuses map as scipy's ``linprog`` mapped them:
-    a model HiGHS refuses counts as infeasible, and anything but optimal,
-    infeasible or unbounded, "unbounded or infeasible" included, raises
-    SolverLimitError.
+    basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
+    ``large_matrix_value`` (1e15) or more, which only an input that large
+    can produce: that is InvalidInputError.  Model statuses map as
+    scipy's ``linprog`` mapped them: anything but optimal, infeasible or
+    unbounded, "unbounded or infeasible" included, raises SolverLimitError.
     """
     if solver is None:
         solver = _highs._Highs()
     solver.passOptions(options)
     if solver.passModel(model) == _highs.HighsStatus.kError:
-        return HighsResult("infeasible")
+        raise InvalidInputError(
+            "input too large for the LP solver: every constraint coefficient"
+            f" must be below {options.large_matrix_value:g} in magnitude")
     if basis is not None:
         solver.setBasis(basis)
     ran = solver.run() != _highs.HighsStatus.kError
@@ -329,7 +409,7 @@ def solve(model: LpModel) -> LpSolution:
                   bounds=(model._lb, model._ub), basis=model._basis)
     model._basis = res.basis
     if res.status == "optimal":
-        values = {name: float(res.x[idx]) for name, idx in model._index.items()}
+        values = dict(zip(model._index, res.x.tolist()))
         num_ub = 0 if A_ub is None else A_ub.shape[0]
         duals = (res.row_dual[:num_ub], res.row_dual[num_ub:])
         slope = 0.0

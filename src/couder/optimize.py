@@ -26,9 +26,11 @@ recompute routing after rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import compress
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +38,8 @@ from . import lp
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UnboundedThroughputError)
 from .model import (FractionalTopology, IntegerTopology, Path,
-                    PhysicalTopology, RoutingWeights, enumerate_paths,
-                    validate)
+                    PhysicalTopology, RoutingWeights, _freeze,
+                    enumerate_paths, validate)
 from .traffic import CriticalSet
 
 #: Relative throughput slack of the joint stage 2: it accepts a cap gamma
@@ -72,21 +74,58 @@ def _pairs(n: int):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _crossing_paths(n: int) -> dict:
-    """Paths traversing each link (a, b): direct, first-hop, and second-hop."""
-    out = {}
-    for a, b in _pairs(n):
-        paths = [Path(a, b)]
-        paths.extend(Path(a, j, b) for j in range(n) if j not in (a, b))
-        paths.extend(Path(i, b, a) for i in range(n) if i not in (a, b))
-        out[(a, b)] = paths
-    return out
+class _Tables(NamedTuple):
+    """Index tables of every path and link among ``n`` pods.
+
+    Links and pairs share one index: the position in ``_pairs(n)``, which
+    is also the row-major order of a matrix's off-diagonal entries.  Paths
+    run in column order: pairs order, then ``enumerate_paths`` order, so
+    pair q owns paths q (n - 1) .. (q + 1) (n - 1) - 1.
+    """
+
+    pairs: tuple
+    pair_src: np.ndarray  # (pairs,)
+    pair_dst: np.ndarray
+    paths: tuple
+    path_pair: np.ndarray  # (paths,)
+    path_links: np.ndarray  # (paths, 2); a direct path's one link twice
+    # Each (link, path) crossing, link-major; per link the direct path,
+    # then the paths with it as first hop, then as second hop.
+    cross_link: np.ndarray
+    cross_path: np.ndarray
+    wnames: tuple
+    dnames: tuple
 
 
-def _usable(p: Path, cap: Optional[np.ndarray]) -> bool:
-    if cap is None:
-        return True
-    return all(cap[a, b] > 0 for a, b in p.links())
+@functools.lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """The read-only ``_Tables`` of ``n`` pods, built once per process."""
+    pairs = tuple(_pairs(n))
+    link = {pair: q for q, pair in enumerate(pairs)}
+    paths = tuple(p for ps in enumerate_paths(n).values() for p in ps)
+    column = {p: k for k, p in enumerate(paths)}
+    crossing = []
+    for (a, b), q in link.items():
+        through = [Path(a, b)]
+        through.extend(Path(a, j, b) for j in range(n) if j not in (a, b))
+        through.extend(Path(i, b, a) for i in range(n) if i not in (a, b))
+        crossing.extend((q, column[p]) for p in through)
+    hops = [p.links() for p in paths]
+    return _Tables(
+        pairs, _freeze([i for i, _ in pairs]), _freeze([j for _, j in pairs]),
+        paths, _freeze([link[p.src, p.dst] for p in paths]),
+        _freeze([(link[ls[0]], link[ls[-1]]) for ls in hops]),
+        _freeze([q for q, _ in crossing]), _freeze([k for _, k in crossing]),
+        tuple(_wname(p) for p in paths), tuple(_dname(i, j) for i, j in pairs))
+
+
+def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
+    """The triplets plus one term on each of rows 0 .. num_rows - 1: the
+    coefficient ``coef`` on the column ``col``, each a value or one per
+    row."""
+    return (np.concatenate([rows, np.arange(num_rows)]),
+            np.concatenate([cols, np.broadcast_to(col, num_rows)]),
+            np.concatenate([coefs, np.broadcast_to(coef, num_rows)]))
 
 
 class _StageBuilder:
@@ -95,6 +134,14 @@ class _StageBuilder:
     When ``fixed`` is given, link counts are constants (routing-only mode)
     and paths crossing a zero-capacity link are dropped; pairs left with no
     usable path are deferred to a direct-only fallback unless demanded.
+
+    Every block of rows is one ``LpModel.add_rows`` call whose triplets
+    come from numpy index arithmetic on ``_tables(n)``: the paths in
+    column order, each path's pair and links, and the (link, path)
+    crossing table, built once per pod count and shared read-only.  A
+    builder adds what depends on its topology: ``capacity`` per link when
+    fixed, and ``col``, the column of each path's weight in a model from
+    ``new_model``, or -1 when the path crosses a zero-capacity link.
     """
 
     def __init__(self, phys: PhysicalTopology, crit: CriticalSet,
@@ -106,65 +153,84 @@ class _StageBuilder:
         self.fixed = None if fixed is None else np.asarray(fixed, dtype=float)
         self.n = phys.num_pods
         self.b = phys.link_bandwidth
-        self.paths = enumerate_paths(self.n)
-        self.crossing = _crossing_paths(self.n)
+        self.tables = t = _tables(self.n)
         self.demand = crit.stacked()
         self.demanded = self.demand.max(axis=0) > 0
-        self.pair_paths = {}
-        self.fallback_pairs = []
-        for (i, j) in _pairs(self.n):
-            usable = [p for p in self.paths[(i, j)] if _usable(p, self.fixed)]
-            if usable:
-                self.pair_paths[(i, j)] = usable
-            elif self.demanded[i, j]:
-                raise InfeasibleRoutingError(
-                    f"no usable path for demanded pair ({i}, {j})", mu=0.0)
-            else:
-                self.fallback_pairs.append((i, j))
+        if self.fixed is None:
+            self.capacity = None
+            usable = np.ones(len(t.paths), dtype=bool)
+        else:
+            self.capacity = self.fixed[t.pair_src, t.pair_dst]  # per link
+            usable = (self.capacity[t.path_links] > 0).all(axis=1)
+        self.col = np.where(usable, np.cumsum(usable) - 1, -1)
+        routed = np.bincount(t.path_pair[usable], minlength=len(t.pairs)) > 0
+        stranded = np.flatnonzero(~routed
+                                  & self.demanded[t.pair_src, t.pair_dst])
+        if len(stranded):
+            raise InfeasibleRoutingError(
+                f"no usable path for demanded pair {t.pairs[stranded[0]]}",
+                mu=0.0)
+        self.fallback_pairs = [t.pairs[q] for q in np.flatnonzero(~routed)]
+        ok, per = usable.tolist(), self.n - 1
+        self.pair_paths = {
+            t.pairs[q]: [t.paths[k] for k in range(q * per, (q + 1) * per)
+                         if ok[k]]
+            for q in np.flatnonzero(routed).tolist()}
+
+    def _dcol(self, model: lp.LpModel) -> np.ndarray:
+        """Column of each link count in ``model``, declared in one run."""
+        return model.column(self.tables.dnames[0]) + np.arange(
+            len(self.tables.pairs))
+
+    def _crossing(self) -> tuple:
+        """(link, path) of each usable path crossing each link."""
+        t = self.tables
+        on = self.col[t.cross_path] >= 0
+        return t.cross_link[on], t.cross_path[on]
 
     def new_model(self, name: str, weight_ub: Optional[float],
                   weights: bool = True) -> lp.LpModel:
         """Link-count columns and port rows, plus one weight column per
         usable path unless ``weights`` is false."""
+        t = self.tables
         model = lp.LpModel(name)
-        for paths in self.pair_paths.values() if weights else ():
-            for p in paths:
-                model.add_var(_wname(p), 0.0, weight_ub)
+        if weights:
+            model.add_vars(compress(t.wnames, self.col >= 0), 0.0, weight_ub)
         if self.fixed is None:
             r_eg = self.phys.egress_radix
             r_ig = self.phys.ingress_radix
-            for i, j in _pairs(self.n):
-                model.add_var(_dname(i, j), 0.0, float(min(r_eg[i], r_ig[j])))
-            for i in range(self.n):
-                model.add_constraint(
-                    {_dname(i, j): 1.0 for j in range(self.n) if j != i},
-                    lp.LE, float(r_eg[i]))
-                model.add_constraint(
-                    {_dname(j, i): 1.0 for j in range(self.n) if j != i},
-                    lp.LE, float(r_ig[i]))
+            dcol = model.add_vars(
+                t.dnames, 0.0, np.minimum(r_eg[t.pair_src], r_ig[t.pair_dst]))
+            # Row 2i caps pod i's egress links, row 2i + 1 its ingress.
+            model.add_rows(np.concatenate([2 * t.pair_src, 2 * t.pair_dst + 1]),
+                           np.tile(dcol, 2), np.ones(2 * len(dcol)), lp.LE,
+                           np.stack([r_eg, r_ig], axis=1).ravel())
         return model
 
-    def add_load_constraints(self, model: lp.LpModel, scale: float):
-        """Per-link, per-critical capacity rows: load <= capacity."""
-        for a, b in _pairs(self.n):
-            for k in range(len(self.crit)):
-                terms = {}
-                for p in self.crossing[(a, b)]:
-                    if (p.src, p.dst) not in self.pair_paths:
-                        continue
-                    if p not in self.pair_paths[(p.src, p.dst)]:
-                        continue
-                    t = self.demand[k, p.src, p.dst]
-                    if t > 0:
-                        terms[_wname(p)] = scale * t
-                if not terms:
-                    continue
-                if self.fixed is None:
-                    terms[_dname(a, b)] = -self.b
-                    model.add_constraint(terms, lp.LE, 0.0)
-                else:
-                    model.add_constraint(terms, lp.LE,
-                                         self.b * self.fixed[a, b])
+    def add_load_constraints(self, model: lp.LpModel, scale: float,
+                             wcol: Optional[np.ndarray] = None):
+        """Per-link, per-critical capacity rows: load <= capacity.
+
+        Rows run link-major, critical-minor; a row no demanded path
+        crosses is left out.  ``wcol[k, path]``, when given, is critical
+        k's own weight column of each path; by default all share ``col``.
+        """
+        t = self.tables
+        link, path = self._crossing()
+        K = len(self.crit)
+        demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair[path]]
+        k, c = np.nonzero(demand > 0)
+        row_ids, row = np.unique(link[c] * K + k, return_inverse=True)
+        row_link = row_ids // K
+        cols = self.col[path[c]] if wcol is None else wcol[k, path[c]]
+        coefs = scale * demand[k, c]
+        if self.fixed is None:
+            model.add_rows(*_per_row_term(row, cols, coefs, len(row_ids),
+                                          self._dcol(model)[row_link], -self.b),
+                           lp.LE, np.zeros(len(row_ids)))
+        else:
+            model.add_rows(row, cols, coefs, lp.LE,
+                           self.b * self.capacity[row_link])
 
     def add_sensitivity_constraints(self, model: lp.LpModel,
                                     beta: Optional[float] = None):
@@ -177,32 +243,36 @@ class _StageBuilder:
         ``model.scale``.  With fixed link counts beta is the variable
         ``beta``, pinned to ``beta`` when given and free otherwise.
         """
+        link, path = self._crossing()
+        rows = np.arange(len(path))
         if self.fixed is None:
             if beta is not None:
                 model.scale = beta
+            model.add_rows(rows, self.col[path], np.ones(len(rows)), lp.LE,
+                           np.zeros(len(rows)),
+                           scaled=(rows, self._dcol(model)[link],
+                                   np.full(len(rows), -self.b)))
         else:
             model.add_var("beta", 0.0 if beta is None else beta, beta)
-        for (a, b), paths in self.crossing.items():
-            for p in paths:
-                if p not in self.pair_paths.get((p.src, p.dst), ()):
-                    continue
-                if self.fixed is None:
-                    model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
-                                         scaled={_dname(a, b): -self.b})
-                else:
-                    model.add_constraint(
-                        {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
-                        lp.LE, 0.0)
+            model.add_rows(*_per_row_term(rows, self.col[path],
+                                          np.ones(len(rows)), len(rows),
+                                          model.column("beta"),
+                                          -self.b * self.capacity[link]),
+                           lp.LE, np.zeros(len(rows)))
 
     def add_split_constraints(self, model: lp.LpModel, total):
         """Per-pair weight sums: either a constant or a variable name."""
-        for pair, paths in self.pair_paths.items():
-            expr = {_wname(p): 1.0 for p in paths}
-            if isinstance(total, str):
-                expr[total] = -1.0
-                model.add_constraint(expr, lp.EQ, 0.0)
-            else:
-                model.add_constraint(expr, lp.EQ, float(total))
+        path = np.flatnonzero(self.col >= 0)
+        _, row = np.unique(self.tables.path_pair[path], return_inverse=True)
+        num_rows = len(self.pair_paths)
+        cols, coefs = self.col[path], np.ones(len(path))
+        if isinstance(total, str):
+            model.add_rows(*_per_row_term(row, cols, coefs, num_rows,
+                                          model.column(total), -1.0),
+                           lp.EQ, np.zeros(num_rows))
+        else:
+            model.add_rows(row, cols, coefs, lp.EQ,
+                           np.full(num_rows, float(total)))
 
     def extract(self, sol: lp.LpSolution, normalize: Optional[float] = None):
         """Pull (d, omega) out of a solved model.
@@ -466,7 +536,7 @@ def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
     builder = _StageBuilder(phys, crit)
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
-    n, K = builder.n, len(crit)
+    K = len(crit)
     model = builder.new_model("maxmin-per-tm", None, weights=False)
     model.add_var("mu", 0.0, None)
 
@@ -479,18 +549,12 @@ def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
                 model.add_var(kname(k, p), 0.0, None)
             model.add_constraint(
                 dict({kname(k, p): 1.0 for p in paths}, mu=-1.0), lp.EQ, 0.0)
-    for a, b in _pairs(n):
-        for k in range(K):
-            terms = {}
-            for p in builder.crossing[(a, b)]:
-                pair = (p.src, p.dst)
-                if pair in builder.pair_paths and p in builder.pair_paths[pair]:
-                    t = builder.demand[k, p.src, p.dst]
-                    if t > 0:
-                        terms[kname(k, p)] = t
-            if terms:
-                terms[_dname(a, b)] = -builder.b
-                model.add_constraint(terms, lp.LE, 0.0)
+    # Matrix k's weights fill one run of columns, in path order.
+    first = model.column(kname(0, builder.tables.paths[0]))
+    num_paths = len(builder.tables.paths)
+    builder.add_load_constraints(
+        model, 1.0, first + num_paths * np.arange(K)[:, None]
+        + builder.col[None, :])
     model.set_objective("max", {"mu": 1.0})
     sol = lp.solve(model)
     if sol.status == "unbounded":

@@ -159,28 +159,28 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet,
     K = len(crit)
     n = t.num_pods
     model = lp.LpModel("boundedness")
-    lams = [model.add_var(f"l{k}", 0.0, 1.0) for k in range(K)]
-    s = model.add_var("s", 0.0, None)
-    model.add_constraint({name: 1.0 for name in lams}, lp.LE, 1.0)
-    stack = crit.stacked()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            expr = {lams[k]: stack[k, i, j] for k in range(K)}
-            # shortfall: t - sum(lambda T) <= s
-            row = dict(expr)
-            row[s] = 1.0
-            model.add_constraint(row, lp.GE, t.demand[i, j])
-            if mode == "exact":
-                # overshoot: sum(lambda T) - t <= s
-                row = dict(expr)
-                row[s] = -1.0
-                model.add_constraint(row, lp.LE, t.demand[i, j])
-    model.set_objective("min", {s: 1.0})
+    lams = model.add_vars([f"l{k}" for k in range(K)], 0.0, 1.0)
+    s = model.add_vars(["s"], 0.0, None)[0]
+    # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has a
+    # shortfall row t - sum(lambda T) <= s and, in exact mode, an
+    # overshoot row sum(lambda T) - t <= s, in that order; both read
+    # sign * (sum(lambda T) - t) - s <= 0.
+    signs = np.array([-1.0, 1.0] if mode == "exact" else [-1.0])
+    off = ~np.eye(n, dtype=bool)
+    stack = crit.stacked()[:, off]  # (K, pairs)
+    rows = 1 + np.arange(stack.size // K * len(signs))
+    model.add_rows(
+        np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
+        np.concatenate([lams, np.repeat(lams, len(rows)),
+                        np.full(len(rows), s)]),
+        np.concatenate([np.ones(K), (signs * stack[:, :, None]).ravel(),
+                        np.full(len(rows), -1.0)]),
+        lp.LE,
+        np.concatenate([[1.0], (signs * t.demand[off][:, None]).ravel()]))
+    model.set_objective("min", {"s": 1.0})
     sol = lp.solve(model)
     slack = sol.objective_value
-    lambdas = np.array([sol.values[name] for name in lams])
+    lambdas = np.array([sol.values[f"l{k}"] for k in range(K)])
     return BoundednessResult(bool(slack <= tol), lambdas, float(slack))
 
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from couder import lp
-from couder.model import (FractionalTopology, PhysicalTopology, TrafficMatrix)
-from couder.optimize import BETA_CAP, _StageBuilder, _dname, _pairs, _wname
+from couder.errors import InfeasibleRoutingError, InvalidInputError
+from couder.model import (FractionalTopology, Path, PhysicalTopology,
+                          TrafficMatrix, enumerate_paths)
+from couder.optimize import BETA_CAP, _dname, _pairs, _wname
 from couder.traffic import CriticalSet
 
 
@@ -155,7 +158,209 @@ def convex_combination(rng: np.random.Generator, crit: CriticalSet
     return TrafficMatrix(t)
 
 
-def feasible_at_beta(builder, mu_star: float, beta: float) -> bool:
+def _crossing_paths(n: int) -> dict:
+    """Paths traversing each link (a, b): direct, first-hop, and second-hop."""
+    out = {}
+    for a, b in _pairs(n):
+        paths = [Path(a, b)]
+        paths.extend(Path(a, j, b) for j in range(n) if j not in (a, b))
+        paths.extend(Path(i, b, a) for i in range(n) if i not in (a, b))
+        out[(a, b)] = paths
+    return out
+
+
+def _usable(p: Path, cap) -> bool:
+    if cap is None:
+        return True
+    return all(cap[a, b] > 0 for a, b in p.links())
+
+
+class LoopStageBuilder:
+    """Reference for ``optimize._StageBuilder``'s blocks: one
+    ``add_constraint`` per row from named terms, the rows in the order the
+    index-array builder must reproduce."""
+
+    def __init__(self, phys, crit, fixed=None):
+        if crit.num_pods != phys.num_pods:
+            raise InvalidInputError("critical set does not match the fabric")
+        self.phys = phys
+        self.crit = crit
+        self.fixed = None if fixed is None else np.asarray(fixed, dtype=float)
+        self.n = phys.num_pods
+        self.b = phys.link_bandwidth
+        self.paths = enumerate_paths(self.n)
+        self.crossing = _crossing_paths(self.n)
+        self.demand = crit.stacked()
+        self.demanded = self.demand.max(axis=0) > 0
+        self.pair_paths = {}
+        self.fallback_pairs = []
+        for (i, j) in _pairs(self.n):
+            usable = [p for p in self.paths[(i, j)] if _usable(p, self.fixed)]
+            if usable:
+                self.pair_paths[(i, j)] = usable
+            elif self.demanded[i, j]:
+                raise InfeasibleRoutingError(
+                    f"no usable path for demanded pair ({i}, {j})", mu=0.0)
+            else:
+                self.fallback_pairs.append((i, j))
+
+    def new_model(self, name, weight_ub, weights=True):
+        model = lp.LpModel(name)
+        for paths in self.pair_paths.values() if weights else ():
+            for p in paths:
+                model.add_var(_wname(p), 0.0, weight_ub)
+        if self.fixed is None:
+            r_eg = self.phys.egress_radix
+            r_ig = self.phys.ingress_radix
+            for i, j in _pairs(self.n):
+                model.add_var(_dname(i, j), 0.0, float(min(r_eg[i], r_ig[j])))
+            for i in range(self.n):
+                model.add_constraint(
+                    {_dname(i, j): 1.0 for j in range(self.n) if j != i},
+                    lp.LE, float(r_eg[i]))
+                model.add_constraint(
+                    {_dname(j, i): 1.0 for j in range(self.n) if j != i},
+                    lp.LE, float(r_ig[i]))
+        return model
+
+    def add_load_constraints(self, model, scale):
+        for a, b in _pairs(self.n):
+            for k in range(len(self.crit)):
+                terms = {}
+                for p in self.crossing[(a, b)]:
+                    if (p.src, p.dst) not in self.pair_paths:
+                        continue
+                    if p not in self.pair_paths[(p.src, p.dst)]:
+                        continue
+                    t = self.demand[k, p.src, p.dst]
+                    if t > 0:
+                        terms[_wname(p)] = scale * t
+                if not terms:
+                    continue
+                if self.fixed is None:
+                    terms[_dname(a, b)] = -self.b
+                    model.add_constraint(terms, lp.LE, 0.0)
+                else:
+                    model.add_constraint(terms, lp.LE,
+                                         self.b * self.fixed[a, b])
+
+    def add_sensitivity_constraints(self, model, beta=None):
+        if self.fixed is None:
+            if beta is not None:
+                model.scale = beta
+        else:
+            model.add_var("beta", 0.0 if beta is None else beta, beta)
+        for (a, b), paths in self.crossing.items():
+            for p in paths:
+                if p not in self.pair_paths.get((p.src, p.dst), ()):
+                    continue
+                if self.fixed is None:
+                    model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
+                                         scaled={_dname(a, b): -self.b})
+                else:
+                    model.add_constraint(
+                        {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
+                        lp.LE, 0.0)
+
+    def add_split_constraints(self, model, total):
+        for pair, paths in self.pair_paths.items():
+            expr = {_wname(p): 1.0 for p in paths}
+            if isinstance(total, str):
+                expr[total] = -1.0
+                model.add_constraint(expr, lp.EQ, 0.0)
+            else:
+                model.add_constraint(expr, lp.EQ, float(total))
+
+
+def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
+    """The model each stage of ``optimize`` solves, built by
+    ``LoopStageBuilder``: stage "1" (max mu), "2" (min beta; joint: stage
+    1's model plus the caps at ``model.scale = beta``) or "3" (max z)."""
+    builder = LoopStageBuilder(phys, crit, fixed)
+    if stage == "1" or (stage == "2" and fixed is None):
+        name = "maxmin-throughput" if stage == "1" else "desensitize"
+        model = builder.new_model(name, None)
+        model.add_var("mu", 0.0, None)
+        builder.add_split_constraints(model, "mu")
+        builder.add_load_constraints(model, 1.0)
+        model.set_objective("max", {"mu": 1.0})
+        if stage == "2":
+            builder.add_sensitivity_constraints(model)
+            model.scale = beta
+        return model
+    if stage == "2":
+        model = builder.new_model("desensitize", 1.0)
+        builder.add_split_constraints(model, 1.0)
+        builder.add_load_constraints(model, mu)
+        builder.add_sensitivity_constraints(model)
+        model.set_objective("min", {"beta": 1.0})
+        return model
+    model = builder.new_model("minimize-ahc", 1.0)
+    model.add_var("z", 0.0, None)
+    builder.add_split_constraints(model, 1.0)
+    builder.add_load_constraints(model, mu)
+    if beta is not None:
+        builder.add_sensitivity_constraints(model, beta)
+    for k in range(len(crit)):
+        terms = {"z": -1.0}
+        for (i, j), paths in builder.pair_paths.items():
+            t = builder.demand[k, i, j]
+            if t > 0 and paths[0].via is None:
+                terms[_wname(paths[0])] = t
+        model.add_constraint(terms, lp.GE, 0.0)
+    model.set_objective("max", {"z": 1.0})
+    return model
+
+
+def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet, mode: str):
+    """(lambdas, slack, model) of ``traffic.check_bounded``'s LP with one
+    ``add_constraint`` per row: the sum row, then per pair the shortfall
+    row as >= and, in exact mode, the overshoot row."""
+    K, n = len(crit), t.num_pods
+    model = lp.LpModel("boundedness")
+    lams = [model.add_var(f"l{k}", 0.0, 1.0) for k in range(K)]
+    s = model.add_var("s", 0.0, None)
+    model.add_constraint({name: 1.0 for name in lams}, lp.LE, 1.0)
+    stack = crit.stacked()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            expr = {lams[k]: stack[k, i, j] for k in range(K)}
+            model.add_constraint(dict(expr, **{s: 1.0}), lp.GE,
+                                 t.demand[i, j])
+            if mode == "exact":
+                model.add_constraint(dict(expr, **{s: -1.0}), lp.LE,
+                                     t.demand[i, j])
+    model.set_objective("min", {s: 1.0})
+    sol = lp.solve(model)
+    return (np.array([sol.values[name] for name in lams]),
+            sol.objective_value, model)
+
+
+def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
+    """The same columns, bounds, objective and rows, bit for bit, in the
+    CSC form HiGHS receives, and the same scaled blocks."""
+    assert list(model._index) == list(ref._index)
+    assert model._lb == ref._lb and model._ub == ref._ub
+    assert model._sense == ref._sense and model.scale == ref.scale
+    got, got_scaled = model._matrices()
+    want, want_scaled = ref._matrices()
+    for a, b in zip(got + tuple(got_scaled), want + tuple(want_scaled)):
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        if sp.issparse(a):
+            a, b = sp.csc_array(a), sp.csc_array(b)
+            assert a.shape == b.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+def feasible_at_beta(builder: LoopStageBuilder, mu_star: float,
+                     beta: float) -> bool:
     """Whether stage 2's rows admit weights at this beta: one feasibility
     LP built from scratch, the caps written with beta as a constant."""
     model = builder.new_model("oracle", 1.0)
@@ -180,7 +385,7 @@ def bisect_beta(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     """Smallest feasible beta by bisection from the bracket [0, 1], whose
     upper end doubles until feasible; stops at relative width ``tol``.
     None when no beta up to ``BETA_CAP`` is feasible."""
-    builder = _StageBuilder(phys, crit, fixed=fixed)
+    builder = LoopStageBuilder(phys, crit, fixed=fixed)
     lo, hi = 0.0, 1.0
     while not feasible_at_beta(builder, mu_star, hi):
         lo, hi = hi, 2 * hi

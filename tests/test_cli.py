@@ -350,6 +350,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "link bandwidth" in err
 
+    @pytest.mark.parametrize("where", ["bandwidth", "demand"])
+    def test_input_beyond_solver_range_exits_1(self, tmp_path, capsys,
+                                               where):
+        # HiGHS refuses a matrix entry of 1e15 or more; that is the input's
+        # fault, not an infeasible LP.
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        big = where == "bandwidth"
+        cli.write_physical_topology(
+            str(physfile), make_fabric(4, 1, 3, bandwidth=1e300 if big else 1.0))
+        t = np.ones((4, 4)) - np.eye(4)
+        t[0, 1] = 1.0 if big else 1e308
+        cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
+        rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
+                       str(tmp_path / "sol.json")])
+        assert rc == cli.EXIT_VALIDATION == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "1e+15" in err and "Traceback" not in err
+
     def test_round_routes_pair_without_direct_link(self, tmp_path):
         # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a
         # usable 2-hop path; the recompute caps that path on its own links,

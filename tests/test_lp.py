@@ -119,6 +119,55 @@ def test_bad_bounds_rejected():
         m.add_var("x", 2.0, 1.0)
 
 
+@pytest.mark.parametrize("names, lb, ub", [
+    (["x", "y", "x"], 0.0, None), (["a", "z"], 0.0, None),
+    (["y", "z"], [0.0, 2.0], [1.0, 1.0])])
+def test_bad_block_of_variables_rejected_whole(names, lb, ub):
+    m = lp.LpModel()
+    m.add_var("a")
+    with pytest.raises(InvalidInputError):
+        m.add_vars(names, lb, ub)
+    assert m.num_variables == 1 and m._lb == [0.0]
+
+
+def test_block_of_rows_is_the_rows_added_one_by_one():
+    # Zero terms dropped, >= rows negated, blocks stacked in insertion
+    # order per relation: what add_constraint gives, row for row.
+    one, block = lp.LpModel(), lp.LpModel()
+    for m in (one, block):
+        assert list(m.add_vars("xyz", [0.0, -1.0, -np.inf], 2.0)) == [0, 1, 2]
+        m.set_objective("max", {"x": 1.0})
+    one.add_constraint({"x": 1.0, "y": 0.0}, lp.LE, 1.0, scaled={"z": 2.0})
+    one.add_constraint({"y": 3.0, "z": -1.0}, lp.GE, -2.0)
+    one.add_constraint({"x": 1.0, "z": 1.0}, lp.EQ, 1.5)
+    one.add_constraint({"z": 4.0}, lp.LE, 0.5)
+    block.add_rows([0, 0, 1, 1], [0, 1, 1, 2], [1.0, 0.0, -3.0, 1.0], lp.LE,
+                   [1.0, 2.0], scaled=([0], [2], [2.0]))
+    block.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
+    block.add_constraint({"z": 4.0}, lp.LE, 0.5)
+    assert block.num_constraints == one.num_constraints == 4
+    (c, A_ub, b_ub, A_eq, b_eq), _ = block._matrices()
+    (c1, A_ub1, b_ub1, A_eq1, b_eq1), _ = one._matrices()
+    for a, b in ((A_ub, A_ub1), (A_eq, A_eq1)):
+        assert a.nnz == b.nnz and (a != b).nnz == 0
+    for a, b in ((c, c1), (b_ub, b_ub1), (b_eq, b_eq1)):
+        assert a.tobytes() == b.tobytes()
+    assert lp.solve(block).objective_value == lp.solve(one).objective_value
+
+
+@pytest.mark.parametrize("rows, cols, coefs, rhs", [
+    ([0, 1], [0, 0], [1.0, 1.0], [1.0]),  # row beyond rhs
+    ([0], [2], [1.0], [1.0]),  # undeclared column
+    ([0], [-1], [1.0], [1.0]),
+    ([0, 0], [0], [1.0, 1.0], [1.0])])  # lengths differ
+def test_bad_block_of_rows_rejected(rows, cols, coefs, rhs):
+    m = lp.LpModel()
+    m.add_vars(["x", "y"])
+    with pytest.raises(InvalidInputError):
+        m.add_rows(rows, cols, coefs, lp.LE, rhs)
+    assert m.num_constraints == 0
+
+
 def test_duplicate_variable_rejected():
     m = lp.LpModel()
     m.add_var("x")

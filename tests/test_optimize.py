@@ -6,7 +6,7 @@ from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           TrafficMatrix)
-from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
+from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder, _tables,
                              compute_path_capacity,
                              desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_per_tm,
@@ -14,8 +14,9 @@ from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
 from couder.round import greedy_round
 from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet
-from helpers import (bisect_beta, convex_combination, feasible_at_beta,
-                     hetero_fabric, make_fabric, random_criticals,
+from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
+                     convex_combination, feasible_at_beta, hetero_fabric,
+                     loop_stage_model, make_fabric, random_criticals,
                      random_fabric, random_fractional, random_mesh_topology)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
@@ -234,7 +235,7 @@ class TestStage2Bracket:
         mu = solve_maxmin_throughput(phys, crit).mu
         radix = min(phys.egress_radix.min(), phys.ingress_radix.min())
         bound = 1.0 / (phys.link_bandwidth * radix)
-        builder = _StageBuilder(phys, crit)
+        builder = LoopStageBuilder(phys, crit)
         beta = desensitize(phys, crit, mu).beta
         assert beta >= bound
         assert not feasible_at_beta(builder, mu, bound * (1 - 1e-3))
@@ -478,6 +479,100 @@ class TestRecomputeRouting:
                               CriticalSet((TrafficMatrix(t),)))
 
 
+def sparse_instance(seed: int, n: int, fixed: bool):
+    """A fabric, criticals with zero entries and, when ``fixed``, a link
+    count matrix with zero links; pairs left without a path by it carry
+    no demand, so they fall back to their direct path."""
+    rng = np.random.default_rng(900 + seed)
+    fabric = hetero_fabric if seed % 2 else random_fabric
+    phys = fabric(rng, n, 2, qmin=2, qmax=5)
+    demand = np.stack([t.demand for t in random_criticals(rng, n, 3)])
+    demand *= rng.random(demand.shape) < 0.6
+    X = None
+    if fixed:
+        X = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(X, 0)
+        X = X.astype(float)
+        linked = X > 0
+        routed = linked | ((linked.astype(int) @ linked.astype(int)) > 0)
+        demand *= routed
+    demand[:, 0, 1] = 1.0  # never all zero
+    if fixed:
+        X[0, 1] = max(X[0, 1], 1.0)
+    return phys, CriticalSet(tuple(TrafficMatrix(t) for t in demand)), X
+
+
+def stage_models(monkeypatch, phys, crit, X):
+    """{stage: (model solved last, mu, beta)} of stages 1, 2 and 3 run in
+    a row, at the mu and beta each was given."""
+    models = record_solves(monkeypatch)
+    s1 = solve_maxmin_throughput(phys, crit, _fixed=X)
+    s2 = desensitize(phys, crit, s1.mu, _fixed=X)
+    s3 = minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
+    monkeypatch.undo()
+    by_name = {m.name: m for m in models}
+    return {"1": (by_name["maxmin-throughput"], None, None),
+            "2": (by_name["desensitize"], s1.mu, by_name["desensitize"].scale),
+            "3": (by_name["minimize-ahc"], s3.mu, s3.beta)}
+
+
+class TestStageModels:
+    """The index-array builder against the loop builder in helpers."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_stage_matches_loop_builder(self, monkeypatch, n, fixed):
+        for seed in range(2):
+            phys, crit, X = sparse_instance(seed, n, fixed)
+            for stage, (model, mu, beta) in stage_models(
+                    monkeypatch, phys, crit, X).items():
+                ref = loop_stage_model(stage, phys, crit, X, mu, beta)
+                assert_same_model(model, ref)
+
+    def test_instances_have_fallback_pairs_and_empty_load_rows(self):
+        fallback = empty_row = False
+        for n in range(2, 9):
+            for seed, fixed in ((0, False), (1, False), (0, True), (1, True)):
+                phys, crit, X = sparse_instance(seed, n, fixed)
+                ref = LoopStageBuilder(phys, crit, X)
+                fallback |= bool(ref.fallback_pairs)
+                for paths in ref.crossing.values():
+                    usable = [p for p in paths if p in
+                              ref.pair_paths.get((p.src, p.dst), ())]
+                    for t in ref.demand:
+                        empty_row |= all(t[p.src, p.dst] == 0
+                                         for p in usable)
+        assert fallback and empty_row
+
+    def test_tables_are_read_only_and_cached(self):
+        t = _tables(5)
+        assert _tables(5) is t
+        for name, value in t._asdict().items():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[0] = 0
+            else:
+                assert isinstance(value, tuple), name
+
+    def test_builders_on_different_topologies_share_nothing(self):
+        phys, crit, X1 = sparse_instance(0, 6, True)
+        _, _, X2 = sparse_instance(1, 6, True)
+        crit2 = CriticalSet(tuple(TrafficMatrix(t * (X2 > 0))
+                                  for t in crit.stacked()))
+        assert not np.array_equal(X1 > 0, X2 > 0)
+        first = _StageBuilder(phys, crit, X1)
+        second = _StageBuilder(phys, crit2, X2)
+        for builder, c, X in ((first, crit, X1), (second, crit2, X2),
+                              (first, crit, X1)):
+            model = builder.new_model("desensitize", 1.0)
+            builder.add_split_constraints(model, 1.0)
+            builder.add_load_constraints(model, 0.5)
+            builder.add_sensitivity_constraints(model)
+            model.set_objective("min", {"beta": 1.0})
+            assert_same_model(model,
+                              loop_stage_model("2", phys, c, X, mu=0.5))
+
+
 class TestPerTmOracle:
     def test_per_tm_not_worse_than_shared(self):
         rng = np.random.default_rng(7)
@@ -511,10 +606,11 @@ class TestPerTmOracle:
         crit = random_criticals(rng, 6, 3)
         models = record_solves(monkeypatch)
         solve_maxmin_per_tm(phys, crit)
-        used = set(models[0]._objective[0])
-        for terms, scaled, _, _ in models[0]._rows:
-            used.update(terms[0])
-            used.update(scaled[0])
+        (c, A_ub, _, A_eq, _), _ = models[0]._matrices()
+        used = set(np.flatnonzero(c))
+        for A in (A_ub, A_eq):
+            if A is not None:
+                used.update(A.nonzero()[1])
         assert used == set(range(models[0].num_variables))
 
     @pytest.mark.parametrize("seed, expected", [

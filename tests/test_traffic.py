@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from couder import lp
 from couder.errors import InvalidInputError
 from couder.model import TmSequence, TrafficMatrix
-from couder.traffic import (BurstSpec, check_bounded, boundability_curve,
-                            extract_critical, gen_burst_tms, gen_storage_tms)
-from helpers import random_tm
+from couder.traffic import (BurstSpec, CriticalSet, check_bounded,
+                            boundability_curve, extract_critical,
+                            gen_burst_tms, gen_storage_tms)
+from helpers import (assert_same_model, loop_check_bounded,
+                     random_criticals, random_tm)
 
 
 def seq_of(demands, window=1.0):
@@ -138,6 +141,34 @@ class TestCheckBounded:
                              + 0.1 * self.crit.matrices[1].demand)
         shrunk = TrafficMatrix(half.demand * 0.9)
         assert check_bounded(shrunk, self.crit, "dominated").bounded
+
+
+    @pytest.mark.parametrize("mode", ["exact", "dominated"])
+    def test_witness_matches_loop_builder(self, monkeypatch, mode):
+        # One add_rows block must hand HiGHS the rows the per-row builder
+        # did, so the witness is the same to the bit.
+        models = []
+        real = lp.solve
+
+        def recording(model):
+            models.append(model)
+            return real(model)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        rng = np.random.default_rng(11)
+        for n, k in ((2, 1), (4, 3), (6, 5), (8, 5)):
+            crit = random_criticals(rng, n, k)
+            mask = rng.random((k, n, n)) < 0.7
+            crit = CriticalSet(tuple(TrafficMatrix(t * m) for t, m
+                                     in zip(crit.stacked(), mask)))
+            for t in (random_tm(rng, n), TrafficMatrix(
+                    0.4 * crit.matrices[0].demand)):
+                res = check_bounded(t, crit, mode)
+                lambdas, slack, ref = loop_check_bounded(t, crit, mode)
+                assert_same_model(models[0], ref)
+                assert res.lambdas.tobytes() == lambdas.tobytes()
+                assert res.slack == slack
+                models.clear()
 
 
 class TestBoundabilityCurve:
