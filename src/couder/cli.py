@@ -53,12 +53,22 @@ class RunConfig:
         if path:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise InvalidInputError(
+                    f"{path}: config must be a JSON object")
             known = {f.name for f in fields(cls)}
             unknown = set(data) - known
             if unknown:
                 raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
             for key, value in data.items():
-                setattr(cfg, key, type(getattr(cfg, key))(value))
+                kind = type(getattr(cfg, key))
+                # An int field takes a JSON integer, a float field any number.
+                allowed = (int, float) if kind is float else int
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise InvalidInputError(f"{path}: {key} must be"
+                                            f" {kind.__name__}, not"
+                                            f" {json.dumps(value)}")
+                setattr(cfg, key, kind(value))
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)

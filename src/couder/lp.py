@@ -1,12 +1,11 @@
 """Minimal linear-programming core used by the optimization modules.
 
-The model builder keeps named variables with bounds, a linear objective
-and one store of constraint rows, kept as blocks of (row, column, value)
-triplets.  Rows are added either a block at a time from column indices
-(``add_rows``, how the stage builders fill their models) or one at a
-time from variable names (``add_constraint``); both land in the same
-store, and the matrices passed to HiGHS are the same whichever call
-added a row.  Every LP in the toolkit is solved by HiGHS
+A model is built by column index only.  ``add_vars`` declares a run of
+bounded columns and returns their indices; ``add_rows`` adds a block of
+rows from (row, column, value) triplets; ``set_objective`` takes column
+indices and coefficients.  ``solve`` returns the optimal vertex as an
+array, ``LpSolution.x``, so a caller reads a variable by the column
+``add_vars`` gave it.  Every LP in the toolkit is solved by HiGHS
 through the binding scipy ships (``scipy.optimize._highspy._core``),
 called directly rather than through ``scipy.optimize.linprog``, whose
 Python wrapper cost several times the solve on the small LPs here.  One
@@ -20,7 +19,7 @@ same helper for its per-switch subproblem, with its own options.
 ``passModel`` resets the solver, so a solve is cold unless it is given
 a basis.  An ``LpModel`` keeps the optimal basis of its last solve and
 hands it to the next one when only ``scale`` changed in between; any new
-variable, constraint or objective drops it.  HiGHS then starts from that
+column, row or objective drops it.  HiGHS then starts from that
 vertex and skips presolve.
 """
 
@@ -47,7 +46,7 @@ _RELATIONS = (LE, EQ, GE)
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    values: dict
+    x: Optional[np.ndarray]  # the vertex by column; None unless optimal
     objective_value: float
     #: d(objective)/d(``model.scale``) at an optimum; 0 without scaled terms.
     slope: float = 0.0
@@ -55,9 +54,6 @@ class LpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
 
 
 class _Block(NamedTuple):
@@ -71,13 +67,10 @@ class _Block(NamedTuple):
 
 
 class LpModel:
-    """Incrementally built LP: named bounded variables, linear rows, objective.
+    """Incrementally built LP: bounded columns, linear rows, objective.
 
-    Rows live in one store of blocks.  ``add_rows`` appends a block of
-    rows from column indices in one call; ``add_constraint`` appends a
-    one-row block from variable names.  Assembly stacks the blocks per
-    relation in insertion order, so the matrices HiGHS receives do not
-    depend on which of the two calls added a row.
+    Rows live in one store of blocks, one block per ``add_rows`` call.
+    Assembly stacks the blocks per relation in insertion order.
 
     A row may also carry scaled terms, whose coefficients are multiplied by
     ``scale`` at solve time.  LPs that differ only in that one block of
@@ -89,84 +82,41 @@ class LpModel:
     def __init__(self, name: str = "lp"):
         self.name = name
         self.scale = 1.0
-        self._index = {}
         self._lb = []
         self._ub = []
         self._blocks = []
         self._num_rows = 0
         self._sense = "min"
-        self._objective = ([], [])  # (var indices, coefficients)
+        self._objective = (np.zeros(0, dtype=int), np.zeros(0))  # cols, coefs
         self._assembled = None
         self._basis = None  # optimal basis of the last solve
 
     @property
     def num_variables(self) -> int:
-        return len(self._index)
+        return len(self._lb)
 
     @property
     def num_constraints(self) -> int:
         return self._num_rows
 
-    def add_var(self, name: str, lb: float = 0.0,
-                ub: Optional[float] = None) -> str:
-        if name in self._index:
-            raise InvalidInputError(f"variable {name!r} already declared")
-        if ub is not None and lb is not None and lb > ub:
-            raise InvalidInputError(f"variable {name!r} has lb > ub")
-        self._index[name] = len(self._lb)
-        self._lb.append(-np.inf if lb is None else float(lb))
-        self._ub.append(np.inf if ub is None else float(ub))
-        self._assembled = self._basis = None
-        return name
-
-    def add_vars(self, names, lb=0.0, ub=None) -> np.ndarray:
-        """Declare one variable per name, as ``add_var`` does, bounds
-        broadcast from ``lb`` and ``ub``; returns their column indices."""
-        names = list(names)
-        start, count = len(self._lb), len(names)
+    def add_vars(self, count: int, lb=0.0, ub=None) -> np.ndarray:
+        """Declare ``count`` columns, bounds broadcast from ``lb`` and
+        ``ub`` (None is unbounded); returns their column indices."""
+        start = len(self._lb)
         lbs, ubs = (np.broadcast_to(np.asarray(default if bound is None
                                                else bound, dtype=float),
-                                    count).tolist()
+                                    count)
                     for bound, default in ((lb, -np.inf), (ub, np.inf)))
-        if len(set(names)) < count or not self._index.keys().isdisjoint(names):
-            name = next(nm for k, nm in enumerate(names)
-                        if nm in self._index or nm in names[:k])
-            raise InvalidInputError(f"variable {name!r} already declared")
-        for name, low, up in zip(names, lbs, ubs):
-            if low > up:
-                raise InvalidInputError(f"variable {name!r} has lb > ub")
-        self._index.update(zip(names, range(start, start + count)))
-        self._lb.extend(lbs)
-        self._ub.extend(ubs)
+        if (lbs > ubs).any():
+            raise InvalidInputError("variable has lb > ub")
+        self._lb.extend(lbs.tolist())
+        self._ub.extend(ubs.tolist())
         self._assembled = self._basis = None
         return np.arange(start, start + count)
 
-    def column(self, name: str) -> int:
-        """Column index of a declared variable."""
-        return self._terms({name: 0.0})[0][0]
-
-    def _terms(self, expr) -> tuple:
-        """(variable indices, coefficients) of the terms."""
-        items = expr.items() if isinstance(expr, dict) else expr
-        idxs, coefs = [], []
-        for name, coef in items:
-            idx = self._index.get(name)
-            if idx is None:
-                raise InvalidInputError(f"term references undeclared variable {name!r}")
-            idxs.append(idx)
-            coefs.append(coef)
-        return idxs, coefs
-
-    def add_constraint(self, expr, relation: str, rhs: float, scaled=()):
-        """Add ``expr + scale * scaled  relation  rhs``.
-
-        ``expr`` and ``scaled`` map variable names to coefficients.
-        """
-        idxs, coefs = self._terms(expr)
-        s_idxs, s_coefs = self._terms(scaled)
-        self._append(relation, _triplets([0] * len(idxs), idxs, coefs),
-                     _triplets([0] * len(s_idxs), s_idxs, s_coefs)
-                     if s_idxs else None, np.array([rhs], dtype=float))
+    def _check_cols(self, cols: np.ndarray):
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.num_variables):
+            raise InvalidInputError("column index out of range")
 
     def add_rows(self, rows, cols, coefs, relation: str, rhs, scaled=None):
         """Add ``len(rhs)`` rows as one block.
@@ -176,39 +126,43 @@ class LpModel:
         when given, add terms whose coefficients are multiplied by
         ``scale``.
         """
+        if relation not in _RELATIONS:
+            raise InvalidInputError(f"unknown relation {relation!r}")
         rhs = np.array(rhs, dtype=float, ndmin=1)
-        blocks = [None if t is None else _triplets(*t)
-                  for t in ((rows, cols, coefs), scaled)]
-        for r, c, v in filter(None, blocks):
+        terms, scaled = (None if t is None else _triplets(*t)
+                         for t in ((rows, cols, coefs), scaled))
+        for r, c, v in filter(None, (terms, scaled)):
             if not r.shape == c.shape == v.shape or r.ndim != 1:
                 raise InvalidInputError("rows, cols and coefs must be"
                                         " vectors of one length")
-            if len(r) and (r.min() < 0 or r.max() >= len(rhs) or c.min() < 0
-                           or c.max() >= self.num_variables):
-                raise InvalidInputError("row or column index out of range")
-        self._append(relation, *blocks, rhs)
-
-    def _append(self, relation: str, terms, scaled, rhs: np.ndarray):
-        if relation not in _RELATIONS:
-            raise InvalidInputError(f"unknown relation {relation!r}")
+            if len(r) and (r.min() < 0 or r.max() >= len(rhs)):
+                raise InvalidInputError("row index out of range")
+            self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
         self._num_rows += len(rhs)
         self._assembled = self._basis = None
 
-    def set_objective(self, sense: str, expr):
+    def set_objective(self, sense: str, cols, coefs):
+        """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
         if sense not in ("min", "max"):
             raise InvalidInputError("objective sense must be 'min' or 'max'")
+        cols = np.asarray(cols, dtype=int)
+        coefs = np.asarray(coefs, dtype=float)
+        if cols.shape != coefs.shape or cols.ndim != 1:
+            raise InvalidInputError("cols and coefs must be vectors of one"
+                                    " length")
+        self._check_cols(cols)
         self._sense = sense
-        self._objective = self._terms(expr)
+        self._objective = (cols, coefs)
         self._basis = None
 
     def _assemble(self) -> list:
         """(A, A_scaled, b) of the inequality rows, as <=, and of the
-        equality rows; an empty block is all None."""
+        equality rows; either is all None when it has no rows."""
         out = []
         for equality in (False, True):
             group = [blk for blk in self._blocks
-                     if (blk.relation == EQ) == equality]
+                     if (blk.relation == EQ) == equality and len(blk.rhs)]
             if not group:
                 out.append((None, None, None))
                 continue
@@ -402,22 +356,21 @@ def solve(model: LpModel) -> LpSolution:
     solve.
     """
     if model.num_variables == 0:
-        return LpSolution("optimal", {}, 0.0)
+        return LpSolution("optimal", np.zeros(0), 0.0)
     (c, A_ub, b_ub, A_eq, b_eq), scaled = model._matrices()
     sign = -1.0 if model._sense == "max" else 1.0
     res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=(model._lb, model._ub), basis=model._basis)
     model._basis = res.basis
     if res.status == "optimal":
-        values = dict(zip(model._index, res.x.tolist()))
         num_ub = 0 if A_ub is None else A_ub.shape[0]
         duals = (res.row_dual[:num_ub], res.row_dual[num_ub:])
         slope = 0.0
         for A_scaled, y in zip(scaled, duals):
             if A_scaled is not None:
                 slope -= float(y @ (A_scaled @ res.x))
-        return LpSolution("optimal", values, float(sign * res.fun),
+        return LpSolution("optimal", res.x, float(sign * res.fun),
                           sign * slope)
     if res.status == "infeasible":
-        return LpSolution("infeasible", {}, float("nan"))
-    return LpSolution("unbounded", {}, float("inf"))
+        return LpSolution("infeasible", None, float("nan"))
+    return LpSolution("unbounded", None, float("inf"))

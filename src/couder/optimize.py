@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,16 +59,6 @@ class FractionalSolution:
     beta: Optional[float] = None
 
 
-def _wname(p: Path) -> str:
-    if p.via is None:
-        return f"w_{p.src}.{p.dst}"
-    return f"w_{p.src}.{p.via}.{p.dst}"
-
-
-def _dname(i: int, j: int) -> str:
-    return f"d_{i}.{j}"
-
-
 def _pairs(n: int):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
@@ -93,8 +82,6 @@ class _Tables(NamedTuple):
     # then the paths with it as first hop, then as second hop.
     cross_link: np.ndarray
     cross_path: np.ndarray
-    wnames: tuple
-    dnames: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,8 +102,7 @@ def _tables(n: int) -> _Tables:
         pairs, _freeze([i for i, _ in pairs]), _freeze([j for _, j in pairs]),
         paths, _freeze([link[p.src, p.dst] for p in paths]),
         _freeze([(link[ls[0]], link[ls[-1]]) for ls in hops]),
-        _freeze([q for q, _ in crossing]), _freeze([k for _, k in crossing]),
-        tuple(_wname(p) for p in paths), tuple(_dname(i, j) for i, j in pairs))
+        _freeze([q for q, _ in crossing]), _freeze([k for _, k in crossing]))
 
 
 def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
@@ -135,13 +121,16 @@ class _StageBuilder:
     and paths crossing a zero-capacity link are dropped; pairs left with no
     usable path are deferred to a direct-only fallback unless demanded.
 
-    Every block of rows is one ``LpModel.add_rows`` call whose triplets
-    come from numpy index arithmetic on ``_tables(n)``: the paths in
-    column order, each path's pair and links, and the (link, path)
-    crossing table, built once per pod count and shared read-only.  A
-    builder adds what depends on its topology: ``capacity`` per link when
-    fixed, and ``col``, the column of each path's weight in a model from
-    ``new_model``, or -1 when the path crosses a zero-capacity link.
+    A model from ``new_model`` has a known column layout: one weight per
+    usable path, in path order (``col`` maps each path to its column, or
+    to -1 when it crosses a zero-capacity link); then, unless link counts
+    are fixed, one link count per pair (``_dcol``); then ``stage_col``,
+    the stage's own variable (mu, beta or z).  Every block of rows is one
+    ``LpModel.add_rows`` call whose triplets come from numpy index
+    arithmetic on ``_tables(n)``: the paths in column order, each path's
+    pair and links, and the (link, path) crossing table, built once per
+    pod count and shared read-only.  A builder adds what depends on its
+    topology: ``capacity`` per link when fixed, and ``col``.
     """
 
     def __init__(self, phys: PhysicalTopology, crit: CriticalSet,
@@ -163,6 +152,9 @@ class _StageBuilder:
             self.capacity = self.fixed[t.pair_src, t.pair_dst]  # per link
             usable = (self.capacity[t.path_links] > 0).all(axis=1)
         self.col = np.where(usable, np.cumsum(usable) - 1, -1)
+        self.num_weights = int(usable.sum())
+        self.stage_col = self.num_weights + (
+            len(t.pairs) if self.fixed is None else 0)
         routed = np.bincount(t.path_pair[usable], minlength=len(t.pairs)) > 0
         stranded = np.flatnonzero(~routed
                                   & self.demanded[t.pair_src, t.pair_dst])
@@ -177,10 +169,11 @@ class _StageBuilder:
                          if ok[k]]
             for q in np.flatnonzero(routed).tolist()}
 
-    def _dcol(self, model: lp.LpModel) -> np.ndarray:
-        """Column of each link count in ``model``, declared in one run."""
-        return model.column(self.tables.dnames[0]) + np.arange(
-            len(self.tables.pairs))
+    def _dcol(self, weights: bool = True) -> np.ndarray:
+        """Column of each link count: right after the weights, or first in
+        a model without them."""
+        start = self.num_weights if weights else 0
+        return start + np.arange(len(self.tables.pairs))
 
     def _crossing(self) -> tuple:
         """(link, path) of each usable path crossing each link."""
@@ -190,17 +183,18 @@ class _StageBuilder:
 
     def new_model(self, name: str, weight_ub: Optional[float],
                   weights: bool = True) -> lp.LpModel:
-        """Link-count columns and port rows, plus one weight column per
+        """Link-count columns and port rows, after one weight column per
         usable path unless ``weights`` is false."""
         t = self.tables
         model = lp.LpModel(name)
         if weights:
-            model.add_vars(compress(t.wnames, self.col >= 0), 0.0, weight_ub)
+            model.add_vars(self.num_weights, 0.0, weight_ub)
         if self.fixed is None:
             r_eg = self.phys.egress_radix
             r_ig = self.phys.ingress_radix
             dcol = model.add_vars(
-                t.dnames, 0.0, np.minimum(r_eg[t.pair_src], r_ig[t.pair_dst]))
+                len(t.pairs), 0.0, np.minimum(r_eg[t.pair_src],
+                                              r_ig[t.pair_dst]))
             # Row 2i caps pod i's egress links, row 2i + 1 its ingress.
             model.add_rows(np.concatenate([2 * t.pair_src, 2 * t.pair_dst + 1]),
                            np.tile(dcol, 2), np.ones(2 * len(dcol)), lp.LE,
@@ -213,7 +207,8 @@ class _StageBuilder:
 
         Rows run link-major, critical-minor; a row no demanded path
         crosses is left out.  ``wcol[k, path]``, when given, is critical
-        k's own weight column of each path; by default all share ``col``.
+        k's own weight column of each path, in a model without the shared
+        weights; by default all share ``col``.
         """
         t = self.tables
         link, path = self._crossing()
@@ -226,7 +221,8 @@ class _StageBuilder:
         coefs = scale * demand[k, c]
         if self.fixed is None:
             model.add_rows(*_per_row_term(row, cols, coefs, len(row_ids),
-                                          self._dcol(model)[row_link], -self.b),
+                                          self._dcol(wcol is None)[row_link],
+                                          -self.b),
                            lp.LE, np.zeros(len(row_ids)))
         else:
             model.add_rows(row, cols, coefs, lp.LE,
@@ -240,8 +236,8 @@ class _StageBuilder:
         utilization rises by more than beta per unit of one pair's demand;
         ``evaluate.sensitivity_map`` reports the same quantity.  With free
         link counts the cap's d term is a scaled term and beta is
-        ``model.scale``.  With fixed link counts beta is the variable
-        ``beta``, pinned to ``beta`` when given and free otherwise.
+        ``model.scale``.  With fixed link counts beta is a new column,
+        pinned to ``beta`` when given and free otherwise.
         """
         link, path = self._crossing()
         rows = np.arange(len(path))
@@ -250,40 +246,51 @@ class _StageBuilder:
                 model.scale = beta
             model.add_rows(rows, self.col[path], np.ones(len(rows)), lp.LE,
                            np.zeros(len(rows)),
-                           scaled=(rows, self._dcol(model)[link],
+                           scaled=(rows, self._dcol()[link],
                                    np.full(len(rows), -self.b)))
         else:
-            model.add_var("beta", 0.0 if beta is None else beta, beta)
+            beta_col = model.add_vars(1, 0.0 if beta is None else beta,
+                                      beta)[0]
             model.add_rows(*_per_row_term(rows, self.col[path],
                                           np.ones(len(rows)), len(rows),
-                                          model.column("beta"),
+                                          beta_col,
                                           -self.b * self.capacity[link]),
                            lp.LE, np.zeros(len(rows)))
 
-    def add_split_constraints(self, model: lp.LpModel, total):
-        """Per-pair weight sums: either a constant or a variable name."""
+    def add_split_constraints(self, model: lp.LpModel,
+                              total: Optional[int] = None,
+                              wcol: Optional[np.ndarray] = None):
+        """Per-pair weight sums: equal to the column ``total`` when given,
+        else to one.  With ``wcol`` as in ``add_load_constraints``, one
+        row per critical and pair, critical-major."""
         path = np.flatnonzero(self.col >= 0)
         _, row = np.unique(self.tables.path_pair[path], return_inverse=True)
-        num_rows = len(self.pair_paths)
-        cols, coefs = self.col[path], np.ones(len(path))
-        if isinstance(total, str):
-            model.add_rows(*_per_row_term(row, cols, coefs, num_rows,
-                                          model.column(total), -1.0),
-                           lp.EQ, np.zeros(num_rows))
+        cols = self.col[path][None] if wcol is None else wcol[:, path]
+        per = len(self.pair_paths)
+        num_rows = per * len(cols)
+        rows = (row + per * np.arange(len(cols))[:, None]).ravel()
+        cols, coefs = cols.ravel(), np.ones(len(rows))
+        if total is None:
+            model.add_rows(rows, cols, coefs, lp.EQ, np.ones(num_rows))
         else:
-            model.add_rows(row, cols, coefs, lp.EQ,
-                           np.full(num_rows, float(total)))
+            model.add_rows(*_per_row_term(rows, cols, coefs, num_rows,
+                                          total, -1.0),
+                           lp.EQ, np.zeros(num_rows))
 
-    def extract(self, sol: lp.LpSolution, normalize: Optional[float] = None):
-        """Pull (d, omega) out of a solved model.
+    def extract(self, x: np.ndarray, normalize: Optional[float] = None,
+                wcol: Optional[np.ndarray] = None):
+        """Pull (d, omega) out of a solved model's vertex ``x``.
 
         ``normalize`` divides weights (recovering omega from scaled wp) and
         per-pair sums are renormalized to exactly one; pairs deferred at
-        construction fall back to their direct path.
+        construction fall back to their direct path.  ``wcol``, when
+        given, is one critical's row of ``add_load_constraints``'s.
         """
-        weights = {}
+        w = x[:self.num_weights] if wcol is None else x[wcol[self.col >= 0]]
+        weights, start = {}, 0
         for pair, paths in self.pair_paths.items():
-            vals = np.array([sol.values[_wname(p)] for p in paths])
+            vals = w[start:start + len(paths)]
+            start += len(paths)
             if normalize is not None:
                 vals = vals / normalize
             total = vals.sum()
@@ -291,15 +298,16 @@ class _StageBuilder:
                 weights[Path(*pair)] = 1.0
                 continue
             vals = vals / total
-            for p, w in zip(paths, vals):
-                if w > 0:
-                    weights[p] = float(w)
+            for p, v in zip(paths, vals):
+                if v > 0:
+                    weights[p] = float(v)
         for pair in self.fallback_pairs:
             weights[Path(*pair)] = 1.0
         if self.fixed is None:
+            t = self.tables
             d = np.zeros((self.n, self.n))
-            for i, j in _pairs(self.n):
-                d[i, j] = max(sol.values[_dname(i, j)], 0.0)
+            d[t.pair_src, t.pair_dst] = np.maximum(
+                x[self._dcol(wcol is None)], 0.0)
         else:
             d = self.fixed.copy()
         return d, weights
@@ -330,10 +338,10 @@ def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
     """Stage 1's LP in scaled weights: maximize mu subject to weights
     summing to mu per pair and every critical's load within capacity."""
     model = builder.new_model(name, None)
-    model.add_var("mu", 0.0, None)
-    builder.add_split_constraints(model, "mu")
+    mu = model.add_vars(1, 0.0, None)[0]
+    builder.add_split_constraints(model, mu)
     builder.add_load_constraints(model, 1.0)
-    model.set_objective("max", {"mu": 1.0})
+    model.set_objective("max", [mu], [1.0])
     return model
 
 
@@ -353,10 +361,10 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
         raise InternalError(f"stage-1 LP ended {sol.status}")
-    mu = sol.values["mu"]
+    mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
-    d, weights = builder.extract(sol, normalize=mu)
+    d, weights = builder.extract(sol.x, normalize=mu)
     d = builder.lift_d(d, weights, mu)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu), mu)
@@ -397,7 +405,7 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
         sol = lp.solve(model)
         if not sol.optimal:
             raise InternalError(f"stage-2 LP ended {sol.status}")
-        F = sol.values["mu"]
+        F = float(sol.x[builder.stage_col])
         # A slope this small moves F by less than the slack as gamma doubles.
         rising = sol.slope * gamma > MU_SLACK * F
         if F >= target and rising:
@@ -425,7 +433,7 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
             gamma = (lo + hi) / 2.0
     # The radix bound is a proof; float noise in F, or in gamma / F itself,
     # can put the quotient an ulp below it.
-    F = sol.values["mu"]
+    F = float(sol.x[builder.stage_col])
     return max(gamma / F, beta_lo), F, sol
 
 
@@ -449,18 +457,19 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         builder.add_sensitivity_constraints(model)
         beta, F, best = _newton_beta(builder, model, mu_star)
         mu = F * (1.0 - MU_SLACK)
-        d, weights = builder.extract(best, normalize=best.values["mu"])
+        d, weights = builder.extract(best.x, normalize=F)
     else:
         model = builder.new_model("desensitize", 1.0)
-        builder.add_split_constraints(model, 1.0)
+        builder.add_split_constraints(model)
         builder.add_load_constraints(model, mu_star)
         builder.add_sensitivity_constraints(model)
-        model.set_objective("min", {"beta": 1.0})
+        model.set_objective("min", [builder.stage_col], [1.0])
         best = lp.solve(model)
-        if not best.optimal or best.values["beta"] > BETA_CAP:
+        beta = float(best.x[builder.stage_col]) if best.optimal else math.inf
+        if beta > BETA_CAP:
             raise InternalError("no feasible sensitivity bound below cap")
-        beta, mu = best.values["beta"], mu_star
-        d, weights = builder.extract(best)
+        mu = mu_star
+        d, weights = builder.extract(best.x)
     d = builder.lift_d(d, weights, mu)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu, beta=beta),
@@ -478,23 +487,23 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         raise InvalidInputError("mu_star must be positive")
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     model = builder.new_model("minimize-ahc", 1.0)
-    model.add_var("z", 0.0, None)
-    builder.add_split_constraints(model, 1.0)
+    z = model.add_vars(1, 0.0, None)[0]
+    builder.add_split_constraints(model)
     builder.add_load_constraints(model, mu_star)
     if beta is not None:
         builder.add_sensitivity_constraints(model, beta)
-    for k in range(len(crit)):
-        terms = {"z": -1.0}
-        for (i, j), paths in builder.pair_paths.items():
-            t = builder.demand[k, i, j]
-            if t > 0 and paths[0].via is None:
-                terms[_wname(paths[0])] = t
-        model.add_constraint(terms, lp.GE, 0.0)
-    model.set_objective("max", {"z": 1.0})
+    # Row k: critical k's traffic on direct paths is at least z.
+    t = builder.tables
+    direct = builder.col[np.arange(len(t.pairs)) * (builder.n - 1)]
+    demand = builder.demand[:, t.pair_src, t.pair_dst]
+    k, q = np.nonzero((demand > 0) & (direct >= 0))
+    model.add_rows(*_per_row_term(k, direct[q], demand[k, q], len(crit), z,
+                                  -1.0), lp.GE, np.zeros(len(crit)))
+    model.set_objective("max", [z], [1.0])
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
-    d, weights = builder.extract(sol)
+    d, weights = builder.extract(sol.x)
     d = builder.lift_d(d, weights, mu_star)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu_star, beta=beta),
@@ -536,43 +545,26 @@ def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
     builder = _StageBuilder(phys, crit)
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
-    K = len(crit)
     model = builder.new_model("maxmin-per-tm", None, weights=False)
-    model.add_var("mu", 0.0, None)
-
-    def kname(k: int, p: Path) -> str:
-        return f"k{k}_{_wname(p)}"
-
-    for k in range(K):
-        for paths in builder.pair_paths.values():
-            for p in paths:
-                model.add_var(kname(k, p), 0.0, None)
-            model.add_constraint(
-                dict({kname(k, p): 1.0 for p in paths}, mu=-1.0), lp.EQ, 0.0)
-    # Matrix k's weights fill one run of columns, in path order.
-    first = model.column(kname(0, builder.tables.paths[0]))
-    num_paths = len(builder.tables.paths)
-    builder.add_load_constraints(
-        model, 1.0, first + num_paths * np.arange(K)[:, None]
-        + builder.col[None, :])
-    model.set_objective("max", {"mu": 1.0})
+    mu_col = model.add_vars(1, 0.0, None)[0]
+    # Matrix k's weights fill one run of columns, in path order; every
+    # path is usable, as link counts are free.
+    wcol = model.add_vars(len(crit) * builder.num_weights, 0.0,
+                          None).reshape(len(crit), -1)
+    builder.add_split_constraints(model, mu_col, wcol)
+    builder.add_load_constraints(model, 1.0, wcol)
+    model.set_objective("max", [mu_col], [1.0])
     sol = lp.solve(model)
     if sol.status == "unbounded":
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
         raise InternalError(f"per-tm LP ended {sol.status}")
-    mu = sol.values["mu"]
+    mu = float(sol.x[mu_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
     omegas = []
-    for k in range(K):
-        # Matrix k's weights under the shared names, so extract reads them.
-        values = dict(sol.values)
-        values.update((_wname(p), sol.values[kname(k, p)])
-                      for paths in builder.pair_paths.values() for p in paths)
-        d, weights = builder.extract(
-            lp.LpSolution(sol.status, values, sol.objective_value),
-            normalize=mu)
+    for cols in wcol:
+        d, weights = builder.extract(sol.x, normalize=mu, wcol=cols)
         omegas.append(RoutingWeights(weights, mu=mu))
     return FractionalTopology(d), omegas, mu
 
@@ -603,49 +595,32 @@ def compute_path_capacity(topo: IntegerTopology, max_hops: int,
 
 def _pair_capacity(X: np.ndarray, src: int, dst: int, H: int) -> float:
     n = X.shape[0]
-    model = lp.LpModel(f"capacity_{src}_{dst}")
-
-    def fname(l, u, v):
-        return f"f{l}_{u}.{v}"
-
-    exists = set()
-    for l in range(1, H + 1):
-        for u in range(n):
-            for v in range(n):
-                if u == v or X[u, v] <= 0 or v == src or u == dst:
-                    continue
-                if (l == 1) != (u == src):
-                    continue
-                if l == H and v != dst:
-                    continue
-                model.add_var(fname(l, u, v), 0.0, float(X[u, v]))
-                exists.add((l, u, v))
-    if not exists:
+    # One column per arc (layer, u, v), layer-major: layer 0 leaves src,
+    # the last layer enters dst, and no arc enters src or leaves dst.
+    layer, u, v = np.nonzero(np.broadcast_to(X > 0, (H, n, n)))
+    keep = ((u != v) & (v != src) & (u != dst) & ((layer == 0) == (u == src))
+            & ((layer < H - 1) | (v == dst)))
+    layer, u, v = layer[keep], u[keep], v[keep]
+    if not len(layer):
         return 0.0
+    model = lp.LpModel(f"capacity_{src}_{dst}")
+    arc = model.add_vars(len(layer), 0.0, X[u, v])
     # Shared physical link capacity across layers.
-    for u in range(n):
-        for v in range(n):
-            names = [fname(l, u, v) for l in range(1, H + 1)
-                     if (l, u, v) in exists]
-            if len(names) > 1:
-                model.add_constraint({nm: 1.0 for nm in names}, lp.LE,
-                                     float(X[u, v]))
-    # Flow through an intermediate pod continues to the next layer.
-    for l in range(1, H):
-        for v in range(n):
-            if v in (src, dst):
-                continue
-            expr = {}
-            for u in range(n):
-                if (l, u, v) in exists:
-                    expr[fname(l, u, v)] = 1.0
-            for w in range(n):
-                if (l + 1, v, w) in exists:
-                    expr[fname(l + 1, v, w)] = -1.0
-            if expr:
-                model.add_constraint(expr, lp.EQ, 0.0)
-    obj = {fname(l, u, v): 1.0 for (l, u, v) in exists if v == dst}
-    model.set_objective("max", obj)
+    links, row, count = np.unique(u * n + v, return_inverse=True,
+                                  return_counts=True)
+    shared = count > 1
+    on = shared[row]
+    model.add_rows((np.cumsum(shared) - 1)[row[on]], arc[on],
+                   np.ones(on.sum()), lp.LE, X.ravel()[links[shared]])
+    # Flow into an intermediate pod on one layer leaves it on the next.
+    into, out = (layer < H - 1) & (v != dst), layer > 0
+    keys, row = np.unique(np.concatenate([layer[into] * n + v[into],
+                                          (layer[out] - 1) * n + u[out]]),
+                          return_inverse=True)
+    model.add_rows(row, np.concatenate([arc[into], arc[out]]),
+                   np.repeat([1.0, -1.0], [into.sum(), out.sum()]), lp.EQ,
+                   np.zeros(len(keys)))
+    model.set_objective("max", arc[v == dst], np.ones((v == dst).sum()))
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"capacity LP ended {sol.status}")

@@ -8,7 +8,7 @@ one) form the demand set the optimizer provisions for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -17,6 +17,11 @@ from .errors import InvalidInputError
 from .model import TOL, TmSequence, TrafficMatrix
 
 BoundMode = Literal["exact", "dominated"]
+
+
+def _check_mode(mode: str):
+    if mode not in get_args(BoundMode):
+        raise InvalidInputError(f"unknown boundedness mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -154,13 +159,14 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet,
     requires component-wise domination.  Solved as an LP minimizing the
     worst component shortfall, so a witness and its slack come for free.
     """
+    _check_mode(mode)
     if t.num_pods != crit.num_pods:
         raise InvalidInputError("pod count mismatch")
     K = len(crit)
     n = t.num_pods
     model = lp.LpModel("boundedness")
-    lams = model.add_vars([f"l{k}" for k in range(K)], 0.0, 1.0)
-    s = model.add_vars(["s"], 0.0, None)[0]
+    lams = model.add_vars(K, 0.0, 1.0)
+    s = model.add_vars(1, 0.0, None)[0]
     # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has a
     # shortfall row t - sum(lambda T) <= s and, in exact mode, an
     # overshoot row sum(lambda T) - t <= s, in that order; both read
@@ -177,11 +183,10 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet,
                         np.full(len(rows), -1.0)]),
         lp.LE,
         np.concatenate([[1.0], (signs * t.demand[off][:, None]).ravel()]))
-    model.set_objective("min", {"s": 1.0})
+    model.set_objective("min", [s], [1.0])
     sol = lp.solve(model)
     slack = sol.objective_value
-    lambdas = np.array([sol.values[f"l{k}"] for k in range(K)])
-    return BoundednessResult(bool(slack <= tol), lambdas, float(slack))
+    return BoundednessResult(bool(slack <= tol), sol.x[lams], float(slack))
 
 
 def boundability_curve(seq: TmSequence, crit_k: int,
@@ -193,6 +198,7 @@ def boundability_curve(seq: TmSequence, crit_k: int,
     Matrices whose lookback window holds no history count as unbounded, so
     curves start at zero instead of being undefined.
     """
+    _check_mode(mode)
     windows = list(windows)
     if not windows:
         raise InvalidInputError("need at least one window length")

@@ -11,7 +11,7 @@ from couder import lp
 from couder.errors import InfeasibleRoutingError, InvalidInputError
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
                           TrafficMatrix, enumerate_paths)
-from couder.optimize import BETA_CAP, _dname, _pairs, _wname
+from couder.optimize import BETA_CAP, _pairs
 from couder.traffic import CriticalSet
 
 
@@ -158,6 +158,48 @@ def convex_combination(rng: np.random.Generator, crit: CriticalSet
     return TrafficMatrix(t)
 
 
+def wname(p: Path) -> str:
+    """Name of a path's weight in the references below."""
+    if p.via is None:
+        return f"w_{p.src}.{p.dst}"
+    return f"w_{p.src}.{p.via}.{p.dst}"
+
+
+def dname(i: int, j: int) -> str:
+    """Name of a link count in the references below."""
+    return f"d_{i}.{j}"
+
+
+class NamedModel:
+    """An ``lp.LpModel`` built from variable names through a name -> column
+    map of its own, one ``add_rows`` call per row: how the references
+    below build the models the index-array code must reproduce."""
+
+    def __init__(self, name: str):
+        self.model = lp.LpModel(name)
+        self.col = {}
+
+    def var(self, name: str, lb=0.0, ub=None) -> str:
+        assert name not in self.col, name
+        self.col[name] = int(self.model.add_vars(1, lb, ub)[0])
+        return name
+
+    def _terms(self, expr: dict) -> tuple:
+        return ([0] * len(expr), [self.col[name] for name in expr],
+                list(expr.values()))
+
+    def row(self, expr: dict, relation: str, rhs: float, scaled=None):
+        """Add ``expr + scale * scaled  relation  rhs``."""
+        self.model.add_rows(*self._terms(expr), relation, [rhs],
+                            scaled=self._terms(scaled) if scaled else None)
+
+    def objective(self, sense: str, expr: dict):
+        self.model.set_objective(sense, *self._terms(expr)[1:])
+
+    def value(self, sol: lp.LpSolution, name: str) -> float:
+        return float(sol.x[self.col[name]])
+
+
 def _crossing_paths(n: int) -> dict:
     """Paths traversing each link (a, b): direct, first-hop, and second-hop."""
     out = {}
@@ -176,9 +218,9 @@ def _usable(p: Path, cap) -> bool:
 
 
 class LoopStageBuilder:
-    """Reference for ``optimize._StageBuilder``'s blocks: one
-    ``add_constraint`` per row from named terms, the rows in the order the
-    index-array builder must reproduce."""
+    """Reference for ``optimize._StageBuilder``'s blocks: one row at a
+    time from named terms, the rows in the order the index-array builder
+    must reproduce."""
 
     def __init__(self, phys, crit, fixed=None):
         if crit.num_pods != phys.num_pods:
@@ -204,28 +246,28 @@ class LoopStageBuilder:
             else:
                 self.fallback_pairs.append((i, j))
 
-    def new_model(self, name, weight_ub, weights=True):
-        model = lp.LpModel(name)
+    def new_model(self, name, weight_ub, weights=True) -> NamedModel:
+        model = NamedModel(name)
         for paths in self.pair_paths.values() if weights else ():
             for p in paths:
-                model.add_var(_wname(p), 0.0, weight_ub)
+                model.var(wname(p), 0.0, weight_ub)
         if self.fixed is None:
             r_eg = self.phys.egress_radix
             r_ig = self.phys.ingress_radix
             for i, j in _pairs(self.n):
-                model.add_var(_dname(i, j), 0.0, float(min(r_eg[i], r_ig[j])))
+                model.var(dname(i, j), 0.0, float(min(r_eg[i], r_ig[j])))
             for i in range(self.n):
-                model.add_constraint(
-                    {_dname(i, j): 1.0 for j in range(self.n) if j != i},
-                    lp.LE, float(r_eg[i]))
-                model.add_constraint(
-                    {_dname(j, i): 1.0 for j in range(self.n) if j != i},
-                    lp.LE, float(r_ig[i]))
+                model.row({dname(i, j): 1.0 for j in range(self.n) if j != i},
+                          lp.LE, float(r_eg[i]))
+                model.row({dname(j, i): 1.0 for j in range(self.n) if j != i},
+                          lp.LE, float(r_ig[i]))
         return model
 
-    def add_load_constraints(self, model, scale):
+    def add_load_constraints(self, model, scale, own=False):
+        """With ``own``, critical k loads its own weights ``k{k}_w_...``."""
         for a, b in _pairs(self.n):
             for k in range(len(self.crit)):
+                prefix = f"k{k}_" if own else ""
                 terms = {}
                 for p in self.crossing[(a, b)]:
                     if (p.src, p.dst) not in self.pair_paths:
@@ -234,42 +276,41 @@ class LoopStageBuilder:
                         continue
                     t = self.demand[k, p.src, p.dst]
                     if t > 0:
-                        terms[_wname(p)] = scale * t
+                        terms[prefix + wname(p)] = scale * t
                 if not terms:
                     continue
                 if self.fixed is None:
-                    terms[_dname(a, b)] = -self.b
-                    model.add_constraint(terms, lp.LE, 0.0)
+                    terms[dname(a, b)] = -self.b
+                    model.row(terms, lp.LE, 0.0)
                 else:
-                    model.add_constraint(terms, lp.LE,
-                                         self.b * self.fixed[a, b])
+                    model.row(terms, lp.LE, self.b * self.fixed[a, b])
 
     def add_sensitivity_constraints(self, model, beta=None):
         if self.fixed is None:
             if beta is not None:
-                model.scale = beta
+                model.model.scale = beta
         else:
-            model.add_var("beta", 0.0 if beta is None else beta, beta)
+            model.var("beta", 0.0 if beta is None else beta, beta)
         for (a, b), paths in self.crossing.items():
             for p in paths:
                 if p not in self.pair_paths.get((p.src, p.dst), ()):
                     continue
                 if self.fixed is None:
-                    model.add_constraint({_wname(p): 1.0}, lp.LE, 0.0,
-                                         scaled={_dname(a, b): -self.b})
+                    model.row({wname(p): 1.0}, lp.LE, 0.0,
+                              scaled={dname(a, b): -self.b})
                 else:
-                    model.add_constraint(
-                        {_wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
+                    model.row(
+                        {wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
                         lp.LE, 0.0)
 
     def add_split_constraints(self, model, total):
         for pair, paths in self.pair_paths.items():
-            expr = {_wname(p): 1.0 for p in paths}
+            expr = {wname(p): 1.0 for p in paths}
             if isinstance(total, str):
                 expr[total] = -1.0
-                model.add_constraint(expr, lp.EQ, 0.0)
+                model.row(expr, lp.EQ, 0.0)
             else:
-                model.add_constraint(expr, lp.EQ, float(total))
+                model.row(expr, lp.EQ, float(total))
 
 
 def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
@@ -280,23 +321,23 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     if stage == "1" or (stage == "2" and fixed is None):
         name = "maxmin-throughput" if stage == "1" else "desensitize"
         model = builder.new_model(name, None)
-        model.add_var("mu", 0.0, None)
+        model.var("mu", 0.0, None)
         builder.add_split_constraints(model, "mu")
         builder.add_load_constraints(model, 1.0)
-        model.set_objective("max", {"mu": 1.0})
+        model.objective("max", {"mu": 1.0})
         if stage == "2":
             builder.add_sensitivity_constraints(model)
-            model.scale = beta
-        return model
+            model.model.scale = beta
+        return model.model
     if stage == "2":
         model = builder.new_model("desensitize", 1.0)
         builder.add_split_constraints(model, 1.0)
         builder.add_load_constraints(model, mu)
         builder.add_sensitivity_constraints(model)
-        model.set_objective("min", {"beta": 1.0})
-        return model
+        model.objective("min", {"beta": 1.0})
+        return model.model
     model = builder.new_model("minimize-ahc", 1.0)
-    model.add_var("z", 0.0, None)
+    model.var("z", 0.0, None)
     builder.add_split_constraints(model, 1.0)
     builder.add_load_constraints(model, mu)
     if beta is not None:
@@ -306,42 +347,101 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
         for (i, j), paths in builder.pair_paths.items():
             t = builder.demand[k, i, j]
             if t > 0 and paths[0].via is None:
-                terms[_wname(paths[0])] = t
-        model.add_constraint(terms, lp.GE, 0.0)
-    model.set_objective("max", {"z": 1.0})
-    return model
+                terms[wname(paths[0])] = t
+        model.row(terms, lp.GE, 0.0)
+    model.objective("max", {"z": 1.0})
+    return model.model
+
+
+def loop_per_tm_model(phys, crit) -> lp.LpModel:
+    """``optimize.solve_maxmin_per_tm``'s model built row by row: link
+    counts and port rows, mu, then per critical k its own weight per path
+    ``k{k}_w_...`` with k's split rows, then every critical's load rows on
+    its own weights."""
+    builder = LoopStageBuilder(phys, crit)
+    model = builder.new_model("maxmin-per-tm", None, weights=False)
+    model.var("mu", 0.0, None)
+    for k in range(len(crit)):
+        for paths in builder.pair_paths.values():
+            names = [model.var(f"k{k}_{wname(p)}", 0.0, None) for p in paths]
+            model.row(dict({name: 1.0 for name in names}, mu=-1.0), lp.EQ,
+                      0.0)
+    builder.add_load_constraints(model, 1.0, own=True)
+    model.objective("max", {"mu": 1.0})
+    return model.model
+
+
+def loop_capacity_model(X: np.ndarray, src: int, dst: int, H: int):
+    """``optimize._pair_capacity``'s hop-layered flow model built row by
+    row, or None when no arc exists: arcs layer-major, then the shared
+    link capacity rows, then the flow-conservation rows."""
+    n = X.shape[0]
+    model = NamedModel(f"capacity_{src}_{dst}")
+
+    def fname(l, u, v):
+        return f"f{l}_{u}.{v}"
+
+    exists = set()
+    for l in range(1, H + 1):
+        for u in range(n):
+            for v in range(n):
+                if u == v or X[u, v] <= 0 or v == src or u == dst:
+                    continue
+                if (l == 1) != (u == src) or (l == H and v != dst):
+                    continue
+                model.var(fname(l, u, v), 0.0, float(X[u, v]))
+                exists.add((l, u, v))
+    if not exists:
+        return None
+    for u in range(n):
+        for v in range(n):
+            names = [fname(l, u, v) for l in range(1, H + 1)
+                     if (l, u, v) in exists]
+            if len(names) > 1:
+                model.row({nm: 1.0 for nm in names}, lp.LE, float(X[u, v]))
+    for l in range(1, H):
+        for v in range(n):
+            if v in (src, dst):
+                continue
+            expr = {fname(l, u, v): 1.0 for u in range(n)
+                    if (l, u, v) in exists}
+            expr.update((fname(l + 1, v, w), -1.0) for w in range(n)
+                        if (l + 1, v, w) in exists)
+            if expr:
+                model.row(expr, lp.EQ, 0.0)
+    model.objective("max", {fname(l, u, v): 1.0
+                            for (l, u, v) in sorted(exists) if v == dst})
+    return model.model
 
 
 def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet, mode: str):
-    """(lambdas, slack, model) of ``traffic.check_bounded``'s LP with one
-    ``add_constraint`` per row: the sum row, then per pair the shortfall
-    row as >= and, in exact mode, the overshoot row."""
+    """(lambdas, slack, model) of ``traffic.check_bounded``'s LP built one
+    row at a time: the sum row, then per pair the shortfall row as >= and,
+    in exact mode, the overshoot row."""
     K, n = len(crit), t.num_pods
-    model = lp.LpModel("boundedness")
-    lams = [model.add_var(f"l{k}", 0.0, 1.0) for k in range(K)]
-    s = model.add_var("s", 0.0, None)
-    model.add_constraint({name: 1.0 for name in lams}, lp.LE, 1.0)
+    model = NamedModel("boundedness")
+    lams = [model.var(f"l{k}", 0.0, 1.0) for k in range(K)]
+    s = model.var("s", 0.0, None)
+    model.row({name: 1.0 for name in lams}, lp.LE, 1.0)
     stack = crit.stacked()
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             expr = {lams[k]: stack[k, i, j] for k in range(K)}
-            model.add_constraint(dict(expr, **{s: 1.0}), lp.GE,
-                                 t.demand[i, j])
+            model.row(dict(expr, **{s: 1.0}), lp.GE, t.demand[i, j])
             if mode == "exact":
-                model.add_constraint(dict(expr, **{s: -1.0}), lp.LE,
-                                     t.demand[i, j])
-    model.set_objective("min", {s: 1.0})
-    sol = lp.solve(model)
-    return (np.array([sol.values[name] for name in lams]),
-            sol.objective_value, model)
+                model.row(dict(expr, **{s: -1.0}), lp.LE, t.demand[i, j])
+    model.objective("min", {s: 1.0})
+    sol = lp.solve(model.model)
+    return (np.array([model.value(sol, name) for name in lams]),
+            sol.objective_value, model.model)
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
     """The same columns, bounds, objective and rows, bit for bit, in the
     CSC form HiGHS receives, and the same scaled blocks."""
-    assert list(model._index) == list(ref._index)
+    assert model.num_variables == ref.num_variables
     assert model._lb == ref._lb and model._ub == ref._ub
     assert model._sense == ref._sense and model.scale == ref.scale
     got, got_scaled = model._matrices()
@@ -371,13 +471,12 @@ def feasible_at_beta(builder: LoopStageBuilder, mu_star: float,
             if p not in builder.pair_paths.get((p.src, p.dst), ()):
                 continue
             if builder.fixed is None:
-                model.add_constraint({_wname(p): 1.0,
-                                      _dname(a, b): -beta * builder.b},
-                                     lp.LE, 0.0)
+                model.row({wname(p): 1.0, dname(a, b): -beta * builder.b},
+                          lp.LE, 0.0)
             else:
-                model.add_constraint({_wname(p): 1.0}, lp.LE,
-                                     beta * builder.b * builder.fixed[a, b])
-    return lp.solve(model).optimal
+                model.row({wname(p): 1.0}, lp.LE,
+                          beta * builder.b * builder.fixed[a, b])
+    return lp.solve(model.model).optimal
 
 
 def bisect_beta(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,

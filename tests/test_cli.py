@@ -419,6 +419,26 @@ class TestExitCodes:
         assert len(crit) == 2  # flag beat the config file
         assert crit.seed == 11  # config file beat the default
 
+    @pytest.mark.parametrize("text", [
+        '{"k": "abc"}', '{"ldm_iterations": null}', '{"k": 2.7}',
+        '{"seed": true}', '{"lookback": "1h"}', '[1, 2]', '"k"'])
+    def test_malformed_config_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        seqfile = tmp_path / "seq.jsonl"
+        write_seq(seqfile, constant_seq())
+        rc = cli.main(["--config", str(cfg), "extract", str(seqfile),
+                       "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("couder: ") and err.count("\n") == 1
+        assert "unknown config keys" not in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_integral_number_in_float_field_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lookback": 60}')
+        assert cli.RunConfig.load(str(cfg), {}).lookback == 60.0
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

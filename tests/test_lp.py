@@ -12,74 +12,70 @@ from couder.errors import InternalError, InvalidInputError, SolverLimitError
 
 def test_simple_bounded_max():
     m = lp.LpModel()
-    m.add_var("x", 0.0, 3.0)
-    m.set_objective("max", {"x": 1.0})
+    x = m.add_vars(1, 0.0, 3.0)
+    m.set_objective("max", x, [1.0])
     sol = lp.solve(m)
     assert sol.optimal
-    assert sol["x"] == pytest.approx(3.0, abs=1e-9)
+    assert sol.x[x[0]] == pytest.approx(3.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_infeasible_pair():
     m = lp.LpModel()
-    m.add_var("x", 0.0, None)
-    m.add_constraint({"x": 1.0}, lp.GE, 1.0)
-    m.add_constraint({"x": 1.0}, lp.LE, 0.0)
+    m.add_vars(1, 0.0, None)
+    m.add_rows([0], [0], [1.0], lp.GE, [1.0])
+    m.add_rows([0], [0], [1.0], lp.LE, [0.0])
     assert lp.solve(m).status == "infeasible"
 
 
 def test_degenerate_optimum_objective_unique():
     m = lp.LpModel()
-    m.add_var("x", 0.0, 3.0)
-    m.add_var("y", 0.0, 3.0)
-    m.add_constraint({"x": 1.0, "y": 1.0}, lp.LE, 4.0)
-    m.set_objective("max", {"x": 1.0, "y": 1.0})
+    m.add_vars(2, 0.0, 3.0)
+    m.add_rows([0, 0], [0, 1], [1.0, 1.0], lp.LE, [4.0])
+    m.set_objective("max", [0, 1], [1.0, 1.0])
     sol = lp.solve(m)
     assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
-    assert sol["x"] + sol["y"] == pytest.approx(4.0, abs=1e-9)
+    assert sol.x.sum() == pytest.approx(4.0, abs=1e-9)
 
 
 def test_unbounded():
     m = lp.LpModel()
-    m.add_var("x", 0.0, None)
-    m.set_objective("max", {"x": 1.0})
+    m.add_vars(1, 0.0, None)
+    m.set_objective("max", [0], [1.0])
     assert lp.solve(m).status == "unbounded"
+    assert lp.solve(m).x is None
 
 
 def test_feasibility_empty_constraints():
     m = lp.LpModel()
-    m.add_var("x", 0.0, 5.0)
+    m.add_vars(1, 0.0, 5.0)
     sol = lp.solve(m)
-    assert sol.optimal
+    assert sol.optimal and sol.x.shape == (1,)
 
 
 def test_feasibility_contradiction():
     m = lp.LpModel()
-    m.add_var("x", None, None)
-    m.add_constraint({"x": 1.0}, lp.EQ, 1.0)
-    m.add_constraint({"x": 1.0}, lp.EQ, 2.0)
+    m.add_vars(1, None, None)
+    m.add_rows([0, 1], [0, 0], [1.0, 1.0], lp.EQ, [1.0, 2.0])
     assert lp.solve(m).status == "infeasible"
 
 
 def test_feasibility_simplex_witness():
     m = lp.LpModel()
-    for k in range(3):
-        m.add_var(f"l{k}", 0.0, None)
-    m.add_constraint({f"l{k}": 1.0 for k in range(3)}, lp.LE, 1.0)
-    m.add_constraint({"l0": 2.0}, lp.EQ, 1.0)
+    lams = m.add_vars(3, 0.0, None)
+    m.add_rows([0, 0, 0], lams, np.ones(3), lp.LE, [1.0])
+    m.add_rows([0], [lams[0]], [2.0], lp.EQ, [1.0])
     sol = lp.solve(m)
     assert sol.optimal
-    assert sol["l0"] == pytest.approx(0.5, abs=1e-9)
+    assert sol.x[lams[0]] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_weak_duality_spot_check():
     # max 3x + 2y  s.t. x + y <= 4, x <= 3  (x, y >= 0)
     m = lp.LpModel()
-    m.add_var("x", 0.0, None)
-    m.add_var("y", 0.0, None)
-    m.add_constraint({"x": 1.0, "y": 1.0}, lp.LE, 4.0)
-    m.add_constraint({"x": 1.0}, lp.LE, 3.0)
-    m.set_objective("max", {"x": 3.0, "y": 2.0})
+    m.add_vars(2, 0.0, None)
+    m.add_rows([0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], lp.LE, [4.0, 3.0])
+    m.set_objective("max", [0, 1], [3.0, 2.0])
     sol = lp.solve(m)
     # Any dual-feasible y gives an upper bound: take y = (2, 1).
     dual_bound = 2.0 * 4.0 + 1.0 * 3.0
@@ -90,61 +86,58 @@ def test_weak_duality_spot_check():
 def test_row_scaling_leaves_solution_unchanged():
     def build(scale):
         m = lp.LpModel()
-        m.add_var("x", 0.0, None)
-        m.add_var("y", 0.0, None)
-        m.add_constraint({"x": scale * 2.0, "y": scale * 1.0}, lp.LE,
-                         scale * 10.0)
-        m.add_constraint({"x": scale * 1.0, "y": scale * 3.0}, lp.LE,
-                         scale * 15.0)
-        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.add_vars(2, 0.0, None)
+        m.add_rows([0, 0, 1, 1], [0, 1, 0, 1],
+                   scale * np.array([2.0, 1.0, 1.0, 3.0]), lp.LE,
+                   scale * np.array([10.0, 15.0]))
+        m.set_objective("max", [0, 1], [1.0, 1.0])
         return lp.solve(m)
 
     a, b = build(1.0), build(7.5)
     assert a.status == b.status == "optimal"
     assert a.objective_value == pytest.approx(b.objective_value, rel=1e-9)
-    assert a["x"] == pytest.approx(b["x"], abs=1e-8)
-    assert a["y"] == pytest.approx(b["y"], abs=1e-8)
+    assert a.x == pytest.approx(b.x, abs=1e-8)
 
 
 def test_undeclared_variable_rejected():
     m = lp.LpModel()
-    m.add_var("x")
-    with pytest.raises(InvalidInputError):
-        m.add_constraint({"ghost": 1.0}, lp.LE, 1.0)
+    m.add_vars(1)
+    for col in (1, -1):
+        with pytest.raises(InvalidInputError):
+            m.set_objective("max", [col], [1.0])
 
 
 def test_bad_bounds_rejected():
     m = lp.LpModel()
     with pytest.raises(InvalidInputError):
-        m.add_var("x", 2.0, 1.0)
+        m.add_vars(1, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("names, lb, ub", [
-    (["x", "y", "x"], 0.0, None), (["a", "z"], 0.0, None),
-    (["y", "z"], [0.0, 2.0], [1.0, 1.0])])
-def test_bad_block_of_variables_rejected_whole(names, lb, ub):
+@pytest.mark.parametrize("lb, ub", [([0.0, 2.0], [1.0, 1.0]), (3.0, 1.0)])
+def test_bad_block_of_variables_rejected_whole(lb, ub):
     m = lp.LpModel()
-    m.add_var("a")
+    m.add_vars(1)
     with pytest.raises(InvalidInputError):
-        m.add_vars(names, lb, ub)
+        m.add_vars(2, lb, ub)
     assert m.num_variables == 1 and m._lb == [0.0]
 
 
 def test_block_of_rows_is_the_rows_added_one_by_one():
     # Zero terms dropped, >= rows negated, blocks stacked in insertion
-    # order per relation: what add_constraint gives, row for row.
+    # order per relation: what one add_rows call per row gives.
     one, block = lp.LpModel(), lp.LpModel()
     for m in (one, block):
-        assert list(m.add_vars("xyz", [0.0, -1.0, -np.inf], 2.0)) == [0, 1, 2]
-        m.set_objective("max", {"x": 1.0})
-    one.add_constraint({"x": 1.0, "y": 0.0}, lp.LE, 1.0, scaled={"z": 2.0})
-    one.add_constraint({"y": 3.0, "z": -1.0}, lp.GE, -2.0)
-    one.add_constraint({"x": 1.0, "z": 1.0}, lp.EQ, 1.5)
-    one.add_constraint({"z": 4.0}, lp.LE, 0.5)
+        assert list(m.add_vars(3, [0.0, -1.0, -np.inf], 2.0)) == [0, 1, 2]
+        m.set_objective("max", [0], [1.0])
+    one.add_rows([0, 0], [0, 1], [1.0, 0.0], lp.LE, [1.0],
+                 scaled=([0], [2], [2.0]))
+    one.add_rows([0, 0], [1, 2], [3.0, -1.0], lp.GE, [-2.0])
+    one.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
+    one.add_rows([0], [2], [4.0], lp.LE, [0.5])
     block.add_rows([0, 0, 1, 1], [0, 1, 1, 2], [1.0, 0.0, -3.0, 1.0], lp.LE,
                    [1.0, 2.0], scaled=([0], [2], [2.0]))
     block.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
-    block.add_constraint({"z": 4.0}, lp.LE, 0.5)
+    block.add_rows([0], [2], [4.0], lp.LE, [0.5])
     assert block.num_constraints == one.num_constraints == 4
     (c, A_ub, b_ub, A_eq, b_eq), _ = block._matrices()
     (c1, A_ub1, b_ub1, A_eq1, b_eq1), _ = one._matrices()
@@ -162,49 +155,35 @@ def test_block_of_rows_is_the_rows_added_one_by_one():
     ([0, 0], [0], [1.0, 1.0], [1.0])])  # lengths differ
 def test_bad_block_of_rows_rejected(rows, cols, coefs, rhs):
     m = lp.LpModel()
-    m.add_vars(["x", "y"])
+    m.add_vars(2)
     with pytest.raises(InvalidInputError):
         m.add_rows(rows, cols, coefs, lp.LE, rhs)
     assert m.num_constraints == 0
 
 
-def test_duplicate_variable_rejected():
-    m = lp.LpModel()
-    m.add_var("x")
-    with pytest.raises(InvalidInputError):
-        m.add_var("x")
-
-
 def test_constraints_hold_at_optimum():
     rng = np.random.default_rng(7)
     m = lp.LpModel()
-    names = [m.add_var(f"v{i}", 0.0, 10.0) for i in range(6)]
-    rows = []
-    for r in range(8):
-        coef = {nm: float(c) for nm, c in zip(names, rng.uniform(-1, 1, 6))}
-        rhs = float(rng.uniform(1, 5))
-        m.add_constraint(coef, lp.LE, rhs)
-        rows.append((coef, rhs))
-    m.set_objective("max", {nm: float(c)
-                            for nm, c in zip(names, rng.uniform(0, 1, 6))})
+    cols = m.add_vars(6, 0.0, 10.0)
+    A = rng.uniform(-1, 1, (8, 6))
+    b = rng.uniform(1, 5, 8)
+    rows, terms = np.nonzero(A)
+    m.add_rows(rows, cols[terms], A[rows, terms], lp.LE, b)
+    m.set_objective("max", cols, rng.uniform(0, 1, 6))
     sol = lp.solve(m)
     assert sol.optimal
-    for coef, rhs in rows:
-        val = sum(c * sol[nm] for nm, c in coef.items())
-        assert val <= rhs + lp.FEAS_TOL
-
+    assert (A @ sol.x[cols] <= b + lp.FEAS_TOL).all()
 
 
 def test_scaled_terms_follow_scale():
     # max x  s.t.  x - scale * y <= 0,  y <= 2: the optimum is 2 * scale.
     m = lp.LpModel()
-    m.add_var("x", 0.0, None)
-    m.add_var("y", 0.0, 2.0)
-    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
-    m.set_objective("max", {"x": 1.0})
+    m.add_vars(2, 0.0, [np.inf, 2.0])
+    m.add_rows([0], [0], [1.0], lp.LE, [0.0], scaled=([0], [1], [-1.0]))
+    m.set_objective("max", [0], [1.0])
     for scale in (0.5, 3.0, 1.25):
         m.scale = scale
-        assert lp.solve(m)["x"] == pytest.approx(2.0 * scale, abs=1e-9)
+        assert lp.solve(m).x[0] == pytest.approx(2.0 * scale, abs=1e-9)
 
 
 @pytest.mark.parametrize("sense", ["max", "min"])
@@ -213,12 +192,11 @@ def test_slope_matches_finite_difference(sense):
     # the optimum is 4 + 3 / scale, one scaled term in each row block.
     sign = 1.0 if sense == "max" else -1.0
     m = lp.LpModel()
-    for name in "xyz":
-        m.add_var(name, 0.0, None)
-    m.add_constraint({"y": 1.0}, lp.LE, 4.0, scaled={"x": 1.0})
-    m.add_constraint({"y": 1.0}, lp.GE, 1.0)
-    m.add_constraint({"z": 1.0}, lp.EQ, 0.0, scaled={"x": -1.0})
-    m.set_objective(sense, {name: sign for name in "xyz"})
+    x, y, z = m.add_vars(3, 0.0, None)
+    m.add_rows([0], [y], [1.0], lp.LE, [4.0], scaled=([0], [x], [1.0]))
+    m.add_rows([0], [y], [1.0], lp.GE, [1.0])
+    m.add_rows([0], [z], [1.0], lp.EQ, [0.0], scaled=([0], [x], [-1.0]))
+    m.set_objective(sense, [x, y, z], np.full(3, sign))
 
     def objective(scale):
         m.scale = scale
@@ -235,16 +213,16 @@ def test_slope_matches_finite_difference(sense):
 
 def test_rows_added_after_a_solve_count():
     m = lp.LpModel()
-    m.add_var("x", 0.0, 5.0)
-    m.set_objective("max", {"x": 1.0})
-    assert lp.solve(m)["x"] == pytest.approx(5.0, abs=1e-9)
-    m.add_constraint({"x": -1.0}, lp.GE, -3.0, scaled={"x": 0.0})
-    assert lp.solve(m)["x"] == pytest.approx(3.0, abs=1e-9)
-    m.add_var("y", 0.0, 1.0)
-    m.add_constraint({"x": 1.0, "y": 1.0}, lp.EQ, 2.5)
+    x = m.add_vars(1, 0.0, 5.0)[0]
+    m.set_objective("max", [x], [1.0])
+    assert lp.solve(m).x[x] == pytest.approx(5.0, abs=1e-9)
+    m.add_rows([0], [x], [-1.0], lp.GE, [-3.0], scaled=([0], [x], [0.0]))
+    assert lp.solve(m).x[x] == pytest.approx(3.0, abs=1e-9)
+    y = m.add_vars(1, 0.0, 1.0)[0]
+    m.add_rows([0, 0], [x, y], [1.0, 1.0], lp.EQ, [2.5])
     sol = lp.solve(m)
-    assert sol["x"] == pytest.approx(2.5, abs=1e-9)
-    assert sol["y"] == pytest.approx(0.0, abs=1e-9)
+    assert sol.x[x] == pytest.approx(2.5, abs=1e-9)
+    assert sol.x[y] == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +274,11 @@ def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):
 
 def model_of(c, A_ub, b_ub, A_eq, b_eq, lb, ub) -> lp.LpModel:
     m = lp.LpModel()
-    names = [m.add_var(f"x{k}", None if np.isinf(lo) else lo,
-                       None if np.isinf(hi) else hi)
-             for k, (lo, hi) in enumerate(zip(lb, ub))]
+    cols = m.add_vars(len(c), lb, ub)
     for A, b, rel in ((A_ub, b_ub, lp.LE), (A_eq, b_eq, lp.EQ)):
-        for row, rhs in zip(A, b):
-            m.add_constraint(dict(zip(names, row)), rel, rhs)
-    m.set_objective("min", dict(zip(names, c)))
+        rows, terms = np.nonzero(A)
+        m.add_rows(rows, cols[terms], A[rows, terms], rel, b)
+    m.set_objective("min", cols, c)
     return m
 
 
@@ -426,18 +402,17 @@ def test_rescaled_model_resolves_warm(monkeypatch, seed):
 def test_new_row_or_objective_drops_the_basis(monkeypatch):
     calls = record_highs(monkeypatch)
     m = lp.LpModel()
-    m.add_var("x", 0.0, None)
-    m.add_var("y", 0.0, 2.0)
-    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
-    m.set_objective("max", {"x": 1.0})
+    x, y = m.add_vars(2, 0.0, [np.inf, 2.0])
+    m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
+    m.set_objective("max", [x], [1.0])
     lp.solve(m)
     m.scale = 2.0
-    assert lp.solve(m)["x"] == pytest.approx(4.0, abs=1e-9)
-    m.add_constraint({"x": 1.0}, lp.LE, 3.0)
-    assert lp.solve(m)["x"] == pytest.approx(3.0, abs=1e-9)
-    m.set_objective("min", {"x": 1.0})
-    assert lp.solve(m)["x"] == pytest.approx(0.0, abs=1e-9)
-    m.add_var("z", 0.0, 1.0)
+    assert lp.solve(m).x[x] == pytest.approx(4.0, abs=1e-9)
+    m.add_rows([0], [x], [1.0], lp.LE, [3.0])
+    assert lp.solve(m).x[x] == pytest.approx(3.0, abs=1e-9)
+    m.set_objective("min", [x], [1.0])
+    assert lp.solve(m).x[x] == pytest.approx(0.0, abs=1e-9)
+    m.add_vars(1, 0.0, 1.0)
     lp.solve(m)
     assert [warm for warm, _ in calls] == [False, True, False, False, False]
 
@@ -447,10 +422,9 @@ def test_infeasible_resolve_keeps_no_basis(monkeypatch):
     # it starts cold again.
     calls = record_highs(monkeypatch)
     m = lp.LpModel()
-    m.add_var("x", 1.0, None)
-    m.add_var("y", 1.0, 1.0)
-    m.add_constraint({"x": 1.0}, lp.LE, 0.0, scaled={"y": -1.0})
-    m.set_objective("max", {"x": 1.0})
+    x, y = m.add_vars(2, 1.0, [np.inf, 1.0])
+    m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
+    m.set_objective("max", [x], [1.0])
     for scale, status in ((2.0, "optimal"), (0.5, "infeasible"),
                           (3.0, "optimal")):
         m.scale = scale
@@ -462,12 +436,11 @@ def test_infeasible_resolve_keeps_no_basis(monkeypatch):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_entry_is_internal_error(where, value):
     m = lp.LpModel()
-    m.add_var("x", 0.0, 1.0)
-    m.add_var("y", 0.0, 1.0)
-    m.set_objective("max", {"x": value if where == "objective" else 1.0})
-    m.add_constraint({"x": value if where == "row" else 1.0, "y": 1.0},
-                     lp.LE, value if where == "rhs" else 1.0,
-                     scaled={"y": 1.0})
+    x, y = m.add_vars(2, 0.0, 1.0)
+    m.set_objective("max", [x], [value if where == "objective" else 1.0])
+    m.add_rows([0, 0], [x, y], [value if where == "row" else 1.0, 1.0],
+               lp.LE, [value if where == "rhs" else 1.0],
+               scaled=([0], [y], [1.0]))
     m.scale = value if where == "scaled" else 1.0
     with pytest.raises(InternalError):
         lp.solve(m)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from couder import lp
 from couder.errors import (InfeasibleRoutingError, InternalError,
@@ -16,7 +18,9 @@ from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, hetero_fabric,
-                     loop_stage_model, make_fabric, random_criticals,
+                     loop_capacity_model, loop_per_tm_model,
+                     loop_stage_model, make_fabric,
+                     random_criticals,
                      random_fabric, random_fractional, random_mesh_topology)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
@@ -285,7 +289,8 @@ def record_stage2(monkeypatch) -> list:
     def recording(model):
         sol = real(model)
         if model.name == "desensitize":
-            steps.append((model.scale, sol.values["mu"], sol.slope))
+            # mu is the joint model's last column.
+            steps.append((model.scale, sol.x[-1], sol.slope))
         return sol
 
     monkeypatch.setattr(lp, "solve", recording)
@@ -565,10 +570,10 @@ class TestStageModels:
         for builder, c, X in ((first, crit, X1), (second, crit2, X2),
                               (first, crit, X1)):
             model = builder.new_model("desensitize", 1.0)
-            builder.add_split_constraints(model, 1.0)
+            builder.add_split_constraints(model)
             builder.add_load_constraints(model, 0.5)
             builder.add_sensitivity_constraints(model)
-            model.set_objective("min", {"beta": 1.0})
+            model.set_objective("min", [builder.stage_col], [1.0])
             assert_same_model(model,
                               loop_stage_model("2", phys, c, X, mu=0.5))
 
@@ -613,6 +618,15 @@ class TestPerTmOracle:
                 used.update(A.nonzero()[1])
         assert used == set(range(models[0].num_variables))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_model_matches_loop_builder(self, monkeypatch, n):
+        for seed in range(2):
+            phys, crit, _ = sparse_instance(seed, n, False)
+            models = record_solves(monkeypatch)
+            solve_maxmin_per_tm(phys, crit)
+            monkeypatch.undo()
+            assert_same_model(models[0], loop_per_tm_model(phys, crit))
+
     @pytest.mark.parametrize("seed, expected", [
         (0, 0.2617625180912281), (1, 0.11987698791244554),
         (2, 0.09640875569203007)])
@@ -656,6 +670,38 @@ class TestPathCapacity:
         topo = IntegerTopology(X[None])
         caps = [compute_path_capacity(topo, h) for h in (1, 2, 3, 4)]
         assert caps == sorted(caps)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_four_hops_is_max_flow(self, n):
+        # Among n <= 5 pods every simple path has at most 4 hops, so the
+        # pair capacity is the pair's maximum flow.
+        for seed in range(20):
+            rng = np.random.default_rng([n, seed])
+            X = rng.integers(0, 3, size=(n, n))
+            np.fill_diagonal(X, 0)
+            graph = csr_array(X.astype(np.int32))
+            flows = [maximum_flow(graph, i, j).flow_value
+                     for i in range(n) for j in range(n) if i != j]
+            assert compute_path_capacity(IntegerTopology(X[None]), 4) == \
+                pytest.approx(np.mean(flows), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_models_match_loop_builder(self, monkeypatch, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            X = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.7)
+            np.fill_diagonal(X, 0)
+            for H in (2, 3, 4):
+                models = record_solves(monkeypatch)
+                compute_path_capacity(IntegerTopology(X[None]), H)
+                monkeypatch.undo()
+                refs = [loop_capacity_model(X.astype(float), i, j, H)
+                        for i in range(n) for j in range(n) if i != j]
+                refs = [ref for ref in refs if ref is not None]
+                assert len(models) == len(refs)
+                for model, ref in zip(models, refs):
+                    assert model.name == ref.name
+                    assert_same_model(model, ref)
 
     def test_bad_hop_budget_rejected(self):
         topo = IntegerTopology(np.zeros((1, 3, 3), dtype=int))

@@ -170,6 +170,11 @@ class TestCheckBounded:
                 assert res.slack == slack
                 models.clear()
 
+    @pytest.mark.parametrize("mode", ["exakt", "Exact", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(InvalidInputError):
+            check_bounded(self.crit.matrices[0], self.crit, mode)
+
 
 class TestBoundabilityCurve:
     def test_constant_sequence_fraction_after_warmup(self):
@@ -187,6 +192,13 @@ class TestBoundabilityCurve:
         seq = seq_of([t] * 3, window=10.0)
         curve = boundability_curve(seq, 1, [1.0])
         assert curve[0][1] == 0.0
+
+    @pytest.mark.parametrize("window", [10.0, 0.5])
+    def test_unknown_mode_rejected(self, window):
+        # Also when no matrix has history, so no membership test runs.
+        seq = seq_of([np.ones((2, 2)) - np.eye(2)] * 3)
+        with pytest.raises(InvalidInputError):
+            boundability_curve(seq, 1, [window], mode="exakt")
 
     def test_requires_sorted_windows(self):
         seq = seq_of([np.zeros((2, 2))] * 2)
