@@ -47,9 +47,11 @@ class ReconfigPolicy:
     def __post_init__(self):
         if not 0 < self.alpha_pred < 1:
             raise InvalidInputError("alpha_pred must lie in (0, 1)")
-        if self.frequency <= 0:
-            raise InvalidInputError("frequency must be positive")
-        if self.stage_latency < 0 or self.lookback <= 0 or self.k < 1:
+        # Chained comparisons are False for NaN, so NaN fails each test.
+        if not 0 < self.frequency < math.inf:
+            raise InvalidInputError("frequency must be positive and finite")
+        if not (0 <= self.stage_latency < math.inf
+                and 0 < self.lookback < math.inf) or self.k < 1:
             raise InvalidInputError("invalid policy parameters")
 
 
@@ -223,8 +225,9 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
                   oversub: float = 2.0) -> EvalRecord:
     """Abstract oversubscribed fat tree: a non-blocking spine behind
     per-pod effective capacity uplinks*b/oversub; every hop count is 2."""
-    if oversub <= 0:
-        raise InvalidInputError("oversubscription must be positive")
+    if not 0 < oversub < math.inf:
+        raise InvalidInputError("oversubscription must be positive and"
+                                " finite")
     n = t.num_pods
     up = np.broadcast_to(np.asarray(pod_uplinks, dtype=float), (n,))
     if (up <= 0).any():

@@ -14,7 +14,8 @@ an options object built once at import and, optionally, a starting
 basis.  ``linprog`` below is this module's own call for ``LpModel``:
 dual simplex, presolve on, output off, as scipy's
 ``linprog(method="highs")`` set them.  The rounding module drives the
-same helper for its per-switch subproblem, with its own options.
+same helper for its per-switch subproblem, with its own options, a
+model it builds with ``_column_lp`` and only the vertex read back.
 
 ``passModel`` resets the solver, so a solve is cold unless it is given
 a basis.  An ``LpModel`` keeps the optimal basis of its last solve and
@@ -146,7 +147,7 @@ class LpModel:
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
         if sense not in ("min", "max"):
             raise InvalidInputError("objective sense must be 'min' or 'max'")
-        cols = np.asarray(cols, dtype=int)
+        cols = _indices(cols)
         coefs = np.asarray(coefs, dtype=float)
         if cols.shape != coefs.shape or cols.ndim != 1:
             raise InvalidInputError("cols and coefs must be vectors of one"
@@ -195,9 +196,20 @@ class LpModel:
         return tuple(out), scaled
 
 
+def _indices(idx) -> np.ndarray:
+    """``idx`` as an int array.  An index array of another dtype is
+    InvalidInputError, since casting would truncate a float index to some
+    other row or column; an empty list, which numpy reads as float, is
+    no index at all."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise InvalidInputError(f"index array of dtype {idx.dtype}; row and"
+                                " column indices must be integers")
+    return idx.astype(int, copy=False)
+
+
 def _triplets(rows, cols, coefs) -> tuple:
-    return (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int),
-            np.asarray(coefs, dtype=float))
+    return _indices(rows), _indices(cols), np.asarray(coefs, dtype=float)
 
 
 def _stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
@@ -261,26 +273,37 @@ def _highs_lp(c, A, b, num_eq: int, lb, ub) -> _highs.HighsLp:
             and np.isfinite(b).all()) or np.isnan(lb).any() \
             or np.isnan(ub).any():
         raise InternalError("LP data is not finite")
-    num_row, num_col = A.shape
     lower = b.copy()
-    lower[:num_row - num_eq] = -np.inf
+    lower[:A.shape[0] - num_eq] = -np.inf
+    # The binding copies integer lists faster than integer arrays.
+    return _column_lp(c, lb, ub, lower, b, A.indptr.tolist(),
+                      A.indices.tolist(), A.data)
+
+
+def _column_lp(cost, col_lower, col_upper, row_lower, row_upper, start,
+               index, value) -> _highs.HighsLp:
+    """HiGHS model of: minimize cost x subject to row_lower <= A x <=
+    row_upper and col_lower <= x <= col_upper, A given column-wise by
+    ``start``, ``index`` and ``value``.  Each argument is a sequence the
+    binding copies: a list copies several times faster than an array."""
     model = _highs.HighsLp()
-    model.num_col_, model.num_row_ = num_col, num_row
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-    model.row_lower_, model.row_upper_ = lower, b
+    model.num_col_, model.num_row_ = len(cost), len(row_upper)
+    model.col_cost_, model.col_lower_, model.col_upper_ = (cost, col_lower,
+                                                           col_upper)
+    model.row_lower_, model.row_upper_ = row_lower, row_upper
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = num_col, num_row
-    # The binding copies integer lists faster than integer arrays.
-    matrix.start_, matrix.index_ = A.indptr.tolist(), A.indices.tolist()
-    matrix.value_ = A.data
+    matrix.num_col_, matrix.num_row_ = len(cost), len(row_upper)
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
     return model
 
 
 def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
-               basis=None, solver=None) -> HighsResult:
+               basis=None, solver=None, vertex_only=False) -> HighsResult:
     """Solve ``model`` from ``basis`` when one is given, on ``solver``, or
-    on a fresh HiGHS object when that is None.
+    on a fresh HiGHS object when that is None.  With ``vertex_only`` the
+    result holds the status and, at an optimum, the vertex: no row duals,
+    basis, objective or iteration count, for a caller that reads none.
 
     ``passModel`` clears whatever ``solver`` held, so a solve without a
     basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
@@ -300,6 +323,8 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
         solver.setBasis(basis)
     ran = solver.run() != _highs.HighsStatus.kError
     status = solver.getModelStatus()
+    if vertex_only and status == _STATUS.kOptimal and ran:
+        return HighsResult("optimal", np.array(solver.getSolution().col_value))
     info = solver.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status == _STATUS.kOptimal and ran:

@@ -24,11 +24,14 @@ and the simplex vertex is integral.  A reward of at most 1e-9 per unit
 breaks exact ties toward more links; HiGHS's feasibility tolerances are
 tightened to 1e-10 because at their default of 1e-7 the solver ignores
 a reward that small and can stop short of a full matching.  The LP goes
-to HiGHS through ``lp._run_highs`` with the simplex solver forced,
-presolve on and those tolerances, the options scipy's
-``linprog(method="highs-ds")`` used.  One rounding run reuses one HiGHS
-object for all its subproblems; loading each model resets it, so every
-solve is cold and ends on the vertex a fresh solver would.
+to HiGHS through ``lp._run_highs`` as a column-wise model built straight
+from the budget matrix's CSC arrays, with dual simplex, those
+tolerances and presolve off.  On degree-saturated targets over an
+evenly striped fabric presolve removes nothing from these LPs; on the
+uneven fabrics measured it does reduce most of them, yet the solves
+still ran faster without it.  One rounding run reuses one HiGHS object
+for all its subproblems; loading each model resets it, so every solve
+is cold and ends on the vertex a fresh solver would.
 
 Both rounders share one completion pass.  The dual method stops at the
 first iterate that meets every bracket, which can leave ports idle on
@@ -62,7 +65,9 @@ _SNAP = 1e-9
 #: of at most 1e-9 toward more links; these resolve it.
 _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
                 "primal_feasibility_tolerance": 1e-10}
-_SUBPROBLEM_OPTIONS = lp._highs_options(solver="simplex", **_HIGHS_TIGHT)
+#: Presolve off: on these small LPs it costs more time than it saves.
+_SUBPROBLEM_OPTIONS = lp._highs_options(solver="simplex", presolve="off",
+                                        **_HIGHS_TIGHT)
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
 
@@ -171,20 +176,33 @@ def solve_circulation(cost: np.ndarray, budgets, limits: np.ndarray,
                       solver=None) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
-    ``budgets``, dense or CSC, holds one egress and one ingress row per
-    pod, so it is the incidence matrix of a bipartite graph and totally
-    unimodular; with integral ``limits`` every vertex of the feasible set
-    is integral, and HiGHS dual simplex ends on a vertex.  Equivalently,
-    this is the min-cost circulation through a source, the egress ports,
-    the ingress ports and a sink.  HiGHS is called directly, through
-    ``lp._run_highs``, with the simplex solver, presolve on and
-    feasibility tolerances of 1e-10; ``solver`` is the HiGHS object to
-    reuse, a fresh one when None.  The solve is cold either way.
+    ``budgets`` holds one egress and one ingress row per pod, so it is the
+    incidence matrix of a bipartite graph and totally unimodular; with
+    integral ``limits`` every vertex of the feasible set is integral, and
+    HiGHS dual simplex ends on a vertex.  Equivalently, this is the
+    min-cost circulation through a source, the egress ports, the ingress
+    ports and a sink.  ``budgets`` is a dense or sparse matrix, or its CSC
+    arrays ``(data, indices, indptr)``, which go into the column-wise
+    HiGHS model as they are.  HiGHS is called through ``lp._run_highs``
+    with the simplex solver, presolve off and feasibility tolerances of
+    1e-10, and only the vertex is read back; ``solver`` is the HiGHS
+    object to reuse, a fresh one when None.  The solve is cold either way.
     """
-    units = len(cost)
-    model = lp._highs_lp(cost, budgets, limits, 0, np.zeros(units),
-                         np.ones(units))
-    res = lp._run_highs(model, _SUBPROBLEM_OPTIONS, solver=solver)
+    if not isinstance(budgets, tuple):
+        budgets = sp.csc_array(budgets)
+        budgets = budgets.data, budgets.indices, budgets.indptr
+    value, index, start = budgets
+    cost = np.asarray(cost, dtype=float)
+    limits = np.asarray(limits, dtype=float)
+    if not (np.isfinite(cost).all() and np.isfinite(value).all()
+            and np.isfinite(limits).all()):
+        raise InternalError("LP data is not finite")
+    units, rows = len(cost), len(limits)
+    model = lp._column_lp(cost.tolist(), [0.0] * units, [1.0] * units,
+                          [-np.inf] * rows, limits.tolist(), start.tolist(),
+                          index.tolist(), value.tolist())
+    res = lp._run_highs(model, _SUBPROBLEM_OPTIONS, solver=solver,
+                        vertex_only=True)
     if res.status != "optimal":
         raise InternalError(f"per-switch subproblem ended {res.status}")
     flows = np.rint(res.x)
@@ -193,48 +211,46 @@ def solve_circulation(cost: np.ndarray, budgets, limits: np.ndarray,
     return flows.astype(int)
 
 
-def _solve_switch_subproblem(h: np.ndarray, p_net: np.ndarray,
+def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
+                             h: np.ndarray, p_net: np.ndarray,
                              x_hat: np.ndarray, ingress: np.ndarray,
                              egress: np.ndarray, solver=None) -> np.ndarray:
     """Re-optimize one switch's cells within a one-link move window.
 
-    Maximizes sum of -(x - h)^2 + p_net * x per cell subject to the
-    switch's port budgets and max(x̂-1, 0) <= x <= x̂+1.  The concave
-    utility splits into one [0, 1] variable per unit of the window, with
-    gains 2h + 1 - 2a for the a-th link, so the LP over the units is exact.
-    The window's fixed lower part comes off the port budgets.  A reward
-    eps <= 1e-9 per unit breaks exact ties toward more links; it stays
-    well under the smallest gain gap.  HiGHS dual simplex solves the LP
-    (``solve_circulation``, on ``solver`` when given) with feasibility
-    tolerances of 1e-10, since at the default 1e-7 it would ignore eps;
-    its vertex is integral because the budget rows form a bipartite
-    incidence matrix, built here in CSC with two entries per unit.
+    The cells are the pod pairs (rows[k], cols[k]), i != j; ``h``,
+    ``p_net`` and ``x_hat`` hold one entry per pair, and the result is
+    the new link count per pair.  Maximizes sum of -(x - h)^2 + p_net * x
+    per cell subject to the switch's port budgets and max(x̂-1, 0) <= x <=
+    x̂+1.  The concave utility splits into one [0, 1] variable per unit of
+    the window, with gains 2h + 1 - 2a for the a-th link, so the LP over
+    the units is exact.  The window's fixed lower part comes off the port
+    budgets.  A reward eps <= 1e-9 per unit breaks exact ties toward more
+    links; it stays under a quarter of the smallest gap between distinct
+    gains.  HiGHS dual simplex solves the LP (``solve_circulation``, on
+    ``solver`` when given) with presolve off and feasibility tolerances
+    of 1e-10, since at the default 1e-7 it would ignore eps; its vertex
+    is integral because the budget rows form a bipartite incidence
+    matrix, built here in CSC with two entries per unit.
     """
-    n = h.shape[0]
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    low = np.maximum(x_hat[rows, cols] - 1, 0)
-    width = x_hat[rows, cols] + 1 - low
+    n = len(egress)
+    low = np.maximum(x_hat - 1, 0)
+    width = x_hat + 1 - low
     cell = np.repeat(np.arange(len(rows)), width)
     first = np.repeat(np.cumsum(width) - width, width)
     unit = low[cell] + 1 + np.arange(len(cell)) - first
-    gain = (2.0 * h[rows, cols][cell] + 1.0 - 2.0 * unit
-            + p_net[rows, cols][cell])
-    eps = 1e-9
-    distinct = np.unique(np.round(gain, 12))
-    if len(distinct) > 1:
-        eps = min(eps, float(np.diff(distinct).min()) / 4)
+    gain = 2.0 * h[cell] + 1.0 - 2.0 * unit + p_net[cell]
+    # The gaps between consecutive distinct gains, read off the sorted ones.
+    ranked = np.sort(gain.round(12))
+    steps = ranked[1:] - ranked[:-1]
+    eps = min(1e-9, float(steps.min(initial=np.inf, where=steps > 0)) / 4)
     units = len(cell)
     # Unit k sits in egress row rows[cell[k]] and ingress row n + cols[...].
     index = np.column_stack([rows[cell], n + cols[cell]]).ravel()
-    budgets = sp.csc_array((np.ones(2 * units), index,
-                            np.arange(0, 2 * units + 1, 2)),
-                           shape=(2 * n, units))
+    budgets = (np.ones(2 * units), index, np.arange(0, 2 * units + 1, 2))
     limits = np.concatenate([egress - np.bincount(rows, low, n),
                              ingress - np.bincount(cols, low, n)])
     flows = solve_circulation(-(gain + eps), budgets, limits, solver)
-    x = np.zeros((n, n), dtype=int)
-    x[rows, cols] = low + np.bincount(cell, flows, len(rows)).astype(int)
-    return x
+    return low + np.bincount(cell, flows, len(rows)).astype(int)
 
 
 def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
@@ -247,7 +263,9 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     Keeps the iterate with the best goodness, stopping early once every
     matching constraint holds, then applies the completion pass: the
     result stays within ceil(d*) and every port budget, and its goodness
-    is no lower than the kept iterate's.
+    is no lower than the kept iterate's.  The loop works on vectors over
+    the off-diagonal pod pairs and keeps the per-pair link totals up to
+    date after each visit.
     """
     _check_inputs(phys, d_star)
     if tau_max < 1:
@@ -256,15 +274,17 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     c_minus, c_plus = _brackets(d_star.d)
     np.fill_diagonal(c_minus, 0)
     np.fill_diagonal(c_plus, 0)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    lo, hi = c_minus[rows, cols], c_plus[rows, cols]
     # h_ij^m: the natural per-switch ceiling on x_ij^m; the primal objective
     # -(x - h)^2 rewards forming as many links as ports allow.
-    h = np.minimum(phys.egress_ports[:, :, None], phys.ingress_ports[:, None, :])
+    h = np.minimum(phys.egress_ports[:, rows], phys.ingress_ports[:, cols])
 
-    x_hat = np.zeros((M, n, n), dtype=int)
+    x_hat = np.zeros((M, len(rows)), dtype=int)
+    totals = np.zeros(len(rows), dtype=int)
     best = x_hat.copy()
-    best_good = _goodness(x_hat.sum(axis=0), c_minus, c_plus)
-    total_pairs = n * (n - 1)
-    dual = DualState(np.zeros((n, n)), np.zeros((n, n)), c_minus, c_plus)
+    best_good = int(((lo <= totals) & (totals <= hi)).sum())
+    dual = DualState(np.zeros(len(rows)), np.zeros(len(rows)), lo, hi)
     solver = lp._highs._Highs()
 
     iterations = 0
@@ -272,21 +292,24 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         iterations = tau
         dual.iteration = tau
         for m in range(M):
-            x_hat[m] = _solve_switch_subproblem(
-                h[m], dual.p_minus - dual.p_plus, x_hat[m],
+            x = _solve_switch_subproblem(
+                rows, cols, h[m], dual.p_minus - dual.p_plus, x_hat[m],
                 phys.ingress_ports[m], phys.egress_ports[m], solver)
-            if (x_hat[m].sum(axis=1) > phys.egress_ports[m]).any() \
-                    or (x_hat[m].sum(axis=0) > phys.ingress_ports[m]).any():
+            if (np.bincount(rows, x, n) > phys.egress_ports[m]).any() \
+                    or (np.bincount(cols, x, n) > phys.ingress_ports[m]).any():
                 raise InternalError("port budget violated after subproblem")
-            totals = x_hat.sum(axis=0)
-            good = _goodness(totals, c_minus, c_plus)
+            totals += x - x_hat[m]
+            x_hat[m] = x
+            good = int(((lo <= totals) & (totals <= hi)).sum())
             if good > best_good:
                 best_good = good
                 best = x_hat.copy()
             dual.update(totals)
-        if best_good == total_pairs:
+        if best_good == len(rows):
             break  # every matching constraint already satisfied
-    return _report(_complete(phys, d_star.d, best, c_plus), c_minus, c_plus,
+    x = np.zeros((M, n, n), dtype=int)
+    x[:, rows, cols] = best
+    return _report(_complete(phys, d_star.d, x, c_plus), c_minus, c_plus,
                    iterations)
 
 

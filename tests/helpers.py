@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from couder import lp
+from couder import lp, round as rounding
 from couder.errors import InfeasibleRoutingError, InvalidInputError
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
                           TrafficMatrix, enumerate_paths)
@@ -146,6 +146,90 @@ def brute_force_window_max(h, p_net, x_hat, ingress, egress) -> float:
     cells = cells[fits]
     h_off, p_off = h[rows, cols], p_net[rows, cols]
     return float((-(cells - h_off) ** 2 + p_off * cells).sum(axis=1).max())
+
+
+def window_subproblem(h, p_net, x_hat, ingress, egress, solver=None):
+    """``round._solve_switch_subproblem`` on n x n matrices of h, p_net and
+    x̂: the result holds its link count per pod pair off the diagonal."""
+    n = len(h)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    x = np.zeros((n, n), dtype=int)
+    x[rows, cols] = rounding._solve_switch_subproblem(
+        rows, cols, h[rows, cols], p_net[rows, cols], x_hat[rows, cols],
+        ingress, egress, solver)
+    return x
+
+
+def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
+    """The per-switch subproblem built over n x n matrices, its budget
+    matrix through ``scipy.sparse`` and ``lp._highs_lp`` and its tie reward
+    through ``np.unique``, solved with the rounder's subproblem options:
+    the reference for ``round._solve_switch_subproblem``."""
+    n = h.shape[0]
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    low = np.maximum(x_hat[rows, cols] - 1, 0)
+    width = x_hat[rows, cols] + 1 - low
+    cell = np.repeat(np.arange(len(rows)), width)
+    first = np.repeat(np.cumsum(width) - width, width)
+    unit = low[cell] + 1 + np.arange(len(cell)) - first
+    gain = (2.0 * h[rows, cols][cell] + 1.0 - 2.0 * unit
+            + p_net[rows, cols][cell])
+    eps = 1e-9
+    distinct = np.unique(np.round(gain, 12))
+    if len(distinct) > 1:
+        eps = min(eps, float(np.diff(distinct).min()) / 4)
+    units = len(cell)
+    index = np.column_stack([rows[cell], n + cols[cell]]).ravel()
+    budgets = sp.csc_array((np.ones(2 * units), index,
+                            np.arange(0, 2 * units + 1, 2)),
+                           shape=(2 * n, units))
+    limits = np.concatenate([egress - np.bincount(rows, low, n),
+                             ingress - np.bincount(cols, low, n)])
+    model = lp._highs_lp(-(gain + eps), budgets, limits, 0, np.zeros(units),
+                         np.ones(units))
+    res = lp._run_highs(model, rounding._SUBPROBLEM_OPTIONS, solver=solver)
+    assert res.status == "optimal"
+    flows = np.rint(res.x).astype(int)
+    x = np.zeros((n, n), dtype=int)
+    x[rows, cols] = low + np.bincount(cell, flows, len(rows)).astype(int)
+    return x
+
+
+def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
+                   tau_max: int) -> rounding.RoundingReport:
+    """``round.ldm_round`` over n x n matrices, summing every switch's links
+    again after each visit: the reference for its pair-vector loop."""
+    n, M = phys.num_pods, phys.num_ocs
+    c_minus, c_plus = rounding._brackets(d_star.d)
+    np.fill_diagonal(c_minus, 0)
+    np.fill_diagonal(c_plus, 0)
+    h = np.minimum(phys.egress_ports[:, :, None],
+                   phys.ingress_ports[:, None, :])
+    x_hat = np.zeros((M, n, n), dtype=int)
+    best = x_hat.copy()
+    best_good = rounding._goodness(x_hat.sum(axis=0), c_minus, c_plus)
+    dual = rounding.DualState(np.zeros((n, n)), np.zeros((n, n)), c_minus,
+                              c_plus)
+    solver = lp._highs._Highs()
+    iterations = 0
+    for tau in range(1, tau_max + 1):
+        iterations = tau
+        dual.iteration = tau
+        for m in range(M):
+            x_hat[m] = loop_switch_subproblem(
+                h[m], dual.p_minus - dual.p_plus, x_hat[m],
+                phys.ingress_ports[m], phys.egress_ports[m], solver)
+            totals = x_hat.sum(axis=0)
+            good = rounding._goodness(totals, c_minus, c_plus)
+            if good > best_good:
+                best_good = good
+                best = x_hat.copy()
+            dual.update(totals)
+        if best_good == n * (n - 1):
+            break
+    return rounding._report(
+        rounding._complete(phys, d_star.d, best, c_plus), c_minus, c_plus,
+        iterations)
 
 
 def convex_combination(rng: np.random.Generator, crit: CriticalSet

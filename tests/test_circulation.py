@@ -13,10 +13,10 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
 from couder.errors import InternalError
-from couder.round import (_HIGHS_TIGHT, _solve_switch_subproblem,
-                          solve_circulation)
+from couder.round import _HIGHS_TIGHT, solve_circulation
 from helpers import (brute_force_unit_flow, brute_force_window_max,
-                     random_window_instance, window_utility)
+                     random_window_instance, window_subproblem,
+                     window_utility)
 
 
 def random_network(rng, pods=3, num_units=8, max_limit=2):
@@ -42,9 +42,9 @@ class TestSolveCirculation:
             solve_circulation(np.ones(1), np.ones((1, 1)), np.array([-1.0]))
         x_hat = np.array([[0, 2], [0, 0]])
         with pytest.raises(InternalError):
-            _solve_switch_subproblem(np.zeros((2, 2)), np.zeros((2, 2)),
-                                     x_hat, np.array([2, 2]),
-                                     np.array([0, 2]))
+            window_subproblem(np.zeros((2, 2)), np.zeros((2, 2)),
+                              x_hat, np.array([2, 2]),
+                              np.array([0, 2]))
 
     def test_zero_network_trivially_feasible(self):
         rng = np.random.default_rng(0)
@@ -98,7 +98,8 @@ class TestSolveCirculation:
                 rng, pods=pods, num_units=int(rng.integers(1, 40)),
                 max_limit=3)
             ref = linprog(cost, A_ub=budgets, b_ub=limits, bounds=(0, 1),
-                          method="highs-ds", options=_HIGHS_TIGHT)
+                          method="highs-ds",
+                          options={**_HIGHS_TIGHT, "presolve": False})
             assert ref.status == 0
             for flows in (solve_circulation(cost, budgets, limits),
                           solve_circulation(cost, sp.csc_array(budgets),
@@ -127,9 +128,9 @@ class TestSolveCirculation:
         # Pods 0 and 1 hold two links each way; the window keeps at least
         # one on each however much the prices push them down.
         x_hat = np.array([[0, 2], [2, 0]])
-        x = _solve_switch_subproblem(np.zeros((2, 2)), np.full((2, 2), -50.0),
-                                     x_hat, np.array([2, 2]),
-                                     np.array([2, 2]))
+        x = window_subproblem(np.zeros((2, 2)), np.full((2, 2), -50.0),
+                              x_hat, np.array([2, 2]),
+                              np.array([2, 2]))
         assert x.tolist() == [[0, 1], [1, 0]]
 
 
@@ -139,9 +140,9 @@ class TestBuildSubproblem:
         # to x̂ + 1; the priced-down (1, 0) falls to its window floor.
         p_net = np.zeros((2, 2))
         p_net[0, 1], p_net[1, 0] = 10.0, -10.0
-        x = _solve_switch_subproblem(np.zeros((2, 2)), p_net,
-                                     np.array([[0, 1], [1, 0]]),
-                                     np.array([3, 3]), np.array([3, 3]))
+        x = window_subproblem(np.zeros((2, 2)), p_net,
+                              np.array([[0, 1], [1, 0]]),
+                              np.array([3, 3]), np.array([3, 3]))
         assert x.tolist() == [[0, 2], [0, 0]]
 
     def test_epsilon_maximizes_flow_on_ties(self):
@@ -149,8 +150,8 @@ class TestBuildSubproblem:
         # must reach the largest link count the uneven ports allow.
         egress, ingress = np.array([1, 2, 2]), np.array([2, 2, 1])
         h, p_net = np.ones((3, 3)), -np.ones((3, 3))
-        x = _solve_switch_subproblem(h, p_net, np.zeros((3, 3), dtype=int),
-                                     ingress, egress)
+        x = window_subproblem(h, p_net, np.zeros((3, 3), dtype=int),
+                              ingress, egress)
         off = ~np.eye(3, dtype=bool)
         budgets = np.zeros((6, 6))
         rows, cols = np.nonzero(off)
@@ -167,9 +168,9 @@ class TestBuildSubproblem:
         # below their gap, so neither is taken.
         p_net = np.full((3, 3), -50.0)
         p_net[0, 1], p_net[0, 2] = -1.0 - 1.6e-9, -1.0 - 8e-10
-        x = _solve_switch_subproblem(np.ones((3, 3)), p_net,
-                                     np.zeros((3, 3), dtype=int),
-                                     np.array([1, 1, 1]), np.array([2, 1, 1]))
+        x = window_subproblem(np.ones((3, 3)), p_net,
+                              np.zeros((3, 3), dtype=int),
+                              np.array([1, 1, 1]), np.array([2, 1, 1]))
         assert x.sum() == 0
 
     def test_respects_caps_and_bounds(self):
@@ -177,7 +178,7 @@ class TestBuildSubproblem:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             h, p_net, x_hat, ingress, egress = random_window_instance(rng, n)
-            x = _solve_switch_subproblem(h, p_net, x_hat, ingress, egress)
+            x = window_subproblem(h, p_net, x_hat, ingress, egress)
             assert (x >= np.maximum(x_hat - 1, 0)).all()
             assert (x <= x_hat + 1).all()
             assert (x.sum(axis=1) <= egress).all()
@@ -192,6 +193,6 @@ class TestBuildSubproblem:
         p_net = rng.integers(-5, 6, size=(3, 3)).astype(float)
         x_hat = np.zeros((3, 3), dtype=int)
         egress, ingress = rng.integers(1, 4, size=3), rng.integers(1, 4, size=3)
-        x = _solve_switch_subproblem(h, p_net, x_hat, ingress, egress)
+        x = window_subproblem(h, p_net, x_hat, ingress, egress)
         best = brute_force_window_max(h, p_net, x_hat, ingress, egress)
         assert window_utility(x, h, p_net) == pytest.approx(best, abs=1e-9)

@@ -333,6 +333,39 @@ class TestExitCodes:
         assert "no feasible sensitivity bound" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--frequency", "--stage-latency",
+                                      "--lookback"])
+    def test_non_finite_policy_value_exits_1(self, tmp_path, capsys, flag,
+                                             value):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_seq(seqfile, constant_seq(count=12))
+        out = tmp_path / "sim.jsonl"
+        opts = {"--lookback": "5", "--frequency": "4", "--stage-latency": "0"}
+        opts[flag] = value
+        rc = cli.main(["--k", "1", "--lookback", opts["--lookback"],
+                       "simulate", str(physfile), str(seqfile),
+                       "--frequency", opts["--frequency"],
+                       "--stage-latency", opts["--stage-latency"],
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_oversubscription_exits_1(self, tmp_path, capsys,
+                                                 value):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 6))
+        write_seq(seqfile, constant_seq(count=3))
+        out = tmp_path / "metrics.jsonl"
+        rc = cli.main(["evaluate", str(physfile), str(seqfile), "--baseline",
+                       "fattree", "--oversub", value, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        assert "oversubscription" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spelling", ["NaN", "Infinity"])
     def test_non_finite_bandwidth_exits_1(self, tmp_path, capsys, spelling):
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from couder.round import _solve_switch_subproblem
 from helpers import (brute_force_window_max, random_window_instance,
-                     window_utility)
+                     window_subproblem, window_utility)
 
 
 @pytest.mark.parametrize("n,seed", [(3, s) for s in range(20)]
@@ -13,7 +12,7 @@ from helpers import (brute_force_window_max, random_window_instance,
 def test_matches_exhaustive_window(n, seed):
     rng = np.random.default_rng(seed)
     h, p_net, x_hat, ingress, egress = random_window_instance(rng, n)
-    x = _solve_switch_subproblem(h, p_net, x_hat, ingress, egress)
+    x = window_subproblem(h, p_net, x_hat, ingress, egress)
     assert x.dtype.kind == "i"
     assert (np.diag(x) == 0).all()
     assert (x >= np.maximum(x_hat - 1, 0)).all() and (x <= x_hat + 1).all()
@@ -28,6 +27,6 @@ def test_zero_gain_ties_form_every_link(n):
     # Every unit has gain 2h + 1 - 2 + p_net = 0 exactly, so only the tie
     # reward toward more links decides; a perfect matching has n links.
     ones = np.ones(n, dtype=int)
-    x = _solve_switch_subproblem(np.ones((n, n)), -np.ones((n, n)),
-                                 np.zeros((n, n), dtype=int), ones, ones)
+    x = window_subproblem(np.ones((n, n)), -np.ones((n, n)),
+                          np.zeros((n, n), dtype=int), ones, ones)
     assert x.sum() == n

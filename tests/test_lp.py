@@ -107,6 +107,32 @@ def test_undeclared_variable_rejected():
             m.set_objective("max", [col], [1.0])
 
 
+@pytest.mark.parametrize("rows, cols", [([0], [1.0]), ([0.0], [1]),
+                                        ([0], np.array([1.7])),
+                                        ([0], [True])])
+def test_non_integer_row_or_column_index_rejected(rows, cols):
+    # Casting would truncate 1.7 to column 1 instead of refusing it.
+    m = lp.LpModel()
+    m.add_vars(2)
+    with pytest.raises(InvalidInputError, match="integers"):
+        m.add_rows(rows, cols, [1.0], lp.LE, [1.0])
+    assert m.num_constraints == 0
+    # An empty list reads as float but holds no index; any int dtype is fine.
+    m.add_rows([], [], [], lp.LE, [])
+    m.add_rows(np.array([0]), np.array([1], dtype=np.uint8), [1.0], lp.LE,
+               [1.0])
+    assert m.num_constraints == 1
+
+
+@pytest.mark.parametrize("cols", [[1.0], np.array([1.7]), [True]])
+def test_non_integer_objective_column_rejected(cols):
+    m = lp.LpModel()
+    m.add_vars(2)
+    with pytest.raises(InvalidInputError, match="integers"):
+        m.set_objective("max", cols, [1.0])
+    m.set_objective("max", [], [])
+
+
 def test_bad_bounds_rejected():
     m = lp.LpModel()
     with pytest.raises(InvalidInputError):

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from couder import optimize
+from couder import lp, optimize
+from couder import round as rounding
 from couder.errors import (InternalError, InvalidInputError,
                            UnboundedThroughputError, UndefinedGapError)
 from couder.model import (FractionalTopology, IntegerTopology,
@@ -12,8 +13,8 @@ from couder.model import (FractionalTopology, IntegerTopology,
 from couder.round import (DualState, RoundingReport, _brackets, _complete,
                           _goodness, greedy_round, ldm_round, optimality_gap)
 from couder.traffic import CriticalSet
-from helpers import (hetero_fabric, make_fabric, random_criticals,
-                     random_fabric, random_fractional)
+from helpers import (hetero_fabric, loop_ldm_round, make_fabric,
+                     random_criticals, random_fabric, random_fractional)
 
 
 class TestLdmRound:
@@ -192,6 +193,54 @@ class TestCompletion:
         assert (done.sum(axis=0) <= c_plus).all()
         assert _goodness(done.sum(axis=0), c_minus, c_plus) \
             >= _goodness(x.sum(axis=0), c_minus, c_plus)
+
+
+class TestPairVectorLoop:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_result_as_matrix_loop(self, seed):
+        # The pair-vector loop keeps running totals and builds each
+        # subproblem's HiGHS model straight from its CSC arrays; the matrix
+        # loop in helpers re-sums every switch after each visit and goes
+        # through scipy.sparse and lp._highs_lp.  With the same subproblem
+        # options both must walk the same iterates.
+        rng = np.random.default_rng(900 + seed)
+        fabric = hetero_fabric if seed % 2 else random_fabric
+        phys = fabric(rng, 4 + seed % 5, 2 + seed % 3, qmin=1, qmax=5)
+        d_star = random_fractional(rng, phys)
+        got = ldm_round(phys, d_star, tau_max=30)
+        ref = loop_ldm_round(phys, d_star, tau_max=30)
+        np.testing.assert_array_equal(got.topo.x, ref.topo.x)
+        assert got.goodness == ref.goodness
+        assert got.iterations_run == ref.iterations_run
+
+    def test_presolve_reduces_no_subproblem_on_uniform_striping(
+            self, monkeypatch):
+        # Why presolve is off: on degree-saturated targets over uniformly
+        # striped 8-pod fabrics, as the benchmark rounds, HiGHS presolve
+        # removes nothing from any per-switch subproblem, yet costs time.
+        models = []
+        run = lp._run_highs
+
+        def record(model, *args, **kwargs):
+            models.append(model)
+            return run(model, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "_run_highs", record)
+        rng = np.random.default_rng(31)
+        phys = make_fabric(8, 4, 4)
+        for _ in range(3):
+            ldm_round(phys, random_fractional(rng, phys), tau_max=10)
+        monkeypatch.undo()
+        assert len(models) == 3 * 10 * 4
+        presolve_on = lp._highs_options(solver="simplex",
+                                        **rounding._HIGHS_TIGHT)
+        for model in models:
+            solver = lp._highs._Highs()
+            solver.passOptions(presolve_on)
+            solver.passModel(model)
+            solver.run()
+            assert solver.getModelPresolveStatus() \
+                == lp._highs.HighsPresolveStatus.kNotReduced
 
 
 class TestDualState:
