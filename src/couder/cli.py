@@ -458,7 +458,10 @@ def _build_parser() -> _Parser:
                         " needs the routing round wrote beside X")
     p.add_argument("--baseline", default="none",
                    choices=["none", "mesh", "vlb", "fattree", "direct",
-                            "ideal"])
+                            "ideal"],
+                   help="ideal is the per-matrix topology+routing floor,"
+                        " the hose bound max(row sum / (b r_eg), column"
+                        " sum / (b r_ig)) over pods")
     p.add_argument("--oversub", type=float, default=2.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)

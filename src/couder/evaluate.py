@@ -78,9 +78,9 @@ def _capacity_matrix(x: Capacity) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _link_loads(omega: RoutingWeights, t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    direct, via = omega.arrays(n)
+def _link_loads(direct: np.ndarray, via: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    """Per-link load of ``t`` under ``RoutingWeights.arrays``' weights."""
     load = direct * t
     # 2-hop paths: first link (src, via), second link (via, dst).
     load += np.einsum("ijk,ij->ik", via, t)
@@ -94,8 +94,8 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     cap = _capacity_matrix(x) * bandwidth
     if cap.shape != t.demand.shape:
         raise InvalidInputError("topology and matrix shapes differ")
-    n = t.num_pods
-    load = _link_loads(omega, t.demand)
+    direct, via = omega.arrays(t.num_pods)
+    load = _link_loads(direct, via, t.demand)
     util = np.zeros_like(load)
     positive = cap > 0
     util[positive] = load[positive] / cap[positive]
@@ -106,7 +106,6 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
 
     total = t.total
     if total > 0:
-        direct, _ = omega.arrays(n)
         direct_fraction = float((direct * t.demand).sum() / total)
         direct_fraction = min(max(direct_fraction, 0.0), 1.0)
     else:
@@ -115,46 +114,74 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     return EvalRecord(mlu, ahc, util, direct_fraction, feasible)
 
 
-def _single_matrix_mlu(phys: PhysicalTopology, t: TrafficMatrix,
-                       fixed: Optional[np.ndarray] = None):
-    """1/mu of stage 1 on the one matrix t, with its weights.
-
-    An all-zero t has MLU 0 under any weights; a t that cannot be routed
-    has an infinite MLU and no weights.
-    """
-    try:
-        sol = optimize.solve_maxmin_throughput(phys, CriticalSet((t,)),
-                                               _fixed=fixed)
-    except UnboundedThroughputError:
-        return 0.0, RoutingWeights({})
-    except InfeasibleRoutingError:
-        return math.inf, None
-    return 1.0 / sol.mu, sol.omega
-
-
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
                         bandwidth: float = 1.0,
                         return_weights: bool = False):
     """Offline-optimal split: the smallest MLU any weights achieve on x.
 
-    This is stage 1 on t with link counts fixed at x, which reads only the
-    pod count and link bandwidth of its fabric, so the fabric has no ports.
+    This is 1/mu of stage 1 on t with link counts fixed at x, which reads
+    only the pod count and link bandwidth of its fabric, so the fabric has
+    no ports.  An all-zero t has MLU 0 under any weights; a t that cannot
+    be routed has an infinite MLU and no weights.
     """
     cap = _capacity_matrix(x)
     no_ports = np.zeros((1, cap.shape[0]), dtype=int)
     phys = PhysicalTopology(cap.shape[0], 1, no_ports, no_ports, bandwidth)
-    mlu, omega = _single_matrix_mlu(phys, t, cap)
+    try:
+        sol = optimize.solve_maxmin_throughput(phys, CriticalSet((t,)),
+                                               _fixed=cap)
+        mlu, omega = 1.0 / sol.mu, sol.omega
+    except UnboundedThroughputError:
+        mlu, omega = 0.0, RoutingWeights({})
+    except InfeasibleRoutingError:
+        mlu, omega = math.inf, None
     return (mlu, omega) if return_weights else mlu
 
 
 def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
                   bandwidth: Optional[float] = None) -> float:
-    """Per-matrix joint topology+routing optimum: the unrealizable floor."""
-    if bandwidth is not None and bandwidth != phys.link_bandwidth:
-        phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
-                                phys.egress_ports, phys.ingress_ports,
-                                bandwidth)
-    return _single_matrix_mlu(phys, t)[0]
+    """Per-matrix joint topology+routing optimum: the unrealizable floor.
+
+    With fractional link counts and the one matrix t, this optimum is the
+    hose bound
+
+        max(max_i R_i / (b r_eg[i]), max_j C_j / (b r_ig[j]))
+
+    where R and C are t's row and column sums and the maxima run over pods
+    with a positive sum.  It is 0 for an all-zero t, and infinite when a
+    pod with a positive row sum has no egress link, or one with a positive
+    column sum no ingress link.  ``bandwidth`` replaces the fabric's b.
+
+    Proof.  Let mu be the inverse of the bound.  Routing every pair direct
+    with d = mu t / b meets each port row, sum_j d_ij = mu R_i / b <= r_eg[i]
+    and likewise for ingress, and each bound d_ij <= min(r_eg[i], r_ig[j]),
+    since t_ij is at most R_i and C_j; so mu is reachable.  No routing does
+    better: every path of a pair (i, j) leaves i on one of i's egress links
+    and enters j on one of j's ingress links, so at throughput mu the
+    links (i, x) carry at least mu R_i, and b sum_x d_ix >= mu R_i with
+    sum_x d_ix <= r_eg[i]; columns likewise.  This is the radix argument
+    behind ``optimize._newton_beta``'s lower bracket.  Stage 1 on t alone
+    solves the same problem as an LP; the tests keep it as the oracle.
+    """
+    b = phys.link_bandwidth if bandwidth is None else bandwidth
+    if not 0 < b < math.inf:  # False for NaN too
+        raise InvalidInputError("link bandwidth must be positive and finite")
+    if t.num_pods != phys.num_pods:
+        raise InvalidInputError("matrix does not match the fabric")
+    with np.errstate(over="ignore"):
+        sums = np.concatenate([t.demand.sum(axis=1), t.demand.sum(axis=0)])
+    if not np.isfinite(sums).all():
+        raise InvalidInputError("a row or column sum of the matrix"
+                                " overflows")
+    radix = np.concatenate([phys.egress_radix, phys.ingress_radix])
+    sending = sums > 0
+    if (radix[sending] == 0).any():
+        return math.inf
+    mlu = float((sums[sending] / radix[sending]).max(initial=0.0)) / b
+    if mlu == math.inf:
+        raise InvalidInputError("the matrix's MLU overflows at this"
+                                " bandwidth")
+    return mlu
 
 
 def uniform_mesh(phys: PhysicalTopology) -> IntegerTopology:
@@ -332,7 +359,9 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
     An epoch whose re-optimization raises InfeasibleRoutingError keeps the
     installed topology and weights, and is recorded with changed_fraction
     0, stages 0 and the error message; the run goes on.  In the first
-    epoch nothing is installed yet, so there the error propagates.
+    epoch nothing is installed yet, so there the error propagates.  The
+    first epoch comes ``policy.lookback`` after the first matrix; when that
+    is after the last one, the run is InvalidInputError.
 
     Returns (points, epochs).
     """
@@ -347,12 +376,10 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
 
     current_x = None  # IntegerTopology once installed
     current_omega = None
-    pending = None  # (epoch_time, stages, stage_caps, new_x, new_omega)
 
     def reoptimize(now: float):
+        # Never empty: every epoch is at least lookback > 0 after t0.
         history = [seq[i] for i in range(len(seq)) if times[i] < now]
-        if not history:
-            return None
         crit = traffic.extract_critical(
             TmSequence(tuple(history), seq.aggregation_window),
             min(policy.k, len(history)), seed)
@@ -361,14 +388,16 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
         routed = optimize.recompute_routing(phys, report.topo, crit)
         return report.topo, routed
 
-    epoch_idx = -1
+    if first_epoch > times[-1]:
+        raise InvalidInputError(
+            f"lookback of {policy.lookback:g} s reaches past the sequence,"
+            f" which spans {times[-1] - t0:g} s: no matrix is left to"
+            " reconfigure for")
     epoch_times = []
     e = first_epoch
     while e <= times[-1]:
         epoch_times.append(e)
         e += policy.frequency
-    if not epoch_times:
-        epoch_times = [first_epoch]
 
     schedule = []  # (time, topo_or_None, omega, stage_idx or None, epoch_idx)
     for idx, etime in enumerate(epoch_times):
@@ -379,8 +408,6 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
                 raise
             epochs.append(EpochInfo(etime, 0.0, 0, current_omega.mu,
                                     current_omega.beta, error=str(exc)))
-            continue
-        if outcome is None:
             continue
         new_topo, routed = outcome
         new_omega = routed.omega
@@ -417,9 +444,6 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
                                  None, idx))
         current_x = new_topo
         current_omega = new_omega
-
-    if not schedule:
-        return points, epochs
 
     si = 0
     active = None

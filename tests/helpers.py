@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from couder import lp, round as rounding
-from couder.errors import InfeasibleRoutingError, InvalidInputError
+from couder.errors import (InfeasibleRoutingError, InvalidInputError,
+                           UnboundedThroughputError)
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
                           TrafficMatrix, enumerate_paths)
-from couder.optimize import BETA_CAP, _pairs
+from couder.optimize import BETA_CAP, _pairs, solve_maxmin_throughput
 from couder.traffic import CriticalSet
 
 
@@ -53,6 +55,52 @@ def hetero_fabric(rng: np.random.Generator, n: int, m: int,
         total = int(h_eg[sw].sum())
         h_ig[sw] = rng.multinomial(total - n, np.full(n, 1.0 / n)) + 1
     return PhysicalTopology(n, m, h_eg, h_ig, bandwidth)
+
+
+def zero_radix_fabric(rng: np.random.Generator, n: int, m: int,
+                      dead: float = 0.1) -> PhysicalTopology:
+    """Heterogeneous striping where some pods may have no egress or no
+    ingress link at all: per-switch egress counts in [1, 4], each pod
+    with none at probability ``dead``, and ingress a random composition of
+    each switch's total over the pods not chosen, at probability ``dead``,
+    to receive none."""
+    h_eg = rng.integers(1, 5, size=(m, n))
+    h_eg[:, rng.random(n) < dead] = 0
+    takes = rng.random(n) >= dead
+    takes[rng.integers(n)] = True
+    h_ig = np.zeros_like(h_eg)
+    for sw in range(m):
+        h_ig[sw, takes] = rng.multinomial(h_eg[sw].sum(),
+                                          np.full(takes.sum(),
+                                                  1.0 / takes.sum()))
+    return PhysicalTopology(n, m, h_eg, h_ig)
+
+
+def sparse_tm(rng: np.random.Generator, n: int, density: float
+              ) -> TrafficMatrix:
+    """Random matrix with each off-diagonal entry, uniform in [0, 10),
+    nonzero with probability ``density``."""
+    t = rng.uniform(0.0, 10.0, size=(n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(t, 0.0)
+    return TrafficMatrix(t)
+
+
+def lp_ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
+                     bandwidth: float | None = None) -> float:
+    """Oracle of ``evaluate.ideal_toe_mlu``: 1/mu of stage 1's LP on the
+    one matrix t, over link counts and weights jointly, with ``bandwidth``
+    in place of the fabric's.  0 for an all-zero t, infinite for a t that
+    cannot be routed."""
+    if bandwidth is not None:
+        phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
+                                phys.egress_ports, phys.ingress_ports,
+                                bandwidth)
+    try:
+        return 1.0 / solve_maxmin_throughput(phys, CriticalSet((t,))).mu
+    except UnboundedThroughputError:
+        return 0.0
+    except InfeasibleRoutingError:
+        return math.inf
 
 
 def random_fractional(rng: np.random.Generator, phys: PhysicalTopology,

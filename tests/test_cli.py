@@ -212,6 +212,22 @@ class TestCommands:
         assert all(line["feasible"] for line in lines)
         assert lines[0]["mlu"] == 0.0 and lines[1]["mlu"] > 0.0
 
+    def test_evaluate_ideal_zero_radix_sender_is_null(self, tmp_path):
+        # Pod 0 has no egress port, so any matrix in which it sends has no
+        # routing at all: an infinite MLU, written as null.
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), PhysicalTopology(
+            3, 1, np.array([[0, 2, 2]]), np.array([[2, 1, 1]]), 1.0))
+        sends, silent = np.zeros((3, 3)), np.zeros((3, 3))
+        sends[0, 1] = silent[1, 0] = 1.0
+        write_seq(seqfile, [sends, silent])
+        out = tmp_path / "ideal.jsonl"
+        assert cli.main(["evaluate", str(physfile), str(seqfile),
+                         "--baseline", "ideal", "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines[0]["mlu"] is None and not lines[0]["feasible"]
+        assert lines[1]["mlu"] == 0.5 and lines[1]["feasible"]
+
     def test_evaluate_none_needs_recomputed_routing(self, tmp_path, capsys):
         physfile, topofile = tmp_path / "phys.json", tmp_path / "topo.json"
         cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
@@ -352,6 +368,19 @@ class TestExitCodes:
         assert rc == cli.EXIT_VALIDATION == 1
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_lookback_past_the_sequence_exits_1(self, tmp_path, capsys):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_seq(seqfile, constant_seq(count=12))
+        out = tmp_path / "sim.jsonl"
+        rc = cli.main(["--k", "1", "simulate", str(physfile), str(seqfile),
+                       "--frequency", "4", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "lookback of 3600 s" in err and "spans 11 s" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_oversubscription_exits_1(self, tmp_path, capsys,

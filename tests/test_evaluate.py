@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
                              evaluate_static, fat_tree_eval, ideal_toe_mlu,
                              num_stages, optimal_routing_mlu, sensitivity_map,
                              simulate_reconfig, uniform_mesh, vlb_weights)
-from couder.model import (IntegerTopology, Path, RoutingWeights, TmSequence,
-                          TrafficMatrix)
+from couder.model import (IntegerTopology, Path, PhysicalTopology,
+                          RoutingWeights, TmSequence, TrafficMatrix)
 from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import CriticalSet
-from helpers import make_fabric, random_criticals, random_tm
+from helpers import (lp_ideal_toe_mlu, make_fabric, random_criticals,
+                     random_tm, sparse_tm, zero_radix_fabric)
 
 
 def mesh_topology(n, links_per_pair):
@@ -159,6 +162,75 @@ class TestIdealToe:
         assert ideal <= optimal_routing_mlu(mesh, t, 1.0) + 1e-9
         rec = evaluate_static(mesh, vlb_weights(mesh), t, 1.0)
         assert ideal <= rec.mlu + 1e-9
+
+    def test_matches_lp_oracle_on_random_fabrics(self):
+        rng = np.random.default_rng(12)
+        infinite = finite = 0
+        for case in range(120):
+            n, m = int(rng.integers(2, 11)), int(rng.integers(1, 5))
+            phys = zero_radix_fabric(rng, n, m, dead=0.15 * (case % 2))
+            b = float(rng.uniform(0.5, 4.0))
+            t = sparse_tm(rng, n, float(rng.uniform(0.05, 1.0)))
+            want = lp_ideal_toe_mlu(phys, t, b)
+            assert ideal_toe_mlu(phys, t, b) == pytest.approx(want, rel=1e-9)
+            infinite += math.isinf(want)
+            finite += 0 < want < math.inf
+        # Both branches of the bound are exercised, not only one.
+        assert infinite >= 20 and finite >= 40
+
+    @pytest.mark.parametrize("family", ["gravity_days", "storage_days"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_lp_oracle_on_benchmark_days(self, family, seed):
+        path = FilePath(__file__).resolve().parents[1] / "perfbench" / \
+            "inputs.py"
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        eg, ig = inputs.striping(8, 4, 4)
+        phys = PhysicalTopology(8, 4, eg, ig, 1.0)
+        days = getattr(inputs, family)(np.random.default_rng([seed, 1]), 8,
+                                       float(eg.sum()))
+        for demand in days[::8]:
+            t = TrafficMatrix(demand)
+            assert ideal_toe_mlu(phys, t) == pytest.approx(
+                lp_ideal_toe_mlu(phys, t), rel=1e-9)
+
+    def test_all_zero_matrix_is_zero(self):
+        phys = zero_radix_fabric(np.random.default_rng(3), 5, 2)
+        assert ideal_toe_mlu(phys, TrafficMatrix(np.zeros((5, 5)))) == 0.0
+
+    def test_zero_radix_sender_is_infinite(self):
+        eg = np.array([[0, 2, 2]])
+        phys = PhysicalTopology(3, 1, eg, np.array([[2, 1, 1]]), 1.0)
+        t = np.zeros((3, 3))
+        t[1, 0] = 1.0
+        assert ideal_toe_mlu(phys, TrafficMatrix(t)) == 0.5
+        t[0, 1] = 1.0
+        assert math.isinf(ideal_toe_mlu(phys, TrafficMatrix(t)))
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_bandwidth(self, bandwidth):
+        phys = make_fabric(3, 1, 2)
+        with pytest.raises(InvalidInputError, match="bandwidth"):
+            ideal_toe_mlu(phys, random_tm(np.random.default_rng(0), 3),
+                          bandwidth)
+
+    def test_rejects_pod_count_mismatch(self):
+        with pytest.raises(InvalidInputError, match="fabric"):
+            ideal_toe_mlu(make_fabric(3, 1, 2),
+                          random_tm(np.random.default_rng(0), 4))
+
+    def test_rejects_overflowing_row_sum(self):
+        t = np.zeros((3, 3))
+        t[0, 1] = t[0, 2] = 1e308
+        with pytest.raises(InvalidInputError, match="overflows"):
+            ideal_toe_mlu(make_fabric(3, 1, 2), TrafficMatrix(t))
+
+    def test_rejects_overflowing_quotient(self):
+        t = np.zeros((3, 3))
+        t[0, 1] = 1e10
+        with pytest.raises(InvalidInputError, match="overflows"):
+            ideal_toe_mlu(make_fabric(3, 1, 2), TrafficMatrix(t), 1e-310)
 
 
 class TestUniformMesh:
@@ -404,6 +476,20 @@ class TestSimulateReconfig:
         policy = ReconfigPolicy(frequency=2.0, lookback=5.0, k=1)
         with pytest.raises(InvalidInputError):
             simulate_reconfig(phys, seq, policy)
+
+    def test_rejects_lookback_past_the_sequence(self):
+        seq = small_sequence(count=12)  # timestamps 0..11
+        policy = ReconfigPolicy(frequency=4.0, lookback=11.5, k=1)
+        with pytest.raises(InvalidInputError,
+                           match=r"lookback of 11\.5 s .* spans 11 s"):
+            simulate_reconfig(make_fabric(4, 1, 3), seq, policy)
+
+    def test_lookback_up_to_the_last_matrix_is_scored(self):
+        seq = small_sequence(count=12)
+        policy = ReconfigPolicy(frequency=4.0, lookback=11.0, k=1)
+        points, epochs = simulate_reconfig(make_fabric(4, 1, 3), seq, policy)
+        assert [ep.time for ep in epochs] == [11.0]
+        assert [p.time for p in points] == [11.0]
 
 
 class TestLemma2AtEvaluationLevel:
