@@ -14,7 +14,7 @@ from .traffic import (BoundednessResult, BurstSpec, CriticalSet,
                       gen_burst_tms, gen_storage_tms)
 from .optimize import (FractionalSolution, compute_path_capacity, desensitize,
                        minimize_ahc, recompute_routing, run_pipeline,
-                       solve_maxmin_per_tm, solve_maxmin_throughput)
+                       solve_maxmin_throughput)
 from .round import RoundingReport, greedy_round, ldm_round, optimality_gap
 from .evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
                        evaluate_static, fat_tree_eval, ideal_toe_mlu,
@@ -30,7 +30,7 @@ __all__ = [
     "BoundednessResult", "BurstSpec", "CriticalSet", "boundability_curve",
     "check_bounded", "extract_critical", "gen_burst_tms", "gen_storage_tms",
     "FractionalSolution", "compute_path_capacity", "desensitize",
-    "minimize_ahc", "recompute_routing", "run_pipeline", "solve_maxmin_per_tm",
+    "minimize_ahc", "recompute_routing", "run_pipeline",
     "solve_maxmin_throughput",
     "RoundingReport", "greedy_round", "ldm_round", "optimality_gap",
     "EvalRecord", "ReconfigPolicy", "direct_only_weights", "evaluate_static",

@@ -9,13 +9,49 @@ array, ``LpSolution.x``, so a caller reads a variable by the column
 through the binding scipy ships (``scipy.optimize._highspy._core``),
 called directly rather than through ``scipy.optimize.linprog``, whose
 Python wrapper cost several times the solve on the small LPs here.  One
-helper, ``_run_highs``, makes every call: it passes a column-wise model,
-an options object built once at import and, optionally, a starting
-basis.  ``linprog`` below is this module's own call for ``LpModel``:
-dual simplex, presolve on, output off, as scipy's
-``linprog(method="highs")`` set them.  The rounding module drives the
-same helper for its per-switch subproblem, with its own options, a
-model it builds with ``_column_lp`` and only the vertex read back.
+helper, ``_run_highs``, makes every call: it passes a model, the options
+of the LP's family and, optionally, a starting basis.
+
+Rows go to HiGHS row-wise, built once per model.  At its first solve a
+model assembles each relation group, the inequalities as <= and then
+the equalities, into one CSR pattern that holds both the fixed value
+and the ``scale``d value of each entry: duplicate triplets summed,
+exact zeros dropped.  A solve only forms fixed + scale * scaled on that
+pattern, for a group with scaled terms, and ``linprog``, this module's
+one call into HiGHS for an ``LpModel``, passes the rows as they are
+with ``MatrixFormat.kRowwise``: no sparse sum, stacking or conversion
+to columns per solve.  HiGHS stores the model column-wise, and holds
+bit for bit the model that stacking separate sparse matrices
+column-wise gave before; the tests keep that construction as their
+oracle.
+
+HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
+an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
+per-switch subproblem, which it builds column-wise with
+``_highs_model`` and reads only the vertex of.  Every family runs dual
+simplex with output off.  Presolve is on, as scipy's
+``linprog(method="highs")`` set it, except in three families, where it
+was measured to cost more than it saves (HiGHS time per LP, N = 8, on
+a shared 2-vCPU Xeon; perfbench seed 2):
+
+- "fixed-throughput", stage 1 with link counts fixed: the mesh routing
+  LP of the replay baseline (108 rows), 2.20 -> 1.57 ms, with the same
+  109 simplex iterations and nothing removed by presolve; recompute's
+  first LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of
+  5 and its iterations rose from 120 to 150;
+- "boundedness", ``traffic.check_bounded`` (57 rows): 0.37 -> 0.19 ms,
+  the same 3.8 iterations, nothing removed;
+- "ldm-subproblem": see the rounding module.
+
+What these families return is mostly a value no optimal vertex
+changes: mu, an MLU, a slack, an integral subproblem vertex.  Two of
+their results are vertices: the mesh baseline's weights, which
+``couder evaluate --baseline mesh`` scores, and the boundedness
+witness.  Both were identical with presolve on and off on the 288
+replay matrices of perfbench seeds 0-5, but not everywhere: on a
+4-pod storage sequence the mesh weights, and so that baseline's AHC,
+moved by up to 0.24 hops at the same MLU.  The stages with free link
+counts hand their vertex on to rounding, and keep presolve on.
 
 ``passModel`` resets the solver, so a solve is cold unless it is given
 a basis.  An ``LpModel`` keeps the optimal basis of its last solve and
@@ -67,6 +103,16 @@ class _Block(NamedTuple):
     rhs: np.ndarray
 
 
+class _Rows(NamedTuple):
+    """One relation group of rows, row-wise: the CSR pattern of its fixed
+    and scaled terms together, with both parts' values on it."""
+
+    matrix: sp.csr_array  # the pattern; its data is fixed + scale * scaled
+    fixed: np.ndarray
+    scaled: Optional[sp.csr_array]  # the scaled values on the same pattern
+    rhs: np.ndarray
+
+
 class LpModel:
     """Incrementally built LP: bounded columns, linear rows, objective.
 
@@ -76,8 +122,11 @@ class LpModel:
     A row may also carry scaled terms, whose coefficients are multiplied by
     ``scale`` at solve time.  LPs that differ only in that one block of
     coefficients are then one model, built once and re-solved after each
-    change of ``scale``; its constraint matrix is assembled once, and each
+    change of ``scale``; its row pattern is assembled once, and each
     re-solve starts from the optimal basis of the one before.
+
+    ``name`` is the model's LP family; it selects the HiGHS options in
+    ``_FAMILY_OPTIONS``.
     """
 
     def __init__(self, name: str = "lp"):
@@ -157,43 +206,24 @@ class LpModel:
         self._objective = (cols, coefs)
         self._basis = None
 
-    def _assemble(self) -> list:
-        """(A, A_scaled, b) of the inequality rows, as <=, and of the
-        equality rows; either is all None when it has no rows."""
-        out = []
-        for equality in (False, True):
-            group = [blk for blk in self._blocks
-                     if (blk.relation == EQ) == equality and len(blk.rhs)]
-            if not group:
-                out.append((None, None, None))
-                continue
-            sizes = [len(blk.rhs) for blk in group]
-            offsets = np.cumsum([0] + sizes[:-1])
-            signs = [-1.0 if blk.relation == GE else 1.0 for blk in group]
-            shape = (sum(sizes), self.num_variables)
-            A_scaled = _stack([blk.scaled for blk in group], offsets, signs,
-                              shape)
-            out.append((
-                _stack([blk.terms for blk in group], offsets, signs, shape),
-                A_scaled if A_scaled.nnz else None,
-                np.concatenate([s * blk.rhs for s, blk in zip(signs, group)])))
-        return out
-
-    def _matrices(self):
-        """(c, A_ub, b_ub, A_eq, b_eq) at the current ``scale``, and the
-        scaled blocks (A_ub_scaled, A_eq_scaled), None where absent."""
+    def _rows(self) -> tuple:
+        """The ``_Rows`` of the inequality rows, as <=, and of the equality
+        rows, either None when it has none, at the current ``scale``.  The
+        patterns are assembled once; a solve only re-forms the values of a
+        group with scaled terms."""
         if self._assembled is None:
-            self._assembled = self._assemble()
-        c = np.zeros(self.num_variables)
-        idxs, coefs = self._objective
-        np.add.at(c, idxs, coefs)
-        out, scaled = [c], []
-        for A, A_scaled, b in self._assembled:
-            if A_scaled is not None:
-                A = A + self.scale * A_scaled
-            out.extend((A, b))
-            scaled.append(A_scaled)
-        return tuple(out), scaled
+            self._assembled = tuple(
+                _assemble([blk for blk in self._blocks
+                           if (blk.relation == EQ) == equality
+                           and len(blk.rhs)], self.num_variables)
+                for equality in (False, True))
+        for rows in self._assembled:
+            if rows is not None and rows.scaled is not None:
+                # linprog refuses non-finite values; forming them is quiet.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    rows.matrix.data = (rows.fixed
+                                        + self.scale * rows.scaled.data)
+        return self._assembled
 
 
 def _indices(idx) -> np.ndarray:
@@ -212,20 +242,53 @@ def _triplets(rows, cols, coefs) -> tuple:
     return _indices(rows), _indices(cols), np.asarray(coefs, dtype=float)
 
 
-def _stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
-    """CSR matrix of the blocks' (rows, cols, coefs) triplets, block k's
-    rows moved down by ``offsets[k]`` and its values multiplied by
-    ``signs[k]``; a block may be None, and zero values are dropped."""
-    kept = [k for k, blk in enumerate(blocks) if blk is not None]
-    if not kept:
-        return sp.csr_matrix(shape)
-    sizes = [len(blocks[k][0]) for k in kept]
-    rows, cols, vals = (np.concatenate([blocks[k][part] for k in kept])
-                        for part in range(3))
-    rows += np.repeat([offsets[k] for k in kept], sizes)
-    vals *= np.repeat([signs[k] for k in kept], sizes)
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+def _assemble(group: list, num_cols: int) -> Optional[_Rows]:
+    """The blocks of ``group`` stacked in order into one ``_Rows``, each
+    moved down past the rows before it and a >= block negated, or None
+    when ``group`` is empty.
+
+    The pattern holds every (row, column) with a nonzero fixed or scaled
+    value.  Triplets on one (row, column) are summed in the order given,
+    each part on its own, and zero values are dropped.  ``scipy.sparse``
+    sums such duplicates in the same order within a row of up to 16
+    entries, so up to there the values equal those of a CSR matrix built
+    per part.
+    """
+    if not group:
+        return None
+    offsets = np.cumsum([0] + [len(blk.rhs) for blk in group])
+    signs = [-1.0 if blk.relation == GE else 1.0 for blk in group]
+    keys, values = [], []
+    for part in (0, 1):  # the fixed terms, then the scaled ones
+        for blk, offset, sign in zip(group, offsets, signs):
+            terms = blk.scaled if part else blk.terms
+            if terms is None:
+                continue
+            rows, cols, coefs = terms
+            keys.append((rows + offset) * num_cols + cols)
+            vals = np.zeros((len(rows), 2))
+            vals[:, part] = sign * coefs
+            values.append(vals)
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.concatenate(values)[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    entry = np.cumsum(first) - 1
+    # bincount adds in input order: duplicates sum in the order given.
+    fixed, scaled = (np.bincount(entry, vals[:, part], entry[-1] + 1)
+                     if len(key) else np.zeros(0) for part in (0, 1))
+    keep = (fixed != 0.0) | (scaled != 0.0)
+    key, fixed, scaled = key[first][keep], fixed[keep], scaled[keep]
+    shape = (int(offsets[-1]), num_cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // num_cols,
+                                                        minlength=shape[0]))])
+    indices = key % num_cols
+    scaled = (sp.csr_array((scaled, indices, indptr), shape=shape)
+              if scaled.any() else None)
+    return _Rows(sp.csr_array((fixed, indices, indptr), shape=shape), fixed,
+                 scaled, np.concatenate([s * blk.rhs
+                                         for s, blk in zip(signs, group)]))
 
 
 _STATUS = _highs.HighsModelStatus
@@ -245,6 +308,20 @@ def _highs_options(**extra) -> _highs.HighsOptions:
 
 
 _OPTIONS = _highs_options()
+#: HiGHS's default feasibility tolerances (1e-7) would ignore the LDM
+#: subproblem's tie reward of at most 1e-9 toward more links; these
+#: resolve it.
+_HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
+                "primal_feasibility_tolerance": 1e-10}
+#: HiGHS options by LP family, the ``LpModel.name``; every other family
+#: runs with ``_OPTIONS``.  Presolve off where it removes nothing from the
+#: family's LPs yet costs time; see the module docstring.
+_FAMILY_OPTIONS = {
+    "fixed-throughput": _highs_options(presolve="off"),
+    "boundedness": _highs_options(presolve="off"),
+    "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
+                                     **_HIGHS_TIGHT),
+}
 
 
 @dataclass
@@ -260,39 +337,20 @@ class HighsResult:
     basis: Optional[_highs.HighsBasis] = None
 
 
-def _highs_lp(c, A, b, num_eq: int, lb, ub) -> _highs.HighsLp:
-    """Column-wise HiGHS model of: minimize c x subject to A x <= b on all
-    rows but the last ``num_eq``, A x = b on those, and lb <= x <= ub.
-
-    A non-finite entry of c, A or b, or a NaN bound, is an internal error,
-    as scipy's ``linprog`` refused them.
-    """
-    A = sp.csc_array(A)
-    c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(c).all() and np.isfinite(A.data).all()
-            and np.isfinite(b).all()) or np.isnan(lb).any() \
-            or np.isnan(ub).any():
-        raise InternalError("LP data is not finite")
-    lower = b.copy()
-    lower[:A.shape[0] - num_eq] = -np.inf
-    # The binding copies integer lists faster than integer arrays.
-    return _column_lp(c, lb, ub, lower, b, A.indptr.tolist(),
-                      A.indices.tolist(), A.data)
-
-
-def _column_lp(cost, col_lower, col_upper, row_lower, row_upper, start,
-               index, value) -> _highs.HighsLp:
+def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
+                 row_upper, start, index, value) -> _highs.HighsLp:
     """HiGHS model of: minimize cost x subject to row_lower <= A x <=
-    row_upper and col_lower <= x <= col_upper, A given column-wise by
-    ``start``, ``index`` and ``value``.  Each argument is a sequence the
-    binding copies: a list copies several times faster than an array."""
+    row_upper and col_lower <= x <= col_upper, A given by ``start``,
+    ``index`` and ``value`` in ``matrix_format``, row-wise or column-wise.
+    Each argument is a sequence the binding copies: a list copies several
+    times faster than an array."""
     model = _highs.HighsLp()
     model.num_col_, model.num_row_ = len(cost), len(row_upper)
     model.col_cost_, model.col_lower_, model.col_upper_ = (cost, col_lower,
                                                            col_upper)
     model.row_lower_, model.row_upper_ = row_lower, row_upper
     matrix = model.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.format_ = matrix_format
     matrix.num_col_, matrix.num_row_ = len(cost), len(row_upper)
     matrix.start_, matrix.index_, matrix.value_ = start, index, value
     return model
@@ -341,26 +399,45 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
                            + solver.modelStatusToString(status))
 
 
-def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None) -> HighsResult:
+def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
+            options=_OPTIONS) -> HighsResult:
     """Minimize c x subject to A_ub x <= b_ub, A_eq x = b_eq and
-    bounds[0] <= x <= bounds[1], from ``basis`` when one is given.  A
-    block that is None has no rows.
+    bounds[0] <= x <= bounds[1] under the HiGHS ``options``, from
+    ``basis`` when one is given.  ``A_ub`` and ``A_eq`` are CSR matrices,
+    or None for no rows; their rows go to HiGHS row-wise as they are.
 
-    ``LpModel``'s one call into HiGHS.  Like ``scipy.optimize.linprog`` it
-    raises SolverLimitError on an optimal vertex that misses a bound or
-    row by more than sqrt(1e-9) * 10.
+    ``LpModel``'s one call into HiGHS.  A non-finite entry of c, A or b,
+    or a NaN bound, is an internal error, as scipy's ``linprog`` refused
+    them.  Like that ``linprog`` it raises SolverLimitError on an optimal
+    vertex that misses a bound or row by more than sqrt(1e-9) * 10.
     """
-    n = len(c)
     lb, ub = (np.asarray(v, dtype=float) for v in bounds)
     blocks = [(A, b) for A, b in ((A_ub, b_ub), (A_eq, b_eq))
               if A is not None]
-    A = sp.vstack([A for A, _ in blocks]) if blocks else sp.csc_array((0, n))
-    b = np.concatenate([b for _, b in blocks]) if blocks else np.zeros(0)
+    offsets = np.cumsum([0] + [A.nnz for A, _ in blocks])
+    start = np.concatenate([[0]] + [A.indptr[1:] + k
+                                    for (A, _), k in zip(blocks, offsets)])
+    index = np.concatenate([np.zeros(0, dtype=int)]
+                           + [A.indices for A, _ in blocks])
+    value = np.concatenate([np.zeros(0)] + [A.data for A, _ in blocks])
+    b = np.concatenate([np.zeros(0)] + [b for _, b in blocks])
+    c = np.asarray(c, dtype=float)
+    if not (np.isfinite(c).all() and np.isfinite(value).all()
+            and np.isfinite(b).all()) or np.isnan(lb).any() \
+            or np.isnan(ub).any():
+        raise InternalError("LP data is not finite")
     num_eq = 0 if A_eq is None else A_eq.shape[0]
-    res = _run_highs(_highs_lp(c, A, b, num_eq, lb, ub), _OPTIONS, basis)
+    lower = b.copy()
+    lower[:len(b) - num_eq] = -np.inf
+    # The binding copies lists faster than arrays.
+    model = _highs_model(_highs.MatrixFormat.kRowwise, c.tolist(),
+                         lb.tolist(), ub.tolist(), lower.tolist(),
+                         b.tolist(), start.tolist(), index.tolist(),
+                         value.tolist())
+    res = _run_highs(model, options, basis)
     if res.status == "optimal":
         x, tol = res.x, _RESIDUAL_TOL
-        row = A @ x
+        row = np.concatenate([np.zeros(0)] + [A @ x for A, _ in blocks])
         eq = slice(len(b) - num_eq, None)
         if not (np.all(x >= lb - tol) and np.all(x <= ub + tol)
                 and np.all(row <= b + tol) and np.all(row[eq] >= b[eq] - tol)
@@ -382,18 +459,25 @@ def solve(model: LpModel) -> LpSolution:
     """
     if model.num_variables == 0:
         return LpSolution("optimal", np.zeros(0), 0.0)
-    (c, A_ub, b_ub, A_eq, b_eq), scaled = model._matrices()
+    groups = model._rows()
+    (A_ub, b_ub), (A_eq, b_eq) = ((None, None) if rows is None
+                                  else (rows.matrix, rows.rhs)
+                                  for rows in groups)
+    c = np.zeros(model.num_variables)
+    idxs, coefs = model._objective
+    np.add.at(c, idxs, coefs)
     sign = -1.0 if model._sense == "max" else 1.0
     res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(model._lb, model._ub), basis=model._basis)
+                  bounds=(model._lb, model._ub), basis=model._basis,
+                  options=_FAMILY_OPTIONS.get(model.name, _OPTIONS))
     model._basis = res.basis
     if res.status == "optimal":
         num_ub = 0 if A_ub is None else A_ub.shape[0]
         duals = (res.row_dual[:num_ub], res.row_dual[num_ub:])
         slope = 0.0
-        for A_scaled, y in zip(scaled, duals):
-            if A_scaled is not None:
-                slope -= float(y @ (A_scaled @ res.x))
+        for rows, y in zip(groups, duals):
+            if rows is not None and rows.scaled is not None:
+                slope -= float(y @ (rows.scaled @ res.x))
         return LpSolution("optimal", res.x, float(sign * res.fun),
                           sign * slope)
     if res.status == "infeasible":

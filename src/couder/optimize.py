@@ -162,18 +162,16 @@ class _StageBuilder:
             raise InfeasibleRoutingError(
                 f"no usable path for demanded pair {t.pairs[stranded[0]]}",
                 mu=0.0)
-        self.fallback_pairs = [t.pairs[q] for q in np.flatnonzero(~routed)]
-        ok, per = usable.tolist(), self.n - 1
-        self.pair_paths = {
-            t.pairs[q]: [t.paths[k] for k in range(q * per, (q + 1) * per)
-                         if ok[k]]
-            for q in np.flatnonzero(routed).tolist()}
+        self.fallback = np.flatnonzero(~routed)
+        self.usable = np.flatnonzero(usable)
+        # The routed pairs, and each weight column's position among them:
+        # its split row.
+        self.routed, self.split_row = np.unique(t.path_pair[usable],
+                                                return_inverse=True)
 
-    def _dcol(self, weights: bool = True) -> np.ndarray:
-        """Column of each link count: right after the weights, or first in
-        a model without them."""
-        start = self.num_weights if weights else 0
-        return start + np.arange(len(self.tables.pairs))
+    def _dcol(self) -> np.ndarray:
+        """Column of each link count, right after the weights."""
+        return self.num_weights + np.arange(len(self.tables.pairs))
 
     def _crossing(self) -> tuple:
         """(link, path) of each usable path crossing each link."""
@@ -181,14 +179,12 @@ class _StageBuilder:
         on = self.col[t.cross_path] >= 0
         return t.cross_link[on], t.cross_path[on]
 
-    def new_model(self, name: str, weight_ub: Optional[float],
-                  weights: bool = True) -> lp.LpModel:
-        """Link-count columns and port rows, after one weight column per
-        usable path unless ``weights`` is false."""
+    def new_model(self, name: str, weight_ub: Optional[float]) -> lp.LpModel:
+        """One weight column per usable path, then link-count columns and
+        port rows."""
         t = self.tables
         model = lp.LpModel(name)
-        if weights:
-            model.add_vars(self.num_weights, 0.0, weight_ub)
+        model.add_vars(self.num_weights, 0.0, weight_ub)
         if self.fixed is None:
             r_eg = self.phys.egress_radix
             r_ig = self.phys.ingress_radix
@@ -201,14 +197,11 @@ class _StageBuilder:
                            np.stack([r_eg, r_ig], axis=1).ravel())
         return model
 
-    def add_load_constraints(self, model: lp.LpModel, scale: float,
-                             wcol: Optional[np.ndarray] = None):
+    def add_load_constraints(self, model: lp.LpModel, scale: float):
         """Per-link, per-critical capacity rows: load <= capacity.
 
         Rows run link-major, critical-minor; a row no demanded path
-        crosses is left out.  ``wcol[k, path]``, when given, is critical
-        k's own weight column of each path, in a model without the shared
-        weights; by default all share ``col``.
+        crosses is left out.
         """
         t = self.tables
         link, path = self._crossing()
@@ -217,12 +210,11 @@ class _StageBuilder:
         k, c = np.nonzero(demand > 0)
         row_ids, row = np.unique(link[c] * K + k, return_inverse=True)
         row_link = row_ids // K
-        cols = self.col[path[c]] if wcol is None else wcol[k, path[c]]
+        cols = self.col[path[c]]
         coefs = scale * demand[k, c]
         if self.fixed is None:
             model.add_rows(*_per_row_term(row, cols, coefs, len(row_ids),
-                                          self._dcol(wcol is None)[row_link],
-                                          -self.b),
+                                          self._dcol()[row_link], -self.b),
                            lp.LE, np.zeros(len(row_ids)))
         else:
             model.add_rows(row, cols, coefs, lp.LE,
@@ -258,18 +250,11 @@ class _StageBuilder:
                            lp.LE, np.zeros(len(rows)))
 
     def add_split_constraints(self, model: lp.LpModel,
-                              total: Optional[int] = None,
-                              wcol: Optional[np.ndarray] = None):
-        """Per-pair weight sums: equal to the column ``total`` when given,
-        else to one.  With ``wcol`` as in ``add_load_constraints``, one
-        row per critical and pair, critical-major."""
-        path = np.flatnonzero(self.col >= 0)
-        _, row = np.unique(self.tables.path_pair[path], return_inverse=True)
-        cols = self.col[path][None] if wcol is None else wcol[:, path]
-        per = len(self.pair_paths)
-        num_rows = per * len(cols)
-        rows = (row + per * np.arange(len(cols))[:, None]).ravel()
-        cols, coefs = cols.ravel(), np.ones(len(rows))
+                              total: Optional[int] = None):
+        """Per-pair weight sums, one row per routed pair: equal to the
+        column ``total`` when given, else to one."""
+        rows, cols = self.split_row, np.arange(self.num_weights)
+        coefs, num_rows = np.ones(len(rows)), len(self.routed)
         if total is None:
             model.add_rows(rows, cols, coefs, lp.EQ, np.ones(num_rows))
         else:
@@ -277,61 +262,72 @@ class _StageBuilder:
                                           total, -1.0),
                            lp.EQ, np.zeros(num_rows))
 
-    def extract(self, x: np.ndarray, normalize: Optional[float] = None,
-                wcol: Optional[np.ndarray] = None):
-        """Pull (d, omega) out of a solved model's vertex ``x``.
+    def extract(self, x: np.ndarray, normalize: Optional[float] = None):
+        """(d, omega, weights) of a solved model's vertex ``x``: omega
+        holds each path's weight in ``_tables`` order, and ``weights`` the
+        positive ones as a ``Path``-keyed dict, in that order, with the
+        pairs deferred at construction last.
 
-        ``normalize`` divides weights (recovering omega from scaled wp) and
-        per-pair sums are renormalized to exactly one; pairs deferred at
-        construction fall back to their direct path.  ``wcol``, when
-        given, is one critical's row of ``add_load_constraints``'s.
+        ``normalize`` divides weights (recovering omega from scaled wp)
+        and per-pair sums are renormalized to exactly one; a routed pair
+        whose weights sum to almost nothing, and a pair deferred at
+        construction, falls back to its direct path.  Each pair's sum
+        adds its weights in path order, as numpy sums a pair's slice of
+        up to seven, so that up to 8 pods the result is bit for bit what
+        a loop over the pairs gives.
         """
-        w = x[:self.num_weights] if wcol is None else x[wcol[self.col >= 0]]
-        weights, start = {}, 0
-        for pair, paths in self.pair_paths.items():
-            vals = w[start:start + len(paths)]
-            start += len(paths)
-            if normalize is not None:
-                vals = vals / normalize
-            total = vals.sum()
-            if total <= 1e-12:
-                weights[Path(*pair)] = 1.0
-                continue
-            vals = vals / total
-            for p, v in zip(paths, vals):
-                if v > 0:
-                    weights[p] = float(v)
-        for pair in self.fallback_pairs:
-            weights[Path(*pair)] = 1.0
+        t = self.tables
+        w = x[:self.num_weights]
+        if normalize is not None:
+            w = w / normalize
+        total = np.bincount(self.split_row, w, len(self.routed))
+        empty = total <= 1e-12
+        omega = np.zeros(len(t.paths))
+        omega[self.usable] = np.divide(w, total[self.split_row],
+                                       out=np.zeros(len(w)),
+                                       where=~empty[self.split_row])
+        per = self.n - 1
+        omega[self.routed[empty] * per] = 1.0
+        keys = np.flatnonzero(omega > 0)
+        weights = dict(zip([t.paths[k] for k in keys], omega[keys].tolist()))
+        weights.update((Path(*t.pairs[q]), 1.0) for q in self.fallback)
+        omega[self.fallback * per] = 1.0
         if self.fixed is None:
-            t = self.tables
             d = np.zeros((self.n, self.n))
-            d[t.pair_src, t.pair_dst] = np.maximum(
-                x[self._dcol(wcol is None)], 0.0)
+            d[t.pair_src, t.pair_dst] = np.maximum(x[self._dcol()], 0.0)
         else:
             d = self.fixed.copy()
-        return d, weights
+        return d, omega, weights
 
-    def lift_d(self, d: np.ndarray, weights: dict, mu: float) -> np.ndarray:
+    def lift_d(self, d: np.ndarray, omega: np.ndarray,
+               mu: float) -> np.ndarray:
         """Raise d to cover the realized critical loads exactly.
 
         Clears sub-tolerance LP residue so the throughput guarantee holds
         with a true inequality on every link; the lift is bounded by the
-        solver feasibility tolerance.
+        solver feasibility tolerance.  ``omega`` is ``extract``'s.  Each
+        link adds its loads in path order, as a loop over the weights
+        dict does.
         """
         if self.fixed is not None or mu <= 0:
             return d
-        load = np.zeros((self.n, self.n))
-        for k in range(len(self.crit)):
-            lk = np.zeros((self.n, self.n))
-            for p, w in weights.items():
-                t = self.demand[k, p.src, p.dst]
-                if t <= 0 or w <= 0:
-                    continue
-                for a, b in p.links():
-                    lk[a, b] += w * mu * t
-            load = np.maximum(load, lk)
-        return np.maximum(d, load / self.b)
+        t = self.tables
+        num_links = len(t.pairs)
+        demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair]
+        k, path = np.nonzero((demand > 0) & (omega > 0))
+        flow = omega[path] * mu * demand[k, path]
+        # Each path's links in order; a direct path has its one link once.
+        links = t.path_links[path]
+        hop = np.ones(links.shape, dtype=bool)
+        hop[:, 1] = links[:, 0] != links[:, 1]
+        index = (k[:, None] * num_links + links)[hop]
+        load = np.bincount(index, np.repeat(flow, hop.sum(axis=1)),
+                           len(self.crit) * num_links)
+        lifted = d.copy()
+        lifted[t.pair_src, t.pair_dst] = np.maximum(
+            d[t.pair_src, t.pair_dst],
+            load.reshape(len(self.crit), num_links).max(axis=0) / self.b)
+        return lifted
 
 
 def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
@@ -356,7 +352,8 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
-    sol = lp.solve(_throughput_model(builder, "maxmin-throughput"))
+    name = "maxmin-throughput" if _fixed is None else "fixed-throughput"
+    sol = lp.solve(_throughput_model(builder, name))
     if sol.status == "unbounded":
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
@@ -364,8 +361,8 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
-    d, weights = builder.extract(sol.x, normalize=mu)
-    d = builder.lift_d(d, weights, mu)
+    d, omega, weights = builder.extract(sol.x, normalize=mu)
+    d = builder.lift_d(d, omega, mu)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu), mu)
 
@@ -457,7 +454,7 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         builder.add_sensitivity_constraints(model)
         beta, F, best = _newton_beta(builder, model, mu_star)
         mu = F * (1.0 - MU_SLACK)
-        d, weights = builder.extract(best.x, normalize=F)
+        d, omega, weights = builder.extract(best.x, normalize=F)
     else:
         model = builder.new_model("desensitize", 1.0)
         builder.add_split_constraints(model)
@@ -469,8 +466,8 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         if beta > BETA_CAP:
             raise InternalError("no feasible sensitivity bound below cap")
         mu = mu_star
-        d, weights = builder.extract(best.x)
-    d = builder.lift_d(d, weights, mu)
+        d, omega, weights = builder.extract(best.x)
+    d = builder.lift_d(d, omega, mu)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu, beta=beta),
                               mu, beta)
@@ -503,8 +500,8 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
-    d, weights = builder.extract(sol.x)
-    d = builder.lift_d(d, weights, mu_star)
+    d, omega, weights = builder.extract(sol.x)
+    d = builder.lift_d(d, omega, mu_star)
     return FractionalSolution(FractionalTopology(d),
                               RoutingWeights(weights, mu=mu_star, beta=beta),
                               mu_star, beta)
@@ -534,39 +531,6 @@ def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
     if desensitized:
         beta = desensitize(phys, crit, mu, _fixed=fixed).beta
     return minimize_ahc(phys, crit, mu, beta, _fixed=fixed)
-
-
-def solve_maxmin_per_tm(phys: PhysicalTopology, crit: CriticalSet):
-    """Max-min throughput with an independent weight set per critical matrix.
-
-    Comparison oracle only: its mu upper-bounds the shared-weight stage 1,
-    but the weights give no guarantee for unseen convex combinations.
-    """
-    builder = _StageBuilder(phys, crit)
-    if not builder.demanded.any():
-        raise UnboundedThroughputError("all critical matrices are zero")
-    model = builder.new_model("maxmin-per-tm", None, weights=False)
-    mu_col = model.add_vars(1, 0.0, None)[0]
-    # Matrix k's weights fill one run of columns, in path order; every
-    # path is usable, as link counts are free.
-    wcol = model.add_vars(len(crit) * builder.num_weights, 0.0,
-                          None).reshape(len(crit), -1)
-    builder.add_split_constraints(model, mu_col, wcol)
-    builder.add_load_constraints(model, 1.0, wcol)
-    model.set_objective("max", [mu_col], [1.0])
-    sol = lp.solve(model)
-    if sol.status == "unbounded":
-        raise UnboundedThroughputError("throughput is unbounded")
-    if not sol.optimal:
-        raise InternalError(f"per-tm LP ended {sol.status}")
-    mu = float(sol.x[mu_col])
-    if mu <= 1e-12:
-        raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
-    omegas = []
-    for cols in wcol:
-        d, weights = builder.extract(sol.x, normalize=mu, wcol=cols)
-        omegas.append(RoutingWeights(weights, mu=mu))
-    return FractionalTopology(d), omegas, mu
 
 
 def compute_path_capacity(topo: IntegerTopology, max_hops: int,

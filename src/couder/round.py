@@ -25,8 +25,9 @@ breaks exact ties toward more links; HiGHS's feasibility tolerances are
 tightened to 1e-10 because at their default of 1e-7 the solver ignores
 a reward that small and can stop short of a full matching.  The LP goes
 to HiGHS through ``lp._run_highs`` as a column-wise model built straight
-from the budget matrix's CSC arrays, with dual simplex, those
-tolerances and presolve off.  On degree-saturated targets over an
+from the budget matrix's CSC arrays, under the LDM subproblem's entry
+of ``lp._FAMILY_OPTIONS``: dual simplex, those tolerances and presolve
+off.  On degree-saturated targets over an
 evenly striped fabric presolve removes nothing from these LPs; on the
 uneven fabrics measured it does reduce most of them, yet the solves
 still ran faster without it.  One rounding run reuses one HiGHS object
@@ -61,13 +62,6 @@ from .traffic import CriticalSet
 
 #: Guard against LP float fuzz when snapping d* to its integer brackets.
 _SNAP = 1e-9
-#: HiGHS's default feasibility tolerances (1e-7) would ignore the tie reward
-#: of at most 1e-9 toward more links; these resolve it.
-_HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
-                "primal_feasibility_tolerance": 1e-10}
-#: Presolve off: on these small LPs it costs more time than it saves.
-_SUBPROBLEM_OPTIONS = lp._highs_options(solver="simplex", presolve="off",
-                                        **_HIGHS_TIGHT)
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
 
@@ -198,11 +192,12 @@ def solve_circulation(cost: np.ndarray, budgets, limits: np.ndarray,
             and np.isfinite(limits).all()):
         raise InternalError("LP data is not finite")
     units, rows = len(cost), len(limits)
-    model = lp._column_lp(cost.tolist(), [0.0] * units, [1.0] * units,
-                          [-np.inf] * rows, limits.tolist(), start.tolist(),
-                          index.tolist(), value.tolist())
-    res = lp._run_highs(model, _SUBPROBLEM_OPTIONS, solver=solver,
-                        vertex_only=True)
+    model = lp._highs_model(lp._highs.MatrixFormat.kColwise, cost.tolist(),
+                            [0.0] * units, [1.0] * units, [-np.inf] * rows,
+                            limits.tolist(), start.tolist(), index.tolist(),
+                            value.tolist())
+    res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"],
+                        solver=solver, vertex_only=True)
     if res.status != "optimal":
         raise InternalError(f"per-switch subproblem ended {res.status}")
     flows = np.rint(res.x)

@@ -210,9 +210,9 @@ def window_subproblem(h, p_net, x_hat, ingress, egress, solver=None):
 
 def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
     """The per-switch subproblem built over n x n matrices, its budget
-    matrix through ``scipy.sparse`` and ``lp._highs_lp`` and its tie reward
-    through ``np.unique``, solved with the rounder's subproblem options:
-    the reference for ``round._solve_switch_subproblem``."""
+    matrix through ``scipy.sparse`` and ``colwise_highs_lp`` and its tie
+    reward through ``np.unique``, solved with the rounder's subproblem
+    options: the reference for ``round._solve_switch_subproblem``."""
     n = h.shape[0]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     low = np.maximum(x_hat[rows, cols] - 1, 0)
@@ -233,9 +233,10 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
                            shape=(2 * n, units))
     limits = np.concatenate([egress - np.bincount(rows, low, n),
                              ingress - np.bincount(cols, low, n)])
-    model = lp._highs_lp(-(gain + eps), budgets, limits, 0, np.zeros(units),
-                         np.ones(units))
-    res = lp._run_highs(model, rounding._SUBPROBLEM_OPTIONS, solver=solver)
+    model = colwise_highs_lp(-(gain + eps), budgets, limits, 0,
+                             np.zeros(units), np.ones(units))
+    res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"],
+                        solver=solver)
     assert res.status == "optimal"
     flows = np.rint(res.x).astype(int)
     x = np.zeros((n, n), dtype=int)
@@ -378,9 +379,9 @@ class LoopStageBuilder:
             else:
                 self.fallback_pairs.append((i, j))
 
-    def new_model(self, name, weight_ub, weights=True) -> NamedModel:
+    def new_model(self, name, weight_ub) -> NamedModel:
         model = NamedModel(name)
-        for paths in self.pair_paths.values() if weights else ():
+        for paths in self.pair_paths.values():
             for p in paths:
                 model.var(wname(p), 0.0, weight_ub)
         if self.fixed is None:
@@ -395,11 +396,9 @@ class LoopStageBuilder:
                           lp.LE, float(r_ig[i]))
         return model
 
-    def add_load_constraints(self, model, scale, own=False):
-        """With ``own``, critical k loads its own weights ``k{k}_w_...``."""
+    def add_load_constraints(self, model, scale):
         for a, b in _pairs(self.n):
             for k in range(len(self.crit)):
-                prefix = f"k{k}_" if own else ""
                 terms = {}
                 for p in self.crossing[(a, b)]:
                     if (p.src, p.dst) not in self.pair_paths:
@@ -408,7 +407,7 @@ class LoopStageBuilder:
                         continue
                     t = self.demand[k, p.src, p.dst]
                     if t > 0:
-                        terms[prefix + wname(p)] = scale * t
+                        terms[wname(p)] = scale * t
                 if not terms:
                     continue
                 if self.fixed is None:
@@ -451,7 +450,8 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     1's model plus the caps at ``model.scale = beta``) or "3" (max z)."""
     builder = LoopStageBuilder(phys, crit, fixed)
     if stage == "1" or (stage == "2" and fixed is None):
-        name = "maxmin-throughput" if stage == "1" else "desensitize"
+        name = ("desensitize" if stage == "2" else "maxmin-throughput"
+                if fixed is None else "fixed-throughput")
         model = builder.new_model(name, None)
         model.var("mu", 0.0, None)
         builder.add_split_constraints(model, "mu")
@@ -482,24 +482,6 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
                 terms[wname(paths[0])] = t
         model.row(terms, lp.GE, 0.0)
     model.objective("max", {"z": 1.0})
-    return model.model
-
-
-def loop_per_tm_model(phys, crit) -> lp.LpModel:
-    """``optimize.solve_maxmin_per_tm``'s model built row by row: link
-    counts and port rows, mu, then per critical k its own weight per path
-    ``k{k}_w_...`` with k's split rows, then every critical's load rows on
-    its own weights."""
-    builder = LoopStageBuilder(phys, crit)
-    model = builder.new_model("maxmin-per-tm", None, weights=False)
-    model.var("mu", 0.0, None)
-    for k in range(len(crit)):
-        for paths in builder.pair_paths.values():
-            names = [model.var(f"k{k}_{wname(p)}", 0.0, None) for p in paths]
-            model.row(dict({name: 1.0 for name in names}, mu=-1.0), lp.EQ,
-                      0.0)
-    builder.add_load_constraints(model, 1.0, own=True)
-    model.objective("max", {"mu": 1.0})
     return model.model
 
 
@@ -571,24 +553,127 @@ def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet, mode: str):
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
-    """The same columns, bounds, objective and rows, bit for bit, in the
-    CSC form HiGHS receives, and the same scaled blocks."""
+    """The same columns, bounds, objective and rows, bit for bit: each
+    relation group's row pattern with its fixed and scaled values, as
+    ``lp.solve`` hands them to HiGHS."""
     assert model.num_variables == ref.num_variables
     assert model._lb == ref._lb and model._ub == ref._ub
     assert model._sense == ref._sense and model.scale == ref.scale
-    got, got_scaled = model._matrices()
-    want, want_scaled = ref._matrices()
-    for a, b in zip(got + tuple(got_scaled), want + tuple(want_scaled)):
-        assert (a is None) == (b is None)
-        if a is None:
+    assert objective(model).tobytes() == objective(ref).tobytes()
+    for got, want in zip(model._rows(), ref._rows()):
+        assert (got is None) == (want is None)
+        if got is None:
             continue
-        if sp.issparse(a):
-            a, b = sp.csc_array(a), sp.csc_array(b)
-            assert a.shape == b.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-        else:
-            assert a.tobytes() == b.tobytes()
+        assert got.matrix.shape == want.matrix.shape
+        for a, b in ((got.matrix, want.matrix), (got.scaled, want.scaled)):
+            assert (a is None) == (b is None)
+            for name in ("indptr", "indices", "data") if a is not None else ():
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
+def objective(model: lp.LpModel) -> np.ndarray:
+    """The model's objective as a dense cost vector."""
+    c = np.zeros(model.num_variables)
+    np.add.at(c, *model._objective)
+    return c
+
+
+# An LpModel built column-wise from one sparse matrix per relation and
+# part, stacked: the oracle for the model HiGHS must hold after lp.solve
+# hands it the rows row-wise.
+
+def _reference_stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
+    """CSR matrix of the blocks' (rows, cols, coefs) triplets, block k's
+    rows moved down by ``offsets[k]`` and its values multiplied by
+    ``signs[k]``; a block may be None, and zero values are dropped."""
+    kept = [k for k, blk in enumerate(blocks) if blk is not None]
+    if not kept:
+        return sp.csr_matrix(shape)
+    sizes = [len(blocks[k][0]) for k in kept]
+    rows, cols, vals = (np.concatenate([blocks[k][part] for k in kept])
+                        for part in range(3))
+    rows += np.repeat([offsets[k] for k in kept], sizes)
+    vals *= np.repeat([signs[k] for k in kept], sizes)
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def colwise_highs_lp(c, A, b, num_eq: int, lb, ub):
+    """Column-wise HiGHS model of: minimize c x subject to A x <= b on all
+    rows but the last ``num_eq``, A x = b on those, and lb <= x <= ub,
+    through ``scipy.sparse``'s CSC form of A."""
+    A = sp.csc_array(A)
+    lower = np.array(b, dtype=float)
+    lower[:A.shape[0] - num_eq] = -np.inf
+    return lp._highs_model(lp._highs.MatrixFormat.kColwise, c, lb, ub, lower,
+                           b, A.indptr.tolist(), A.indices.tolist(), A.data)
+
+
+def reference_highs_lp(model: lp.LpModel):
+    """The HiGHS model of ``model`` at its current ``scale``, built from
+    sparse matrices: per relation one CSR matrix of the fixed terms and one of
+    the scaled terms, summed as A + scale * A_scaled, the inequality and
+    equality rows stacked and handed over column-wise."""
+    mats, rhs, num_eq = [], [], 0
+    for equality in (False, True):
+        group = [blk for blk in model._blocks
+                 if (blk.relation == lp.EQ) == equality and len(blk.rhs)]
+        if not group:
+            continue
+        sizes = [len(blk.rhs) for blk in group]
+        offsets = np.cumsum([0] + sizes[:-1])
+        signs = [-1.0 if blk.relation == lp.GE else 1.0 for blk in group]
+        shape = (sum(sizes), model.num_variables)
+        A = _reference_stack([blk.terms for blk in group], offsets, signs,
+                             shape)
+        A_scaled = _reference_stack([blk.scaled for blk in group], offsets,
+                                    signs, shape)
+        mats.append(A + model.scale * A_scaled if A_scaled.nnz else A)
+        rhs.append(np.concatenate([s * blk.rhs
+                                   for s, blk in zip(signs, group)]))
+        num_eq = shape[0] if equality else 0
+    A = sp.vstack(mats) if mats else sp.csc_array((0, model.num_variables))
+    b = np.concatenate(rhs) if rhs else np.zeros(0)
+    sign = -1.0 if model._sense == "max" else 1.0
+    return colwise_highs_lp(sign * objective(model), A, b, num_eq,
+                            np.array(model._lb), np.array(model._ub))
+
+
+def held_lp(model) -> tuple:
+    """What HiGHS holds after ``passModel(model)``: costs, column bounds,
+    row bounds and the column-wise start, index and value arrays."""
+    solver = lp._highs._Highs()
+    solver.passOptions(lp._OPTIONS)
+    assert solver.passModel(model) != lp._highs.HighsStatus.kError
+    held = solver.getLp()
+    matrix = held.a_matrix_
+    assert matrix.format_ == lp._highs.MatrixFormat.kColwise
+    return tuple(np.asarray(part).tobytes() for part in (
+        held.col_cost_, held.col_lower_, held.col_upper_, held.row_lower_,
+        held.row_upper_, matrix.start_, matrix.index_, matrix.value_))
+
+
+def record_highs_models(monkeypatch) -> list:
+    """(HiGHS model, ``reference_highs_lp``) of every ``lp.solve`` from
+    now on, in order; the reference reads the ``LpModel`` before the
+    solve, at its ``scale`` then."""
+    pairs, sent = [], []
+    solve, run = lp.solve, lp._run_highs
+
+    def recording_solve(model):
+        ref = reference_highs_lp(model)
+        res = solve(model)
+        pairs.append((sent.pop(), ref))
+        return res
+
+    def recording_run(model, *args, **kwargs):
+        sent.append(model)
+        return run(model, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    monkeypatch.setattr(lp, "_run_highs", recording_run)
+    return pairs
 
 
 def feasible_at_beta(builder: LoopStageBuilder, mu_star: float,

@@ -13,7 +13,8 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
 from couder.errors import InternalError
-from couder.round import _HIGHS_TIGHT, solve_circulation
+from couder.lp import _HIGHS_TIGHT
+from couder.round import solve_circulation
 from helpers import (brute_force_unit_flow, brute_force_window_max,
                      random_window_instance, window_subproblem,
                      window_utility)

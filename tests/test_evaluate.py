@@ -5,7 +5,7 @@ from pathlib import Path as FilePath
 import numpy as np
 import pytest
 
-from couder import optimize
+from couder import lp, optimize
 from couder.errors import InvalidInputError
 from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
                              evaluate_static, fat_tree_eval, ideal_toe_mlu,
@@ -14,7 +14,7 @@ from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           RoutingWeights, TmSequence, TrafficMatrix)
 from couder.optimize import recompute_routing, run_pipeline
-from couder.traffic import CriticalSet
+from couder.traffic import CriticalSet, check_bounded, extract_critical
 from helpers import (lp_ideal_toe_mlu, make_fabric, random_criticals,
                      random_tm, sparse_tm, zero_radix_fabric)
 
@@ -137,6 +137,100 @@ class TestOptimalRouting:
         assert math.isinf(optimal_routing_mlu(topo, TrafficMatrix(t), 1.0))
 
 
+def bench_inputs():
+    """``perfbench/inputs.py``, loaded by path."""
+    path = FilePath(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+class TestPresolveOffFamilies:
+    """Stage 1 with fixed link counts and the boundedness LP run with
+    presolve off; each must give what a presolve-on solve gives."""
+
+    PRESOLVE_OFF = ("fixed-throughput", "boundedness")
+
+    def both_ways(self, monkeypatch, run):
+        """``run()`` under the family options, then with presolve on."""
+        off = run()
+        monkeypatch.setattr(lp, "_FAMILY_OPTIONS", {
+            name: options for name, options in lp._FAMILY_OPTIONS.items()
+            if name not in self.PRESOLVE_OFF})
+        on = run()
+        monkeypatch.undo()
+        return off, on
+
+    @staticmethod
+    def assert_agree(got: float, want: float):
+        if math.isinf(want) or want == 0.0:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @staticmethod
+    def assert_witness(t: TrafficMatrix, crit: CriticalSet, res):
+        # T <= sum(lambda_k T_k) + slack, sum(lambda) <= 1, up to float
+        # noise on the scale of the matrix.
+        tol = 1e-9 * max(1.0, t.demand.max())
+        covered = np.tensordot(res.lambdas, crit.stacked(), axes=1)
+        assert (t.demand <= covered + res.slack + tol).all()
+        assert res.lambdas.sum() <= 1.0 + 1e-9
+        assert (res.lambdas >= -1e-9).all()
+
+    def test_random_cases_match_presolve_on(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        kinds = {"inf": 0, "zero": 0, "finite": 0, "bounded": 0}
+        for case in range(120):
+            n = int(rng.integers(2, 11))
+            # Link counts 0-3 with zero-capacity links at random density.
+            X = rng.integers(0, 4, (n, n)) * (rng.random((n, n))
+                                              < rng.uniform(0.5, 1.0))
+            np.fill_diagonal(X, 0)
+            b = float(rng.uniform(0.5, 4.0))
+            t = (TrafficMatrix(np.zeros((n, n))) if case % 10 == 0
+                 else sparse_tm(rng, n, float(rng.uniform(0.05, 1.0))))
+            crit = CriticalSet(tuple(
+                TrafficMatrix(c * (rng.random((n, n)) < 0.7))
+                for c in random_criticals(rng, n, int(rng.integers(1, 6)))
+                .stacked()))
+            mode = "exact" if case % 2 else "dominated"
+            (mlu, res), (mlu_on, res_on) = self.both_ways(
+                monkeypatch, lambda: (optimal_routing_mlu(X, t, b),
+                                      check_bounded(t, crit, mode)))
+            self.assert_agree(mlu, mlu_on)
+            self.assert_agree(res.slack, res_on.slack)
+            self.assert_witness(t, crit, res)
+            kinds["inf" if math.isinf(mlu_on) else "zero" if mlu_on == 0
+                  else "finite"] += 1
+            kinds["bounded"] += res_on.slack == 0.0
+        # Infinite, zero and finite MLUs, and bounded matrices, all occur.
+        assert min(kinds.values()) >= 10, kinds
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replay_days_match_presolve_on(self, monkeypatch, seed):
+        # The benchmark's replay: criticals of one gravity day, the next
+        # day's matrices scored on the uniform mesh.
+        inputs = bench_inputs()
+        eg, ig = inputs.striping(8, 4, 4)
+        phys = PhysicalTopology(8, 4, eg, ig, 1.0)
+        mesh = uniform_mesh(phys)
+        mats = inputs.gravity_days(np.random.default_rng([seed, 4]), 8,
+                                   float(eg.sum()), days=2)
+        crit = extract_critical(TmSequence(tuple(
+            TrafficMatrix(t, timestamp=float(k))
+            for k, t in enumerate(mats[:inputs.DAY])), 1.0), 5)
+        for demand in mats[inputs.DAY::4]:
+            t = TrafficMatrix(demand)
+            (mlu, res), (mlu_on, res_on) = self.both_ways(
+                monkeypatch, lambda: (optimal_routing_mlu(mesh, t),
+                                      check_bounded(t, crit)))
+            self.assert_agree(mlu, mlu_on)
+            self.assert_agree(res.slack, res_on.slack)
+            self.assert_witness(t, crit, res)
+
+
 class TestIdealToe:
     def test_n2_closed_form(self):
         phys = make_fabric(2, 1, 4)
@@ -181,11 +275,7 @@ class TestIdealToe:
     @pytest.mark.parametrize("family", ["gravity_days", "storage_days"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_lp_oracle_on_benchmark_days(self, family, seed):
-        path = FilePath(__file__).resolve().parents[1] / "perfbench" / \
-            "inputs.py"
-        spec = importlib.util.spec_from_file_location("bench_inputs", path)
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
+        inputs = bench_inputs()
         eg, ig = inputs.striping(8, 4, 4)
         phys = PhysicalTopology(8, 4, eg, ig, 1.0)
         days = getattr(inputs, family)(np.random.default_rng([seed, 1]), 8,

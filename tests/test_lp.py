@@ -8,6 +8,8 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from couder import lp
 from couder.errors import InternalError, InvalidInputError, SolverLimitError
+from helpers import (assert_same_model, colwise_highs_lp, held_lp,
+                     record_highs_models)
 
 
 def test_simple_bounded_max():
@@ -165,12 +167,7 @@ def test_block_of_rows_is_the_rows_added_one_by_one():
     block.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
     block.add_rows([0], [2], [4.0], lp.LE, [0.5])
     assert block.num_constraints == one.num_constraints == 4
-    (c, A_ub, b_ub, A_eq, b_eq), _ = block._matrices()
-    (c1, A_ub1, b_ub1, A_eq1, b_eq1), _ = one._matrices()
-    for a, b in ((A_ub, A_ub1), (A_eq, A_eq1)):
-        assert a.nnz == b.nnz and (a != b).nnz == 0
-    for a, b in ((c, c1), (b_ub, b_ub1), (b_eq, b_eq1)):
-        assert a.tobytes() == b.tobytes()
+    assert_same_model(block, one)
     assert lp.solve(block).objective_value == lp.solve(one).objective_value
 
 
@@ -185,6 +182,34 @@ def test_bad_block_of_rows_rejected(rows, cols, coefs, rhs):
     with pytest.raises(InvalidInputError):
         m.add_rows(rows, cols, coefs, lp.LE, rhs)
     assert m.num_constraints == 0
+
+
+def test_highs_holds_the_reference_model(monkeypatch):
+    # Blocks whose sums and zeros the pattern must get right: a duplicate
+    # (row, column) triplet, summed; an explicit 0, dropped; a scaled term
+    # that cancels a fixed one at scale 2; a >= block and an equality
+    # block.  HiGHS must hold the model built column-wise from separate
+    # sparse matrices per part, at every scale.
+    m = lp.LpModel()
+    x = m.add_vars(4, [0.0, -1.0, 0.0, 0.0], [3.0, 2.0, np.inf, 5.0])
+    m.add_rows([0, 0, 0, 1, 1], [x[0], x[1], x[0], x[2], x[3]],
+               [0.1, 0.0, 0.2, 1.0, -1.5], lp.LE, [4.0, 2.0],
+               scaled=([0, 1, 1], [x[3], x[2], x[1]], [1.0, -0.5, 0.3]))
+    m.add_rows([0, 0, 1], [x[1], x[2], x[2]], [1.0, 0.0, 2.0], lp.GE,
+               [-1.0, 0.5])
+    m.add_rows([0, 0, 0, 0], [x[0], x[3], x[3], x[1]], [1.0, 0.7, 0.6, 0.0],
+               lp.EQ, [1.5], scaled=([0, 0], [x[3], x[3]], [0.1, 0.2]))
+    m.set_objective("max", x[[0, 2, 0]], [1.0, -1.0, 0.5])
+    pairs = record_highs_models(monkeypatch)
+    for scale in (1.0, 2.0, 0.0, -3.5):
+        m.scale = scale
+        assert lp.solve(m).optimal
+    assert len(pairs) == 4
+    for sent, ref in pairs:
+        assert held_lp(sent) == held_lp(ref)
+    # At scale 2 the scaled term cancels row 1's fixed one on x[2].
+    values = [held_lp(sent)[-1] for sent, _ in pairs]
+    assert len(values[0]) - len(values[1]) == 8  # one float64 entry
 
 
 def test_constraints_hold_at_optimum():
@@ -285,7 +310,8 @@ def test_private_highs_api_used_is_present():
                  "kUnboundedOrInfeasible"):
         assert hasattr(_highs.HighsModelStatus, name), name
     assert hasattr(_highs.HighsStatus, "kError")
-    assert hasattr(_highs.MatrixFormat, "kColwise")
+    for name in ("kColwise", "kRowwise"):
+        assert hasattr(_highs.MatrixFormat, name), name
 
 
 def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):
@@ -370,8 +396,8 @@ class FakeSolver:
                          list(_highs.HighsModelStatus.__members__.values()))
 def test_model_status_maps_as_linprog_did(status):
     code, _ = _highs_to_scipy_status_message(status, "")
-    model = lp._highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0), 0,
-                         np.zeros(1), np.ones(1))
+    model = colwise_highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0), 0,
+                             np.zeros(1), np.ones(1))
     solver = FakeSolver(status)
     if code in (1, 4):
         with pytest.raises(SolverLimitError):
@@ -458,15 +484,18 @@ def test_infeasible_resolve_keeps_no_basis(monkeypatch):
     assert [warm for warm, _ in calls] == [False, True, False]
 
 
-@pytest.mark.parametrize("where", ["objective", "row", "rhs", "scaled"])
+@pytest.mark.parametrize("where", ["objective", "row", "rhs", "scaled",
+                                   "scaled-term"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_entry_is_internal_error(where, value):
+    # Forming fixed + scale * scaled raises no RuntimeWarning on the way,
+    # not even for an infinite scaled term at scale 0.
     m = lp.LpModel()
     x, y = m.add_vars(2, 0.0, 1.0)
     m.set_objective("max", [x], [value if where == "objective" else 1.0])
     m.add_rows([0, 0], [x, y], [value if where == "row" else 1.0, 1.0],
                lp.LE, [value if where == "rhs" else 1.0],
-               scaled=([0], [y], [1.0]))
-    m.scale = value if where == "scaled" else 1.0
+               scaled=([0], [y], [value if where == "scaled-term" else 1.0]))
+    m.scale = {"scaled": value, "scaled-term": 0.0}.get(where, 1.0)
     with pytest.raises(InternalError):
         lp.solve(m)

@@ -9,19 +9,19 @@ from couder.errors import (InfeasibleRoutingError, InternalError,
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           TrafficMatrix)
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder, _tables,
+                             _throughput_model,
                              compute_path_capacity,
                              desensitize, minimize_ahc, recompute_routing,
-                             run_pipeline, solve_maxmin_per_tm,
-                             solve_maxmin_throughput)
+                             run_pipeline, solve_maxmin_throughput)
 from couder.round import greedy_round
 from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
-                     convex_combination, feasible_at_beta, hetero_fabric,
-                     loop_capacity_model, loop_per_tm_model,
-                     loop_stage_model, make_fabric,
-                     random_criticals,
-                     random_fabric, random_fractional, random_mesh_topology)
+                     convex_combination, feasible_at_beta, held_lp,
+                     hetero_fabric, loop_capacity_model, loop_stage_model,
+                     make_fabric, random_criticals, random_fabric,
+                     random_fractional, random_mesh_topology,
+                     record_highs_models)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -516,7 +516,8 @@ def stage_models(monkeypatch, phys, crit, X):
     s3 = minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
     monkeypatch.undo()
     by_name = {m.name: m for m in models}
-    return {"1": (by_name["maxmin-throughput"], None, None),
+    stage1 = "maxmin-throughput" if X is None else "fixed-throughput"
+    return {"1": (by_name[stage1], None, None),
             "2": (by_name["desensitize"], s1.mu, by_name["desensitize"].scale),
             "3": (by_name["minimize-ahc"], s3.mu, s3.beta)}
 
@@ -533,6 +534,39 @@ class TestStageModels:
                     monkeypatch, phys, crit, X).items():
                 ref = loop_stage_model(stage, phys, crit, X, mu, beta)
                 assert_same_model(model, ref)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_highs_holds_the_reference_model(self, monkeypatch, n, fixed):
+        # Every LP of the three stages, each stage-2 Newton re-solve on one
+        # model included: HiGHS holds, bit for bit, the model built
+        # column-wise from one sparse matrix per relation and part.
+        for seed in range(2):
+            phys, crit, X = sparse_instance(seed, n, fixed)
+            pairs = record_highs_models(monkeypatch)
+            s1 = solve_maxmin_throughput(phys, crit, _fixed=X)
+            s2 = desensitize(phys, crit, s1.mu, _fixed=X)
+            minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
+            monkeypatch.undo()
+            assert len(pairs) >= 3
+            for sent, ref in pairs:
+                assert held_lp(sent) == held_lp(ref)
+
+    def test_stage2_resolves_hold_the_reference_model(self, monkeypatch):
+        # One stage-2 model re-solved at several caps gamma.
+        phys, crit, _ = sparse_instance(0, 6, False)
+        builder = _StageBuilder(phys, crit)
+        model = _throughput_model(builder, "desensitize")
+        builder.add_sensitivity_constraints(model)
+        pairs = record_highs_models(monkeypatch)
+        for gamma in (0.05, 0.2, 0.1, 1.0):
+            model.scale = gamma
+            assert lp.solve(model).optimal
+        monkeypatch.undo()
+        assert len(pairs) == 4
+        held = [held_lp(sent) for sent, _ in pairs]
+        assert held == [held_lp(ref) for _, ref in pairs]
+        assert len({h[-1] for h in held}) == 4
 
     def test_instances_have_fallback_pairs_and_empty_load_rows(self):
         fallback = empty_row = False
@@ -576,68 +610,6 @@ class TestStageModels:
             model.set_objective("min", [builder.stage_col], [1.0])
             assert_same_model(model,
                               loop_stage_model("2", phys, c, X, mu=0.5))
-
-
-class TestPerTmOracle:
-    def test_per_tm_not_worse_than_shared(self):
-        rng = np.random.default_rng(7)
-        phys = make_fabric(4, 2, 3)
-        crit = random_criticals(rng, 4, 3)
-        shared = solve_maxmin_throughput(phys, crit)
-        _, _, mu_per = solve_maxmin_per_tm(phys, crit)
-        assert mu_per >= shared.mu - 1e-9
-
-    def test_stale_weights_break_guarantee(self):
-        # Two conflicting criticals: using the weights tuned for the first
-        # to route the mixture busts the throughput bound, while the shared
-        # weight set holds it.
-        phys = make_fabric(3, 1, 2)
-        t1 = np.zeros((3, 3))
-        t1[0, 1], t1[0, 2] = 4.0, 0.5
-        t2 = np.zeros((3, 3))
-        t2[0, 2], t2[0, 1] = 4.0, 0.5
-        crit = CriticalSet((TrafficMatrix(t1), TrafficMatrix(t2)))
-        d_per, omegas, mu_per = solve_maxmin_per_tm(phys, crit)
-        shared = solve_maxmin_throughput(phys, crit)
-        mix = TrafficMatrix(0.5 * t1 + 0.5 * t2)
-        stale = evaluate_static(d_per, omegas[0], mix, 1.0)
-        assert stale.mlu > 1.0 / mu_per + 0.5
-        ours = evaluate_static(shared.d, shared.omega, mix, 1.0)
-        assert ours.mlu <= 1.0 / shared.mu + 1e-5
-
-    def test_model_has_no_empty_columns(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        phys = random_fabric(rng, 6, 2, qmin=2, qmax=6)
-        crit = random_criticals(rng, 6, 3)
-        models = record_solves(monkeypatch)
-        solve_maxmin_per_tm(phys, crit)
-        (c, A_ub, _, A_eq, _), _ = models[0]._matrices()
-        used = set(np.flatnonzero(c))
-        for A in (A_ub, A_eq):
-            if A is not None:
-                used.update(A.nonzero()[1])
-        assert used == set(range(models[0].num_variables))
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_model_matches_loop_builder(self, monkeypatch, n):
-        for seed in range(2):
-            phys, crit, _ = sparse_instance(seed, n, False)
-            models = record_solves(monkeypatch)
-            solve_maxmin_per_tm(phys, crit)
-            monkeypatch.undo()
-            assert_same_model(models[0], loop_per_tm_model(phys, crit))
-
-    @pytest.mark.parametrize("seed, expected", [
-        (0, 0.2617625180912281), (1, 0.11987698791244554),
-        (2, 0.09640875569203007)])
-    def test_mu_of_seeded_instances(self, seed, expected):
-        # Values of the model that still declared the shared weight columns.
-        rng = np.random.default_rng(700 + seed)
-        fabric = hetero_fabric if seed % 2 else random_fabric
-        phys = fabric(rng, 5 + seed, 2, qmin=2, qmax=6)
-        crit = random_criticals(rng, 5 + seed, 3)
-        assert solve_maxmin_per_tm(phys, crit)[2] == pytest.approx(
-            expected, rel=1e-9)
 
 
 class TestPathCapacity:

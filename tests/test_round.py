@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from couder import lp, optimize
-from couder import round as rounding
 from couder.errors import (InternalError, InvalidInputError,
                            UnboundedThroughputError, UndefinedGapError)
 from couder.model import (FractionalTopology, IntegerTopology,
@@ -13,8 +12,10 @@ from couder.model import (FractionalTopology, IntegerTopology,
 from couder.round import (DualState, RoundingReport, _brackets, _complete,
                           _goodness, greedy_round, ldm_round, optimality_gap)
 from couder.traffic import CriticalSet
-from helpers import (hetero_fabric, loop_ldm_round, make_fabric,
-                     random_criticals, random_fabric, random_fractional)
+from helpers import (held_lp, hetero_fabric, loop_ldm_round,
+                     loop_switch_subproblem, make_fabric, random_criticals,
+                     random_fabric, random_fractional, random_window_instance,
+                     window_subproblem)
 
 
 class TestLdmRound:
@@ -213,6 +214,31 @@ class TestPairVectorLoop:
         assert got.goodness == ref.goodness
         assert got.iterations_run == ref.iterations_run
 
+    def test_highs_holds_the_reference_subproblem(self, monkeypatch):
+        # The subproblem model built from its CSC arrays is, once HiGHS
+        # holds it, the one built over n x n matrices through scipy.sparse,
+        # and both solve under the LDM subproblem's family options.
+        sent = []
+        run = lp._run_highs
+
+        def record(model, options, *args, **kwargs):
+            sent.append((model, options))
+            return run(model, options, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "_run_highs", record)
+        rng = np.random.default_rng(17)
+        solver = lp._highs._Highs()
+        for n in (2, 3, 5, 8):
+            for _ in range(5):
+                instance = random_window_instance(rng, n)
+                window_subproblem(*instance)
+                loop_switch_subproblem(*instance, solver)
+        assert len(sent) == 40
+        for (got, got_opts), (ref, ref_opts) in zip(sent[::2], sent[1::2]):
+            assert held_lp(got) == held_lp(ref)
+            assert got_opts is ref_opts is lp._FAMILY_OPTIONS[
+                "ldm-subproblem"]
+
     def test_presolve_reduces_no_subproblem_on_uniform_striping(
             self, monkeypatch):
         # Why presolve is off: on degree-saturated targets over uniformly
@@ -232,8 +258,7 @@ class TestPairVectorLoop:
             ldm_round(phys, random_fractional(rng, phys), tau_max=10)
         monkeypatch.undo()
         assert len(models) == 3 * 10 * 4
-        presolve_on = lp._highs_options(solver="simplex",
-                                        **rounding._HIGHS_TIGHT)
+        presolve_on = lp._highs_options(solver="simplex", **lp._HIGHS_TIGHT)
         for model in models:
             solver = lp._highs._Highs()
             solver.passOptions(presolve_on)

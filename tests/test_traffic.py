@@ -7,8 +7,8 @@ from couder.model import TmSequence, TrafficMatrix
 from couder.traffic import (BurstSpec, CriticalSet, check_bounded,
                             boundability_curve, extract_critical,
                             gen_burst_tms, gen_storage_tms)
-from helpers import (assert_same_model, loop_check_bounded,
-                     random_criticals, random_tm)
+from helpers import (assert_same_model, held_lp, loop_check_bounded,
+                     random_criticals, random_tm, record_highs_models)
 
 
 def seq_of(demands, window=1.0):
@@ -169,6 +169,21 @@ class TestCheckBounded:
                 assert res.lambdas.tobytes() == lambdas.tobytes()
                 assert res.slack == slack
                 models.clear()
+
+    @pytest.mark.parametrize("mode", ["exact", "dominated"])
+    def test_highs_holds_the_reference_model(self, monkeypatch, mode):
+        pairs = record_highs_models(monkeypatch)
+        rng = np.random.default_rng(12)
+        for n, k in ((2, 1), (4, 3), (8, 5)):
+            crit = random_criticals(rng, n, k)
+            mask = rng.random((k, n, n)) < 0.6
+            crit = CriticalSet(tuple(TrafficMatrix(t * m) for t, m
+                                     in zip(crit.stacked(), mask)))
+            for t in (random_tm(rng, n), TrafficMatrix(np.zeros((n, n)))):
+                check_bounded(t, crit, mode)
+        assert len(pairs) == 6
+        for sent, ref in pairs:
+            assert held_lp(sent) == held_lp(ref)
 
     @pytest.mark.parametrize("mode", ["exakt", "Exact", ""])
     def test_unknown_mode_rejected(self, mode):
