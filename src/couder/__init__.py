@@ -9,11 +9,10 @@ circuit-switch bank, and evaluate under a fluid traffic model.
 from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
                     TrafficMatrix, enumerate_paths, validate)
-from .traffic import (BoundednessResult, BurstSpec, CriticalSet,
-                      boundability_curve, check_bounded, extract_critical,
-                      gen_burst_tms, gen_storage_tms)
-from .optimize import (FractionalSolution, compute_path_capacity, desensitize,
-                       minimize_ahc, recompute_routing, run_pipeline,
+from .traffic import (BoundednessResult, CriticalSet, check_bounded,
+                      extract_critical, gen_burst_tms, gen_storage_tms)
+from .optimize import (FractionalSolution, desensitize, minimize_ahc,
+                       recompute_routing, run_pipeline,
                        solve_maxmin_throughput)
 from .round import RoundingReport, greedy_round, ldm_round, optimality_gap
 from .evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
@@ -27,11 +26,10 @@ __all__ = [
     "FractionalTopology", "IntegerTopology", "Path", "PhysicalTopology",
     "RoutingWeights", "TmSequence", "TrafficMatrix", "enumerate_paths",
     "validate",
-    "BoundednessResult", "BurstSpec", "CriticalSet", "boundability_curve",
-    "check_bounded", "extract_critical", "gen_burst_tms", "gen_storage_tms",
-    "FractionalSolution", "compute_path_capacity", "desensitize",
-    "minimize_ahc", "recompute_routing", "run_pipeline",
-    "solve_maxmin_throughput",
+    "BoundednessResult", "CriticalSet", "check_bounded", "extract_critical",
+    "gen_burst_tms", "gen_storage_tms",
+    "FractionalSolution", "desensitize", "minimize_ahc", "recompute_routing",
+    "run_pipeline", "solve_maxmin_throughput",
     "RoundingReport", "greedy_round", "ldm_round", "optimality_gap",
     "EvalRecord", "ReconfigPolicy", "direct_only_weights", "evaluate_static",
     "fat_tree_eval", "ideal_toe_mlu", "num_stages", "optimal_routing_mlu",

@@ -114,28 +114,35 @@ def write_tm_sequence(path: str, seq: TmSequence, extra: dict = None):
 
 
 def read_tm_sequence(path: str) -> TmSequence:
+    """The sequence in a JSONL file of ``{"tm": [[...]], "t": ...}`` lines.
+
+    A malformed line raises ``InvalidInputError`` naming the path and line.
+    ``TmSequence``'s rules hold across a sequence when they hold for each
+    pair of neighbours, so each line is checked against the one before.
+    """
     mats = []
-    with open(path, encoding="utf-8") as fh:
+    # Bytes, so that a line that is not UTF-8 fails in json.loads, on its
+    # line number, as a ValueError.
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: bad JSON ({exc})")
-            if "tm" not in obj:
+                t = TrafficMatrix(np.array(obj["tm"], dtype=float),
+                                  timestamp=obj.get("t"))
+                TmSequence((*mats[-1:], t))
+            except KeyError:
                 raise InvalidInputError(f"{path}:{lineno}: missing 'tm'")
-            mats.append(TrafficMatrix(np.array(obj["tm"], dtype=float),
-                                      timestamp=obj.get("t")))
+            except (TypeError, ValueError, InvalidInputError) as exc:
+                raise InvalidInputError(f"{path}:{lineno}: malformed line"
+                                        f" ({exc})")
+            mats.append(t)
     if not mats:
         raise InvalidInputError(f"{path}: empty sequence")
     times = [t.timestamp for t in mats if t.timestamp is not None]
-    window = 1.0
-    if len(times) > 1:
-        diffs = np.diff(times)
-        if (diffs > 0).all():
-            window = float(diffs.min())
+    window = float(np.diff(times).min()) if len(times) > 1 else 1.0
     return TmSequence(tuple(mats), aggregation_window=window)
 
 

@@ -72,7 +72,6 @@ from scipy.optimize._highspy import _core as _highs
 
 from .errors import InternalError, InvalidInputError, SolverLimitError
 
-FEAS_TOL = 1e-6
 #: The residual scipy's ``linprog`` allowed an optimal vertex.
 _RESIDUAL_TOL = math.sqrt(1e-9) * 10
 

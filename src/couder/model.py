@@ -8,6 +8,8 @@ Routing uses direct (1-hop) and 2-hop inter-pod paths only.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -120,7 +122,13 @@ class TmSequence:
         if any(t.num_pods != n for t in mats):
             raise InvalidInputError("all matrices must share the same pod count")
         stamps = [t.timestamp for t in mats if t.timestamp is not None]
-        if stamps and any(b <= a for a, b in zip(stamps, stamps[1:])):
+        if stamps and len(stamps) < len(mats):
+            raise InvalidInputError("timestamps must be on every matrix or on"
+                                    " none")
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                   and math.isfinite(s) for s in stamps):
+            raise InvalidInputError("timestamps must be finite numbers")
+        if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise InvalidInputError("timestamps must be strictly increasing")
         if self.aggregation_window <= 0:
             raise InvalidInputError("aggregation window must be positive")
@@ -140,7 +148,7 @@ class TmSequence:
         return self.matrices[0].num_pods
 
     def times(self) -> np.ndarray:
-        """Timestamps, synthesized as index * window when absent."""
+        """Timestamps, synthesized as index * window when there are none."""
         if self.matrices[0].timestamp is not None:
             return np.array([t.timestamp for t in self.matrices], dtype=float)
         return np.arange(len(self.matrices), dtype=float) * self.aggregation_window

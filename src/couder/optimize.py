@@ -532,60 +532,3 @@ def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
         beta = desensitize(phys, crit, mu, _fixed=fixed).beta
     return minimize_ahc(phys, crit, mu, beta, _fixed=fixed)
 
-
-def compute_path_capacity(topo: IntegerTopology, max_hops: int,
-                          bandwidth: float = 1.0) -> float:
-    """Mean pod-pair capacity over paths of at most ``max_hops`` hops.
-
-    Per ordered pair this is a hop-layered maximum flow: layer-indexed link
-    flows share each physical link's capacity, may not revisit the source
-    or leave the destination, and must reach the destination within the hop
-    budget.  One hop reduces to the direct link count.
-    """
-    if max_hops not in (1, 2, 3, 4):
-        raise InvalidInputError("max_hops must be between 1 and 4")
-    X = topo.X.astype(float) * bandwidth
-    n = topo.num_pods
-    if max_hops == 1:
-        total = X.sum()  # diagonal is zero by construction
-        return float(total / (n * (n - 1)))
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += _pair_capacity(X, i, j, max_hops)
-    return float(total / (n * (n - 1)))
-
-
-def _pair_capacity(X: np.ndarray, src: int, dst: int, H: int) -> float:
-    n = X.shape[0]
-    # One column per arc (layer, u, v), layer-major: layer 0 leaves src,
-    # the last layer enters dst, and no arc enters src or leaves dst.
-    layer, u, v = np.nonzero(np.broadcast_to(X > 0, (H, n, n)))
-    keep = ((u != v) & (v != src) & (u != dst) & ((layer == 0) == (u == src))
-            & ((layer < H - 1) | (v == dst)))
-    layer, u, v = layer[keep], u[keep], v[keep]
-    if not len(layer):
-        return 0.0
-    model = lp.LpModel(f"capacity_{src}_{dst}")
-    arc = model.add_vars(len(layer), 0.0, X[u, v])
-    # Shared physical link capacity across layers.
-    links, row, count = np.unique(u * n + v, return_inverse=True,
-                                  return_counts=True)
-    shared = count > 1
-    on = shared[row]
-    model.add_rows((np.cumsum(shared) - 1)[row[on]], arc[on],
-                   np.ones(on.sum()), lp.LE, X.ravel()[links[shared]])
-    # Flow into an intermediate pod on one layer leaves it on the next.
-    into, out = (layer < H - 1) & (v != dst), layer > 0
-    keys, row = np.unique(np.concatenate([layer[into] * n + v[into],
-                                          (layer[out] - 1) * n + u[out]]),
-                          return_inverse=True)
-    model.add_rows(row, np.concatenate([arc[into], arc[out]]),
-                   np.repeat([1.0, -1.0], [into.sum(), out.sum()]), lp.EQ,
-                   np.zeros(len(keys)))
-    model.set_objective("max", arc[v == dst], np.ones((v == dst).sum()))
-    sol = lp.solve(model)
-    if not sol.optimal:
-        raise InternalError(f"capacity LP ended {sol.status}")
-    return sol.objective_value

@@ -8,20 +8,12 @@ one) form the demand set the optimizer provisions for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, get_args
 
 import numpy as np
 
 from . import lp
 from .errors import InvalidInputError
 from .model import TOL, TmSequence, TrafficMatrix
-
-BoundMode = Literal["exact", "dominated"]
-
-
-def _check_mode(mode: str):
-    if mode not in get_args(BoundMode):
-        raise InvalidInputError(f"unknown boundedness mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -62,33 +54,6 @@ class BoundednessResult:
     bounded: bool
     lambdas: np.ndarray
     slack: float  # max component shortfall of the best witness
-
-
-@dataclass(frozen=True)
-class BurstSpec:
-    """One burst scenario: baseline max matrix, per-entry stddev, burst pairs."""
-
-    base: TrafficMatrix
-    stddev: np.ndarray
-    burst_factor: float
-    burst_set: tuple  # 1-2 ordered (src, dst) pairs
-
-    def __post_init__(self):
-        sd = np.asarray(self.stddev, dtype=float)
-        if sd.shape != self.base.demand.shape or (sd < 0).any():
-            raise InvalidInputError("stddev must be nonnegative and match base")
-        pairs = tuple(tuple(p) for p in self.burst_set)
-        if not 1 <= len(pairs) <= 2 or any(i == j for i, j in pairs):
-            raise InvalidInputError("burst set must hold 1-2 off-diagonal pairs")
-        object.__setattr__(self, "stddev", sd)
-        object.__setattr__(self, "burst_set", pairs)
-
-    def matrix(self) -> TrafficMatrix:
-        """Baseline demand with the burst pairs inflated by factor * stddev."""
-        t = self.base.demand.copy()
-        for i, j in self.burst_set:
-            t[i, j] += self.burst_factor * self.stddev[i, j]
-        return TrafficMatrix(t)
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
@@ -150,16 +115,14 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
     return CriticalSet(tuple(criticals), tuple(int(v) for v in labels), seed)
 
 
-def check_bounded(t: TrafficMatrix, crit: CriticalSet,
-                  mode: BoundMode = "dominated",
-                  tol: float = TOL) -> BoundednessResult:
-    """Convex-membership test against the critical set.
+def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
+    """Whether T is dominated by a convex combination of the criticals.
 
-    ``exact`` requires T to equal a convex combination; ``dominated`` only
-    requires component-wise domination.  Solved as an LP minimizing the
-    worst component shortfall, so a witness and its slack come for free.
+    The one set tested is {T : T <= sum_k lambda_k T_k for some lambda >= 0
+    with sum_k lambda_k <= 1}, component-wise.  Solved as an LP minimizing
+    the worst component shortfall, so a witness and its slack come for free;
+    T is bounded when the slack is at most ``model.TOL``.
     """
-    _check_mode(mode)
     if t.num_pods != crit.num_pods:
         raise InvalidInputError("pod count mismatch")
     K = len(crit)
@@ -167,59 +130,23 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet,
     model = lp.LpModel("boundedness")
     lams = model.add_vars(K, 0.0, 1.0)
     s = model.add_vars(1, 0.0, None)[0]
-    # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has a
-    # shortfall row t - sum(lambda T) <= s and, in exact mode, an
-    # overshoot row sum(lambda T) - t <= s, in that order; both read
-    # sign * (sum(lambda T) - t) - s <= 0.
-    signs = np.array([-1.0, 1.0] if mode == "exact" else [-1.0])
+    # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has the
+    # shortfall row t - sum(lambda T) <= s, read as
+    # -sum(lambda T) - s <= -t.
     off = ~np.eye(n, dtype=bool)
     stack = crit.stacked()[:, off]  # (K, pairs)
-    rows = 1 + np.arange(stack.size // K * len(signs))
+    rows = 1 + np.arange(stack.shape[1])
     model.add_rows(
         np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
         np.concatenate([lams, np.repeat(lams, len(rows)),
                         np.full(len(rows), s)]),
-        np.concatenate([np.ones(K), (signs * stack[:, :, None]).ravel(),
+        np.concatenate([np.ones(K), -stack.ravel(),
                         np.full(len(rows), -1.0)]),
-        lp.LE,
-        np.concatenate([[1.0], (signs * t.demand[off][:, None]).ravel()]))
+        lp.LE, np.concatenate([[1.0], -t.demand[off]]))
     model.set_objective("min", [s], [1.0])
     sol = lp.solve(model)
     slack = sol.objective_value
-    return BoundednessResult(bool(slack <= tol), sol.x[lams], float(slack))
-
-
-def boundability_curve(seq: TmSequence, crit_k: int,
-                       windows: Sequence[float], *,
-                       mode: BoundMode = "dominated",
-                       seed: int = 0) -> list:
-    """Fraction of matrices bounded by criticals from the preceding window.
-
-    Matrices whose lookback window holds no history count as unbounded, so
-    curves start at zero instead of being undefined.
-    """
-    _check_mode(mode)
-    windows = list(windows)
-    if not windows:
-        raise InvalidInputError("need at least one window length")
-    if any(b < a for a, b in zip(windows, windows[1:])):
-        raise InvalidInputError("windows must be sorted ascending")
-    times = seq.times()
-    out = []
-    for w in windows:
-        bounded = 0
-        for idx, t in enumerate(seq):
-            lo = times[idx] - w
-            hist = [seq[j] for j in range(idx) if lo <= times[j] < times[idx]]
-            if not hist:
-                continue
-            crit = extract_critical(
-                TmSequence(tuple(hist), seq.aggregation_window),
-                min(crit_k, len(hist)), seed)
-            if check_bounded(t, crit, mode).bounded:
-                bounded += 1
-        out.append((w, bounded / len(seq)))
-    return out
+    return BoundednessResult(bool(slack <= TOL), sol.x[lams], float(slack))
 
 
 def gen_storage_tms(num_pods: int, count: int, seed: int = 0,
@@ -267,9 +194,8 @@ def gen_burst_tms(seq: TmSequence, burst_factor: float,
     if len(seq) < 2:
         raise InvalidInputError("need at least two matrices for a stddev")
     demands = seq.stacked()
-    base = TrafficMatrix(demands.max(axis=0))
+    base = demands.max(axis=0)
     sigma = demands.std(axis=0, ddof=1)
-    np.fill_diagonal(sigma, 0.0)
     n = seq.num_pods
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     sets = [(p,) for p in pairs]
@@ -278,6 +204,8 @@ def gen_burst_tms(seq: TmSequence, burst_factor: float,
                     for a in range(len(pairs)) for b in range(a + 1, len(pairs)))
     out = []
     for burst_set in sets:
-        spec = BurstSpec(base, sigma, burst_factor, burst_set)
-        out.append((spec.burst_set, spec.matrix()))
+        t = base.copy()
+        for i, j in burst_set:
+            t[i, j] += burst_factor * sigma[i, j]
+        out.append((burst_set, TrafficMatrix(t)))
     return out

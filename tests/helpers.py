@@ -126,24 +126,6 @@ def random_fractional(rng: np.random.Generator, phys: PhysicalTopology,
     return FractionalTopology(np.clip(d, 0.0, None))
 
 
-def random_mesh_topology(rng: np.random.Generator, n: int, uplinks: int
-                         ) -> np.ndarray:
-    """Sum of ``uplinks`` random self-loop-free matchings: X with all row
-    and column sums equal to ``uplinks``."""
-    X = np.zeros((n, n), dtype=int)
-    for _ in range(uplinks):
-        perm = rng.permutation(n)
-        # Repair fixed points by rotating them amongst themselves.
-        fixed = np.nonzero(perm == np.arange(n))[0]
-        if len(fixed) == 1:
-            other = (fixed[0] + 1) % n
-            perm[fixed[0]], perm[other] = perm[other], perm[fixed[0]]
-        elif len(fixed) > 1:
-            perm[fixed] = np.roll(perm[fixed], 1)
-        X[np.arange(n), perm] += 1
-    return X
-
-
 def brute_force_unit_flow(cost: np.ndarray, budgets: np.ndarray,
                           limits: np.ndarray):
     """Least cost . f over f in {0, 1}^m with budgets @ f <= limits.
@@ -485,53 +467,9 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     return model.model
 
 
-def loop_capacity_model(X: np.ndarray, src: int, dst: int, H: int):
-    """``optimize._pair_capacity``'s hop-layered flow model built row by
-    row, or None when no arc exists: arcs layer-major, then the shared
-    link capacity rows, then the flow-conservation rows."""
-    n = X.shape[0]
-    model = NamedModel(f"capacity_{src}_{dst}")
-
-    def fname(l, u, v):
-        return f"f{l}_{u}.{v}"
-
-    exists = set()
-    for l in range(1, H + 1):
-        for u in range(n):
-            for v in range(n):
-                if u == v or X[u, v] <= 0 or v == src or u == dst:
-                    continue
-                if (l == 1) != (u == src) or (l == H and v != dst):
-                    continue
-                model.var(fname(l, u, v), 0.0, float(X[u, v]))
-                exists.add((l, u, v))
-    if not exists:
-        return None
-    for u in range(n):
-        for v in range(n):
-            names = [fname(l, u, v) for l in range(1, H + 1)
-                     if (l, u, v) in exists]
-            if len(names) > 1:
-                model.row({nm: 1.0 for nm in names}, lp.LE, float(X[u, v]))
-    for l in range(1, H):
-        for v in range(n):
-            if v in (src, dst):
-                continue
-            expr = {fname(l, u, v): 1.0 for u in range(n)
-                    if (l, u, v) in exists}
-            expr.update((fname(l + 1, v, w), -1.0) for w in range(n)
-                        if (l + 1, v, w) in exists)
-            if expr:
-                model.row(expr, lp.EQ, 0.0)
-    model.objective("max", {fname(l, u, v): 1.0
-                            for (l, u, v) in sorted(exists) if v == dst})
-    return model.model
-
-
-def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet, mode: str):
+def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet):
     """(lambdas, slack, model) of ``traffic.check_bounded``'s LP built one
-    row at a time: the sum row, then per pair the shortfall row as >= and,
-    in exact mode, the overshoot row."""
+    row at a time: the sum row, then per pair the shortfall row as >=."""
     K, n = len(crit), t.num_pods
     model = NamedModel("boundedness")
     lams = [model.var(f"l{k}", 0.0, 1.0) for k in range(K)]
@@ -544,8 +482,6 @@ def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet, mode: str):
                 continue
             expr = {lams[k]: stack[k, i, j] for k in range(K)}
             model.row(dict(expr, **{s: 1.0}), lp.GE, t.demand[i, j])
-            if mode == "exact":
-                model.row(dict(expr, **{s: -1.0}), lp.LE, t.demand[i, j])
     model.objective("min", {s: 1.0})
     sol = lp.solve(model.model)
     return (np.array([model.value(sol, name) for name in lams]),

@@ -562,3 +562,56 @@ class TestMalformedFiles:
         path.write_text(json.dumps(obj))
         assert cli.main(argv) == 1
         assert "version" in capsys.readouterr().err
+
+
+class TestMalformedSequence:
+    """A malformed sequence file exits 1 with one ``couder: path:line:``
+    line on stderr, never a traceback or an empty result."""
+
+    TM = "[[0, 1], [2, 0]]"
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["5"], 1),
+        (['{"tm": [[0, 1], [2]]}'], 1),
+        (['{"tm": "x"}'], 1),
+        ([f'{{"t": "abc", "tm": {TM}}}', f'{{"t": "abd", "tm": {TM}}}'], 1),
+        ([f'{{"t": [1], "tm": {TM}}}', f'{{"t": [2], "tm": {TM}}}'], 1),
+        ([f'{{"t": 0, "tm": {TM}}}', f'{{"tm": {TM}}}'], 2),
+        ([f'{{"tm": {TM}}}', f'{{"t": 1, "tm": {TM}}}'], 2),
+        ([f'{{"t": 0, "tm": {TM}}}', f'{{"t": NaN, "tm": {TM}}}'], 2),
+        ([f'{{"t": 0, "tm": {TM}}}', "", f'{{"t": 0, "tm": {TM}}}'], 3),
+        ([f'{{"tm": {TM}}}', '{"tm": "\udcff"}'], 2),
+    ], ids=["not-object", "ragged-tm", "non-numeric-tm", "string-t",
+            "list-t", "t-then-none", "none-then-t", "nan-t",
+            "t-not-increasing", "not-utf8"])
+    def test_extract_exits_1_naming_the_line(self, tmp_path, capsys, lines,
+                                             lineno):
+        seqfile = tmp_path / "seq.jsonl"
+        # A lone surrogate escape writes the byte 0xff, which is not UTF-8.
+        seqfile.write_bytes(("\n".join(lines) + "\n").encode(
+            "utf-8", "surrogateescape"))
+        out = tmp_path / "crit.json"
+        rc = cli.main(["--k", "1", "extract", str(seqfile), "--out",
+                       str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"couder: {seqfile}:{lineno}: ")
+
+    def test_simulate_with_some_timestamps_exits_1(self, tmp_path, capsys):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_seq(seqfile, constant_seq(count=12))
+        # Drop the timestamp from every line after the second.
+        lines = [json.loads(l) for l in seqfile.read_text().splitlines()]
+        for line in lines[2:]:
+            del line["t"]
+        seqfile.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        out = tmp_path / "sim.jsonl"
+        rc = cli.main(["--k", "1", "--lookback", "4", "simulate",
+                       str(physfile), str(seqfile), "--frequency", "4",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"couder: {seqfile}:3: ")

@@ -195,10 +195,9 @@ class TestPresolveOffFamilies:
                 TrafficMatrix(c * (rng.random((n, n)) < 0.7))
                 for c in random_criticals(rng, n, int(rng.integers(1, 6)))
                 .stacked()))
-            mode = "exact" if case % 2 else "dominated"
             (mlu, res), (mlu_on, res_on) = self.both_ways(
                 monkeypatch, lambda: (optimal_routing_mlu(X, t, b),
-                                      check_bounded(t, crit, mode)))
+                                      check_bounded(t, crit)))
             self.assert_agree(mlu, mlu_on)
             self.assert_agree(res.slack, res_on.slack)
             self.assert_witness(t, crit, res)

@@ -161,6 +161,15 @@ class TestTmSequence:
         with pytest.raises(InvalidInputError):
             TmSequence((a, b))
 
+    @pytest.mark.parametrize("stamps", [
+        (0.0, None), (None, 1.0), (0.0, None, 2.0), (np.nan,), (np.inf,),
+        ("1",), ([1.0],), (True,)])
+    def test_timestamps_on_every_matrix_or_none_each_finite(self, stamps):
+        mats = tuple(TrafficMatrix(np.zeros((2, 2)), timestamp=s)
+                     for s in stamps)
+        with pytest.raises(InvalidInputError):
+            TmSequence(mats)
+
     def test_mixed_sizes_rejected(self):
         a = TrafficMatrix(np.zeros((2, 2)))
         b = TrafficMatrix(np.zeros((3, 3)))

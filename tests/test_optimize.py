@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from couder import lp
 from couder.errors import (InfeasibleRoutingError, InternalError,
@@ -9,18 +7,15 @@ from couder.errors import (InfeasibleRoutingError, InternalError,
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           TrafficMatrix)
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder, _tables,
-                             _throughput_model,
-                             compute_path_capacity,
-                             desensitize, minimize_ahc, recompute_routing,
+                             _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
 from couder.round import greedy_round
 from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, held_lp,
-                     hetero_fabric, loop_capacity_model, loop_stage_model,
-                     make_fabric, random_criticals, random_fabric,
-                     random_fractional, random_mesh_topology,
+                     hetero_fabric, loop_stage_model, make_fabric,
+                     random_criticals, random_fabric, random_fractional,
                      record_highs_models)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
@@ -610,72 +605,3 @@ class TestStageModels:
             model.set_objective("min", [builder.stage_col], [1.0])
             assert_same_model(model,
                               loop_stage_model("2", phys, c, X, mu=0.5))
-
-
-class TestPathCapacity:
-    def test_one_hop_exact(self):
-        rng = np.random.default_rng(8)
-        X = random_mesh_topology(rng, 5, 6)
-        topo = IntegerTopology(X[None])
-        n = 5
-        expected = X.sum() / (n * (n - 1))
-        assert compute_path_capacity(topo, 1) == pytest.approx(expected)
-
-    def test_two_hop_matches_disjoint_decomposition(self):
-        rng = np.random.default_rng(9)
-        X = random_mesh_topology(rng, 5, 6)
-        topo = IntegerTopology(X[None])
-        n = 5
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                total += X[i, j] + sum(min(X[i, k], X[k, j])
-                                       for k in range(n) if k not in (i, j))
-        assert compute_path_capacity(topo, 2) == pytest.approx(
-            total / (n * (n - 1)), rel=1e-9)
-
-    def test_monotone_in_hop_budget(self):
-        rng = np.random.default_rng(10)
-        X = random_mesh_topology(rng, 6, 8)
-        topo = IntegerTopology(X[None])
-        caps = [compute_path_capacity(topo, h) for h in (1, 2, 3, 4)]
-        assert caps == sorted(caps)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_four_hops_is_max_flow(self, n):
-        # Among n <= 5 pods every simple path has at most 4 hops, so the
-        # pair capacity is the pair's maximum flow.
-        for seed in range(20):
-            rng = np.random.default_rng([n, seed])
-            X = rng.integers(0, 3, size=(n, n))
-            np.fill_diagonal(X, 0)
-            graph = csr_array(X.astype(np.int32))
-            flows = [maximum_flow(graph, i, j).flow_value
-                     for i in range(n) for j in range(n) if i != j]
-            assert compute_path_capacity(IntegerTopology(X[None]), 4) == \
-                pytest.approx(np.mean(flows), rel=1e-9, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_models_match_loop_builder(self, monkeypatch, n):
-        rng = np.random.default_rng(40 + n)
-        for _ in range(3):
-            X = rng.integers(0, 3, size=(n, n)) * (rng.random((n, n)) < 0.7)
-            np.fill_diagonal(X, 0)
-            for H in (2, 3, 4):
-                models = record_solves(monkeypatch)
-                compute_path_capacity(IntegerTopology(X[None]), H)
-                monkeypatch.undo()
-                refs = [loop_capacity_model(X.astype(float), i, j, H)
-                        for i in range(n) for j in range(n) if i != j]
-                refs = [ref for ref in refs if ref is not None]
-                assert len(models) == len(refs)
-                for model, ref in zip(models, refs):
-                    assert model.name == ref.name
-                    assert_same_model(model, ref)
-
-    def test_bad_hop_budget_rejected(self):
-        topo = IntegerTopology(np.zeros((1, 3, 3), dtype=int))
-        with pytest.raises(InvalidInputError):
-            compute_path_capacity(topo, 5)

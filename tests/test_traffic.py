@@ -1,11 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from couder import lp
 from couder.errors import InvalidInputError
 from couder.model import TmSequence, TrafficMatrix
-from couder.traffic import (BurstSpec, CriticalSet, check_bounded,
-                            boundability_curve, extract_critical,
+from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_burst_tms, gen_storage_tms)
 from helpers import (assert_same_model, held_lp, loop_check_bounded,
                      random_criticals, random_tm, record_highs_models)
@@ -95,14 +96,14 @@ class TestCheckBounded:
                                      2, seed=0)
 
     def test_vertex_is_bounded(self):
-        res = check_bounded(self.crit.matrices[0], self.crit, "exact")
+        res = check_bounded(self.crit.matrices[0], self.crit)
         assert res.bounded
         assert res.slack <= 1e-6
 
     def test_explicit_convex_witness(self):
         demand = 0.5 * self.crit.matrices[0].demand \
             + 0.3 * self.crit.matrices[1].demand
-        res = check_bounded(TrafficMatrix(demand), self.crit, "exact")
+        res = check_bounded(TrafficMatrix(demand), self.crit)
         assert res.bounded
         assert res.lambdas.sum() <= 1.0 + 1e-6
 
@@ -110,19 +111,9 @@ class TestCheckBounded:
         t = TrafficMatrix(np.array([[0.0, 4.0], [1.0, 0.0]]))
         crit = extract_critical(seq_of([t.demand]), 1, seed=0)
         doubled = TrafficMatrix(2 * t.demand)
-        res = check_bounded(doubled, crit, "dominated")
+        res = check_bounded(doubled, crit)
         assert not res.bounded
         assert res.slack > 1e-6
-
-    def test_exact_implies_dominated(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            lam = rng.dirichlet([1, 1]) * rng.uniform(0, 1)
-            demand = lam[0] * self.crit.matrices[0].demand \
-                + lam[1] * self.crit.matrices[1].demand
-            t = TrafficMatrix(demand)
-            if check_bounded(t, self.crit, "exact").bounded:
-                assert check_bounded(t, self.crit, "dominated").bounded
 
     def test_dominated_is_monotone(self):
         rng = np.random.default_rng(4)
@@ -131,20 +122,18 @@ class TestCheckBounded:
             demand = lam[0] * self.crit.matrices[0].demand \
                 + lam[1] * self.crit.matrices[1].demand
             t = TrafficMatrix(demand)
-            assert check_bounded(t, self.crit, "dominated").bounded
+            assert check_bounded(t, self.crit).bounded
             smaller = TrafficMatrix(demand * rng.uniform(0, 1, demand.shape)
                                     * (demand > 0))
-            assert check_bounded(smaller, self.crit, "dominated").bounded
+            assert check_bounded(smaller, self.crit).bounded
 
     def test_dominated_accepts_below_exact_rejects(self):
         half = TrafficMatrix(0.5 * self.crit.matrices[0].demand
                              + 0.1 * self.crit.matrices[1].demand)
         shrunk = TrafficMatrix(half.demand * 0.9)
-        assert check_bounded(shrunk, self.crit, "dominated").bounded
+        assert check_bounded(shrunk, self.crit).bounded
 
-
-    @pytest.mark.parametrize("mode", ["exact", "dominated"])
-    def test_witness_matches_loop_builder(self, monkeypatch, mode):
+    def test_witness_matches_loop_builder(self, monkeypatch):
         # One add_rows block must hand HiGHS the rows the per-row builder
         # did, so the witness is the same to the bit.
         models = []
@@ -163,15 +152,14 @@ class TestCheckBounded:
                                      in zip(crit.stacked(), mask)))
             for t in (random_tm(rng, n), TrafficMatrix(
                     0.4 * crit.matrices[0].demand)):
-                res = check_bounded(t, crit, mode)
-                lambdas, slack, ref = loop_check_bounded(t, crit, mode)
+                res = check_bounded(t, crit)
+                lambdas, slack, ref = loop_check_bounded(t, crit)
                 assert_same_model(models[0], ref)
                 assert res.lambdas.tobytes() == lambdas.tobytes()
                 assert res.slack == slack
                 models.clear()
 
-    @pytest.mark.parametrize("mode", ["exact", "dominated"])
-    def test_highs_holds_the_reference_model(self, monkeypatch, mode):
+    def test_highs_holds_the_reference_model(self, monkeypatch):
         pairs = record_highs_models(monkeypatch)
         rng = np.random.default_rng(12)
         for n, k in ((2, 1), (4, 3), (8, 5)):
@@ -180,47 +168,10 @@ class TestCheckBounded:
             crit = CriticalSet(tuple(TrafficMatrix(t * m) for t, m
                                      in zip(crit.stacked(), mask)))
             for t in (random_tm(rng, n), TrafficMatrix(np.zeros((n, n)))):
-                check_bounded(t, crit, mode)
+                check_bounded(t, crit)
         assert len(pairs) == 6
         for sent, ref in pairs:
             assert held_lp(sent) == held_lp(ref)
-
-    @pytest.mark.parametrize("mode", ["exakt", "Exact", ""])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(InvalidInputError):
-            check_bounded(self.crit.matrices[0], self.crit, mode)
-
-
-class TestBoundabilityCurve:
-    def test_constant_sequence_fraction_after_warmup(self):
-        t = np.zeros((3, 3))
-        t[1, 2] = 7.0
-        seq = seq_of([t] * 8)
-        curve = boundability_curve(seq, 2, [2.0, 4.0, 9.0])
-        # Only the first matrix lacks history; larger windows never hurt.
-        fractions = [f for _, f in curve]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(7 / 8)
-
-    def test_empty_history_counts_zero(self):
-        t = np.zeros((2, 2))
-        seq = seq_of([t] * 3, window=10.0)
-        curve = boundability_curve(seq, 1, [1.0])
-        assert curve[0][1] == 0.0
-
-    @pytest.mark.parametrize("window", [10.0, 0.5])
-    def test_unknown_mode_rejected(self, window):
-        # Also when no matrix has history, so no membership test runs.
-        seq = seq_of([np.ones((2, 2)) - np.eye(2)] * 3)
-        with pytest.raises(InvalidInputError):
-            boundability_curve(seq, 1, [window], mode="exakt")
-
-    def test_requires_sorted_windows(self):
-        seq = seq_of([np.zeros((2, 2))] * 2)
-        with pytest.raises(InvalidInputError):
-            boundability_curve(seq, 1, [5.0, 1.0])
-        with pytest.raises(InvalidInputError):
-            boundability_curve(seq, 1, [])
 
 
 class TestGenStorage:
@@ -289,6 +240,30 @@ class TestGenBurst:
             gen_burst_tms(seq, -1.0)
 
     def test_burst_spec_validates(self):
-        base = TrafficMatrix(np.zeros((3, 3)))
+        seq = seq_of([np.zeros((3, 3))] * 2)
+        for pairs in (0, 3):
+            with pytest.raises(InvalidInputError):
+                gen_burst_tms(seq, 1.0, pairs)
         with pytest.raises(InvalidInputError):
-            BurstSpec(base, np.zeros((3, 3)), 1.0, (((0, 0),)))
+            gen_burst_tms(seq_of([np.zeros((3, 3))]), 1.0)
+
+    @pytest.mark.parametrize("max_pairs", [1, 2])
+    def test_exact_values_in_order(self, max_pairs):
+        # Single pairs row-major, then pairs of them (a < b); each matrix is
+        # the max plus factor * sigma (ddof = 1) on its burst pairs only.
+        rng = np.random.default_rng(10)
+        seq = seq_of([random_tm(rng, 4).demand for _ in range(5)])
+        base = seq.stacked().max(axis=0)
+        sigma = seq.stacked().std(axis=0, ddof=1)
+        singles = [(i, j) for i in range(4) for j in range(4) if i != j]
+        sets = [(p,) for p in singles]
+        if max_pairs == 2:
+            sets += list(itertools.combinations(singles, 2))
+        bursts = gen_burst_tms(seq, 1.75, max_pairs)
+        assert [burst_set for burst_set, _ in bursts] == sets
+        for burst_set, t in bursts:
+            want = base.copy()
+            for i, j in burst_set:
+                want[i, j] = base[i, j] + 1.75 * sigma[i, j]
+            assert t.demand.tobytes() == want.tobytes()
+            assert (sigma[tuple(zip(*burst_set))] > 0).all()
