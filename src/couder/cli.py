@@ -51,8 +51,7 @@ class RunConfig:
     def load(cls, path, overrides: dict) -> "RunConfig":
         cfg = cls()
         if path:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _load_json(path)
             if not isinstance(data, dict):
                 raise InvalidInputError(
                     f"{path}: config must be a JSON object")
@@ -83,14 +82,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _load_json(path: str):
+    """The JSON value in the file ``path``; a file that is not UTF-8
+    raises ``InvalidInputError`` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 ({exc})")
+
+
 def _read_object(path: str, parse):
     """``parse`` applied to the version-``VERSION`` JSON object in ``path``.
 
     A wrong or missing version and a missing or malformed field all raise
     ``InvalidInputError``, never a bare ``KeyError``.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     version = obj.get("version") if isinstance(obj, dict) else None
     if version != VERSION:
         raise InvalidInputError(f"{path}: version {version!r}, expected"
@@ -507,7 +515,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, overrides)
         return args.func(args, cfg)
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         print(f"couder: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InfeasibleRoutingError, UnboundedThroughputError) as exc:

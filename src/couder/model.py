@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -255,28 +257,40 @@ class Path:
 
 @dataclass(frozen=True)
 class RoutingWeights:
-    """Per-path split fractions plus the throughput / sensitivity levels."""
+    """Per-path split fractions plus the throughput / sensitivity levels.
 
-    weights: dict  # Path -> weight in [0, 1]
+    ``weights`` is a read-only copy of the mapping given, so the arrays
+    ``arrays`` builds once per pod count stay true to it.
+    """
+
+    weights: Mapping  # Path -> weight in [0, 1]
     mu: float = 0.0
     beta: Optional[float] = None
+    _dense: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
+        object.__setattr__(self, "weights",
+                           MappingProxyType(dict(self.weights)))
 
     def weight(self, path: Path) -> float:
         return self.weights.get(path, 0.0)
 
     def arrays(self, num_pods: int):
-        """Dense views: (N,N) direct weights and (N,N,N) [src,dst,via] weights."""
-        direct = np.zeros((num_pods, num_pods))
-        via = np.zeros((num_pods, num_pods, num_pods))
-        for p, w in self.weights.items():
-            if p.via is None:
-                direct[p.src, p.dst] = w
-            else:
-                via[p.src, p.dst, p.via] = w
-        return direct, via
+        """Dense views: (N,N) direct weights and (N,N,N) [src,dst,via]
+        weights, read-only, built at the first call for ``num_pods``."""
+        dense = self._dense.get(num_pods)
+        if dense is None:
+            direct = np.zeros((num_pods, num_pods))
+            via = np.zeros((num_pods, num_pods, num_pods))
+            for p, w in self.weights.items():
+                if p.via is None:
+                    direct[p.src, p.dst] = w
+                else:
+                    via[p.src, p.dst, p.via] = w
+            direct.flags.writeable = via.flags.writeable = False
+            dense = self._dense[num_pods] = (direct, via)
+        return dense
 
 
 def enumerate_paths(num_pods: int) -> dict:

@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp, optimize
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
@@ -166,25 +165,24 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
-def solve_circulation(cost: np.ndarray, budgets, limits: np.ndarray,
+def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
                       solver=None) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
-    ``budgets`` holds one egress and one ingress row per pod, so it is the
-    incidence matrix of a bipartite graph and totally unimodular; with
-    integral ``limits`` every vertex of the feasible set is integral, and
-    HiGHS dual simplex ends on a vertex.  Equivalently, this is the
-    min-cost circulation through a source, the egress ports, the ingress
-    ports and a sink.  ``budgets`` is a dense or sparse matrix, or its CSC
-    arrays ``(data, indices, indptr)``, which go into the column-wise
-    HiGHS model as they are.  HiGHS is called through ``lp._run_highs``
-    with the simplex solver, presolve off and feasibility tolerances of
-    1e-10, and only the vertex is read back; ``solver`` is the HiGHS
-    object to reuse, a fresh one when None.  The solve is cold either way.
+    ``budgets`` is the budget matrix as its CSC arrays ``(data, indices,
+    indptr)``: column k, one per unit, holds ``data[s]`` in row
+    ``indices[s]`` for s in ``range(indptr[k], indptr[k + 1])``.  The
+    arrays go into the column-wise HiGHS model as they are.  The matrix
+    holds one egress and one ingress row per pod, so it is the incidence
+    matrix of a bipartite graph and totally unimodular; with integral
+    ``limits`` every vertex of the feasible set is integral, and HiGHS
+    dual simplex ends on a vertex.  Equivalently, this is the min-cost
+    circulation through a source, the egress ports, the ingress ports and
+    a sink.  HiGHS is called through ``lp._run_highs`` with the simplex
+    solver, presolve off and feasibility tolerances of 1e-10, and only the
+    vertex is read back; ``solver`` is the HiGHS object to reuse, a fresh
+    one when None.  The solve is cold either way.
     """
-    if not isinstance(budgets, tuple):
-        budgets = sp.csc_array(budgets)
-        budgets = budgets.data, budgets.indices, budgets.indptr
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
     limits = np.asarray(limits, dtype=float)

@@ -178,6 +178,15 @@ def brute_force_window_max(h, p_net, x_hat, ingress, egress) -> float:
     return float((-(cells - h_off) ** 2 + p_off * cells).sum(axis=1).max())
 
 
+def csc_arrays(dense) -> tuple:
+    """The CSC arrays ``(data, indices, indptr)`` of a dense matrix, the
+    form ``round.solve_circulation`` takes its budget matrix in."""
+    dense = np.asarray(dense, dtype=float)
+    cols, rows = np.nonzero(dense.T)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(dense, axis=0))])
+    return dense[rows, cols], rows, indptr
+
+
 def window_subproblem(h, p_net, x_hat, ingress, egress, solver=None):
     """``round._solve_switch_subproblem`` on n x n matrices of h, p_net and
     x̂: the result holds its link count per pod pair off the diagonal."""

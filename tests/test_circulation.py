@@ -16,7 +16,7 @@ from couder.errors import InternalError
 from couder.lp import _HIGHS_TIGHT
 from couder.round import solve_circulation
 from helpers import (brute_force_unit_flow, brute_force_window_max,
-                     random_window_instance, window_subproblem,
+                     csc_arrays, random_window_instance, window_subproblem,
                      window_utility)
 
 
@@ -40,7 +40,8 @@ class TestSolveCirculation:
     def test_unsatisfiable_lower_bound_infeasible(self):
         # A fixed lower part above the ports leaves a negative limit.
         with pytest.raises(InternalError):
-            solve_circulation(np.ones(1), np.ones((1, 1)), np.array([-1.0]))
+            solve_circulation(np.ones(1), csc_arrays(np.ones((1, 1))),
+                              np.array([-1.0]))
         x_hat = np.array([[0, 2], [0, 0]])
         with pytest.raises(InternalError):
             window_subproblem(np.zeros((2, 2)), np.zeros((2, 2)),
@@ -50,7 +51,8 @@ class TestSolveCirculation:
     def test_zero_network_trivially_feasible(self):
         rng = np.random.default_rng(0)
         _, budgets, limits = random_network(rng)
-        flows = solve_circulation(np.ones(budgets.shape[1]), budgets, limits)
+        flows = solve_circulation(np.ones(budgets.shape[1]),
+                                  csc_arrays(budgets), limits)
         assert flows.dtype.kind == "i"
         assert flows.tolist() == [0] * budgets.shape[1]
 
@@ -59,7 +61,7 @@ class TestSolveCirculation:
         # with room on every port: every unit is used.
         budgets = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                             [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        flows = solve_circulation(-np.ones(3), budgets,
+        flows = solve_circulation(-np.ones(3), csc_arrays(budgets),
                                   np.array([2.0, 1.0, 1.0, 2.0]))
         assert flows.tolist() == [1, 1, 1]
 
@@ -67,7 +69,7 @@ class TestSolveCirculation:
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         cost, budgets, limits = random_network(rng)
-        flows = solve_circulation(cost, budgets, limits)
+        flows = solve_circulation(cost, csc_arrays(budgets), limits)
         oracle = brute_force_unit_flow(cost, budgets, limits)
         assert oracle is not None
         assert float(cost @ flows) == pytest.approx(oracle, abs=1e-9)
@@ -77,7 +79,7 @@ class TestSolveCirculation:
         rng = np.random.default_rng(seed)
         cost, budgets, limits = random_network(rng, pods=5, num_units=10,
                                                max_limit=3)
-        flows = solve_circulation(cost, budgets, limits)
+        flows = solve_circulation(cost, csc_arrays(budgets), limits)
         assert flows.dtype.kind == "i"
         assert ((flows == 0) | (flows == 1)).all()
         used = budgets @ flows
@@ -102,9 +104,13 @@ class TestSolveCirculation:
                           method="highs-ds",
                           options={**_HIGHS_TIGHT, "presolve": False})
             assert ref.status == 0
-            for flows in (solve_circulation(cost, budgets, limits),
-                          solve_circulation(cost, sp.csc_array(budgets),
-                                            limits, solver)):
+            arrays = csc_arrays(budgets)
+            ref_csc = sp.csc_array(budgets)
+            for got, want in zip(arrays, (ref_csc.data, ref_csc.indices,
+                                          ref_csc.indptr)):
+                assert got.tolist() == want.tolist()
+            for flows in (solve_circulation(cost, arrays, limits),
+                          solve_circulation(cost, arrays, limits, solver)):
                 assert flows.tolist() == np.rint(ref.x).astype(int).tolist()
 
     def test_constant_cost_shift_with_pinned_total(self):
@@ -118,8 +124,9 @@ class TestSolveCirculation:
         budgets[4], budgets[5] = 1.0, -1.0
         limits = np.array([2.0, 2.0, 2.0, 2.0, 3.0, -3.0])
 
-        base = solve_circulation(cell_cost[cell], budgets, limits)
-        shifted = solve_circulation(cell_cost[cell] + 10.0, budgets, limits)
+        arrays = csc_arrays(budgets)
+        base = solve_circulation(cell_cost[cell], arrays, limits)
+        shifted = solve_circulation(cell_cost[cell] + 10.0, arrays, limits)
         assert np.bincount(cell, base).tolist() == [1, 0, 0, 2]
         assert np.bincount(cell, shifted).tolist() == [1, 0, 0, 2]
         assert float((cell_cost[cell] + 10.0) @ shifted) == pytest.approx(

@@ -297,6 +297,30 @@ class TestExitCodes:
         rc = cli.main(["extract", str(missing), "--out", str(out)])
         assert rc == 1
 
+    @pytest.mark.parametrize("where", ["input", "config"])
+    def test_directory_as_input_file_exits_1(self, tmp_path, capsys, where):
+        seqfile, folder = tmp_path / "seq.jsonl", tmp_path / "folder"
+        write_seq(seqfile, constant_seq())
+        folder.mkdir()
+        argv = {"input": ["--k", "1", "extract", str(folder)],
+                "config": ["--config", str(folder), "--k", "1", "extract",
+                           str(seqfile)]}[where]
+        assert cli.main(argv + ["--out", str(tmp_path / "crit.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("couder: ") and err.count("\n") == 1
+        assert str(folder) in err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg, seqfile = tmp_path / "cfg.json", tmp_path / "seq.jsonl"
+        cfg.write_bytes(b'{"k": 2}\xff')
+        write_seq(seqfile, constant_seq())
+        rc = cli.main(["--config", str(cfg), "extract", str(seqfile),
+                       "--out", str(tmp_path / "c.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {cfg}: not UTF-8")
+        assert err.count("\n") == 1
+
     def test_bad_file_contents_exit_1(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -551,6 +575,16 @@ class TestMalformedFiles:
         path.write_text(json.dumps(self.MISSING[bad]))
         assert cli.main(argv) == 1
         assert "missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["phys", "crit", "sol", "topo"])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, bad):
+        path, argv = self.command(tmp_path, bad)
+        path.write_bytes(path.read_bytes().replace(b'"version"',
+                                                   b'"\xffversion"'))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: not UTF-8")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["phys", "crit", "sol", "topo"])
     def test_foreign_version_exits_1(self, tmp_path, capsys, bad):

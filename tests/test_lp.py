@@ -1,7 +1,13 @@
+import importlib.metadata
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
@@ -499,3 +505,82 @@ def test_non_finite_entry_is_internal_error(where, value):
     m.scale = {"scaled": value, "scaled-term": 0.0}.get(where, 1.0)
     with pytest.raises(InternalError):
         lp.solve(m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csr_product_is_the_bits_scipy_gives(seed):
+    # The stage-2 slope y @ (scaled @ x) must not move by a bit.
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(0, 40)), int(rng.integers(1, 40))
+    dense = (rng.normal(size=(rows, cols))
+             * 10.0 ** rng.integers(-8, 9, size=(rows, cols))
+             * (rng.random((rows, cols)) < 0.5))
+    ref = sp.csr_array(dense)
+    a = lp._Csr(ref.data, ref.indices, ref.indptr, ref.shape)
+    x = rng.normal(size=cols) * 10.0 ** rng.integers(-8, 9, size=cols)
+    assert a.nnz == ref.nnz
+    assert (a @ x).tobytes() == (ref @ x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# couder.lp loads the HiGHS binding without running scipy's package inits.
+
+SRC = str(Path(lp.__file__).resolve().parents[1])
+
+
+def run_python(code: str, *path: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter with ``path``, then couder's
+    source directory, first on its module search path."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   *path, SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_only_the_highs_binding_of_scipy():
+    out = run_python(
+        "import sys, couder, couder.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " and not (m + '.').startswith(couder.lp._HIGHS_MODULE + '.')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["couder.lp", "scipy.optimize"])
+def test_one_highs_module_in_either_import_order(first):
+    # A pybind11 module loads once: scipy.optimize, imported before or
+    # after couder, must find couder's binding and solve with it.
+    second = {"couder.lp": "scipy.optimize",
+              "scipy.optimize": "couder.lp"}[first]
+    out = run_python(f"""
+import {first}
+import {second}
+import sys
+from couder import lp
+import scipy.optimize
+assert lp._highs is sys.modules["scipy.optimize._highspy._core"]
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                             method="highs")
+assert res.status == 0 and res.fun == 1.0, res
+m = lp.LpModel()
+x = m.add_vars(2, 0.0, 1.0)
+m.add_rows([0, 0], x, [1.0, 1.0], lp.GE, [1.0])
+m.set_objective("min", x, [1.0, 2.0])
+assert lp.solve(m).objective_value == 1.0
+""")
+    assert out.returncode == 0, out.stderr
+
+
+def test_missing_binding_is_one_import_error_naming_the_version(tmp_path):
+    # A scipy without the binding; its package inits must not run.
+    for package in ("scipy", "scipy/optimize"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "__init__.py").write_text(
+            f"raise RuntimeError('{package} ran')\n")
+    out = run_python("import couder.lp", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.strip().splitlines()[-1] == (
+        "ImportError: HiGHS binding scipy.optimize._highspy._core not found"
+        f" (scipy {importlib.metadata.version('scipy')}); couder needs"
+        " scipy>=1.15")

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from couder.errors import InvalidInputError
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          TmSequence, TrafficMatrix, enumerate_paths,
-                          validate)
+                          RoutingWeights, TmSequence, TrafficMatrix,
+                          enumerate_paths, validate)
 from helpers import make_fabric
 
 
@@ -194,3 +194,33 @@ class TestPath:
         assert Path(0, 2, 1).links() == ((0, 1), (1, 2))
         assert Path(0, 2).hops == 1
         assert Path(0, 2, 1).hops == 2
+
+
+class TestRoutingWeights:
+    def test_arrays_built_once_as_the_loop_and_read_only(self):
+        n = 5
+        rng = np.random.default_rng(0)
+        weights = {p: float(rng.random())
+                   for paths in enumerate_paths(n).values() for p in paths}
+        omega = RoutingWeights(weights)
+        direct, via = omega.arrays(n)
+        again = omega.arrays(n)
+        assert again[0] is direct and again[1] is via
+        want_direct, want_via = np.zeros((n, n)), np.zeros((n, n, n))
+        for p, w in weights.items():
+            if p.via is None:
+                want_direct[p.src, p.dst] = w
+            else:
+                want_via[p.src, p.dst, p.via] = w
+        assert direct.tobytes() == want_direct.tobytes()
+        assert via.tobytes() == want_via.tobytes()
+        with pytest.raises(ValueError):
+            direct[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            via[0, 1, 2] = 0.5
+        with pytest.raises(TypeError):
+            omega.weights[Path(0, 1)] = 0.5
+        # The caller's dict is copied, so changing it changes no weight.
+        weights[Path(0, 1)] = 0.5
+        assert omega.weight(Path(0, 1)) == want_direct[0, 1] != 0.5
+        assert omega == RoutingWeights(dict(omega.weights))
