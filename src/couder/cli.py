@@ -71,6 +71,9 @@ class RunConfig:
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, value)
+        if cfg.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidInputError(f"seed must be non-negative, not"
+                                    f" {cfg.seed}")
         return cfg
 
 
@@ -152,16 +155,6 @@ def read_tm_sequence(path: str) -> TmSequence:
     times = [t.timestamp for t in mats if t.timestamp is not None]
     window = float(np.diff(times).min()) if len(times) > 1 else 1.0
     return TmSequence(tuple(mats), aggregation_window=window)
-
-
-def write_physical_topology(path: str, phys: PhysicalTopology):
-    obj = {"version": VERSION, "num_pods": phys.num_pods,
-           "num_ocs": phys.num_ocs,
-           "bandwidth_gbps": phys.link_bandwidth,
-           "h_eg": phys.egress_ports.tolist(),
-           "h_ig": phys.ingress_ports.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj) + "\n")
 
 
 def read_physical_topology(path: str) -> PhysicalTopology:

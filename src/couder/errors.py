@@ -16,14 +16,6 @@ class UnboundedThroughputError(RuntimeError):
 class InfeasibleRoutingError(RuntimeError):
     """Demand cannot be routed over the given topology (throughput 0)."""
 
-    def __init__(self, message: str, mu: float = 0.0):
-        super().__init__(message)
-        self.mu = mu
-
-
-class UndefinedGapError(RuntimeError):
-    """Optimality gap undefined because the fractional throughput is 0."""
-
 
 class InternalError(RuntimeError):
     """An internal invariant that should hold by construction was violated."""

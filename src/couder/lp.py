@@ -11,7 +11,10 @@ loaded as the last paragraph says), called directly rather than through
 ``scipy.optimize.linprog``, whose Python wrapper cost several times the
 solve on the small LPs here.  One helper, ``_run_highs``, makes every
 call: it passes a model, the options of the LP's family and, optionally,
-a starting basis.
+a starting basis, to the one HiGHS object of the process, ``_solver``.
+``passModel`` resets that object, so each solve ends as one on a fresh
+object would.  Solves are therefore not reentrant: ``couder`` starts no
+threads, and a caller that did would have to serialize its solves.
 
 Rows go to HiGHS row-wise, built once per model.  At its first solve a
 model assembles each relation group, the inequalities as <= and then
@@ -45,20 +48,19 @@ a shared 2-vCPU Xeon; perfbench seed 2):
 - "ldm-subproblem": see the rounding module.
 
 What these families return is mostly a value no optimal vertex
-changes: mu, an MLU, a slack, an integral subproblem vertex.  Two of
-their results are vertices: the mesh baseline's weights, which
-``couder evaluate --baseline mesh`` scores, and the boundedness
-witness.  Both were identical with presolve on and off on the 288
-replay matrices of perfbench seeds 0-5, but not everywhere: on a
-4-pod storage sequence the mesh weights, and so that baseline's AHC,
-moved by up to 0.24 hops at the same MLU.  The stages with free link
-counts hand their vertex on to rounding, and keep presolve on.
+changes: mu, an MLU, a slack, an integral subproblem vertex.  One of
+their results is a vertex, the boundedness witness; it was identical
+with presolve on and off on the 288 replay matrices of perfbench seeds
+0-5.  The mesh baseline's weights, which ``couder evaluate --baseline
+mesh`` scores, come from stage 3 on the MLU that stage 1 gives, so
+their AHC is the fewest hops at that MLU whatever vertex stage 1 ends
+on.  The stages with free link counts hand their vertex on to
+rounding, and keep presolve on.
 
-``passModel`` resets the solver, so a solve is cold unless it is given
-a basis.  An ``LpModel`` keeps the optimal basis of its last solve and
-hands it to the next one when only ``scale`` changed in between; any new
-column, row or objective drops it.  HiGHS then starts from that
-vertex and skips presolve.
+A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
+optimal basis of its last solve and hands it to the next one when only
+``scale`` changed in between; any new column, row or objective drops it.
+HiGHS then starts from that vertex and skips presolve.
 
 Each ``couder`` command runs in a fresh interpreter, so import time is
 paid once per planning step.  ``import scipy.optimize._highspy._core``
@@ -124,6 +126,8 @@ def _load_highs():
 
 
 _highs = _load_highs()
+#: The HiGHS object every solve runs on; see the module docstring.
+_solver = _highs._Highs()
 
 #: The residual scipy's ``linprog`` allowed an optimal vertex.
 _RESIDUAL_TOL = math.sqrt(1e-9) * 10
@@ -430,46 +434,45 @@ def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
 
 
 def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
-               basis=None, solver=None, vertex_only=False) -> HighsResult:
-    """Solve ``model`` from ``basis`` when one is given, on ``solver``, or
-    on a fresh HiGHS object when that is None.  With ``vertex_only`` the
-    result holds the status and, at an optimum, the vertex: no row duals,
-    basis, objective or iteration count, for a caller that reads none.
+               basis=None, vertex_only=False) -> HighsResult:
+    """Solve ``model`` on ``_solver`` from ``basis`` when one is given.
+    With ``vertex_only`` the result holds the status and, at an optimum,
+    the vertex: no row duals, basis, objective or iteration count, for a
+    caller that reads none.
 
-    ``passModel`` clears whatever ``solver`` held, so a solve without a
+    ``passModel`` clears whatever ``_solver`` held, so a solve without a
     basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
     ``large_matrix_value`` (1e15) or more, which only an input that large
     can produce: that is InvalidInputError.  Model statuses map as
     scipy's ``linprog`` mapped them: anything but optimal, infeasible or
     unbounded, "unbounded or infeasible" included, raises SolverLimitError.
     """
-    if solver is None:
-        solver = _highs._Highs()
-    solver.passOptions(options)
-    if solver.passModel(model) == _highs.HighsStatus.kError:
+    _solver.passOptions(options)
+    if _solver.passModel(model) == _highs.HighsStatus.kError:
         raise InvalidInputError(
             "input too large for the LP solver: every constraint coefficient"
             f" must be below {options.large_matrix_value:g} in magnitude")
     if basis is not None:
-        solver.setBasis(basis)
-    ran = solver.run() != _highs.HighsStatus.kError
-    status = solver.getModelStatus()
+        _solver.setBasis(basis)
+    ran = _solver.run() != _highs.HighsStatus.kError
+    status = _solver.getModelStatus()
     if vertex_only and status == _STATUS.kOptimal and ran:
-        return HighsResult("optimal", np.array(solver.getSolution().col_value))
-    info = solver.getInfo()
+        return HighsResult("optimal",
+                           np.array(_solver.getSolution().col_value))
+    info = _solver.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status == _STATUS.kOptimal and ran:
-        sol = solver.getSolution()
+        sol = _solver.getSolution()
         return HighsResult("optimal", np.array(sol.col_value),
                            np.array(sol.row_dual),
                            info.objective_function_value, nit,
-                           solver.getBasis())
+                           _solver.getBasis())
     if status in (_STATUS.kInfeasible, _STATUS.kModelError):
         return HighsResult("infeasible", nit=nit)
     if status == _STATUS.kUnbounded:
         return HighsResult("unbounded", nit=nit)
     raise SolverLimitError("solver did not converge: "
-                           + solver.modelStatusToString(status))
+                           + _solver.modelStatusToString(status))
 
 
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,

@@ -160,8 +160,7 @@ class _StageBuilder:
                                   & self.demanded[t.pair_src, t.pair_dst])
         if len(stranded):
             raise InfeasibleRoutingError(
-                f"no usable path for demanded pair {t.pairs[stranded[0]]}",
-                mu=0.0)
+                f"no usable path for demanded pair {t.pairs[stranded[0]]}")
         self.fallback = np.flatnonzero(~routed)
         self.usable = np.flatnonzero(usable)
         # The routed pairs, and each weight column's position among them:
@@ -360,7 +359,7 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
         raise InternalError(f"stage-1 LP ended {sol.status}")
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
-        raise InfeasibleRoutingError("critical demand cannot be routed", mu=0.0)
+        raise InfeasibleRoutingError("critical demand cannot be routed")
     d, omega, weights = builder.extract(sol.x, normalize=mu)
     d = builder.lift_d(d, omega, mu)
     return FractionalSolution(FractionalTopology(d),

@@ -30,9 +30,13 @@ of ``lp._FAMILY_OPTIONS``: dual simplex, those tolerances and presolve
 off.  On degree-saturated targets over an
 evenly striped fabric presolve removes nothing from these LPs; on the
 uneven fabrics measured it does reduce most of them, yet the solves
-still ran faster without it.  One rounding run reuses one HiGHS object
-for all its subproblems; loading each model resets it, so every solve
-is cold and ends on the vertex a fresh solver would.
+still ran faster without it.  Each subproblem runs on ``lp``'s one HiGHS
+object; loading the model resets it, so every solve is cold and ends on
+the vertex a fresh solver would.
+
+The prices take a projected subgradient step of 1/tau at iteration tau
+after every switch visit: a harmonic step, whose diverging sum lets the
+prices grow as far as the brackets need.
 
 Both rounders share one completion pass.  The dual method stops at the
 first iterate that meets every bracket, which can leave ports idle on
@@ -52,41 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp, optimize
-from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
-                     UndefinedGapError)
+from . import lp
+from .errors import InternalError, InvalidInputError
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
-                    check_fractional, validate)
-from .traffic import CriticalSet
+                    check_fractional)
 
 #: Guard against LP float fuzz when snapping d* to its integer brackets.
 _SNAP = 1e-9
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
-
-
-@dataclass
-class DualState:
-    """Projected dual prices and the integer brackets they enforce."""
-
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    c_minus: np.ndarray
-    c_plus: np.ndarray
-    iteration: int = 0
-
-    @property
-    def step(self) -> float:
-        """Harmonic step size 1/tau (diverging sum, so prices can grow)."""
-        return 1.0 / self.iteration
-
-    def update(self, totals: np.ndarray):
-        """Projected subgradient step from aggregate link counts."""
-        delta = self.step
-        self.p_plus = np.maximum(self.p_plus - delta * (self.c_plus - totals),
-                                 0.0)
-        self.p_minus = np.maximum(self.p_minus - delta * (totals - self.c_minus),
-                                  0.0)
 
 
 @dataclass(frozen=True)
@@ -165,8 +143,8 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
-def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
-                      solver=None) -> np.ndarray:
+def solve_circulation(cost: np.ndarray, budgets: tuple,
+                      limits: np.ndarray) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
     ``budgets`` is the budget matrix as its CSC arrays ``(data, indices,
@@ -178,10 +156,10 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     ``limits`` every vertex of the feasible set is integral, and HiGHS
     dual simplex ends on a vertex.  Equivalently, this is the min-cost
     circulation through a source, the egress ports, the ingress ports and
-    a sink.  HiGHS is called through ``lp._run_highs`` with the simplex
-    solver, presolve off and feasibility tolerances of 1e-10, and only the
-    vertex is read back; ``solver`` is the HiGHS object to reuse, a fresh
-    one when None.  The solve is cold either way.
+    a sink.  HiGHS is called through ``lp._run_highs``, on ``lp``'s one
+    HiGHS object, with the simplex solver, presolve off and feasibility
+    tolerances of 1e-10; the solve is cold, and only the vertex is read
+    back.
     """
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
@@ -195,7 +173,7 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
                             limits.tolist(), start.tolist(), index.tolist(),
                             value.tolist())
     res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"],
-                        solver=solver, vertex_only=True)
+                        vertex_only=True)
     if res.status != "optimal":
         raise InternalError(f"per-switch subproblem ended {res.status}")
     flows = np.rint(res.x)
@@ -207,7 +185,7 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
 def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
                              h: np.ndarray, p_net: np.ndarray,
                              x_hat: np.ndarray, ingress: np.ndarray,
-                             egress: np.ndarray, solver=None) -> np.ndarray:
+                             egress: np.ndarray) -> np.ndarray:
     """Re-optimize one switch's cells within a one-link move window.
 
     The cells are the pod pairs (rows[k], cols[k]), i != j; ``h``,
@@ -219,11 +197,11 @@ def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
     the units is exact.  The window's fixed lower part comes off the port
     budgets.  A reward eps <= 1e-9 per unit breaks exact ties toward more
     links; it stays under a quarter of the smallest gap between distinct
-    gains.  HiGHS dual simplex solves the LP (``solve_circulation``, on
-    ``solver`` when given) with presolve off and feasibility tolerances
-    of 1e-10, since at the default 1e-7 it would ignore eps; its vertex
-    is integral because the budget rows form a bipartite incidence
-    matrix, built here in CSC with two entries per unit.
+    gains.  HiGHS dual simplex solves the LP (``solve_circulation``) with
+    presolve off and feasibility tolerances of 1e-10, since at the default
+    1e-7 it would ignore eps; its vertex is integral because the budget
+    rows form a bipartite incidence matrix, built here in CSC with two
+    entries per unit.
     """
     n = len(egress)
     low = np.maximum(x_hat - 1, 0)
@@ -242,7 +220,7 @@ def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
     budgets = (np.ones(2 * units), index, np.arange(0, 2 * units + 1, 2))
     limits = np.concatenate([egress - np.bincount(rows, low, n),
                              ingress - np.bincount(cols, low, n)])
-    flows = solve_circulation(-(gain + eps), budgets, limits, solver)
+    flows = solve_circulation(-(gain + eps), budgets, limits)
     return low + np.bincount(cell, flows, len(rows)).astype(int)
 
 
@@ -277,17 +255,16 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     totals = np.zeros(len(rows), dtype=int)
     best = x_hat.copy()
     best_good = int(((lo <= totals) & (totals <= hi)).sum())
-    dual = DualState(np.zeros(len(rows)), np.zeros(len(rows)), lo, hi)
-    solver = lp._highs._Highs()
+    p_plus, p_minus = np.zeros(len(rows)), np.zeros(len(rows))
 
     iterations = 0
     for tau in range(1, tau_max + 1):
         iterations = tau
-        dual.iteration = tau
+        step = 1.0 / tau
         for m in range(M):
             x = _solve_switch_subproblem(
-                rows, cols, h[m], dual.p_minus - dual.p_plus, x_hat[m],
-                phys.ingress_ports[m], phys.egress_ports[m], solver)
+                rows, cols, h[m], p_minus - p_plus, x_hat[m],
+                phys.ingress_ports[m], phys.egress_ports[m])
             if (np.bincount(rows, x, n) > phys.egress_ports[m]).any() \
                     or (np.bincount(cols, x, n) > phys.ingress_ports[m]).any():
                 raise InternalError("port budget violated after subproblem")
@@ -297,7 +274,8 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
             if good > best_good:
                 best_good = good
                 best = x_hat.copy()
-            dual.update(totals)
+            p_plus = np.maximum(p_plus - step * (hi - totals), 0.0)
+            p_minus = np.maximum(p_minus - step * (totals - lo), 0.0)
         if best_good == len(rows):
             break  # every matching constraint already satisfied
     x = np.zeros((M, n, n), dtype=int)
@@ -321,31 +299,3 @@ def greedy_round(phys: PhysicalTopology, d_star: FractionalTopology
     c_minus, c_plus = _brackets(d_star.d)
     x = _complete(phys, d_star.d, np.zeros((M, n, n), dtype=int), c_plus)
     return _report(x, c_minus, c_plus, 0)
-
-
-def optimality_gap(phys: PhysicalTopology, report: RoundingReport,
-                   crit: CriticalSet) -> float:
-    """Throughput lost by rounding: 1 - mu_int / mu*.
-
-    mu* is the joint stage-1 throughput and mu_int the stage-1 throughput
-    with link counts fixed at the rounded topology, which must fit the
-    port budgets.  Such a topology is a feasible d of the joint LP, so
-    mu_int <= mu* and the gap lies in [0, 1]; float fuzz below zero snaps
-    to 0, and a gap below -1e-9 is an internal error.
-    """
-    if validate(phys, report.topo):
-        raise InvalidInputError("integer topology violates port budgets")
-    try:
-        mu_star = optimize.solve_maxmin_throughput(phys, crit).mu
-    except InfeasibleRoutingError:
-        raise UndefinedGapError("fractional throughput is zero")
-    try:
-        mu_int = optimize.solve_maxmin_throughput(
-            phys, crit, _fixed=report.topo.X.astype(float)).mu
-    except InfeasibleRoutingError:
-        mu_int = 0.0
-    gap = 1.0 - mu_int / mu_star
-    if gap < -1e-9:
-        raise InternalError(f"rounded throughput {mu_int} exceeds the"
-                            f" fractional optimum {mu_star}")
-    return max(gap, 0.0)

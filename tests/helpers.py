@@ -8,7 +8,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from couder import lp, round as rounding
+from couder import cli, lp, round as rounding
 from couder.errors import (InfeasibleRoutingError, InvalidInputError,
                            UnboundedThroughputError)
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
@@ -23,6 +23,16 @@ def make_fabric(n: int, m: int, ports_per_switch, bandwidth: float = 1.0
     q = np.broadcast_to(np.asarray(ports_per_switch, dtype=int), (n,))
     h = np.tile(q, (m, 1))
     return PhysicalTopology(n, m, h, h.copy(), bandwidth)
+
+
+def write_physical_topology(path, phys: PhysicalTopology):
+    """``phys`` as the versioned JSON file the ``couder`` commands read."""
+    obj = {"version": cli.VERSION, "num_pods": phys.num_pods,
+           "num_ocs": phys.num_ocs, "bandwidth_gbps": phys.link_bandwidth,
+           "h_eg": phys.egress_ports.tolist(),
+           "h_ig": phys.ingress_ports.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(cli._dump(obj) + "\n")
 
 
 def random_fabric(rng: np.random.Generator, n: int, m: int,
@@ -187,7 +197,7 @@ def csc_arrays(dense) -> tuple:
     return dense[rows, cols], rows, indptr
 
 
-def window_subproblem(h, p_net, x_hat, ingress, egress, solver=None):
+def window_subproblem(h, p_net, x_hat, ingress, egress):
     """``round._solve_switch_subproblem`` on n x n matrices of h, p_net and
     x̂: the result holds its link count per pod pair off the diagonal."""
     n = len(h)
@@ -195,11 +205,11 @@ def window_subproblem(h, p_net, x_hat, ingress, egress, solver=None):
     x = np.zeros((n, n), dtype=int)
     x[rows, cols] = rounding._solve_switch_subproblem(
         rows, cols, h[rows, cols], p_net[rows, cols], x_hat[rows, cols],
-        ingress, egress, solver)
+        ingress, egress)
     return x
 
 
-def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
+def loop_switch_subproblem(h, p_net, x_hat, ingress, egress):
     """The per-switch subproblem built over n x n matrices, its budget
     matrix through ``scipy.sparse`` and ``colwise_highs_lp`` and its tie
     reward through ``np.unique``, solved with the rounder's subproblem
@@ -226,8 +236,7 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
                              ingress - np.bincount(cols, low, n)])
     model = colwise_highs_lp(-(gain + eps), budgets, limits, 0,
                              np.zeros(units), np.ones(units))
-    res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"],
-                        solver=solver)
+    res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"])
     assert res.status == "optimal"
     flows = np.rint(res.x).astype(int)
     x = np.zeros((n, n), dtype=int)
@@ -238,7 +247,8 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress, solver):
 def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                    tau_max: int) -> rounding.RoundingReport:
     """``round.ldm_round`` over n x n matrices, summing every switch's links
-    again after each visit: the reference for its pair-vector loop."""
+    again after each visit: the reference for its pair-vector loop.  The
+    prices take a projected subgradient step of 1/tau after each visit."""
     n, M = phys.num_pods, phys.num_ocs
     c_minus, c_plus = rounding._brackets(d_star.d)
     np.fill_diagonal(c_minus, 0)
@@ -248,23 +258,22 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     x_hat = np.zeros((M, n, n), dtype=int)
     best = x_hat.copy()
     best_good = rounding._goodness(x_hat.sum(axis=0), c_minus, c_plus)
-    dual = rounding.DualState(np.zeros((n, n)), np.zeros((n, n)), c_minus,
-                              c_plus)
-    solver = lp._highs._Highs()
+    p_plus, p_minus = np.zeros((n, n)), np.zeros((n, n))
     iterations = 0
     for tau in range(1, tau_max + 1):
         iterations = tau
-        dual.iteration = tau
+        step = 1.0 / tau
         for m in range(M):
             x_hat[m] = loop_switch_subproblem(
-                h[m], dual.p_minus - dual.p_plus, x_hat[m],
-                phys.ingress_ports[m], phys.egress_ports[m], solver)
+                h[m], p_minus - p_plus, x_hat[m],
+                phys.ingress_ports[m], phys.egress_ports[m])
             totals = x_hat.sum(axis=0)
             good = rounding._goodness(totals, c_minus, c_plus)
             if good > best_good:
                 best_good = good
                 best = x_hat.copy()
-            dual.update(totals)
+            p_plus = np.maximum(p_plus - step * (c_plus - totals), 0.0)
+            p_minus = np.maximum(p_minus - step * (totals - c_minus), 0.0)
         if best_good == n * (n - 1):
             break
     return rounding._report(

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as _highs
 
 from couder.errors import InternalError
 from couder.lp import _HIGHS_TIGHT
@@ -90,11 +89,10 @@ class TestSolveCirculation:
 
     @pytest.mark.parametrize("seed", range(40, 60))
     def test_same_vertex_as_linprog(self, seed):
-        # solve_circulation calls HiGHS directly; scipy's linprog with the
-        # same options must end on the very same vertex, also when one
-        # HiGHS object is reused across solves, as ldm_round does.
+        # solve_circulation calls HiGHS directly, on the HiGHS object every
+        # solve reuses; scipy's linprog with the same options must end on
+        # the very same vertex.
         rng = np.random.default_rng(seed)
-        solver = _highs._Highs()
         for _ in range(5):
             pods = int(rng.integers(2, 7))
             cost, budgets, limits = random_network(
@@ -109,9 +107,8 @@ class TestSolveCirculation:
             for got, want in zip(arrays, (ref_csc.data, ref_csc.indices,
                                           ref_csc.indptr)):
                 assert got.tolist() == want.tolist()
-            for flows in (solve_circulation(cost, arrays, limits),
-                          solve_circulation(cost, arrays, limits, solver)):
-                assert flows.tolist() == np.rint(ref.x).astype(int).tolist()
+            flows = solve_circulation(cost, arrays, limits)
+            assert flows.tolist() == np.rint(ref.x).astype(int).tolist()
 
     def test_constant_cost_shift_with_pinned_total(self):
         # Bipartite 2x2, two units per cell, the total pinned to 3 by a pair

@@ -12,7 +12,8 @@ from couder.model import (FractionalTopology, IntegerTopology, Path,
                           TrafficMatrix)
 from couder.optimize import FractionalSolution
 from couder.traffic import CriticalSet
-from helpers import make_fabric, random_criticals, random_tm
+from helpers import (make_fabric, random_criticals, random_tm,
+                     write_physical_topology)
 
 
 def write_seq(path, demands, times=None):
@@ -42,7 +43,7 @@ class TestRoundTrips:
     def test_physical_topology(self, tmp_path):
         phys = make_fabric(3, 2, [2, 4, 3], bandwidth=25.0)
         p = tmp_path / "phys.json"
-        cli.write_physical_topology(str(p), phys)
+        write_physical_topology(str(p), phys)
         back = cli.read_physical_topology(str(p))
         assert back.num_pods == 3 and back.num_ocs == 2
         assert back.link_bandwidth == 25.0
@@ -95,7 +96,7 @@ class TestCommands:
 
     def test_full_pipeline_deterministic(self, tmp_path):
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 2, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 2, 4))
         seqfile = tmp_path / "seq.jsonl"
         rng = np.random.default_rng(2)
         write_seq(seqfile, [random_tm(rng, 4, 5.0).demand for _ in range(8)])
@@ -116,7 +117,7 @@ class TestCommands:
 
     def test_round_integral_case(self, tmp_path, capsys):
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(2, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(2, 1, 4))
         d = np.array([[0.0, 4.0], [4.0, 0.0]])
         sol = FractionalSolution(
             FractionalTopology(d),
@@ -134,7 +135,7 @@ class TestCommands:
 
     def test_evaluate_fattree_ahc_two(self, tmp_path):
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 6))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 6))
         seqfile = tmp_path / "seq.jsonl"
         rng = np.random.default_rng(3)
         write_seq(seqfile, [random_tm(rng, 4, 4.0).demand for _ in range(5)])
@@ -151,7 +152,7 @@ class TestCommands:
     def test_evaluate_static_solution(self, tmp_path):
         phys = make_fabric(3, 1, 4)
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), phys)
+        write_physical_topology(str(physfile), phys)
         x = np.full((3, 3), 2)
         np.fill_diagonal(x, 0)
         weights = {}
@@ -181,7 +182,7 @@ class TestCommands:
         crit = random_criticals(rng, 4, 2, scale=5.0)
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
-        cli.write_physical_topology(str(physfile), phys)
+        write_physical_topology(str(physfile), phys)
         cli.write_critical_set(str(critfile), crit)
         assert cli.main(["optimize", str(physfile), str(critfile),
                          "--out", str(solfile)]) == 0
@@ -203,7 +204,7 @@ class TestCommands:
 
     def test_evaluate_mesh_marks_zero_matrix_feasible(self, tmp_path):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(3, 1, 4))
         write_seq(seqfile, [np.zeros((3, 3))] + constant_seq(3, 1, 1.0))
         out = tmp_path / "metrics.jsonl"
         assert cli.main(["evaluate", str(physfile), str(seqfile),
@@ -216,7 +217,7 @@ class TestCommands:
         # Pod 0 has no egress port, so any matrix in which it sends has no
         # routing at all: an infinite MLU, written as null.
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), PhysicalTopology(
+        write_physical_topology(str(physfile), PhysicalTopology(
             3, 1, np.array([[0, 2, 2]]), np.array([[2, 1, 1]]), 1.0))
         sends, silent = np.zeros((3, 3)), np.zeros((3, 3))
         sends[0, 1] = silent[1, 0] = 1.0
@@ -230,7 +231,7 @@ class TestCommands:
 
     def test_evaluate_none_needs_recomputed_routing(self, tmp_path, capsys):
         physfile, topofile = tmp_path / "phys.json", tmp_path / "topo.json"
-        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(3, 1, 4))
         x = np.full((3, 3), 2) - 2 * np.eye(3, dtype=int)
         cli.write_integer_topology(str(topofile), IntegerTopology(x[None]))
         seqfile = tmp_path / "seq.jsonl"
@@ -265,7 +266,7 @@ class TestCommands:
 
     def test_simulate_smoke(self, tmp_path):
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 4))
         seqfile = tmp_path / "seq.jsonl"
         rng = np.random.default_rng(7)
         base = random_tm(rng, 4, 4.0).demand
@@ -310,6 +311,22 @@ class TestExitCodes:
         assert err.startswith("couder: ") and err.count("\n") == 1
         assert str(folder) in err
 
+    @pytest.mark.parametrize("command", ["extract", "synth"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command, where):
+        # numpy's generators refuse a negative seed with a ValueError.
+        seqfile, cfg = tmp_path / "seq.jsonl", tmp_path / "cfg.json"
+        write_seq(seqfile, constant_seq())
+        cfg.write_text('{"seed": -1}')
+        seed = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)]}
+        run = {"extract": ["--k", "3", "extract", str(seqfile)],
+               "synth": ["synth", "--mode", "storage", "--pods", "4",
+                         "--count", "3"]}
+        argv = seed[where] + run[command] + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err \
+            == "couder: seed must be non-negative, not -1\n"
+
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         cfg, seqfile = tmp_path / "cfg.json", tmp_path / "seq.jsonl"
         cfg.write_bytes(b'{"k": 2}\xff')
@@ -331,7 +348,7 @@ class TestExitCodes:
         # All-zero criticals make throughput unbounded: reported as
         # infeasibility class (exit 2).
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        write_physical_topology(str(physfile), make_fabric(3, 1, 2))
         critfile = tmp_path / "crit.json"
         from couder.traffic import CriticalSet
         cli.write_critical_set(
@@ -347,7 +364,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(lp, "solve", breakdown)
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
-        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        write_physical_topology(str(physfile), make_fabric(3, 1, 2))
         rng = np.random.default_rng(8)
         cli.write_critical_set(str(critfile), random_criticals(rng, 3, 1))
         rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
@@ -361,8 +378,8 @@ class TestExitCodes:
         # At b = 1e-7 the radix lower bound on beta, 1 / (b * 4), lies above
         # BETA_CAP, so stage 2 finds no sensitivity bound below the cap.
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
-        cli.write_physical_topology(str(physfile),
-                                    make_fabric(3, 1, 2, bandwidth=1e-7))
+        write_physical_topology(str(physfile),
+                                make_fabric(3, 1, 2, bandwidth=1e-7))
         t = np.ones((3, 3)) - np.eye(3)
         cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
         rc = cli.main(["optimize", str(physfile), str(critfile), "--out",
@@ -379,7 +396,7 @@ class TestExitCodes:
     def test_non_finite_policy_value_exits_1(self, tmp_path, capsys, flag,
                                              value):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 4))
         write_seq(seqfile, constant_seq(count=12))
         out = tmp_path / "sim.jsonl"
         opts = {"--lookback": "5", "--frequency": "4", "--stage-latency": "0"}
@@ -395,7 +412,7 @@ class TestExitCodes:
 
     def test_lookback_past_the_sequence_exits_1(self, tmp_path, capsys):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 4))
         write_seq(seqfile, constant_seq(count=12))
         out = tmp_path / "sim.jsonl"
         rc = cli.main(["--k", "1", "simulate", str(physfile), str(seqfile),
@@ -410,7 +427,7 @@ class TestExitCodes:
     def test_non_finite_oversubscription_exits_1(self, tmp_path, capsys,
                                                  value):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 6))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 6))
         write_seq(seqfile, constant_seq(count=3))
         out = tmp_path / "metrics.jsonl"
         rc = cli.main(["evaluate", str(physfile), str(seqfile), "--baseline",
@@ -422,7 +439,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("spelling", ["NaN", "Infinity"])
     def test_non_finite_bandwidth_exits_1(self, tmp_path, capsys, spelling):
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
-        cli.write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        write_physical_topology(str(physfile), make_fabric(3, 1, 2))
         obj = json.loads(physfile.read_text())
         obj["bandwidth_gbps"] = float(spelling)
         physfile.write_text(json.dumps(obj))
@@ -443,7 +460,7 @@ class TestExitCodes:
         # fault, not an infeasible LP.
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         big = where == "bandwidth"
-        cli.write_physical_topology(
+        write_physical_topology(
             str(physfile), make_fabric(4, 1, 3, bandwidth=1e300 if big else 1.0))
         t = np.ones((4, 4)) - np.eye(4)
         t[0, 1] = 1.0 if big else 1e308
@@ -469,7 +486,7 @@ class TestExitCodes:
             RoutingWeights({Path(0, 1): 1.0}, mu=4.0), 4.0, beta=0.5)
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
-        cli.write_physical_topology(str(physfile), phys)
+        write_physical_topology(str(physfile), phys)
         cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(t),)))
         cli.write_solution(str(solfile), sol)
         assert cli.main(["round", str(physfile), str(solfile), str(critfile),
@@ -548,7 +565,7 @@ class TestMalformedFiles:
         files = {name: tmp_path / f"{name}.json" for name in
                  ("phys", "crit", "sol", "topo")}
         d = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
-        cli.write_physical_topology(str(files["phys"]), make_fabric(3, 1, 4))
+        write_physical_topology(str(files["phys"]), make_fabric(3, 1, 4))
         from couder.traffic import CriticalSet
         cli.write_critical_set(str(files["crit"]),
                                CriticalSet((TrafficMatrix(d),)))
@@ -635,7 +652,7 @@ class TestMalformedSequence:
 
     def test_simulate_with_some_timestamps_exits_1(self, tmp_path, capsys):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 1, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 1, 4))
         write_seq(seqfile, constant_seq(count=12))
         # Drop the timestamp from every line after the second.
         lines = [json.loads(l) for l in seqfile.read_text().splitlines()]

@@ -14,7 +14,8 @@ from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           RoutingWeights, TmSequence, TrafficMatrix)
 from couder.optimize import recompute_routing, run_pipeline
-from couder.traffic import CriticalSet, check_bounded, extract_critical
+from couder.traffic import (CriticalSet, check_bounded, extract_critical,
+                            gen_storage_tms)
 from helpers import (lp_ideal_toe_mlu, make_fabric, random_criticals,
                      random_tm, sparse_tm, zero_radix_fabric)
 
@@ -135,6 +136,29 @@ class TestOptimalRouting:
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
         assert math.isinf(optimal_routing_mlu(topo, TrafficMatrix(t), 1.0))
+
+    def test_mesh_ahc_does_not_hinge_on_presolve(self, monkeypatch):
+        # The weights are the fewest hops among the MLU-optimal ones, so
+        # their AHC belongs to the mesh and the matrix, not to the vertex
+        # HiGHS ends on.  On this sequence, the one CI synthesizes, the
+        # AHC of stage 1's own weights moved by up to 0.24 with presolve.
+        mesh = uniform_mesh(make_fabric(4, 2, 3))
+        seq = gen_storage_tms(4, 12, 1, (1.0, 100.0))
+
+        def scores():
+            out = []
+            for t in seq:
+                mlu, omega = optimal_routing_mlu(mesh, t, return_weights=True)
+                out.append((mlu, evaluate_static(mesh, omega, t).ahc))
+            return np.array(out)
+
+        default = scores()
+        # Presolve flipped in both families the weights come from.
+        monkeypatch.setattr(lp, "_FAMILY_OPTIONS", {
+            **{name: options for name, options in lp._FAMILY_OPTIONS.items()
+               if name != "fixed-throughput"},
+            "minimize-ahc": lp._highs_options(presolve="off")})
+        np.testing.assert_allclose(scores(), default, rtol=1e-9, atol=1e-9)
 
 
 def bench_inputs():

@@ -400,18 +400,76 @@ class FakeSolver:
 
 @pytest.mark.parametrize("status",
                          list(_highs.HighsModelStatus.__members__.values()))
-def test_model_status_maps_as_linprog_did(status):
+def test_model_status_maps_as_linprog_did(monkeypatch, status):
     code, _ = _highs_to_scipy_status_message(status, "")
     model = colwise_highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0), 0,
                              np.zeros(1), np.ones(1))
-    solver = FakeSolver(status)
+    monkeypatch.setattr(lp, "_solver", FakeSolver(status))
     if code in (1, 4):
         with pytest.raises(SolverLimitError):
-            lp._run_highs(model, lp._OPTIONS, solver=solver)
+            lp._run_highs(model, lp._OPTIONS)
     else:
-        res = lp._run_highs(model, lp._OPTIONS, solver=solver)
+        res = lp._run_highs(model, lp._OPTIONS)
         assert res.status == {0: "optimal", 2: "infeasible",
                               3: "unbounded"}[code]
+
+
+# ---------------------------------------------------------------------------
+# Every solve runs on the one HiGHS object lp._solver; passModel resets it.
+
+def plan_highs_calls(monkeypatch, n: int) -> list:
+    """The arguments of each HiGHS call of a plan on a random n-pod fabric:
+    the three stages with free link counts, then with the link counts
+    fixed at its greedy rounding.  On these fabrics stage 2 re-solves its
+    model warm at least once."""
+    from couder.optimize import recompute_routing, run_pipeline
+    from couder.round import greedy_round
+    from helpers import random_criticals, random_fabric
+    rng = np.random.default_rng(40 + n)
+    phys = random_fabric(rng, n, 2, qmin=2, qmax=5)
+    crit = random_criticals(rng, n, 3)
+    calls, run = [], lp._run_highs
+
+    def record(*args):
+        calls.append(args)
+        return run(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_run_highs", record)
+        frac = run_pipeline(phys, crit)
+        recompute_routing(phys, greedy_round(phys, frac.d).topo, crit)
+    return calls
+
+
+def solved(res: lp.HighsResult) -> tuple:
+    return (res.status, res.x.tobytes(), res.row_dual.tobytes(), res.fun,
+            res.nit)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_shared_solver_ends_where_a_fresh_one_does(monkeypatch, n):
+    # Each stage LP solved on the shared object, right after another
+    # model, after a model HiGHS refused and after a warm stage-2
+    # re-solve, gives the bits a fresh HiGHS object gives.
+    calls = plan_highs_calls(monkeypatch, n)
+    families = {call[1] for call in calls}
+    assert {lp._OPTIONS, lp._FAMILY_OPTIONS["fixed-throughput"]} <= families
+    warm = next(call for call in calls if call[2] is not None)
+    refused = colwise_highs_lp(np.zeros(1), np.array([[1e15]]), np.ones(1),
+                               0, np.zeros(1), np.ones(1))
+
+    def refuse():
+        with pytest.raises(InvalidInputError):
+            lp._run_highs(refused, lp._OPTIONS)
+
+    for k, call in enumerate(calls):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_solver", _highs._Highs())
+            want = solved(lp._run_highs(*call))
+        for before in (lambda: lp._run_highs(*calls[k - 1]), refuse,
+                       lambda: lp._run_highs(*warm)):
+            before()
+            assert solved(lp._run_highs(*call)) == want
 
 
 def record_highs(monkeypatch) -> list:

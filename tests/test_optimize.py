@@ -465,9 +465,8 @@ class TestRecomputeRouting:
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
         crit = CriticalSet((TrafficMatrix(t),))
-        with pytest.raises(InfeasibleRoutingError) as err:
+        with pytest.raises(InfeasibleRoutingError):
             recompute_routing(phys, IntegerTopology(x), crit)
-        assert err.value.mu == 0.0
 
     def test_infeasible_when_budget_violated(self):
         phys = make_fabric(2, 1, 1)

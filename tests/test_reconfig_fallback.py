@@ -9,7 +9,7 @@ from couder import cli, optimize
 from couder.errors import InfeasibleRoutingError
 from couder.evaluate import ReconfigPolicy, evaluate_static, simulate_reconfig
 from couder.model import TmSequence, TrafficMatrix
-from helpers import make_fabric, random_tm
+from helpers import make_fabric, random_tm, write_physical_topology
 
 MESSAGE = "no usable path for demanded pair (1, 0)"
 
@@ -77,7 +77,7 @@ class TestEpochFallback:
 
     def test_cli_reports_the_failed_epoch(self, monkeypatch, tmp_path):
         physfile = tmp_path / "phys.json"
-        cli.write_physical_topology(str(physfile), make_fabric(4, 2, 4))
+        write_physical_topology(str(physfile), make_fabric(4, 2, 4))
         seqfile = tmp_path / "seq.jsonl"
         cli.write_tm_sequence(str(seqfile), jittered_sequence())
         fail_recompute_on_call(monkeypatch, fail_at=2)
