@@ -23,7 +23,7 @@ from .errors import (InfeasibleRoutingError, InternalError,
                      InvalidInputError, SolverLimitError,
                      UnboundedThroughputError)
 from .evaluate import ReconfigPolicy
-from .model import (FractionalTopology, IntegerTopology, Path,
+from .model import (TOL, FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
                     TrafficMatrix)
 from .traffic import CriticalSet
@@ -114,14 +114,12 @@ def _read_object(path: str, parse):
         raise InvalidInputError(f"{path}: malformed field ({exc})")
 
 
-def write_tm_sequence(path: str, seq: TmSequence, extra: dict = None):
+def write_tm_sequence(path: str, seq: TmSequence):
     times = seq.times()
     with open(path, "w", encoding="utf-8") as fh:
         for idx, t in enumerate(seq):
-            line = {"t": float(times[idx]), "tm": t.demand.tolist()}
-            if extra:
-                line.update({k: v[idx] for k, v in extra.items()})
-            fh.write(_dump(line) + "\n")
+            fh.write(_dump({"t": float(times[idx]), "tm": t.demand.tolist()})
+                     + "\n")
 
 
 def read_tm_sequence(path: str) -> TmSequence:
@@ -183,60 +181,72 @@ def read_critical_set(path: str) -> CriticalSet:
     return _read_object(path, parse)
 
 
-def _omega_json(omega: RoutingWeights) -> list:
-    out = []
-    for p in sorted(omega.weights, key=lambda q: (q.src, q.dst,
-                                                  -1 if q.via is None else q.via)):
-        out.append({"src": p.src, "dst": p.dst, "via": p.via,
-                    "w": omega.weights[p]})
-    return out
+def _plan_json(sol: optimize.FractionalSolution) -> dict:
+    """mu, beta and the weights of a plan, as both plan files hold them."""
+    omega = sorted(sol.omega.weights.items(), key=lambda pw: (
+        pw[0].src, pw[0].dst, -1 if pw[0].via is None else pw[0].via))
+    return {"mu": sol.mu, "beta": sol.beta,
+            "omega": [{"src": p.src, "dst": p.dst, "via": p.via, "w": w}
+                      for p, w in omega]}
+
+
+def _omega_parse(entries, num_pods: int) -> RoutingWeights:
+    """The weights in a plan file's ``omega`` list over ``num_pods`` pods.
+
+    Pod ids must be integers in [0, num_pods), each ``w`` a number in
+    [0, 1] (above 1 by at most ``TOL``, an LP vertex's float noise) and
+    each path listed once; anything else raises ``ValueError``.
+    """
+    weights = {}
+    for e in entries:
+        path, w = Path(e["src"], e["dst"], e.get("via")), e["w"]
+        if not all(type(v) is int and 0 <= v < num_pods
+                   for link in path.links() for v in link):
+            raise ValueError(f"omega entry {_dump(e)}: pod ids must be"
+                             f" integers in [0, {num_pods})")
+        if type(w) not in (int, float) or not 0 <= w <= 1 + TOL:
+            raise ValueError(f"omega entry {_dump(e)}: w must be a number"
+                             " in [0, 1]")
+        if path in weights:
+            raise ValueError(f"omega entry {_dump(e)}: path listed twice")
+        weights[path] = float(w)
+    return RoutingWeights(weights)
 
 
 def write_solution(path: str, sol: optimize.FractionalSolution):
-    obj = {"version": VERSION, "mu": sol.mu, "beta": sol.beta,
-           "d": sol.d.d.tolist(), "omega": _omega_json(sol.omega)}
+    obj = {"version": VERSION, "d": sol.d.d.tolist(), **_plan_json(sol)}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(obj) + "\n")
-
-
-def _omega_parse(obj) -> RoutingWeights:
-    weights = {Path(e["src"], e["dst"], e.get("via")): float(e["w"])
-               for e in obj["omega"]}
-    return RoutingWeights(weights, mu=float(obj["mu"]), beta=obj.get("beta"))
 
 
 def read_solution(path: str) -> optimize.FractionalSolution:
     def parse(obj):
-        omega = _omega_parse(obj)
+        d = FractionalTopology(np.array(obj["d"], dtype=float))
         return optimize.FractionalSolution(
-            FractionalTopology(np.array(obj["d"], dtype=float)), omega,
-            omega.mu, omega.beta)
+            d, _omega_parse(obj["omega"], d.num_pods), float(obj["mu"]),
+            obj.get("beta"))
     return _read_object(path, parse)
 
 
 def write_integer_topology(path: str, topo: IntegerTopology,
-                           routing: RoutingWeights = None):
-    """X, and beside it the weights, mu and beta recomputed on X if given."""
+                           routed: optimize.FractionalSolution = None):
+    """X, and beside it the mu, beta and weights of ``routed``, the plan
+    ``optimize.recompute_routing`` made on X, if given."""
     obj = {"version": VERSION, "x": topo.x.tolist()}
-    if routing is not None:
-        obj.update(mu=routing.mu, beta=routing.beta,
-                   omega=_omega_json(routing))
+    if routed is not None:
+        obj.update(_plan_json(routed))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dump(obj) + "\n")
 
 
-def read_integer_topology(path: str) -> IntegerTopology:
-    return _read_object(
-        path, lambda obj: IntegerTopology(np.array(obj["x"], dtype=int)))
-
-
-def read_topology_routing(path: str) -> RoutingWeights:
-    """The weights ``round`` recomputed on a topology file's X."""
+def read_integer_topology(path: str) -> tuple:
+    """(X, the weights ``round`` recomputed on X) of a topology file; the
+    weights are None when the file holds none."""
     def parse(obj):
+        topo = IntegerTopology(np.array(obj["x"], dtype=int))
         if "omega" not in obj:
-            raise InvalidInputError(f"{path}: no routing weights; run round"
-                                    " with the critical-set file")
-        return _omega_parse(obj)
+            return topo, None
+        return topo, _omega_parse(obj["omega"], topo.num_pods)
     return _read_object(path, parse)
 
 
@@ -275,12 +285,11 @@ def _cmd_round(args, cfg: RunConfig) -> int:
         report = rounding.ldm_round(phys, sol.d, cfg.ldm_iterations)
     else:
         report = rounding.greedy_round(phys, sol.d)
-    routing = None
+    routed = None
     if crit is not None:  # desensitized when the fractional plan was
-        routing = optimize.recompute_routing(
-            phys, report.topo, crit,
-            desensitized=sol.beta is not None).omega
-    write_integer_topology(args.out, report.topo, routing)
+        routed = optimize.recompute_routing(
+            phys, report.topo, crit, desensitized=sol.beta is not None)
+    write_integer_topology(args.out, report.topo, routed)
     print(_dump({"goodness": report.goodness,
                  "violation_ratio": report.violation_ratio,
                  "iterations_run": report.iterations_run}))
@@ -305,8 +314,11 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     if args.baseline in ("none", "direct") and not args.topology_file:
         raise InvalidInputError(f"baseline {args.baseline} needs --topology")
     if args.baseline == "none":
-        topo = read_integer_topology(args.topology_file)
-        omega = read_topology_routing(args.topology_file)
+        topo, omega = read_integer_topology(args.topology_file)
+        if omega is None:
+            raise InvalidInputError(f"{args.topology_file}: no routing"
+                                    " weights; run round with the"
+                                    " critical-set file")
         sen = evaluate.sensitivity_map(topo, omega, b)
         max_sen = float(sen[np.isfinite(sen)].max(initial=0.0))
 
@@ -320,9 +332,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
             mlu, omega = evaluate.optimal_routing_mlu(mesh, t, b,
                                                       return_weights=True)
             if omega is None:
-                return evaluate.EvalRecord(math.inf, 2.0,
-                                           np.zeros_like(t.demand), 0.0,
-                                           False), {}
+                return evaluate.EvalRecord(math.inf, 2.0, 0.0, False), {}
             return evaluate.evaluate_static(mesh, omega, t, b), {}
     elif args.baseline == "vlb":
         mesh = evaluate.uniform_mesh(phys)
@@ -331,7 +341,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
         def run(t):
             return evaluate.evaluate_static(mesh, omega, t, b), {}
     elif args.baseline == "direct":
-        topo = read_integer_topology(args.topology_file)
+        topo, _ = read_integer_topology(args.topology_file)
         omega = evaluate.direct_only_weights(topo)
 
         def run(t):
@@ -344,8 +354,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     elif args.baseline == "ideal":
         def run(t):
             mlu = evaluate.ideal_toe_mlu(phys, t)
-            rec = evaluate.EvalRecord(mlu, 1.0, np.zeros_like(t.demand),
-                                      1.0, math.isfinite(mlu))
+            rec = evaluate.EvalRecord(mlu, 1.0, 1.0, math.isfinite(mlu))
             return rec, {}
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown baseline {args.baseline}")

@@ -29,7 +29,6 @@ Capacity = Union[IntegerTopology, FractionalTopology, np.ndarray]
 class EvalRecord:
     mlu: float
     ahc: float
-    per_link_util: np.ndarray
     direct_fraction: float
     feasible: bool
 
@@ -111,7 +110,7 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     else:
         direct_fraction = 1.0
     ahc = 1.0 + (1.0 - direct_fraction)
-    return EvalRecord(mlu, ahc, util, direct_fraction, feasible)
+    return EvalRecord(mlu, ahc, direct_fraction, feasible)
 
 
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
@@ -147,8 +146,7 @@ def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
     return (mlu, omega) if return_weights else mlu
 
 
-def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
-                  bandwidth: Optional[float] = None) -> float:
+def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix) -> float:
     """Per-matrix joint topology+routing optimum: the unrealizable floor.
 
     With fractional link counts and the one matrix t, this optimum is the
@@ -159,7 +157,7 @@ def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
     where R and C are t's row and column sums and the maxima run over pods
     with a positive sum.  It is 0 for an all-zero t, and infinite when a
     pod with a positive row sum has no egress link, or one with a positive
-    column sum no ingress link.  ``bandwidth`` replaces the fabric's b.
+    column sum no ingress link.  b is the fabric's link bandwidth.
 
     Proof.  Let mu be the inverse of the bound.  Routing every pair direct
     with d = mu t / b meets each port row, sum_j d_ij = mu R_i / b <= r_eg[i]
@@ -172,9 +170,6 @@ def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
     behind ``optimize._newton_beta``'s lower bracket.  Stage 1 on t alone
     solves the same problem as an LP; the tests keep it as the oracle.
     """
-    b = phys.link_bandwidth if bandwidth is None else bandwidth
-    if not 0 < b < math.inf:  # False for NaN too
-        raise InvalidInputError("link bandwidth must be positive and finite")
     if t.num_pods != phys.num_pods:
         raise InvalidInputError("matrix does not match the fabric")
     with np.errstate(over="ignore"):
@@ -186,7 +181,8 @@ def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
     sending = sums > 0
     if (radix[sending] == 0).any():
         return math.inf
-    mlu = float((sums[sending] / radix[sending]).max(initial=0.0)) / b
+    mlu = float((sums[sending] / radix[sending]).max(initial=0.0)) \
+        / phys.link_bandwidth
     if mlu == math.inf:
         raise InvalidInputError("the matrix's MLU overflows at this"
                                 " bandwidth")
@@ -260,19 +256,24 @@ def direct_only_weights(x: Capacity) -> RoutingWeights:
 def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
                   oversub: float = 2.0) -> EvalRecord:
     """Abstract oversubscribed fat tree: a non-blocking spine behind
-    per-pod effective capacity uplinks*b/oversub; every hop count is 2."""
+    per-pod effective capacity uplinks*b/oversub; every hop count is 2.
+    ``pod_uplinks`` is one count for every pod, or one count per pod."""
     if not 0 < oversub < math.inf:
         raise InvalidInputError("oversubscription must be positive and"
                                 " finite")
     n = t.num_pods
-    up = np.broadcast_to(np.asarray(pod_uplinks, dtype=float), (n,))
+    up = np.asarray(pod_uplinks, dtype=float)
+    if up.ndim and up.shape != (n,):
+        raise InvalidInputError(f"{up.size} pod uplink counts for a matrix"
+                                f" of {n} pods")
+    up = np.broadcast_to(up, (n,))
     if (up <= 0).any():
         raise InvalidInputError("pod uplink counts must be positive")
     effective = up * bandwidth / oversub
     rows = t.demand.sum(axis=1)
     cols = t.demand.sum(axis=0)
     mlu = float(max((np.maximum(rows, cols) / effective).max(initial=0.0), 0.0))
-    return EvalRecord(mlu, 2.0, np.zeros((n, n)), 0.0, True)
+    return EvalRecord(mlu, 2.0, 0.0, True)
 
 
 def sensitivity_map(x: Capacity, omega: RoutingWeights,
@@ -318,40 +319,25 @@ class SimPoint:
 
 
 def _restrict_weights(omega: RoutingWeights, cap: np.ndarray) -> RoutingWeights:
-    """Drop paths crossing removed links and renormalize per pair."""
+    """Drop paths crossing removed links and renormalize per pair; a pair
+    left with no path goes direct, which surfaces as infeasible."""
     n = cap.shape[0]
-    by_pair = {}
-    for p, w in omega.weights.items():
-        if w <= 0:
-            continue
-        if all(cap[a, b] > 0 for a, b in p.links()):
-            by_pair.setdefault((p.src, p.dst), []).append((p, w))
-    weights = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            kept = by_pair.get((i, j))
-            if not kept:
-                weights[Path(i, j)] = 1.0  # stranded pair: surfaces as infeasible
-                continue
-            total = sum(w for _, w in kept)
-            for p, w in kept:
-                weights[p] = w / total
-    return RoutingWeights(weights, mu=omega.mu, beta=omega.beta)
+    kept = [(p, w) for p, w in omega.weights.items()
+            if w > 0 and all(cap[a, b] > 0 for a, b in p.links())]
+    total = {}
+    for p, w in kept:
+        total[p.src, p.dst] = total.get((p.src, p.dst), 0) + w
+    weights = {Path(i, j): 1.0 for i in range(n) for j in range(n)
+               if i != j and (i, j) not in total}
+    weights.update((p, w / total[p.src, p.dst]) for p, w in kept)
+    return RoutingWeights(weights)
 
 
-def _changing_circuits(old: np.ndarray, new: np.ndarray) -> list:
-    """Old circuits that must be torn down, one entry per circuit,
-    in (i, j, m) order."""
-    M, n, _ = old.shape
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(M):
-                drop = old[m, i, j] - new[m, i, j]
-                out.extend([(i, j, m)] * max(int(drop), 0))
-    return out
+def _changing_circuits(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Old circuits that must be torn down as (i, j, m) rows, one per
+    circuit, in (i, j, m) order."""
+    drop = np.maximum(old - new, 0).transpose(1, 2, 0)
+    return np.repeat(np.argwhere(drop), drop[drop > 0], axis=0)
 
 
 def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
@@ -363,7 +349,11 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
     seen so far; each epoch reruns the full pipeline, rounds, recomputes
     routing, and switches over in ceil(p / (1 - alpha_pred)) stages.  While
     a stage is switching, its share of the changing links is removed and
-    the previous weights are renormalized onto the surviving links.
+    the previous weights are renormalized onto the surviving links.  The
+    plan in use is one (IntegerTopology, FractionalSolution) pair, and
+    each epoch installs its new plan once, at stages * stage_latency after
+    the epoch: stages is 0 for the first install, which carries no traffic
+    yet, and for an epoch that changes no circuit.
 
     An epoch whose re-optimization raises InfeasibleRoutingError keeps the
     installed topology and weights, and is recorded with changed_fraction
@@ -382,9 +372,6 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
     first_epoch = t0 + policy.lookback
     points = []
     epochs = []
-
-    current_x = None  # IntegerTopology once installed
-    current_omega = None
 
     def reoptimize(now: float):
         # Never empty: every epoch is at least lookback > 0 after t0.
@@ -408,51 +395,37 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
         epoch_times.append(e)
         e += policy.frequency
 
-    schedule = []  # (time, topo_or_None, omega, stage_idx or None, epoch_idx)
+    installed = None  # the (IntegerTopology, FractionalSolution) in use
+    schedule = []  # (time, capacity, weights, stage index or None, epoch)
     for idx, etime in enumerate(epoch_times):
         try:
-            outcome = reoptimize(etime)
+            topo, routed = reoptimize(etime)
         except InfeasibleRoutingError as exc:
-            if current_x is None:
+            if installed is None:
                 raise
-            epochs.append(EpochInfo(etime, 0.0, 0, current_omega.mu,
-                                    current_omega.beta, error=str(exc)))
+            epochs.append(EpochInfo(etime, 0.0, 0, installed[1].mu,
+                                    installed[1].beta, error=str(exc)))
             continue
-        new_topo, routed = outcome
-        new_omega = routed.omega
-        if current_x is None:
-            # Initial install carries no traffic yet: instantaneous.
-            epochs.append(EpochInfo(etime, 0.0, 0, routed.mu, routed.beta))
-            schedule.append((etime, new_topo.X.astype(float), new_omega,
-                             None, idx))
-        else:
-            old, new = current_x, new_topo
-            changing = _changing_circuits(old.x, new.x)
-            total_old = int(old.x.sum())
+        p, stages = 0.0, 0
+        if installed is not None:
+            old, old_omega = installed[0].x, installed[1].omega
+            changing = _changing_circuits(old, topo.x)
+            total_old = int(old.sum())
             p = len(changing) / total_old if total_old else 0.0
             stages = num_stages(min(p, 1.0), policy.alpha_pred)
-            epochs.append(EpochInfo(etime, p, stages, routed.mu, routed.beta))
             if stages and policy.stage_latency > 0:
-                chunks = np.array_split(np.arange(len(changing)), stages)
-                for s, chunk in enumerate(chunks):
-                    stage_x = old.x.copy()
-                    for ci in chunk:
-                        i, j, m = changing[ci]
-                        stage_x[m, i, j] -= 1
-                    stage_cap = stage_x.sum(axis=0).astype(float)
-                    schedule.append((etime + s * policy.stage_latency,
-                                     stage_cap,
-                                     _restrict_weights(current_omega,
-                                                       stage_cap),
-                                     s, idx))
-                schedule.append((etime + stages * policy.stage_latency,
-                                 new_topo.X.astype(float), new_omega,
-                                 None, idx))
-            else:
-                schedule.append((etime, new_topo.X.astype(float), new_omega,
-                                 None, idx))
-        current_x = new_topo
-        current_omega = new_omega
+                for s, chunk in enumerate(np.array_split(changing, stages)):
+                    stage_x = old.copy()
+                    i, j, m = chunk.T
+                    np.subtract.at(stage_x, (m, i, j), 1)
+                    cap = stage_x.sum(axis=0).astype(float)
+                    schedule.append((etime + s * policy.stage_latency, cap,
+                                     _restrict_weights(old_omega, cap), s,
+                                     idx))
+        epochs.append(EpochInfo(etime, p, stages, routed.mu, routed.beta))
+        schedule.append((etime + stages * policy.stage_latency, topo,
+                         routed.omega, None, idx))
+        installed = topo, routed
 
     si = 0
     active = None

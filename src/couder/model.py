@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Optional
 
@@ -244,10 +244,6 @@ class Path:
         if self.via is not None and self.via in (self.src, self.dst):
             raise InvalidInputError("intermediate pod must differ from endpoints")
 
-    @property
-    def hops(self) -> int:
-        return 1 if self.via is None else 2
-
     def links(self) -> tuple:
         """Ordered (a, b) links traversed by this path."""
         if self.via is None:
@@ -257,24 +253,19 @@ class Path:
 
 @dataclass(frozen=True)
 class RoutingWeights:
-    """Per-path split fractions plus the throughput / sensitivity levels.
+    """Per-path split fractions, and nothing else: the throughput mu and
+    sensitivity bound beta of a plan live on ``FractionalSolution``.
 
     ``weights`` is a read-only copy of the mapping given, so the arrays
     ``arrays`` builds once per pod count stay true to it.
     """
 
     weights: Mapping  # Path -> weight in [0, 1]
-    mu: float = 0.0
-    beta: Optional[float] = None
-    _dense: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights",
                            MappingProxyType(dict(self.weights)))
-
-    def weight(self, path: Path) -> float:
-        return self.weights.get(path, 0.0)
+        object.__setattr__(self, "_dense", {})
 
     def arrays(self, num_pods: int):
         """Dense views: (N,N) direct weights and (N,N,N) [src,dst,via]

@@ -53,6 +53,10 @@ BETA_CAP = 1e6
 
 @dataclass(frozen=True)
 class FractionalSolution:
+    """A plan: link counts d, one weight set, and the plan's throughput mu
+    and sensitivity bound beta (None when not desensitized).  This type is
+    the one owner of mu and beta; ``omega`` holds only the split."""
+
     d: FractionalTopology
     omega: RoutingWeights
     mu: float
@@ -130,7 +134,8 @@ class _StageBuilder:
     arithmetic on ``_tables(n)``: the paths in column order, each path's
     pair and links, and the (link, path) crossing table, built once per
     pod count and shared read-only.  A builder adds what depends on its
-    topology: ``capacity`` per link when fixed, and ``col``.
+    topology: ``capacity`` per link when fixed, and ``col``.  Every stage
+    turns its solved vertex into a plan through ``solution``.
     """
 
     def __init__(self, phys: PhysicalTopology, crit: CriticalSet,
@@ -261,19 +266,27 @@ class _StageBuilder:
                                           total, -1.0),
                            lp.EQ, np.zeros(num_rows))
 
-    def extract(self, x: np.ndarray, normalize: Optional[float] = None):
-        """(d, omega, weights) of a solved model's vertex ``x``: omega
-        holds each path's weight in ``_tables`` order, and ``weights`` the
-        positive ones as a ``Path``-keyed dict, in that order, with the
-        pairs deferred at construction last.
+    def solution(self, x: np.ndarray, mu: float,
+                 beta: Optional[float] = None,
+                 normalize: Optional[float] = None) -> FractionalSolution:
+        """The plan at a solved model's vertex ``x``, with throughput ``mu``
+        and bound ``beta``.
 
         ``normalize`` divides weights (recovering omega from scaled wp)
         and per-pair sums are renormalized to exactly one; a routed pair
         whose weights sum to almost nothing, and a pair deferred at
-        construction, falls back to its direct path.  Each pair's sum
-        adds its weights in path order, as numpy sums a pair's slice of
-        up to seven, so that up to 8 pods the result is bit for bit what
-        a loop over the pairs gives.
+        construction, falls back to its direct path.  The weights dict
+        holds the positive weights in ``_tables`` path order, with the
+        deferred pairs last.  Each pair's sum adds its weights in path
+        order, as numpy sums a pair's slice of up to seven, so that up to
+        8 pods the result is bit for bit what a loop over the pairs gives.
+
+        With free link counts d is then raised to cover the realized
+        critical loads at ``mu`` exactly.  That clears sub-tolerance LP
+        residue so the throughput guarantee holds with a true inequality
+        on every link; the lift is bounded by the solver feasibility
+        tolerance.  Each link adds its loads in path order, as a loop over
+        the weights dict does.
         """
         t = self.tables
         w = x[:self.num_weights]
@@ -291,26 +304,11 @@ class _StageBuilder:
         weights = dict(zip([t.paths[k] for k in keys], omega[keys].tolist()))
         weights.update((Path(*t.pairs[q]), 1.0) for q in self.fallback)
         omega[self.fallback * per] = 1.0
-        if self.fixed is None:
-            d = np.zeros((self.n, self.n))
-            d[t.pair_src, t.pair_dst] = np.maximum(x[self._dcol()], 0.0)
-        else:
-            d = self.fixed.copy()
-        return d, omega, weights
-
-    def lift_d(self, d: np.ndarray, omega: np.ndarray,
-               mu: float) -> np.ndarray:
-        """Raise d to cover the realized critical loads exactly.
-
-        Clears sub-tolerance LP residue so the throughput guarantee holds
-        with a true inequality on every link; the lift is bounded by the
-        solver feasibility tolerance.  ``omega`` is ``extract``'s.  Each
-        link adds its loads in path order, as a loop over the weights
-        dict does.
-        """
-        if self.fixed is not None or mu <= 0:
-            return d
-        t = self.tables
+        if self.fixed is not None:
+            return FractionalSolution(FractionalTopology(self.fixed),
+                                      RoutingWeights(weights), mu, beta)
+        d = np.zeros((self.n, self.n))
+        d[t.pair_src, t.pair_dst] = np.maximum(x[self._dcol()], 0.0)
         num_links = len(t.pairs)
         demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair]
         k, path = np.nonzero((demand > 0) & (omega > 0))
@@ -322,11 +320,11 @@ class _StageBuilder:
         index = (k[:, None] * num_links + links)[hop]
         load = np.bincount(index, np.repeat(flow, hop.sum(axis=1)),
                            len(self.crit) * num_links)
-        lifted = d.copy()
-        lifted[t.pair_src, t.pair_dst] = np.maximum(
+        d[t.pair_src, t.pair_dst] = np.maximum(
             d[t.pair_src, t.pair_dst],
             load.reshape(len(self.crit), num_links).max(axis=0) / self.b)
-        return lifted
+        return FractionalSolution(FractionalTopology(d),
+                                  RoutingWeights(weights), mu, beta)
 
 
 def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
@@ -360,10 +358,7 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed")
-    d, omega, weights = builder.extract(sol.x, normalize=mu)
-    d = builder.lift_d(d, omega, mu)
-    return FractionalSolution(FractionalTopology(d),
-                              RoutingWeights(weights, mu=mu), mu)
+    return builder.solution(sol.x, mu, normalize=mu)
 
 
 def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
@@ -452,24 +447,18 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         model = _throughput_model(builder, "desensitize")
         builder.add_sensitivity_constraints(model)
         beta, F, best = _newton_beta(builder, model, mu_star)
-        mu = F * (1.0 - MU_SLACK)
-        d, omega, weights = builder.extract(best.x, normalize=F)
-    else:
-        model = builder.new_model("desensitize", 1.0)
-        builder.add_split_constraints(model)
-        builder.add_load_constraints(model, mu_star)
-        builder.add_sensitivity_constraints(model)
-        model.set_objective("min", [builder.stage_col], [1.0])
-        best = lp.solve(model)
-        beta = float(best.x[builder.stage_col]) if best.optimal else math.inf
-        if beta > BETA_CAP:
-            raise InternalError("no feasible sensitivity bound below cap")
-        mu = mu_star
-        d, omega, weights = builder.extract(best.x)
-    d = builder.lift_d(d, omega, mu)
-    return FractionalSolution(FractionalTopology(d),
-                              RoutingWeights(weights, mu=mu, beta=beta),
-                              mu, beta)
+        return builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
+                                normalize=F)
+    model = builder.new_model("desensitize", 1.0)
+    builder.add_split_constraints(model)
+    builder.add_load_constraints(model, mu_star)
+    builder.add_sensitivity_constraints(model)
+    model.set_objective("min", [builder.stage_col], [1.0])
+    best = lp.solve(model)
+    beta = float(best.x[builder.stage_col]) if best.optimal else math.inf
+    if beta > BETA_CAP:
+        raise InternalError("no feasible sensitivity bound below cap")
+    return builder.solution(best.x, mu_star, beta)
 
 
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
@@ -499,11 +488,7 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
-    d, omega, weights = builder.extract(sol.x)
-    d = builder.lift_d(d, omega, mu_star)
-    return FractionalSolution(FractionalTopology(d),
-                              RoutingWeights(weights, mu=mu_star, beta=beta),
-                              mu_star, beta)
+    return builder.solution(sol.x, mu_star, beta)
 
 
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,

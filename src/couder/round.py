@@ -81,18 +81,17 @@ def _brackets(d: np.ndarray):
     return c_minus, c_plus
 
 
-def _goodness(x_total: np.ndarray, c_minus: np.ndarray,
-              c_plus: np.ndarray) -> int:
-    n = x_total.shape[0]
-    ok = (c_minus <= x_total) & (x_total <= c_plus)
-    np.fill_diagonal(ok, True)
-    return int(ok.sum()) - n
+def _goodness(totals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Pod pairs whose link total lies in its bracket [lo, hi]; one entry
+    per off-diagonal pair in each vector."""
+    return int(((lo <= totals) & (totals <= hi)).sum())
 
 
 def _report(x: np.ndarray, c_minus, c_plus, iterations: int) -> RoundingReport:
     n = x.shape[1]
     topo = IntegerTopology(x)
-    good = _goodness(topo.X, c_minus, c_plus)
+    off = ~np.eye(n, dtype=bool)
+    good = _goodness(topo.X[off], c_minus[off], c_plus[off])
     total_pairs = n * (n - 1)
     return RoundingReport(topo, good, (total_pairs - good) / total_pairs,
                           iterations)
@@ -254,7 +253,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     x_hat = np.zeros((M, len(rows)), dtype=int)
     totals = np.zeros(len(rows), dtype=int)
     best = x_hat.copy()
-    best_good = int(((lo <= totals) & (totals <= hi)).sum())
+    best_good = _goodness(totals, lo, hi)
     p_plus, p_minus = np.zeros(len(rows)), np.zeros(len(rows))
 
     iterations = 0
@@ -270,7 +269,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                 raise InternalError("port budget violated after subproblem")
             totals += x - x_hat[m]
             x_hat[m] = x
-            good = int(((lo <= totals) & (totals <= hi)).sum())
+            good = _goodness(totals, lo, hi)
             if good > best_good:
                 best_good = good
                 best = x_hat.copy()

@@ -95,16 +95,10 @@ def sparse_tm(rng: np.random.Generator, n: int, density: float
     return TrafficMatrix(t)
 
 
-def lp_ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix,
-                     bandwidth: float | None = None) -> float:
+def lp_ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix) -> float:
     """Oracle of ``evaluate.ideal_toe_mlu``: 1/mu of stage 1's LP on the
-    one matrix t, over link counts and weights jointly, with ``bandwidth``
-    in place of the fabric's.  0 for an all-zero t, infinite for a t that
-    cannot be routed."""
-    if bandwidth is not None:
-        phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
-                                phys.egress_ports, phys.ingress_ports,
-                                bandwidth)
+    one matrix t, over link counts and weights jointly.  0 for an all-zero
+    t, infinite for a t that cannot be routed."""
     try:
         return 1.0 / solve_maxmin_throughput(phys, CriticalSet((t,))).mu
     except UnboundedThroughputError:
@@ -257,7 +251,12 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                    phys.ingress_ports[:, None, :])
     x_hat = np.zeros((M, n, n), dtype=int)
     best = x_hat.copy()
-    best_good = rounding._goodness(x_hat.sum(axis=0), c_minus, c_plus)
+    off = ~np.eye(n, dtype=bool)
+
+    def goodness(totals):
+        return int(((c_minus <= totals) & (totals <= c_plus))[off].sum())
+
+    best_good = goodness(x_hat.sum(axis=0))
     p_plus, p_minus = np.zeros((n, n)), np.zeros((n, n))
     iterations = 0
     for tau in range(1, tau_max + 1):
@@ -268,7 +267,7 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                 h[m], p_minus - p_plus, x_hat[m],
                 phys.ingress_ports[m], phys.egress_ports[m])
             totals = x_hat.sum(axis=0)
-            good = rounding._goodness(totals, c_minus, c_plus)
+            good = goodness(totals)
             if good > best_good:
                 best_good = good
                 best = x_hat.copy()

@@ -52,15 +52,14 @@ class TestRoundTrips:
     def test_solution(self, tmp_path):
         d = np.zeros((3, 3))
         d[0, 1] = 2.5
-        omega = RoutingWeights({Path(0, 1): 0.75, Path(0, 1, 2): 0.25},
-                               mu=1.5, beta=0.3)
+        omega = RoutingWeights({Path(0, 1): 0.75, Path(0, 1, 2): 0.25})
         sol = FractionalSolution(FractionalTopology(d), omega, 1.5, 0.3)
         p = tmp_path / "sol.json"
         cli.write_solution(str(p), sol)
         back = cli.read_solution(str(p))
         assert back.mu == 1.5 and back.beta == 0.3
         np.testing.assert_allclose(back.d.d, d)
-        assert back.omega.weight(Path(0, 1, 2)) == 0.25
+        assert back.omega.weights.get(Path(0, 1, 2), 0.0) == 0.25
 
     def test_integer_topology(self, tmp_path):
         x = np.zeros((2, 3, 3), dtype=int)
@@ -68,8 +67,9 @@ class TestRoundTrips:
         x[1, 2, 0] = 1
         p = tmp_path / "topo.json"
         cli.write_integer_topology(str(p), IntegerTopology(x))
-        back = cli.read_integer_topology(str(p))
+        back, omega = cli.read_integer_topology(str(p))
         np.testing.assert_array_equal(back.x, x)
+        assert omega is None
 
     def test_critical_set(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -121,7 +121,7 @@ class TestCommands:
         d = np.array([[0.0, 4.0], [4.0, 0.0]])
         sol = FractionalSolution(
             FractionalTopology(d),
-            RoutingWeights({Path(0, 1): 1.0, Path(1, 0): 1.0}, mu=0.5), 0.5)
+            RoutingWeights({Path(0, 1): 1.0, Path(1, 0): 1.0}), 0.5)
         solfile = tmp_path / "sol.json"
         cli.write_solution(str(solfile), sol)
         topofile = tmp_path / "topo.json"
@@ -130,7 +130,7 @@ class TestCommands:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["violation_ratio"] == 0.0
-        topo = cli.read_integer_topology(str(topofile))
+        topo, _ = cli.read_integer_topology(str(topofile))
         np.testing.assert_array_equal(topo.X, d.astype(int))
 
     def test_evaluate_fattree_ahc_two(self, tmp_path):
@@ -161,8 +161,10 @@ class TestCommands:
                 if i != j:
                     weights[Path(i, j)] = 1.0
         topofile = tmp_path / "topo.json"
-        cli.write_integer_topology(str(topofile), IntegerTopology(x[None]),
-                                   RoutingWeights(weights, 1.0))
+        cli.write_integer_topology(
+            str(topofile), IntegerTopology(x[None]),
+            FractionalSolution(FractionalTopology(x), RoutingWeights(weights),
+                               1.0))
         seqfile = tmp_path / "seq.jsonl"
         write_seq(seqfile, constant_seq(3, 4, 1.0))
         out = tmp_path / "metrics.jsonl"
@@ -188,19 +190,21 @@ class TestCommands:
                          "--out", str(solfile)]) == 0
         assert cli.main(["round", str(physfile), str(solfile), str(critfile),
                          "--out", str(topofile)]) == 0
-        topo = cli.read_integer_topology(str(topofile))
+        topo, omega = cli.read_integer_topology(str(topofile))
         stage3 = cli.read_solution(str(solfile)).omega
         assert not all(evaluate_static(topo, stage3, t).feasible
                        for t in crit)
-        routed = cli.read_topology_routing(str(topofile))
-        assert routed.mu > 0 and routed.beta is not None
+        routed = json.loads(topofile.read_text())
+        assert routed["mu"] > 0 and routed["beta"] is not None
+        assert omega.weights and omega != stage3
         seqfile, out = tmp_path / "seq.jsonl", tmp_path / "metrics.jsonl"
         write_seq(seqfile, [t.demand for t in crit])
         assert cli.main(["evaluate", str(physfile), str(seqfile),
                          "--topology", str(topofile), "--out", str(out)]) == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(line["feasible"] for line in lines)
-        assert all(line["mlu"] <= 1.0 / routed.mu + 1e-6 for line in lines)
+        assert all(line["mlu"] <= 1.0 / routed["mu"] + 1e-6
+                   for line in lines)
 
     def test_evaluate_mesh_marks_zero_matrix_feasible(self, tmp_path):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
@@ -436,6 +440,20 @@ class TestExitCodes:
         assert not out.exists()
         assert "oversubscription" in capsys.readouterr().err
 
+    def test_fattree_pod_count_mismatch_exits_1(self, tmp_path, capsys):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile), make_fabric(4, 1, 6))
+        write_seq(seqfile, constant_seq(n=6, count=3))
+        out = tmp_path / "metrics.jsonl"
+        rc = cli.main(["evaluate", str(physfile), str(seqfile), "--baseline",
+                       "fattree", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("couder: 4 pod uplink counts for a matrix of"
+                              " 6 pods")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("spelling", ["NaN", "Infinity"])
     def test_non_finite_bandwidth_exits_1(self, tmp_path, capsys, spelling):
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
@@ -483,7 +501,7 @@ class TestExitCodes:
         t[0, 1] = 1.0
         sol = FractionalSolution(
             FractionalTopology(d),
-            RoutingWeights({Path(0, 1): 1.0}, mu=4.0), 4.0, beta=0.5)
+            RoutingWeights({Path(0, 1): 1.0}), 4.0, beta=0.5)
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
         write_physical_topology(str(physfile), phys)
@@ -491,7 +509,7 @@ class TestExitCodes:
         cli.write_solution(str(solfile), sol)
         assert cli.main(["round", str(physfile), str(solfile), str(critfile),
                          "--out", str(topofile)]) == 0
-        assert cli.read_topology_routing(str(topofile)).beta is not None
+        assert json.loads(topofile.read_text())["beta"] is not None
 
     @pytest.mark.parametrize("key, value", [("step3_mode", "per-link"),
                                             ("jobs", 2),
@@ -553,7 +571,8 @@ class TestExitCodes:
 
 
 class TestMalformedFiles:
-    """A versioned file with a missing field or a foreign version exits 1."""
+    """A versioned file with a missing field, a foreign version or a
+    malformed routing weight exits 1."""
 
     MISSING = {"phys": {"version": 1, "num_pods": 3},
                "crit": {"version": 1, "k": 1},
@@ -570,20 +589,20 @@ class TestMalformedFiles:
         cli.write_critical_set(str(files["crit"]),
                                CriticalSet((TrafficMatrix(d),)))
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-        cli.write_solution(str(files["sol"]), FractionalSolution(
+        plan = FractionalSolution(
             FractionalTopology(d),
-            RoutingWeights({Path(i, j): 1.0 for i, j in pairs}, mu=0.5), 0.5))
+            RoutingWeights({Path(i, j): 1.0 for i, j in pairs}), 0.5)
+        cli.write_solution(str(files["sol"]), plan)
         cli.write_integer_topology(str(files["topo"]),
-                                   IntegerTopology(d[None].astype(int)))
+                                   IntegerTopology(d[None].astype(int)), plan)
         seqfile = tmp_path / "seq.jsonl"
         write_seq(seqfile, [d])
         phys, out = str(files["phys"]), str(tmp_path / "out.json")
         argv = {"phys": ["optimize", phys, str(files["crit"]), "--out", out],
                 "crit": ["optimize", phys, str(files["crit"]), "--out", out],
                 "sol": ["round", phys, str(files["sol"]), "--out", out],
-                "topo": ["evaluate", phys, str(seqfile), "--baseline",
-                         "direct", "--topology", str(files["topo"]),
-                         "--out", out]}[bad]
+                "topo": ["evaluate", phys, str(seqfile), "--topology",
+                         str(files["topo"]), "--out", out]}[bad]
         return files[bad], argv
 
     @pytest.mark.parametrize("bad", ["phys", "crit", "sol", "topo"])
@@ -613,6 +632,36 @@ class TestMalformedFiles:
         path.write_text(json.dumps(obj))
         assert cli.main(argv) == 1
         assert "version" in capsys.readouterr().err
+
+    # Each entry goes into the omega list of 3 pods; True replaces the
+    # entry of the same path instead of adding one.
+    BAD_OMEGA = {
+        "pod-out-of-range": ({"src": 9, "dst": 1, "via": None, "w": 1.0},
+                             False),
+        "pod-not-integer": ({"src": 1.5, "dst": 1, "via": None, "w": 1.0},
+                            False),
+        "pod-negative": ({"src": -1, "dst": 1, "via": None, "w": 1.0}, False),
+        "w-nan": ({"src": 0, "dst": 2, "via": 1, "w": math.nan}, False),
+        "path-repeated": ({"src": 0, "dst": 2, "via": None, "w": 0.0}, False),
+        "w-negative": ({"src": 0, "dst": 2, "via": None, "w": -1.0}, True),
+    }
+
+    @pytest.mark.parametrize("case", BAD_OMEGA)
+    @pytest.mark.parametrize("bad", ["sol", "topo"])
+    def test_malformed_routing_weight_exits_1(self, tmp_path, capsys, bad,
+                                              case):
+        path, argv = self.command(tmp_path, bad)
+        entry, replace = self.BAD_OMEGA[case]
+        obj = json.loads(path.read_text())
+        key = ("src", "dst", "via")
+        obj["omega"] = [e for e in obj["omega"] if not replace
+                        or [e[k] for k in key] != [entry[k] for k in key]]
+        obj["omega"].append(entry)
+        path.write_text(json.dumps(obj))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: malformed field (omega entry")
+        assert err.count("\n") == 1
 
 
 class TestMalformedSequence:

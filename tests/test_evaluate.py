@@ -7,7 +7,8 @@ import pytest
 
 from couder import lp, optimize
 from couder.errors import InvalidInputError
-from couder.evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
+from couder.evaluate import (EvalRecord, ReconfigPolicy, _changing_circuits,
+                             _restrict_weights, direct_only_weights,
                              evaluate_static, fat_tree_eval, ideal_toe_mlu,
                              num_stages, optimal_routing_mlu, sensitivity_map,
                              simulate_reconfig, uniform_mesh, vlb_weights)
@@ -67,17 +68,19 @@ class TestEvaluateStatic:
         assert rec.mlu == pytest.approx(1.0 / routed.mu, abs=1e-5)
 
     def test_two_hop_load_split(self):
-        X = np.zeros((3, 3), dtype=int)
-        X[0, 2] = X[2, 1] = 2
-        topo = IntegerTopology(X[None])
+        # The 2-hop path puts the whole demand on both of its links, so
+        # either one, made the narrower, sets the MLU.
         omega = RoutingWeights({Path(0, 1, 2): 1.0})
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
-        rec = evaluate_static(topo, omega, TrafficMatrix(t), 1.0)
-        assert rec.per_link_util[0, 2] == pytest.approx(0.5)
-        assert rec.per_link_util[2, 1] == pytest.approx(0.5)
-        assert rec.ahc == pytest.approx(2.0)
-        assert rec.direct_fraction == 0.0
+        for first, second, mlu in [(2, 5, 0.5), (5, 4, 0.25)]:
+            X = np.zeros((3, 3), dtype=int)
+            X[0, 2], X[2, 1] = first, second
+            rec = evaluate_static(IntegerTopology(X[None]), omega,
+                                  TrafficMatrix(t), 1.0)
+            assert rec.mlu == pytest.approx(mlu)
+            assert rec.ahc == pytest.approx(2.0)
+            assert rec.direct_fraction == 0.0
 
 
 class TestOptimalRouting:
@@ -285,11 +288,13 @@ class TestIdealToe:
         infinite = finite = 0
         for case in range(120):
             n, m = int(rng.integers(2, 11)), int(rng.integers(1, 5))
-            phys = zero_radix_fabric(rng, n, m, dead=0.15 * (case % 2))
-            b = float(rng.uniform(0.5, 4.0))
+            ports = zero_radix_fabric(rng, n, m, dead=0.15 * (case % 2))
+            phys = PhysicalTopology(n, m, ports.egress_ports,
+                                    ports.ingress_ports,
+                                    float(rng.uniform(0.5, 4.0)))
             t = sparse_tm(rng, n, float(rng.uniform(0.05, 1.0)))
-            want = lp_ideal_toe_mlu(phys, t, b)
-            assert ideal_toe_mlu(phys, t, b) == pytest.approx(want, rel=1e-9)
+            want = lp_ideal_toe_mlu(phys, t)
+            assert ideal_toe_mlu(phys, t) == pytest.approx(want, rel=1e-9)
             infinite += math.isinf(want)
             finite += 0 < want < math.inf
         # Both branches of the bound are exercised, not only one.
@@ -321,13 +326,6 @@ class TestIdealToe:
         t[0, 1] = 1.0
         assert math.isinf(ideal_toe_mlu(phys, TrafficMatrix(t)))
 
-    @pytest.mark.parametrize("bandwidth", [math.nan, 0.0, -1.0, math.inf])
-    def test_rejects_bad_bandwidth(self, bandwidth):
-        phys = make_fabric(3, 1, 2)
-        with pytest.raises(InvalidInputError, match="bandwidth"):
-            ideal_toe_mlu(phys, random_tm(np.random.default_rng(0), 3),
-                          bandwidth)
-
     def test_rejects_pod_count_mismatch(self):
         with pytest.raises(InvalidInputError, match="fabric"):
             ideal_toe_mlu(make_fabric(3, 1, 2),
@@ -343,7 +341,8 @@ class TestIdealToe:
         t = np.zeros((3, 3))
         t[0, 1] = 1e10
         with pytest.raises(InvalidInputError, match="overflows"):
-            ideal_toe_mlu(make_fabric(3, 1, 2), TrafficMatrix(t), 1e-310)
+            ideal_toe_mlu(make_fabric(3, 1, 2, bandwidth=1e-310),
+                          TrafficMatrix(t))
 
 
 class TestUniformMesh:
@@ -385,8 +384,8 @@ class TestWeightBaselines:
         X = np.zeros((3, 3), dtype=int)
         X[0, 2] = X[2, 1] = 1
         omega = vlb_weights(IntegerTopology(X[None]))
-        assert omega.weight(Path(0, 1)) == 0.0
-        assert omega.weight(Path(0, 1, 2)) == pytest.approx(1.0)
+        assert omega.weights.get(Path(0, 1), 0.0) == 0.0
+        assert omega.weights.get(Path(0, 1, 2), 0.0) == pytest.approx(1.0)
 
     def test_vlb_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -426,6 +425,13 @@ class TestFatTree:
         t[0, 1] = 16.0
         rec = fat_tree_eval(TrafficMatrix(t), 16, 1.0, 1.0)
         assert rec.mlu == pytest.approx(1.0)
+
+    def test_uplinks_per_pod_must_match_the_matrix(self):
+        t = random_tm(np.random.default_rng(7), 4, 20.0)
+        rec = fat_tree_eval(t, np.full(4, 16), 1.0, 2.0)
+        assert rec.mlu == fat_tree_eval(t, 16, 1.0, 2.0).mlu
+        with pytest.raises(InvalidInputError, match="6 pod uplink counts"):
+            fat_tree_eval(t, np.full(6, 16), 1.0, 2.0)
 
 
 class TestSensitivityMap:
@@ -471,6 +477,47 @@ class TestStaging:
         with pytest.raises(InvalidInputError):
             num_stages(0.5, 1.0)
 
+    def test_changing_circuits_as_the_loop(self):
+        old, new = np.random.default_rng(0).integers(0, 3, (2, 3, 4, 4))
+        want = [(i, j, m) for i in range(4) for j in range(4)
+                for m in range(3)
+                for _ in range(max(old[m, i, j] - new[m, i, j], 0))]
+        assert _changing_circuits(old, new).tolist() == [list(c) for c in
+                                                         want]
+
+    def test_restrict_weights_drops_paths_on_removed_links(self):
+        full = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+        cap = full.copy()
+        cap[0, 1] = cap[2, 1] = 0.0
+        kept = _restrict_weights(vlb_weights(full), cap).weights
+        # (0, 1) and (2, 1) have no path left and go direct; (0, 2) and
+        # (2, 0) lose their 2-hop path; the other pairs keep their split.
+        want = {Path(0, 1): 1.0, Path(2, 1): 1.0, Path(0, 2): 1.0,
+                Path(2, 0): 1.0}
+        for i, j, k in [(1, 0, 2), (1, 2, 0)]:
+            want[Path(i, j)] = want[Path(i, j, k)] = 0.5
+        assert dict(kept) == want
+
+
+def two_regime_sequence():
+    """40 matrices on 4 pods, at t = 0 .. 39, whose heavy pairs change at
+    t = 20, so a plan made before then and one made after differ."""
+    rng = np.random.default_rng(8)
+    n = 4
+    mats = []
+    for i in range(40):
+        t = np.zeros((n, n))
+        if i < 20:
+            t[0, 1] = 8.0
+            t[2, 3] = 8.0
+        else:
+            t[0, 3] = 8.0
+            t[2, 1] = 8.0
+        t += rng.uniform(0.0, 0.3, (n, n))
+        np.fill_diagonal(t, 0.0)
+        mats.append(TrafficMatrix(t, timestamp=float(i)))
+    return TmSequence(tuple(mats), 1.0)
+
 
 def small_sequence(n=4, count=30, seed=0, window=1.0):
     rng = np.random.default_rng(seed)
@@ -498,17 +545,23 @@ class TestSimulateReconfig:
                 assert ep.stages == 0
 
     def test_zero_latency_matches_instantaneous(self):
-        phys = make_fabric(4, 2, 4)
-        seq = small_sequence(seed=3)
-        kw = dict(alpha_pred=0.8, lookback=5.0, k=2)
-        fast = ReconfigPolicy(frequency=8.0, stage_latency=0.0, **kw)
-        slow = ReconfigPolicy(frequency=8.0, stage_latency=0.0, **kw)
-        a, _ = simulate_reconfig(phys, seq, fast, seed=2)
-        b, _ = simulate_reconfig(phys, seq, slow, seed=2)
-        assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert pa.record.mlu == pb.record.mlu
-            assert pa.stage is None and pb.stage is None
+        # Epochs fall half-way between integer timestamps, and at most
+        # ceil(1 / 0.2) = 5 stages of 0.05 s end within 0.25 s: every
+        # switch is over before the next matrix, which sees what a switch
+        # with no latency installs.
+        phys = make_fabric(4, 2, 3)
+        seq = two_regime_sequence()
+        kw = dict(frequency=10.0, alpha_pred=0.8, lookback=5.5, k=2)
+        fast = ReconfigPolicy(stage_latency=0.0, **kw)
+        slow = ReconfigPolicy(stage_latency=0.05, **kw)
+        a, epochs = simulate_reconfig(phys, seq, fast, seed=9)
+        b, slow_epochs = simulate_reconfig(phys, seq, slow, seed=9)
+        assert any(ep.stages > 0 for ep in slow_epochs)
+        assert slow_epochs == epochs
+        assert [(p.time, p.record.mlu, p.record.ahc, p.epoch, p.stage)
+                for p in b] == [(p.time, p.record.mlu, p.record.ahc,
+                                 p.epoch, p.stage) for p in a]
+        assert all(p.stage is None for p in a)
 
     def test_stage3_solves_at_stage2_output(self, monkeypatch):
         # Stage 3 has been called infeasible exactly at stage 2's (F,
@@ -556,22 +609,8 @@ class TestSimulateReconfig:
     def test_stage_metadata_and_capacity_dip(self):
         # Force a topology change by alternating two very different demand
         # regimes across epochs.
-        rng = np.random.default_rng(8)
-        n = 4
-        mats = []
-        for i in range(40):
-            t = np.zeros((n, n))
-            if i < 20:
-                t[0, 1] = 8.0
-                t[2, 3] = 8.0
-            else:
-                t[0, 3] = 8.0
-                t[2, 1] = 8.0
-            t += rng.uniform(0.0, 0.3, (n, n))
-            np.fill_diagonal(t, 0.0)
-            mats.append(TrafficMatrix(t, timestamp=float(i)))
-        seq = TmSequence(tuple(mats), 1.0)
-        phys = make_fabric(n, 2, 3)
+        seq = two_regime_sequence()
+        phys = make_fabric(4, 2, 3)
         policy = ReconfigPolicy(frequency=15.0, stage_latency=2.0,
                                 alpha_pred=0.7, lookback=10.0, k=1)
         points, epochs = simulate_reconfig(phys, seq, policy, seed=9)

@@ -359,7 +359,7 @@ class TestMinimizeAhc:
     def test_n2_all_direct(self):
         phys, crit = n2_instance()
         sol = minimize_ahc(phys, crit, 0.5, 0.25)
-        assert sol.omega.weight(Path(0, 1)) == pytest.approx(1.0, abs=1e-9)
+        assert sol.omega.weights.get(Path(0, 1), 0.0) == pytest.approx(1.0, abs=1e-9)
         rec = evaluate_static(sol.d, sol.omega, crit.matrices[0], 1.0)
         assert rec.ahc == pytest.approx(1.0, abs=1e-9)
 
@@ -370,20 +370,20 @@ class TestMinimizeAhc:
         crit = CriticalSet((TrafficMatrix(t),))
         # Without a sensitivity cap the direct path alone is optimal.
         sol = run_pipeline(phys, crit, desensitized=False)
-        assert sol.omega.weight(Path(0, 3)) == pytest.approx(1.0, abs=1e-6)
+        assert sol.omega.weights.get(Path(0, 3), 0.0) == pytest.approx(1.0, abs=1e-6)
         rec = evaluate_static(sol.d, sol.omega, crit.matrices[0], 1.0)
         assert rec.ahc == pytest.approx(1.0, abs=1e-6)
         # At the fully minimized sensitivity bound the direct weight is
         # deliberately capped: spreading is the point of desensitizing.
         capped = run_pipeline(phys, crit, desensitized=True)
-        assert capped.omega.weight(Path(0, 3)) < 1.0 - 1e-6
+        assert capped.omega.weights.get(Path(0, 3), 0.0) < 1.0 - 1e-6
 
     def test_n3_objective_matches_grid_oracle(self):
         phys, crit = n3_instance()
         mu = solve_maxmin_throughput(phys, crit).mu
         beta = desensitize(phys, crit, mu).beta
         sol = minimize_ahc(phys, crit, mu, beta)
-        lp_objective = sol.omega.weight(Path(0, 1)) * 4.0
+        lp_objective = sol.omega.weights.get(Path(0, 1), 0.0) * 4.0
         oracle = 4.0 * oracle_step3_direct_weight(beta)
         assert lp_objective == pytest.approx(oracle, abs=5e-2)
 
