@@ -8,7 +8,7 @@ circuit-switch bank, and evaluate under a fluid traffic model.
 
 from .model import (FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
-                    TrafficMatrix, enumerate_paths, validate)
+                    TrafficMatrix, validate)
 from .traffic import (BoundednessResult, CriticalSet, check_bounded,
                       extract_critical, gen_burst_tms, gen_storage_tms)
 from .optimize import (FractionalSolution, desensitize, minimize_ahc,
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FractionalTopology", "IntegerTopology", "Path", "PhysicalTopology",
-    "RoutingWeights", "TmSequence", "TrafficMatrix", "enumerate_paths",
-    "validate",
+    "RoutingWeights", "TmSequence", "TrafficMatrix", "validate",
     "BoundednessResult", "CriticalSet", "check_bounded", "extract_critical",
     "gen_burst_tms", "gen_storage_tms",
     "FractionalSolution", "desensitize", "minimize_ahc", "recompute_routing",

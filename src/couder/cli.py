@@ -2,7 +2,12 @@
 
 All files are UTF-8 JSON.  Traffic sequences and per-matrix metrics are
 JSON Lines (one object per line) so long traces stream; everything else
-is a single versioned object.  Exit codes: 0 success, 1 validation
+is a single versioned object.  A plan file holds its routing as an
+``omega`` list of ``{"src", "dst", "via", "w"}``, one entry per path of
+positive weight in ``model._tables`` order.  Every count in a file must
+be an integer (pod and switch counts JSON integers; port and circuit
+counts within ``model.TOL`` of one), and each ordered pair's weights must
+sum to 1 within ``model.TOL``.  Exit codes: 0 success, 1 validation
 error, 2 infeasibility, 3 the LP solver hit an iteration or numerical
 limit, 4 internal error (an LP ended in a state its stage rules out, such
 as no sensitivity bound below the cap), 64 usage error.
@@ -25,7 +30,7 @@ from .errors import (InfeasibleRoutingError, InternalError,
 from .evaluate import ReconfigPolicy
 from .model import (TOL, FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
-                    TrafficMatrix)
+                    TrafficMatrix, _tables)
 from .traffic import CriticalSet
 
 EXIT_OK = 0
@@ -157,9 +162,10 @@ def read_tm_sequence(path: str) -> TmSequence:
 
 def read_physical_topology(path: str) -> PhysicalTopology:
     def parse(obj):
-        return PhysicalTopology(int(obj["num_pods"]), int(obj["num_ocs"]),
-                                np.array(obj["h_eg"], dtype=int),
-                                np.array(obj["h_ig"], dtype=int),
+        if not all(type(obj[k]) is int for k in ("num_pods", "num_ocs")):
+            raise ValueError("num_pods and num_ocs must be integers")
+        return PhysicalTopology(obj["num_pods"], obj["num_ocs"],
+                                obj["h_eg"], obj["h_ig"],
                                 float(obj.get("bandwidth_gbps", 1.0)))
     return _read_object(path, parse)
 
@@ -183,19 +189,18 @@ def read_critical_set(path: str) -> CriticalSet:
 
 def _plan_json(sol: optimize.FractionalSolution) -> dict:
     """mu, beta and the weights of a plan, as both plan files hold them."""
-    omega = sorted(sol.omega.weights.items(), key=lambda pw: (
-        pw[0].src, pw[0].dst, -1 if pw[0].via is None else pw[0].via))
     return {"mu": sol.mu, "beta": sol.beta,
             "omega": [{"src": p.src, "dst": p.dst, "via": p.via, "w": w}
-                      for p, w in omega]}
+                      for p, w in sol.omega.weights.items()]}
 
 
 def _omega_parse(entries, num_pods: int) -> RoutingWeights:
     """The weights in a plan file's ``omega`` list over ``num_pods`` pods.
 
     Pod ids must be integers in [0, num_pods), each ``w`` a number in
-    [0, 1] (above 1 by at most ``TOL``, an LP vertex's float noise) and
-    each path listed once; anything else raises ``ValueError``.
+    [0, 1] (above 1 by at most ``TOL``, an LP vertex's float noise), each
+    path listed once, and each ordered pair's weights must sum to 1 within
+    ``TOL``; anything else raises ``ValueError``.
     """
     weights = {}
     for e in entries:
@@ -210,7 +215,14 @@ def _omega_parse(entries, num_pods: int) -> RoutingWeights:
         if path in weights:
             raise ValueError(f"omega entry {_dump(e)}: path listed twice")
         weights[path] = float(w)
-    return RoutingWeights(weights)
+    omega = RoutingWeights.of(weights, num_pods)
+    t = _tables(num_pods)
+    sums = np.bincount(t.path_pair, omega.omega, len(t.pairs))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > TOL)
+    if len(bad):
+        raise ValueError(f"omega of pair {t.pairs[bad[0]]} sums to"
+                         f" {sums[bad[0]]:.9g}, not 1")
+    return omega
 
 
 def write_solution(path: str, sol: optimize.FractionalSolution):
@@ -243,7 +255,7 @@ def read_integer_topology(path: str) -> tuple:
     """(X, the weights ``round`` recomputed on X) of a topology file; the
     weights are None when the file holds none."""
     def parse(obj):
-        topo = IntegerTopology(np.array(obj["x"], dtype=int))
+        topo = IntegerTopology(obj["x"])
         if "omega" not in obj:
             return topo, None
         return topo, _omega_parse(obj["omega"], topo.num_pods)

@@ -2,8 +2,11 @@
 
 Link loads follow directly from routing weights (no queueing or packet
 effects): the load on link (a, b) is the weighted demand of every path
-crossing it.  MLU may exceed 1 to express congestion severity; an infinite
-sentinel is reserved for demand crossing a zero-capacity link.
+crossing it, as ``RoutingWeights.loads`` computes for the planner too.
+A routing is ``model``'s path vector; the baselines here build theirs by
+index arithmetic on ``_tables``.  MLU may exceed 1 to express congestion
+severity; an infinite sentinel is reserved for demand crossing a
+zero-capacity link.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import numpy as np
 from . import optimize, round as rounding, traffic
 from .errors import (InfeasibleRoutingError, InvalidInputError,
                      UnboundedThroughputError)
-from .model import (FractionalTopology, IntegerTopology, Path,
-                    PhysicalTopology, RoutingWeights, TmSequence,
-                    TrafficMatrix)
+from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
+                    RoutingWeights, TmSequence, TrafficMatrix, _tables)
 from .traffic import CriticalSet
 
 Capacity = Union[IntegerTopology, FractionalTopology, np.ndarray]
@@ -77,35 +79,27 @@ def _capacity_matrix(x: Capacity) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _link_loads(direct: np.ndarray, via: np.ndarray,
-                t: np.ndarray) -> np.ndarray:
-    """Per-link load of ``t`` under ``RoutingWeights.arrays``' weights."""
-    load = direct * t
-    # 2-hop paths: first link (src, via), second link (via, dst).
-    load += np.einsum("ijk,ij->ik", via, t)
-    load += np.einsum("ijk,ij->kj", via, t)
-    return load
-
-
 def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
                     bandwidth: float = 1.0) -> EvalRecord:
     """Utilization, hop count, and feasibility of one matrix on fixed routes."""
     cap = _capacity_matrix(x) * bandwidth
     if cap.shape != t.demand.shape:
         raise InvalidInputError("topology and matrix shapes differ")
-    direct, via = omega.arrays(t.num_pods)
-    load = _link_loads(direct, via, t.demand)
-    util = np.zeros_like(load)
-    positive = cap > 0
-    util[positive] = load[positive] / cap[positive]
-    dead = (~positive) & (load > 1e-12)
-    feasible = not dead.any()
-    util[dead] = math.inf
+    if omega.num_pods != t.num_pods:
+        raise InvalidInputError(f"routing weights for {omega.num_pods} pods"
+                                f" and a matrix of {t.num_pods}")
+    tables = _tables(t.num_pods)
+    cap = cap[tables.pair_src, tables.pair_dst]
+    load = omega.loads(t.demand[None])[0]
+    util = np.divide(load, cap, out=np.zeros_like(load), where=cap > 0)
+    feasible = not ((cap <= 0) & (load > 1e-12)).any()
     mlu = float(util.max(initial=0.0)) if feasible else math.inf
 
     total = t.total
     if total > 0:
-        direct_fraction = float((direct * t.demand).sum() / total)
+        demand = t.demand[tables.pair_src, tables.pair_dst]
+        direct_fraction = float(
+            (omega.omega[::t.num_pods - 1] * demand).sum() / total)
         direct_fraction = min(max(direct_fraction, 0.0), 1.0)
     else:
         direct_fraction = 1.0
@@ -140,7 +134,7 @@ def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
             omega = optimize.minimize_ahc(phys, crit, mu, None,
                                           _fixed=cap).omega
     except UnboundedThroughputError:
-        mlu, omega = 0.0, RoutingWeights({})
+        mlu, omega = 0.0, direct_only_weights(cap)
     except InfeasibleRoutingError:
         mlu, omega = math.inf, None
     return (mlu, omega) if return_weights else mlu
@@ -225,32 +219,20 @@ def uniform_mesh(phys: PhysicalTopology) -> IntegerTopology:
 
 
 def vlb_weights(x: Capacity) -> RoutingWeights:
-    """Capacity-proportional oblivious splitting over direct + 2-hop paths."""
+    """Capacity-proportional oblivious splitting over direct + 2-hop paths,
+    each weighed by its thinnest link; a pair with none goes direct."""
     cap = _capacity_matrix(x)
-    n = cap.shape[0]
-    weights = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            caps = [(Path(i, j), cap[i, j])]
-            caps.extend((Path(i, j, k), min(cap[i, k], cap[k, j]))
-                        for k in range(n) if k not in (i, j))
-            total = sum(c for _, c in caps)
-            if total <= 0:
-                weights[Path(i, j)] = 1.0
-                continue
-            for p, c in caps:
-                if c > 0:
-                    weights[p] = float(c / total)
-    return RoutingWeights(weights)
+    t = _tables(cap.shape[0])
+    hop_cap = cap[t.pair_src, t.pair_dst][t.path_links]
+    return RoutingWeights.normalized(cap.shape[0], hop_cap.min(axis=1))
 
 
 def direct_only_weights(x: Capacity) -> RoutingWeights:
     """All weight on direct paths; zero-link pairs surface as infeasible."""
     n = _capacity_matrix(x).shape[0]
-    return RoutingWeights({Path(i, j): 1.0
-                           for i in range(n) for j in range(n) if i != j})
+    omega = np.zeros(len(_tables(n).paths))
+    omega[::n - 1] = 1.0
+    return RoutingWeights(n, omega)
 
 
 def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
@@ -278,18 +260,20 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
 
 def sensitivity_map(x: Capacity, omega: RoutingWeights,
                     bandwidth: float = 1.0) -> np.ndarray:
-    """Worst utilization increase per unit demand surge, per link."""
+    """Worst utilization increase per unit demand surge, per link: the
+    largest w / capacity of a path of weight w > 0 crossing it."""
     cap = _capacity_matrix(x) * bandwidth
     n = cap.shape[0]
+    if omega.num_pods != n:
+        raise InvalidInputError(f"routing weights for {omega.num_pods} pods"
+                                f" on a topology of {n}")
+    t = _tables(n)
+    w = omega.omega[t.hop_path]
+    c = cap[t.pair_src, t.pair_dst][t.hop_link]
+    hop = np.divide(w, c, out=np.full(len(w), math.inf), where=c > 0)
+    link = t.hop_link[w > 0]
     sen = np.zeros((n, n))
-    for p, w in omega.weights.items():
-        if w <= 0:
-            continue
-        for a, b in p.links():
-            if cap[a, b] > 0:
-                sen[a, b] = max(sen[a, b], w / cap[a, b])
-            else:
-                sen[a, b] = math.inf
+    np.maximum.at(sen, (t.pair_src[link], t.pair_dst[link]), hop[w > 0])
     return sen
 
 
@@ -321,16 +305,10 @@ class SimPoint:
 def _restrict_weights(omega: RoutingWeights, cap: np.ndarray) -> RoutingWeights:
     """Drop paths crossing removed links and renormalize per pair; a pair
     left with no path goes direct, which surfaces as infeasible."""
-    n = cap.shape[0]
-    kept = [(p, w) for p, w in omega.weights.items()
-            if w > 0 and all(cap[a, b] > 0 for a, b in p.links())]
-    total = {}
-    for p, w in kept:
-        total[p.src, p.dst] = total.get((p.src, p.dst), 0) + w
-    weights = {Path(i, j): 1.0 for i in range(n) for j in range(n)
-               if i != j and (i, j) not in total}
-    weights.update((p, w / total[p.src, p.dst]) for p, w in kept)
-    return RoutingWeights(weights)
+    t = _tables(omega.num_pods)
+    live = (cap[t.pair_src, t.pair_dst][t.path_links] > 0).all(axis=1)
+    return RoutingWeights.normalized(
+        omega.num_pods, np.where(live, omega.omega, 0.0))
 
 
 def _changing_circuits(old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -1,19 +1,26 @@
-"""Core domain types, validation, and path enumeration.
+"""Core domain types, validation, and the path tables.
 
 A fabric is a set of N pods interconnected through M optical circuit
 switches.  The fixed pod-to-switch fiber striping is the *physical*
 topology; circuit settings realize a pod-to-pod *logical* topology.
 Routing uses direct (1-hop) and 2-hop inter-pod paths only.
+
+A routing is one array, ``RoutingWeights.omega``: one weight per path in
+``_tables`` column order, each pair's weights summing to one, turned into
+link loads by ``RoutingWeights.loads`` for planning and evaluation alike.
+Port and circuit counts are integers: a count more than ``TOL`` from one
+is rejected, never truncated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +34,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _counts(a, what: str) -> np.ndarray:
+    """``a`` as an int array; an entry more than ``TOL`` from an integer,
+    or not below 2**62 in size, raises InvalidInputError naming ``what``."""
+    a = np.asarray(a)
+    if a.dtype.kind != "i":
+        a = a.astype(float)
+        whole = np.rint(a)
+        if not ((np.abs(a) < 2.0 ** 62).all()
+                and (np.abs(whole - a) <= TOL).all()):
+            raise InvalidInputError(f"{what} must be integers")
+        a = whole
+    return a.astype(int)
 
 
 @dataclass(frozen=True)
@@ -52,8 +73,8 @@ class PhysicalTopology:
         if not 0 < self.link_bandwidth < np.inf:  # False for NaN too
             raise InvalidInputError("link bandwidth must be positive and"
                                     " finite")
-        eg = np.asarray(self.egress_ports, dtype=int)
-        ig = np.asarray(self.ingress_ports, dtype=int)
+        eg = _counts(self.egress_ports, "port counts")
+        ig = _counts(self.ingress_ports, "port counts")
         if eg.shape != (self.num_ocs, self.num_pods) or ig.shape != eg.shape:
             raise InvalidInputError(
                 f"port matrices must be {self.num_ocs}x{self.num_pods}"
@@ -207,14 +228,10 @@ class IntegerTopology:
         x = np.asarray(self.x)
         if x.ndim != 3 or x.shape[1] != x.shape[2]:
             raise InvalidInputError("x must be an M x N x N tensor")
-        if not np.issubdtype(x.dtype, np.integer):
-            xi = np.rint(x).astype(int)
-            if np.abs(xi - x).max(initial=0.0) > TOL:
-                raise InvalidInputError("x entries must be integers")
-            x = xi
+        x = _counts(x, "x entries")
         if (x < 0).any():
             raise InvalidInputError("x entries must be nonnegative")
-        object.__setattr__(self, "x", _freeze(x.astype(int)))
+        object.__setattr__(self, "x", _freeze(x))
 
     @property
     def num_ocs(self) -> int:
@@ -251,57 +268,123 @@ class Path:
         return ((self.src, self.via), (self.via, self.dst))
 
 
-@dataclass(frozen=True)
-class RoutingWeights:
-    """Per-path split fractions, and nothing else: the throughput mu and
-    sensitivity bound beta of a plan live on ``FractionalSolution``.
+class _Tables(NamedTuple):
+    """Index tables of every path and link among ``n`` pods.
 
-    ``weights`` is a read-only copy of the mapping given, so the arrays
-    ``arrays`` builds once per pod count stay true to it.
+    Links and pairs share one index: the position in ``pairs``, the
+    row-major order of a matrix's off-diagonal entries.  Paths run in
+    column order: pairs order, and per pair its direct path, then one
+    2-hop path per intermediate pod in ascending order.  So pair q owns
+    paths q (n - 1) .. (q + 1) (n - 1) - 1, the first of them direct.
     """
 
-    weights: Mapping  # Path -> weight in [0, 1]
+    pairs: tuple
+    pair_src: np.ndarray  # (pairs,)
+    pair_dst: np.ndarray
+    paths: tuple
+    path_pair: np.ndarray  # (paths,)
+    path_links: np.ndarray  # (paths, 2); a direct path's one link twice
+    # Each (path, link) hop, path-major, each path's links in order.
+    hop_path: np.ndarray
+    hop_link: np.ndarray
+    # Each (link, path) crossing, link-major; per link the direct path,
+    # then the paths with it as first hop, then as second hop.
+    cross_link: np.ndarray
+    cross_path: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """The read-only ``_Tables`` of ``n`` pods, built once per process."""
+    if n < 2:
+        raise InvalidInputError("need at least 2 pods")
+    per = n - 1
+    pairs = tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    # Each path as (src, dst, via), via -1 on a direct path.
+    src, dst, via = np.array([(i, j, k) for i, j in pairs for k in (
+        -1, *(k for k in range(n) if k not in (i, j)))]).T
+    paths = tuple(Path(i, j, None if k < 0 else k)
+                  for i, j, k in zip(*(a.tolist() for a in (src, dst, via))))
+    direct = via < 0
+
+    def link(a, b):
+        return a * per + b - (b > a)
+
+    first = np.where(direct, link(src, dst), link(src, via))
+    links = np.stack([first, np.where(direct, first, link(via, dst))], 1)
+    hop_path, hop = np.nonzero(np.stack([np.ones_like(direct), ~direct], 1))
+    hop_link = links[hop_path, hop]
+    # Per link: the direct path, then first hops, then second hops.
+    cross = np.lexsort((hop_path, hop + ~direct[hop_path], hop_link))
+    return _Tables(pairs, _freeze(src[::per]), _freeze(dst[::per]), paths,
+                   _freeze(np.repeat(np.arange(len(pairs)), per)),
+                   _freeze(links), _freeze(hop_path), _freeze(hop_link),
+                   _freeze(hop_link[cross]), _freeze(hop_path[cross]))
+
+
+@dataclass(frozen=True, eq=False)
+class RoutingWeights:
+    """A routing: ``omega``, a read-only copy of the array given, holds one
+    weight per path of ``num_pods`` pods in ``_tables`` column order, as
+    the stage LPs solve them.  Each pair's weights split its demand and
+    sum to one; a plan's mu and beta live on ``FractionalSolution``.
+    """
+
+    num_pods: int
+    omega: np.ndarray  # (paths,)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           MappingProxyType(dict(self.weights)))
-        object.__setattr__(self, "_dense", {})
+        num_paths = len(_tables(self.num_pods).paths)
+        omega = np.asarray(self.omega, dtype=float)
+        if omega.shape != (num_paths,):
+            raise InvalidInputError(f"{self.num_pods} pods take {num_paths}"
+                                    f" path weights, not {omega.shape}")
+        object.__setattr__(self, "omega", _freeze(omega))
 
-    def arrays(self, num_pods: int):
-        """Dense views: (N,N) direct weights and (N,N,N) [src,dst,via]
-        weights, read-only, built at the first call for ``num_pods``."""
-        dense = self._dense.get(num_pods)
-        if dense is None:
-            direct = np.zeros((num_pods, num_pods))
-            via = np.zeros((num_pods, num_pods, num_pods))
-            for p, w in self.weights.items():
-                if p.via is None:
-                    direct[p.src, p.dst] = w
-                else:
-                    via[p.src, p.dst, p.via] = w
-            direct.flags.writeable = via.flags.writeable = False
-            dense = self._dense[num_pods] = (direct, via)
-        return dense
+    @classmethod
+    def of(cls, weights: Mapping, num_pods: int) -> "RoutingWeights":
+        """The routing with weight ``weights[p]`` on each path p given and
+        0 on every other path; a path outside the pods raises KeyError."""
+        paths = _tables(num_pods).paths
+        column = dict(zip(paths, range(len(paths))))
+        omega = np.zeros(len(paths))
+        omega[[column[p] for p in weights]] = list(weights.values())
+        return cls(num_pods, omega)
 
+    @classmethod
+    def normalized(cls, num_pods: int, w: np.ndarray,
+                   floor: float = 0.0) -> "RoutingWeights":
+        """Each pair's split in proportion to ``w``, one value per path,
+        summed per pair in path order; a pair whose sum is at most
+        ``floor`` goes direct, and a weight below 0 is stored as 0."""
+        per = num_pods - 1
+        pair = _tables(num_pods).path_pair
+        total = np.bincount(pair, w, len(pair) // per)[pair]
+        omega = np.divide(w, total, out=np.zeros(len(w)), where=total > floor)
+        omega[::per][total[::per] <= floor] = 1.0
+        return cls(num_pods, np.maximum(omega, 0.0))
 
-def enumerate_paths(num_pods: int) -> dict:
-    """All candidate paths keyed by ordered pod pair.
+    @property
+    def weights(self) -> Mapping:
+        """A read-only ``{Path: w}`` view of the positive weights, in path
+        order."""
+        paths = _tables(self.num_pods).paths
+        return MappingProxyType({paths[k]: float(self.omega[k])
+                                 for k in np.flatnonzero(self.omega > 0)})
 
-    Each pair (i, j) gets its direct path first, then one 2-hop path per
-    intermediate pod in ascending order: N-1 paths per pair.
-    """
-    if num_pods < 2:
-        raise InvalidInputError("need at least 2 pods")
-    out = {}
-    for i in range(num_pods):
-        for j in range(num_pods):
-            if i == j:
-                continue
-            paths = [Path(i, j)]
-            paths.extend(Path(i, j, k) for k in range(num_pods)
-                         if k != i and k != j)
-            out[(i, j)] = paths
-    return out
+    def loads(self, demand: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """(K, links) link loads of the (K, N, N) demands ``demand`` routed
+        at ``scale`` times their size, links in ``_tables`` order.  Each
+        link adds its flows k-major, then by path, then by hop; a path of
+        zero weight adds an exact 0.
+        """
+        t = _tables(self.num_pods)
+        K, num_links = len(demand), len(t.pairs)
+        pair = demand[:, t.pair_src, t.pair_dst]
+        flow = self.omega * scale * pair[:, t.path_pair]
+        index = np.arange(K)[:, None] * num_links + t.hop_link
+        return np.bincount(index.ravel(), flow[:, t.hop_path].ravel(),
+                           K * num_links).reshape(K, num_links)
 
 
 def validate(phys: PhysicalTopology, topo: IntegerTopology) -> list:

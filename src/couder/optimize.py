@@ -26,19 +26,17 @@ recompute routing after rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import lp
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UnboundedThroughputError)
-from .model import (FractionalTopology, IntegerTopology, Path,
-                    PhysicalTopology, RoutingWeights, _freeze,
-                    enumerate_paths, validate)
+from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
+                    RoutingWeights, _tables, validate)
 from .traffic import CriticalSet
 
 #: Relative throughput slack of the joint stage 2: it accepts a cap gamma
@@ -61,52 +59,6 @@ class FractionalSolution:
     omega: RoutingWeights
     mu: float
     beta: Optional[float] = None
-
-
-def _pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-class _Tables(NamedTuple):
-    """Index tables of every path and link among ``n`` pods.
-
-    Links and pairs share one index: the position in ``_pairs(n)``, which
-    is also the row-major order of a matrix's off-diagonal entries.  Paths
-    run in column order: pairs order, then ``enumerate_paths`` order, so
-    pair q owns paths q (n - 1) .. (q + 1) (n - 1) - 1.
-    """
-
-    pairs: tuple
-    pair_src: np.ndarray  # (pairs,)
-    pair_dst: np.ndarray
-    paths: tuple
-    path_pair: np.ndarray  # (paths,)
-    path_links: np.ndarray  # (paths, 2); a direct path's one link twice
-    # Each (link, path) crossing, link-major; per link the direct path,
-    # then the paths with it as first hop, then as second hop.
-    cross_link: np.ndarray
-    cross_path: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _tables(n: int) -> _Tables:
-    """The read-only ``_Tables`` of ``n`` pods, built once per process."""
-    pairs = tuple(_pairs(n))
-    link = {pair: q for q, pair in enumerate(pairs)}
-    paths = tuple(p for ps in enumerate_paths(n).values() for p in ps)
-    column = {p: k for k, p in enumerate(paths)}
-    crossing = []
-    for (a, b), q in link.items():
-        through = [Path(a, b)]
-        through.extend(Path(a, j, b) for j in range(n) if j not in (a, b))
-        through.extend(Path(i, b, a) for i in range(n) if i not in (a, b))
-        crossing.extend((q, column[p]) for p in through)
-    hops = [p.links() for p in paths]
-    return _Tables(
-        pairs, _freeze([i for i, _ in pairs]), _freeze([j for _, j in pairs]),
-        paths, _freeze([link[p.src, p.dst] for p in paths]),
-        _freeze([(link[ls[0]], link[ls[-1]]) for ls in hops]),
-        _freeze([q for q, _ in crossing]), _freeze([k for _, k in crossing]))
 
 
 def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
@@ -166,8 +118,6 @@ class _StageBuilder:
         if len(stranded):
             raise InfeasibleRoutingError(
                 f"no usable path for demanded pair {t.pairs[stranded[0]]}")
-        self.fallback = np.flatnonzero(~routed)
-        self.usable = np.flatnonzero(usable)
         # The routed pairs, and each weight column's position among them:
         # its split row.
         self.routed, self.split_row = np.unique(t.path_pair[usable],
@@ -272,59 +222,33 @@ class _StageBuilder:
         """The plan at a solved model's vertex ``x``, with throughput ``mu``
         and bound ``beta``.
 
-        ``normalize`` divides weights (recovering omega from scaled wp)
-        and per-pair sums are renormalized to exactly one; a routed pair
-        whose weights sum to almost nothing, and a pair deferred at
-        construction, falls back to its direct path.  The weights dict
-        holds the positive weights in ``_tables`` path order, with the
-        deferred pairs last.  Each pair's sum adds its weights in path
-        order, as numpy sums a pair's slice of up to seven, so that up to
-        8 pods the result is bit for bit what a loop over the pairs gives.
+        ``normalize`` divides weights (recovering omega from scaled wp).
+        ``RoutingWeights.normalized`` then rescales each pair's weights to
+        sum to exactly one, adding them in path order; a routed pair whose
+        weights sum to almost nothing, and a pair deferred at
+        construction, goes direct.  The LP's tiny negative weights are
+        stored as 0.
 
         With free link counts d is then raised to cover the realized
-        critical loads at ``mu`` exactly.  That clears sub-tolerance LP
-        residue so the throughput guarantee holds with a true inequality
-        on every link; the lift is bounded by the solver feasibility
-        tolerance.  Each link adds its loads in path order, as a loop over
-        the weights dict does.
+        critical loads at ``mu`` exactly, by ``RoutingWeights.loads``.
+        That clears sub-tolerance LP residue so the throughput guarantee
+        holds with a true inequality on every link; the lift is bounded by
+        the solver feasibility tolerance.
         """
         t = self.tables
-        w = x[:self.num_weights]
+        w = np.zeros(len(t.paths))
+        w[self.col >= 0] = x[:self.num_weights]
         if normalize is not None:
             w = w / normalize
-        total = np.bincount(self.split_row, w, len(self.routed))
-        empty = total <= 1e-12
-        omega = np.zeros(len(t.paths))
-        omega[self.usable] = np.divide(w, total[self.split_row],
-                                       out=np.zeros(len(w)),
-                                       where=~empty[self.split_row])
-        per = self.n - 1
-        omega[self.routed[empty] * per] = 1.0
-        keys = np.flatnonzero(omega > 0)
-        weights = dict(zip([t.paths[k] for k in keys], omega[keys].tolist()))
-        weights.update((Path(*t.pairs[q]), 1.0) for q in self.fallback)
-        omega[self.fallback * per] = 1.0
+        omega = RoutingWeights.normalized(self.n, w, 1e-12)
         if self.fixed is not None:
-            return FractionalSolution(FractionalTopology(self.fixed),
-                                      RoutingWeights(weights), mu, beta)
+            return FractionalSolution(FractionalTopology(self.fixed), omega,
+                                      mu, beta)
         d = np.zeros((self.n, self.n))
-        d[t.pair_src, t.pair_dst] = np.maximum(x[self._dcol()], 0.0)
-        num_links = len(t.pairs)
-        demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair]
-        k, path = np.nonzero((demand > 0) & (omega > 0))
-        flow = omega[path] * mu * demand[k, path]
-        # Each path's links in order; a direct path has its one link once.
-        links = t.path_links[path]
-        hop = np.ones(links.shape, dtype=bool)
-        hop[:, 1] = links[:, 0] != links[:, 1]
-        index = (k[:, None] * num_links + links)[hop]
-        load = np.bincount(index, np.repeat(flow, hop.sum(axis=1)),
-                           len(self.crit) * num_links)
         d[t.pair_src, t.pair_dst] = np.maximum(
-            d[t.pair_src, t.pair_dst],
-            load.reshape(len(self.crit), num_links).max(axis=0) / self.b)
-        return FractionalSolution(FractionalTopology(d),
-                                  RoutingWeights(weights), mu, beta)
+            np.maximum(x[self._dcol()], 0.0),
+            omega.loads(self.demand, mu).max(axis=0) / self.b)
+        return FractionalSolution(FractionalTopology(d), omega, mu, beta)
 
 
 def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:

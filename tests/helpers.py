@@ -12,9 +12,28 @@ from couder import cli, lp, round as rounding
 from couder.errors import (InfeasibleRoutingError, InvalidInputError,
                            UnboundedThroughputError)
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
-                          TrafficMatrix, enumerate_paths)
-from couder.optimize import BETA_CAP, _pairs, solve_maxmin_throughput
+                          TrafficMatrix)
+from couder.optimize import BETA_CAP, solve_maxmin_throughput
 from couder.traffic import CriticalSet
+
+
+def _pairs(n: int) -> list:
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def enumerate_paths(num_pods: int) -> dict:
+    """Reference of the path order of ``model._tables``: per ordered pair
+    the direct path, then one 2-hop path per intermediate pod in ascending
+    order, N - 1 paths per pair."""
+    if num_pods < 2:
+        raise InvalidInputError("need at least 2 pods")
+    out = {}
+    for i, j in _pairs(num_pods):
+        paths = [Path(i, j)]
+        paths.extend(Path(i, j, k) for k in range(num_pods)
+                     if k != i and k != j)
+        out[(i, j)] = paths
+    return out
 
 
 def make_fabric(n: int, m: int, ports_per_switch, bandwidth: float = 1.0
@@ -280,6 +299,90 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         iterations)
 
 
+def loop_vlb_weights(cap: np.ndarray) -> dict:
+    """Reference of ``evaluate.vlb_weights`` as a ``{Path: w}`` map: one
+    loop over the pairs, each path weighted by its thinnest link."""
+    n = cap.shape[0]
+    weights = {}
+    for i, j in _pairs(n):
+        caps = [(Path(i, j), cap[i, j])]
+        caps.extend((Path(i, j, k), min(cap[i, k], cap[k, j]))
+                    for k in range(n) if k not in (i, j))
+        total = sum(c for _, c in caps)
+        if total <= 0:
+            weights[Path(i, j)] = 1.0
+            continue
+        for p, c in caps:
+            if c > 0:
+                weights[p] = float(c / total)
+    return weights
+
+
+def loop_sensitivity_map(cap: np.ndarray, weights: dict) -> np.ndarray:
+    """Reference of ``evaluate.sensitivity_map`` on capacities ``cap``
+    (bandwidth applied): one loop over the paths and their links."""
+    n = cap.shape[0]
+    sen = np.zeros((n, n))
+    for p, w in weights.items():
+        if w <= 0:
+            continue
+        for a, b in p.links():
+            if cap[a, b] > 0:
+                sen[a, b] = max(sen[a, b], w / cap[a, b])
+            else:
+                sen[a, b] = math.inf
+    return sen
+
+
+def loop_restrict_weights(weights: dict, cap: np.ndarray) -> dict:
+    """Reference of ``evaluate._restrict_weights`` as a ``{Path: w}``
+    map."""
+    n = cap.shape[0]
+    kept = [(p, w) for p, w in weights.items()
+            if w > 0 and all(cap[a, b] > 0 for a, b in p.links())]
+    total = {}
+    for p, w in kept:
+        total[p.src, p.dst] = total.get((p.src, p.dst), 0) + w
+    out = {Path(i, j): 1.0 for i, j in _pairs(n) if (i, j) not in total}
+    out.update((p, w / total[p.src, p.dst]) for p, w in kept)
+    return out
+
+
+def einsum_link_loads(weights: dict, t: np.ndarray) -> np.ndarray:
+    """Reference of ``RoutingWeights.loads`` for one matrix ``t``, as an
+    (N, N) array: dense direct and [src, dst, via] weights contracted with
+    t."""
+    n = t.shape[0]
+    direct, via = np.zeros((n, n)), np.zeros((n, n, n))
+    for p, w in weights.items():
+        if p.via is None:
+            direct[p.src, p.dst] = w
+        else:
+            via[p.src, p.dst, p.via] = w
+    load = direct * t
+    # 2-hop paths: first link (src, via), second link (via, dst).
+    load += np.einsum("ijk,ij->ik", via, t)
+    load += np.einsum("ijk,ij->kj", via, t)
+    return load
+
+
+def loop_evaluate_static(cap: np.ndarray, weights: dict, t: np.ndarray
+                         ) -> tuple:
+    """Reference (mlu, direct fraction) of ``evaluate.evaluate_static`` on
+    capacities ``cap`` (bandwidth applied), from ``einsum_link_loads``."""
+    load = einsum_link_loads(weights, t)
+    util = np.zeros_like(load)
+    live = cap > 0
+    util[live] = load[live] / cap[live]
+    if ((~live) & (load > 1e-12)).any():
+        mlu = math.inf
+    else:
+        mlu = float(util.max(initial=0.0))
+    direct = sum(w * t[p.src, p.dst] for p, w in weights.items()
+                 if p.via is None)
+    return mlu, (float(direct / t.sum()) if t.sum() > 0 else 1.0)
+
+
 def convex_combination(rng: np.random.Generator, crit: CriticalSet
                        ) -> TrafficMatrix:
     """Random demand inside the critical set: lambda >= 0, sum lambda <= 1."""
@@ -332,7 +435,7 @@ class NamedModel:
         return float(sol.x[self.col[name]])
 
 
-def _crossing_paths(n: int) -> dict:
+def crossing_paths(n: int) -> dict:
     """Paths traversing each link (a, b): direct, first-hop, and second-hop."""
     out = {}
     for a, b in _pairs(n):
@@ -363,7 +466,7 @@ class LoopStageBuilder:
         self.n = phys.num_pods
         self.b = phys.link_bandwidth
         self.paths = enumerate_paths(self.n)
-        self.crossing = _crossing_paths(self.n)
+        self.crossing = crossing_paths(self.n)
         self.demand = crit.stacked()
         self.demanded = self.demand.max(axis=0) > 0
         self.pair_paths = {}

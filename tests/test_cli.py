@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from couder import cli, lp
+from couder import cli, lp, optimize, round as rounding
 from couder.errors import SolverLimitError
 from couder.evaluate import evaluate_static
 from couder.model import (FractionalTopology, IntegerTopology, Path,
@@ -52,7 +52,11 @@ class TestRoundTrips:
     def test_solution(self, tmp_path):
         d = np.zeros((3, 3))
         d[0, 1] = 2.5
-        omega = RoutingWeights({Path(0, 1): 0.75, Path(0, 1, 2): 0.25})
+        # Every pair is routed: pair (0, 1) splits, the others go direct.
+        weights = {Path(i, j): 1.0 for i in range(3) for j in range(3)
+                   if i != j}
+        weights.update({Path(0, 1): 0.75, Path(0, 1, 2): 0.25})
+        omega = RoutingWeights.of(weights, 3)
         sol = FractionalSolution(FractionalTopology(d), omega, 1.5, 0.3)
         p = tmp_path / "sol.json"
         cli.write_solution(str(p), sol)
@@ -60,6 +64,24 @@ class TestRoundTrips:
         assert back.mu == 1.5 and back.beta == 0.3
         np.testing.assert_allclose(back.d.d, d)
         assert back.omega.weights.get(Path(0, 1, 2), 0.0) == 0.25
+
+    def test_plan_files_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(8)
+        phys = make_fabric(5, 2, 3)
+        crit = random_criticals(rng, 5, 3)
+        sol = optimize.run_pipeline(phys, crit)
+        topo = rounding.ldm_round(phys, sol.d, 20).topo
+        routed = optimize.recompute_routing(phys, topo, crit)
+        solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
+        cli.write_solution(str(solfile), sol)
+        cli.write_integer_topology(str(topofile), topo, routed)
+        back = cli.read_solution(str(solfile))
+        assert back.d.d.tobytes() == sol.d.d.tobytes()
+        assert (back.mu, back.beta) == (sol.mu, sol.beta)
+        assert back.omega.omega.tobytes() == sol.omega.omega.tobytes()
+        back_topo, omega = cli.read_integer_topology(str(topofile))
+        assert back_topo.x.tobytes() == topo.x.tobytes()
+        assert omega.omega.tobytes() == routed.omega.omega.tobytes()
 
     def test_integer_topology(self, tmp_path):
         x = np.zeros((2, 3, 3), dtype=int)
@@ -121,7 +143,7 @@ class TestCommands:
         d = np.array([[0.0, 4.0], [4.0, 0.0]])
         sol = FractionalSolution(
             FractionalTopology(d),
-            RoutingWeights({Path(0, 1): 1.0, Path(1, 0): 1.0}), 0.5)
+            RoutingWeights.of({Path(0, 1): 1.0, Path(1, 0): 1.0}, 2), 0.5)
         solfile = tmp_path / "sol.json"
         cli.write_solution(str(solfile), sol)
         topofile = tmp_path / "topo.json"
@@ -163,8 +185,8 @@ class TestCommands:
         topofile = tmp_path / "topo.json"
         cli.write_integer_topology(
             str(topofile), IntegerTopology(x[None]),
-            FractionalSolution(FractionalTopology(x), RoutingWeights(weights),
-                               1.0))
+            FractionalSolution(FractionalTopology(x),
+                               RoutingWeights.of(weights, 3), 1.0))
         seqfile = tmp_path / "seq.jsonl"
         write_seq(seqfile, constant_seq(3, 4, 1.0))
         out = tmp_path / "metrics.jsonl"
@@ -196,7 +218,8 @@ class TestCommands:
                        for t in crit)
         routed = json.loads(topofile.read_text())
         assert routed["mu"] > 0 and routed["beta"] is not None
-        assert omega.weights and omega != stage3
+        assert omega.weights
+        assert not np.array_equal(omega.omega, stage3.omega)
         seqfile, out = tmp_path / "seq.jsonl", tmp_path / "metrics.jsonl"
         write_seq(seqfile, [t.demand for t in crit])
         assert cli.main(["evaluate", str(physfile), str(seqfile),
@@ -499,9 +522,11 @@ class TestExitCodes:
         d[0, 1] = d[1, 2] = d[2, 0] = 2.0
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
+        # The plan routes every pair along the ring.
+        ring = {Path(0, 1): 1.0, Path(1, 2): 1.0, Path(2, 0): 1.0,
+                Path(0, 2, 1): 1.0, Path(1, 0, 2): 1.0, Path(2, 1, 0): 1.0}
         sol = FractionalSolution(
-            FractionalTopology(d),
-            RoutingWeights({Path(0, 1): 1.0}), 4.0, beta=0.5)
+            FractionalTopology(d), RoutingWeights.of(ring, 3), 4.0, beta=0.5)
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
         write_physical_topology(str(physfile), phys)
@@ -591,7 +616,7 @@ class TestMalformedFiles:
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         plan = FractionalSolution(
             FractionalTopology(d),
-            RoutingWeights({Path(i, j): 1.0 for i, j in pairs}), 0.5)
+            RoutingWeights.of({Path(i, j): 1.0 for i, j in pairs}, 3), 0.5)
         cli.write_solution(str(files["sol"]), plan)
         cli.write_integer_topology(str(files["topo"]),
                                    IntegerTopology(d[None].astype(int)), plan)
@@ -662,6 +687,49 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"couder: {path}: malformed field (omega entry")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["sol", "topo"])
+    @pytest.mark.parametrize("case", ["pair-dropped", "pair-short"])
+    def test_pair_not_summing_to_one_exits_1(self, tmp_path, capsys, bad,
+                                             case):
+        path, argv = self.command(tmp_path, bad)
+        obj = json.loads(path.read_text())
+        pair = [e for e in obj["omega"] if (e["src"], e["dst"]) == (2, 0)]
+        if case == "pair-dropped":
+            obj["omega"] = [e for e in obj["omega"] if e not in pair]
+        else:
+            pair[0]["w"] = 0.5
+        path.write_text(json.dumps(obj))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: malformed field (omega of"
+                              " pair (2, 0) sums to")
+        assert err.count("\n") == 1
+
+    # Each case sets counts a file must hold as integers, by key path, to
+    # values an integer cast would truncate or convert.
+    FRACTIONAL_COUNTS = {
+        "ports": ("phys", {("h_eg", 0, 0): 3.7, ("h_ig", 0, 0): 3.7}),
+        "num-pods-float": ("phys", {("num_pods",): 3.0}),
+        "num-ocs-string": ("phys", {("num_ocs",): "1"}),
+        "links": ("topo", {("x", 0, 0, 1): 1.5}),
+    }
+
+    @pytest.mark.parametrize("case", FRACTIONAL_COUNTS)
+    def test_fractional_count_exits_1(self, tmp_path, capsys, case):
+        bad, edits = self.FRACTIONAL_COUNTS[case]
+        path, argv = self.command(tmp_path, bad)
+        obj = json.loads(path.read_text())
+        for (*keys, last), value in edits.items():
+            node = obj
+            for key in keys:
+                node = node[key]
+            node[last] = value
+        path.write_text(json.dumps(obj))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: malformed field (")
+        assert "integer" in err and err.count("\n") == 1
 
 
 class TestMalformedSequence:

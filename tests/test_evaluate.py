@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 from pathlib import Path as FilePath
 
@@ -13,12 +14,15 @@ from couder.evaluate import (EvalRecord, ReconfigPolicy, _changing_circuits,
                              num_stages, optimal_routing_mlu, sensitivity_map,
                              simulate_reconfig, uniform_mesh, vlb_weights)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          RoutingWeights, TmSequence, TrafficMatrix)
+                          RoutingWeights, TmSequence, TrafficMatrix, _tables)
 from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
-from helpers import (lp_ideal_toe_mlu, make_fabric, random_criticals,
-                     random_tm, sparse_tm, zero_radix_fabric)
+from helpers import (einsum_link_loads, enumerate_paths, loop_evaluate_static,
+                     loop_restrict_weights, loop_sensitivity_map,
+                     loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
+                     random_criticals, random_tm, sparse_tm,
+                     zero_radix_fabric)
 
 
 def mesh_topology(n, links_per_pair):
@@ -70,7 +74,7 @@ class TestEvaluateStatic:
     def test_two_hop_load_split(self):
         # The 2-hop path puts the whole demand on both of its links, so
         # either one, made the narrower, sets the MLU.
-        omega = RoutingWeights({Path(0, 1, 2): 1.0})
+        omega = RoutingWeights.of({Path(0, 1, 2): 1.0}, 3)
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
         for first, second, mlu in [(2, 5, 0.5), (5, 4, 0.25)]:
@@ -81,6 +85,82 @@ class TestEvaluateStatic:
             assert rec.mlu == pytest.approx(mlu)
             assert rec.ahc == pytest.approx(2.0)
             assert rec.direct_fraction == 0.0
+
+
+def random_capacity(rng, n):
+    """Fractional link capacities with about a third of the links zero."""
+    cap = rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) > 0.35)
+    np.fill_diagonal(cap, 0.0)
+    return cap
+
+
+def random_routing(rng, n) -> dict:
+    """Per pair, random weights on a random nonempty subset of its paths,
+    summing to one."""
+    weights = {}
+    for paths in enumerate_paths(n).values():
+        keep = rng.random(len(paths)) < 0.6
+        keep[rng.integers(len(paths))] = True
+        raw = rng.uniform(0.05, 1.0, len(paths)) * keep
+        weights.update((p, float(w)) for p, w in zip(paths, raw / raw.sum())
+                       if w > 0)
+    return weights
+
+
+class TestRoutingArithmetic:
+    """The baselines, sensitivity map, restriction and evaluation on the
+    path vector against reference loops over ``{Path: w}`` maps."""
+
+    CASES = [(n, seed) for n in range(3, 10) for seed in range(4)]
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_weights_and_maps_bit_identical(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        cap, other = random_capacity(rng, n), random_capacity(rng, n)
+        bandwidth = float(rng.uniform(0.5, 4.0))
+        vlb = vlb_weights(cap)
+        assert dict(vlb.weights) == loop_vlb_weights(cap)
+        for weights in (loop_vlb_weights(cap), random_routing(rng, n)):
+            omega = RoutingWeights.of(weights, n)
+            sen = sensitivity_map(cap, omega, bandwidth)
+            want = loop_sensitivity_map(cap * bandwidth, weights)
+            assert sen.tobytes() == want.tobytes()
+            kept = _restrict_weights(omega, other)
+            assert dict(kept.weights) == loop_restrict_weights(weights, other)
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_evaluate_static_as_the_einsum(self, n, seed):
+        rng = np.random.default_rng([n, seed, 1])
+        cap = random_capacity(rng, n)
+        bandwidth = float(rng.uniform(0.5, 4.0))
+        raw = random_routing(rng, n)
+        # The raw routing mostly loads a dead link; restricted to live
+        # links, it is mostly feasible.
+        for weights, t in itertools.product(
+                (raw, loop_restrict_weights(raw, cap)),
+                (random_tm(rng, n), sparse_tm(rng, n, 0.3))):
+            omega = RoutingWeights.of(weights, n)
+            load = np.zeros((n, n))
+            tables = _tables(n)
+            load[tables.pair_src, tables.pair_dst] = omega.loads(
+                t.demand[None])[0]
+            np.testing.assert_allclose(
+                load, einsum_link_loads(weights, t.demand), rtol=1e-15,
+                atol=0.0)
+            rec = evaluate_static(cap, omega, t, bandwidth)
+            mlu, direct = loop_evaluate_static(cap * bandwidth, weights,
+                                               t.demand)
+            assert rec.feasible == math.isfinite(mlu)
+            if rec.feasible:
+                assert rec.mlu == pytest.approx(mlu, rel=1e-15, abs=0.0)
+            assert rec.direct_fraction == pytest.approx(direct, rel=1e-15,
+                                                        abs=0.0)
+
+    def test_pod_count_mismatch_rejected(self):
+        omega = direct_only_weights(mesh_topology(3, 1))
+        t = random_tm(np.random.default_rng(0), 4)
+        with pytest.raises(InvalidInputError, match="3 pods"):
+            evaluate_static(np.ones((4, 4)), omega, t)
 
 
 class TestOptimalRouting:
@@ -123,7 +203,8 @@ class TestOptimalRouting:
                     raw = rng.uniform(0.1, 1.0, len(paths))
                     for p, w in zip(paths, raw / raw.sum()):
                         weights[p] = w
-            rec = evaluate_static(topo, RoutingWeights(weights), t, 1.0)
+            rec = evaluate_static(topo, RoutingWeights.of(weights, 4), t,
+                                  1.0)
             assert opt <= rec.mlu + 1e-9
 
     def test_all_zero_matrix_has_zero_mlu_and_weights(self):
@@ -438,14 +519,14 @@ class TestSensitivityMap:
     def test_single_path(self):
         X = np.zeros((2, 2), dtype=int)
         X[0, 1] = 4
-        omega = RoutingWeights({Path(0, 1): 1.0})
+        omega = RoutingWeights.of({Path(0, 1): 1.0}, 2)
         sen = sensitivity_map(IntegerTopology(X[None]), omega, 1.0)
         assert sen[0, 1] == pytest.approx(0.25)
 
     def test_unused_link_zero(self):
         X = np.full((3, 3), 2)
         np.fill_diagonal(X, 0)
-        omega = RoutingWeights({Path(0, 1): 1.0})
+        omega = RoutingWeights.of({Path(0, 1): 1.0}, 3)
         sen = sensitivity_map(IntegerTopology(X[None]), omega, 1.0)
         assert sen[1, 2] == 0.0
 

@@ -5,43 +5,54 @@ from hypothesis import strategies as st
 
 from couder.errors import InvalidInputError
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          RoutingWeights, TmSequence, TrafficMatrix,
-                          enumerate_paths, validate)
-from helpers import make_fabric
+                          RoutingWeights, TmSequence, TrafficMatrix, _tables,
+                          validate)
+from helpers import crossing_paths, enumerate_paths, make_fabric
+
+
+def table_paths(n: int) -> dict:
+    """``_tables(n).paths``, the column order of every routing, grouped by
+    ordered pair."""
+    out = {}
+    for p in _tables(n).paths:
+        out.setdefault((p.src, p.dst), []).append(p)
+    return out
 
 
 class TestEnumeratePaths:
+    """The path order of ``_tables``."""
+
     def test_two_pods_direct_only(self):
-        paths = enumerate_paths(2)
+        paths = table_paths(2)
         assert paths[(0, 1)] == [Path(0, 1)]
         assert paths[(1, 0)] == [Path(1, 0)]
 
     def test_three_pods(self):
-        paths = enumerate_paths(3)
+        paths = table_paths(3)
         assert paths[(0, 1)] == [Path(0, 1), Path(0, 1, 2)]
         assert all(len(v) == 2 for v in paths.values())
 
     def test_eight_pods_count(self):
-        paths = enumerate_paths(8)
+        paths = table_paths(8)
         assert len(paths) == 56
         assert all(len(v) == 7 for v in paths.values())
         assert sum(len(v) for v in paths.values()) == 392
 
     def test_order_direct_first_then_ascending(self):
-        paths = enumerate_paths(5)[(3, 1)]
+        paths = table_paths(5)[(3, 1)]
         assert paths[0] == Path(3, 1)
         assert [p.via for p in paths[1:]] == [0, 2, 4]
 
     def test_rejects_single_pod(self):
         with pytest.raises(InvalidInputError):
-            enumerate_paths(1)
+            table_paths(1)
 
     @given(st.integers(min_value=2, max_value=7), st.randoms())
     @settings(max_examples=25, deadline=None)
     def test_closed_under_relabeling(self, n, rnd):
         perm = list(range(n))
         rnd.shuffle(perm)
-        base = enumerate_paths(n)
+        base = table_paths(n)
         relabeled = {
             (perm[i], perm[j]): {
                 Path(perm[p.src], perm[p.dst],
@@ -52,8 +63,25 @@ class TestEnumeratePaths:
 
     @given(st.integers(min_value=2, max_value=30))
     def test_path_count_formula(self, n):
-        paths = enumerate_paths(n)
+        paths = table_paths(n)
         assert all(len(v) == n - 1 for v in paths.values())
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_tables_agree_with_the_loop(self, n):
+        t = _tables(n)
+        want = enumerate_paths(n)
+        assert t.pairs == tuple(want)
+        assert t.paths == tuple(p for ps in want.values() for p in ps)
+        assert [t.pairs[q] for q in t.path_pair] == [(p.src, p.dst)
+                                                     for p in t.paths]
+        hops = [(k, ab) for k, p in enumerate(t.paths) for ab in p.links()]
+        assert t.hop_path.tolist() == [k for k, _ in hops]
+        assert [t.pairs[q] for q in t.hop_link] == [ab for _, ab in hops]
+        assert [(t.pairs[a], t.pairs[b]) for a, b in t.path_links] == [
+            (p.links()[0], p.links()[-1]) for p in t.paths]
+        assert [(t.pairs[q], t.paths[k]) for q, k in zip(
+            t.cross_link, t.cross_path)] == [
+            (ab, p) for ab, ps in crossing_paths(n).items() for p in ps]
 
 
 class TestValidate:
@@ -134,6 +162,32 @@ class TestPhysicalTopology:
         with pytest.raises(ValueError):
             phys.egress_ports[0, 0] = 9
 
+    @pytest.mark.parametrize("count", [3.7, 2.5, np.nan, np.inf, 1e300])
+    def test_fractional_port_count_rejected_not_truncated(self, count):
+        with pytest.raises(InvalidInputError, match="port counts"):
+            PhysicalTopology(2, 1, np.array([[count, 3.0]]),
+                             np.array([[3.0, 3.0]]))
+
+    def test_integral_float_port_counts_accepted(self):
+        phys = PhysicalTopology(2, 1, np.array([[3.0, 1.0]]),
+                                np.array([[1.0, 3.0]]))
+        assert phys.egress_ports.dtype.kind == "i"
+        assert phys.egress_radix.tolist() == [3, 1]
+
+
+class TestIntegerTopology:
+    @pytest.mark.parametrize("cell", [1.5, 0.4, np.nan, -np.inf])
+    def test_fractional_circuit_count_rejected(self, cell):
+        x = np.zeros((1, 3, 3))
+        x[0, 0, 1] = cell
+        with pytest.raises(InvalidInputError, match="x entries"):
+            IntegerTopology(x)
+
+    def test_counts_within_tolerance_rounded(self):
+        x = np.zeros((1, 2, 2))
+        x[0, 0, 1] = 2.0 + 1e-9
+        assert IntegerTopology(x).x.tolist() == [[[0, 2], [0, 0]]]
+
 
 class TestTrafficMatrix:
     def test_self_demand_rejected(self):
@@ -200,30 +254,35 @@ class TestPath:
 
 
 class TestRoutingWeights:
-    def test_arrays_built_once_as_the_loop_and_read_only(self):
+    def test_of_places_each_weight_in_column_order_read_only(self):
         n = 5
         rng = np.random.default_rng(0)
         weights = {p: float(rng.random())
                    for paths in enumerate_paths(n).values() for p in paths}
-        omega = RoutingWeights(weights)
-        direct, via = omega.arrays(n)
-        again = omega.arrays(n)
-        assert again[0] is direct and again[1] is via
-        want_direct, want_via = np.zeros((n, n)), np.zeros((n, n, n))
-        for p, w in weights.items():
-            if p.via is None:
-                want_direct[p.src, p.dst] = w
-            else:
-                want_via[p.src, p.dst, p.via] = w
-        assert direct.tobytes() == want_direct.tobytes()
-        assert via.tobytes() == want_via.tobytes()
+        weights[Path(2, 3, 4)] = 0.0
+        omega = RoutingWeights.of(weights, n)
+        assert omega.omega.tolist() == [weights[p]
+                                        for p in _tables(n).paths]
+        # The view holds the positive weights, in path order.
+        assert list(omega.weights.items()) == [
+            (p, w) for p, w in weights.items() if w > 0]
         with pytest.raises(ValueError):
-            direct[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            via[0, 1, 2] = 0.5
+            omega.omega[0] = 0.5
         with pytest.raises(TypeError):
             omega.weights[Path(0, 1)] = 0.5
-        # The caller's dict is copied, so changing it changes no weight.
-        weights[Path(0, 1)] = 0.5
-        assert omega.weights.get(Path(0, 1), 0.0) == want_direct[0, 1] != 0.5
-        assert omega == RoutingWeights(dict(omega.weights))
+        # The caller's array is copied, so changing it changes no weight.
+        raw = np.array(omega.omega)
+        copy = RoutingWeights(n, raw)
+        raw[0] = 0.5
+        assert copy.omega.tobytes() == omega.omega.tobytes()
+        assert RoutingWeights.of(omega.weights, n).omega.tobytes() \
+            == omega.omega.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        lambda: RoutingWeights(3, np.ones(5)),
+        lambda: RoutingWeights(1, np.ones(0)),
+        lambda: RoutingWeights.of({Path(0, 3): 1.0}, 3),
+        lambda: RoutingWeights.of({Path(0, 1, -1): 1.0}, 3)])
+    def test_rejects_a_routing_of_another_size(self, bad):
+        with pytest.raises((InvalidInputError, KeyError)):
+            bad()

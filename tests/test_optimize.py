@@ -5,8 +5,8 @@ from couder import lp
 from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          TrafficMatrix)
-from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder, _tables,
+                          TrafficMatrix, _tables)
+from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
 from couder.round import greedy_round
