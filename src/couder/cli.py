@@ -2,12 +2,18 @@
 
 All files are UTF-8 JSON.  Traffic sequences and per-matrix metrics are
 JSON Lines (one object per line) so long traces stream; everything else
-is a single versioned object.  A plan file holds its routing as an
-``omega`` list of ``{"src", "dst", "via", "w"}``, one entry per path of
-positive weight in ``model._tables`` order.  Every count in a file must
-be an integer (pod and switch counts JSON integers; port and circuit
-counts within ``model.TOL`` of one), and each ordered pair's weights must
-sum to 1 within ``model.TOL``.  Exit codes: 0 success, 1 validation
+is a single versioned object.  A critical-set file is ``{"version",
+"matrices"}``, one N x N list per critical matrix.  A plan file holds
+its routing as an ``omega`` list of ``{"src", "dst", "via", "w"}``, one
+entry per path of positive weight in ``model._tables`` order.  A
+solution file's ``mu`` must be a positive finite JSON number, not a
+bool, and its ``beta`` null (the plan was not desensitized) or such a
+number.  Every count in a file must be an integer (pod and switch counts
+JSON integers; port and circuit counts within ``model.TOL`` of one), and
+each ordered pair's weights must sum to 1 within ``model.TOL``.  The
+readers ignore keys outside these formats, such as the ``k``, ``seed``
+and ``assignment`` that older critical-set files hold; a config file
+with an unknown key is an error.  Exit codes: 0 success, 1 validation
 error, 2 infeasibility, 3 the LP solver hit an iteration or numerical
 limit, 4 internal error (an LP ended in a state its stage rules out, such
 as no sensitivity bound below the cap), 64 usage error.
@@ -90,14 +96,22 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _write_json(path: str, objs):
+    """The file ``path`` as ``objs``, one compact JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(_dump(obj) + "\n")
+
+
 def _load_json(path: str):
-    """The JSON value in the file ``path``; a file that is not UTF-8
+    """The JSON value in the file ``path``; a file that is not UTF-8 JSON,
+    or holds an integer past Python's 4,300-digit conversion limit,
     raises ``InvalidInputError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{path}: not UTF-8 ({exc})")
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise InvalidInputError(f"{path}: not UTF-8 JSON ({exc})")
 
 
 def _read_object(path: str, parse):
@@ -120,11 +134,8 @@ def _read_object(path: str, parse):
 
 
 def write_tm_sequence(path: str, seq: TmSequence):
-    times = seq.times()
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, t in enumerate(seq):
-            fh.write(_dump({"t": float(times[idx]), "tm": t.demand.tolist()})
-                     + "\n")
+    _write_json(path, ({"t": float(time), "tm": t.demand.tolist()}
+                       for time, t in zip(seq.times(), seq)))
 
 
 def read_tm_sequence(path: str) -> TmSequence:
@@ -171,19 +182,14 @@ def read_physical_topology(path: str) -> PhysicalTopology:
 
 
 def write_critical_set(path: str, crit: CriticalSet):
-    obj = {"version": VERSION, "k": len(crit), "seed": crit.seed,
-           "matrices": [t.demand.tolist() for t in crit],
-           "assignment": list(crit.cluster_assignment)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj) + "\n")
+    _write_json(path, [{"version": VERSION,
+                        "matrices": [t.demand.tolist() for t in crit]}])
 
 
 def read_critical_set(path: str) -> CriticalSet:
     def parse(obj):
-        mats = tuple(TrafficMatrix(np.array(m, dtype=float))
-                     for m in obj["matrices"])
-        return CriticalSet(mats, tuple(obj.get("assignment", ())),
-                           int(obj.get("seed", 0)))
+        return CriticalSet(tuple(TrafficMatrix(np.array(m, dtype=float))
+                                 for m in obj["matrices"]))
     return _read_object(path, parse)
 
 
@@ -226,17 +232,31 @@ def _omega_parse(entries, num_pods: int) -> RoutingWeights:
 
 
 def write_solution(path: str, sol: optimize.FractionalSolution):
-    obj = {"version": VERSION, "d": sol.d.d.tolist(), **_plan_json(sol)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj) + "\n")
+    _write_json(path, [{"version": VERSION, "d": sol.d.d.tolist(),
+                        **_plan_json(sol)}])
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float if it is a positive finite JSON number, else
+    ValueError; an integer beyond the float range is not finite."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, not"
+                         f" {_dump(value)}")
+    return number
 
 
 def read_solution(path: str) -> optimize.FractionalSolution:
     def parse(obj):
         d = FractionalTopology(np.array(obj["d"], dtype=float))
+        beta = obj.get("beta")
         return optimize.FractionalSolution(
-            d, _omega_parse(obj["omega"], d.num_pods), float(obj["mu"]),
-            obj.get("beta"))
+            d, _omega_parse(obj["omega"], d.num_pods),
+            _positive(obj["mu"], "mu"),
+            None if beta is None else _positive(beta, "beta"))
     return _read_object(path, parse)
 
 
@@ -244,11 +264,8 @@ def write_integer_topology(path: str, topo: IntegerTopology,
                            routed: optimize.FractionalSolution = None):
     """X, and beside it the mu, beta and weights of ``routed``, the plan
     ``optimize.recompute_routing`` made on X, if given."""
-    obj = {"version": VERSION, "x": topo.x.tolist()}
-    if routed is not None:
-        obj.update(_plan_json(routed))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj) + "\n")
+    plan = {} if routed is None else _plan_json(routed)
+    _write_json(path, [{"version": VERSION, "x": topo.x.tolist(), **plan}])
 
 
 def read_integer_topology(path: str) -> tuple:
@@ -308,14 +325,10 @@ def _cmd_round(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _metric_line(idx, t, rec, extra=None) -> dict:
-    line = {"index": idx, "t": t.timestamp, "mlu": rec.mlu, "ahc": rec.ahc,
-            "direct_fraction": rec.direct_fraction, "feasible": rec.feasible}
-    if extra:
-        line.update(extra)
-    if math.isinf(line["mlu"]):
-        line["mlu"] = None  # JSON has no Infinity; null marks dead links
-    return line
+def _finite(mlu: float):
+    """``mlu`` for a metric line: JSON has no Infinity, so null marks
+    demand on a dead link."""
+    return None if math.isinf(mlu) else mlu
 
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
@@ -373,9 +386,11 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
 
     results = [run(t) for t in seq]
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for idx, (rec, extra) in enumerate(results):
-            fh.write(_dump(_metric_line(idx, seq[idx], rec, extra)) + "\n")
+    _write_json(args.out, ({"index": idx, "t": seq[idx].timestamp,
+                            "mlu": _finite(rec.mlu), "ahc": rec.ahc,
+                            "direct_fraction": rec.direct_fraction,
+                            "feasible": rec.feasible, **extra}
+                           for idx, (rec, extra) in enumerate(results)))
 
     mlus = np.array([rec.mlu for rec, _ in results])
     finite = mlus[np.isfinite(mlus)]
@@ -398,19 +413,13 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
                             lookback=cfg.lookback, k=cfg.k)
     points, epochs = evaluate.simulate_reconfig(
         phys, seq, policy, seed=cfg.seed, tau_max=cfg.ldm_iterations)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for ep in epochs:
-            fh.write(_dump({"event": "reconfig", "t": ep.time,
-                            "changed_fraction": ep.changed_fraction,
-                            "stages": ep.stages, "mu": ep.mu,
-                            "beta": ep.beta, "error": ep.error}) + "\n")
-        for pt in points:
-            line = {"t": pt.time, "mlu": pt.record.mlu, "ahc": pt.record.ahc,
-                    "epoch": pt.epoch, "stage": pt.stage,
-                    "feasible": pt.record.feasible}
-            if math.isinf(line["mlu"]):
-                line["mlu"] = None
-            fh.write(_dump(line) + "\n")
+    _write_json(args.out, [
+        *({"event": "reconfig", "t": ep.time,
+           "changed_fraction": ep.changed_fraction, "stages": ep.stages,
+           "mu": ep.mu, "beta": ep.beta, "error": ep.error} for ep in epochs),
+        *({"t": pt.time, "mlu": _finite(pt.record.mlu), "ahc": pt.record.ahc,
+           "epoch": pt.epoch, "stage": pt.stage,
+           "feasible": pt.record.feasible} for pt in points)])
     return EXIT_OK
 
 
@@ -427,11 +436,9 @@ def _cmd_synth(args, cfg: RunConfig) -> int:
         seq = read_tm_sequence(args.tm_file)
         bursts = traffic.gen_burst_tms(seq, args.burst_factor,
                                        args.max_burst_pairs)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for idx, (burst_set, t) in enumerate(bursts):
-                fh.write(_dump({"t": float(idx), "tm": t.demand.tolist(),
-                                "burst_set": [list(p) for p in burst_set]})
-                         + "\n")
+        _write_json(args.out, ({"t": float(idx), "tm": t.demand.tolist(),
+                                "burst_set": [list(p) for p in burst_set]}
+                               for idx, (burst_set, t) in enumerate(bursts)))
     return EXIT_OK
 
 
@@ -524,12 +531,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {"k": args.k, "seed": args.seed, "lookback": args.lookback,
-                 "ldm_iterations": args.ldm_iterations}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = RunConfig.load(args.config, overrides)
         return args.func(args, cfg)
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"couder: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InfeasibleRoutingError, UnboundedThroughputError) as exc:

@@ -37,13 +37,15 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class ReconfigPolicy:
-    """Timing and capacity-preservation knobs of staged reconfiguration."""
+    """Timing knobs of staged reconfiguration.  The longest switch-over,
+    ``stage_latency * num_stages(1.0, alpha_pred)``, must fit in one
+    period, ``frequency``, so that it ends by the next epoch."""
 
     frequency: float  # seconds between reconfigurations
+    lookback: float  # history used before the first reconfiguration
+    k: int  # critical matrices per epoch
     stage_latency: float = 0.0
     alpha_pred: float = 0.8  # predicted MLU of the critical set
-    lookback: float = 60.0  # history used before the first reconfiguration
-    k: int = 5
 
     def __post_init__(self):
         if not 0 < self.alpha_pred < 1:
@@ -54,6 +56,11 @@ class ReconfigPolicy:
         if not (0 <= self.stage_latency < math.inf
                 and 0 < self.lookback < math.inf) or self.k < 1:
             raise InvalidInputError("invalid policy parameters")
+        longest = self.stage_latency * num_stages(1.0, self.alpha_pred)
+        if longest > self.frequency:
+            raise InvalidInputError(
+                f"a switch-over can take {longest:g} s, longer than the"
+                f" reconfiguration period of {self.frequency:g} s")
 
 
 def num_stages(p: float, alpha_pred: float) -> int:
@@ -331,7 +338,8 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
     plan in use is one (IntegerTopology, FractionalSolution) pair, and
     each epoch installs its new plan once, at stages * stage_latency after
     the epoch: stages is 0 for the first install, which carries no traffic
-    yet, and for an epoch that changes no circuit.
+    yet, and for an epoch that changes no circuit.  The policy ends each
+    switch-over by the next epoch, so the schedule is in time order.
 
     An epoch whose re-optimization raises InfeasibleRoutingError keeps the
     installed topology and weights, and is recorded with changed_fraction

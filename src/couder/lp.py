@@ -3,9 +3,10 @@
 A model is built by column index only.  ``add_vars`` declares a run of
 bounded columns and returns their indices; ``add_rows`` adds a block of
 rows from (row, column, value) triplets; ``set_objective`` takes column
-indices and coefficients.  ``solve`` returns the optimal vertex as an
-array, ``LpSolution.x``, so a caller reads a variable by the column
-``add_vars`` gave it.  Every LP in the toolkit is solved by HiGHS
+indices and coefficients.  A solve returns one record, ``LpSolution``,
+with the vertex as an array ``x``: a caller reads a variable by the
+column ``add_vars`` gave it.  ``solve``'s docstring gives the sign and
+row order of its duals.  Every LP in the toolkit is solved by HiGHS
 through the binding scipy ships (``scipy.optimize._highspy._core``,
 loaded as the last paragraph says), called directly rather than through
 ``scipy.optimize.linprog``, whose Python wrapper cost several times the
@@ -136,19 +137,6 @@ LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
 
 
-@dataclass
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: Optional[np.ndarray]  # the vertex by column; None unless optimal
-    objective_value: float
-    #: d(objective)/d(``model.scale``) at an optimum; 0 without scaled terms.
-    slope: float = 0.0
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
-
 class _Block(NamedTuple):
     """Rows added in one call: (row, column, value) triplets, the rows
     numbered from 0 within the block, and one right-hand side per row."""
@@ -214,7 +202,6 @@ class LpModel:
         self._lb = []
         self._ub = []
         self._blocks = []
-        self._num_rows = 0
         self._sense = "min"
         self._objective = (np.zeros(0, dtype=int), np.zeros(0))  # cols, coefs
         self._assembled = None
@@ -223,10 +210,6 @@ class LpModel:
     @property
     def num_variables(self) -> int:
         return len(self._lb)
-
-    @property
-    def num_constraints(self) -> int:
-        return self._num_rows
 
     def add_vars(self, count: int, lb=0.0, ub=None) -> np.ndarray:
         """Declare ``count`` columns, bounds broadcast from ``lb`` and
@@ -268,7 +251,6 @@ class LpModel:
                 raise InvalidInputError("row index out of range")
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
-        self._num_rows += len(rhs)
         self._assembled = self._basis = None
 
     def set_objective(self, sense: str, cols, coefs):
@@ -402,16 +384,23 @@ _FAMILY_OPTIONS = {
 
 
 @dataclass
-class HighsResult:
-    """One HiGHS solve.  ``status`` is as in ``LpSolution``; the vertex,
-    row duals, objective and basis are set at an optimum only."""
+class LpSolution:
+    """One LP solve, as ``_run_highs`` builds it for the minimization
+    HiGHS solves.  All but ``status`` and ``nit`` are set at an optimum
+    only; the objective is NaN when infeasible and +inf when unbounded."""
 
-    status: str
-    x: Optional[np.ndarray] = None
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: Optional[np.ndarray] = None  # the vertex by column
+    objective_value: float = math.nan
+    #: d(objective)/d(``model.scale``) at an optimum; 0 without scaled terms.
+    slope: float = 0.0
     row_dual: Optional[np.ndarray] = None
-    fun: float = math.nan
     nit: int = 0  # simplex iterations, or IPM iterations if HiGHS chose IPM
     basis: Optional[_highs.HighsBasis] = None
+
+    @property
+    def optimal(self) -> bool:
+        return self.status == "optimal"
 
 
 def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
@@ -434,7 +423,7 @@ def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
 
 
 def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
-               basis=None, vertex_only=False) -> HighsResult:
+               basis=None, vertex_only=False) -> LpSolution:
     """Solve ``model`` on ``_solver`` from ``basis`` when one is given.
     With ``vertex_only`` the result holds the status and, at an optimum,
     the vertex: no row duals, basis, objective or iteration count, for a
@@ -457,26 +446,26 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
     ran = _solver.run() != _highs.HighsStatus.kError
     status = _solver.getModelStatus()
     if vertex_only and status == _STATUS.kOptimal and ran:
-        return HighsResult("optimal",
-                           np.array(_solver.getSolution().col_value))
+        return LpSolution("optimal",
+                          np.array(_solver.getSolution().col_value))
     info = _solver.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status == _STATUS.kOptimal and ran:
         sol = _solver.getSolution()
-        return HighsResult("optimal", np.array(sol.col_value),
-                           np.array(sol.row_dual),
-                           info.objective_function_value, nit,
-                           _solver.getBasis())
+        return LpSolution("optimal", np.array(sol.col_value),
+                          info.objective_function_value,
+                          row_dual=np.array(sol.row_dual), nit=nit,
+                          basis=_solver.getBasis())
     if status in (_STATUS.kInfeasible, _STATUS.kModelError):
-        return HighsResult("infeasible", nit=nit)
+        return LpSolution("infeasible", nit=nit)
     if status == _STATUS.kUnbounded:
-        return HighsResult("unbounded", nit=nit)
+        return LpSolution("unbounded", objective_value=math.inf, nit=nit)
     raise SolverLimitError("solver did not converge: "
                            + _solver.modelStatusToString(status))
 
 
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
-            options=_OPTIONS) -> HighsResult:
+            options=_OPTIONS) -> LpSolution:
     """Minimize c x subject to A_ub x <= b_ub, A_eq x = b_eq and
     bounds[0] <= x <= bounds[1] under the HiGHS ``options``, from
     ``basis`` when one is given.  ``A_ub`` and ``A_eq`` are ``_Csr``
@@ -518,7 +507,7 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
         eq = slice(len(b) - num_eq, None)
         if not (np.all(x >= lb - tol) and np.all(x <= ub + tol)
                 and np.all(row <= b + tol) and np.all(row[eq] >= b[eq] - tol)
-                and np.isfinite(res.fun)):
+                and np.isfinite(res.objective_value)):
             raise SolverLimitError("solver returned a vertex outside the"
                                    " feasible set")
     return res
@@ -527,15 +516,24 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
 def solve(model: LpModel) -> LpSolution:
     """Optimize the model; raises SolverLimitError on solver breakdown.
 
-    A model without an objective is a feasibility check.  At an optimum the
-    solution carries the objective's slope in ``model.scale``: by the
-    envelope theorem, scaling the rows' scaled terms moves the objective
-    by -sum_i y_i (A_scaled x)_i, with y the row duals of the minimization
-    HiGHS solves.  The optimal basis stays with the model for its next
-    solve.
+    Returns ``linprog``'s record in the model's sense: a "max" model's
+    objective, slope and duals change sign.  A model without an objective
+    is a feasibility check.  At an optimum ``row_dual`` holds
+    y_i = d(objective)/d(b_i) for each row i: every inequality row, a >=
+    row negated into <=, then every equality row, each in the order
+    ``add_rows`` added it.  ``slope``, by the envelope theorem, is
+    -sum_i y_i (A_scaled x)_i, the objective's slope in ``model.scale``.
+    The optimal basis stays with the model for its next solve.  A model
+    without columns is solved here: each row reads 0 (relation) rhs, and
+    at an optimum every dual is 0.
     """
     if model.num_variables == 0:
-        return LpSolution("optimal", np.zeros(0), 0.0)
+        holds = {LE: np.less_equal, EQ: np.equal, GE: np.greater_equal}
+        if not all(holds[blk.relation](0.0, blk.rhs).all()
+                   for blk in model._blocks):
+            return LpSolution("infeasible")
+        return LpSolution("optimal", np.zeros(0), 0.0, row_dual=np.zeros(
+            sum(len(blk.rhs) for blk in model._blocks)))
     groups = model._rows()
     (A_ub, b_ub), (A_eq, b_eq) = ((None, None) if rows is None
                                   else (rows.matrix, rows.rhs)
@@ -548,15 +546,14 @@ def solve(model: LpModel) -> LpSolution:
                   bounds=(model._lb, model._ub), basis=model._basis,
                   options=_FAMILY_OPTIONS.get(model.name, _OPTIONS))
     model._basis = res.basis
-    if res.status == "optimal":
+    if res.optimal:
         num_ub = 0 if A_ub is None else A_ub.shape[0]
-        duals = (res.row_dual[:num_ub], res.row_dual[num_ub:])
-        slope = 0.0
-        for rows, y in zip(groups, duals):
+        for rows, y in zip(groups, (res.row_dual[:num_ub],
+                                    res.row_dual[num_ub:])):
             if rows is not None and rows.scaled is not None:
-                slope -= float(y @ (rows.scaled @ res.x))
-        return LpSolution("optimal", res.x, float(sign * res.fun),
-                          sign * slope)
-    if res.status == "infeasible":
-        return LpSolution("infeasible", None, float("nan"))
-    return LpSolution("unbounded", None, float("inf"))
+                res.slope -= float(y @ (rows.scaled @ res.x))
+        if sign < 0:
+            res.slope = -res.slope
+            res.objective_value = -res.objective_value
+            res.row_dual = -res.row_dual
+    return res

@@ -202,22 +202,6 @@ class FractionalTopology:
         return self.d.shape[0]
 
 
-def check_fractional(phys: PhysicalTopology, topo: FractionalTopology,
-                     tol: float = TOL) -> list:
-    """Degree-bound violations of a fractional topology; empty list means ok."""
-    if topo.num_pods != phys.num_pods:
-        raise InvalidInputError("pod count mismatch")
-    out = []
-    rows = topo.d.sum(axis=1)
-    cols = topo.d.sum(axis=0)
-    for i in range(phys.num_pods):
-        if rows[i] > phys.egress_radix[i] + tol:
-            out.append((i, "egress"))
-        if cols[i] > phys.ingress_radix[i] + tol:
-            out.append((i, "ingress"))
-    return out
-
-
 @dataclass(frozen=True)
 class IntegerTopology:
     """Per-switch integer circuit counts x[m][i][j]; X = sum over switches."""

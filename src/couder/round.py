@@ -58,8 +58,8 @@ import numpy as np
 
 from . import lp
 from .errors import InternalError, InvalidInputError
-from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
-                    check_fractional)
+from .model import (TOL, FractionalTopology, IntegerTopology,
+                    PhysicalTopology)
 
 #: Guard against LP float fuzz when snapping d* to its integer brackets.
 _SNAP = 1e-9
@@ -71,8 +71,12 @@ _INTEGRAL_TOL = 1e-6
 class RoundingReport:
     topo: IntegerTopology
     goodness: int  # pod pairs whose matching constraints hold
-    violation_ratio: float
     iterations_run: int
+
+    @property
+    def violation_ratio(self) -> float:  # share of pairs off their brackets
+        pairs = self.topo.num_pods * (self.topo.num_pods - 1)
+        return (pairs - self.goodness) / pairs
 
 
 def _brackets(d: np.ndarray):
@@ -91,10 +95,8 @@ def _report(x: np.ndarray, c_minus, c_plus, iterations: int) -> RoundingReport:
     n = x.shape[1]
     topo = IntegerTopology(x)
     off = ~np.eye(n, dtype=bool)
-    good = _goodness(topo.X[off], c_minus[off], c_plus[off])
-    total_pairs = n * (n - 1)
-    return RoundingReport(topo, good, (total_pairs - good) / total_pairs,
-                          iterations)
+    return RoundingReport(topo, _goodness(topo.X[off], c_minus[off],
+                                          c_plus[off]), iterations)
 
 
 def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
@@ -138,7 +140,8 @@ def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
 def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
     if d_star.num_pods != phys.num_pods:
         raise InvalidInputError("fractional topology does not match the fabric")
-    if check_fractional(phys, d_star):
+    if (d_star.d.sum(axis=1) > phys.egress_radix + TOL).any() \
+            or (d_star.d.sum(axis=0) > phys.ingress_radix + TOL).any():
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
@@ -224,7 +227,7 @@ def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
 
 
 def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
-              tau_max: int = 200) -> RoundingReport:
+              tau_max: int) -> RoundingReport:
     """Dual-ascent rounding with per-switch HiGHS subproblems.
 
     Each iteration re-optimizes every switch in turn with an LP that HiGHS

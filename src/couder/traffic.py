@@ -18,11 +18,9 @@ from .model import TOL, TmSequence, TrafficMatrix
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """K critical matrices plus the clustering that produced them."""
+    """K critical matrices, each a per-cluster component-wise maximum."""
 
-    matrices: tuple  # K TrafficMatrix, each a per-cluster component-wise max
-    cluster_assignment: tuple = ()
-    seed: int = 0
+    matrices: tuple  # K TrafficMatrix
 
     def __post_init__(self):
         mats = tuple(self.matrices)
@@ -32,8 +30,6 @@ class CriticalSet:
         if any(t.num_pods != n for t in mats):
             raise InvalidInputError("critical matrices must share the pod count")
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "cluster_assignment",
-                           tuple(self.cluster_assignment))
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -51,12 +47,19 @@ class CriticalSet:
 
 @dataclass(frozen=True)
 class BoundednessResult:
-    bounded: bool
     lambdas: np.ndarray
     slack: float  # max component shortfall of the best witness
 
+    @property
+    def bounded(self) -> bool:  # the slack is at most ``model.TOL``
+        return self.slack <= TOL
 
-def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
+
+#: Lloyd iterations ``_kmeans`` runs at most.
+_KMEANS_ITERATIONS = 100
+
+
+def _kmeans(points: np.ndarray, k: int, seed: int):
     """Plain Lloyd iterations with k-means++ seeding.
 
     Deterministic for a fixed seed; an emptied cluster is re-seeded from the
@@ -76,7 +79,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100):
         d2 = np.minimum(d2, ((points - centroids[c]) ** 2).sum(axis=1))
 
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_ITERATIONS):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
@@ -106,13 +109,12 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
     if not 1 <= k <= len(seq):
         raise InvalidInputError("need 1 <= k <= sequence length")
     demands = seq.stacked()
-    n = seq.num_pods
     labels = _kmeans(demands.reshape(len(seq), -1), k, seed)
     criticals = []
     for c in range(k):
         members = demands[labels == c]
         criticals.append(TrafficMatrix(members.max(axis=0)))
-    return CriticalSet(tuple(criticals), tuple(int(v) for v in labels), seed)
+    return CriticalSet(tuple(criticals))
 
 
 def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
@@ -145,8 +147,7 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
         lp.LE, np.concatenate([[1.0], -t.demand[off]]))
     model.set_objective("min", [s], [1.0])
     sol = lp.solve(model)
-    slack = sol.objective_value
-    return BoundednessResult(bool(slack <= TOL), sol.x[lams], float(slack))
+    return BoundednessResult(sol.x[lams], sol.objective_value)
 
 
 def gen_storage_tms(num_pods: int, count: int, seed: int = 0,

@@ -95,17 +95,38 @@ class TestRoundTrips:
 
     def test_critical_set(self, tmp_path):
         rng = np.random.default_rng(1)
-        from couder.traffic import CriticalSet
-        crit = CriticalSet((random_tm(rng, 3), random_tm(rng, 3)),
-                           (0, 1, 0), seed=9)
+        crit = CriticalSet((random_tm(rng, 3), random_tm(rng, 3)))
         p = tmp_path / "crit.json"
         cli.write_critical_set(str(p), crit)
+        assert set(json.loads(p.read_text())) == {"version", "matrices"}
         back = cli.read_critical_set(str(p))
-        assert len(back) == 2 and back.seed == 9
-        np.testing.assert_allclose(back.stacked(), crit.stacked())
+        np.testing.assert_array_equal(back.stacked(), crit.stacked())
+
+    def test_critical_set_with_clustering_keys_reads_the_matrices(
+            self, tmp_path):
+        # The earlier format also held k, seed and the cluster of each
+        # matrix; nothing reads them, so they are ignored, whatever they
+        # hold.
+        rng = np.random.default_rng(2)
+        crit = CriticalSet((random_tm(rng, 3), random_tm(rng, 3)))
+        p = tmp_path / "crit.json"
+        p.write_text(json.dumps({
+            "version": 1, "k": 7, "seed": 2.7, "assignment": [9, -1, 2.5],
+            "matrices": [t.demand.tolist() for t in crit]}))
+        back = cli.read_critical_set(str(p))
+        np.testing.assert_array_equal(back.stacked(), crit.stacked())
 
 
 class TestCommands:
+    def test_extract_writes_only_version_and_matrices(self, tmp_path):
+        seqfile, out = tmp_path / "seq.jsonl", tmp_path / "crit.json"
+        write_seq(seqfile, constant_seq())
+        assert cli.main(["--k", "2", "extract", str(seqfile), "--out",
+                         str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert set(obj) == {"version", "matrices"}
+        assert len(obj["matrices"]) == 2
+
     def test_extract_constant_sequence_k1(self, tmp_path):
         seqfile = tmp_path / "seq.jsonl"
         write_seq(seqfile, constant_seq())
@@ -437,6 +458,25 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_switch_over_longer_than_the_period_exits_1(self, tmp_path,
+                                                        capsys):
+        # At alpha 0.8 a switch-over takes up to 5 stages: 15 s at 3 s a
+        # stage, past the next epoch 4 s later, whose plan would then be
+        # applied out of time order.
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile), make_fabric(4, 2, 3))
+        write_seq(seqfile, constant_seq(count=16))
+        out = tmp_path / "sim.jsonl"
+        rc = cli.main(["--k", "2", "--lookback", "4", "simulate",
+                       str(physfile), str(seqfile), "--frequency", "4",
+                       "--stage-latency", "3", "--alpha-pred", "0.8",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "switch-over can take 15 s" in err
+
     def test_lookback_past_the_sequence_exits_1(self, tmp_path, capsys):
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
         write_physical_topology(str(physfile), make_fabric(4, 1, 4))
@@ -552,7 +592,15 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg)] + argv) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_config_file_with_flag_override(self, tmp_path):
+    def test_config_file_with_flag_override(self, tmp_path, monkeypatch):
+        seeds = []
+        real = cli.traffic.extract_critical
+
+        def recording(seq, k, seed):
+            seeds.append(seed)
+            return real(seq, k, seed)
+
+        monkeypatch.setattr(cli.traffic, "extract_critical", recording)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 3, "seed": 11}))
         seqfile = tmp_path / "seq.jsonl"
@@ -563,7 +611,7 @@ class TestExitCodes:
         assert rc == 0
         crit = cli.read_critical_set(str(out))
         assert len(crit) == 2  # flag beat the config file
-        assert crit.seed == 11  # config file beat the default
+        assert seeds == [11]  # config file beat the default
 
     @pytest.mark.parametrize("text", [
         '{"k": "abc"}', '{"ldm_iterations": null}', '{"k": 2.7}',
@@ -730,6 +778,54 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"couder: {path}: malformed field (")
         assert "integer" in err and err.count("\n") == 1
+
+    # A solution file's mu must be a positive finite JSON number, and its
+    # beta null or such a number; round picks the desensitized re-route by
+    # whether beta is null.
+    BAD_PLAN_NUMBER = {
+        "mu-true": ("mu", True), "mu-string-nan": ("mu", "nan"),
+        "mu-nan": ("mu", math.nan), "mu-infinite": ("mu", math.inf),
+        "mu-zero": ("mu", 0.0), "mu-negative": ("mu", -1),
+        "mu-null": ("mu", None), "mu-huge-int": ("mu", 10 ** 400),
+        "beta-string": ("beta", "x"), "beta-true": ("beta", True),
+        "beta-nan": ("beta", math.nan), "beta-zero": ("beta", 0),
+        "beta-list": ("beta", [0.5]), "beta-huge-int": ("beta", 10 ** 400),
+    }
+
+    @pytest.mark.parametrize("case", BAD_PLAN_NUMBER)
+    def test_malformed_mu_or_beta_exits_1(self, tmp_path, capsys, case):
+        path, argv = self.command(tmp_path, "sol")
+        key, value = self.BAD_PLAN_NUMBER[case]
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: malformed field ({key} must"
+                              " be a positive finite number")
+        assert err.count("\n") == 1
+
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        # Past 4,300 digits Python refuses to parse the integer at all.
+        path, argv = self.command(tmp_path, "sol")
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, "mu": "MU"}).replace(
+            '"MU"', "1" + "0" * 5000))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {path}: not UTF-8 JSON (Exceeds"
+                              " the limit")
+        assert err.count("\n") == 1
+
+    def test_integer_mu_and_beta_accepted(self, tmp_path):
+        path, argv = self.command(tmp_path, "sol")
+        obj = json.loads(path.read_text())
+        obj.update(mu=2, beta=3)
+        path.write_text(json.dumps(obj))
+        sol = cli.read_solution(str(path))
+        assert (sol.mu, sol.beta) == (2.0, 3.0)
+        assert type(sol.mu) is type(sol.beta) is float
+        assert cli.main(argv) == 0
 
 
 class TestMalformedSequence:

@@ -703,6 +703,37 @@ class TestSimulateReconfig:
             assert ep.stages == num_stages(min(ep.changed_fraction, 1.0),
                                            policy.alpha_pred)
 
+    @pytest.mark.parametrize("latency, alpha, longest", [
+        (3.0, 0.8, "15"), (1.01, 0.7, "4.04")])
+    def test_switch_over_longer_than_the_period_rejected(self, latency,
+                                                         alpha, longest):
+        # At alpha 0.8 a switch-over takes up to 5 stages, at 0.7 up to 4.
+        # Past the next epoch, that epoch's plan would be applied out of
+        # time order.
+        with pytest.raises(InvalidInputError,
+                           match=f"switch-over can take {longest} s"):
+            ReconfigPolicy(frequency=4.0, lookback=4.0, k=2,
+                           stage_latency=latency, alpha_pred=alpha)
+
+    def test_switch_over_of_one_period_keeps_time_order(self):
+        # 5 stages of 0.8 s end exactly at the next epoch.  Each matrix is
+        # scored on the latest epoch at or before it, in the stage the
+        # clock gives until that epoch's install.
+        policy = ReconfigPolicy(frequency=4.0, lookback=4.5, k=2,
+                                stage_latency=0.8, alpha_pred=0.8)
+        points, epochs = simulate_reconfig(
+            make_fabric(4, 2, 3), two_regime_sequence(), policy, seed=1)
+        assert any(ep.stages for ep in epochs)
+        for p in points:
+            idx = max(i for i, ep in enumerate(epochs) if ep.time <= p.time)
+            ep = epochs[idx]
+            assert p.epoch == idx
+            since = p.time - ep.time
+            if since >= ep.stages * policy.stage_latency:
+                assert p.stage is None
+            else:
+                assert p.stage == int(since // policy.stage_latency)
+
     def test_rejects_coarse_frequency(self):
         phys = make_fabric(4, 1, 3)
         seq = small_sequence(window=5.0)

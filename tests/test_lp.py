@@ -68,6 +68,23 @@ def test_feasibility_contradiction():
     assert lp.solve(m).status == "infeasible"
 
 
+@pytest.mark.parametrize("relation, rhs, status", [
+    (lp.LE, [0.0, 1.0], "optimal"), (lp.LE, [-1.0], "infeasible"),
+    (lp.GE, [-1.0, 0.0], "optimal"), (lp.GE, [1.0], "infeasible"),
+    (lp.EQ, [0.0], "optimal"), (lp.EQ, [0.0, 2.0], "infeasible")])
+def test_model_without_columns_checks_its_rows(relation, rhs, status):
+    # Each row reads 0 (relation) rhs; the LE row is there so that the
+    # duals count every block.
+    m = lp.LpModel()
+    m.add_rows([], [], [], lp.LE, [3.0])
+    m.add_rows([], [], [], relation, rhs)
+    sol = lp.solve(m)
+    assert sol.status == status
+    if sol.optimal:
+        assert sol.objective_value == 0.0 and sol.x.shape == (0,)
+        assert np.array_equal(sol.row_dual, np.zeros(1 + len(rhs)))
+
+
 def test_feasibility_simplex_witness():
     m = lp.LpModel()
     lams = m.add_vars(3, 0.0, None)
@@ -107,6 +124,11 @@ def test_row_scaling_leaves_solution_unchanged():
     assert a.x == pytest.approx(b.x, abs=1e-8)
 
 
+def num_rows(m: lp.LpModel) -> int:
+    """The rows the model's ``add_rows`` calls added."""
+    return sum(len(blk.rhs) for blk in m._blocks)
+
+
 def test_undeclared_variable_rejected():
     m = lp.LpModel()
     m.add_vars(1)
@@ -124,12 +146,12 @@ def test_non_integer_row_or_column_index_rejected(rows, cols):
     m.add_vars(2)
     with pytest.raises(InvalidInputError, match="integers"):
         m.add_rows(rows, cols, [1.0], lp.LE, [1.0])
-    assert m.num_constraints == 0
+    assert num_rows(m) == 0
     # An empty list reads as float but holds no index; any int dtype is fine.
     m.add_rows([], [], [], lp.LE, [])
     m.add_rows(np.array([0]), np.array([1], dtype=np.uint8), [1.0], lp.LE,
                [1.0])
-    assert m.num_constraints == 1
+    assert num_rows(m) == 1
 
 
 @pytest.mark.parametrize("cols", [[1.0], np.array([1.7]), [True]])
@@ -172,7 +194,7 @@ def test_block_of_rows_is_the_rows_added_one_by_one():
                    [1.0, 2.0], scaled=([0], [2], [2.0]))
     block.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
     block.add_rows([0], [2], [4.0], lp.LE, [0.5])
-    assert block.num_constraints == one.num_constraints == 4
+    assert num_rows(block) == num_rows(one) == 4
     assert_same_model(block, one)
     assert lp.solve(block).objective_value == lp.solve(one).objective_value
 
@@ -187,7 +209,7 @@ def test_bad_block_of_rows_rejected(rows, cols, coefs, rhs):
     m.add_vars(2)
     with pytest.raises(InvalidInputError):
         m.add_rows(rows, cols, coefs, lp.LE, rhs)
-    assert m.num_constraints == 0
+    assert num_rows(m) == 0
 
 
 def test_highs_holds_the_reference_model(monkeypatch):
@@ -266,6 +288,36 @@ def test_slope_matches_finite_difference(sense):
     assert sol.objective_value == pytest.approx(sign * 10.0, abs=1e-9)
     assert sol.slope == pytest.approx(fd, rel=1e-6)
     assert sol.slope == pytest.approx(sign * -12.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_row_duals_are_objective_slopes_in_row_order(sense):
+    # x - y = 1, x + 2y >= 2, x + y <= 5, added in that order: the duals
+    # list the >= row as HiGHS holds it, -(x + 2y) <= -2, then the <= row,
+    # then the equality.  Max 3x + y binds the <= row, min x + 3y the >=.
+    def solve_at(eq, ge, le):
+        m = lp.LpModel()
+        x, y = m.add_vars(2, 0.0, 10.0)
+        m.add_rows([0, 0], [x, y], [1.0, -1.0], lp.EQ, [eq])
+        m.add_rows([0, 0], [x, y], [1.0, 2.0], lp.GE, [ge])
+        m.add_rows([0, 0], [x, y], [1.0, 1.0], lp.LE, [le])
+        m.set_objective(sense, [x, y],
+                        [3.0, 1.0] if sense == "max" else [1.0, 3.0])
+        return lp.solve(m)
+
+    base, h = np.array([1.0, 2.0, 5.0]), 1e-4
+    sol = solve_at(*base)
+    # Each dual's row, and how its right-hand side as HiGHS holds it moves
+    # the model's.
+    for dual, (row, sign) in zip(sol.row_dual, [(1, -1.0), (2, 1.0),
+                                                (0, 1.0)]):
+        step = np.zeros(3)
+        step[row] = sign * h
+        fd = (solve_at(*base + step).objective_value
+              - solve_at(*base - step).objective_value) / (2 * h)
+        assert dual == pytest.approx(fd, abs=1e-7)
+    assert sol.row_dual == pytest.approx([0.0, 2.0, 1.0] if sense == "max"
+                                         else [-4 / 3, 0.0, -1 / 3])
 
 
 def test_rows_added_after_a_solve_count():
@@ -441,9 +493,50 @@ def plan_highs_calls(monkeypatch, n: int) -> list:
     return calls
 
 
-def solved(res: lp.HighsResult) -> tuple:
-    return (res.status, res.x.tobytes(), res.row_dual.tobytes(), res.fun,
-            res.nit)
+def solved(res: lp.LpSolution) -> tuple:
+    return (res.status, res.x.tobytes(), res.row_dual.tobytes(),
+            res.objective_value, res.nit)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_solve_returns_the_highs_record_in_the_model_sense(monkeypatch, n):
+    # The stage LPs of a plan, free and fixed link counts, max and min:
+    # lp.solve hands back HiGHS's own record, with a max model's
+    # objective and duals negated, and its iterations and basis as they
+    # are.
+    from couder.optimize import recompute_routing, run_pipeline
+    from couder.round import greedy_round
+    from helpers import random_criticals, random_fabric
+    rng = np.random.default_rng(40 + n)
+    phys = random_fabric(rng, n, 2, qmin=2, qmax=5)
+    crit = random_criticals(rng, n, 3)
+    raw, solved = [], []
+    run, solve = lp._run_highs, lp.solve
+
+    def recording_run(*args):
+        res = run(*args)
+        raw.append((res.status, res.x.copy(), res.objective_value,
+                    res.row_dual.copy(), res.nit, res.basis))
+        return res
+
+    def recording_solve(model):
+        solved.append((model._sense, solve(model)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp, "_run_highs", recording_run)
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    frac = run_pipeline(phys, crit)
+    recompute_routing(phys, greedy_round(phys, frac.d).topo, crit)
+    assert len(raw) == len(solved)
+    assert {sense for sense, _ in solved} == {"max", "min"}
+    for (status, x, objective, duals, nit, basis), (sense, res) in zip(
+            raw, solved):
+        sign = -1.0 if sense == "max" else 1.0
+        assert res.status == status == "optimal"
+        assert res.x.tobytes() == x.tobytes()
+        assert res.objective_value == sign * objective
+        assert res.row_dual.tobytes() == (sign * duals).tobytes()
+        assert res.nit == nit and res.basis is basis
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -6,8 +6,8 @@ import pytest
 from couder import lp
 from couder.errors import InvalidInputError
 from couder.model import TmSequence, TrafficMatrix
-from couder.traffic import (CriticalSet, check_bounded, extract_critical,
-                            gen_burst_tms, gen_storage_tms)
+from couder.traffic import (CriticalSet, _kmeans, check_bounded,
+                            extract_critical, gen_burst_tms, gen_storage_tms)
 from helpers import (assert_same_model, held_lp, loop_check_bounded,
                      random_criticals, random_tm, record_highs_models)
 
@@ -15,6 +15,11 @@ from helpers import (assert_same_model, held_lp, loop_check_bounded,
 def seq_of(demands, window=1.0):
     return TmSequence(tuple(TrafficMatrix(d) for d in demands),
                       aggregation_window=window)
+
+
+def labels_of(seq: TmSequence, k: int, seed: int) -> np.ndarray:
+    """The cluster of each matrix, as ``extract_critical`` clusters them."""
+    return _kmeans(seq.stacked().reshape(len(seq), -1), k, seed)
 
 
 class TestExtractCritical:
@@ -52,23 +57,20 @@ class TestExtractCritical:
                 cloud.append(t)
         seq = seq_of(cloud)
         crit = extract_critical(seq, 2, seed=7)
-        labels = np.array(crit.cluster_assignment)
+        labels = labels_of(seq, 2, 7)
         assert len(set(labels[:20])) == 1
         assert len(set(labels[20:])) == 1
         assert labels[0] != labels[20]
         demands = seq.stacked()
         for c in range(2):
-            np.testing.assert_allclose(
-                crit.matrices[c].demand if labels[0] == c or labels[20] == c
-                else None,
-                demands[labels == c].max(axis=0))
+            np.testing.assert_allclose(crit.matrices[c].demand,
+                                       demands[labels == c].max(axis=0))
 
     def test_members_dominated_exactly(self):
         rng = np.random.default_rng(5)
         seq = seq_of([random_tm(rng, 5).demand for _ in range(30)])
         crit = extract_critical(seq, 4, seed=3)
-        for idx, t in enumerate(seq):
-            c = crit.cluster_assignment[idx]
+        for t, c in zip(seq, labels_of(seq, 4, 3)):
             assert (t.demand <= crit.matrices[c].demand).all()
 
     def test_deterministic_for_seed(self):
@@ -76,7 +78,8 @@ class TestExtractCritical:
         seq = seq_of([random_tm(rng, 4).demand for _ in range(15)])
         a = extract_critical(seq, 3, seed=11)
         b = extract_critical(seq, 3, seed=11)
-        assert a.cluster_assignment == b.cluster_assignment
+        np.testing.assert_array_equal(labels_of(seq, 3, 11),
+                                      labels_of(seq, 3, 11))
         np.testing.assert_array_equal(a.stacked(), b.stacked())
 
     def test_k_bounds(self):
