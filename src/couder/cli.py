@@ -36,7 +36,7 @@ from .errors import (InfeasibleRoutingError, InternalError,
 from .evaluate import ReconfigPolicy
 from .model import (TOL, FractionalTopology, IntegerTopology, Path,
                     PhysicalTopology, RoutingWeights, TmSequence,
-                    TrafficMatrix, _tables)
+                    TrafficMatrix, _tables, validate)
 from .traffic import CriticalSet
 
 EXIT_OK = 0
@@ -177,7 +177,8 @@ def read_physical_topology(path: str) -> PhysicalTopology:
             raise ValueError("num_pods and num_ocs must be integers")
         return PhysicalTopology(obj["num_pods"], obj["num_ocs"],
                                 obj["h_eg"], obj["h_ig"],
-                                float(obj.get("bandwidth_gbps", 1.0)))
+                                _positive(obj.get("bandwidth_gbps", 1.0),
+                                          "link bandwidth"))
     return _read_object(path, parse)
 
 
@@ -326,9 +327,24 @@ def _cmd_round(args, cfg: RunConfig) -> int:
 
 
 def _finite(mlu: float):
-    """``mlu`` for a metric line: JSON has no Infinity, so null marks
-    demand on a dead link."""
+    """``mlu`` for a metric line: JSON has no Infinity, so null marks an
+    infinite MLU."""
     return None if math.isinf(mlu) else mlu
+
+
+def _mesh_record(phys: PhysicalTopology, mesh: IntegerTopology,
+                 t: TrafficMatrix) -> evaluate.EvalRecord:
+    """t on the uniform mesh, routed by the MLU-optimal weights with the
+    fewest hops, so its AHC is a property of the mesh and t.  An all-zero
+    t goes direct; an unroutable one has an infinite MLU."""
+    try:
+        omega = optimize.recompute_routing(phys, mesh, CriticalSet((t,)),
+                                           desensitized=False).omega
+    except UnboundedThroughputError:
+        omega = evaluate.direct_only_weights(mesh)
+    except InfeasibleRoutingError:
+        return evaluate.EvalRecord(math.inf, 2.0, 0.0)
+    return evaluate.evaluate_static(mesh, omega, t, phys.link_bandwidth)
 
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
@@ -336,69 +352,59 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     seq = read_tm_sequence(args.tm_file)
     b = phys.link_bandwidth
 
-    if args.baseline in ("none", "direct") and not args.topology_file:
-        raise InvalidInputError(f"baseline {args.baseline} needs --topology")
+    if args.baseline in ("none", "direct"):
+        path = args.topology_file
+        if not path:
+            raise InvalidInputError(f"baseline {args.baseline} needs"
+                                    " --topology")
+        topo, omega = read_integer_topology(path)
+        try:
+            over = validate(phys, topo)
+        except InvalidInputError as exc:  # switch or pod count differs
+            raise InvalidInputError(f"{path}: {exc}")
+        if over:
+            raise InvalidInputError(f"{path}: circuits exceed the port"
+                                    f" budget of (switch, pod, side)"
+                                    f" {over[0]}")
+    extra = {}
     if args.baseline == "none":
-        topo, omega = read_integer_topology(args.topology_file)
         if omega is None:
-            raise InvalidInputError(f"{args.topology_file}: no routing"
-                                    " weights; run round with the"
-                                    " critical-set file")
+            raise InvalidInputError(f"{path}: no routing weights; run round"
+                                    " with the critical-set file")
         sen = evaluate.sensitivity_map(topo, omega, b)
-        max_sen = float(sen[np.isfinite(sen)].max(initial=0.0))
-
-        def run(t):
-            rec = evaluate.evaluate_static(topo, omega, t, b)
-            return rec, {"max_sensitivity": max_sen}
-    elif args.baseline == "mesh":
-        mesh = evaluate.uniform_mesh(phys)
-
-        def run(t):
-            mlu, omega = evaluate.optimal_routing_mlu(mesh, t, b,
-                                                      return_weights=True)
-            if omega is None:
-                return evaluate.EvalRecord(math.inf, 2.0, 0.0, False), {}
-            return evaluate.evaluate_static(mesh, omega, t, b), {}
-    elif args.baseline == "vlb":
-        mesh = evaluate.uniform_mesh(phys)
-        omega = evaluate.vlb_weights(mesh)
-
-        def run(t):
-            return evaluate.evaluate_static(mesh, omega, t, b), {}
+        extra = {"max_sensitivity":
+                 float(sen[np.isfinite(sen)].max(initial=0.0))}
     elif args.baseline == "direct":
-        topo, _ = read_integer_topology(args.topology_file)
         omega = evaluate.direct_only_weights(topo)
+    elif args.baseline == "vlb":
+        topo = evaluate.uniform_mesh(phys)
+        omega = evaluate.vlb_weights(topo)
 
-        def run(t):
-            return evaluate.evaluate_static(topo, omega, t, b), {}
+    if args.baseline == "mesh":
+        mesh = evaluate.uniform_mesh(phys)
+        records = [_mesh_record(phys, mesh, t) for t in seq]
     elif args.baseline == "fattree":
-        def run(t):
-            rec = evaluate.fat_tree_eval(t, phys.egress_radix, b,
-                                         args.oversub)
-            return rec, {}
+        records = [evaluate.fat_tree_eval(t, phys.egress_radix, b,
+                                          args.oversub) for t in seq]
     elif args.baseline == "ideal":
-        def run(t):
-            mlu = evaluate.ideal_toe_mlu(phys, t)
-            rec = evaluate.EvalRecord(mlu, 1.0, 1.0, math.isfinite(mlu))
-            return rec, {}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown baseline {args.baseline}")
-
-    results = [run(t) for t in seq]
+        records = [evaluate.EvalRecord(evaluate.ideal_toe_mlu(phys, t), 1.0,
+                                       1.0) for t in seq]
+    else:  # none, direct and vlb: fixed weights on a fixed topology
+        records = [evaluate.evaluate_static(topo, omega, t, b) for t in seq]
 
     _write_json(args.out, ({"index": idx, "t": seq[idx].timestamp,
                             "mlu": _finite(rec.mlu), "ahc": rec.ahc,
                             "direct_fraction": rec.direct_fraction,
                             "feasible": rec.feasible, **extra}
-                           for idx, (rec, extra) in enumerate(results)))
+                           for idx, rec in enumerate(records)))
 
-    mlus = np.array([rec.mlu for rec, _ in results])
+    mlus = np.array([rec.mlu for rec in records])
     finite = mlus[np.isfinite(mlus)]
     if len(finite):
         xs = np.sort(finite)
         ccdf = 1.0 - np.arange(1, len(xs) + 1) / len(xs)
         write_plot_series(args.out + ".mlu_ccdf.txt", xs, ccdf)
-    ahcs = np.sort([rec.ahc for rec, _ in results])
+    ahcs = np.sort([rec.ahc for rec in records])
     pct = np.arange(1, len(ahcs) + 1) / len(ahcs) * 100.0
     write_plot_series(args.out + ".ahc_pct.txt", pct, ahcs)
     return EXIT_OK

@@ -5,12 +5,14 @@ effects): the load on link (a, b) is the weighted demand of every path
 crossing it, as ``RoutingWeights.loads`` computes for the planner too.
 A routing is ``model``'s path vector; the baselines here build theirs by
 index arithmetic on ``_tables``.  MLU may exceed 1 to express congestion
-severity; an infinite sentinel is reserved for demand crossing a
-zero-capacity link.
+severity; it is infinite for demand crossing a zero-capacity link, or a
+utilization past the float range, and a record is feasible when it is
+finite.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -32,7 +34,10 @@ class EvalRecord:
     mlu: float
     ahc: float
     direct_fraction: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return math.isfinite(self.mlu)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,8 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     cap = cap[tables.pair_src, tables.pair_dst]
     load = omega.loads(t.demand[None])[0]
     util = np.divide(load, cap, out=np.zeros_like(load), where=cap > 0)
-    feasible = not ((cap <= 0) & (load > 1e-12)).any()
-    mlu = float(util.max(initial=0.0)) if feasible else math.inf
+    dead = ((cap <= 0) & (load > 1e-12)).any()
+    mlu = math.inf if dead else float(util.max(initial=0.0))
 
     total = t.total
     if total > 0:
@@ -111,40 +116,28 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     else:
         direct_fraction = 1.0
     ahc = 1.0 + (1.0 - direct_fraction)
-    return EvalRecord(mlu, ahc, direct_fraction, feasible)
+    return EvalRecord(mlu, ahc, direct_fraction)
 
 
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
-                        bandwidth: float = 1.0,
-                        return_weights: bool = False):
+                        bandwidth: float = 1.0) -> float:
     """Offline-optimal split: the smallest MLU any weights achieve on x.
 
     This is 1/mu of stage 1 on t with link counts fixed at x, which reads
     only the pod count and link bandwidth of its fabric, so the fabric has
     no ports.  An all-zero t has MLU 0 under any weights; a t that cannot
-    be routed has an infinite MLU and no weights.
-
-    ``return_weights`` adds stage 3 at stage 1's mu: of the MLU-optimal
-    weights, those with the fewest hops, as for a plan, so their AHC is a
-    property of x and t.  Stage 1's own weights are whichever optimal
-    vertex HiGHS ends on; turning presolve off moved their AHC by up to
-    0.24 hops at the same MLU on a 4-pod storage sequence.
+    be routed has an infinite MLU.
     """
     cap = _capacity_matrix(x)
     no_ports = np.zeros((1, cap.shape[0]), dtype=int)
     phys = PhysicalTopology(cap.shape[0], 1, no_ports, no_ports, bandwidth)
-    crit = CriticalSet((t,))
     try:
-        mu = optimize.solve_maxmin_throughput(phys, crit, _fixed=cap).mu
-        mlu = 1.0 / mu
-        if return_weights:
-            omega = optimize.minimize_ahc(phys, crit, mu, None,
-                                          _fixed=cap).omega
+        return 1.0 / optimize.solve_maxmin_throughput(
+            phys, CriticalSet((t,)), _fixed=cap).mu
     except UnboundedThroughputError:
-        mlu, omega = 0.0, direct_only_weights(cap)
+        return 0.0
     except InfeasibleRoutingError:
-        mlu, omega = math.inf, None
-    return (mlu, omega) if return_weights else mlu
+        return math.inf
 
 
 def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix) -> float:
@@ -262,7 +255,7 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
     rows = t.demand.sum(axis=1)
     cols = t.demand.sum(axis=0)
     mlu = float(max((np.maximum(rows, cols) / effective).max(initial=0.0), 0.0))
-    return EvalRecord(mlu, 2.0, 0.0, True)
+    return EvalRecord(mlu, 2.0, 0.0)
 
 
 def sensitivity_map(x: Capacity, omega: RoutingWeights,
@@ -339,7 +332,10 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
     each epoch installs its new plan once, at stages * stage_latency after
     the epoch: stages is 0 for the first install, which carries no traffic
     yet, and for an epoch that changes no circuit.  The policy ends each
-    switch-over by the next epoch, so the schedule is in time order.
+    switch-over by the next epoch, so the schedule is in time order.  Each
+    matrix is scored on the last schedule entry at or before its time, the
+    later of two at equal times; a matrix before the first install is not
+    scored.
 
     An epoch whose re-optimization raises InfeasibleRoutingError keeps the
     installed topology and weights, and is recorded with changed_fraction
@@ -354,51 +350,39 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
         raise InvalidInputError("reconfiguration period is finer than the"
                                 " matrix aggregation step")
     times = seq.times()
-    t0 = times[0]
-    first_epoch = t0 + policy.lookback
-    points = []
-    epochs = []
-
-    def reoptimize(now: float):
-        # Never empty: every epoch is at least lookback > 0 after t0.
-        history = [seq[i] for i in range(len(seq)) if times[i] < now]
-        crit = traffic.extract_critical(
-            TmSequence(tuple(history), seq.aggregation_window),
-            min(policy.k, len(history)), seed)
-        frac = optimize.run_pipeline(phys, crit)
-        report = rounding.ldm_round(phys, frac.d, tau_max)
-        routed = optimize.recompute_routing(phys, report.topo, crit)
-        return report.topo, routed
-
-    if first_epoch > times[-1]:
+    etime = times[0] + policy.lookback  # the first epoch
+    if etime > times[-1]:
         raise InvalidInputError(
             f"lookback of {policy.lookback:g} s reaches past the sequence,"
-            f" which spans {times[-1] - t0:g} s: no matrix is left to"
+            f" which spans {times[-1] - times[0]:g} s: no matrix is left to"
             " reconfigure for")
-    epoch_times = []
-    e = first_epoch
-    while e <= times[-1]:
-        epoch_times.append(e)
-        e += policy.frequency
-
     installed = None  # the (IntegerTopology, FractionalSolution) in use
     schedule = []  # (time, capacity, weights, stage index or None, epoch)
-    for idx, etime in enumerate(epoch_times):
+    epochs = []
+    while etime <= times[-1]:
+        # Never empty: every epoch is at least lookback > 0 after times[0].
+        history = seq.matrices[:np.searchsorted(times, etime)]
         try:
-            topo, routed = reoptimize(etime)
+            crit = traffic.extract_critical(
+                TmSequence(history, seq.aggregation_window),
+                min(policy.k, len(history)), seed)
+            topo = rounding.ldm_round(
+                phys, optimize.run_pipeline(phys, crit).d, tau_max).topo
+            routed = optimize.recompute_routing(phys, topo, crit)
         except InfeasibleRoutingError as exc:
             if installed is None:
                 raise
             epochs.append(EpochInfo(etime, 0.0, 0, installed[1].mu,
                                     installed[1].beta, error=str(exc)))
-            continue
-        p, stages = 0.0, 0
-        if installed is not None:
-            old, old_omega = installed[0].x, installed[1].omega
-            changing = _changing_circuits(old, topo.x)
-            total_old = int(old.sum())
-            p = len(changing) / total_old if total_old else 0.0
-            stages = num_stages(min(p, 1.0), policy.alpha_pred)
+        else:
+            p, stages = 0.0, 0
+            if installed is not None:
+                old, old_omega = installed[0].x, installed[1].omega
+                changing = _changing_circuits(old, topo.x)
+                total_old = int(old.sum())
+                p = len(changing) / total_old if total_old else 0.0
+                stages = num_stages(min(p, 1.0), policy.alpha_pred)
+            # np.array_split takes no zero section count.
             if stages and policy.stage_latency > 0:
                 for s, chunk in enumerate(np.array_split(changing, stages)):
                     stage_x = old.copy()
@@ -407,22 +391,21 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
                     cap = stage_x.sum(axis=0).astype(float)
                     schedule.append((etime + s * policy.stage_latency, cap,
                                      _restrict_weights(old_omega, cap), s,
-                                     idx))
-        epochs.append(EpochInfo(etime, p, stages, routed.mu, routed.beta))
-        schedule.append((etime + stages * policy.stage_latency, topo,
-                         routed.omega, None, idx))
-        installed = topo, routed
+                                     len(epochs)))
+            schedule.append((etime + stages * policy.stage_latency, topo,
+                             routed.omega, None, len(epochs)))
+            epochs.append(EpochInfo(etime, p, stages, routed.mu, routed.beta))
+            installed = topo, routed
+        etime += policy.frequency
 
-    si = 0
-    active = None
-    for tm_idx in range(len(seq)):
-        now = times[tm_idx]
-        while si < len(schedule) and schedule[si][0] <= now:
-            active = schedule[si]
-            si += 1
-        if active is None:
+    starts = [entry[0] for entry in schedule]
+    points = []
+    for now, t in zip(times, seq):
+        k = bisect.bisect_right(starts, now) - 1
+        if k < 0:
             continue
-        _, cap, omega, stage, eidx = active
-        rec = evaluate_static(cap, omega, seq[tm_idx], phys.link_bandwidth)
-        points.append(SimPoint(now, rec, eidx, stage))
+        _, cap, omega, stage, epoch = schedule[k]
+        points.append(SimPoint(now, evaluate_static(cap, omega, t,
+                                                    phys.link_bandwidth),
+                               epoch, stage))
     return points, epochs

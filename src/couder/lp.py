@@ -53,10 +53,11 @@ changes: mu, an MLU, a slack, an integral subproblem vertex.  One of
 their results is a vertex, the boundedness witness; it was identical
 with presolve on and off on the 288 replay matrices of perfbench seeds
 0-5.  The mesh baseline's weights, which ``couder evaluate --baseline
-mesh`` scores, come from stage 3 on the MLU that stage 1 gives, so
-their AHC is the fewest hops at that MLU whatever vertex stage 1 ends
-on.  The stages with free link counts hand their vertex on to
-rounding, and keep presolve on.
+mesh`` scores, come from ``optimize.recompute_routing(...,
+desensitized=False)``: stage 3 on the MLU that stage 1 gives, so their
+AHC is the fewest hops at that MLU whatever vertex stage 1 ends on.
+The stages with free link counts hand their vertex on to rounding, and
+keep presolve on.
 
 A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
 optimal basis of its last solve and hands it to the next one when only

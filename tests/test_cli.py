@@ -6,7 +6,7 @@ import pytest
 
 from couder import cli, lp, optimize, round as rounding
 from couder.errors import SolverLimitError
-from couder.evaluate import evaluate_static
+from couder.evaluate import evaluate_static, uniform_mesh
 from couder.model import (FractionalTopology, IntegerTopology, Path,
                           PhysicalTopology, RoutingWeights, TmSequence,
                           TrafficMatrix)
@@ -260,6 +260,22 @@ class TestCommands:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(line["feasible"] for line in lines)
         assert lines[0]["mlu"] == 0.0 and lines[1]["mlu"] > 0.0
+
+    @pytest.mark.parametrize("baseline", ["vlb", "fattree"])
+    def test_evaluate_overflowed_mlu_is_infeasible(self, tmp_path, baseline):
+        # At this bandwidth every utilization overflows to infinity: the
+        # line's MLU is null, so it is not feasible either.
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile),
+                                make_fabric(3, 1, 4, bandwidth=1e-307))
+        write_seq(seqfile, constant_seq(3, 2, 100.0))
+        out = tmp_path / "metrics.jsonl"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli.main(["evaluate", str(physfile), str(seqfile),
+                             "--baseline", baseline, "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(line["mlu"], line["feasible"]) for line in lines] \
+            == [(None, False)] * 2
 
     def test_evaluate_ideal_zero_radix_sender_is_null(self, tmp_path):
         # Pod 0 has no egress port, so any matrix in which it sends has no
@@ -533,6 +549,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "link bandwidth" in err
+
+    @pytest.mark.parametrize("value", ["2", True])
+    def test_bandwidth_not_a_number_exits_1(self, tmp_path, capsys, value):
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile), make_fabric(3, 1, 2))
+        obj = json.loads(physfile.read_text())
+        obj["bandwidth_gbps"] = value
+        physfile.write_text(json.dumps(obj))
+        write_seq(seqfile, constant_seq(3, 2))
+        out = tmp_path / "metrics.jsonl"
+        rc = cli.main(["evaluate", str(physfile), str(seqfile), "--baseline",
+                       "mesh", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"link bandwidth must be a positive finite number, not" \
+               f" {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize("baseline", ["direct", "none"])
+    def test_evaluate_topology_off_the_fabric_exits_1(self, tmp_path, capsys,
+                                                      baseline):
+        # direct: 5 more circuits on switch 0 for pair (0, 1), past pod 0's
+        # 3 egress ports there; none: a third switch on a 2-switch fabric.
+        phys = make_fabric(4, 2, 3)
+        topo = uniform_mesh(phys)
+        crit = CriticalSet((TrafficMatrix(constant_seq(4, 1)[0]),))
+        routed = optimize.recompute_routing(phys, topo, crit)
+        x = topo.x.copy()
+        if baseline == "direct":
+            x[0, 0, 1] += 5
+        else:
+            x = np.concatenate([x, np.zeros_like(x[:1])])
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        topofile, out = tmp_path / "topo.json", tmp_path / "metrics.jsonl"
+        write_physical_topology(str(physfile), phys)
+        cli.write_integer_topology(str(topofile), IntegerTopology(x), routed)
+        write_seq(seqfile, constant_seq(4, 2))
+        rc = cli.main(["evaluate", str(physfile), str(seqfile), "--topology",
+                       str(topofile), "--baseline", baseline, "--out",
+                       str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"couder: {topofile}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["bandwidth", "demand"])
     def test_input_beyond_solver_range_exits_1(self, tmp_path, capsys,

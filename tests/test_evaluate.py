@@ -1,12 +1,13 @@
 import importlib.util
 import itertools
+import json
 import math
 from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
-from couder import lp, optimize
+from couder import cli, lp, optimize
 from couder.errors import InvalidInputError
 from couder.evaluate import (EvalRecord, ReconfigPolicy, _changing_circuits,
                              _restrict_weights, direct_only_weights,
@@ -22,7 +23,7 @@ from helpers import (einsum_link_loads, enumerate_paths, loop_evaluate_static,
                      loop_restrict_weights, loop_sensitivity_map,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
                      random_criticals, random_tm, sparse_tm,
-                     zero_radix_fabric)
+                     write_physical_topology, zero_radix_fabric)
 
 
 def mesh_topology(n, links_per_pair):
@@ -207,12 +208,18 @@ class TestOptimalRouting:
                                   1.0)
             assert opt <= rec.mlu + 1e-9
 
-    def test_all_zero_matrix_has_zero_mlu_and_weights(self):
+    def test_all_zero_matrix_has_zero_mlu_and_weights(self, tmp_path):
         t = TrafficMatrix(np.zeros((3, 3)))
-        mlu, omega = optimal_routing_mlu(mesh_topology(3, 2), t, 1.0,
-                                         return_weights=True)
-        assert mlu == 0.0
-        assert omega is not None
+        assert optimal_routing_mlu(mesh_topology(3, 2), t, 1.0) == 0.0
+        # The mesh baseline routes an all-zero matrix direct.
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile), make_fabric(3, 2, 2))
+        cli.write_tm_sequence(str(seqfile), TmSequence((t,)))
+        out = tmp_path / "mesh.jsonl"
+        assert cli.main(["evaluate", str(physfile), str(seqfile),
+                         "--baseline", "mesh", "--out", str(out)]) == 0
+        line = json.loads(out.read_text())
+        assert (line["mlu"], line["ahc"]) == (0.0, 1.0)
 
     def test_unroutable_returns_infinity(self):
         X = np.zeros((3, 3), dtype=int)
@@ -221,19 +228,41 @@ class TestOptimalRouting:
         t[0, 1] = 1.0
         assert math.isinf(optimal_routing_mlu(topo, TrafficMatrix(t), 1.0))
 
+    def test_cli_mesh_routes_as_recompute_routing(self, tmp_path):
+        # couder evaluate --baseline mesh scores each matrix on the weights
+        # recompute_routing gives the mesh for that matrix alone.
+        phys = make_fabric(4, 2, 3)
+        mesh = uniform_mesh(phys)
+        seq = gen_storage_tms(4, 12, 1, (1.0, 100.0))
+        physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
+        write_physical_topology(str(physfile), phys)
+        cli.write_tm_sequence(str(seqfile), seq)
+        out = tmp_path / "mesh.jsonl"
+        assert cli.main(["evaluate", str(physfile), str(seqfile),
+                         "--baseline", "mesh", "--out", str(out)]) == 0
+        ahcs = [json.loads(line)["ahc"]
+                for line in out.read_text().splitlines()]
+        routed = [recompute_routing(phys, mesh, CriticalSet((t,)),
+                                    desensitized=False) for t in seq]
+        assert ahcs == [evaluate_static(mesh, r.omega, t).ahc
+                        for r, t in zip(routed, seq)]
+
     def test_mesh_ahc_does_not_hinge_on_presolve(self, monkeypatch):
         # The weights are the fewest hops among the MLU-optimal ones, so
         # their AHC belongs to the mesh and the matrix, not to the vertex
         # HiGHS ends on.  On this sequence, the one CI synthesizes, the
         # AHC of stage 1's own weights moved by up to 0.24 with presolve.
-        mesh = uniform_mesh(make_fabric(4, 2, 3))
+        phys = make_fabric(4, 2, 3)
+        mesh = uniform_mesh(phys)
         seq = gen_storage_tms(4, 12, 1, (1.0, 100.0))
 
         def scores():
             out = []
             for t in seq:
-                mlu, omega = optimal_routing_mlu(mesh, t, return_weights=True)
-                out.append((mlu, evaluate_static(mesh, omega, t).ahc))
+                omega = recompute_routing(phys, mesh, CriticalSet((t,)),
+                                          desensitized=False).omega
+                out.append((optimal_routing_mlu(mesh, t),
+                            evaluate_static(mesh, omega, t).ahc))
             return np.array(out)
 
         default = scores()
