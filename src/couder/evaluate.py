@@ -13,18 +13,17 @@ finite.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import optimize, round as rounding, traffic
-from .errors import (InfeasibleRoutingError, InvalidInputError,
-                     UnboundedThroughputError)
+from . import lp, optimize, round as rounding, traffic
+from .errors import InfeasibleRoutingError, InternalError, InvalidInputError
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
                     RoutingWeights, TmSequence, TrafficMatrix, _tables)
-from .traffic import CriticalSet
 
 Capacity = Union[IntegerTopology, FractionalTopology, np.ndarray]
 
@@ -103,7 +102,8 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     tables = _tables(t.num_pods)
     cap = cap[tables.pair_src, tables.pair_dst]
     load = omega.loads(t.demand[None])[0]
-    util = np.divide(load, cap, out=np.zeros_like(load), where=cap > 0)
+    with np.errstate(over="ignore"):  # past the float range is inf
+        util = np.divide(load, cap, out=np.zeros_like(load), where=cap > 0)
     dead = ((cap <= 0) & (load > 1e-12)).any()
     mlu = math.inf if dead else float(util.max(initial=0.0))
 
@@ -119,25 +119,109 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     return EvalRecord(mlu, ahc, direct_fraction)
 
 
+#: A link whose capacity is at most this fraction of the largest counts as
+#: absent in ``optimal_routing_mlu``: its coefficient in that LP would be at
+#: most HiGHS's ``small_matrix_value``, which HiGHS drops without a word.
+_SMALL_CAPACITY = 1e-9
+
+
+class _RoutingLp(NamedTuple):
+    """``optimal_routing_mlu``'s LP on one capacity matrix; the split rows'
+    right-hand side is set per matrix."""
+
+    model: lp.LpModel
+    split: int  # the split rows' block
+    routed: np.ndarray  # per pair: has a usable path, and so a split row
+    u: int  # U's column
+    c_max: float
+
+
+@functools.lru_cache(maxsize=8)
+def _routing_lp(cap: bytes, n: int) -> _RoutingLp:
+    """The min-MLU flow LP of the n x n float capacity matrix with bytes
+    ``cap``: one flow column per usable path, in path order, then U."""
+    t = _tables(n)
+    c = np.frombuffer(cap).reshape(n, n)[t.pair_src, t.pair_dst]
+    c_max = float(c.max(initial=0.0))
+    rel = c / c_max if c_max > 0 else c
+    usable = (rel[t.path_links] > _SMALL_CAPACITY).all(axis=1)
+    pair = t.path_pair[usable]
+    routed = np.bincount(pair, minlength=len(t.pairs)) > 0
+    col = np.cumsum(usable) - 1
+    model = lp.LpModel("optimal-routing")
+    flows = model.add_vars(len(pair), 0.0, None)
+    u = int(model.add_vars(1, 0.0, None)[0])
+    split = model.add_rows(np.cumsum(routed)[pair] - 1, flows,
+                           np.ones(len(pair)), lp.EQ,
+                           np.zeros(routed.sum()))
+    on = usable[t.cross_path]
+    links, row = np.unique(t.cross_link[on], return_inverse=True)
+    rows = np.arange(len(links))
+    model.add_rows(np.concatenate([row, rows]),
+                   np.concatenate([col[t.cross_path[on]],
+                                   np.full(len(links), u)]),
+                   np.concatenate([np.ones(len(row)), -rel[links]]),
+                   lp.LE, np.zeros(len(links)))
+    model.set_objective("min", [u], [1.0])
+    return _RoutingLp(model, split, routed, u, c_max)
+
+
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
                         bandwidth: float = 1.0) -> float:
     """Offline-optimal split: the smallest MLU any weights achieve on x.
 
-    This is 1/mu of stage 1 on t with link counts fixed at x, which reads
-    only the pod count and link bandwidth of its fabric, so the fabric has
-    no ports.  An all-zero t has MLU 0 under any weights; a t that cannot
-    be routed has an infinite MLU.
+    With t_q the demand of pair q, sigma = max_q t_q, c_l the capacity of
+    link l and c_max the largest, this is U sigma / (b c_max) at the
+    optimum of the LP
+
+        minimize U subject to f >= 0 and
+        sum_{p in q} f_p = t_q / sigma                 for each routed q,
+        sum_{p crossing l} f_p - (c_l / c_max) U <= 0  for each link l,
+
+    over the usable paths p: those whose every link has a capacity above
+    1e-9 c_max.  A smaller positive capacity counts as absent, because
+    HiGHS would drop its coefficient c_l / c_max without a word; integer
+    topologies never get there.  A pair with a usable path is routed.  The
+    LP reads t only on its right-hand side, and demand and bandwidth only
+    through t / sigma and sigma / b, so the MLU scales as t / b and the LP
+    is the same for every matrix: it is built once per capacity matrix
+    (a small cache keyed by its bytes), and each call sets the split rows'
+    right-hand side and solves cold.  An all-zero t has MLU 0, and a t
+    demanding a pair without a usable path an infinite MLU; so does an
+    MLU past the float range.
+
+    Proof that this is 1/mu of stage 1 on t alone (K = 1) with link counts
+    fixed at x, when no positive capacity is that small.  Stage 1's
+    weights omega give pair q the flow t_q omega_p on its paths, and mu is
+    largest when mu times the load of every link is at most its capacity
+    b c_l, so 1/mu is the smallest MLU max_l load_l / (b c_l).  At stage
+    1's optimum the flows f_p = t_q omega_p / sigma meet every row above
+    with U = b c_max / (mu sigma), so U sigma / (b c_max) <= 1/mu.
+    Conversely the weights omega_p = f_p sigma / t_q of any feasible
+    (f, U) give link l the load sigma sum_{p crossing l} f_p <=
+    sigma c_l U / c_max, an MLU of at most U sigma / (b c_max).  The tests
+    keep stage 1 as the oracle.
     """
-    cap = _capacity_matrix(x)
-    no_ports = np.zeros((1, cap.shape[0]), dtype=int)
-    phys = PhysicalTopology(cap.shape[0], 1, no_ports, no_ports, bandwidth)
-    try:
-        return 1.0 / optimize.solve_maxmin_throughput(
-            phys, CriticalSet((t,)), _fixed=cap).mu
-    except UnboundedThroughputError:
+    if not 0 < bandwidth < math.inf:  # False for NaN too
+        raise InvalidInputError("link bandwidth must be positive and finite")
+    cap = np.ascontiguousarray(_capacity_matrix(x), dtype=float)
+    if cap.shape != t.demand.shape:
+        raise InvalidInputError("topology and matrix shapes differ")
+    if not np.isfinite(cap).all():
+        raise InvalidInputError("link capacities must be finite")
+    tables = _tables(t.num_pods)
+    demand = t.demand[tables.pair_src, tables.pair_dst]
+    sigma = float(demand.max(initial=0.0))
+    if sigma == 0.0:
         return 0.0
-    except InfeasibleRoutingError:
+    routing = _routing_lp(cap.tobytes(), t.num_pods)
+    if demand[~routing.routed].any():
         return math.inf
+    routing.model.set_rhs(routing.split, demand[routing.routed] / sigma)
+    sol = lp.solve(routing.model)
+    if not sol.optimal:
+        raise InternalError(f"min-MLU LP ended {sol.status}")
+    return float(sol.x[routing.u]) / routing.c_max * sigma / bandwidth
 
 
 def ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix) -> float:
@@ -254,7 +338,9 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
     effective = up * bandwidth / oversub
     rows = t.demand.sum(axis=1)
     cols = t.demand.sum(axis=0)
-    mlu = float(max((np.maximum(rows, cols) / effective).max(initial=0.0), 0.0))
+    with np.errstate(over="ignore"):  # past the float range is inf
+        mlu = float(max((np.maximum(rows, cols) / effective).max(initial=0.0),
+                        0.0))
     return EvalRecord(mlu, 2.0, 0.0)
 
 

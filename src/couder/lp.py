@@ -35,15 +35,17 @@ an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
 per-switch subproblem, which it builds column-wise with
 ``_highs_model`` and reads only the vertex of.  Every family runs dual
 simplex with output off.  Presolve is on, as scipy's
-``linprog(method="highs")`` set it, except in three families, where it
+``linprog(method="highs")`` set it, except in four families, where it
 was measured to cost more than it saves (HiGHS time per LP, N = 8, on
 a shared 2-vCPU Xeon; perfbench seed 2):
 
-- "fixed-throughput", stage 1 with link counts fixed: the mesh routing
-  LP of the replay baseline (108 rows), 2.20 -> 1.57 ms, with the same
-  109 simplex iterations and nothing removed by presolve; recompute's
-  first LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of
-  5 and its iterations rose from 120 to 150;
+- "fixed-throughput", stage 1 with link counts fixed: recompute's first
+  LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of 5 and
+  its iterations rose from 120 to 150;
+- "optimal-routing", ``evaluate.optimal_routing_mlu``'s min-MLU LP on
+  the replay mesh (108 rows, 343 columns): 1.29-1.60 -> 0.77-0.82 ms
+  over 5 runs of the 48 replay matrices, the same 79.6 iterations and
+  MLU bits, nothing removed by presolve;
 - "boundedness", ``traffic.check_bounded`` (57 rows): 0.37 -> 0.19 ms,
   the same 3.8 iterations, nothing removed;
 - "ldm-subproblem": see the rounding module.
@@ -61,8 +63,13 @@ keep presolve on.
 
 A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
 optimal basis of its last solve and hands it to the next one when only
-``scale`` changed in between; any new column, row or objective drops it.
-HiGHS then starts from that vertex and skips presolve.
+``scale`` changed in between; any new column, row or objective drops it,
+and so does ``set_rhs``.  HiGHS then starts from that vertex and skips
+presolve.  ``set_rhs`` replaces one block's right-hand side on a built
+model, in place on its assembled rows, so a model re-solved for many
+right-hand sides is built and assembled once; since it drops the basis,
+each such solve is cold and its result depends only on the model, not
+on the order of the solves before it.
 
 Each ``couder`` command runs in a fresh interpreter, so import time is
 paid once per planning step.  ``import scipy.optimize._highspy._core``
@@ -231,8 +238,10 @@ class LpModel:
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_variables):
             raise InvalidInputError("column index out of range")
 
-    def add_rows(self, rows, cols, coefs, relation: str, rhs, scaled=None):
-        """Add ``len(rhs)`` rows as one block.
+    def add_rows(self, rows, cols, coefs, relation: str, rhs,
+                 scaled=None) -> int:
+        """Add ``len(rhs)`` rows as one block; returns the block's index,
+        which ``set_rhs`` takes.
 
         Row r reads ``sum(coefs[t] * x[cols[t]] for t with rows[t] == r)
         relation rhs[r]``.  The triplets ``scaled`` = (rows, cols, coefs),
@@ -253,6 +262,29 @@ class LpModel:
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
         self._assembled = self._basis = None
+        return len(self._blocks) - 1
+
+    def set_rhs(self, block: int, rhs):
+        """Replace the right-hand side of the block ``add_rows`` numbered
+        ``block`` by ``rhs``, of the same length.  An assembled model takes
+        the new values in place, a >= block's negated, on the row pattern
+        it has.  The basis is dropped: the next solve is cold, so its
+        result depends only on the model."""
+        if not 0 <= block < len(self._blocks):
+            raise InvalidInputError(f"no row block {block}")
+        blk = self._blocks[block]
+        rhs = np.array(rhs, dtype=float, ndmin=1)
+        if rhs.shape != blk.rhs.shape:
+            raise InvalidInputError(f"{rhs.size} right-hand sides for a"
+                                    f" block of {len(blk.rhs)} rows")
+        self._blocks[block] = blk._replace(rhs=rhs)
+        if self._assembled is not None and len(rhs):
+            equality = blk.relation == EQ
+            start = sum(len(other.rhs) for other in self._blocks[:block]
+                        if (other.relation == EQ) == equality)
+            sign = -1.0 if blk.relation == GE else 1.0
+            self._assembled[equality].rhs[start:start + len(rhs)] = sign * rhs
+        self._basis = None
 
     def set_objective(self, sense: str, cols, coefs):
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
@@ -378,6 +410,7 @@ _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
 #: family's LPs yet costs time; see the module docstring.
 _FAMILY_OPTIONS = {
     "fixed-throughput": _highs_options(presolve="off"),
+    "optimal-routing": _highs_options(presolve="off"),
     "boundedness": _highs_options(presolve="off"),
     "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
                                      **_HIGHS_TIGHT),

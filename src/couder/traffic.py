@@ -7,6 +7,7 @@ one) form the demand set the optimizer provisions for.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,18 +118,12 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
     return CriticalSet(tuple(criticals))
 
 
-def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
-    """Whether T is dominated by a convex combination of the criticals.
-
-    The one set tested is {T : T <= sum_k lambda_k T_k for some lambda >= 0
-    with sum_k lambda_k <= 1}, component-wise.  Solved as an LP minimizing
-    the worst component shortfall, so a witness and its slack come for free;
-    T is bounded when the slack is at most ``model.TOL``.
-    """
-    if t.num_pods != crit.num_pods:
-        raise InvalidInputError("pod count mismatch")
-    K = len(crit)
-    n = t.num_pods
+@functools.lru_cache(maxsize=8)
+def _bounded_lp(stack: bytes, shape: tuple) -> tuple:
+    """(model, its shortfall block, the lambda columns) of ``check_bounded``'s
+    LP on the criticals whose ``stacked()`` array has these bytes and
+    shape; the block's right-hand side is set per matrix."""
+    K, n = shape[0], shape[1]
     model = lp.LpModel("boundedness")
     lams = model.add_vars(K, 0.0, 1.0)
     s = model.add_vars(1, 0.0, None)[0]
@@ -136,16 +131,36 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
     # shortfall row t - sum(lambda T) <= s, read as
     # -sum(lambda T) - s <= -t.
     off = ~np.eye(n, dtype=bool)
-    stack = crit.stacked()[:, off]  # (K, pairs)
-    rows = 1 + np.arange(stack.shape[1])
-    model.add_rows(
+    crit = np.frombuffer(stack).reshape(shape)[:, off]  # (K, pairs)
+    rows = 1 + np.arange(crit.shape[1])
+    block = model.add_rows(
         np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
         np.concatenate([lams, np.repeat(lams, len(rows)),
                         np.full(len(rows), s)]),
-        np.concatenate([np.ones(K), -stack.ravel(),
+        np.concatenate([np.ones(K), -crit.ravel(),
                         np.full(len(rows), -1.0)]),
-        lp.LE, np.concatenate([[1.0], -t.demand[off]]))
+        lp.LE, np.zeros(1 + len(rows)))
     model.set_objective("min", [s], [1.0])
+    return model, block, lams
+
+
+def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
+    """Whether T is dominated by a convex combination of the criticals.
+
+    The one set tested is {T : T <= sum_k lambda_k T_k for some lambda >= 0
+    with sum_k lambda_k <= 1}, component-wise.  Solved as an LP minimizing
+    the worst component shortfall, so a witness and its slack come for free;
+    T is bounded when the slack is at most ``model.TOL``.  T enters the LP
+    only on its right-hand side, so the model is built once per critical
+    set (a small cache keyed by the criticals' bytes), and each call sets
+    that side and solves cold.
+    """
+    if t.num_pods != crit.num_pods:
+        raise InvalidInputError("pod count mismatch")
+    stack = crit.stacked()
+    model, block, lams = _bounded_lp(stack.tobytes(), stack.shape)
+    off = ~np.eye(t.num_pods, dtype=bool)
+    model.set_rhs(block, np.concatenate([[1.0], -t.demand[off]]))
     sol = lp.solve(model)
     return BoundednessResult(sol.x[lams], sol.objective_value)
 

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from couder import cli, lp, round as rounding
 from couder.errors import (InfeasibleRoutingError, InvalidInputError,
                            UnboundedThroughputError)
+from couder.evaluate import _capacity_matrix
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
                           TrafficMatrix)
 from couder.optimize import BETA_CAP, solve_maxmin_throughput
@@ -120,6 +121,25 @@ def lp_ideal_toe_mlu(phys: PhysicalTopology, t: TrafficMatrix) -> float:
     t, infinite for a t that cannot be routed."""
     try:
         return 1.0 / solve_maxmin_throughput(phys, CriticalSet((t,))).mu
+    except UnboundedThroughputError:
+        return 0.0
+    except InfeasibleRoutingError:
+        return math.inf
+
+
+def stage1_routing_mlu(x, t: TrafficMatrix, bandwidth: float = 1.0
+                       ) -> float:
+    """Oracle of ``evaluate.optimal_routing_mlu``: 1/mu of stage 1's LP on
+    the one matrix t with link counts fixed at x's capacities, on a fabric
+    of x's pod count, one switch without ports and link bandwidth
+    ``bandwidth``.  0 for an all-zero t, infinite for a t that cannot be
+    routed."""
+    cap = _capacity_matrix(x)
+    no_ports = np.zeros((1, cap.shape[0]), dtype=int)
+    phys = PhysicalTopology(cap.shape[0], 1, no_ports, no_ports, bandwidth)
+    try:
+        return 1.0 / solve_maxmin_throughput(phys, CriticalSet((t,)),
+                                             _fixed=cap).mu
     except UnboundedThroughputError:
         return 0.0
     except InfeasibleRoutingError:

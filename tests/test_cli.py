@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,13 +265,15 @@ class TestCommands:
     @pytest.mark.parametrize("baseline", ["vlb", "fattree"])
     def test_evaluate_overflowed_mlu_is_infeasible(self, tmp_path, baseline):
         # At this bandwidth every utilization overflows to infinity: the
-        # line's MLU is null, so it is not feasible either.
+        # line's MLU is null, so it is not feasible either, and numpy
+        # warns of nothing.
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
         write_physical_topology(str(physfile),
                                 make_fabric(3, 1, 4, bandwidth=1e-307))
         write_seq(seqfile, constant_seq(3, 2, 100.0))
         out = tmp_path / "metrics.jsonl"
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["evaluate", str(physfile), str(seqfile),
                              "--baseline", baseline, "--out", str(out)]) == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]

@@ -23,13 +23,29 @@ from helpers import (einsum_link_loads, enumerate_paths, loop_evaluate_static,
                      loop_restrict_weights, loop_sensitivity_map,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
                      random_criticals, random_tm, sparse_tm,
-                     write_physical_topology, zero_radix_fabric)
+                     stage1_routing_mlu, write_physical_topology,
+                     zero_radix_fabric)
 
 
 def mesh_topology(n, links_per_pair):
     X = np.full((n, n), links_per_pair)
     np.fill_diagonal(X, 0)
     return IntegerTopology(X[None])
+
+
+def assert_agree(got: float, want: float):
+    """Within 1e-9 relative, and exactly where ``want`` is 0 or infinite."""
+    if math.isinf(want) or want == 0.0:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def checked_mlu(x, t: TrafficMatrix, bandwidth: float = 1.0) -> float:
+    """``optimal_routing_mlu``, asserted to agree with stage 1's oracle."""
+    mlu = optimal_routing_mlu(x, t, bandwidth)
+    assert_agree(mlu, stage1_routing_mlu(x, t, bandwidth))
+    return mlu
 
 
 class TestEvaluateStatic:
@@ -171,7 +187,7 @@ class TestOptimalRouting:
         topo = mesh_topology(3, 4)
         t = np.zeros((3, 3))
         t[0, 1] = 2.0
-        mlu = optimal_routing_mlu(topo, TrafficMatrix(t), 1.0)
+        mlu = checked_mlu(topo, TrafficMatrix(t), 1.0)
         assert mlu <= 2.0 / 4.0 + 1e-9
         assert mlu == pytest.approx(0.25, abs=1e-9)
 
@@ -185,14 +201,14 @@ class TestOptimalRouting:
         t[0, 1] = 3.0
         best = min(max(w * 3.0 / 2.0, (1 - w) * 3.0 / 1.0, (1 - w) * 3.0 / 3.0)
                    for w in np.arange(0.0, 1.0001, 1e-3))
-        lp_val = optimal_routing_mlu(topo, TrafficMatrix(t), 1.0)
+        lp_val = checked_mlu(topo, TrafficMatrix(t), 1.0)
         assert lp_val == pytest.approx(best, abs=2e-3)
 
     def test_dominates_any_fixed_weights(self):
         rng = np.random.default_rng(0)
         topo = mesh_topology(4, 3)
         t = random_tm(rng, 4, 5.0)
-        opt = optimal_routing_mlu(topo, t, 1.0)
+        opt = checked_mlu(topo, t, 1.0)
         for _ in range(5):
             weights = {}
             for i in range(4):
@@ -210,7 +226,7 @@ class TestOptimalRouting:
 
     def test_all_zero_matrix_has_zero_mlu_and_weights(self, tmp_path):
         t = TrafficMatrix(np.zeros((3, 3)))
-        assert optimal_routing_mlu(mesh_topology(3, 2), t, 1.0) == 0.0
+        assert checked_mlu(mesh_topology(3, 2), t, 1.0) == 0.0
         # The mesh baseline routes an all-zero matrix direct.
         physfile, seqfile = tmp_path / "phys.json", tmp_path / "seq.jsonl"
         write_physical_topology(str(physfile), make_fabric(3, 2, 2))
@@ -226,7 +242,107 @@ class TestOptimalRouting:
         topo = IntegerTopology(X[None])
         t = np.zeros((3, 3))
         t[0, 1] = 1.0
-        assert math.isinf(optimal_routing_mlu(topo, TrafficMatrix(t), 1.0))
+        assert math.isinf(checked_mlu(topo, TrafficMatrix(t), 1.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_stage1_on_replay_days(self, seed):
+        # The benchmark's replay: a gravity day scored on the uniform mesh.
+        inputs = bench_inputs()
+        eg, ig = inputs.striping(8, 4, 4)
+        mesh = uniform_mesh(PhysicalTopology(8, 4, eg, ig, 1.0))
+        mats = inputs.gravity_days(np.random.default_rng([seed, 4]), 8,
+                                   float(eg.sum()), days=2)
+        for demand in mats[inputs.DAY:]:
+            checked_mlu(mesh, TrafficMatrix(demand))
+
+    def test_mlu_per_unit_demand_holds_at_every_scale(self):
+        # Pod 0 sends v over 2 links to pod 1 and 2 links to pod 2, at
+        # best half on each, so MLU / v is 1/4 whatever v and b v are.
+        base = np.zeros((3, 3))
+        base[0, 1], base[1, 2] = 1.0, 0.5
+        mesh = mesh_topology(3, 2)
+        for v in 10.0 ** np.arange(-300, 301, 10):
+            t = TrafficMatrix(v * base)
+            assert optimal_routing_mlu(mesh, t) / v \
+                == pytest.approx(0.25, rel=1e-9)
+            assert optimal_routing_mlu(mesh, t, v) \
+                == pytest.approx(0.25, rel=1e-9)
+
+    def test_scales_as_demand_over_bandwidth(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(1, 4, (5, 5))
+        np.fill_diagonal(X, 0)
+        t, b = random_tm(rng, 5), 2.5
+        mlu = checked_mlu(X, t, b)
+        for s in 10.0 ** np.arange(-12, 15):
+            scaled = TrafficMatrix(s * t.demand)
+            assert optimal_routing_mlu(X, scaled, b) \
+                == pytest.approx(s * mlu, rel=1e-9)
+            assert optimal_routing_mlu(X, scaled, s * b) \
+                == pytest.approx(mlu, rel=1e-9)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bandwidth_not_positive_and_finite(self, bandwidth):
+        t = random_tm(np.random.default_rng(0), 3)
+        with pytest.raises(InvalidInputError, match="bandwidth"):
+            optimal_routing_mlu(mesh_topology(3, 2), t, bandwidth)
+
+    def test_rejects_shape_mismatch(self):
+        t = random_tm(np.random.default_rng(0), 4)
+        with pytest.raises(InvalidInputError, match="shapes"):
+            optimal_routing_mlu(mesh_topology(3, 2), t)
+        with pytest.raises(InvalidInputError, match="shapes"):
+            optimal_routing_mlu(np.ones((4, 3)), t)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_capacity(self, value):
+        X = np.ones((3, 3)) - np.eye(3)
+        X[0, 1] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            optimal_routing_mlu(X, random_tm(np.random.default_rng(0), 3))
+
+    def test_capacity_at_most_1e9_of_the_largest_is_absent(self):
+        # Pair (0, 1) has one path, its direct link.  At 1e-10 of the
+        # largest capacity that link counts as absent, so the pair cannot
+        # be routed; at 1e-8 it carries the pair alone.
+        X = np.zeros((3, 3))
+        X[1, 0] = 1e10
+        t = np.zeros((3, 3))
+        t[0, 1] = 1.0
+        X[0, 1] = 1.0
+        assert math.isinf(optimal_routing_mlu(X, TrafficMatrix(t)))
+        X[0, 1] = 100.0
+        assert checked_mlu(X, TrafficMatrix(t)) == pytest.approx(0.01,
+                                                                 rel=1e-9)
+
+    def test_results_do_not_hinge_on_call_order(self):
+        # The cached models keep no right-hand side or basis of an earlier
+        # call: forward, shuffled, and interleaved with a second topology
+        # and a second critical set, every result is the same bits.
+        rng = np.random.default_rng(6)
+        n = 6
+        other = rng.integers(0, 3, (n, n))
+        np.fill_diagonal(other, 0)
+        crit, other_crit = (random_criticals(rng, n, k) for k in (3, 2))
+        tms = [random_tm(rng, n) for _ in range(8)] + [
+            TrafficMatrix(np.zeros((n, n))),
+            TrafficMatrix(0.5 * crit.matrices[0].demand)]
+
+        def score(k):
+            res = check_bounded(tms[k], crit)
+            return (optimal_routing_mlu(mesh_topology(n, 2), tms[k]).hex(),
+                    res.lambdas.tobytes(), res.slack.hex())
+
+        def interleaved(k):
+            optimal_routing_mlu(other, tms[-1 - k])
+            check_bounded(tms[-1 - k], other_crit)
+            return score(k)
+
+        forward = [score(k) for k in range(len(tms))]
+        order = rng.permutation(len(tms))
+        shuffled = dict(zip(order, map(score, order)))
+        assert [shuffled[k] for k in range(len(tms))] == forward
+        assert [interleaved(k) for k in range(len(tms))] == forward
 
     def test_cli_mesh_routes_as_recompute_routing(self, tmp_path):
         # couder evaluate --baseline mesh scores each matrix on the weights
@@ -284,10 +400,10 @@ def bench_inputs():
 
 
 class TestPresolveOffFamilies:
-    """Stage 1 with fixed link counts and the boundedness LP run with
-    presolve off; each must give what a presolve-on solve gives."""
+    """The min-MLU LP and the boundedness LP run with presolve off; each
+    must give what a presolve-on solve gives."""
 
-    PRESOLVE_OFF = ("fixed-throughput", "boundedness")
+    PRESOLVE_OFF = ("fixed-throughput", "optimal-routing", "boundedness")
 
     def both_ways(self, monkeypatch, run):
         """``run()`` under the family options, then with presolve on."""
@@ -298,13 +414,6 @@ class TestPresolveOffFamilies:
         on = run()
         monkeypatch.undo()
         return off, on
-
-    @staticmethod
-    def assert_agree(got: float, want: float):
-        if math.isinf(want) or want == 0.0:
-            assert got == want
-        else:
-            assert got == pytest.approx(want, rel=1e-9)
 
     @staticmethod
     def assert_witness(t: TrafficMatrix, crit: CriticalSet, res):
@@ -335,8 +444,9 @@ class TestPresolveOffFamilies:
             (mlu, res), (mlu_on, res_on) = self.both_ways(
                 monkeypatch, lambda: (optimal_routing_mlu(X, t, b),
                                       check_bounded(t, crit)))
-            self.assert_agree(mlu, mlu_on)
-            self.assert_agree(res.slack, res_on.slack)
+            assert_agree(mlu, mlu_on)
+            assert_agree(mlu, stage1_routing_mlu(X, t, b))
+            assert_agree(res.slack, res_on.slack)
             self.assert_witness(t, crit, res)
             kinds["inf" if math.isinf(mlu_on) else "zero" if mlu_on == 0
                   else "finite"] += 1
@@ -362,8 +472,8 @@ class TestPresolveOffFamilies:
             (mlu, res), (mlu_on, res_on) = self.both_ways(
                 monkeypatch, lambda: (optimal_routing_mlu(mesh, t),
                                       check_bounded(t, crit)))
-            self.assert_agree(mlu, mlu_on)
-            self.assert_agree(res.slack, res_on.slack)
+            assert_agree(mlu, mlu_on)
+            assert_agree(res.slack, res_on.slack)
             self.assert_witness(t, crit, res)
 
 

@@ -641,6 +641,69 @@ def test_infeasible_resolve_keeps_no_basis(monkeypatch):
     assert [warm for warm, _ in calls] == [False, True, False]
 
 
+def mixed_model(rhs) -> tuple:
+    """A model with a <= block, a >= block, an == block and another >=
+    block, their right-hand sides in turn from ``rhs``; returns it with
+    the block indices ``add_rows`` gave."""
+    m = lp.LpModel()
+    x = m.add_vars(3, 0.0, 5.0)
+    blocks = (m.add_rows([0, 0, 1], [0, 1, 2], [1.0, 1.0, 1.0], lp.LE, rhs[0]),
+              m.add_rows([0, 1], [0, 1], [1.0, 2.0], lp.GE, rhs[1]),
+              m.add_rows([0, 0], [1, 2], [1.0, -1.0], lp.EQ, rhs[2]),
+              m.add_rows([0], [2], [1.0], lp.GE, rhs[3]))
+    m.set_objective("max", x, [1.0, 2.0, 3.0])
+    return m, blocks
+
+
+MIXED_RHS = ([4.0, 3.0], [1.0, 2.0], [0.0], [0.5])
+NEW_RHS = ([6.0, 2.5], [0.5, 1.0], [1.0], [1.5])
+
+
+def test_add_rows_returns_the_block_index():
+    assert mixed_model(MIXED_RHS)[1] == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("block, rhs", [(0, [1.0]), (1, [1.0, 2.0, 3.0]),
+                                        (2, []), (4, [1.0]), (-1, [1.0])])
+def test_set_rhs_of_another_length_or_block_rejected(block, rhs):
+    m, _ = mixed_model(MIXED_RHS)
+    with pytest.raises(InvalidInputError):
+        m.set_rhs(block, rhs)
+
+
+def test_set_rhs_patches_the_assembled_rows_in_place():
+    m, blocks = mixed_model(MIXED_RHS)
+    lp.solve(m)
+    assembled = m._rows()
+    for block, rhs in zip(blocks, NEW_RHS):
+        m.set_rhs(block, rhs)
+    ub, eq = m._rows()
+    # The same pattern, not a new assembly; >= rows negated into <=.
+    assert ub.matrix is assembled[0].matrix and eq is assembled[1]
+    assert ub.rhs.tolist() == [6.0, 2.5, -0.5, -1.0, -1.5]
+    assert eq.rhs.tolist() == [1.0]
+    assert_same_model(m, mixed_model(NEW_RHS)[0])
+
+
+@pytest.mark.parametrize("solved_first", [False, True])
+def test_set_rhs_gives_what_a_fresh_build_gives(monkeypatch, solved_first):
+    # HiGHS holds the model a fresh build hands it, and the solve after
+    # set_rhs is cold: the same vertex, objective and duals to the bit.
+    m, blocks = mixed_model(MIXED_RHS)
+    if solved_first:
+        lp.solve(m)
+    pairs = record_highs_models(monkeypatch)
+    calls = record_highs(monkeypatch)
+    for block, rhs in zip(blocks, NEW_RHS):
+        m.set_rhs(block, rhs)
+    got = lp.solve(m)
+    want = lp.solve(mixed_model(NEW_RHS)[0])
+    assert [warm for warm, _ in calls] == [False, False]
+    assert held_lp(pairs[0][0]) == held_lp(pairs[1][0]) \
+        == held_lp(pairs[0][1])
+    assert got.optimal and solved(got) == solved(want)
+
+
 @pytest.mark.parametrize("where", ["objective", "row", "rhs", "scaled",
                                    "scaled-term"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
