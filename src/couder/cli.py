@@ -12,11 +12,12 @@ number.  Every count in a file must be an integer (pod and switch counts
 JSON integers; port and circuit counts within ``model.TOL`` of one), and
 each ordered pair's weights must sum to 1 within ``model.TOL``.  The
 readers ignore keys outside these formats, such as the ``k``, ``seed``
-and ``assignment`` that older critical-set files hold; a config file
-with an unknown key is an error.  Exit codes: 0 success, 1 validation
-error, 2 infeasibility, 3 the LP solver hit an iteration or numerical
-limit, 4 internal error (an LP ended in a state its stage rules out, such
-as no sensitivity bound below the cap), 64 usage error.
+and ``assignment`` that older critical-set files hold.  A fabric's
+``bandwidth_gbps`` may be in any unit, provided every demand is in the
+same one.  Exit codes: 0 success, 1 validation error, 2 infeasibility, 3
+the LP solver hit an iteration or numerical limit, 4 internal error (an
+LP ended in a state its stage rules out, such as no sensitivity bound
+below the cap), 64 usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,45 +47,6 @@ EXIT_INTERNAL = 4
 EXIT_USAGE = 64
 
 VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    """Tunables shared by the subcommands; flags win over the config file."""
-
-    k: int = 5
-    lookback: float = 3600.0
-    ldm_iterations: int = 50
-    seed: int = 0
-
-    @classmethod
-    def load(cls, path, overrides: dict) -> "RunConfig":
-        cfg = cls()
-        if path:
-            data = _load_json(path)
-            if not isinstance(data, dict):
-                raise InvalidInputError(
-                    f"{path}: config must be a JSON object")
-            known = {f.name for f in fields(cls)}
-            unknown = set(data) - known
-            if unknown:
-                raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-            for key, value in data.items():
-                kind = type(getattr(cfg, key))
-                # An int field takes a JSON integer, a float field any number.
-                allowed = (int, float) if kind is float else int
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    raise InvalidInputError(f"{path}: {key} must be"
-                                            f" {kind.__name__}, not"
-                                            f" {json.dumps(value)}")
-                setattr(cfg, key, kind(value))
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        if cfg.seed < 0:  # numpy's generators take no negative seed
-            raise InvalidInputError(f"seed must be non-negative, not"
-                                    f" {cfg.seed}")
-        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +252,14 @@ def write_plot_series(path: str, xs, ys):
 # Subcommands
 
 
-def _cmd_extract(args, cfg: RunConfig) -> int:
+def _cmd_extract(args) -> int:
     seq = read_tm_sequence(args.tm_file)
-    crit = traffic.extract_critical(seq, cfg.k, cfg.seed)
+    crit = traffic.extract_critical(seq, args.k, args.seed)
     write_critical_set(args.out, crit)
     return EXIT_OK
 
 
-def _cmd_optimize(args, cfg: RunConfig) -> int:
+def _cmd_optimize(args) -> int:
     phys = read_physical_topology(args.phys_file)
     crit = read_critical_set(args.crit_file)
     sol = optimize.run_pipeline(phys, crit,
@@ -307,12 +268,12 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_round(args, cfg: RunConfig) -> int:
+def _cmd_round(args) -> int:
     phys = read_physical_topology(args.phys_file)
     sol = read_solution(args.solution_file)
     crit = read_critical_set(args.crit_file) if args.crit_file else None
     if args.method == "ldm":
-        report = rounding.ldm_round(phys, sol.d, cfg.ldm_iterations)
+        report = rounding.ldm_round(phys, sol.d, args.ldm_iterations)
     else:
         report = rounding.greedy_round(phys, sol.d)
     routed = None
@@ -347,7 +308,7 @@ def _mesh_record(phys: PhysicalTopology, mesh: IntegerTopology,
     return evaluate.evaluate_static(mesh, omega, t, phys.link_bandwidth)
 
 
-def _cmd_evaluate(args, cfg: RunConfig) -> int:
+def _cmd_evaluate(args) -> int:
     phys = read_physical_topology(args.phys_file)
     seq = read_tm_sequence(args.tm_file)
     b = phys.link_bandwidth
@@ -410,15 +371,15 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args, cfg: RunConfig) -> int:
+def _cmd_simulate(args) -> int:
     phys = read_physical_topology(args.phys_file)
     seq = read_tm_sequence(args.tm_file)
     policy = ReconfigPolicy(frequency=args.frequency,
                             stage_latency=args.stage_latency,
                             alpha_pred=args.alpha_pred,
-                            lookback=cfg.lookback, k=cfg.k)
+                            lookback=args.lookback, k=args.k)
     points, epochs = evaluate.simulate_reconfig(
-        phys, seq, policy, seed=cfg.seed, tau_max=cfg.ldm_iterations)
+        phys, seq, policy, seed=args.seed, tau_max=args.ldm_iterations)
     _write_json(args.out, [
         *({"event": "reconfig", "t": ep.time,
            "changed_fraction": ep.changed_fraction, "stages": ep.stages,
@@ -429,11 +390,11 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args, cfg: RunConfig) -> int:
+def _cmd_synth(args) -> int:
     if args.mode == "storage":
         if args.pods is None or args.count is None:
             raise InvalidInputError("storage mode needs --pods and --count")
-        seq = traffic.gen_storage_tms(args.pods, args.count, cfg.seed,
+        seq = traffic.gen_storage_tms(args.pods, args.count, args.seed,
                                       (args.demand_min, args.demand_max))
         write_tm_sequence(args.out, seq)
     else:  # burst
@@ -462,12 +423,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="couder",
                      description="Robust topology engineering for "
                                  "optical-circuit-switched fabrics")
-    parser.add_argument("--config", help="JSON config file (flags win)")
-    parser.add_argument("--k", type=int, help="critical matrix count")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--lookback", type=float,
+    parser.add_argument("--k", type=int, default=5,
+                        help="critical matrix count")
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--lookback", type=float, default=3600.0,
                         help="history window in seconds")
-    parser.add_argument("--ldm-iterations", type=int, dest="ldm_iterations")
+    parser.add_argument("--ldm-iterations", type=int, default=50,
+                        dest="ldm_iterations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="cluster a sequence into criticals")
@@ -537,10 +499,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
-        cfg = RunConfig.load(args.config, overrides)
-        return args.func(args, cfg)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidInputError(f"seed must be non-negative, not"
+                                    f" {args.seed}")
+        return args.func(args)
     except (InvalidInputError, OSError) as exc:
         print(f"couder: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -323,7 +323,8 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
                   oversub: float = 2.0) -> EvalRecord:
     """Abstract oversubscribed fat tree: a non-blocking spine behind
     per-pod effective capacity uplinks*b/oversub; every hop count is 2.
-    ``pod_uplinks`` is one count for every pod, or one count per pod."""
+    ``pod_uplinks`` is one count for every pod, or one count per pod.  A
+    pod with demand and no effective capacity (underflow) has MLU inf."""
     if not 0 < oversub < math.inf:
         raise InvalidInputError("oversubscription must be positive and"
                                 " finite")
@@ -336,12 +337,11 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
     if (up <= 0).any():
         raise InvalidInputError("pod uplink counts must be positive")
     effective = up * bandwidth / oversub
-    rows = t.demand.sum(axis=1)
-    cols = t.demand.sum(axis=0)
+    load = np.maximum(t.demand.sum(axis=1), t.demand.sum(axis=0))
     with np.errstate(over="ignore"):  # past the float range is inf
-        mlu = float(max((np.maximum(rows, cols) / effective).max(initial=0.0),
-                        0.0))
-    return EvalRecord(mlu, 2.0, 0.0)
+        util = np.divide(load, effective, where=effective > 0,
+                         out=np.where(load > 0, math.inf, 0.0))
+    return EvalRecord(float(util.max(initial=0.0)), 2.0, 0.0)
 
 
 def sensitivity_map(x: Capacity, omega: RoutingWeights,

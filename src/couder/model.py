@@ -50,13 +50,21 @@ def _counts(a, what: str) -> np.ndarray:
     return a.astype(int)
 
 
+def demand_scale(demand: np.ndarray) -> float:
+    """The largest power of two at or below ``demand``'s largest entry (1
+    if none is positive): ``demand`` over it lies in [0, 2), and the
+    division is exact while the quotient is a normal float."""
+    top = float(demand.max(initial=0.0))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0 else 1.0
+
+
 @dataclass(frozen=True)
 class PhysicalTopology:
     """Pod/OCS fabric: port striping and uniform link bandwidth.
 
     ``egress_ports[m][i]`` / ``ingress_ports[m][i]`` give the number of
     egress/ingress fibers connecting pod i to switch m.  Bandwidth is a
-    single scalar in Gbps per logical link.
+    single scalar per logical link, in the unit of the demand.
     """
 
     num_pods: int
@@ -103,7 +111,7 @@ class PhysicalTopology:
 
 @dataclass(frozen=True)
 class TrafficMatrix:
-    """N x N nonnegative demand in Gbps; the diagonal must be exactly 0."""
+    """N x N nonnegative demand in the bandwidth's unit; zero diagonal."""
 
     demand: np.ndarray
     timestamp: Optional[float] = None

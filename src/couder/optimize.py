@@ -10,7 +10,7 @@ Three LP stages over a set of critical traffic matrices:
    one pair can add to any link: exactly what
    ``evaluate.sensitivity_map`` reports.  With free link counts the caps
    are bilinear in (beta, d); written in stage 1's scaled weights as
-   w_p <= gamma * b * d_ab they are linear for a fixed gamma, and the
+   w_p <= gamma * d_ab they are linear for a fixed gamma, and the
    largest throughput F(gamma) under them is one LP whose duals also give
    F'(gamma).  Stage 2 is a safeguarded Newton root-find of
    F(gamma) = mu* (Dinkelbach's method), and beta = gamma / F.  With link
@@ -22,6 +22,18 @@ Stage 1 is nonlinear as written (mu * omega products) and is solved in
 scaled weights wp = omega * mu, which linearizes every constraint.
 The same stages rerun with link counts frozen to an integer topology to
 recompute routing after rounding.
+
+Every stage LP is unitless: the criticals over sigma, the largest power
+of two at or below their largest entry (``demand_scale``), capacity in
+links, and no row, cap or bound holding the link bandwidth b.  A plan's
+mu = mu_hat * b / sigma and beta = beta_hat / b for the LP's mu_hat and
+beta_hat, and stages 2 and 3 convert the mu* and beta they take back, so
+a plan is the same in any unit shared by demand and bandwidth (the same
+bits when it changes by a power of two); one past the float range is
+InvalidInputError.  ``BETA_CAP`` and the guard on mu are unitless.  A
+demand entry at or below about 1e-9 sigma is under HiGHS's
+``small_matrix_value``, which drops it, as ``evaluate._SMALL_CAPACITY``
+says of the min-MLU LP.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from . import lp
 from .errors import (InfeasibleRoutingError, InternalError, InvalidInputError,
                      UnboundedThroughputError)
 from .model import (FractionalTopology, IntegerTopology, PhysicalTopology,
-                    RoutingWeights, _tables, validate)
+                    RoutingWeights, _tables, demand_scale, validate)
 from .traffic import CriticalSet
 
 #: Relative throughput slack of the joint stage 2: it accepts a cap gamma
@@ -46,6 +58,7 @@ MU_SLACK = 1e-7
 #: Relative width at which stage 2's fallback bracket on gamma stops.  Only
 #: a Newton step that overshoots onto the plateau F = mu* falls back to it.
 BETA_TOL = 1e-3
+#: Largest unitless sensitivity bound beta_hat = beta * b that stage 2 seeks.
 BETA_CAP = 1e6
 
 
@@ -70,8 +83,15 @@ def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
             np.concatenate([coefs, np.broadcast_to(coef, num_rows)]))
 
 
+def _in_range(value: float, name: str) -> float:
+    if not 0 < value < math.inf:  # False for NaN too
+        raise InvalidInputError(f"{name} = {value:g} is not a positive"
+                                " finite number in these units")
+    return value
+
+
 class _StageBuilder:
-    """Shared constraint blocks for the three LP stages.
+    """Shared constraint blocks for the three unitless LP stages.
 
     When ``fixed`` is given, link counts are constants (routing-only mode)
     and paths crossing a zero-capacity link are dropped; pairs left with no
@@ -98,9 +118,11 @@ class _StageBuilder:
         self.crit = crit
         self.fixed = None if fixed is None else np.asarray(fixed, dtype=float)
         self.n = phys.num_pods
-        self.b = phys.link_bandwidth
+        self.bandwidth = phys.link_bandwidth
         self.tables = t = _tables(self.n)
-        self.demand = crit.stacked()
+        demand = crit.stacked()
+        self.sigma = demand_scale(demand)
+        self.demand = demand / self.sigma
         self.demanded = self.demand.max(axis=0) > 0
         if self.fixed is None:
             self.capacity = None
@@ -122,6 +144,12 @@ class _StageBuilder:
         # its split row.
         self.routed, self.split_row = np.unique(t.path_pair[usable],
                                                 return_inverse=True)
+
+    def unitless(self, mu: float, beta: Optional[float] = None) -> tuple:
+        """(mu_hat, beta_hat) of a plan's throughput and bound."""
+        return (_in_range(mu * (self.sigma / self.bandwidth), "mu"),
+                None if beta is None else _in_range(beta * self.bandwidth,
+                                                    "beta"))
 
     def _dcol(self) -> np.ndarray:
         """Column of each link count, right after the weights."""
@@ -168,22 +196,21 @@ class _StageBuilder:
         coefs = scale * demand[k, c]
         if self.fixed is None:
             model.add_rows(*_per_row_term(row, cols, coefs, len(row_ids),
-                                          self._dcol()[row_link], -self.b),
+                                          self._dcol()[row_link], -1.0),
                            lp.LE, np.zeros(len(row_ids)))
         else:
-            model.add_rows(row, cols, coefs, lp.LE,
-                           self.b * self.capacity[row_link])
+            model.add_rows(row, cols, coefs, lp.LE, self.capacity[row_link])
 
     def add_sensitivity_constraints(self, model: lp.LpModel,
                                     beta: Optional[float] = None):
-        """Cap each path weight at beta times every link the path crosses.
+        """Cap each path weight at beta_hat times each link it crosses.
 
-        w_p <= beta * b * d_ab for each link (a, b) of p, so no link's
-        utilization rises by more than beta per unit of one pair's demand;
-        ``evaluate.sensitivity_map`` reports the same quantity.  With free
-        link counts the cap's d term is a scaled term and beta is
-        ``model.scale``.  With fixed link counts beta is a new column,
-        pinned to ``beta`` when given and free otherwise.
+        w_p <= beta_hat * d_ab for each link (a, b) of p, so no link's
+        utilization rises by more than beta = beta_hat / b per unit of one
+        pair's demand; ``evaluate.sensitivity_map`` reports the same
+        quantity.  With free link counts the cap's d term is a scaled term
+        and beta_hat is ``model.scale``.  With fixed link counts beta_hat
+        is a new column, pinned to ``beta`` when given and free otherwise.
         """
         link, path = self._crossing()
         rows = np.arange(len(path))
@@ -193,14 +220,13 @@ class _StageBuilder:
             model.add_rows(rows, self.col[path], np.ones(len(rows)), lp.LE,
                            np.zeros(len(rows)),
                            scaled=(rows, self._dcol()[link],
-                                   np.full(len(rows), -self.b)))
+                                   np.full(len(rows), -1.0)))
         else:
             beta_col = model.add_vars(1, 0.0 if beta is None else beta,
                                       beta)[0]
             model.add_rows(*_per_row_term(rows, self.col[path],
                                           np.ones(len(rows)), len(rows),
-                                          beta_col,
-                                          -self.b * self.capacity[link]),
+                                          beta_col, -self.capacity[link]),
                            lp.LE, np.zeros(len(rows)))
 
     def add_split_constraints(self, model: lp.LpModel,
@@ -219,8 +245,8 @@ class _StageBuilder:
     def solution(self, x: np.ndarray, mu: float,
                  beta: Optional[float] = None,
                  normalize: Optional[float] = None) -> FractionalSolution:
-        """The plan at a solved model's vertex ``x``, with throughput ``mu``
-        and bound ``beta``.
+        """The plan at a solved model's vertex ``x``, with the unitless
+        throughput ``mu`` and bound ``beta`` converted to the plan's units.
 
         ``normalize`` divides weights (recovering omega from scaled wp).
         ``RoutingWeights.normalized`` then rescales each pair's weights to
@@ -230,10 +256,10 @@ class _StageBuilder:
         stored as 0.
 
         With free link counts d is then raised to cover the realized
-        critical loads at ``mu`` exactly, by ``RoutingWeights.loads``.
-        That clears sub-tolerance LP residue so the throughput guarantee
-        holds with a true inequality on every link; the lift is bounded by
-        the solver feasibility tolerance.
+        critical loads at ``mu`` exactly, in links, by
+        ``RoutingWeights.loads``.  That clears sub-tolerance LP residue so
+        the throughput guarantee holds with a true inequality on every
+        link; the lift is bounded by the solver feasibility tolerance.
         """
         t = self.tables
         w = np.zeros(len(t.paths))
@@ -241,14 +267,16 @@ class _StageBuilder:
         if normalize is not None:
             w = w / normalize
         omega = RoutingWeights.normalized(self.n, w, 1e-12)
-        if self.fixed is not None:
-            return FractionalSolution(FractionalTopology(self.fixed), omega,
-                                      mu, beta)
-        d = np.zeros((self.n, self.n))
-        d[t.pair_src, t.pair_dst] = np.maximum(
-            np.maximum(x[self._dcol()], 0.0),
-            omega.loads(self.demand, mu).max(axis=0) / self.b)
-        return FractionalSolution(FractionalTopology(d), omega, mu, beta)
+        d = self.fixed
+        if d is None:
+            d = np.zeros((self.n, self.n))
+            d[t.pair_src, t.pair_dst] = np.maximum(
+                np.maximum(x[self._dcol()], 0.0),
+                omega.loads(self.demand, mu).max(axis=0))
+        return FractionalSolution(
+            FractionalTopology(d), omega,
+            _in_range(mu * (self.bandwidth / self.sigma), "mu"),
+            None if beta is None else _in_range(beta / self.bandwidth, "beta"))
 
 
 def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
@@ -286,15 +314,15 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
 
 
 def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
-    """(beta, F, solution) of the joint stage 2, with F >= mu* (1 - MU_SLACK).
+    """Unitless (beta, F, solution) of stage 2, F >= mu* (1 - MU_SLACK).
 
-    ``model`` is stage 1's LP plus the caps w_p <= gamma * b * d_ab, gamma
+    ``model`` is stage 1's LP plus the caps w_p <= gamma * d_ab, gamma
     being ``model.scale``; its optimum F(gamma) does not decrease in gamma
     and each solve gives the slope F'(gamma).  A point (F, gamma) has
     beta = gamma / F.  The search starts at the radix bound: pod i splits
     F over each of its n - 1 pairs, and each path is capped at its first
     link (i, x), the first link of n - 1 of those paths, so
-    F <= gamma * b * sum_x d_ix <= gamma * b * r_eg[i]; ingress likewise.
+    F <= gamma * sum_x d_ix <= gamma * r_eg[i]; ingress likewise.
     Below target, gamma takes the Newton step gamma + (mu* - F) / F' when
     F' > 0 and the step stays inside the bracket (lo, hi); otherwise it
     doubles while there is no upper end and bisects once there is.  At or
@@ -308,7 +336,7 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
                     builder.phys.ingress_radix.min()))
     if radix <= 0:
         raise InternalError("no feasible sensitivity bound below cap")
-    beta_lo = 1.0 / (builder.b * radix)
+    beta_lo = 1.0 / radix
     target = mu_star * (1.0 - MU_SLACK)
     gamma = lo = mu_star * beta_lo
     hi = math.inf
@@ -364,9 +392,8 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     With link counts fixed by ``_fixed`` the caps are linear in beta, one
     LP minimizes it exactly, and mu is mu*.
     """
-    if mu_star <= 0:
-        raise InvalidInputError("mu_star must be positive")
     builder = _StageBuilder(phys, crit, fixed=_fixed)
+    mu_star = builder.unitless(mu_star)[0]
     if _fixed is None:
         model = _throughput_model(builder, "desensitize")
         builder.add_sensitivity_constraints(model)
@@ -392,9 +419,8 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
 
     ``beta=None`` skips the sensitivity caps (the non-desensitized variant).
     """
-    if mu_star <= 0:
-        raise InvalidInputError("mu_star must be positive")
     builder = _StageBuilder(phys, crit, fixed=_fixed)
+    mu_star, beta = builder.unitless(mu_star, beta)
     model = builder.new_model("minimize-ahc", 1.0)
     z = model.add_vars(1, 0.0, None)[0]
     builder.add_split_constraints(model)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInputError
-from .model import TOL, TmSequence, TrafficMatrix
+from .model import TOL, TmSequence, TrafficMatrix, demand_scale
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
     if not 1 <= k <= len(seq):
         raise InvalidInputError("need 1 <= k <= sequence length")
     demands = seq.stacked()
-    labels = _kmeans(demands.reshape(len(seq), -1), k, seed)
+    # Over a power of two, so that squared distances stay in float range.
+    flat = demands.reshape(len(seq), -1)
+    labels = _kmeans(flat / demand_scale(flat), k, seed)
     criticals = []
     for c in range(k):
         members = demands[labels == c]

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -652,6 +653,18 @@ class TestFatTree:
         assert rec.mlu == fat_tree_eval(t, 16, 1.0, 2.0).mlu
         with pytest.raises(InvalidInputError, match="6 pod uplink counts"):
             fat_tree_eval(t, np.full(6, 16), 1.0, 2.0)
+
+    def test_capacity_underflow(self):
+        # 4 * 1e-320 / 1e10 is 0: a pod with demand is infinitely loaded,
+        # an idle pod adds nothing, and numpy warns of nothing.
+        t = np.zeros((3, 3))
+        t[0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fat_tree_eval(TrafficMatrix(t), 4, 1e-320, 1e10).mlu \
+                == math.inf
+            assert fat_tree_eval(TrafficMatrix(0 * t), 4, 1e-320, 1e10).mlu \
+                == 0.0
 
 
 class TestSensitivityMap:

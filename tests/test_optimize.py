@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from couder import lp
+from couder import lp, optimize
 from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
@@ -9,9 +9,9 @@ from couder.model import (IntegerTopology, Path, PhysicalTopology,
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
-from couder.round import greedy_round
+from couder.round import greedy_round, ldm_round
 from couder.evaluate import evaluate_static, sensitivity_map
-from couder.traffic import CriticalSet
+from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, held_lp,
                      hetero_fabric, loop_stage_model, make_fabric,
@@ -258,11 +258,16 @@ class TestStage2Bracket:
         assert all(m is models[0] for m in models)
 
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_bound_above_cap_raises(self, fixed):
-        phys = make_fabric(3, 1, 2, bandwidth=1e-7)
-        X = np.ones((3, 3)) - np.eye(3)
+    def test_bound_above_cap_raises(self, monkeypatch, fixed):
+        # Joint: the radix bound 1/2 on the unitless beta lies above a cap
+        # of 0.1.  Fixed: on 1e-7 links per pair, a weight split over two
+        # paths needs beta * b >= 1 / 2e-7, above BETA_CAP.
+        phys = make_fabric(3, 1, 2)
+        X = 1e-7 * (np.ones((3, 3)) - np.eye(3))
         t = np.ones((3, 3)) - np.eye(3)
         crit = CriticalSet((TrafficMatrix(t),))
+        if not fixed:
+            monkeypatch.setattr(optimize, "BETA_CAP", 0.1)
         with pytest.raises(InternalError):
             desensitize(phys, crit, 1e-12, _fixed=X if fixed else None)
 
@@ -501,19 +506,37 @@ def sparse_instance(seed: int, n: int, fixed: bool):
     return phys, CriticalSet(tuple(TrafficMatrix(t) for t in demand)), X
 
 
+def unitless_inputs(phys, crit):
+    """(phys at b = 1, the criticals over sigma, sigma): the stage LPs'
+    inputs, sigma being the largest power of two at or below the largest
+    critical entry."""
+    top, sigma = crit.stacked().max(), 1.0
+    while sigma > top:
+        sigma /= 2
+    while 2 * sigma <= top:
+        sigma *= 2
+    unit_phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
+                                 phys.egress_ports, phys.ingress_ports)
+    return unit_phys, CriticalSet(tuple(TrafficMatrix(t.demand / sigma)
+                                        for t in crit)), sigma
+
+
 def stage_models(monkeypatch, phys, crit, X):
-    """{stage: (model solved last, mu, beta)} of stages 1, 2 and 3 run in
-    a row, at the mu and beta each was given."""
+    """{stage: (model solved last, mu_hat, beta_hat)} of stages 1, 2 and 3
+    run in a row, at the unitless mu and beta each was given."""
     models = record_solves(monkeypatch)
     s1 = solve_maxmin_throughput(phys, crit, _fixed=X)
     s2 = desensitize(phys, crit, s1.mu, _fixed=X)
-    s3 = minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
+    minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
     monkeypatch.undo()
     by_name = {m.name: m for m in models}
     stage1 = "maxmin-throughput" if X is None else "fixed-throughput"
+    b, sigma = phys.link_bandwidth, unitless_inputs(phys, crit)[2]
     return {"1": (by_name[stage1], None, None),
-            "2": (by_name["desensitize"], s1.mu, by_name["desensitize"].scale),
-            "3": (by_name["minimize-ahc"], s3.mu, s3.beta)}
+            "2": (by_name["desensitize"], s1.mu * (sigma / b),
+                  by_name["desensitize"].scale),
+            "3": (by_name["minimize-ahc"], s2.mu * (sigma / b),
+                  None if s2.beta is None else s2.beta * b)}
 
 
 class TestStageModels:
@@ -522,11 +545,14 @@ class TestStageModels:
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_stage_matches_loop_builder(self, monkeypatch, n, fixed):
+        # The reference builds the unitless LP from unitless inputs.
         for seed in range(2):
             phys, crit, X = sparse_instance(seed, n, fixed)
+            unit_phys, unit_crit, _ = unitless_inputs(phys, crit)
             for stage, (model, mu, beta) in stage_models(
                     monkeypatch, phys, crit, X).items():
-                ref = loop_stage_model(stage, phys, crit, X, mu, beta)
+                ref = loop_stage_model(stage, unit_phys, unit_crit, X, mu,
+                                       beta)
                 assert_same_model(model, ref)
 
     @pytest.mark.parametrize("fixed", [False, True])
@@ -602,5 +628,72 @@ class TestStageModels:
             builder.add_load_constraints(model, 0.5)
             builder.add_sensitivity_constraints(model)
             model.set_objective("min", [builder.stage_col], [1.0])
-            assert_same_model(model,
-                              loop_stage_model("2", phys, c, X, mu=0.5))
+            unit_phys, unit_crit, _ = unitless_inputs(phys, c)
+            assert_same_model(model, loop_stage_model("2", unit_phys,
+                                                      unit_crit, X, mu=0.5))
+
+
+def unit_instances():
+    """(fabric, criticals): random criticals, and criticals of a storage
+    day, each on a random fabric."""
+    rng = np.random.default_rng(31)
+    yield random_fabric(rng, 5, 2, qmin=2, qmax=5), random_criticals(rng, 5, 3)
+    yield (random_fabric(rng, 6, 2, qmin=2, qmax=5),
+           extract_critical(gen_storage_tms(6, 16, 4), 3))
+
+
+def in_units(phys, crit, s, bandwidth=True):
+    """The instance with every demand times s, and the link bandwidth too
+    when ``bandwidth``."""
+    b = phys.link_bandwidth * (s if bandwidth else 1.0)
+    return (PhysicalTopology(phys.num_pods, phys.num_ocs, phys.egress_ports,
+                             phys.ingress_ports, b),
+            CriticalSet(tuple(TrafficMatrix(t.demand * s) for t in crit)))
+
+
+def unitless_plan(phys, crit) -> list:
+    """mu, beta * b, d and omega of the plan, X of its LDM rounding, and
+    mu, beta * b and omega of the routing recomputed on X."""
+    b = phys.link_bandwidth
+    sol = run_pipeline(phys, crit)
+    topo = ldm_round(phys, sol.d, 50).topo
+    routed = recompute_routing(phys, topo, crit)
+    return [sol.mu, sol.beta * b, sol.d.d, sol.omega.omega, topo.x,
+            routed.mu, routed.beta * b, routed.omega.omega]
+
+
+class TestUnits:
+    """A plan does not depend on the unit shared by demand and bandwidth."""
+
+    @pytest.mark.parametrize("k", [-40, -23, -1, 1, 17, 40])
+    def test_power_of_two_unit_changes_no_bit(self, k):
+        for phys, crit in unit_instances():
+            want = unitless_plan(phys, crit)
+            got = unitless_plan(*in_units(phys, crit, 2.0 ** k))
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-8, 1e10, 1e11, 1e12])
+    def test_any_unit_gives_the_same_plan(self, s):
+        for phys, crit in unit_instances():
+            want = run_pipeline(phys, crit)
+            b = phys.link_bandwidth
+            both = run_pipeline(*in_units(phys, crit, s))
+            assert both.mu == pytest.approx(want.mu, rel=1e-9)
+            # Stage 2 finds beta within BETA_TOL: the storage day ends in
+            # its fallback bracket, where the Newton path depends on which
+            # of several slopes at a kink of F the solver reports.
+            assert both.beta * b * s == pytest.approx(want.beta * b,
+                                                      rel=BETA_TOL)
+            # Demand alone in a unit s times finer: mu is s times smaller.
+            alone = run_pipeline(*in_units(phys, crit, s, bandwidth=False))
+            assert alone.mu * s == pytest.approx(want.mu, rel=1e-9)
+
+    @pytest.mark.parametrize("what", ["mu", "beta"])
+    def test_plan_past_the_float_range_is_invalid(self, what):
+        # Demand 1e-310 at b = 1 has mu near 1e310; at b = 1e-310 too, mu
+        # is near 1 but beta near 1e310.
+        phys = make_fabric(3, 1, 2, bandwidth=1.0 if what == "mu" else 1e-310)
+        t = 1e-310 * (np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(InvalidInputError, match=what):
+            run_pipeline(phys, CriticalSet((TrafficMatrix(t),)))

@@ -5,7 +5,7 @@ import pytest
 
 from couder import lp
 from couder.errors import InvalidInputError
-from couder.model import TmSequence, TrafficMatrix
+from couder.model import TmSequence, TrafficMatrix, demand_scale
 from couder.traffic import (CriticalSet, _kmeans, check_bounded,
                             extract_critical, gen_burst_tms, gen_storage_tms)
 from helpers import (assert_same_model, held_lp, loop_check_bounded,
@@ -19,7 +19,8 @@ def seq_of(demands, window=1.0):
 
 def labels_of(seq: TmSequence, k: int, seed: int) -> np.ndarray:
     """The cluster of each matrix, as ``extract_critical`` clusters them."""
-    return _kmeans(seq.stacked().reshape(len(seq), -1), k, seed)
+    flat = seq.stacked().reshape(len(seq), -1)
+    return _kmeans(flat / demand_scale(flat), k, seed)
 
 
 class TestExtractCritical:
@@ -81,6 +82,17 @@ class TestExtractCritical:
         np.testing.assert_array_equal(labels_of(seq, 3, 11),
                                       labels_of(seq, 3, 11))
         np.testing.assert_array_equal(a.stacked(), b.stacked())
+
+    @pytest.mark.parametrize("scale", [2.0 ** 530, 1e160, 1e-160, 3.7])
+    def test_clusters_do_not_depend_on_the_unit(self, scale):
+        # Near 1e160 the squared distances overflowed, and k-means++ then
+        # drew its seeds from NaN probabilities.
+        rng = np.random.default_rng(12)
+        days = np.concatenate([gen_storage_tms(6, 12, 3).stacked(),
+                               [random_tm(rng, 6).demand for _ in range(12)]])
+        crit = extract_critical(seq_of(days), 3, seed=0)
+        scaled = extract_critical(seq_of(days * scale), 3, seed=0)
+        assert (scaled.stacked() == crit.stacked() * scale).all()
 
     def test_k_bounds(self):
         seq = seq_of([np.zeros((2, 2))] * 3)
