@@ -157,12 +157,16 @@ def _routing_lp(cap: bytes, n: int) -> _RoutingLp:
     on = usable[t.cross_path]
     links, row = np.unique(t.cross_link[on], return_inverse=True)
     rows = np.arange(len(links))
-    model.add_rows(np.concatenate([row, rows]),
-                   np.concatenate([col[t.cross_path[on]],
-                                   np.full(len(links), u)]),
-                   np.concatenate([np.ones(len(row)), -rel[links]]),
-                   lp.LE, np.zeros(len(links)))
+    link_rows = model.add_rows(np.concatenate([row, rows]),
+                               np.concatenate([col[t.cross_path[on]],
+                                               np.full(len(links), u)]),
+                               np.concatenate([np.ones(len(row)),
+                                               -rel[links]]),
+                               lp.LE, np.zeros(len(links)))
     model.set_objective("min", [u], [1.0])
+    # Paths come in pair order: the first usable path of each routed pair.
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    model.set_start(flows[first], [link_rows])
     return _RoutingLp(model, split, routed, u, c_max)
 
 
@@ -186,9 +190,18 @@ def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
     through t / sigma and sigma / b, so the MLU scales as t / b and the LP
     is the same for every matrix: it is built once per capacity matrix
     (a small cache keyed by its bytes), and each call sets the split rows'
-    right-hand side and solves cold.  An all-zero t has MLU 0, and a t
-    demanding a pair without a usable path an infinite MLU; so does an
-    MLU past the float range.
+    right-hand side and solves from one start basis, direct routing: the
+    first usable path of each routed pair basic in that pair's split row,
+    every link row's slack basic, U nonbasic at 0.  Each basic flow sits
+    in one split row alone, so the basis is nonsingular.  Every basic
+    column costs 0, so the duals are 0 and each reduced cost is the
+    column's own cost, 0 for a flow and 1 for U: the basis is dual
+    feasible for every right-hand side, and dual simplex starts there.
+    A call's result therefore depends on x and t alone, not on the calls
+    before it, and it is the optimal value U, which no choice of optimal
+    vertex changes.  An all-zero t has MLU 0, and a t demanding a pair
+    without a usable path an infinite MLU; so does an MLU past the float
+    range.
 
     Proof that this is 1/mu of stage 1 on t alone (K = 1) with link counts
     fixed at x, when no positive capacity is that small.  Stage 1's

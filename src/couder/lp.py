@@ -17,18 +17,27 @@ a starting basis, to the one HiGHS object of the process, ``_solver``.
 object would.  Solves are therefore not reentrant: ``couder`` starts no
 threads, and a caller that did would have to serialize its solves.
 
-Rows go to HiGHS row-wise, built once per model.  At its first solve a
-model assembles each relation group, the inequalities as <= and then
-the equalities, into one CSR pattern that holds both the fixed value
-and the ``scale``d value of each entry: duplicate triplets summed,
-exact zeros dropped.  A solve only forms fixed + scale * scaled on that
-pattern, for a group with scaled terms, and ``linprog``, this module's
-one call into HiGHS for an ``LpModel``, passes the rows as they are
-with ``MatrixFormat.kRowwise``: no sparse sum, stacking or conversion
-to columns per solve.  HiGHS stores the model column-wise, and holds
-bit for bit the model that stacking separate sparse matrices
-column-wise gave before; the tests keep that construction as their
-oracle.
+Rows go to HiGHS row-wise, and a model keeps the HiGHS input it last
+sent.  At its first solve after ``add_vars``, ``add_rows`` or
+``set_objective`` a model assembles each relation group, the
+inequalities as <= and then the equalities, into one CSR pattern that
+holds both the fixed value and the ``scale``d value of each entry:
+duplicate triplets summed, exact zeros dropped.  It then builds its
+``HighsLp`` once (``_Sent``), the rows as they are with
+``MatrixFormat.kRowwise``, and reuses it: ``set_rhs`` re-sends only the
+row bounds, and a change of ``scale`` re-forms fixed + scale * scaled on
+the pattern and re-sends only the matrix values.  No solve rebuilds a
+cost, bound, start or index list that did not change, yet at each
+solve the HighsLp equals a fresh build.  ``linprog``, this module's one call into
+HiGHS for an ``LpModel``, still checks the LP's data for finiteness and
+the vertex for its residual on every solve.  HiGHS stores the model
+column-wise, and holds bit for bit the model that stacking separate
+sparse matrices column-wise gave before; the tests keep that
+construction as their oracle.  On the replay workload's two cached
+models (N = 8, best of 5 runs on a shared 2-vCPU Xeon), building the
+HighsLp takes 177 us for the min-MLU LP (343 columns, 1,026 non-zeros)
+and 67 us for the boundedness LP (341 non-zeros); re-sending the row
+bounds after ``set_rhs`` takes 13 and 9 us.
 
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
@@ -45,7 +54,10 @@ a shared 2-vCPU Xeon; perfbench seed 2):
 - "optimal-routing", ``evaluate.optimal_routing_mlu``'s min-MLU LP on
   the replay mesh (108 rows, 343 columns): 1.29-1.60 -> 0.77-0.82 ms
   over 5 runs of the 48 replay matrices, the same 79.6 iterations and
-  MLU bits, nothing removed by presolve;
+  MLU bits, nothing removed by presolve, when each solve was cold.  Each
+  now starts from a basis, with which HiGHS skips presolve either way:
+  on replay seed 1, the same MLU bits and 27.0 iterations with presolve
+  on;
 - "boundedness", ``traffic.check_bounded`` (57 rows): 0.37 -> 0.19 ms,
   the same 3.8 iterations, nothing removed;
 - "ldm-subproblem": see the rounding module.
@@ -63,13 +75,22 @@ keep presolve on.
 
 A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
 optimal basis of its last solve and hands it to the next one when only
-``scale`` changed in between; any new column, row or objective drops it,
-and so does ``set_rhs``.  HiGHS then starts from that vertex and skips
-presolve.  ``set_rhs`` replaces one block's right-hand side on a built
-model, in place on its assembled rows, so a model re-solved for many
-right-hand sides is built and assembled once; since it drops the basis,
-each such solve is cold and its result depends only on the model, not
-on the order of the solves before it.
+``scale`` changed in between; HiGHS then starts from that vertex and
+skips presolve.  A model may also own a start basis, which ``set_start``
+names by basic columns and basic ``add_rows`` blocks, and which ``lp``
+maps to HiGHS's row order.  ``set_rhs`` replaces one block's right-hand
+side on a built model, in place on its assembled rows, and restores the
+start basis, or leaves the next solve cold without one; any new column,
+row or objective drops both bases.  A model re-solved for many
+right-hand sides is thus built and assembled once, and each such solve
+starts from the same point, so its result depends only on the model,
+not on the order of the solves before it.  ``evaluate``'s min-MLU LP
+starts from its direct-routing basis, which is dual feasible for every
+right-hand side.  Over the 48 held-out matrices of perfbench's replay
+seed 1 on its mesh (best of 5 runs, same machine), the held input and
+that start basis together took the LP from 97.9 to 27.0 dual simplex
+iterations and from 1.35 to 0.84 ms per solve; each MLU stayed within
+3.6e-16 relative of the cold solve's.
 
 Each ``couder`` command runs in a fresh interpreter, so import time is
 paid once per planning step.  ``import scipy.optimize._highspy._core``
@@ -213,7 +234,10 @@ class LpModel:
         self._sense = "min"
         self._objective = (np.zeros(0, dtype=int), np.zeros(0))  # cols, coefs
         self._assembled = None
-        self._basis = None  # optimal basis of the last solve
+        self._formed = None  # the scale the scaled values are formed at
+        self._sent = None  # the _Sent HiGHS input of the last solve
+        self._start = None  # the start basis ``set_start`` gave
+        self._basis = None  # the basis the next solve starts from
 
     @property
     def num_variables(self) -> int:
@@ -231,7 +255,7 @@ class LpModel:
             raise InvalidInputError("variable has lb > ub")
         self._lb.extend(lbs.tolist())
         self._ub.extend(ubs.tolist())
-        self._assembled = self._basis = None
+        self._assembled = self._sent = self._start = self._basis = None
         return np.arange(start, start + count)
 
     def _check_cols(self, cols: np.ndarray):
@@ -261,14 +285,15 @@ class LpModel:
                 raise InvalidInputError("row index out of range")
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
-        self._assembled = self._basis = None
+        self._assembled = self._sent = self._start = self._basis = None
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
         """Replace the right-hand side of the block ``add_rows`` numbered
         ``block`` by ``rhs``, of the same length.  An assembled model takes
         the new values in place, a >= block's negated, on the row pattern
-        it has.  The basis is dropped: the next solve is cold, so its
+        it has, and its HiGHS input only new row bounds.  The next solve
+        starts from the ``set_start`` basis, or cold without one, so its
         result depends only on the model."""
         if not 0 <= block < len(self._blocks):
             raise InvalidInputError(f"no row block {block}")
@@ -279,12 +304,58 @@ class LpModel:
                                     f" block of {len(blk.rhs)} rows")
         self._blocks[block] = blk._replace(rhs=rhs)
         if self._assembled is not None and len(rhs):
-            equality = blk.relation == EQ
-            start = sum(len(other.rhs) for other in self._blocks[:block]
-                        if (other.relation == EQ) == equality)
+            equality, start = self._group_rows(block)
             sign = -1.0 if blk.relation == GE else 1.0
             self._assembled[equality].rhs[start:start + len(rhs)] = sign * rhs
-        self._basis = None
+            if self._sent is not None:
+                self._sent.rhs = False
+        self._basis = self._start
+
+    def set_start(self, cols, blocks):
+        """Start each solve that follows ``set_rhs`` from the basis in which
+        the columns ``cols`` and every row of the blocks ``blocks`` (as
+        ``add_rows`` numbered them) are basic, every other column is at its
+        lower bound, which must be finite, and every other row at its
+        right-hand side; the solve right after this call starts there too.
+        The caller vouches that the basis is nonsingular.  One that is dual
+        feasible for every right-hand side makes each solve a dual simplex
+        run from a fixed start, so its result still depends only on the
+        model.  ``add_vars``, ``add_rows`` and ``set_objective`` drop it."""
+        cols = _indices(cols)
+        self._check_cols(cols)
+        basic_col = np.zeros(self.num_variables, dtype=bool)
+        basic_col[cols] = True
+        num_ub = sum(len(blk.rhs) for blk in self._blocks
+                     if blk.relation != EQ)
+        basic_row = np.zeros(num_ub + sum(len(blk.rhs) for blk in self._blocks
+                                          if blk.relation == EQ), dtype=bool)
+        for block in blocks:
+            equality, start = self._group_rows(block)
+            start += num_ub if equality else 0
+            basic_row[start:start + len(self._blocks[block].rhs)] = True
+        if basic_col.sum() + basic_row.sum() != len(basic_row):
+            raise InvalidInputError("a basis has one basic column or row per"
+                                    " row")
+        if not np.isfinite(np.array(self._lb)[~basic_col]).all():
+            raise InvalidInputError("a nonbasic column needs a finite lower"
+                                    " bound")
+        status = _highs.HighsBasisStatus
+        basis = _highs.HighsBasis()
+        basis.col_status = [status.kBasic if basic else status.kLower
+                            for basic in basic_col.tolist()]
+        # HiGHS holds every row as <= or ==, so a nonbasic row is at its
+        # upper bound.
+        basis.row_status = [status.kBasic if basic else status.kUpper
+                            for basic in basic_row.tolist()]
+        basis.valid, basis.alien = True, False
+        self._start = self._basis = basis
+
+    def _group_rows(self, block: int) -> tuple:
+        """(equality, start): whether the rows of the block ``block`` are
+        in the equality group, and the first of them within that group."""
+        equality = self._blocks[block].relation == EQ
+        return equality, sum(len(other.rhs) for other in self._blocks[:block]
+                             if (other.relation == EQ) == equality)
 
     def set_objective(self, sense: str, cols, coefs):
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
@@ -298,26 +369,82 @@ class LpModel:
         self._check_cols(cols)
         self._sense = sense
         self._objective = (cols, coefs)
-        self._basis = None
+        self._sent = self._start = self._basis = None
 
     def _rows(self) -> tuple:
         """The ``_Rows`` of the inequality rows, as <=, and of the equality
         rows, either None when it has none, at the current ``scale``.  The
-        patterns are assembled once; a solve only re-forms the values of a
-        group with scaled terms."""
+        patterns are assembled once; the values of a group with scaled
+        terms are re-formed when ``scale`` changed."""
         if self._assembled is None:
             self._assembled = tuple(
                 _assemble([blk for blk in self._blocks
                            if (blk.relation == EQ) == equality
                            and len(blk.rhs)], self.num_variables)
                 for equality in (False, True))
-        for rows in self._assembled:
-            if rows is not None and rows.scaled is not None:
-                # linprog refuses non-finite values; forming them is quiet.
-                with np.errstate(invalid="ignore", over="ignore"):
-                    rows.matrix.data = (rows.fixed
-                                        + self.scale * rows.scaled.data)
+            self._formed = None
+        if self.scale != self._formed:  # always for a NaN scale
+            self._formed = self.scale
+            for rows in self._assembled:
+                if rows is not None and rows.scaled is not None:
+                    # linprog refuses non-finite values; forming them is
+                    # quiet.
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        rows.matrix.data = (rows.fixed
+                                            + self.scale * rows.scaled.data)
+                    if self._sent is not None:
+                        self._sent.values = False
         return self._assembled
+
+
+class _Sent:
+    """What an ``LpModel`` hands HiGHS: the costs and column bounds as
+    arrays, and the ``HighsLp`` of the whole model, rows row-wise.
+    ``values`` and ``rhs`` say whether that HighsLp still holds the
+    model's matrix values and row bounds; ``refresh`` re-sends those that
+    it does not, so at each solve it equals a fresh build."""
+
+    def __init__(self, model: LpModel, groups: tuple):
+        c = np.zeros(model.num_variables)
+        np.add.at(c, *model._objective)
+        self.cost = (-1.0 if model._sense == "max" else 1.0) * c
+        self.bounds = (np.array(model._lb), np.array(model._ub))
+        kept = [rows.matrix for rows in groups if rows is not None]
+        offsets = np.cumsum([0] + [A.nnz for A in kept])
+        start = np.concatenate([[0]] + [A.indptr[1:] + k
+                                        for A, k in zip(kept, offsets)])
+        index = np.concatenate([np.zeros(0, dtype=int)]
+                               + [A.indices for A in kept])
+        # The binding copies lists faster than arrays.
+        self.lp = _highs_model(_highs.MatrixFormat.kRowwise,
+                               self.cost.tolist(), model._lb, model._ub,
+                               *_row_bounds(groups), start.tolist(),
+                               index.tolist(), _values(groups))
+        self.values = self.rhs = True
+
+    def refresh(self, groups: tuple):
+        if not self.values:
+            self.lp.a_matrix_.value_ = _values(groups)
+        if not self.rhs:
+            self.lp.row_lower_, self.lp.row_upper_ = _row_bounds(groups)
+        self.values = self.rhs = True
+
+
+def _values(groups: tuple) -> list:
+    """The matrix values of both row groups, in HiGHS's row order."""
+    return np.concatenate([np.zeros(0)] + [rows.matrix.data for rows in groups
+                                           if rows is not None]).tolist()
+
+
+def _row_bounds(groups: tuple) -> tuple:
+    """The row lower and upper bounds of both groups, in HiGHS's row
+    order: the inequality rows (-inf, rhs], then the equality rows."""
+    upper = np.concatenate([np.zeros(0)] + [rows.rhs for rows in groups
+                                            if rows is not None])
+    lower = upper.copy()
+    if groups[0] is not None:
+        lower[:len(groups[0].rhs)] = -np.inf
+    return lower.tolist(), upper.tolist()
 
 
 def _indices(idx) -> np.ndarray:
@@ -466,7 +593,8 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
     ``passModel`` clears whatever ``_solver`` held, so a solve without a
     basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
     ``large_matrix_value`` (1e15) or more, which only an input that large
-    can produce: that is InvalidInputError.  Model statuses map as
+    can produce: that is InvalidInputError; a basis it refuses is
+    InternalError, not a cold solve.  Model statuses map as
     scipy's ``linprog`` mapped them: anything but optimal, infeasible or
     unbounded, "unbounded or infeasible" included, raises SolverLimitError.
     """
@@ -475,8 +603,9 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
         raise InvalidInputError(
             "input too large for the LP solver: every constraint coefficient"
             f" must be below {options.large_matrix_value:g} in magnitude")
-    if basis is not None:
-        _solver.setBasis(basis)
+    if basis is not None \
+            and _solver.setBasis(basis) == _highs.HighsStatus.kError:
+        raise InternalError("HiGHS refused the basis")
     ran = _solver.run() != _highs.HighsStatus.kError
     status = _solver.getModelStatus()
     if vertex_only and status == _STATUS.kOptimal and ran:
@@ -499,48 +628,34 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
 
 
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
-            options=_OPTIONS) -> LpSolution:
+            options=_OPTIONS, *, highs_lp) -> LpSolution:
     """Minimize c x subject to A_ub x <= b_ub, A_eq x = b_eq and
     bounds[0] <= x <= bounds[1] under the HiGHS ``options``, from
     ``basis`` when one is given.  ``A_ub`` and ``A_eq`` are ``_Csr``
-    matrices, or None for no rows; their rows go to HiGHS row-wise as they
-    are.
+    matrices, or None for no rows.  ``highs_lp`` is that LP as HiGHS
+    takes it, which ``LpModel`` keeps from solve to solve.
 
     ``LpModel``'s one call into HiGHS.  A non-finite entry of c, A or b,
     or a NaN bound, is an internal error, as scipy's ``linprog`` refused
     them.  Like that ``linprog`` it raises SolverLimitError on an optimal
     vertex that misses a bound or row by more than sqrt(1e-9) * 10.
     """
-    lb, ub = (np.asarray(v, dtype=float) for v in bounds)
+    lb, ub = bounds
     blocks = [(A, b) for A, b in ((A_ub, b_ub), (A_eq, b_eq))
               if A is not None]
-    offsets = np.cumsum([0] + [A.nnz for A, _ in blocks])
-    start = np.concatenate([[0]] + [A.indptr[1:] + k
-                                    for (A, _), k in zip(blocks, offsets)])
-    index = np.concatenate([np.zeros(0, dtype=int)]
-                           + [A.indices for A, _ in blocks])
-    value = np.concatenate([np.zeros(0)] + [A.data for A, _ in blocks])
-    b = np.concatenate([np.zeros(0)] + [b for _, b in blocks])
-    c = np.asarray(c, dtype=float)
-    if not (np.isfinite(c).all() and np.isfinite(value).all()
-            and np.isfinite(b).all()) or np.isnan(lb).any() \
-            or np.isnan(ub).any():
+    if not (np.isfinite(c).all()
+            and all(np.isfinite(A.data).all() and np.isfinite(b).all()
+                    for A, b in blocks)) \
+            or np.isnan(lb).any() or np.isnan(ub).any():
         raise InternalError("LP data is not finite")
-    num_eq = 0 if A_eq is None else A_eq.shape[0]
-    lower = b.copy()
-    lower[:len(b) - num_eq] = -np.inf
-    # The binding copies lists faster than arrays.
-    model = _highs_model(_highs.MatrixFormat.kRowwise, c.tolist(),
-                         lb.tolist(), ub.tolist(), lower.tolist(),
-                         b.tolist(), start.tolist(), index.tolist(),
-                         value.tolist())
-    res = _run_highs(model, options, basis)
+    res = _run_highs(highs_lp, options, basis)
     if res.status == "optimal":
         x, tol = res.x, _RESIDUAL_TOL
-        row = np.concatenate([np.zeros(0)] + [A @ x for A, _ in blocks])
-        eq = slice(len(b) - num_eq, None)
+        rows = [(A @ x, b, A is A_eq) for A, b in blocks]
         if not (np.all(x >= lb - tol) and np.all(x <= ub + tol)
-                and np.all(row <= b + tol) and np.all(row[eq] >= b[eq] - tol)
+                and all(np.all(row <= b + tol)
+                        and not (eq and np.any(row < b - tol))
+                        for row, b, eq in rows)
                 and np.isfinite(res.objective_value)):
             raise SolverLimitError("solver returned a vertex outside the"
                                    " feasible set")
@@ -569,16 +684,17 @@ def solve(model: LpModel) -> LpSolution:
         return LpSolution("optimal", np.zeros(0), 0.0, row_dual=np.zeros(
             sum(len(blk.rhs) for blk in model._blocks)))
     groups = model._rows()
+    if model._sent is None:
+        model._sent = _Sent(model, groups)
+    sent = model._sent
+    sent.refresh(groups)
     (A_ub, b_ub), (A_eq, b_eq) = ((None, None) if rows is None
                                   else (rows.matrix, rows.rhs)
                                   for rows in groups)
-    c = np.zeros(model.num_variables)
-    idxs, coefs = model._objective
-    np.add.at(c, idxs, coefs)
-    sign = -1.0 if model._sense == "max" else 1.0
-    res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(model._lb, model._ub), basis=model._basis,
-                  options=_FAMILY_OPTIONS.get(model.name, _OPTIONS))
+    res = linprog(sent.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=sent.bounds, basis=model._basis,
+                  options=_FAMILY_OPTIONS.get(model.name, _OPTIONS),
+                  highs_lp=sent.lp)
     model._basis = res.basis
     if res.optimal:
         num_ub = 0 if A_ub is None else A_ub.shape[0]
@@ -586,7 +702,7 @@ def solve(model: LpModel) -> LpSolution:
                                     res.row_dual[num_ub:])):
             if rows is not None and rows.scaled is not None:
                 res.slope -= float(y @ (rows.scaled @ res.x))
-        if sign < 0:
+        if model._sense == "max":
             res.slope = -res.slope
             res.objective_value = -res.objective_value
             res.row_dual = -res.row_dual

@@ -50,10 +50,7 @@ class CriticalSet:
 class BoundednessResult:
     lambdas: np.ndarray
     slack: float  # max component shortfall of the best witness
-
-    @property
-    def bounded(self) -> bool:  # the slack is at most ``model.TOL``
-        return self.slack <= TOL
+    bounded: bool  # the slack over the criticals' sigma is at most TOL
 
 
 #: Lloyd iterations ``_kmeans`` runs at most.
@@ -122,18 +119,21 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
 
 @functools.lru_cache(maxsize=8)
 def _bounded_lp(stack: bytes, shape: tuple) -> tuple:
-    """(model, its shortfall block, the lambda columns) of ``check_bounded``'s
-    LP on the criticals whose ``stacked()`` array has these bytes and
-    shape; the block's right-hand side is set per matrix."""
+    """(model, its shortfall block, the lambda columns, sigma) of
+    ``check_bounded``'s LP on the criticals whose ``stacked()`` array has
+    these bytes and shape; the block's right-hand side is set per
+    matrix."""
     K, n = shape[0], shape[1]
     model = lp.LpModel("boundedness")
     lams = model.add_vars(K, 0.0, 1.0)
     s = model.add_vars(1, 0.0, None)[0]
     # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has the
     # shortfall row t - sum(lambda T) <= s, read as
-    # -sum(lambda T) - s <= -t.
+    # -sum(lambda T) - s <= -t, all over sigma.
     off = ~np.eye(n, dtype=bool)
-    crit = np.frombuffer(stack).reshape(shape)[:, off]  # (K, pairs)
+    crit = np.frombuffer(stack).reshape(shape)
+    sigma = demand_scale(crit)
+    crit = crit[:, off] / sigma  # (K, pairs)
     rows = 1 + np.arange(crit.shape[1])
     block = model.add_rows(
         np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
@@ -143,7 +143,7 @@ def _bounded_lp(stack: bytes, shape: tuple) -> tuple:
                         np.full(len(rows), -1.0)]),
         lp.LE, np.zeros(1 + len(rows)))
     model.set_objective("min", [s], [1.0])
-    return model, block, lams
+    return model, block, lams, sigma
 
 
 def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
@@ -151,20 +151,31 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
 
     The one set tested is {T : T <= sum_k lambda_k T_k for some lambda >= 0
     with sum_k lambda_k <= 1}, component-wise.  Solved as an LP minimizing
-    the worst component shortfall, so a witness and its slack come for free;
-    T is bounded when the slack is at most ``model.TOL``.  T enters the LP
-    only on its right-hand side, so the model is built once per critical
-    set (a small cache keyed by the criticals' bytes), and each call sets
-    that side and solves cold.
+    the worst component shortfall, so a witness and its slack come for free.
+    The LP is posed without units: T and the criticals over sigma, the
+    largest power of two at or below the criticals' largest entry
+    (``model.demand_scale``), so the division is exact.  T is bounded when
+    that unitless slack is at most ``model.TOL``, whatever unit the demand
+    is in; the result's ``slack`` is sigma times it, in T's unit.  T
+    enters the LP only on its right-hand side, so the model is built once
+    per critical set (a small cache keyed by the criticals' bytes), and
+    each call sets that side and solves cold.  A T whose entries over
+    sigma overflow is InvalidInputError.
     """
     if t.num_pods != crit.num_pods:
         raise InvalidInputError("pod count mismatch")
     stack = crit.stacked()
-    model, block, lams = _bounded_lp(stack.tobytes(), stack.shape)
+    model, block, lams, sigma = _bounded_lp(stack.tobytes(), stack.shape)
     off = ~np.eye(t.num_pods, dtype=bool)
-    model.set_rhs(block, np.concatenate([[1.0], -t.demand[off]]))
+    with np.errstate(over="ignore"):  # past the float range is refused
+        demand = t.demand[off] / sigma
+    if not np.isfinite(demand).all():
+        raise InvalidInputError("the matrix over the criticals' scale is"
+                                " past the float range")
+    model.set_rhs(block, np.concatenate([[1.0], -demand]))
     sol = lp.solve(model)
-    return BoundednessResult(sol.x[lams], sol.objective_value)
+    return BoundednessResult(sol.x[lams], sol.objective_value * sigma,
+                             sol.objective_value <= TOL)
 
 
 def gen_storage_tms(num_pods: int, count: int, seed: int = 0,

@@ -13,7 +13,7 @@ from couder.errors import (InfeasibleRoutingError, InvalidInputError,
                            UnboundedThroughputError)
 from couder.evaluate import _capacity_matrix
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
-                          TrafficMatrix)
+                          TrafficMatrix, demand_scale)
 from couder.optimize import BETA_CAP, solve_maxmin_throughput
 from couder.traffic import CriticalSet
 
@@ -609,23 +609,26 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
 
 def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet):
     """(lambdas, slack, model) of ``traffic.check_bounded``'s LP built one
-    row at a time: the sum row, then per pair the shortfall row as >=."""
+    row at a time: the sum row, then per pair the shortfall row as >=,
+    demand over the criticals' ``demand_scale``; the slack is back in the
+    demand's unit."""
     K, n = len(crit), t.num_pods
     model = NamedModel("boundedness")
     lams = [model.var(f"l{k}", 0.0, 1.0) for k in range(K)]
     s = model.var("s", 0.0, None)
     model.row({name: 1.0 for name in lams}, lp.LE, 1.0)
     stack = crit.stacked()
+    sigma = demand_scale(stack)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            expr = {lams[k]: stack[k, i, j] for k in range(K)}
-            model.row(dict(expr, **{s: 1.0}), lp.GE, t.demand[i, j])
+            expr = {lams[k]: stack[k, i, j] / sigma for k in range(K)}
+            model.row(dict(expr, **{s: 1.0}), lp.GE, t.demand[i, j] / sigma)
     model.objective("min", {s: 1.0})
     sol = lp.solve(model.model)
     return (np.array([model.value(sol, name) for name in lams]),
-            sol.objective_value, model.model)
+            sol.objective_value * sigma, model.model)
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
@@ -731,20 +734,22 @@ def held_lp(model) -> tuple:
 
 
 def record_highs_models(monkeypatch) -> list:
-    """(HiGHS model, ``reference_highs_lp``) of every ``lp.solve`` from
-    now on, in order; the reference reads the ``LpModel`` before the
-    solve, at its ``scale`` then."""
+    """(``held_lp`` of the HiGHS model, ``held_lp`` of
+    ``reference_highs_lp``) of every ``lp.solve`` from now on, in order.
+    The first is taken as the model is sent, since a later solve of the
+    same ``LpModel`` patches that object; the reference reads the
+    ``LpModel`` before the solve, at its ``scale`` then."""
     pairs, sent = [], []
     solve, run = lp.solve, lp._run_highs
 
     def recording_solve(model):
-        ref = reference_highs_lp(model)
+        ref = held_lp(reference_highs_lp(model))
         res = solve(model)
         pairs.append((sent.pop(), ref))
         return res
 
     def recording_run(model, *args, **kwargs):
-        sent.append(model)
+        sent.append(held_lp(model))
         return run(model, *args, **kwargs)
 
     monkeypatch.setattr(lp, "solve", recording_solve)

@@ -8,7 +8,7 @@ from pathlib import Path as FilePath
 import numpy as np
 import pytest
 
-from couder import cli, lp, optimize
+from couder import cli, evaluate, lp, optimize
 from couder.errors import InvalidInputError
 from couder.evaluate import (EvalRecord, ReconfigPolicy, _changing_circuits,
                              _restrict_weights, direct_only_weights,
@@ -23,7 +23,7 @@ from couder.traffic import (CriticalSet, check_bounded, extract_critical,
 from helpers import (einsum_link_loads, enumerate_paths, loop_evaluate_static,
                      loop_restrict_weights, loop_sensitivity_map,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
-                     random_criticals, random_tm, sparse_tm,
+                     random_criticals, random_fabric, random_tm, sparse_tm,
                      stage1_routing_mlu, write_physical_topology,
                      zero_radix_fabric)
 
@@ -344,6 +344,78 @@ class TestOptimalRouting:
         shuffled = dict(zip(order, map(score, order)))
         assert [shuffled[k] for k in range(len(tms))] == forward
         assert [interleaved(k) for k in range(len(tms))] == forward
+
+    @staticmethod
+    def thinned_meshes(seed: int, count: int) -> list:
+        """(capacity, matrix) pairs: the uniform mesh of a random fabric with
+        about a third of its links removed, and a random matrix on the
+        pairs some 1- or 2-hop path still joins.  Many pairs lose their
+        direct link, so their first usable path is a 2-hop one."""
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(count):
+            n = int(rng.integers(3, 8))
+            X = uniform_mesh(random_fabric(rng, n, 2, qmin=1, qmax=4)).X
+            X = X * (rng.random((n, n)) < 0.65)
+            up = (X > 0).astype(int)
+            joined = (up + up @ up) > 0
+            cases.append((X.astype(float),
+                          TrafficMatrix(random_tm(rng, n).demand * joined)))
+        return cases
+
+    def test_start_basis_routes_each_pair_on_its_first_path(self,
+                                                            monkeypatch):
+        # Every min-MLU solve starts from one basis: each routed pair's
+        # first usable path basic, the other flows and U at 0.  Its MLU is
+        # a cold solve's within 1e-12 relative.
+        cases = self.thinned_meshes(8, 40)
+        starts, run = [], lp._run_highs
+
+        def record(model, options, basis=None, **kwargs):
+            if options is lp._FAMILY_OPTIONS["optimal-routing"]:
+                starts.append(basis)
+            return run(model, options, basis, **kwargs)
+
+        monkeypatch.setattr(lp, "_run_highs", record)
+        warm = [optimal_routing_mlu(X, t) for X, t in cases]
+        monkeypatch.undo()
+        basic = lp._highs.HighsBasisStatus.kBasic
+        two_hop_first = 0
+        for (X, t), basis in zip(cases, starts):
+            paths = _tables(t.num_pods).paths
+            usable = [p for p in paths
+                      if all(X[a, b] > 0 for a, b in p.links())]
+            first = [p for k, p in enumerate(usable)
+                     if k == 0 or (usable[k - 1].src, usable[k - 1].dst)
+                     != (p.src, p.dst)]
+            assert [status == basic for status in basis.col_status] \
+                == [p in first for p in usable] + [False]
+            two_hop_first += sum(p.via is not None for p in first)
+        assert len(starts) == len(cases) and two_hop_first >= 20
+        evaluate._routing_lp.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp.LpModel, "set_start", lambda *args: None)
+            cold = [optimal_routing_mlu(X, t) for X, t in cases]
+        evaluate._routing_lp.cache_clear()
+        for got, want in zip(warm, cold):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_start_basis_results_do_not_hinge_on_call_order(self):
+        # Forward, shuffled, and interleaved with a second topology: the
+        # same bits.
+        cases = self.thinned_meshes(9, 12)
+        other = self.thinned_meshes(10, 12)
+        forward = [optimal_routing_mlu(X, t).hex() for X, t in cases]
+        order = np.random.default_rng(11).permutation(len(cases))
+        shuffled = {k: optimal_routing_mlu(*cases[k]).hex() for k in order}
+        assert [shuffled[k] for k in range(len(cases))] == forward
+        interleaved = []
+        for (X, t), (Y, u) in zip(cases, other):
+            if Y.shape == X.shape:
+                optimal_routing_mlu(Y, t)
+            optimal_routing_mlu(Y, u)
+            interleaved.append(optimal_routing_mlu(X, t).hex())
+        assert interleaved == forward
 
     def test_cli_mesh_routes_as_recompute_routing(self, tmp_path):
         # couder evaluate --baseline mesh scores each matrix on the weights

@@ -212,32 +212,152 @@ def test_bad_block_of_rows_rejected(rows, cols, coefs, rhs):
     assert num_rows(m) == 0
 
 
-def test_highs_holds_the_reference_model(monkeypatch):
-    # Blocks whose sums and zeros the pattern must get right: a duplicate
-    # (row, column) triplet, summed; an explicit 0, dropped; a scaled term
-    # that cancels a fixed one at scale 2; a >= block and an equality
-    # block.  HiGHS must hold the model built column-wise from separate
-    # sparse matrices per part, at every scale.
+def pattern_model() -> tuple:
+    """(model, columns, blocks): blocks whose sums and zeros the pattern
+    must get right.  A duplicate (row, column) triplet, summed; an explicit
+    0, dropped; a scaled term that cancels a fixed one at scale 2; a >=
+    block and an equality block."""
     m = lp.LpModel()
     x = m.add_vars(4, [0.0, -1.0, 0.0, 0.0], [3.0, 2.0, np.inf, 5.0])
-    m.add_rows([0, 0, 0, 1, 1], [x[0], x[1], x[0], x[2], x[3]],
-               [0.1, 0.0, 0.2, 1.0, -1.5], lp.LE, [4.0, 2.0],
-               scaled=([0, 1, 1], [x[3], x[2], x[1]], [1.0, -0.5, 0.3]))
-    m.add_rows([0, 0, 1], [x[1], x[2], x[2]], [1.0, 0.0, 2.0], lp.GE,
-               [-1.0, 0.5])
-    m.add_rows([0, 0, 0, 0], [x[0], x[3], x[3], x[1]], [1.0, 0.7, 0.6, 0.0],
-               lp.EQ, [1.5], scaled=([0, 0], [x[3], x[3]], [0.1, 0.2]))
+    blocks = (
+        m.add_rows([0, 0, 0, 1, 1], [x[0], x[1], x[0], x[2], x[3]],
+                   [0.1, 0.0, 0.2, 1.0, -1.5], lp.LE, [4.0, 2.0],
+                   scaled=([0, 1, 1], [x[3], x[2], x[1]], [1.0, -0.5, 0.3])),
+        m.add_rows([0, 0, 1], [x[1], x[2], x[2]], [1.0, 0.0, 2.0], lp.GE,
+                   [-1.0, 0.5]),
+        m.add_rows([0, 0, 0, 0], [x[0], x[3], x[3], x[1]],
+                   [1.0, 0.7, 0.6, 0.0], lp.EQ, [1.5],
+                   scaled=([0, 0], [x[3], x[3]], [0.1, 0.2])))
     m.set_objective("max", x[[0, 2, 0]], [1.0, -1.0, 0.5])
+    return m, x, blocks
+
+
+def test_highs_holds_the_reference_model(monkeypatch):
+    # HiGHS must hold the model built column-wise from separate sparse
+    # matrices per part, at every scale.
+    m, _, _ = pattern_model()
     pairs = record_highs_models(monkeypatch)
     for scale in (1.0, 2.0, 0.0, -3.5):
         m.scale = scale
         assert lp.solve(m).optimal
     assert len(pairs) == 4
     for sent, ref in pairs:
-        assert held_lp(sent) == held_lp(ref)
+        assert sent == ref
     # At scale 2 the scaled term cancels row 1's fixed one on x[2].
-    values = [held_lp(sent)[-1] for sent, _ in pairs]
+    values = [sent[-1] for sent, _ in pairs]
     assert len(values[0]) - len(values[1]) == 8  # one float64 entry
+
+
+def test_held_input_is_patched_or_rebuilt_as_a_fresh_build(monkeypatch):
+    # The HighsLp a model keeps: set_rhs and a change of scale patch it;
+    # add_rows, add_vars and set_objective after a solve build a new one.
+    # Either way HiGHS holds, bit for bit, what a fresh build gives.
+    m, x, blocks = pattern_model()
+    pairs = record_highs_models(monkeypatch)
+    lp.solve(m)
+    for change, kept in (
+            (lambda: m.set_rhs(blocks[1], [-0.5, 1.0]), True),
+            (lambda: setattr(m, "scale", 2.0), True),
+            (lambda: m.add_rows([0], [x[2]], [1.0], lp.LE, [4.0]), False),
+            (lambda: m.add_vars(1, 0.0, 1.0), False),
+            (lambda: m.set_objective("min", x[[1, 3]], [1.0, 0.5]), False)):
+        held = m._sent.lp
+        change()
+        assert lp.solve(m).optimal
+        assert (m._sent.lp is held) == kept
+    assert len(pairs) == 6
+    for sent, ref in pairs:
+        assert sent == ref
+
+
+def record_bases(monkeypatch) -> list:
+    """The basis each ``lp.solve`` hands HiGHS, None for a cold solve."""
+    bases, real = [], lp.linprog
+
+    def recording(*args, **kwargs):
+        bases.append(kwargs["basis"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    return bases
+
+
+def start_model() -> tuple:
+    """(model, x, == block, <= block): min 3 x0 + 2 x1 + x2 subject to
+    x0 + x1 + x2 == 1, x0 <= 0.5, x1 <= 0.25 and x >= 0, the == block
+    added first.  The basis with x2 and the <= rows basic is optimal."""
+    m = lp.LpModel()
+    x = m.add_vars(3, 0.0, None)
+    eq = m.add_rows([0, 0, 0], x, [1.0, 1.0, 1.0], lp.EQ, [1.0])
+    le = m.add_rows([0, 1], x[:2], [1.0, 1.0], lp.LE, [0.5, 0.25])
+    m.set_objective("min", x, [3.0, 2.0, 1.0])
+    return m, x, eq, le
+
+
+def test_start_basis_maps_blocks_to_highs_rows():
+    # HiGHS holds the <= rows before the == rows, whichever block came
+    # first: the <= block's rows are basic there.
+    m, x, eq, le = start_model()
+    m.set_start([x[2]], [le])
+    status = lp._highs.HighsBasisStatus
+    assert m._start.col_status == [status.kLower, status.kLower,
+                                   status.kBasic]
+    assert m._start.row_status == [status.kBasic, status.kBasic,
+                                   status.kUpper]
+    res = lp.solve(m)
+    assert res.optimal and res.nit == 0 and res.x.tolist() == [0, 0, 1]
+
+
+def test_set_rhs_restores_the_start_basis(monkeypatch):
+    # Every solve after set_rhs starts from the set_start basis, whatever
+    # the solves before it ended on; add_rows, add_vars and set_objective
+    # drop it.
+    bases = record_bases(monkeypatch)
+    m, x, eq, le = start_model()
+    m.set_start([x[2]], [le])
+    start = m._start
+    for rhs in ([2.0], [0.5], [3.0]):
+        m.set_rhs(eq, rhs)
+        got = lp.solve(m)
+        cold, _, _, _ = start_model()
+        cold.set_rhs(eq, rhs)
+        assert got.objective_value == lp.solve(cold).objective_value
+    assert bases[::2] == [start] * 3 and bases[1::2] == [None] * 3
+    for change in (lambda m: m.add_rows([0], [0], [1.0], lp.LE, [1.0]),
+                   lambda m: m.add_vars(1, 0.0, 1.0),
+                   lambda m: m.set_objective("min", x, [1.0, 1.0, 1.0])):
+        m, x, eq, le = start_model()
+        m.set_start([x[2]], [le])
+        change(m)
+        assert m._start is None
+        m.set_rhs(eq, [1.0])
+        lp.solve(m)
+        assert bases[-1] is None
+
+
+@pytest.mark.parametrize("cols, lb, match", [
+    ([0, 1], 0.0, "one basic column or row per row"),
+    ([], 0.0, "one basic column or row per row"),
+    ([2], -np.inf, "finite lower bound")])
+def test_start_basis_rejected(cols, lb, match):
+    m, x, eq, le = start_model()
+    m.add_vars(1, lb, 1.0)
+    with pytest.raises(InvalidInputError, match=match):
+        m.set_start(cols, [le])
+
+
+def test_basis_highs_refuses_is_internal_error():
+    # Two basic columns for one row: HiGHS's setBasis refuses it, and the
+    # solve must not go on cold.
+    model = colwise_highs_lp(np.ones(2), np.ones((1, 2)), np.ones(1), 1,
+                             np.zeros(2), np.ones(2))
+    status = lp._highs.HighsBasisStatus
+    basis = lp._highs.HighsBasis()
+    basis.col_status = [status.kBasic, status.kBasic]
+    basis.row_status = [status.kUpper]
+    basis.valid, basis.alien = True, False
+    with pytest.raises(InternalError, match="refused the basis"):
+        lp._run_highs(model, lp._OPTIONS, basis)
 
 
 def test_constraints_hold_at_optimum():
@@ -370,6 +490,11 @@ def test_private_highs_api_used_is_present():
     assert hasattr(_highs.HighsStatus, "kError")
     for name in ("kColwise", "kRowwise"):
         assert hasattr(_highs.MatrixFormat, name), name
+    basis = _highs.HighsBasis()
+    for name in ("col_status", "row_status", "valid", "alien"):
+        assert hasattr(basis, name), name
+    for name in ("kBasic", "kLower", "kUpper"):
+        assert hasattr(_highs.HighsBasisStatus, name), name
 
 
 def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):
@@ -699,8 +824,7 @@ def test_set_rhs_gives_what_a_fresh_build_gives(monkeypatch, solved_first):
     got = lp.solve(m)
     want = lp.solve(mixed_model(NEW_RHS)[0])
     assert [warm for warm, _ in calls] == [False, False]
-    assert held_lp(pairs[0][0]) == held_lp(pairs[1][0]) \
-        == held_lp(pairs[0][1])
+    assert pairs[0][0] == pairs[1][0] == pairs[0][1]
     assert got.optimal and solved(got) == solved(want)
 
 

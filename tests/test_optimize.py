@@ -13,8 +13,8 @@ from couder.round import greedy_round, ldm_round
 from couder.evaluate import evaluate_static, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
-                     convex_combination, feasible_at_beta, held_lp,
-                     hetero_fabric, loop_stage_model, make_fabric,
+                     convex_combination, feasible_at_beta, hetero_fabric,
+                     loop_stage_model, make_fabric,
                      random_criticals, random_fabric, random_fractional,
                      record_highs_models)
 
@@ -570,7 +570,7 @@ class TestStageModels:
             monkeypatch.undo()
             assert len(pairs) >= 3
             for sent, ref in pairs:
-                assert held_lp(sent) == held_lp(ref)
+                assert sent == ref
 
     def test_stage2_resolves_hold_the_reference_model(self, monkeypatch):
         # One stage-2 model re-solved at several caps gamma.
@@ -584,8 +584,8 @@ class TestStageModels:
             assert lp.solve(model).optimal
         monkeypatch.undo()
         assert len(pairs) == 4
-        held = [held_lp(sent) for sent, _ in pairs]
-        assert held == [held_lp(ref) for _, ref in pairs]
+        held = [sent for sent, _ in pairs]
+        assert held == [ref for _, ref in pairs]
         assert len({h[-1] for h in held}) == 4
 
     def test_instances_have_fallback_pairs_and_empty_load_rows(self):
