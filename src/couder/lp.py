@@ -41,29 +41,25 @@ bounds after ``set_rhs`` takes 13 and 9 us.
 
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
-per-switch subproblem, which it builds column-wise with
-``_highs_model`` and reads only the vertex of.  Every family runs dual
-simplex with output off.  Presolve is on, as scipy's
-``linprog(method="highs")`` set it, except in four families, where it
+per-switch subproblem, which it hands ``_run_highs`` as the arrays of
+the binding's array ``passModel`` and reads only the vertex of.  Every
+family runs dual simplex with output off.  Presolve is on, as scipy's
+``linprog(method="highs")`` set it, except in three families, where it
 was measured to cost more than it saves (HiGHS time per LP, N = 8, on
 a shared 2-vCPU Xeon; perfbench seed 2):
 
 - "fixed-throughput", stage 1 with link counts fixed: recompute's first
   LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of 5 and
   its iterations rose from 120 to 150;
-- "optimal-routing", ``evaluate.optimal_routing_mlu``'s min-MLU LP on
-  the replay mesh (108 rows, 343 columns): 1.29-1.60 -> 0.77-0.82 ms
-  over 5 runs of the 48 replay matrices, the same 79.6 iterations and
-  MLU bits, nothing removed by presolve, when each solve was cold.  Each
-  now starts from a basis, with which HiGHS skips presolve either way:
-  on replay seed 1, the same MLU bits and 27.0 iterations with presolve
-  on;
 - "boundedness", ``traffic.check_bounded`` (57 rows): 0.37 -> 0.19 ms,
   the same 3.8 iterations, nothing removed;
 - "ldm-subproblem": see the rounding module.
 
+``evaluate.optimal_routing_mlu``'s min-MLU LP needs no entry: each of its
+solves starts from a basis, with which HiGHS skips presolve.
+
 What these families return is mostly a value no optimal vertex
-changes: mu, an MLU, a slack, an integral subproblem vertex.  One of
+changes: mu, a slack, an integral subproblem vertex.  One of
 their results is a vertex, the boundedness witness; it was identical
 with presolve on and off on the 288 replay matrices of perfbench seeds
 0-5.  The mesh baseline's weights, which ``couder evaluate --baseline
@@ -537,7 +533,6 @@ _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
 #: family's LPs yet costs time; see the module docstring.
 _FAMILY_OPTIONS = {
     "fixed-throughput": _highs_options(presolve="off"),
-    "optimal-routing": _highs_options(presolve="off"),
     "boundedness": _highs_options(presolve="off"),
     "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
                                      **_HIGHS_TIGHT),
@@ -583,26 +578,42 @@ def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
     return model
 
 
-def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
-               basis=None, vertex_only=False) -> LpSolution:
+def _run_highs(model, options: _highs.HighsOptions, basis=None,
+               vertex_only=False) -> LpSolution:
     """Solve ``model`` on ``_solver`` from ``basis`` when one is given.
-    With ``vertex_only`` the result holds the status and, at an optimum,
-    the vertex: no row duals, basis, objective or iteration count, for a
-    caller that reads none.
+    ``model`` is a ``HighsLp``, or the arguments of the binding's array
+    ``passModel`` as a tuple: (num_col, num_row, num_nz, format, sense,
+    offset, cost, col_lower, col_upper, row_lower, row_upper, start,
+    index, value, integrality), format and sense as ints and the arrays
+    float64, but start, index and integrality int32.  The binding reads
+    those arrays through bare pointers, so an array whose length does not
+    match the sizes given is InternalError here.  With ``vertex_only`` the
+    result holds the status and, at an optimum, the vertex: no row duals,
+    basis, objective or iteration count, for a caller that reads none.
 
     ``passModel`` clears whatever ``_solver`` held, so a solve without a
     basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
-    ``large_matrix_value`` (1e15) or more, which only an input that large
-    can produce: that is InvalidInputError; a basis it refuses is
-    InternalError, not a cold solve.  Model statuses map as
-    scipy's ``linprog`` mapped them: anything but optimal, infeasible or
-    unbounded, "unbounded or infeasible" included, raises SolverLimitError.
+    ``large_matrix_value`` (1e15) or more, or a row bound at infinity on
+    the wrong side, as HiGHS reads one of magnitude ``infinite_bound``
+    (1e20) or more; only an input that large can produce either.  That is
+    InvalidInputError, naming which of the two it is; a basis it refuses
+    is InternalError, not a cold solve.  Model statuses map as scipy's
+    ``linprog`` mapped them: anything but optimal, infeasible or
+    unbounded, "unbounded or infeasible" included, raises
+    SolverLimitError.
     """
     _solver.passOptions(options)
-    if _solver.passModel(model) == _highs.HighsStatus.kError:
-        raise InvalidInputError(
-            "input too large for the LP solver: every constraint coefficient"
-            f" must be below {options.large_matrix_value:g} in magnitude")
+    if isinstance(model, tuple):
+        num_col, num_row, num_nz = model[:3]
+        if tuple(map(len, model[6:])) != (num_col, num_col, num_col,
+                                          num_row, num_row, num_col + 1,
+                                          num_nz, num_nz, num_col):
+            raise InternalError("HiGHS model arrays do not match its sizes")
+        refused = _solver.passModel(*model) == _highs.HighsStatus.kError
+    else:
+        refused = _solver.passModel(model) == _highs.HighsStatus.kError
+    if refused:
+        raise InvalidInputError(_refusal(model, options))
     if basis is not None \
             and _solver.setBasis(basis) == _highs.HighsStatus.kError:
         raise InternalError("HiGHS refused the basis")
@@ -625,6 +636,22 @@ def _run_highs(model: _highs.HighsLp, options: _highs.HighsOptions,
         return LpSolution("unbounded", objective_value=math.inf, nit=nit)
     raise SolverLimitError("solver did not converge: "
                            + _solver.modelStatusToString(status))
+
+
+def _refusal(model, options: _highs.HighsOptions) -> str:
+    """Why HiGHS refused ``model``, as ``_run_highs`` takes it: a row
+    lower bound at or above ``infinite_bound`` or an upper bound at or
+    below minus it, which HiGHS reads as a bound at infinity on the wrong
+    side; else a matrix entry at or past ``large_matrix_value``.  (An upper
+    bound past ``infinite_bound`` it takes as no bound.)"""
+    lower, upper = (model[9:11] if isinstance(model, tuple)
+                    else (model.row_lower_, model.row_upper_))
+    big = options.infinite_bound
+    if (np.asarray(lower) >= big).any() or (np.asarray(upper) <= -big).any():
+        return ("input too large for the LP solver: every right-hand side"
+                f" must be below {big:g} in magnitude")
+    return ("input too large for the LP solver: every constraint coefficient"
+            f" must be below {options.large_matrix_value:g} in magnitude")
 
 
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,

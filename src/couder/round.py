@@ -24,15 +24,30 @@ and the simplex vertex is integral.  A reward of at most 1e-9 per unit
 breaks exact ties toward more links; HiGHS's feasibility tolerances are
 tightened to 1e-10 because at their default of 1e-7 the solver ignores
 a reward that small and can stop short of a full matching.  The LP goes
-to HiGHS through ``lp._run_highs`` as a column-wise model built straight
-from the budget matrix's CSC arrays, under the LDM subproblem's entry
-of ``lp._FAMILY_OPTIONS``: dual simplex, those tolerances and presolve
-off.  On degree-saturated targets over an
-evenly striped fabric presolve removes nothing from these LPs; on the
-uneven fabrics measured it does reduce most of them, yet the solves
-still ran faster without it.  Each subproblem runs on ``lp``'s one HiGHS
-object; loading the model resets it, so every solve is cold and ends on
-the vertex a fresh solver would.
+to HiGHS through ``lp._run_highs`` under the LDM subproblem's entry of
+``lp._FAMILY_OPTIONS``: dual simplex, those tolerances and presolve
+off.  On degree-saturated targets over an evenly striped fabric
+presolve removes nothing from these LPs; on the uneven fabrics measured
+it does reduce most of them, yet the solves still ran faster without
+it.  Each subproblem runs on ``lp``'s one HiGHS object; loading the
+model resets it, so every solve is cold and ends on the vertex a fresh
+solver would.
+
+The model reaches HiGHS as numpy arrays, through the binding's array
+``passModel``, in column-wise (CSC) form.  What every switch visit of
+one ``ldm_round`` shares is built once: 2h + 1 per switch and pair, and
+in ``_Subproblems`` each pair's two budget rows as int32 and read-only
+buffers of zeros, ones, column starts and integrality flags for two
+units per pair, of which each visit passes slices.  A visit lists its
+units with one window mask and ``nonzero``, gathers their gains and
+budget rows, and builds no list and no ``HighsLp``.  HiGHS holds the
+model bit for bit as it held the ``HighsLp`` of lists built per visit
+before (and an all-continuous integrality flag per column), so every
+vertex is unchanged.  Per visit on the benchmark's round-saturated
+workload (seed 1: 16 targets, 3,200 visits; medians of 18 runs on a
+shared 2-vCPU Xeon), HiGHS ``run()`` took 248 us with the ``HighsLp``
+of lists and 254 us with the arrays, and everything else 257 us and
+187 us.
 
 The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
@@ -53,6 +68,7 @@ one.  Run from an empty assignment, the same pass is the greedy baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +81,9 @@ from .model import (TOL, FractionalTopology, IntegerTopology,
 _SNAP = 1e-9
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
+#: The array ``passModel``'s matrix format and objective sense arguments.
+_COLWISE = int(lp._highs.MatrixFormat.kColwise)
+_MINIMIZE = int(lp._highs.ObjSense.kMinimize)
 
 
 @dataclass(frozen=True)
@@ -88,7 +107,7 @@ def _brackets(d: np.ndarray):
 def _goodness(totals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     """Pod pairs whose link total lies in its bracket [lo, hi]; one entry
     per off-diagonal pair in each vector."""
-    return int(((lo <= totals) & (totals <= hi)).sum())
+    return int(np.count_nonzero((lo <= totals) & (totals <= hi)))
 
 
 def _report(x: np.ndarray, c_minus, c_plus, iterations: int) -> RoundingReport:
@@ -145,37 +164,59 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
-def solve_circulation(cost: np.ndarray, budgets: tuple,
-                      limits: np.ndarray) -> np.ndarray:
+class _Buffers:
+    """Arrays that circulation LPs of up to ``units`` units and ``rows``
+    rows take their HiGHS input from as slices.  They are read-only, so a
+    slice handed to HiGHS keeps its values."""
+
+    def __init__(self, units: int, rows: int):
+        self.zero = np.zeros(units)  # column lower bounds
+        # Column upper bounds, and budget entries at 2 per unit.
+        self.one = np.ones(2 * units)
+        self.start = np.arange(0, 2 * units + 1, 2, dtype=np.int32)
+        self.integrality = np.zeros(units, dtype=np.int32)  # continuous
+        self.no_lower = np.full(rows, -np.inf)  # row lower bounds
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
+                      buffers: Optional[_Buffers] = None) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
     ``budgets`` is the budget matrix as its CSC arrays ``(data, indices,
     indptr)``: column k, one per unit, holds ``data[s]`` in row
     ``indices[s]`` for s in ``range(indptr[k], indptr[k + 1])``.  The
-    arrays go into the column-wise HiGHS model as they are.  The matrix
-    holds one egress and one ingress row per pod, so it is the incidence
-    matrix of a bipartite graph and totally unimodular; with integral
-    ``limits`` every vertex of the feasible set is integral, and HiGHS
-    dual simplex ends on a vertex.  Equivalently, this is the min-cost
-    circulation through a source, the egress ports, the ingress ports and
-    a sink.  HiGHS is called through ``lp._run_highs``, on ``lp``'s one
-    HiGHS object, with the simplex solver, presolve off and feasibility
-    tolerances of 1e-10; the solve is cold, and only the vertex is read
-    back.
+    matrix holds one egress and one ingress row per pod, so it is the
+    incidence matrix of a bipartite graph and totally unimodular; with
+    integral ``limits`` every vertex of the feasible set is integral, and
+    HiGHS dual simplex ends on a vertex.  Equivalently, this is the
+    min-cost circulation through a source, the egress ports, the ingress
+    ports and a sink.
+
+    The model goes to HiGHS as arrays, through the binding's array
+    ``passModel``: the cost, the limits and the CSC arrays as they are,
+    and the column bounds, integrality and row lower bounds as slices of
+    ``buffers`` (``_Buffers`` of this LP's size when None).  The binding
+    copies each array once, converting it to float64 or int32 only if it
+    is not already, so no list or ``HighsLp`` is built.  HiGHS is called
+    through ``lp._run_highs``, on ``lp``'s one HiGHS object, with the
+    simplex solver, presolve off and feasibility tolerances of 1e-10; the
+    solve is cold, and only the vertex is read back.
     """
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
     limits = np.asarray(limits, dtype=float)
-    if not (np.isfinite(cost).all() and np.isfinite(value).all()
-            and np.isfinite(limits).all()):
+    if not np.isfinite(np.concatenate([cost, value, limits])).all():
         raise InternalError("LP data is not finite")
     units, rows = len(cost), len(limits)
-    model = lp._highs_model(lp._highs.MatrixFormat.kColwise, cost.tolist(),
-                            [0.0] * units, [1.0] * units, [-np.inf] * rows,
-                            limits.tolist(), start.tolist(), index.tolist(),
-                            value.tolist())
-    res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"],
-                        vertex_only=True)
+    if buffers is None:
+        buffers = _Buffers(units, rows)
+    res = lp._run_highs(
+        (units, rows, len(value), _COLWISE, _MINIMIZE, 0.0, cost,
+         buffers.zero[:units], buffers.one[:units], buffers.no_lower[:rows],
+         limits, start, index, value, buffers.integrality[:units]),
+        lp._FAMILY_OPTIONS["ldm-subproblem"], vertex_only=True)
     if res.status != "optimal":
         raise InternalError(f"per-switch subproblem ended {res.status}")
     flows = np.rint(res.x)
@@ -184,46 +225,65 @@ def solve_circulation(cost: np.ndarray, budgets: tuple,
     return flows.astype(int)
 
 
-def _solve_switch_subproblem(rows: np.ndarray, cols: np.ndarray,
-                             h: np.ndarray, p_net: np.ndarray,
-                             x_hat: np.ndarray, ingress: np.ndarray,
-                             egress: np.ndarray) -> np.ndarray:
-    """Re-optimize one switch's cells within a one-link move window.
+class _Subproblems:
+    """The per-switch subproblems of one ``ldm_round`` over the pod pairs
+    (rows[k], cols[k]) of an n-pod fabric, with what every switch visit
+    shares built once: each pair's budget rows as int32, egress row i then
+    ingress row n + j; the window mask, one row per pair and one column
+    per unit a window can hold; and ``_Buffers`` for two units per pair.
+    The window max(x̂-1, 0) <= x <= x̂+1 above its fixed lower part holds
+    min(x̂, 1) + 1 units, so never more than two."""
 
-    The cells are the pod pairs (rows[k], cols[k]), i != j; ``h``,
-    ``p_net`` and ``x_hat`` hold one entry per pair, and the result is
-    the new link count per pair.  Maximizes sum of -(x - h)^2 + p_net * x
-    per cell subject to the switch's port budgets and max(x̂-1, 0) <= x <=
-    x̂+1.  The concave utility splits into one [0, 1] variable per unit of
-    the window, with gains 2h + 1 - 2a for the a-th link, so the LP over
-    the units is exact.  The window's fixed lower part comes off the port
-    budgets.  A reward eps <= 1e-9 per unit breaks exact ties toward more
-    links; it stays under a quarter of the smallest gap between distinct
-    gains.  HiGHS dual simplex solves the LP (``solve_circulation``) with
-    presolve off and feasibility tolerances of 1e-10, since at the default
-    1e-7 it would ignore eps; its vertex is integral because the budget
-    rows form a bipartite incidence matrix, built here in CSC with two
-    entries per unit.
-    """
-    n = len(egress)
-    low = np.maximum(x_hat - 1, 0)
-    width = x_hat + 1 - low
-    cell = np.repeat(np.arange(len(rows)), width)
-    first = np.repeat(np.cumsum(width) - width, width)
-    unit = low[cell] + 1 + np.arange(len(cell)) - first
-    gain = 2.0 * h[cell] + 1.0 - 2.0 * unit + p_net[cell]
-    # The gaps between consecutive distinct gains, read off the sorted ones.
-    ranked = np.sort(gain.round(12))
-    steps = ranked[1:] - ranked[:-1]
-    eps = min(1e-9, float(steps.min(initial=np.inf, where=steps > 0)) / 4)
-    units = len(cell)
-    # Unit k sits in egress row rows[cell[k]] and ingress row n + cols[...].
-    index = np.column_stack([rows[cell], n + cols[cell]]).ravel()
-    budgets = (np.ones(2 * units), index, np.arange(0, 2 * units + 1, 2))
-    limits = np.concatenate([egress - np.bincount(rows, low, n),
-                             ingress - np.bincount(cols, low, n)])
-    flows = solve_circulation(-(gain + eps), budgets, limits)
-    return low + np.bincount(cell, flows, len(rows)).astype(int)
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        self.budget_rows = np.column_stack([rows, n + cols]).astype(np.int32)
+        self.num_rows = 2 * n
+        self.window = np.ones((len(rows), 2), dtype=bool)
+        self.buffers = _Buffers(2 * len(rows), self.num_rows)
+
+    def usage(self, x: np.ndarray) -> np.ndarray:
+        """The ports that ``x`` links per pair take on one switch: egress
+        per pod, then ingress per pod."""
+        return np.bincount(self.budget_rows.ravel(), x.repeat(2),
+                           self.num_rows)
+
+    def solve(self, two_h1: np.ndarray, p_net: np.ndarray,
+              x_hat: np.ndarray, ports: np.ndarray) -> np.ndarray:
+        """Re-optimize one switch's cells within a one-link move window.
+
+        ``two_h1`` (2h + 1), ``p_net`` and ``x_hat`` hold one entry per
+        pair, and ``ports`` the switch's egress then ingress ports per pod,
+        as floats.  The result is the new link count per pair.  Maximizes
+        sum of -(x - h)^2 + p_net * x per cell subject to the switch's port
+        budgets and max(x̂-1, 0) <= x <= x̂+1.  The concave utility splits
+        into one [0, 1] variable per unit of the window, with gains
+        2h + 1 - 2a for the a-th link, so the LP over the units is exact.
+        The window mask and ``nonzero`` list the units pair by pair.  The
+        window's fixed lower part comes off the port budgets.  A reward
+        eps <= 1e-9 per unit breaks exact ties toward more links; it stays
+        under a quarter of the smallest gap between distinct gains.  HiGHS
+        dual simplex solves the LP (``solve_circulation``) with presolve
+        off and feasibility tolerances of 1e-10, since at the default 1e-7
+        it would ignore eps; its vertex is integral because the budget rows
+        form a bipartite incidence matrix, here in CSC with two entries per
+        unit.
+        """
+        linked = x_hat > 0
+        low = x_hat - linked
+        self.window[:, 1] = linked
+        cell, slot = self.window.nonzero()
+        gain = two_h1[cell] - 2.0 * (low[cell] + 1 + slot) + p_net[cell]
+        # The gaps between consecutive distinct gains, read off the sorted
+        # ones.
+        ranked = gain.round(12)
+        ranked.sort()
+        steps = ranked[1:] - ranked[:-1]
+        eps = min(1e-9, float(steps[steps > 0].min(initial=np.inf)) / 4)
+        units, buffers = len(cell), self.buffers
+        budgets = (buffers.one[:2 * units], self.budget_rows[cell].ravel(),
+                   buffers.start[:units + 1])
+        flows = solve_circulation(-(gain + eps), budgets,
+                                  ports - self.usage(low), buffers)
+        return low + np.bincount(cell, flows, len(x_hat)).astype(int)
 
 
 def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
@@ -252,6 +312,9 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     # h_ij^m: the natural per-switch ceiling on x_ij^m; the primal objective
     # -(x - h)^2 rewards forming as many links as ports allow.
     h = np.minimum(phys.egress_ports[:, rows], phys.ingress_ports[:, cols])
+    two_h1 = 2.0 * h + 1.0
+    ports = np.hstack([phys.egress_ports, phys.ingress_ports]).astype(float)
+    subproblems = _Subproblems(rows, cols, n)
 
     x_hat = np.zeros((M, len(rows)), dtype=int)
     totals = np.zeros(len(rows), dtype=int)
@@ -264,11 +327,9 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         iterations = tau
         step = 1.0 / tau
         for m in range(M):
-            x = _solve_switch_subproblem(
-                rows, cols, h[m], p_minus - p_plus, x_hat[m],
-                phys.ingress_ports[m], phys.egress_ports[m])
-            if (np.bincount(rows, x, n) > phys.egress_ports[m]).any() \
-                    or (np.bincount(cols, x, n) > phys.ingress_ports[m]).any():
+            x = subproblems.solve(two_h1[m], p_minus - p_plus, x_hat[m],
+                                  ports[m])
+            if (subproblems.usage(x) > ports[m]).any():
                 raise InternalError("port budget violated after subproblem")
             totals += x - x_hat[m]
             x_hat[m] = x

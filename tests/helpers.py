@@ -231,14 +231,14 @@ def csc_arrays(dense) -> tuple:
 
 
 def window_subproblem(h, p_net, x_hat, ingress, egress):
-    """``round._solve_switch_subproblem`` on n x n matrices of h, p_net and
-    x̂: the result holds its link count per pod pair off the diagonal."""
+    """``round._Subproblems.solve`` on n x n matrices of h, p_net and x̂:
+    the result holds its link count per pod pair off the diagonal."""
     n = len(h)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     x = np.zeros((n, n), dtype=int)
-    x[rows, cols] = rounding._solve_switch_subproblem(
-        rows, cols, h[rows, cols], p_net[rows, cols], x_hat[rows, cols],
-        ingress, egress)
+    x[rows, cols] = rounding._Subproblems(rows, cols, n).solve(
+        2.0 * h[rows, cols] + 1.0, p_net[rows, cols], x_hat[rows, cols],
+        np.concatenate([egress, ingress]).astype(float))
     return x
 
 
@@ -246,7 +246,7 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress):
     """The per-switch subproblem built over n x n matrices, its budget
     matrix through ``scipy.sparse`` and ``colwise_highs_lp`` and its tie
     reward through ``np.unique``, solved with the rounder's subproblem
-    options: the reference for ``round._solve_switch_subproblem``."""
+    options: the reference for ``round._Subproblems.solve``."""
     n = h.shape[0]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     low = np.maximum(x_hat[rows, cols] - 1, 0)
@@ -720,12 +720,19 @@ def reference_highs_lp(model: lp.LpModel):
 
 
 def held_lp(model) -> tuple:
-    """What HiGHS holds after ``passModel(model)``: costs, column bounds,
-    row bounds and the column-wise start, index and value arrays."""
+    """What HiGHS holds after ``passModel(model)``, ``model`` a ``HighsLp``
+    or the argument tuple of the array ``passModel``, as ``lp._run_highs``
+    takes either: costs, column bounds, row bounds and the column-wise
+    start, index and value arrays.  Every column must be continuous: the
+    tuple passes an integrality flag per column, a ``HighsLp`` none."""
     solver = lp._highs._Highs()
     solver.passOptions(lp._OPTIONS)
-    assert solver.passModel(model) != lp._highs.HighsStatus.kError
+    status = (solver.passModel(*model) if isinstance(model, tuple)
+              else solver.passModel(model))
+    assert status != lp._highs.HighsStatus.kError
     held = solver.getLp()
+    assert all(kind == lp._highs.HighsVarType.kContinuous
+               for kind in held.integrality_)
     matrix = held.a_matrix_
     assert matrix.format_ == lp._highs.MatrixFormat.kColwise
     return tuple(np.asarray(part).tobytes() for part in (

@@ -2,7 +2,7 @@
 
 ``round.solve_circulation`` is a min-cost circulation through a source,
 one switch's egress ports, its ingress ports and a sink, written as an LP
-over unit arcs; ``round._solve_switch_subproblem`` builds that LP from a
+over unit arcs; ``round._Subproblems.solve`` builds that LP from a
 switch's move window.
 """
 
@@ -176,6 +176,17 @@ class TestBuildSubproblem:
         x = window_subproblem(np.ones((3, 3)), p_net,
                               np.zeros((3, 3), dtype=int),
                               np.array([1, 1, 1]), np.array([2, 1, 1]))
+        assert x.sum() == 0
+
+    def test_epsilon_reads_the_gap_between_any_two_units(self):
+        # As above, but the two close units, (0, 1) and (2, 1), are not
+        # neighbours in column order: the reward still shrinks below their
+        # gap of 8e-10, so (2, 1)'s loss of 8e-10 does not pay off.
+        p_net = np.full((3, 3), -50.0)
+        p_net[0, 1], p_net[2, 1] = -1.0 - 1.6e-9, -1.0 - 8e-10
+        x = window_subproblem(np.ones((3, 3)), p_net,
+                              np.zeros((3, 3), dtype=int),
+                              np.ones(3, dtype=int), np.ones(3, dtype=int))
         assert x.sum() == 0
 
     def test_respects_caps_and_bounds(self):

@@ -372,8 +372,7 @@ class TestOptimalRouting:
         starts, run = [], lp._run_highs
 
         def record(model, options, basis=None, **kwargs):
-            if options is lp._FAMILY_OPTIONS["optimal-routing"]:
-                starts.append(basis)
+            starts.append(basis)  # each solve here is a min-MLU LP
             return run(model, options, basis, **kwargs)
 
         monkeypatch.setattr(lp, "_run_highs", record)
@@ -473,10 +472,11 @@ def bench_inputs():
 
 
 class TestPresolveOffFamilies:
-    """The min-MLU LP and the boundedness LP run with presolve off; each
-    must give what a presolve-on solve gives."""
+    """The boundedness LP runs with presolve off, and the min-MLU LP from a
+    start basis, with which HiGHS skips presolve; each must give what a
+    presolve-on solve gives."""
 
-    PRESOLVE_OFF = ("fixed-throughput", "optimal-routing", "boundedness")
+    PRESOLVE_OFF = ("fixed-throughput", "boundedness")
 
     def both_ways(self, monkeypatch, run):
         """``run()`` under the family options, then with presolve on."""

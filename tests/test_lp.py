@@ -1,5 +1,6 @@
 import importlib.metadata
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -495,6 +496,69 @@ def test_private_highs_api_used_is_present():
         assert hasattr(basis, name), name
     for name in ("kBasic", "kLower", "kUpper"):
         assert hasattr(_highs.HighsBasisStatus, name), name
+    # The array passModel overload, called as couder.round calls it: format
+    # and sense as ints, start, index and integrality as int32.  hasattr
+    # cannot see an overload, so a 1 x 1 LP goes in and is read back.
+    assert solver.passModel(*array_lp()) == _highs.HighsStatus.kOk
+    held = solver.getLp()
+    assert (held.num_col_, held.num_row_) == (1, 1)
+    assert list(held.col_cost_) == [-1.0]
+    assert (list(held.col_lower_), list(held.col_upper_)) == ([0.0], [1.0])
+    assert (list(held.row_lower_), list(held.row_upper_)) == ([-np.inf],
+                                                              [0.5])
+    assert list(held.integrality_) == [_highs.HighsVarType.kContinuous]
+    assert held.a_matrix_.format_ == _highs.MatrixFormat.kColwise
+    assert list(held.a_matrix_.start_) == [0, 1]
+    assert list(held.a_matrix_.index_) == [0]
+    assert list(held.a_matrix_.value_) == [2.0]
+
+
+def array_lp(entry=2.0, lower=-np.inf, upper=0.5) -> list:
+    """The arguments of the array ``passModel``, in the form couder.round
+    passes them, for: minimize -x subject to lower <= entry * x <= upper
+    and 0 <= x <= 1."""
+    i32 = np.int32
+    return [1, 1, 1, int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0, np.array([-1.0]),
+            np.zeros(1), np.ones(1), np.array([lower]), np.array([upper]),
+            np.array([0, 1], dtype=i32), np.zeros(1, dtype=i32),
+            np.array([entry]), np.zeros(1, dtype=i32)]
+
+
+def test_array_model_with_a_short_array_is_refused():
+    # The binding reads the arrays through bare pointers: _run_highs checks
+    # every length against the sizes before HiGHS sees them.
+    model = array_lp()
+    res = lp._run_highs(tuple(model), lp._OPTIONS)
+    assert res.x.tolist() == [0.25]
+    for k in range(6, len(model)):
+        short = list(model)
+        short[k] = model[k][:-1]
+        with pytest.raises(InternalError, match="sizes"):
+            lp._run_highs(tuple(short), lp._OPTIONS)
+
+
+@pytest.mark.parametrize("entry, lower, upper, named", [
+    (1e15, -np.inf, 0.5, "every constraint coefficient must be below 1e+15"),
+    (2.0, 1e20, np.inf, "every right-hand side must be below 1e+20"),
+    (2.0, -np.inf, -1e21, "every right-hand side must be below 1e+20"),
+])
+def test_refused_model_names_its_cause(entry, lower, upper, named):
+    # HiGHS refuses a matrix entry of 1e15 or more, and a row bound that it
+    # reads as infinite on the wrong side: the input error says which, for
+    # the array model and for a HighsLp alike.
+    as_lists = lp._highs_model(_highs.MatrixFormat.kColwise, [-1.0], [0.0],
+                               [1.0], [lower], [upper], [0, 1], [0], [entry])
+    for model in (tuple(array_lp(entry, lower, upper)), as_lists):
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            lp._run_highs(model, lp._OPTIONS)
+
+
+def test_upper_row_bound_past_the_infinite_bound_is_no_bound():
+    # Why the refusal message checks the side: HiGHS takes such an upper
+    # bound as +inf and solves.
+    res = lp._run_highs(tuple(array_lp(upper=1e21)), lp._OPTIONS)
+    assert res.status == "optimal" and res.x.tolist() == [1.0]
 
 
 def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):

@@ -173,6 +173,16 @@ class TestCheckBounded:
         with pytest.raises(InvalidInputError, match="float range"):
             check_bounded(TrafficMatrix(1e10 * ones), crit)
 
+    def test_right_hand_side_past_the_solver_range_is_named(self):
+        # 1e21 times the critical puts a right-hand side past HiGHS's
+        # infinite bound of 1e20, and no coefficient is above 1: the input
+        # error names the right-hand side, not a coefficient.
+        ones = np.ones((4, 4)) - np.eye(4)
+        crit = CriticalSet((TrafficMatrix(ones),))
+        with pytest.raises(InvalidInputError,
+                           match="every right-hand side must be below 1e"):
+            check_bounded(TrafficMatrix(1e21 * ones), crit)
+
     def test_dominated_accepts_below_exact_rejects(self):
         half = TrafficMatrix(0.5 * self.crit.matrices[0].demand
                              + 0.1 * self.crit.matrices[1].demand)
