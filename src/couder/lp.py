@@ -13,40 +13,38 @@ loaded as the last paragraph says), called directly rather than through
 solve on the small LPs here.  One helper, ``_run_highs``, makes every
 call: it passes a model, the options of the LP's family and, optionally,
 a starting basis, to the one HiGHS object of the process, ``_solver``.
-``passModel`` resets that object, so each solve ends as one on a fresh
-object would.  Solves are therefore not reentrant: ``couder`` starts no
-threads, and a caller that did would have to serialize its solves.
+Solves are therefore not reentrant: ``couder`` starts no threads, and a
+caller that did would have to serialize its solves.  ``passModel``
+resets that object's model and solution, so each solve ends as one on a
+fresh object would.  HiGHS keeps its options from model to model, so
+they are passed only when they, or the solver object, differ from the
+pair last passed.
 
-Rows go to HiGHS row-wise, and a model keeps the HiGHS input it last
-sent.  At its first solve after ``add_vars``, ``add_rows`` or
-``set_objective`` a model assembles each relation group, the
-inequalities as <= and then the equalities, into one CSR pattern that
-holds both the fixed value and the ``scale``d value of each entry:
-duplicate triplets summed, exact zeros dropped.  It then builds its
-``HighsLp`` once (``_Sent``), the rows as they are with
-``MatrixFormat.kRowwise``, and reuses it: ``set_rhs`` re-sends only the
-row bounds, and a change of ``scale`` re-forms fixed + scale * scaled on
-the pattern and re-sends only the matrix values.  No solve rebuilds a
-cost, bound, start or index list that did not change, yet at each
-solve the HighsLp equals a fresh build.  ``linprog``, this module's one call into
-HiGHS for an ``LpModel``, still checks the LP's data for finiteness and
-the vertex for its residual on every solve.  HiGHS stores the model
-column-wise, and holds bit for bit the model that stacking separate
-sparse matrices column-wise gave before; the tests keep that
-construction as their oracle.  On the replay workload's two cached
-models (N = 8, best of 5 runs on a shared 2-vCPU Xeon), building the
-HighsLp takes 177 us for the min-MLU LP (343 columns, 1,026 non-zeros)
-and 67 us for the boundedness LP (341 non-zeros); re-sending the row
-bounds after ``set_rhs`` takes 13 and 9 us.
+Every model reaches HiGHS one way: as the arguments of the binding's
+array ``passModel``, numpy arrays the binding copies once.  An
+``LpModel`` goes row-wise (``MatrixFormat.kRowwise``).  At its first
+solve after ``add_vars``, ``add_rows`` or ``set_objective`` a model
+assembles its cost and rows (``_Assembly``): the inequalities as <= and
+then the equalities, in one CSR pattern that holds both the fixed and
+the ``scale``d value of each entry, duplicate triplets summed and exact
+zeros dropped.  The matrix values and row bounds of that assembly are
+the very arrays HiGHS receives: ``set_rhs`` writes new row bounds into
+them and a change of ``scale`` re-forms fixed + scale * scaled in place,
+so no solve joins or converts an array, and none can send a stale one.
+``linprog``, this module's one call into HiGHS for an ``LpModel``,
+checks the LP's data for finiteness and the vertex for its residual on
+every solve.  HiGHS stores the model column-wise, and holds bit for bit
+the model that stacking separate sparse matrices column-wise gives; the
+tests keep that construction as their oracle.
 
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
-per-switch subproblem, which it hands ``_run_highs`` as the arrays of
-the binding's array ``passModel`` and reads only the vertex of.  Every
-family runs dual simplex with output off.  Presolve is on, as scipy's
-``linprog(method="highs")`` set it, except in three families, where it
-was measured to cost more than it saves (HiGHS time per LP, N = 8, on
-a shared 2-vCPU Xeon; perfbench seed 2):
+per-switch subproblem, which it hands ``_run_highs`` column-wise and
+reads only the vertex of.  Every family runs dual simplex with output
+off.  Presolve is on, as scipy's ``linprog(method="highs")`` set it,
+except in three families, where it was measured to cost more than it
+saves (HiGHS time per LP, N = 8, on a shared 2-vCPU Xeon; perfbench
+seed 2):
 
 - "fixed-throughput", stage 1 with link counts fixed: recompute's first
   LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of 5 and
@@ -83,8 +81,8 @@ starts from the same point, so its result depends only on the model,
 not on the order of the solves before it.  ``evaluate``'s min-MLU LP
 starts from its direct-routing basis, which is dual feasible for every
 right-hand side.  Over the 48 held-out matrices of perfbench's replay
-seed 1 on its mesh (best of 5 runs, same machine), the held input and
-that start basis together took the LP from 97.9 to 27.0 dual simplex
+seed 1 on its mesh (best of 5 runs, same machine), the kept assembly
+and that start basis together took the LP from 97.9 to 27.0 dual simplex
 iterations and from 1.35 to 0.84 ms per solve; each MLU stayed within
 3.6e-16 relative of the cold solve's.
 
@@ -174,8 +172,7 @@ class _Block(NamedTuple):
 
 class _Csr:
     """A sparse matrix in CSR form: row r holds ``data[k]`` in column
-    ``indices[k]`` for k in ``range(indptr[r], indptr[r + 1])``.  ``data``
-    may be replaced by values on the same pattern."""
+    ``indices[k]`` for k in ``range(indptr[r], indptr[r + 1])``."""
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
                  indptr: np.ndarray, shape: tuple):
@@ -197,12 +194,29 @@ class _Csr:
 
 class _Rows(NamedTuple):
     """One relation group of rows, row-wise: the CSR pattern of its fixed
-    and scaled terms together, with both parts' values on it."""
+    and scaled terms together, with both parts' values on it, as views of
+    the model's ``_Assembly``."""
 
     matrix: _Csr  # the pattern; its data is fixed + scale * scaled
     fixed: np.ndarray
     scaled: Optional[_Csr]  # the scaled values on the same pattern
     rhs: np.ndarray
+
+
+class _Assembly(NamedTuple):
+    """A model as the array ``passModel`` takes it: the cost, and the
+    rows row-wise, the inequality rows as <= and then the equality rows.
+    ``value`` and ``bounds`` are the arrays HiGHS receives; ``groups``
+    holds the inequality and the equality rows' ``_Rows``, either None
+    when there are none, whose matrix data and right-hand sides are views
+    of them."""
+
+    cost: np.ndarray
+    start: np.ndarray  # int32, one per row and one more
+    index: np.ndarray  # int32
+    value: np.ndarray
+    bounds: np.ndarray  # the row lower bounds, then the upper ones
+    groups: tuple
 
 
 class LpModel:
@@ -224,14 +238,12 @@ class LpModel:
     def __init__(self, name: str = "lp"):
         self.name = name
         self.scale = 1.0
-        self._lb = []
-        self._ub = []
+        self._lb = self._ub = np.zeros(0)
         self._blocks = []
         self._sense = "min"
         self._objective = (np.zeros(0, dtype=int), np.zeros(0))  # cols, coefs
         self._assembled = None
         self._formed = None  # the scale the scaled values are formed at
-        self._sent = None  # the _Sent HiGHS input of the last solve
         self._start = None  # the start basis ``set_start`` gave
         self._basis = None  # the basis the next solve starts from
 
@@ -249,9 +261,9 @@ class LpModel:
                     for bound, default in ((lb, -np.inf), (ub, np.inf)))
         if (lbs > ubs).any():
             raise InvalidInputError("variable has lb > ub")
-        self._lb.extend(lbs.tolist())
-        self._ub.extend(ubs.tolist())
-        self._assembled = self._sent = self._start = self._basis = None
+        self._lb = np.concatenate([self._lb, lbs])
+        self._ub = np.concatenate([self._ub, ubs])
+        self._assembled = self._start = self._basis = None
         return np.arange(start, start + count)
 
     def _check_cols(self, cols: np.ndarray):
@@ -281,16 +293,15 @@ class LpModel:
                 raise InvalidInputError("row index out of range")
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
-        self._assembled = self._sent = self._start = self._basis = None
+        self._assembled = self._start = self._basis = None
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
         """Replace the right-hand side of the block ``add_rows`` numbered
         ``block`` by ``rhs``, of the same length.  An assembled model takes
-        the new values in place, a >= block's negated, on the row pattern
-        it has, and its HiGHS input only new row bounds.  The next solve
-        starts from the ``set_start`` basis, or cold without one, so its
-        result depends only on the model."""
+        the new values, a >= block's negated, in place as the row bounds it
+        hands HiGHS.  The next solve starts from the ``set_start`` basis,
+        or cold without one, so its result depends only on the model."""
         if not 0 <= block < len(self._blocks):
             raise InvalidInputError(f"no row block {block}")
         blk = self._blocks[block]
@@ -299,12 +310,12 @@ class LpModel:
             raise InvalidInputError(f"{rhs.size} right-hand sides for a"
                                     f" block of {len(blk.rhs)} rows")
         self._blocks[block] = blk._replace(rhs=rhs)
-        if self._assembled is not None and len(rhs):
-            equality, start = self._group_rows(block)
+        if self._assembled is not None:
+            first = self._first_row(block)
             sign = -1.0 if blk.relation == GE else 1.0
-            self._assembled[equality].rhs[start:start + len(rhs)] = sign * rhs
-            if self._sent is not None:
-                self._sent.rhs = False
+            # An equality row's lower bound is its right-hand side too.
+            self._assembled.bounds[0 if blk.relation == EQ else 1:,
+                                   first:first + len(rhs)] = sign * rhs
         self._basis = self._start
 
     def set_start(self, cols, blocks):
@@ -321,18 +332,15 @@ class LpModel:
         self._check_cols(cols)
         basic_col = np.zeros(self.num_variables, dtype=bool)
         basic_col[cols] = True
-        num_ub = sum(len(blk.rhs) for blk in self._blocks
-                     if blk.relation != EQ)
-        basic_row = np.zeros(num_ub + sum(len(blk.rhs) for blk in self._blocks
-                                          if blk.relation == EQ), dtype=bool)
+        basic_row = np.zeros(sum(len(blk.rhs) for blk in self._blocks),
+                             dtype=bool)
         for block in blocks:
-            equality, start = self._group_rows(block)
-            start += num_ub if equality else 0
-            basic_row[start:start + len(self._blocks[block].rhs)] = True
+            first = self._first_row(block)
+            basic_row[first:first + len(self._blocks[block].rhs)] = True
         if basic_col.sum() + basic_row.sum() != len(basic_row):
             raise InvalidInputError("a basis has one basic column or row per"
                                     " row")
-        if not np.isfinite(np.array(self._lb)[~basic_col]).all():
+        if not np.isfinite(self._lb[~basic_col]).all():
             raise InvalidInputError("a nonbasic column needs a finite lower"
                                     " bound")
         status = _highs.HighsBasisStatus
@@ -346,12 +354,17 @@ class LpModel:
         basis.valid, basis.alien = True, False
         self._start = self._basis = basis
 
-    def _group_rows(self, block: int) -> tuple:
-        """(equality, start): whether the rows of the block ``block`` are
-        in the equality group, and the first of them within that group."""
+    def _first_row(self, block: int) -> int:
+        """The first row of the block ``block`` in HiGHS's row order:
+        every inequality row, then every equality row, each group in the
+        order ``add_rows`` added them."""
         equality = self._blocks[block].relation == EQ
-        return equality, sum(len(other.rhs) for other in self._blocks[:block]
-                             if (other.relation == EQ) == equality)
+        first = sum(len(other.rhs) for other in self._blocks[:block]
+                    if (other.relation == EQ) == equality)
+        if equality:
+            first += sum(len(other.rhs) for other in self._blocks
+                         if other.relation != EQ)
+        return first
 
     def set_objective(self, sense: str, cols, coefs):
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
@@ -365,82 +378,26 @@ class LpModel:
         self._check_cols(cols)
         self._sense = sense
         self._objective = (cols, coefs)
-        self._sent = self._start = self._basis = None
+        self._assembled = self._start = self._basis = None
 
-    def _rows(self) -> tuple:
-        """The ``_Rows`` of the inequality rows, as <=, and of the equality
-        rows, either None when it has none, at the current ``scale``.  The
-        patterns are assembled once; the values of a group with scaled
-        terms are re-formed when ``scale`` changed."""
+    def _assembly(self) -> _Assembly:
+        """The model's ``_Assembly`` at the current ``scale``.  It is
+        assembled once after ``add_vars``, ``add_rows`` or
+        ``set_objective``; the values of a group with scaled terms are
+        re-formed in place when ``scale`` changed."""
         if self._assembled is None:
-            self._assembled = tuple(
-                _assemble([blk for blk in self._blocks
-                           if (blk.relation == EQ) == equality
-                           and len(blk.rhs)], self.num_variables)
-                for equality in (False, True))
+            self._assembled = _assemble(self)
             self._formed = None
         if self.scale != self._formed:  # always for a NaN scale
             self._formed = self.scale
-            for rows in self._assembled:
+            for rows in self._assembled.groups:
                 if rows is not None and rows.scaled is not None:
                     # linprog refuses non-finite values; forming them is
                     # quiet.
                     with np.errstate(invalid="ignore", over="ignore"):
-                        rows.matrix.data = (rows.fixed
-                                            + self.scale * rows.scaled.data)
-                    if self._sent is not None:
-                        self._sent.values = False
+                        rows.matrix.data[:] = (rows.fixed + self.scale
+                                               * rows.scaled.data)
         return self._assembled
-
-
-class _Sent:
-    """What an ``LpModel`` hands HiGHS: the costs and column bounds as
-    arrays, and the ``HighsLp`` of the whole model, rows row-wise.
-    ``values`` and ``rhs`` say whether that HighsLp still holds the
-    model's matrix values and row bounds; ``refresh`` re-sends those that
-    it does not, so at each solve it equals a fresh build."""
-
-    def __init__(self, model: LpModel, groups: tuple):
-        c = np.zeros(model.num_variables)
-        np.add.at(c, *model._objective)
-        self.cost = (-1.0 if model._sense == "max" else 1.0) * c
-        self.bounds = (np.array(model._lb), np.array(model._ub))
-        kept = [rows.matrix for rows in groups if rows is not None]
-        offsets = np.cumsum([0] + [A.nnz for A in kept])
-        start = np.concatenate([[0]] + [A.indptr[1:] + k
-                                        for A, k in zip(kept, offsets)])
-        index = np.concatenate([np.zeros(0, dtype=int)]
-                               + [A.indices for A in kept])
-        # The binding copies lists faster than arrays.
-        self.lp = _highs_model(_highs.MatrixFormat.kRowwise,
-                               self.cost.tolist(), model._lb, model._ub,
-                               *_row_bounds(groups), start.tolist(),
-                               index.tolist(), _values(groups))
-        self.values = self.rhs = True
-
-    def refresh(self, groups: tuple):
-        if not self.values:
-            self.lp.a_matrix_.value_ = _values(groups)
-        if not self.rhs:
-            self.lp.row_lower_, self.lp.row_upper_ = _row_bounds(groups)
-        self.values = self.rhs = True
-
-
-def _values(groups: tuple) -> list:
-    """The matrix values of both row groups, in HiGHS's row order."""
-    return np.concatenate([np.zeros(0)] + [rows.matrix.data for rows in groups
-                                           if rows is not None]).tolist()
-
-
-def _row_bounds(groups: tuple) -> tuple:
-    """The row lower and upper bounds of both groups, in HiGHS's row
-    order: the inequality rows (-inf, rhs], then the equality rows."""
-    upper = np.concatenate([np.zeros(0)] + [rows.rhs for rows in groups
-                                            if rows is not None])
-    lower = upper.copy()
-    if groups[0] is not None:
-        lower[:len(groups[0].rhs)] = -np.inf
-    return lower.tolist(), upper.tolist()
 
 
 def _indices(idx) -> np.ndarray:
@@ -459,10 +416,10 @@ def _triplets(rows, cols, coefs) -> tuple:
     return _indices(rows), _indices(cols), np.asarray(coefs, dtype=float)
 
 
-def _assemble(group: list, num_cols: int) -> Optional[_Rows]:
-    """The blocks of ``group`` stacked in order into one ``_Rows``, each
-    moved down past the rows before it and a >= block negated, or None
-    when ``group`` is empty.
+def _assemble(model: LpModel) -> _Assembly:
+    """The ``_Assembly`` of ``model``, its scaled values not yet formed:
+    the blocks stacked in HiGHS's row order, each moved down past the rows
+    before it and a >= block negated.
 
     The pattern holds every (row, column) with a nonzero fixed or scaled
     value.  Triplets on one (row, column) are summed in the order given,
@@ -471,11 +428,12 @@ def _assemble(group: list, num_cols: int) -> Optional[_Rows]:
     entries, so up to there the values equal those of a CSR matrix built
     per part.
     """
-    if not group:
-        return None
+    num_cols = model.num_variables
+    group = [blk for equality in (False, True) for blk in model._blocks
+             if (blk.relation == EQ) == equality and len(blk.rhs)]
     offsets = np.cumsum([0] + [len(blk.rhs) for blk in group])
     signs = [-1.0 if blk.relation == GE else 1.0 for blk in group]
-    keys, values = [], []
+    keys, values = [np.zeros(0, dtype=int)], [np.zeros((0, 2))]
     for part in (0, 1):  # the fixed terms, then the scaled ones
         for blk, offset, sign in zip(group, offsets, signs):
             terms = blk.scaled if part else blk.terms
@@ -497,13 +455,32 @@ def _assemble(group: list, num_cols: int) -> Optional[_Rows]:
                      if len(key) else np.zeros(0) for part in (0, 1))
     keep = (fixed != 0.0) | (scaled != 0.0)
     key, fixed, scaled = key[first][keep], fixed[keep], scaled[keep]
-    shape = (int(offsets[-1]), num_cols)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // num_cols,
-                                                        minlength=shape[0]))])
-    indices = key % num_cols
-    scaled = _Csr(scaled, indices, indptr, shape) if scaled.any() else None
-    return _Rows(_Csr(fixed, indices, indptr, shape), fixed, scaled,
-                 np.concatenate([s * blk.rhs for s, blk in zip(signs, group)]))
+    num_rows = int(offsets[-1])
+    start = np.concatenate([[0], np.cumsum(np.bincount(
+        key // num_cols, minlength=num_rows))]).astype(np.int32)
+    index = (key % num_cols).astype(np.int32)
+    value = fixed.copy()
+    upper = np.concatenate([np.zeros(0)] + [s * blk.rhs
+                                            for s, blk in zip(signs, group)])
+    bounds = np.array([upper, upper])
+    num_ub = int(offsets[sum(blk.relation != EQ for blk in group)])
+    bounds[0, :num_ub] = -np.inf
+
+    def rows(lo: int, hi: int) -> Optional[_Rows]:
+        if lo == hi:
+            return None
+        span = slice(start[lo], start[hi])
+        indptr, shape = start[lo:hi + 1] - start[lo], (hi - lo, num_cols)
+        return _Rows(_Csr(value[span], index[span], indptr, shape),
+                     fixed[span], _Csr(scaled[span], index[span], indptr,
+                                       shape) if scaled[span].any() else None,
+                     bounds[1, lo:hi])
+
+    cost = np.zeros(num_cols)
+    np.add.at(cost, *model._objective)
+    return _Assembly((-1.0 if model._sense == "max" else 1.0) * cost, start,
+                     index, value, bounds,
+                     (rows(0, num_ub), rows(num_ub, num_rows)))
 
 
 _STATUS = _highs.HighsModelStatus
@@ -559,61 +536,59 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _highs_model(matrix_format, cost, col_lower, col_upper, row_lower,
-                 row_upper, start, index, value) -> _highs.HighsLp:
-    """HiGHS model of: minimize cost x subject to row_lower <= A x <=
-    row_upper and col_lower <= x <= col_upper, A given by ``start``,
-    ``index`` and ``value`` in ``matrix_format``, row-wise or column-wise.
-    Each argument is a sequence the binding copies: a list copies several
-    times faster than an array."""
-    model = _highs.HighsLp()
-    model.num_col_, model.num_row_ = len(cost), len(row_upper)
-    model.col_cost_, model.col_lower_, model.col_upper_ = (cost, col_lower,
-                                                           col_upper)
-    model.row_lower_, model.row_upper_ = row_lower, row_upper
-    matrix = model.a_matrix_
-    matrix.format_ = matrix_format
-    matrix.num_col_, matrix.num_row_ = len(cost), len(row_upper)
-    matrix.start_, matrix.index_, matrix.value_ = start, index, value
-    return model
+#: The array ``passModel``'s matrix format and objective sense arguments.
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+#: The (solver, options) pair ``_run_highs`` last passed options for.
+_passed = (None, None)
 
 
-def _run_highs(model, options: _highs.HighsOptions, basis=None,
+def _run_highs(model: tuple, options: _highs.HighsOptions, basis=None,
                vertex_only=False) -> LpSolution:
     """Solve ``model`` on ``_solver`` from ``basis`` when one is given.
-    ``model`` is a ``HighsLp``, or the arguments of the binding's array
-    ``passModel`` as a tuple: (num_col, num_row, num_nz, format, sense,
-    offset, cost, col_lower, col_upper, row_lower, row_upper, start,
-    index, value, integrality), format and sense as ints and the arrays
-    float64, but start, index and integrality int32.  The binding reads
-    those arrays through bare pointers, so an array whose length does not
-    match the sizes given is InternalError here.  With ``vertex_only`` the
-    result holds the status and, at an optimum, the vertex: no row duals,
-    basis, objective or iteration count, for a caller that reads none.
+    ``model`` is the arguments of the binding's array ``passModel`` as a
+    tuple: (num_col, num_row, num_nz, format, sense, offset, cost,
+    col_lower, col_upper, row_lower, row_upper, start, index, value,
+    integrality), format and sense as ints and the arrays float64, but
+    start, index and integrality int32.  ``start`` has one entry per row
+    and one more in ``_ROWWISE`` format, per column and one more in
+    ``_COLWISE``.  The binding reads those arrays through bare pointers,
+    so an array whose length does not match the sizes given is
+    InternalError here.  With ``vertex_only`` the result holds the status
+    and, at an optimum, the vertex: no row duals, basis, objective or
+    iteration count, for a caller that reads none.
 
     ``passModel`` clears whatever ``_solver`` held, so a solve without a
-    basis is cold.  HiGHS refuses a model with a matrix entry of magnitude
-    ``large_matrix_value`` (1e15) or more, or a row bound at infinity on
-    the wrong side, as HiGHS reads one of magnitude ``infinite_bound``
-    (1e20) or more; only an input that large can produce either.  That is
-    InvalidInputError, naming which of the two it is; a basis it refuses
-    is InternalError, not a cold solve.  Model statuses map as scipy's
-    ``linprog`` mapped them: anything but optimal, infeasible or
-    unbounded, "unbounded or infeasible" included, raises
-    SolverLimitError.
+    basis is cold.  HiGHS reads a bound of magnitude ``infinite_bound``
+    (1e20) or more as infinite, so a finite row or column bound that large
+    is InvalidInputError here; so is a model HiGHS refuses, which only a
+    matrix entry of magnitude ``large_matrix_value`` (1e15) or more can
+    cause.  A basis HiGHS refuses is InternalError, not a cold solve.
+    Model statuses map as scipy's ``linprog`` mapped them: anything but
+    optimal, infeasible or unbounded, "unbounded or infeasible" included,
+    raises SolverLimitError.
     """
-    _solver.passOptions(options)
-    if isinstance(model, tuple):
-        num_col, num_row, num_nz = model[:3]
-        if tuple(map(len, model[6:])) != (num_col, num_col, num_col,
-                                          num_row, num_row, num_col + 1,
-                                          num_nz, num_nz, num_col):
-            raise InternalError("HiGHS model arrays do not match its sizes")
-        refused = _solver.passModel(*model) == _highs.HighsStatus.kError
-    else:
-        refused = _solver.passModel(model) == _highs.HighsStatus.kError
-    if refused:
-        raise InvalidInputError(_refusal(model, options))
+    global _passed
+    num_col, num_row, num_nz, matrix_format = model[:4]
+    num_start = num_row if matrix_format == _ROWWISE else num_col
+    if tuple(map(len, model[6:])) != (num_col, num_col, num_col, num_row,
+                                      num_row, num_start + 1, num_nz,
+                                      num_nz, num_col):
+        raise InternalError("HiGHS model arrays do not match its sizes")
+    magnitude = np.abs(np.concatenate(model[7:11]))
+    if magnitude.max(initial=0.0, where=magnitude < np.inf) \
+            >= options.infinite_bound:
+        raise InvalidInputError(
+            "input too large for the LP solver: every right-hand side must"
+            f" be below {options.infinite_bound:g} in magnitude")
+    if _passed[0] is not _solver or _passed[1] is not options:
+        _solver.passOptions(options)
+        _passed = (_solver, options)
+    if _solver.passModel(*model) == _highs.HighsStatus.kError:
+        raise InvalidInputError(
+            "input too large for the LP solver: every constraint coefficient"
+            f" must be below {options.large_matrix_value:g} in magnitude")
     if basis is not None \
             and _solver.setBasis(basis) == _highs.HighsStatus.kError:
         raise InternalError("HiGHS refused the basis")
@@ -638,29 +613,13 @@ def _run_highs(model, options: _highs.HighsOptions, basis=None,
                            + _solver.modelStatusToString(status))
 
 
-def _refusal(model, options: _highs.HighsOptions) -> str:
-    """Why HiGHS refused ``model``, as ``_run_highs`` takes it: a row
-    lower bound at or above ``infinite_bound`` or an upper bound at or
-    below minus it, which HiGHS reads as a bound at infinity on the wrong
-    side; else a matrix entry at or past ``large_matrix_value``.  (An upper
-    bound past ``infinite_bound`` it takes as no bound.)"""
-    lower, upper = (model[9:11] if isinstance(model, tuple)
-                    else (model.row_lower_, model.row_upper_))
-    big = options.infinite_bound
-    if (np.asarray(lower) >= big).any() or (np.asarray(upper) <= -big).any():
-        return ("input too large for the LP solver: every right-hand side"
-                f" must be below {big:g} in magnitude")
-    return ("input too large for the LP solver: every constraint coefficient"
-            f" must be below {options.large_matrix_value:g} in magnitude")
-
-
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, basis=None,
             options=_OPTIONS, *, highs_lp) -> LpSolution:
     """Minimize c x subject to A_ub x <= b_ub, A_eq x = b_eq and
     bounds[0] <= x <= bounds[1] under the HiGHS ``options``, from
     ``basis`` when one is given.  ``A_ub`` and ``A_eq`` are ``_Csr``
-    matrices, or None for no rows.  ``highs_lp`` is that LP as HiGHS
-    takes it, which ``LpModel`` keeps from solve to solve.
+    matrices, or None for no rows.  ``highs_lp`` is that LP as
+    ``_run_highs`` takes it.
 
     ``LpModel``'s one call into HiGHS.  A non-finite entry of c, A or b,
     or a NaN bound, is an internal error, as scipy's ``linprog`` refused
@@ -710,23 +669,23 @@ def solve(model: LpModel) -> LpSolution:
             return LpSolution("infeasible")
         return LpSolution("optimal", np.zeros(0), 0.0, row_dual=np.zeros(
             sum(len(blk.rhs) for blk in model._blocks)))
-    groups = model._rows()
-    if model._sent is None:
-        model._sent = _Sent(model, groups)
-    sent = model._sent
-    sent.refresh(groups)
+    asm = model._assembly()
     (A_ub, b_ub), (A_eq, b_eq) = ((None, None) if rows is None
                                   else (rows.matrix, rows.rhs)
-                                  for rows in groups)
-    res = linprog(sent.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=sent.bounds, basis=model._basis,
+                                  for rows in asm.groups)
+    n = model.num_variables
+    res = linprog(asm.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(model._lb, model._ub), basis=model._basis,
                   options=_FAMILY_OPTIONS.get(model.name, _OPTIONS),
-                  highs_lp=sent.lp)
+                  highs_lp=(n, asm.bounds.shape[1], len(asm.index), _ROWWISE,
+                            _MINIMIZE, 0.0, asm.cost, model._lb, model._ub,
+                            *asm.bounds, asm.start, asm.index, asm.value,
+                            np.zeros(n, dtype=np.int32)))
     model._basis = res.basis
     if res.optimal:
         num_ub = 0 if A_ub is None else A_ub.shape[0]
-        for rows, y in zip(groups, (res.row_dual[:num_ub],
-                                    res.row_dual[num_ub:])):
+        for rows, y in zip(asm.groups, (res.row_dual[:num_ub],
+                                        res.row_dual[num_ub:])):
             if rows is not None and rows.scaled is not None:
                 res.slope -= float(y @ (rows.scaled @ res.x))
         if model._sense == "max":

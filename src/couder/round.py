@@ -33,21 +33,14 @@ it.  Each subproblem runs on ``lp``'s one HiGHS object; loading the
 model resets it, so every solve is cold and ends on the vertex a fresh
 solver would.
 
-The model reaches HiGHS as numpy arrays, through the binding's array
-``passModel``, in column-wise (CSC) form.  What every switch visit of
-one ``ldm_round`` shares is built once: 2h + 1 per switch and pair, and
-in ``_Subproblems`` each pair's two budget rows as int32 and read-only
+The model reaches HiGHS as numpy arrays, through ``lp._run_highs``, in
+column-wise (CSC) form.  What every switch visit of one ``ldm_round``
+shares is built once: 2h + 1 per switch and pair, and in
+``_Subproblems`` each pair's two budget rows as int32 and read-only
 buffers of zeros, ones, column starts and integrality flags for two
 units per pair, of which each visit passes slices.  A visit lists its
-units with one window mask and ``nonzero``, gathers their gains and
-budget rows, and builds no list and no ``HighsLp``.  HiGHS holds the
-model bit for bit as it held the ``HighsLp`` of lists built per visit
-before (and an all-continuous integrality flag per column), so every
-vertex is unchanged.  Per visit on the benchmark's round-saturated
-workload (seed 1: 16 targets, 3,200 visits; medians of 18 runs on a
-shared 2-vCPU Xeon), HiGHS ``run()`` took 248 us with the ``HighsLp``
-of lists and 254 us with the arrays, and everything else 257 us and
-187 us.
+units with one window mask and ``nonzero`` and gathers their gains and
+budget rows.
 
 The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
@@ -81,9 +74,6 @@ from .model import (TOL, FractionalTopology, IntegerTopology,
 _SNAP = 1e-9
 #: Largest distance from an integer at which a vertex entry still rounds.
 _INTEGRAL_TOL = 1e-6
-#: The array ``passModel``'s matrix format and objective sense arguments.
-_COLWISE = int(lp._highs.MatrixFormat.kColwise)
-_MINIMIZE = int(lp._highs.ObjSense.kMinimize)
 
 
 @dataclass(frozen=True)
@@ -194,15 +184,13 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     min-cost circulation through a source, the egress ports, the ingress
     ports and a sink.
 
-    The model goes to HiGHS as arrays, through the binding's array
-    ``passModel``: the cost, the limits and the CSC arrays as they are,
-    and the column bounds, integrality and row lower bounds as slices of
-    ``buffers`` (``_Buffers`` of this LP's size when None).  The binding
-    copies each array once, converting it to float64 or int32 only if it
-    is not already, so no list or ``HighsLp`` is built.  HiGHS is called
-    through ``lp._run_highs``, on ``lp``'s one HiGHS object, with the
-    simplex solver, presolve off and feasibility tolerances of 1e-10; the
-    solve is cold, and only the vertex is read back.
+    The model goes to HiGHS as arrays, through ``lp._run_highs`` on
+    ``lp``'s one HiGHS object: the cost, the limits and the CSC arrays as
+    they are, and the column bounds, integrality and row lower bounds as
+    slices of ``buffers`` (``_Buffers`` of this LP's size when None).
+    HiGHS runs the simplex solver, presolve off and feasibility
+    tolerances of 1e-10; the solve is cold, and only the vertex is read
+    back.
     """
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
@@ -213,7 +201,7 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     if buffers is None:
         buffers = _Buffers(units, rows)
     res = lp._run_highs(
-        (units, rows, len(value), _COLWISE, _MINIMIZE, 0.0, cost,
+        (units, rows, len(value), lp._COLWISE, lp._MINIMIZE, 0.0, cost,
          buffers.zero[:units], buffers.one[:units], buffers.no_lower[:rows],
          limits, start, index, value, buffers.integrality[:units]),
         lp._FAMILY_OPTIONS["ldm-subproblem"], vertex_only=True)

@@ -636,10 +636,11 @@ def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
     relation group's row pattern with its fixed and scaled values, as
     ``lp.solve`` hands them to HiGHS."""
     assert model.num_variables == ref.num_variables
-    assert model._lb == ref._lb and model._ub == ref._ub
+    assert model._lb.tobytes() == ref._lb.tobytes()
+    assert model._ub.tobytes() == ref._ub.tobytes()
     assert model._sense == ref._sense and model.scale == ref.scale
     assert objective(model).tobytes() == objective(ref).tobytes()
-    for got, want in zip(model._rows(), ref._rows()):
+    for got, want in zip(model._assembly().groups, ref._assembly().groups):
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -678,15 +679,20 @@ def _reference_stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def colwise_highs_lp(c, A, b, num_eq: int, lb, ub):
-    """Column-wise HiGHS model of: minimize c x subject to A x <= b on all
-    rows but the last ``num_eq``, A x = b on those, and lb <= x <= ub,
-    through ``scipy.sparse``'s CSC form of A."""
+def colwise_highs_lp(c, A, b, num_eq: int, lb, ub) -> tuple:
+    """The array ``passModel`` arguments, column-wise, of: minimize c x
+    subject to A x <= b on all rows but the last ``num_eq``, A x = b on
+    those, and lb <= x <= ub, through ``scipy.sparse``'s CSC form of A."""
     A = sp.csc_array(A)
-    lower = np.array(b, dtype=float)
-    lower[:A.shape[0] - num_eq] = -np.inf
-    return lp._highs_model(lp._highs.MatrixFormat.kColwise, c, lb, ub, lower,
-                           b, A.indptr.tolist(), A.indices.tolist(), A.data)
+    num_row, num_col = A.shape
+    upper = np.array(b, dtype=float)
+    lower = upper.copy()
+    lower[:num_row - num_eq] = -np.inf
+    return (num_col, num_row, A.nnz, lp._COLWISE, lp._MINIMIZE, 0.0,
+            np.asarray(c, dtype=float), np.asarray(lb, dtype=float),
+            np.asarray(ub, dtype=float), lower, upper,
+            A.indptr.astype(np.int32), A.indices.astype(np.int32),
+            A.data.astype(float), np.zeros(num_col, dtype=np.int32))
 
 
 def reference_highs_lp(model: lp.LpModel):
@@ -719,17 +725,14 @@ def reference_highs_lp(model: lp.LpModel):
                             np.array(model._lb), np.array(model._ub))
 
 
-def held_lp(model) -> tuple:
-    """What HiGHS holds after ``passModel(model)``, ``model`` a ``HighsLp``
-    or the argument tuple of the array ``passModel``, as ``lp._run_highs``
-    takes either: costs, column bounds, row bounds and the column-wise
-    start, index and value arrays.  Every column must be continuous: the
-    tuple passes an integrality flag per column, a ``HighsLp`` none."""
+def held_lp(model: tuple) -> tuple:
+    """What HiGHS holds after ``passModel(*model)``, ``model`` the
+    argument tuple of the array ``passModel`` as ``lp._run_highs`` takes
+    it: costs, column bounds, row bounds and the column-wise start, index
+    and value arrays.  Every column must be continuous."""
     solver = lp._highs._Highs()
     solver.passOptions(lp._OPTIONS)
-    status = (solver.passModel(*model) if isinstance(model, tuple)
-              else solver.passModel(model))
-    assert status != lp._highs.HighsStatus.kError
+    assert solver.passModel(*model) != lp._highs.HighsStatus.kError
     held = solver.getLp()
     assert all(kind == lp._highs.HighsVarType.kContinuous
                for kind in held.integrality_)
@@ -744,8 +747,8 @@ def record_highs_models(monkeypatch) -> list:
     """(``held_lp`` of the HiGHS model, ``held_lp`` of
     ``reference_highs_lp``) of every ``lp.solve`` from now on, in order.
     The first is taken as the model is sent, since a later solve of the
-    same ``LpModel`` patches that object; the reference reads the
-    ``LpModel`` before the solve, at its ``scale`` then."""
+    same ``LpModel`` writes into the arrays it sent; the reference reads
+    the ``LpModel`` before the solve, at its ``scale`` then."""
     pairs, sent = [], []
     solve, run = lp.solve, lp._run_highs
 

@@ -15,8 +15,7 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from couder import lp
 from couder.errors import InternalError, InvalidInputError, SolverLimitError
-from helpers import (assert_same_model, colwise_highs_lp, held_lp,
-                     record_highs_models)
+from helpers import assert_same_model, colwise_highs_lp, record_highs_models
 
 
 def test_simple_bounded_max():
@@ -176,7 +175,7 @@ def test_bad_block_of_variables_rejected_whole(lb, ub):
     m.add_vars(1)
     with pytest.raises(InvalidInputError):
         m.add_vars(2, lb, ub)
-    assert m.num_variables == 1 and m._lb == [0.0]
+    assert m.num_variables == 1 and m._lb.tolist() == [0.0]
 
 
 def test_block_of_rows_is_the_rows_added_one_by_one():
@@ -250,22 +249,20 @@ def test_highs_holds_the_reference_model(monkeypatch):
 
 
 def test_held_input_is_patched_or_rebuilt_as_a_fresh_build(monkeypatch):
-    # The HighsLp a model keeps: set_rhs and a change of scale patch it;
-    # add_rows, add_vars and set_objective after a solve build a new one.
-    # Either way HiGHS holds, bit for bit, what a fresh build gives.
+    # The arrays a model hands HiGHS: set_rhs and a change of scale write
+    # into them; add_rows, add_vars and set_objective after a solve
+    # assemble new ones.  Either way HiGHS holds, bit for bit, what a
+    # fresh build gives.
     m, x, blocks = pattern_model()
     pairs = record_highs_models(monkeypatch)
     lp.solve(m)
-    for change, kept in (
-            (lambda: m.set_rhs(blocks[1], [-0.5, 1.0]), True),
-            (lambda: setattr(m, "scale", 2.0), True),
-            (lambda: m.add_rows([0], [x[2]], [1.0], lp.LE, [4.0]), False),
-            (lambda: m.add_vars(1, 0.0, 1.0), False),
-            (lambda: m.set_objective("min", x[[1, 3]], [1.0, 0.5]), False)):
-        held = m._sent.lp
+    for change in (lambda: m.set_rhs(blocks[1], [-0.5, 1.0]),
+                   lambda: setattr(m, "scale", 2.0),
+                   lambda: m.add_rows([0], [x[2]], [1.0], lp.LE, [4.0]),
+                   lambda: m.add_vars(1, 0.0, 1.0),
+                   lambda: m.set_objective("min", x[[1, 3]], [1.0, 0.5])):
         change()
         assert lp.solve(m).optimal
-        assert (m._sent.lp is held) == kept
     assert len(pairs) == 6
     for sent, ref in pairs:
         assert sent == ref
@@ -467,13 +464,6 @@ def test_private_highs_api_used_is_present():
                  "getModelStatus", "getSolution", "getInfo",
                  "modelStatusToString"):
         assert callable(getattr(solver, name)), name
-    model = _highs.HighsLp()
-    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_",
-                 "col_upper_", "row_lower_", "row_upper_", "a_matrix_"):
-        assert hasattr(model, name), name
-    for name in ("format_", "num_col_", "num_row_", "start_", "index_",
-                 "value_"):
-        assert hasattr(model.a_matrix_, name), name
     options = _highs.HighsOptions()
     for name in ("presolve", "simplex_strategy", "output_flag",
                  "log_to_console", "solver", "dual_feasibility_tolerance",
@@ -496,46 +486,71 @@ def test_private_highs_api_used_is_present():
         assert hasattr(basis, name), name
     for name in ("kBasic", "kLower", "kUpper"):
         assert hasattr(_highs.HighsBasisStatus, name), name
-    # The array passModel overload, called as couder.round calls it: format
-    # and sense as ints, start, index and integrality as int32.  hasattr
-    # cannot see an overload, so a 1 x 1 LP goes in and is read back.
-    assert solver.passModel(*array_lp()) == _highs.HighsStatus.kOk
-    held = solver.getLp()
-    assert (held.num_col_, held.num_row_) == (1, 1)
-    assert list(held.col_cost_) == [-1.0]
-    assert (list(held.col_lower_), list(held.col_upper_)) == ([0.0], [1.0])
-    assert (list(held.row_lower_), list(held.row_upper_)) == ([-np.inf],
-                                                              [0.5])
-    assert list(held.integrality_) == [_highs.HighsVarType.kContinuous]
-    assert held.a_matrix_.format_ == _highs.MatrixFormat.kColwise
-    assert list(held.a_matrix_.start_) == [0, 1]
-    assert list(held.a_matrix_.index_) == [0]
-    assert list(held.a_matrix_.value_) == [2.0]
+    # The array passModel overload, the only way couder.lp hands HiGHS a
+    # model: format and sense as ints, start, index and integrality as
+    # int32.  hasattr cannot see an overload, so an LP goes in row-wise, as
+    # lp.solve passes it, and column-wise, as couder.round does, and is
+    # read back column-wise.
+    for model in (rowwise_lp(), array_lp()):
+        assert solver.passModel(*model) == _highs.HighsStatus.kOk
+        held = solver.getLp()
+        num_col = model[0]
+        assert (held.num_col_, held.num_row_) == (num_col, 1)
+        assert list(held.col_cost_) == [-1.0] * num_col
+        assert list(held.col_lower_) == [0.0] * num_col
+        assert list(held.col_upper_) == [1.0] * num_col
+        assert (list(held.row_lower_), list(held.row_upper_)) == ([-np.inf],
+                                                                  [0.5])
+        assert list(held.integrality_) \
+            == [_highs.HighsVarType.kContinuous] * num_col
+        assert held.a_matrix_.format_ == _highs.MatrixFormat.kColwise
+        assert list(held.a_matrix_.start_) == list(range(num_col + 1))
+        assert list(held.a_matrix_.index_) == [0] * num_col
+        assert list(held.a_matrix_.value_) == [2.0, 1.0][:num_col]
 
 
-def array_lp(entry=2.0, lower=-np.inf, upper=0.5) -> list:
-    """The arguments of the array ``passModel``, in the form couder.round
-    passes them, for: minimize -x subject to lower <= entry * x <= upper
-    and 0 <= x <= 1."""
+def array_lp(entry=2.0, lower=-np.inf, upper=0.5, col_lower=0.0,
+             col_upper=1.0) -> list:
+    """The arguments of the array ``passModel``, in the column-wise form
+    couder.round passes them, for: minimize -x subject to lower <= entry
+    * x <= upper and col_lower <= x <= col_upper."""
     i32 = np.int32
-    return [1, 1, 1, int(_highs.MatrixFormat.kColwise),
-            int(_highs.ObjSense.kMinimize), 0.0, np.array([-1.0]),
-            np.zeros(1), np.ones(1), np.array([lower]), np.array([upper]),
-            np.array([0, 1], dtype=i32), np.zeros(1, dtype=i32),
-            np.array([entry]), np.zeros(1, dtype=i32)]
+    return [1, 1, 1, lp._COLWISE, lp._MINIMIZE, 0.0, np.array([-1.0]),
+            np.array([col_lower]), np.array([col_upper]), np.array([lower]),
+            np.array([upper]), np.array([0, 1], dtype=i32),
+            np.zeros(1, dtype=i32), np.array([entry]), np.zeros(1, dtype=i32)]
 
 
-def test_array_model_with_a_short_array_is_refused():
+def rowwise_lp() -> list:
+    """The arguments of the array ``passModel``, in the row-wise form
+    ``lp.solve`` passes them, for: minimize -x0 - x1 subject to
+    2 x0 + x1 <= 0.5 and 0 <= x <= 1."""
+    i32 = np.int32
+    return [2, 1, 2, lp._ROWWISE, lp._MINIMIZE, 0.0, np.array([-1.0, -1.0]),
+            np.zeros(2), np.ones(2), np.array([-np.inf]), np.array([0.5]),
+            np.array([0, 2], dtype=i32), np.array([0, 1], dtype=i32),
+            np.array([2.0, 1.0]), np.zeros(2, dtype=i32)]
+
+
+@pytest.mark.parametrize("array_model, x", [(array_lp, [0.25]),
+                                            (rowwise_lp, [0.0, 0.5])])
+def test_array_model_with_a_short_array_is_refused(array_model, x):
     # The binding reads the arrays through bare pointers: _run_highs checks
-    # every length against the sizes before HiGHS sees them.
-    model = array_lp()
+    # every length against the sizes before HiGHS sees them, the starts
+    # against the rows or the columns as the format says.
+    model = array_model()
     res = lp._run_highs(tuple(model), lp._OPTIONS)
-    assert res.x.tolist() == [0.25]
+    assert res.x.tolist() == x
     for k in range(6, len(model)):
         short = list(model)
         short[k] = model[k][:-1]
         with pytest.raises(InternalError, match="sizes"):
             lp._run_highs(tuple(short), lp._OPTIONS)
+    other_format = list(model)
+    other_format[3] = lp._COLWISE + lp._ROWWISE - model[3]
+    if model[0] != model[1]:
+        with pytest.raises(InternalError, match="sizes"):
+            lp._run_highs(tuple(other_format), lp._OPTIONS)
 
 
 @pytest.mark.parametrize("entry, lower, upper, named", [
@@ -544,21 +559,24 @@ def test_array_model_with_a_short_array_is_refused():
     (2.0, -np.inf, -1e21, "every right-hand side must be below 1e+20"),
 ])
 def test_refused_model_names_its_cause(entry, lower, upper, named):
-    # HiGHS refuses a matrix entry of 1e15 or more, and a row bound that it
-    # reads as infinite on the wrong side: the input error says which, for
-    # the array model and for a HighsLp alike.
-    as_lists = lp._highs_model(_highs.MatrixFormat.kColwise, [-1.0], [0.0],
-                               [1.0], [lower], [upper], [0, 1], [0], [entry])
-    for model in (tuple(array_lp(entry, lower, upper)), as_lists):
+    # HiGHS refuses a matrix entry of 1e15 or more, and _run_highs a finite
+    # bound of 1e20 or more: the input error says which.
+    with pytest.raises(InvalidInputError, match=re.escape(named)):
+        lp._run_highs(tuple(array_lp(entry, lower, upper)), lp._OPTIONS)
+
+
+def test_finite_bound_past_the_infinite_bound_is_refused():
+    # HiGHS would take each of these as no bound, or refuse the model, and
+    # solve x <= 1e21 / 2 to x = 1 without a word: every finite row or
+    # column bound of 1e20 or more in magnitude is refused instead.
+    named = "every right-hand side must be below 1e+20"
+    for bounds in ({"upper": 1e21}, {"upper": 1e20}, {"lower": -1e21},
+                   {"col_upper": 1e20}, {"col_lower": -1e21}):
         with pytest.raises(InvalidInputError, match=re.escape(named)):
-            lp._run_highs(model, lp._OPTIONS)
-
-
-def test_upper_row_bound_past_the_infinite_bound_is_no_bound():
-    # Why the refusal message checks the side: HiGHS takes such an upper
-    # bound as +inf and solves.
-    res = lp._run_highs(tuple(array_lp(upper=1e21)), lp._OPTIONS)
-    assert res.status == "optimal" and res.x.tolist() == [1.0]
+            lp._run_highs(tuple(array_lp(**bounds)), lp._OPTIONS)
+    res = lp._run_highs(tuple(array_lp(upper=1e19, col_upper=np.inf)),
+                        lp._OPTIONS)
+    assert res.status == "optimal" and res.x.tolist() == [5e18]
 
 
 def random_lp(rng, num_ub: int, num_eq: int, n: int = 5):
@@ -615,7 +633,7 @@ class FakeSolver:
     def passOptions(self, options):
         pass
 
-    def passModel(self, model):
+    def passModel(self, *model):
         return _highs.HighsStatus.kOk
 
     def run(self):
@@ -671,9 +689,11 @@ def plan_highs_calls(monkeypatch, n: int) -> list:
     crit = random_criticals(rng, n, 3)
     calls, run = [], lp._run_highs
 
-    def record(*args):
-        calls.append(args)
-        return run(*args)
+    def record(model, *args):
+        # A later solve of the same LpModel writes into the arrays sent.
+        calls.append((tuple(part.copy() if isinstance(part, np.ndarray)
+                            else part for part in model), *args))
+        return run(model, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_run_highs", record)
@@ -752,6 +772,49 @@ def test_shared_solver_ends_where_a_fresh_one_does(monkeypatch, n):
                        lambda: lp._run_highs(*warm)):
             before()
             assert solved(lp._run_highs(*call)) == want
+
+
+class CountingSolver:
+    """The real HiGHS object, counting the options passed and the runs."""
+
+    def __init__(self, solver):
+        self.solver, self.passed, self.runs = solver, [], 0
+
+    def passOptions(self, options):
+        self.passed.append(options)
+        return self.solver.passOptions(options)
+
+    def run(self):
+        self.runs += 1
+        return self.solver.run()
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+
+def test_options_are_passed_when_they_or_the_solver_change(monkeypatch):
+    # HiGHS keeps its options from model to model: the subproblems of an
+    # ldm_round all run on one passOptions, a change of family passes
+    # options again, and so does the real solver once a stand-in is gone.
+    from couder.round import ldm_round
+    from helpers import make_fabric, random_fractional
+    counting = CountingSolver(lp._solver)
+    monkeypatch.setattr(lp, "_solver", counting)
+    phys = make_fabric(4, 2, 2)
+    ldm_round(phys, random_fractional(np.random.default_rng(5), phys),
+              tau_max=3)
+    ldm = lp._FAMILY_OPTIONS["ldm-subproblem"]
+    visits = counting.runs
+    assert visits > 1 and counting.passed == [ldm]
+    assert lp.solve(pattern_model()[0]).optimal
+    assert counting.passed == [ldm, lp._OPTIONS]
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_solver",
+                      FakeSolver(_highs.HighsModelStatus.kOptimal))
+        lp._run_highs(tuple(array_lp()), lp._OPTIONS)
+    res = lp._run_highs(tuple(array_lp()), lp._OPTIONS)
+    assert counting.passed == [ldm, lp._OPTIONS, lp._OPTIONS]
+    assert counting.runs == visits + 2 and res.x.tolist() == [0.25]
 
 
 def record_highs(monkeypatch) -> list:
@@ -863,14 +926,16 @@ def test_set_rhs_of_another_length_or_block_rejected(block, rhs):
 def test_set_rhs_patches_the_assembled_rows_in_place():
     m, blocks = mixed_model(MIXED_RHS)
     lp.solve(m)
-    assembled = m._rows()
+    assembled = m._assembly().groups
     for block, rhs in zip(blocks, NEW_RHS):
         m.set_rhs(block, rhs)
-    ub, eq = m._rows()
+    ub, eq = m._assembly().groups
     # The same pattern, not a new assembly; >= rows negated into <=.
     assert ub.matrix is assembled[0].matrix and eq is assembled[1]
     assert ub.rhs.tolist() == [6.0, 2.5, -0.5, -1.0, -1.5]
     assert eq.rhs.tolist() == [1.0]
+    # HiGHS takes an equality row's right-hand side as its lower bound too.
+    assert m._assembly().bounds[0].tolist() == [-np.inf] * 5 + [1.0]
     assert_same_model(m, mixed_model(NEW_RHS)[0])
 
 

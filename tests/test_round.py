@@ -203,7 +203,7 @@ class TestPairVectorLoop:
         # The pair-vector loop keeps running totals and hands HiGHS each
         # subproblem as arrays sliced from per-round buffers; the matrix
         # loop in helpers re-sums every switch after each visit and goes
-        # through scipy.sparse and a HighsLp.  With the same subproblem
+        # through scipy.sparse and colwise_highs_lp.  With the same subproblem
         # options both must walk the same iterates.  Seeds 40-42 round as
         # the benchmark's round-saturated workload does: d* at 95 % of every
         # degree of an evenly striped 8-pod fabric with 4 switches, where
@@ -234,8 +234,8 @@ class TestPairVectorLoop:
 
     def test_highs_holds_the_reference_subproblem(self, monkeypatch):
         # The subproblem model handed over as arrays is, once HiGHS holds
-        # it, the one built over n x n matrices through scipy.sparse as a
-        # HighsLp, and both solve under the LDM subproblem's family options.
+        # it, the one built over n x n matrices through scipy.sparse, and
+        # both solve under the LDM subproblem's family options.
         sent = []
         run = lp._run_highs
 
