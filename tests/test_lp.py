@@ -532,25 +532,23 @@ def rowwise_lp() -> list:
             np.array([2.0, 1.0]), np.zeros(2, dtype=i32)]
 
 
-@pytest.mark.parametrize("array_model, x", [(array_lp, [0.25]),
-                                            (rowwise_lp, [0.0, 0.5])])
-def test_array_model_with_a_short_array_is_refused(array_model, x):
+def test_array_model_with_a_short_array_is_refused():
     # The binding reads the arrays through bare pointers: _run_highs checks
     # every length against the sizes before HiGHS sees them, the starts
     # against the rows or the columns as the format says.
-    model = array_model()
-    res = lp._run_highs(tuple(model), lp._OPTIONS)
-    assert res.x.tolist() == x
-    for k in range(6, len(model)):
-        short = list(model)
-        short[k] = model[k][:-1]
-        with pytest.raises(InternalError, match="sizes"):
-            lp._run_highs(tuple(short), lp._OPTIONS)
-    other_format = list(model)
-    other_format[3] = lp._COLWISE + lp._ROWWISE - model[3]
-    if model[0] != model[1]:
-        with pytest.raises(InternalError, match="sizes"):
-            lp._run_highs(tuple(other_format), lp._OPTIONS)
+    for model, x in ((array_lp(), [0.25]), (rowwise_lp(), [0.0, 0.5])):
+        res = lp._run_highs(tuple(model), lp._OPTIONS)
+        assert res.x.tolist() == x
+        for k in range(6, len(model)):
+            short = list(model)
+            short[k] = model[k][:-1]
+            with pytest.raises(InternalError, match="sizes"):
+                lp._run_highs(tuple(short), lp._OPTIONS)
+        other_format = list(model)
+        other_format[3] = lp._COLWISE + lp._ROWWISE - model[3]
+        if model[0] != model[1]:
+            with pytest.raises(InternalError, match="sizes"):
+                lp._run_highs(tuple(other_format), lp._OPTIONS)
 
 
 @pytest.mark.parametrize("entry, lower, upper, named", [
