@@ -104,7 +104,8 @@ def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
     load = omega.loads(t.demand[None])[0]
     with np.errstate(over="ignore"):  # past the float range is inf
         util = np.divide(load, cap, out=np.zeros_like(load), where=cap > 0)
-    dead = ((cap <= 0) & (load > 1e-12)).any()
+    # A path of weight 0 adds an exact 0, so any load is demand routed.
+    dead = ((cap <= 0) & (load > 0)).any()
     mlu = math.inf if dead else float(util.max(initial=0.0))
 
     total = t.total

@@ -190,13 +190,11 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     slices of ``buffers`` (``_Buffers`` of this LP's size when None).
     HiGHS runs the simplex solver, presolve off and feasibility
     tolerances of 1e-10; the solve is cold, and only the vertex is read
-    back.
+    back.  ``_run_highs`` refuses non-finite data as InternalError.
     """
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
     limits = np.asarray(limits, dtype=float)
-    if not np.isfinite(np.concatenate([cost, value, limits])).all():
-        raise InternalError("LP data is not finite")
     units, rows = len(cost), len(limits)
     if buffers is None:
         buffers = _Buffers(units, rows)

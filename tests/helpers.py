@@ -394,7 +394,7 @@ def loop_evaluate_static(cap: np.ndarray, weights: dict, t: np.ndarray
     util = np.zeros_like(load)
     live = cap > 0
     util[live] = load[live] / cap[live]
-    if ((~live) & (load > 1e-12)).any():
+    if ((~live) & (load > 0)).any():
         mlu = math.inf
     else:
         mlu = float(util.max(initial=0.0))
@@ -632,24 +632,24 @@ def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet):
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
-    """The same columns, bounds, objective and rows, bit for bit: each
-    relation group's row pattern with its fixed and scaled values, as
-    ``lp.solve`` hands them to HiGHS."""
+    """The same columns, bounds, objective and rows, bit for bit: the
+    row pattern with its values and its scaled values, and the row bounds,
+    as ``lp.solve`` hands them to HiGHS."""
     assert model.num_variables == ref.num_variables
     assert model._lb.tobytes() == ref._lb.tobytes()
     assert model._ub.tobytes() == ref._ub.tobytes()
     assert model._sense == ref._sense and model.scale == ref.scale
     assert objective(model).tobytes() == objective(ref).tobytes()
-    for got, want in zip(model._assembly().groups, ref._assembly().groups):
-        assert (got is None) == (want is None)
-        if got is None:
-            continue
-        assert got.matrix.shape == want.matrix.shape
-        for a, b in ((got.matrix, want.matrix), (got.scaled, want.scaled)):
-            assert (a is None) == (b is None)
-            for name in ("indptr", "indices", "data") if a is not None else ():
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert got.rhs.tobytes() == want.rhs.tobytes()
+    got, want = model._assembly(), ref._assembly()
+    assert got.num_ub == want.num_ub
+    assert got.matrix.shape == want.matrix.shape
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(got.matrix, name).tobytes()
+                == getattr(want.matrix, name).tobytes())
+    assert (got.scaled is None) == (want.scaled is None)
+    if got.scaled is not None:
+        assert got.scaled.data.tobytes() == want.scaled.data.tobytes()
+    assert got.bounds.tobytes() == want.bounds.tobytes()
 
 
 def objective(model: lp.LpModel) -> np.ndarray:

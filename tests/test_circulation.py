@@ -36,6 +36,13 @@ def random_network(rng, pods=3, num_units=8, max_limit=2):
 
 
 class TestSolveCirculation:
+    @pytest.mark.parametrize("cost, limit", [(np.nan, 1.0), (np.inf, 1.0),
+                                             (1.0, np.inf)])
+    def test_non_finite_data_is_internal_error(self, cost, limit):
+        with pytest.raises(InternalError, match="not finite"):
+            solve_circulation(np.array([cost, 1.0]),
+                              csc_arrays(np.ones((1, 2))), np.array([limit]))
+
     def test_unsatisfiable_lower_bound_infeasible(self):
         # A fixed lower part above the ports leaves a negative limit.
         with pytest.raises(InternalError):

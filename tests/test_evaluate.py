@@ -78,6 +78,22 @@ class TestEvaluateStatic:
         assert not rec.feasible
         assert math.isinf(rec.mlu)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-11, 1e-13, 1e-200])
+    def test_dead_link_flagged_in_any_unit(self, s):
+        # Demand s on a pair without links is infeasible however small s
+        # is, in units where the pair with links is exactly full.
+        X = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
+        X[0, 2] = 0
+        topo = IntegerTopology(X[None])
+        t = np.zeros((3, 3))
+        t[0, 1] = t[0, 2] = s
+        rec = evaluate_static(topo, direct_only_weights(topo),
+                              TrafficMatrix(t), s)
+        assert math.isinf(rec.mlu)
+        t[0, 2] = 0.0
+        assert evaluate_static(topo, direct_only_weights(topo),
+                               TrafficMatrix(t), s).mlu == 1.0
+
     def test_mlu_reciprocal_of_recomputed_throughput(self):
         phys = make_fabric(3, 1, 2)
         t = np.zeros((3, 3))

@@ -1,4 +1,5 @@
 import importlib.metadata
+import math
 import os
 import re
 import subprocess
@@ -623,10 +624,11 @@ def test_solve_matches_linprog():
 
 
 class FakeSolver:
-    """Stands in for HiGHS and ends every solve with one model status."""
+    """Stands in for HiGHS and ends every solve with one model status, on
+    the vertex ``x`` with the objective value ``objective``."""
 
-    def __init__(self, status):
-        self.status = status
+    def __init__(self, status, x=(0.0,), objective=0.0):
+        self.status, self.x, self.objective = status, list(x), objective
 
     def passOptions(self, options):
         pass
@@ -646,10 +648,10 @@ class FakeSolver:
     def getInfo(self):
         return SimpleNamespace(simplex_iteration_count=3,
                                ipm_iteration_count=0,
-                               objective_function_value=0.0)
+                               objective_function_value=self.objective)
 
     def getSolution(self):
-        return SimpleNamespace(col_value=[0.0], row_dual=[])
+        return SimpleNamespace(col_value=self.x, row_dual=[0.0] * 3)
 
     def getBasis(self):
         return None
@@ -669,6 +671,49 @@ def test_model_status_maps_as_linprog_did(monkeypatch, status):
         res = lp._run_highs(model, lp._OPTIONS)
         assert res.status == {0: "optimal", 2: "infeasible",
                               3: "unbounded"}[code]
+
+
+# ``vertex_model``: x0 <= 0.5, x1 == 0.5, x2 >= 0.5 and 0 <= x <= 1, all
+# met at VERTEX.
+VERTEX = np.array([0.5, 0.5, 1.0])
+
+
+def vertex_model() -> lp.LpModel:
+    m = lp.LpModel()
+    x = m.add_vars(3, 0.0, 1.0)
+    for k, relation in enumerate((lp.LE, lp.EQ, lp.GE)):
+        m.add_rows([0], [x[k]], [1.0], relation, [0.5])
+    m.set_objective("min", x, [1.0, 1.0, 1.0])
+    return m
+
+
+@pytest.mark.parametrize("miss, objective", [
+    ((1e-3, 0.0, 0.0), 0.0),  # the <= row
+    ((0.0, -1e-3, 0.0), 0.0),  # the == row, from below
+    ((0.0, 0.0, 1e-3), 0.0),  # x2's upper bound
+    ((0.0, 0.0, -0.501), 0.0),  # the >= row
+    ((0.0, 0.0, 0.0), math.inf),
+    ((0.0, 0.0, 0.0), math.nan),
+])
+def test_vertex_outside_the_feasible_set_is_refused(monkeypatch, miss,
+                                                    objective):
+    # HiGHS reports optimal on a vertex that misses a row or a bound by
+    # 1e-3, or with an objective that is not finite: the solve refuses it.
+    monkeypatch.setattr(lp, "_solver", FakeSolver(
+        _highs.HighsModelStatus.kOptimal, VERTEX + miss, objective))
+    with pytest.raises(SolverLimitError, match="outside the feasible set"):
+        lp.solve(vertex_model())
+
+
+def test_vertex_within_the_residual_is_kept(monkeypatch):
+    # A miss of 1e-5 is within the residual sqrt(1e-9) * 10 scipy's
+    # linprog allowed, on each row and bound.
+    x = VERTEX + [1e-5, -1e-5, 1e-5]
+    monkeypatch.setattr(lp, "_solver", FakeSolver(
+        _highs.HighsModelStatus.kOptimal, x, 2.0))
+    sol = lp.solve(vertex_model())
+    assert sol.optimal and sol.x.tolist() == x.tolist()
+    assert sol.objective_value == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -924,16 +969,14 @@ def test_set_rhs_of_another_length_or_block_rejected(block, rhs):
 def test_set_rhs_patches_the_assembled_rows_in_place():
     m, blocks = mixed_model(MIXED_RHS)
     lp.solve(m)
-    assembled = m._assembly().groups
+    assembled = m._assembly()
     for block, rhs in zip(blocks, NEW_RHS):
         m.set_rhs(block, rhs)
-    ub, eq = m._assembly().groups
-    # The same pattern, not a new assembly; >= rows negated into <=.
-    assert ub.matrix is assembled[0].matrix and eq is assembled[1]
-    assert ub.rhs.tolist() == [6.0, 2.5, -0.5, -1.0, -1.5]
-    assert eq.rhs.tolist() == [1.0]
+    # The same assembly, patched; >= rows negated into <=.
+    assert m._assembly() is assembled and assembled.num_ub == 5
+    assert assembled.bounds[1].tolist() == [6.0, 2.5, -0.5, -1.0, -1.5, 1.0]
     # HiGHS takes an equality row's right-hand side as its lower bound too.
-    assert m._assembly().bounds[0].tolist() == [-np.inf] * 5 + [1.0]
+    assert assembled.bounds[0].tolist() == [-np.inf] * 5 + [1.0]
     assert_same_model(m, mixed_model(NEW_RHS)[0])
 
 
@@ -970,6 +1013,14 @@ def test_non_finite_entry_is_internal_error(where, value):
     m.scale = {"scaled": value, "scaled-term": 0.0}.get(where, 1.0)
     with pytest.raises(InternalError):
         lp.solve(m)
+
+
+@pytest.mark.parametrize("bound", ["col_lower", "col_upper", "lower"])
+def test_nan_bound_is_internal_error(bound):
+    # A NaN bound is refused even where the other bound of its row or
+    # column is finite.
+    with pytest.raises(InternalError, match="not finite"):
+        lp._run_highs(tuple(array_lp(**{bound: np.nan})), lp._OPTIONS)
 
 
 @pytest.mark.parametrize("seed", range(6))
