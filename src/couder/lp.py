@@ -189,14 +189,6 @@ class _Csr:
         """The row of each entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    def rows(self, lo: int, hi: int) -> _Csr:
-        """Rows ``lo`` to ``hi`` - 1, with data and indices that are views
-        of these."""
-        span = slice(self.indptr[lo], self.indptr[hi])
-        return _Csr(self.data[span], self.indices[span],
-                    self.indptr[lo:hi + 1] - self.indptr[lo],
-                    (hi - lo, self.shape[1]))
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with the vector ``x``.  Each row sums its entries'
         products from 0.0 in row order, as scipy's ``csr_matvec`` does, so
@@ -615,10 +607,11 @@ def linprog(c, A_ub=None, A_eq=None, *, highs_lp, options=_OPTIONS,
             basis=None) -> LpSolution:
     """``_run_highs(highs_lp, options, basis)``: the one call into HiGHS
     for an ``LpModel``, kept as the seam ``perfbench``'s tracer wraps.
-    ``c`` is the cost, and ``A_ub`` and ``A_eq`` the inequality and the
-    equality rows of ``highs_lp`` as ``_Csr`` views.  Nothing here reads
-    them: they exist for the tracer, which counts their rows and entries,
-    until it reads spans instead (ROADMAP item 1(b))."""
+    ``c`` is the cost, and ``A_ub`` every row of ``highs_lp``, the
+    equality rows included, as one ``_Csr``; ``A_eq`` is left None.
+    Nothing here reads them: they exist for the tracer, which adds up the
+    rows and entries of both, until it reads spans instead (ROADMAP item
+    1(b))."""
     return _run_highs(highs_lp, options, basis)
 
 
@@ -649,8 +642,7 @@ def solve(model: LpModel) -> LpSolution:
             sum(len(blk.rhs) for blk in model._blocks)))
     asm = model._assembly()
     A, n = asm.matrix, model.num_variables
-    res = linprog(asm.cost, A_ub=A.rows(0, asm.num_ub),
-                  A_eq=A.rows(asm.num_ub, A.shape[0]),
+    res = linprog(asm.cost, A_ub=A,
                   options=_FAMILY_OPTIONS.get(model.name, _OPTIONS),
                   basis=model._basis,
                   highs_lp=(n, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,

@@ -223,6 +223,10 @@ class IntegerTopology:
         x = _counts(x, "x entries")
         if (x < 0).any():
             raise InvalidInputError("x entries must be nonnegative")
+        if np.diagonal(x, axis1=1, axis2=2).any():
+            # A circuit from a pod to itself would spend two ports on nothing.
+            raise InvalidInputError("x diagonal must be zero: no circuit"
+                                    " from a pod to itself")
         object.__setattr__(self, "x", _freeze(x))
 
     @property

@@ -39,7 +39,7 @@ says of the min-MLU LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -390,26 +390,27 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS has
     called stage 3 infeasible exactly there, so stage 3 gets that slack.
     With link counts fixed by ``_fixed`` the caps are linear in beta, one
-    LP minimizes it exactly, and mu is mu*.
+    LP minimizes it exactly, and mu is the mu* given, not mu_hat converted
+    back an ulp off, so stage 3 gets the very mu stage 1 found.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
-    mu_star = builder.unitless(mu_star)[0]
+    mu_hat = builder.unitless(mu_star)[0]
     if _fixed is None:
         model = _throughput_model(builder, "desensitize")
         builder.add_sensitivity_constraints(model)
-        beta, F, best = _newton_beta(builder, model, mu_star)
+        beta, F, best = _newton_beta(builder, model, mu_hat)
         return builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
                                 normalize=F)
     model = builder.new_model("desensitize", 1.0)
     builder.add_split_constraints(model)
-    builder.add_load_constraints(model, mu_star)
+    builder.add_load_constraints(model, mu_hat)
     builder.add_sensitivity_constraints(model)
     model.set_objective("min", [builder.stage_col], [1.0])
     best = lp.solve(model)
     beta = float(best.x[builder.stage_col]) if best.optimal else math.inf
     if beta > BETA_CAP:
         raise InternalError("no feasible sensitivity bound below cap")
-    return builder.solution(best.x, mu_star, beta)
+    return replace(builder.solution(best.x, mu_hat, beta), mu=mu_star)
 
 
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
@@ -441,13 +442,21 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     return builder.solution(sol.x, mu_star, beta)
 
 
+def _stages(phys: PhysicalTopology, crit: CriticalSet, desensitized: bool,
+            fixed: Optional[np.ndarray] = None) -> FractionalSolution:
+    """Stage 1 -> 2 -> 3, each stage on the mu (and beta) the one before
+    found; stage 2 is skipped when not desensitized.  ``fixed`` freezes
+    the link counts of all three."""
+    step = solve_maxmin_throughput(phys, crit, _fixed=fixed)
+    if desensitized:
+        step = desensitize(phys, crit, step.mu, _fixed=fixed)
+    return minimize_ahc(phys, crit, step.mu, step.beta, _fixed=fixed)
+
+
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,
                  desensitized: bool = True) -> FractionalSolution:
     """Full stage 1 -> 2 -> 3 run; stage 2 is skipped when not desensitized."""
-    step = solve_maxmin_throughput(phys, crit)
-    if desensitized:
-        step = desensitize(phys, crit, step.mu)
-    return minimize_ahc(phys, crit, step.mu, step.beta)
+    return _stages(phys, crit, desensitized)
 
 
 def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
@@ -459,10 +468,4 @@ def recompute_routing(phys: PhysicalTopology, topo: IntegerTopology,
     """
     if validate(phys, topo):
         raise InvalidInputError("integer topology violates port budgets")
-    fixed = topo.X.astype(float)
-    mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
-    beta = None
-    if desensitized:
-        beta = desensitize(phys, crit, mu, _fixed=fixed).beta
-    return minimize_ahc(phys, crit, mu, beta, _fixed=fixed)
-
+    return _stages(phys, crit, desensitized, topo.X.astype(float))

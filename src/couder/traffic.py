@@ -14,36 +14,12 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidInputError
-from .model import TOL, TmSequence, TrafficMatrix, demand_scale
+from .model import TOL, TmSequence, TrafficMatrix, _tables, demand_scale
 
 
-@dataclass(frozen=True)
-class CriticalSet:
-    """K critical matrices, each a per-cluster component-wise maximum."""
-
-    matrices: tuple  # K TrafficMatrix
-
-    def __post_init__(self):
-        mats = tuple(self.matrices)
-        if not mats:
-            raise InvalidInputError("critical set must contain at least one matrix")
-        n = mats[0].num_pods
-        if any(t.num_pods != n for t in mats):
-            raise InvalidInputError("critical matrices must share the pod count")
-        object.__setattr__(self, "matrices", mats)
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    @property
-    def num_pods(self) -> int:
-        return self.matrices[0].num_pods
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([t.demand for t in self.matrices])
+#: K critical matrices, each a per-cluster component-wise maximum: a
+#: ``TmSequence`` without timestamps.
+CriticalSet = TmSequence
 
 
 @dataclass(frozen=True)
@@ -130,10 +106,10 @@ def _bounded_lp(stack: bytes, shape: tuple) -> tuple:
     # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has the
     # shortfall row t - sum(lambda T) <= s, read as
     # -sum(lambda T) - s <= -t, all over sigma.
-    off = ~np.eye(n, dtype=bool)
+    t = _tables(n)
     crit = np.frombuffer(stack).reshape(shape)
     sigma = demand_scale(crit)
-    crit = crit[:, off] / sigma  # (K, pairs)
+    crit = crit[:, t.pair_src, t.pair_dst] / sigma  # (K, pairs)
     rows = 1 + np.arange(crit.shape[1])
     block = model.add_rows(
         np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
@@ -166,9 +142,9 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
         raise InvalidInputError("pod count mismatch")
     stack = crit.stacked()
     model, block, lams, sigma = _bounded_lp(stack.tobytes(), stack.shape)
-    off = ~np.eye(t.num_pods, dtype=bool)
+    tab = _tables(t.num_pods)
     with np.errstate(over="ignore"):  # past the float range is refused
-        demand = t.demand[off] / sigma
+        demand = t.demand[tab.pair_src, tab.pair_dst] / sigma
     if not np.isfinite(demand).all():
         raise InvalidInputError("the matrix over the criticals' scale is"
                                 " past the float range")

@@ -188,6 +188,17 @@ class TestIntegerTopology:
         x[0, 0, 1] = 2.0 + 1e-9
         assert IntegerTopology(x).x.tolist() == [[[0, 2], [0, 0]]]
 
+    @pytest.mark.parametrize("switch", [0, 1])
+    def test_circuit_from_a_pod_to_itself_rejected(self, switch):
+        # Pod 1 has spare ports on both switches, so only the diagonal is
+        # wrong here.
+        phys = PhysicalTopology(3, 2, np.full((2, 3), 2), np.full((2, 3), 2))
+        x = np.zeros((2, 3, 3), dtype=int)
+        x[:, 0, 2] = 1
+        x[switch, 1, 1] = 1
+        with pytest.raises(InvalidInputError, match="diagonal"):
+            validate(phys, IntegerTopology(x))
+
 
 class TestTrafficMatrix:
     def test_self_demand_rejected(self):

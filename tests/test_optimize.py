@@ -10,13 +10,13 @@ from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
 from couder.round import greedy_round, ldm_round
-from couder.evaluate import evaluate_static, sensitivity_map
+from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, hetero_fabric,
                      loop_stage_model, make_fabric,
                      random_criticals, random_fabric, random_fractional,
-                     record_highs_models)
+                     record_highs_models, sparse_tm)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -105,6 +105,24 @@ class TestMaxminThroughput:
             sums[(p.src, p.dst)] = sums.get((p.src, p.dst), 0.0) + w
         assert len(sums) == 20
         assert all(abs(s - 1.0) <= 1e-9 for s in sums.values())
+
+    @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_never_beats_the_hose_bound(self, fabric, sparse, k):
+        # One weight set serves every critical, so no critical gets more
+        # than its own optimum: mu* <= 1 / max_k ideal_toe_mlu(T_k).
+        rng = np.random.default_rng([k, sparse, fabric is hetero_fabric])
+        for _ in range(3):
+            n = int(rng.integers(3, 7))
+            phys = fabric(rng, n, 2, 1, 4, bandwidth=float(
+                rng.choice([0.7, 1.0, 3.0])))
+            crit = (CriticalSet(tuple(sparse_tm(rng, n, 0.3)
+                                      for _ in range(k))) if sparse
+                    else random_criticals(rng, n, k))
+            hose = max(ideal_toe_mlu(phys, t) for t in crit)
+            mu = solve_maxmin_throughput(phys, crit).mu
+            assert mu <= (1.0 + 1e-9) / hose
 
 
 class TestDesensitize:
@@ -472,6 +490,27 @@ class TestRecomputeRouting:
         crit = CriticalSet((TrafficMatrix(t),))
         with pytest.raises(InfeasibleRoutingError):
             recompute_routing(phys, IntegerTopology(x), crit)
+
+    @pytest.mark.parametrize("bandwidth", [0.7, 3.0, 1e11, 2.5e-3])
+    def test_stages_hand_on_stage1_mu_bit_for_bit(self, bandwidth):
+        # Stages 2 and 3 run at the very mu stage 1 found: fixed-link
+        # desensitize hands it on unconverted, so re-routing gives the
+        # bits of the three fixed stages chained by hand.
+        rng = np.random.default_rng(31)
+        for fabric in (random_fabric, hetero_fabric) * 3:
+            n = int(rng.integers(3, 6))
+            phys = fabric(rng, n, 2, 1, 4, bandwidth=bandwidth)
+            crit = random_criticals(rng, n, int(rng.integers(1, 4)))
+            topo = ldm_round(phys, run_pipeline(phys, crit).d, 20).topo
+            fixed = topo.X.astype(float)
+            mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
+            stage2 = desensitize(phys, crit, mu, _fixed=fixed)
+            assert stage2.mu == mu
+            want = minimize_ahc(phys, crit, mu, stage2.beta, _fixed=fixed)
+            got = recompute_routing(phys, topo, crit)
+            assert (got.mu, got.beta) == (want.mu, want.beta)
+            assert np.array_equal(got.omega.omega, want.omega.omega)
+            assert np.array_equal(got.d.d, want.d.d)
 
     def test_infeasible_when_budget_violated(self):
         phys = make_fabric(2, 1, 1)
