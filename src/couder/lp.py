@@ -40,11 +40,24 @@ tests keep that construction as their oracle.
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
 per-switch subproblem, which it hands ``_run_highs`` column-wise and
-reads only the vertex of.  Every family runs dual simplex with output
-off.  Presolve is on, as scipy's ``linprog(method="highs")`` set it,
-except in three families, where it was measured to cost more than it
-saves (HiGHS time per LP, N = 8, on a shared 2-vCPU Xeon; perfbench
-seed 2):
+reads only the vertex of.  Every family but one runs dual simplex with
+output off.  "minimize-ahc-warm", stage 3 re-solved on the model of the
+stage before it (see the optimize module), runs primal simplex: it starts
+from that stage's optimal basis, which stays primal feasible when only
+the objective changes, and not dual feasible.  On the four days of
+perfbench plan-mix seed 1 (N = 8; best of 7 on a shared 2-vCPU Xeon) it
+took 539, 580, 704 and 7 iterations and 29, 31, 31 and 4 ms, against
+901-1,210 iterations and 43-52 ms for the cold dual simplex solve of the
+model built afresh; dual simplex from the same basis took 806-938
+iterations and 40-85 ms.  Its primal feasibility tolerance is 1e-8: its
+weights are mu times the routing fractions, so at HiGHS's default of
+1e-7 a path weight passed its cap by up to 5.3e-7 of a fraction where
+mu < 1 (200 random fabrics), against 1e-7 for the cold solve; at 1e-8
+it passed by 5.3e-8, at no measured cost.
+
+Presolve is on, as scipy's ``linprog(method="highs")`` set it, except in
+three families, where it was measured to cost more than it saves (HiGHS
+time per LP, N = 8, on a shared 2-vCPU Xeon; perfbench seed 2):
 
 - "fixed-throughput", stage 1 with link counts fixed: recompute's first
   LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of 5 and
@@ -68,23 +81,29 @@ The stages with free link counts hand their vertex on to rounding, and
 keep presolve on.
 
 A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
-optimal basis of its last solve and hands it to the next one when only
-``scale`` changed in between; HiGHS then starts from that vertex and
-skips presolve.  A model may also own a start basis, which ``set_start``
-names by basic columns and basic ``add_rows`` blocks, and which ``lp``
-maps to HiGHS's row order.  ``set_rhs`` replaces one block's right-hand
-side on a built model, in place on its assembled rows, and restores the
-start basis, or leaves the next solve cold without one; any new column,
-row or objective drops both bases.  A model re-solved for many
-right-hand sides is thus built and assembled once, and each such solve
-starts from the same point, so its result depends only on the model,
-not on the order of the solves before it.  ``evaluate``'s min-MLU LP
-starts from its direct-routing basis, which is dual feasible for every
-right-hand side.  Over the 48 held-out matrices of perfbench's replay
-seed 1 on its mesh (best of 5 runs, same machine), the kept assembly
-and that start basis together took the LP from 97.9 to 27.0 dual simplex
-iterations and from 1.35 to 0.84 ms per solve; each MLU stayed within
-3.6e-16 relative of the cold solve's.
+optimal basis of its last solve, or the one ``set_basis`` gives, and
+hands it to the next solve; HiGHS then starts from that vertex and skips
+presolve.  Edits carry it over: a change of ``scale``, an objective from
+``set_objective`` and column bounds from ``set_bounds`` keep every
+status, a nonbasic column moved to a finite new bound; a column from
+``add_vars`` enters nonbasic at a finite bound, and the rows of an
+``add_rows`` block enter basic, at their place in HiGHS's row order.
+The old basis object, which a solution may hold, is never changed.  A
+model may also own a start basis, which ``set_start`` names by basic
+columns and basic ``add_rows`` blocks, and which ``lp`` maps to HiGHS's
+row order.  ``set_rhs`` replaces one block's right-hand side on a built
+model, in place on its assembled rows, and restores the start basis, or
+leaves the next solve cold without one; ``add_vars``, ``add_rows``,
+``set_bounds`` and ``set_objective`` drop the start basis.  A model
+re-solved for many right-hand sides is thus built and assembled once,
+and each such solve starts from the same point, so its result depends
+only on the model, not on the order of the solves before it.
+``evaluate``'s min-MLU LP starts from its direct-routing basis, which is
+dual feasible for every right-hand side.  Over the 48 held-out matrices
+of perfbench's replay seed 1 on its mesh (best of 5 runs, same machine),
+the kept assembly and that start basis together took the LP from 97.9
+to 27.0 dual simplex iterations and from 1.35 to 0.84 ms per solve; each
+MLU stayed within 3.6e-16 relative of the cold solve's.
 
 Each ``couder`` command runs in a fresh interpreter, so import time is
 paid once per planning step.  ``import scipy.optimize._highspy._core``
@@ -153,6 +172,7 @@ def _load_highs():
 _highs = _load_highs()
 #: The HiGHS object every solve runs on; see the module docstring.
 _solver = _highs._Highs()
+_BASIC = _highs.HighsBasisStatus.kBasic
 
 #: The residual scipy's ``linprog`` allowed an optimal vertex.
 _RESIDUAL_TOL = math.sqrt(1e-9) * 10
@@ -249,16 +269,45 @@ class LpModel:
         """Declare ``count`` columns, bounds broadcast from ``lb`` and
         ``ub`` (None is unbounded); returns their column indices."""
         start = len(self._lb)
-        lbs, ubs = (np.broadcast_to(np.asarray(default if bound is None
-                                               else bound, dtype=float),
-                                    count)
-                    for bound, default in ((lb, -np.inf), (ub, np.inf)))
-        if (lbs > ubs).any():
-            raise InvalidInputError("variable has lb > ub")
+        lbs, ubs = _bounds(count, lb, ub)
         self._lb = np.concatenate([self._lb, lbs])
         self._ub = np.concatenate([self._ub, ubs])
-        self._assembled = self._start = self._basis = None
+        self._assembled = self._start = None
+        if self._basis is not None:
+            self._rebase(self._basis.col_status + _nonbasic(lbs, ubs),
+                         self._basis.row_status)
         return np.arange(start, start + count)
+
+    def set_bounds(self, cols, lb=0.0, ub=None):
+        """Give the columns ``cols`` the bounds ``lb`` and ``ub``, broadcast
+        as ``add_vars`` takes them.  The kept basis stays: a basic column
+        stays basic, a nonbasic one moves to a finite new bound."""
+        cols = _indices(cols)
+        self._check_cols(cols)
+        lbs, ubs = _bounds(len(cols), lb, ub)
+        self._lb, self._ub = self._lb.copy(), self._ub.copy()
+        self._lb[cols], self._ub[cols] = lbs, ubs
+        self._start = None
+        if self._basis is not None:
+            status = self._basis.col_status
+            for col, moved in zip(cols.tolist(), _nonbasic(lbs, ubs)):
+                if status[col] != _BASIC:
+                    status[col] = moved
+            self._rebase(status, self._basis.row_status)
+
+    def set_basis(self, basis):
+        """Start the next solve from ``basis``, the ``LpSolution.basis`` of
+        an earlier solve of this model as it stands; edits carry it over
+        as they carry the kept basis."""
+        self._basis = basis
+
+    def _rebase(self, col_status: list, row_status: list):
+        """Keep a new basis of these statuses; the old object, which a
+        solution may hold, is not changed."""
+        basis = _highs.HighsBasis()
+        basis.col_status, basis.row_status = col_status, row_status
+        basis.valid, basis.alien = True, False
+        self._basis = basis
 
     def _check_cols(self, cols: np.ndarray):
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_variables):
@@ -287,7 +336,12 @@ class LpModel:
                 raise InvalidInputError("row index out of range")
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
-        self._assembled = self._start = self._basis = None
+        self._assembled = self._start = None
+        if self._basis is not None:
+            row_status = self._basis.row_status
+            first = self._first_row(len(self._blocks) - 1)
+            row_status[first:first] = [_BASIC] * len(rhs)
+            self._rebase(self._basis.col_status, row_status)
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
@@ -321,7 +375,8 @@ class LpModel:
         The caller vouches that the basis is nonsingular.  One that is dual
         feasible for every right-hand side makes each solve a dual simplex
         run from a fixed start, so its result still depends only on the
-        model.  ``add_vars``, ``add_rows`` and ``set_objective`` drop it."""
+        model.  ``add_vars``, ``add_rows``, ``set_bounds`` and
+        ``set_objective`` drop it."""
         cols = _indices(cols)
         self._check_cols(cols)
         basic_col = np.zeros(self.num_variables, dtype=bool)
@@ -338,15 +393,13 @@ class LpModel:
             raise InvalidInputError("a nonbasic column needs a finite lower"
                                     " bound")
         status = _highs.HighsBasisStatus
-        basis = _highs.HighsBasis()
-        basis.col_status = [status.kBasic if basic else status.kLower
-                            for basic in basic_col.tolist()]
         # HiGHS holds every row as <= or ==, so a nonbasic row is at its
         # upper bound.
-        basis.row_status = [status.kBasic if basic else status.kUpper
-                            for basic in basic_row.tolist()]
-        basis.valid, basis.alien = True, False
-        self._start = self._basis = basis
+        self._rebase([_BASIC if basic else status.kLower
+                      for basic in basic_col.tolist()],
+                     [_BASIC if basic else status.kUpper
+                      for basic in basic_row.tolist()])
+        self._start = self._basis
 
     def _first_row(self, block: int) -> int:
         """The first row of the block ``block`` in HiGHS's row order:
@@ -372,7 +425,7 @@ class LpModel:
         self._check_cols(cols)
         self._sense = sense
         self._objective = (cols, coefs)
-        self._assembled = self._start = self._basis = None
+        self._assembled = self._start = None
 
     def _assembly(self) -> _Assembly:
         """The model's ``_Assembly`` at the current ``scale``.  It is
@@ -405,6 +458,26 @@ def _indices(idx) -> np.ndarray:
 
 def _triplets(rows, cols, coefs) -> tuple:
     return _indices(rows), _indices(cols), np.asarray(coefs, dtype=float)
+
+
+def _bounds(count: int, lb, ub) -> tuple:
+    """(lower, upper) bounds of ``count`` columns, broadcast from ``lb`` and
+    ``ub``, None being unbounded."""
+    lbs, ubs = (np.broadcast_to(np.asarray(default if bound is None
+                                           else bound, dtype=float), count)
+                for bound, default in ((lb, -np.inf), (ub, np.inf)))
+    if (lbs > ubs).any():
+        raise InvalidInputError("variable has lb > ub")
+    return lbs, ubs
+
+
+def _nonbasic(lbs: np.ndarray, ubs: np.ndarray) -> list:
+    """The status of a nonbasic column with each pair of bounds: at the
+    lower bound when it is finite, else at the upper one, else at zero."""
+    status = _highs.HighsBasisStatus
+    return [status.kLower if lb > -np.inf else status.kUpper
+            if ub < np.inf else status.kZero
+            for lb, ub in zip(lbs.tolist(), ubs.tolist())]
 
 
 def _assemble(model: LpModel) -> _Assembly:
@@ -494,6 +567,8 @@ _FAMILY_OPTIONS = {
     "boundedness": _highs_options(presolve="off"),
     "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
                                      **_HIGHS_TIGHT),
+    "minimize-ahc-warm": _highs_options(simplex_strategy=4,  # primal
+                                        primal_feasibility_tolerance=1e-8),
 }
 
 

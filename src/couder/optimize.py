@@ -23,6 +23,21 @@ scaled weights wp = omega * mu, which linearizes every constraint.
 The same stages rerun with link counts frozen to an integer topology to
 recompute routing after rounding.
 
+With free link counts ``run_pipeline`` poses stage 3 on the model the
+stage before it solved, rather than building it afresh: stage 2's model,
+or stage 1's when not desensitized, with its mu column pinned at the mu*
+stage 3 is given (F' = F (1 - MU_SLACK) after stage 2), the caps at
+``scale`` = F' beta, and the column z with its K direct-traffic rows
+added.  With mu fixed at F', the substitution w = F' omega maps stage 3's
+LP in omega onto that one exactly: the split rows sum w to F', the load
+rows read F' T omega <= d, the caps w <= F' beta d, and z is F' times the
+least direct traffic.  Both LPs have the same optimum.  The start, the
+vertex stage 2 accepted scaled by (1 - MU_SLACK), or stage 1's optimum,
+is feasible by construction, and primal simplex re-solves from its
+basis, extended by z nonbasic at 0 and the new rows basic.  A standalone
+``minimize_ahc``, and every stage with fixed link counts, builds its
+model afresh and solves it cold.
+
 Every stage LP is unitless: the criticals over sigma, the largest power
 of two at or below their largest entry (``demand_scale``), capacity in
 links, and no row, cap or bound holding the link bandwidth b.  A plan's
@@ -39,7 +54,7 @@ says of the min-MLU LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -66,12 +81,18 @@ BETA_CAP = 1e6
 class FractionalSolution:
     """A plan: link counts d, one weight set, and the plan's throughput mu
     and sensitivity bound beta (None when not desensitized).  This type is
-    the one owner of mu and beta; ``omega`` holds only the split."""
+    the one owner of mu and beta; ``omega`` holds only the split.
+
+    ``_model`` is no part of the plan: stages 1 and 2 with free link counts
+    leave there the model they solved, at the basis they accepted, for
+    ``_stages`` to hand stage 3."""
 
     d: FractionalTopology
     omega: RoutingWeights
     mu: float
     beta: Optional[float] = None
+    _model: Optional[lp.LpModel] = field(default=None, repr=False,
+                                         compare=False)
 
 
 def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
@@ -302,7 +323,8 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     if not builder.demanded.any():
         raise UnboundedThroughputError("all critical matrices are zero")
     name = "maxmin-throughput" if _fixed is None else "fixed-throughput"
-    sol = lp.solve(_throughput_model(builder, name))
+    model = _throughput_model(builder, name)
+    sol = lp.solve(model)
     if sol.status == "unbounded":
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
@@ -310,7 +332,8 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed")
-    return builder.solution(sol.x, mu, normalize=mu)
+    return replace(builder.solution(sol.x, mu, normalize=mu),
+                   _model=model if _fixed is None else None)
 
 
 def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
@@ -330,7 +353,8 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     plateau F = mu*, so it becomes the upper end, kept once the bracket is
     narrower than ``BETA_TOL``.  After a Newton step overshoots, the next
     gamma probes hi (1 - ``BETA_TOL``): if F falls short there, that
-    closes the bracket.
+    closes the bracket.  The model is left at the accepted gamma and the
+    basis of its solution, for stage 3 to start from.
     """
     radix = int(min(builder.phys.egress_radix.min(),
                     builder.phys.ingress_radix.min()))
@@ -359,6 +383,8 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
             lo = gamma
         if lo >= (1.0 - BETA_TOL) * hi:
             gamma, sol = hi, best
+            model.scale = gamma
+            model.set_basis(sol.basis)
             break
         step = gamma + (mu_star - F) / sol.slope if rising else math.nan
         # A Newton step that overshot onto the plateau lands just above the
@@ -388,7 +414,10 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     F(gamma) = mu*, one re-solve of one model per step.  The solution has
     beta = gamma / F and mu = F (1 - MU_SLACK), both meant for stage 3:
     stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS has
-    called stage 3 infeasible exactly there, so stage 3 gets that slack.
+    called stage 3 built afresh infeasible exactly there, so stage 3 gets
+    that slack.  ``_stages`` re-solves this model for stage 3 from its
+    accepted vertex scaled by (1 - MU_SLACK), which the slack makes
+    feasible by construction.
     With link counts fixed by ``_fixed`` the caps are linear in beta, one
     LP minimizes it exactly, and mu is the mu* given, not mu_hat converted
     back an ulp off, so stage 3 gets the very mu stage 1 found.
@@ -399,8 +428,8 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
         model = _throughput_model(builder, "desensitize")
         builder.add_sensitivity_constraints(model)
         beta, F, best = _newton_beta(builder, model, mu_hat)
-        return builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
-                                normalize=F)
+        return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
+                                        normalize=F), _model=model)
     model = builder.new_model("desensitize", 1.0)
     builder.add_split_constraints(model)
     builder.add_load_constraints(model, mu_hat)
@@ -413,29 +442,50 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     return replace(builder.solution(best.x, mu_hat, beta), mu=mu_star)
 
 
+def _maximize_direct(builder: _StageBuilder, model: lp.LpModel, z: int):
+    """Stage 3's rows and objective on the column ``z``: maximize z, with
+    row k: critical k's traffic on direct paths is at least z."""
+    t = builder.tables
+    direct = builder.col[np.arange(len(t.pairs)) * (builder.n - 1)]
+    demand = builder.demand[:, t.pair_src, t.pair_dst]
+    k, q = np.nonzero((demand > 0) & (direct >= 0))
+    model.add_rows(*_per_row_term(k, direct[q], demand[k, q],
+                                  len(builder.crit), z, -1.0),
+                   lp.GE, np.zeros(len(builder.crit)))
+    model.set_objective("max", [z], [1.0])
+
+
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
                  beta: Optional[float],
-                 _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
+                 _fixed: Optional[np.ndarray] = None,
+                 _warm: Optional[lp.LpModel] = None) -> FractionalSolution:
     """Stage 3: maximize worst-case direct-path traffic at fixed mu* and beta.
 
     ``beta=None`` skips the sensitivity caps (the non-desensitized variant).
+    ``_warm`` is the model stage 1, or with ``beta`` stage 2, solved with
+    free link counts, at the basis that stage accepted.  Stage 3 is then
+    posed on it in place, as the module docstring says, and re-solved from
+    that basis.  A re-solve that does not end optimal, which only float
+    trouble can cause, gives way to the model built afresh.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_star, beta = builder.unitless(mu_star, beta)
+    if _warm is not None:
+        _warm.name = "minimize-ahc-warm"
+        _warm.set_bounds([builder.stage_col], mu_star, mu_star)
+        if beta is not None:
+            _warm.scale = mu_star * beta
+        _maximize_direct(builder, _warm, _warm.add_vars(1, 0.0, None)[0])
+        sol = lp.solve(_warm)
+        if sol.optimal:
+            return builder.solution(sol.x, mu_star, beta, normalize=mu_star)
     model = builder.new_model("minimize-ahc", 1.0)
     z = model.add_vars(1, 0.0, None)[0]
     builder.add_split_constraints(model)
     builder.add_load_constraints(model, mu_star)
     if beta is not None:
         builder.add_sensitivity_constraints(model, beta)
-    # Row k: critical k's traffic on direct paths is at least z.
-    t = builder.tables
-    direct = builder.col[np.arange(len(t.pairs)) * (builder.n - 1)]
-    demand = builder.demand[:, t.pair_src, t.pair_dst]
-    k, q = np.nonzero((demand > 0) & (direct >= 0))
-    model.add_rows(*_per_row_term(k, direct[q], demand[k, q], len(crit), z,
-                                  -1.0), lp.GE, np.zeros(len(crit)))
-    model.set_objective("max", [z], [1.0])
+    _maximize_direct(builder, model, z)
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
@@ -446,11 +496,13 @@ def _stages(phys: PhysicalTopology, crit: CriticalSet, desensitized: bool,
             fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 1 -> 2 -> 3, each stage on the mu (and beta) the one before
     found; stage 2 is skipped when not desensitized.  ``fixed`` freezes
-    the link counts of all three."""
+    the link counts of all three.  With free link counts stage 3 re-solves
+    the model of the stage before it."""
     step = solve_maxmin_throughput(phys, crit, _fixed=fixed)
     if desensitized:
         step = desensitize(phys, crit, step.mu, _fixed=fixed)
-    return minimize_ahc(phys, crit, step.mu, step.beta, _fixed=fixed)
+    return minimize_ahc(phys, crit, step.mu, step.beta, _fixed=fixed,
+                        _warm=step._model)
 
 
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,

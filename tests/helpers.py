@@ -569,33 +569,44 @@ class LoopStageBuilder:
 def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     """The model each stage of ``optimize`` solves, built by
     ``LoopStageBuilder``: stage "1" (max mu), "2" (min beta; joint: stage
-    1's model plus the caps at ``model.scale = beta``) or "3" (max z)."""
+    1's model plus the caps at ``model.scale = beta``) or "3" (max z).
+
+    Stage 3 with free link counts is posed on the model of the stage
+    before it, stage 2's or, without ``beta``, stage 1's: mu pinned at
+    ``mu``, the caps at ``scale = mu * beta``, then z and its rows."""
     builder = LoopStageBuilder(phys, crit, fixed)
-    if stage == "1" or (stage == "2" and fixed is None):
-        name = ("desensitize" if stage == "2" else "maxmin-throughput"
-                if fixed is None else "fixed-throughput")
-        model = builder.new_model(name, None)
-        model.var("mu", 0.0, None)
-        builder.add_split_constraints(model, "mu")
-        builder.add_load_constraints(model, 1.0)
-        model.objective("max", {"mu": 1.0})
-        if stage == "2":
-            builder.add_sensitivity_constraints(model)
-            model.model.scale = beta
-        return model.model
-    if stage == "2":
+    if stage == "2" and fixed is not None:
         model = builder.new_model("desensitize", 1.0)
         builder.add_split_constraints(model, 1.0)
         builder.add_load_constraints(model, mu)
         builder.add_sensitivity_constraints(model)
         model.objective("min", {"beta": 1.0})
         return model.model
-    model = builder.new_model("minimize-ahc", 1.0)
-    model.var("z", 0.0, None)
-    builder.add_split_constraints(model, 1.0)
-    builder.add_load_constraints(model, mu)
-    if beta is not None:
-        builder.add_sensitivity_constraints(model, beta)
+    if stage == "3" and fixed is not None:
+        model = builder.new_model("minimize-ahc", 1.0)
+        model.var("z", 0.0, None)
+        builder.add_split_constraints(model, 1.0)
+        builder.add_load_constraints(model, mu)
+        if beta is not None:
+            builder.add_sensitivity_constraints(model, beta)
+    else:
+        name = {"1": "maxmin-throughput" if fixed is None
+                else "fixed-throughput",
+                "2": "desensitize", "3": "minimize-ahc-warm"}[stage]
+        model = builder.new_model(name, None)
+        model.var("mu", 0.0, None)
+        builder.add_split_constraints(model, "mu")
+        builder.add_load_constraints(model, 1.0)
+        model.objective("max", {"mu": 1.0})
+        if stage == "1":
+            return model.model
+        if stage == "2" or beta is not None:
+            builder.add_sensitivity_constraints(model)
+            model.model.scale = beta if stage == "2" else mu * beta
+        if stage == "2":
+            return model.model
+        model.model.set_bounds([model.col["mu"]], mu, mu)
+        model.var("z", 0.0, None)
     for k in range(len(crit)):
         terms = {"z": -1.0}
         for (i, j), paths in builder.pair_paths.items():
@@ -765,6 +776,31 @@ def record_highs_models(monkeypatch) -> list:
     monkeypatch.setattr(lp, "solve", recording_solve)
     monkeypatch.setattr(lp, "_run_highs", recording_run)
     return pairs
+
+
+def record_highs(monkeypatch) -> list:
+    """(basis, ``LpSolution``) of each HiGHS call ``lp.solve`` makes from
+    now on, the basis being the one the call starts from, None for a cold
+    solve."""
+    calls, real = [], lp.linprog
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs["basis"], res))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    return calls
+
+
+def frozen(model: lp.LpModel) -> lp.LpModel:
+    """A copy of ``model`` as it stands, which later edits of ``model`` do
+    not change: every edit replaces the arrays and tuples it changes, and
+    the copy assembles its own rows."""
+    copy = lp.LpModel(model.name)
+    copy.__dict__.update(model.__dict__, _blocks=list(model._blocks),
+                         _assembled=None)
+    return copy
 
 
 def feasible_at_beta(builder: LoopStageBuilder, mu_star: float,

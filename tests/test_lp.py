@@ -16,7 +16,8 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from couder import lp
 from couder.errors import InternalError, InvalidInputError, SolverLimitError
-from helpers import assert_same_model, colwise_highs_lp, record_highs_models
+from helpers import (assert_same_model, colwise_highs_lp, record_highs,
+                     record_highs_models)
 
 
 def test_simple_bounded_max():
@@ -269,18 +270,6 @@ def test_held_input_is_patched_or_rebuilt_as_a_fresh_build(monkeypatch):
         assert sent == ref
 
 
-def record_bases(monkeypatch) -> list:
-    """The basis each ``lp.solve`` hands HiGHS, None for a cold solve."""
-    bases, real = [], lp.linprog
-
-    def recording(*args, **kwargs):
-        bases.append(kwargs["basis"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "linprog", recording)
-    return bases
-
-
 def start_model() -> tuple:
     """(model, x, == block, <= block): min 3 x0 + 2 x1 + x2 subject to
     x0 + x1 + x2 == 1, x0 <= 0.5, x1 <= 0.25 and x >= 0, the == block
@@ -309,9 +298,9 @@ def test_start_basis_maps_blocks_to_highs_rows():
 
 def test_set_rhs_restores_the_start_basis(monkeypatch):
     # Every solve after set_rhs starts from the set_start basis, whatever
-    # the solves before it ended on; add_rows, add_vars and set_objective
-    # drop it.
-    bases = record_bases(monkeypatch)
+    # the solves before it ended on; add_rows, add_vars, set_objective and
+    # set_bounds drop it.
+    calls = record_highs(monkeypatch)
     m, x, eq, le = start_model()
     m.set_start([x[2]], [le])
     start = m._start
@@ -321,17 +310,19 @@ def test_set_rhs_restores_the_start_basis(monkeypatch):
         cold, _, _, _ = start_model()
         cold.set_rhs(eq, rhs)
         assert got.objective_value == lp.solve(cold).objective_value
+    bases = [basis for basis, _ in calls]
     assert bases[::2] == [start] * 3 and bases[1::2] == [None] * 3
     for change in (lambda m: m.add_rows([0], [0], [1.0], lp.LE, [1.0]),
                    lambda m: m.add_vars(1, 0.0, 1.0),
-                   lambda m: m.set_objective("min", x, [1.0, 1.0, 1.0])):
+                   lambda m: m.set_objective("min", x, [1.0, 1.0, 1.0]),
+                   lambda m: m.set_bounds([x[0]], 0.0, 2.0)):
         m, x, eq, le = start_model()
         m.set_start([x[2]], [le])
         change(m)
         assert m._start is None
         m.set_rhs(eq, [1.0])
         lp.solve(m)
-        assert bases[-1] is None
+        assert calls[-1][0] is None
 
 
 @pytest.mark.parametrize("cols, lb, match", [
@@ -860,18 +851,9 @@ def test_options_are_passed_when_they_or_the_solver_change(monkeypatch):
     assert counting.runs == visits + 2 and res.x.tolist() == [0.25]
 
 
-def record_highs(monkeypatch) -> list:
-    """(warm, simplex iterations) of each HiGHS call ``lp.solve`` makes."""
-    calls = []
-    real = lp.linprog
-
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        calls.append((kwargs.get("basis") is not None, res.nit))
-        return res
-
-    monkeypatch.setattr(lp, "linprog", recording)
-    return calls
+def warm_flags(calls: list) -> list:
+    """Whether each call ``record_highs`` recorded started from a basis."""
+    return [basis is not None for basis, _ in calls]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -898,27 +880,90 @@ def test_rescaled_model_resolves_warm(monkeypatch, seed):
         cold = lp.solve(stage2(scale))
         assert warm.objective_value == pytest.approx(cold.objective_value,
                                                      abs=1e-9)
-    assert [w for w, _ in calls] == [False] + [True, False] * 3
-    for (_, warm_nit), (_, cold_nit) in zip(calls[1::2], calls[2::2]):
-        assert warm_nit <= cold_nit
+    assert warm_flags(calls) == [False] + [True, False] * 3
+    for (_, warm_res), (_, cold_res) in zip(calls[1::2], calls[2::2]):
+        assert warm_res.nit <= cold_res.nit
 
 
-def test_new_row_or_objective_drops_the_basis(monkeypatch):
+STATUS = lp._highs.HighsBasisStatus
+
+
+def test_edits_carry_the_basis_over(monkeypatch):
+    # Each edit keeps the last optimal basis for the next solve: a new
+    # column enters nonbasic at a finite bound, a new row basic at its
+    # place in HiGHS's row order, and an objective or a column bound
+    # leaves the statuses as they were, a nonbasic column moved to a finite
+    # new bound.  Every solve ends where a cold solve of the model does.
+    calls = record_highs(monkeypatch)
+    m = lp.LpModel()
+    x, y = m.add_vars(2, 0.0, [np.inf, 2.0])
+    m.add_rows([0, 0], [x, y], [1.0, -1.0], lp.EQ, [0.0])
+    m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
+    m.set_objective("max", [x], [1.0])
+    lp.solve(m)
+    m.scale = 2.0
+    last = lp.solve(m)
+    edits = [
+        (lambda: m.add_rows([0], [x], [1.0], lp.LE, [3.0]),
+         lambda col, row: (col, row[:1] + [STATUS.kBasic] + row[1:])),
+        (lambda: m.add_vars(3, [0.0, -np.inf, -np.inf], [1.0, 5.0, np.inf]),
+         lambda col, row: (col + [STATUS.kLower, STATUS.kUpper,
+                                  STATUS.kZero], row)),
+        (lambda: m.set_objective("min", [x, 2], [1.0, -1.0]),
+         lambda col, row: (col, row)),
+        (lambda: m.set_bounds([2, 3], [-np.inf, -4.0], [0.5, 5.0]),
+         lambda col, row: (col[:2] + [STATUS.kUpper, STATUS.kLower]
+                           + col[4:], row)),
+    ]
+    for edit, extend in edits:
+        want = extend(last.basis.col_status, last.basis.row_status)
+        edit()
+        last = lp.solve(m)
+        basis = calls[-1][0]
+        assert (basis.col_status, basis.row_status) == want
+        cold = lp.LpModel()
+        cold.__dict__.update(m.__dict__, _assembled=None, _basis=None)
+        assert last.optimal and last.objective_value == pytest.approx(
+            lp.solve(cold).objective_value, abs=1e-9)
+    assert warm_flags(calls) == [False, True] + [True, False] * 4
+
+
+def test_edits_leave_a_solutions_basis_alone():
+    # The kept basis is replaced, not changed: a solution's stays as it
+    # was returned.
+    m = lp.LpModel()
+    x = m.add_vars(1, 0.0, 1.0)
+    m.set_objective("max", x, [1.0])
+    res = lp.solve(m)
+    status = (list(res.basis.col_status), list(res.basis.row_status))
+    m.add_rows([0], x, [1.0], lp.LE, [0.5])
+    m.add_vars(1, 0.0, 1.0)
+    m.set_bounds(x, 0.0, 2.0)
+    assert (res.basis.col_status, res.basis.row_status) == status
+
+
+def test_set_basis_starts_the_next_solve_there(monkeypatch):
     calls = record_highs(monkeypatch)
     m = lp.LpModel()
     x, y = m.add_vars(2, 0.0, [np.inf, 2.0])
     m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
     m.set_objective("max", [x], [1.0])
+    first = lp.solve(m)
+    m.scale = 0.5
     lp.solve(m)
-    m.scale = 2.0
-    assert lp.solve(m).x[x] == pytest.approx(4.0, abs=1e-9)
-    m.add_rows([0], [x], [1.0], lp.LE, [3.0])
-    assert lp.solve(m).x[x] == pytest.approx(3.0, abs=1e-9)
-    m.set_objective("min", [x], [1.0])
-    assert lp.solve(m).x[x] == pytest.approx(0.0, abs=1e-9)
-    m.add_vars(1, 0.0, 1.0)
+    m.set_basis(first.basis)
     lp.solve(m)
-    assert [warm for warm, _ in calls] == [False, True, False, False, False]
+    assert calls[-1][0] is first.basis
+
+
+@pytest.mark.parametrize("cols, lb, ub, match", [
+    ([2], 0.0, 1.0, "out of range"), ([0.0], 0.0, 1.0, "dtype"),
+    ([0], 1.0, 0.0, "lb > ub")])
+def test_set_bounds_rejected(cols, lb, ub, match):
+    m = lp.LpModel()
+    m.add_vars(2, 0.0, 1.0)
+    with pytest.raises(InvalidInputError, match=match):
+        m.set_bounds(cols, lb, ub)
 
 
 def test_infeasible_resolve_keeps_no_basis(monkeypatch):
@@ -933,7 +978,7 @@ def test_infeasible_resolve_keeps_no_basis(monkeypatch):
                           (3.0, "optimal")):
         m.scale = scale
         assert lp.solve(m).status == status
-    assert [warm for warm, _ in calls] == [False, True, False]
+    assert warm_flags(calls) == [False, True, False]
 
 
 def mixed_model(rhs) -> tuple:
@@ -993,7 +1038,7 @@ def test_set_rhs_gives_what_a_fresh_build_gives(monkeypatch, solved_first):
         m.set_rhs(block, rhs)
     got = lp.solve(m)
     want = lp.solve(mixed_model(NEW_RHS)[0])
-    assert [warm for warm, _ in calls] == [False, False]
+    assert warm_flags(calls) == [False, False]
     assert pairs[0][0] == pairs[1][0] == pairs[0][1]
     assert got.optimal and solved(got) == solved(want)
 

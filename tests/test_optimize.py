@@ -4,8 +4,9 @@ import pytest
 from couder import lp, optimize
 from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
-from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          TrafficMatrix, _tables)
+from couder.model import (FractionalTopology, IntegerTopology, Path,
+                          PhysicalTopology, TrafficMatrix, _tables,
+                          demand_scale)
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
@@ -13,10 +14,10 @@ from couder.round import greedy_round, ldm_round
 from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
-                     convex_combination, feasible_at_beta, hetero_fabric,
-                     loop_stage_model, make_fabric,
+                     convex_combination, feasible_at_beta, frozen,
+                     hetero_fabric, loop_stage_model, make_fabric,
                      random_criticals, random_fabric, random_fractional,
-                     record_highs_models, sparse_tm)
+                     record_highs, record_highs_models, sparse_tm)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -180,13 +181,14 @@ class TestDesensitize:
         assert s2.beta <= sen1[np.isfinite(sen1)].max() * (1 + 2e-3) + 1e-12
 
 
-def record_solves(monkeypatch) -> list:
-    """The models ``lp.solve`` is given from now on, in order."""
+def record_solves(monkeypatch, copy=False) -> list:
+    """The models ``lp.solve`` is given from now on, in order; with
+    ``copy``, each as it stood at that solve."""
     models = []
     real = lp.solve
 
     def recording(model):
-        models.append(model)
+        models.append(frozen(model) if copy else model)
         return real(model)
 
     monkeypatch.setattr(lp, "solve", recording)
@@ -378,6 +380,104 @@ class TestStage2Newton:
             assert desensitize(phys, crit, mu).beta >= 1.0 / ports
 
 
+def warm_instance(seed: int) -> tuple:
+    """A random fabric and criticals for the warm stage-3 checks: N = 3-8,
+    M = 1-4, K = 1-5, dense or 30 % sparse criticals."""
+    rng = np.random.default_rng([7, seed])
+    n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((3, 9), (1, 5),
+                                                        (1, 6)))
+    phys = (random_fabric if seed % 2 else hetero_fabric)(rng, n, m, 1, 4)
+    if seed % 4 < 2:
+        return phys, random_criticals(rng, n, k)
+    return phys, CriticalSet(tuple(sparse_tm(rng, n, 0.3) for _ in range(k)))
+
+
+def direct_traffic(sol, crit) -> float:
+    """Stage 3's z in a plan: the least traffic, as a share of demand
+    over sigma, that any critical puts on direct paths."""
+    t = _tables(crit.num_pods)
+    direct = sol.omega.omega[np.arange(len(t.pairs)) * (crit.num_pods - 1)]
+    demand = crit.stacked()[:, t.pair_src, t.pair_dst]
+    return float((demand @ direct).min() / demand_scale(crit.stacked()))
+
+
+def within_caps(sol, b: float) -> bool:
+    """Whether ``sensitivity_map`` stays at most beta.  HiGHS holds each
+    cap w_p <= beta b d_ab to 1e-7, which bounds no ratio on a link of
+    almost no capacity, so the map is read with every link count raised
+    by 1e-7 / (beta b)."""
+    d = sol.d.d + 1e-7 / (sol.beta * b) * (1.0 - np.eye(len(sol.d.d)))
+    return bool(sensitivity_map(FractionalTopology(d), sol.omega, b).max()
+                <= sol.beta * (1 + 1e-9))
+
+
+class TestStage3Warm:
+    """Stage 3 re-solved on the model of the stage before it."""
+
+    @pytest.mark.parametrize("first", range(0, 200, 25))
+    def test_keeps_the_cold_optimum(self, monkeypatch, first):
+        # The pipeline's stage 3 reaches the optimum of stage 3 built
+        # afresh and solved cold at the same mu and beta; the plan keeps
+        # its port budgets and its sensitivity bound.
+        for seed in range(first, first + 25):
+            phys, crit = warm_instance(seed)
+            b = phys.link_bandwidth
+            for desensitized in (True, False):
+                calls = record_args(monkeypatch, "minimize_ahc")
+                plan = run_pipeline(phys, crit, desensitized)
+                monkeypatch.undo()
+                cold = minimize_ahc(phys, crit, *calls[0][2:4])
+                assert (plan.mu, plan.beta) == (cold.mu, cold.beta)
+                assert direct_traffic(plan, crit) == pytest.approx(
+                    direct_traffic(cold, crit), rel=1e-6)
+                assert (plan.d.d.sum(axis=1)
+                        <= phys.egress_radix + 1e-6).all()
+                assert (plan.d.d.sum(axis=0)
+                        <= phys.ingress_radix + 1e-6).all()
+                if desensitized:
+                    assert within_caps(plan, b) and within_caps(cold, b)
+
+    def test_fallback_bracket_hands_on_the_accepted_basis(self,
+                                                          monkeypatch):
+        # Stage 2 ends in its fallback bracket here and accepts a probe
+        # before its last; stage 3 starts from that probe's basis with z
+        # nonbasic at 0 and the K direct rows basic, which HiGHS holds
+        # after the other inequality rows and before the split rows.
+        phys, crit, _ = rounded_instance(3, random_fabric)
+        accepted, real = [], optimize._newton_beta
+
+        def newton_beta(*args):
+            accepted.append(real(*args))
+            return accepted[-1]
+
+        monkeypatch.setattr(optimize, "_newton_beta", newton_beta)
+        calls = record_highs(monkeypatch)
+        run_pipeline(phys, crit)
+        monkeypatch.undo()
+        best, last = accepted[0][2].basis, calls[-2][1].basis
+        status = lp._highs.HighsBasisStatus
+        num_split = phys.num_pods * (phys.num_pods - 1)
+        rows = best.row_status
+        want = (best.col_status + [status.kLower],
+                rows[:-num_split] + [status.kBasic] * len(crit)
+                + rows[-num_split:])
+        handed = calls[-1][0]
+        assert (handed.col_status, handed.row_status) == want
+        assert (last.col_status, last.row_status) != (best.col_status, rows)
+
+    def test_failed_resolve_gives_way_to_the_cold_model(self, monkeypatch):
+        # On 2**50 ports per pod the re-solve does not end optimal; the
+        # cold model then refuses the input as too large for HiGHS.
+        phys = make_fabric(2, 1, 2 ** 50)
+        crit = CriticalSet((TrafficMatrix(1e308 * (np.ones((2, 2))
+                                                   - np.eye(2))),))
+        models = record_solves(monkeypatch)
+        with pytest.raises(InvalidInputError, match="1e\\+15"):
+            run_pipeline(phys, crit)
+        assert [m.name for m in models][-2:] == ["minimize-ahc-warm",
+                                                 "minimize-ahc"]
+
+
 class TestMinimizeAhc:
     def test_n2_all_direct(self):
         phys, crit = n2_instance()
@@ -560,22 +660,41 @@ def unitless_inputs(phys, crit):
                                         for t in crit)), sigma
 
 
-def stage_models(monkeypatch, phys, crit, X):
-    """{stage: (model solved last, mu_hat, beta_hat)} of stages 1, 2 and 3
-    run in a row, at the unitless mu and beta each was given."""
-    models = record_solves(monkeypatch)
-    s1 = solve_maxmin_throughput(phys, crit, _fixed=X)
-    s2 = desensitize(phys, crit, s1.mu, _fixed=X)
-    minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
+def record_args(monkeypatch, name: str) -> list:
+    """The positional arguments of each call of ``optimize.<name>`` from
+    now on, which ``optimize._stages`` makes by that module attribute."""
+    calls, real = [], getattr(optimize, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, name, recording)
+    return calls
+
+
+def stage_models(monkeypatch, phys, crit, X, desensitized=True):
+    """{stage: (model as it was solved last, mu_hat, beta_hat)} of the
+    stages ``optimize._stages`` runs, at the unitless mu and beta each was
+    given; stage 3 with free link counts is posed on the model of the
+    stage before it."""
+    models = record_solves(monkeypatch, copy=True)
+    stage2, stage3 = (record_args(monkeypatch, name)
+                      for name in ("desensitize", "minimize_ahc"))
+    optimize._stages(phys, crit, desensitized, X)
     monkeypatch.undo()
     by_name = {m.name: m for m in models}
     stage1 = "maxmin-throughput" if X is None else "fixed-throughput"
     b, sigma = phys.link_bandwidth, unitless_inputs(phys, crit)[2]
-    return {"1": (by_name[stage1], None, None),
-            "2": (by_name["desensitize"], s1.mu * (sigma / b),
-                  by_name["desensitize"].scale),
-            "3": (by_name["minimize-ahc"], s2.mu * (sigma / b),
-                  None if s2.beta is None else s2.beta * b)}
+    mu, beta = stage3[0][2:4]
+    out = {"1": (by_name[stage1], None, None),
+           "3": (by_name["minimize-ahc" if X is not None
+                         else "minimize-ahc-warm"],
+                 mu * (sigma / b), None if beta is None else beta * b)}
+    if desensitized:
+        out["2"] = (by_name["desensitize"], stage2[0][2] * (sigma / b),
+                    by_name["desensitize"].scale)
+    return out
 
 
 class TestStageModels:
@@ -595,6 +714,21 @@ class TestStageModels:
                 assert_same_model(model, ref)
 
     @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_plain_stages_match_loop_builder(self, monkeypatch, n, fixed):
+        # Without stage 2, stage 3 with free link counts is posed on stage
+        # 1's model, without caps.
+        for seed in range(2):
+            phys, crit, X = sparse_instance(seed, n, fixed)
+            unit_phys, unit_crit, _ = unitless_inputs(phys, crit)
+            models = stage_models(monkeypatch, phys, crit, X, False)
+            assert sorted(models) == ["1", "3"]
+            for stage, (model, mu, beta) in models.items():
+                assert beta is None
+                assert_same_model(model, loop_stage_model(
+                    stage, unit_phys, unit_crit, X, mu, beta))
+
+    @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_highs_holds_the_reference_model(self, monkeypatch, n, fixed):
         # Every LP of the three stages, each stage-2 Newton re-solve on one
@@ -603,9 +737,7 @@ class TestStageModels:
         for seed in range(2):
             phys, crit, X = sparse_instance(seed, n, fixed)
             pairs = record_highs_models(monkeypatch)
-            s1 = solve_maxmin_throughput(phys, crit, _fixed=X)
-            s2 = desensitize(phys, crit, s1.mu, _fixed=X)
-            minimize_ahc(phys, crit, s2.mu, s2.beta, _fixed=X)
+            optimize._stages(phys, crit, True, X)
             monkeypatch.undo()
             assert len(pairs) >= 3
             for sent, ref in pairs:
