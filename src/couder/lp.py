@@ -41,19 +41,19 @@ HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
 per-switch subproblem, which it hands ``_run_highs`` column-wise and
 reads only the vertex of.  Every family but one runs dual simplex with
-output off.  "minimize-ahc-warm", stage 3 re-solved on the model of the
-stage before it (see the optimize module), runs primal simplex: it starts
-from that stage's optimal basis, which stays primal feasible when only
-the objective changes, and not dual feasible.  On the four days of
-perfbench plan-mix seed 1 (N = 8; best of 7 on a shared 2-vCPU Xeon) it
-took 539, 580, 704 and 7 iterations and 29, 31, 31 and 4 ms, against
-901-1,210 iterations and 43-52 ms for the cold dual simplex solve of the
-model built afresh; dual simplex from the same basis took 806-938
-iterations and 40-85 ms.  Its primal feasibility tolerance is 1e-8: its
-weights are mu times the routing fractions, so at HiGHS's default of
-1e-7 a path weight passed its cap by up to 5.3e-7 of a fraction where
-mu < 1 (200 random fabrics), against 1e-7 for the cold solve; at 1e-8
-it passed by 5.3e-8, at no measured cost.
+output off.  "minimize-ahc-warm", stage 3 on the model of the stage
+before it (see the optimize module), runs primal simplex: it starts from
+that stage's optimal basis, which stays primal feasible when only the
+objective changes, and not dual feasible, or cold when built alone.  On
+the four days of perfbench plan-mix seed 1 (N = 8; best of 7 on a shared
+2-vCPU Xeon) it took 539, 580, 704 and 7 iterations and 29, 31, 31 and
+4 ms, against 901-1,210 iterations and 43-52 ms for a cold dual simplex
+solve of stage 3 built in omega; dual simplex from the same basis took
+806-938 iterations and 40-85 ms.  Its primal feasibility tolerance is
+1e-8: its weights are mu times the routing fractions, so at HiGHS's
+default of 1e-7 a path weight passed its cap by up to 5.3e-7 of a
+fraction where mu < 1 (200 random fabrics), against 1e-7 for stage 3 in
+omega; at 1e-8 it passed by 5.3e-8, at no measured cost.
 
 Presolve is on, as scipy's ``linprog(method="highs")`` set it, except in
 three families, where it was measured to cost more than it saves (HiGHS

@@ -23,20 +23,17 @@ scaled weights wp = omega * mu, which linearizes every constraint.
 The same stages rerun with link counts frozen to an integer topology to
 recompute routing after rounding.
 
-With free link counts ``run_pipeline`` poses stage 3 on the model the
-stage before it solved, rather than building it afresh: stage 2's model,
-or stage 1's when not desensitized, with its mu column pinned at the mu*
-stage 3 is given (F' = F (1 - MU_SLACK) after stage 2), the caps at
-``scale`` = F' beta, and the column z with its K direct-traffic rows
-added.  With mu fixed at F', the substitution w = F' omega maps stage 3's
-LP in omega onto that one exactly: the split rows sum w to F', the load
-rows read F' T omega <= d, the caps w <= F' beta d, and z is F' times the
-least direct traffic.  Both LPs have the same optimum.  The start, the
-vertex stage 2 accepted scaled by (1 - MU_SLACK), or stage 1's optimum,
-is feasible by construction, and primal simplex re-solves from its
-basis, extended by z nonbasic at 0 and the new rows basic.  A standalone
-``minimize_ahc``, and every stage with fixed link counts, builds its
-model afresh and solves it cold.
+With free link counts stage 3 is posed on stage 2's model, or stage 1's
+when not desensitized: mu pinned at the mu* stage 3 is given (F' =
+F (1 - MU_SLACK) after stage 2), the caps at ``scale`` = F' beta, and a
+column z with K direct-traffic rows.  With mu fixed at F', w = F' omega
+maps stage 3's LP in omega onto this one exactly: the split rows sum w
+to F', the load rows read F' T omega <= d, the caps w <= F' beta d, and
+z is F' times the least direct traffic, at most F' min_k sum T_k: its
+bound, without which HiGHS called the LP unbounded from 2**26 ports on.
+``run_pipeline`` re-solves the model the stage before it solved, from
+its basis, which is feasible; a standalone ``minimize_ahc`` builds the
+model and solves it cold.  Fixed link counts pose stage 3 in omega.
 
 Every stage LP is unitless: the criticals over sigma, the largest power
 of two at or below their largest entry (``demand_scale``), capacity in
@@ -236,8 +233,6 @@ class _StageBuilder:
         link, path = self._crossing()
         rows = np.arange(len(path))
         if self.fixed is None:
-            if beta is not None:
-                model.scale = beta
             model.add_rows(rows, self.col[path], np.ones(len(rows)), lp.LE,
                            np.zeros(len(rows)),
                            scaled=(rows, self._dcol()[link],
@@ -276,11 +271,11 @@ class _StageBuilder:
         construction, goes direct.  The LP's tiny negative weights are
         stored as 0.
 
-        With free link counts d is then raised to cover the realized
-        critical loads at ``mu`` exactly, in links, by
-        ``RoutingWeights.loads``.  That clears sub-tolerance LP residue so
-        the throughput guarantee holds with a true inequality on every
-        link; the lift is bounded by the solver feasibility tolerance.
+        With free link counts d is then raised to cover, in links, the
+        critical loads at ``mu`` and, with ``beta``, the caps: d_ab >=
+        omega_p / beta on each link of p.  That clears sub-tolerance LP
+        residue, so the throughput guarantee and the sensitivity bound hold
+        on every link; the lift is bounded by the solver's tolerance.
         """
         t = self.tables
         w = np.zeros(len(t.paths))
@@ -290,24 +285,31 @@ class _StageBuilder:
         omega = RoutingWeights.normalized(self.n, w, 1e-12)
         d = self.fixed
         if d is None:
+            links = np.maximum(np.maximum(x[self._dcol()], 0.0),
+                               omega.loads(self.demand, mu).max(axis=0))
+            if beta is not None:
+                np.maximum.at(links, t.hop_link,
+                              omega.omega[t.hop_path] / beta)
             d = np.zeros((self.n, self.n))
-            d[t.pair_src, t.pair_dst] = np.maximum(
-                np.maximum(x[self._dcol()], 0.0),
-                omega.loads(self.demand, mu).max(axis=0))
+            d[t.pair_src, t.pair_dst] = links
         return FractionalSolution(
             FractionalTopology(d), omega,
             _in_range(mu * (self.bandwidth / self.sigma), "mu"),
             None if beta is None else _in_range(beta / self.bandwidth, "beta"))
 
 
-def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
+def _throughput_model(builder: _StageBuilder, name: str,
+                      caps: bool = False) -> lp.LpModel:
     """Stage 1's LP in scaled weights: maximize mu subject to weights
-    summing to mu per pair and every critical's load within capacity."""
+    summing to mu per pair and every critical's load within capacity;
+    with ``caps``, stage 2's, the caps at ``model.scale`` added."""
     model = builder.new_model(name, None)
     mu = model.add_vars(1, 0.0, None)[0]
     builder.add_split_constraints(model, mu)
     builder.add_load_constraints(model, 1.0)
     model.set_objective("max", [mu], [1.0])
+    if caps:
+        builder.add_sensitivity_constraints(model)
     return model
 
 
@@ -413,11 +415,10 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     With free link counts this is ``_newton_beta``'s root-find of
     F(gamma) = mu*, one re-solve of one model per step.  The solution has
     beta = gamma / F and mu = F (1 - MU_SLACK), both meant for stage 3:
-    stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS has
-    called stage 3 built afresh infeasible exactly there, so stage 3 gets
-    that slack.  ``_stages`` re-solves this model for stage 3 from its
-    accepted vertex scaled by (1 - MU_SLACK), which the slack makes
-    feasible by construction.
+    stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS once
+    called stage 3 infeasible exactly there, so stage 3 gets that slack.
+    Stage 3 re-solves this very model, never one built afresh, from its
+    accepted vertex scaled by (1 - MU_SLACK), feasible by construction.
     With link counts fixed by ``_fixed`` the caps are linear in beta, one
     LP minimizes it exactly, and mu is the mu* given, not mu_hat converted
     back an ulp off, so stage 3 gets the very mu stage 1 found.
@@ -425,8 +426,7 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_hat = builder.unitless(mu_star)[0]
     if _fixed is None:
-        model = _throughput_model(builder, "desensitize")
-        builder.add_sensitivity_constraints(model)
+        model = _throughput_model(builder, "desensitize", caps=True)
         beta, F, best = _newton_beta(builder, model, mu_hat)
         return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
                                         normalize=F), _model=model)
@@ -462,34 +462,34 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     """Stage 3: maximize worst-case direct-path traffic at fixed mu* and beta.
 
     ``beta=None`` skips the sensitivity caps (the non-desensitized variant).
-    ``_warm`` is the model stage 1, or with ``beta`` stage 2, solved with
-    free link counts, at the basis that stage accepted.  Stage 3 is then
-    posed on it in place, as the module docstring says, and re-solved from
-    that basis.  A re-solve that does not end optimal, which only float
-    trouble can cause, gives way to the model built afresh.
+    With free link counts stage 3 is one solve of the model the module
+    docstring describes: ``_warm``, which stage 1, or with ``beta`` stage
+    2, solved, re-solved from its basis; else that model built here and
+    solved cold.  With link counts fixed by ``_fixed`` it is built in omega.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_star, beta = builder.unitless(mu_star, beta)
-    if _warm is not None:
-        _warm.name = "minimize-ahc-warm"
-        _warm.set_bounds([builder.stage_col], mu_star, mu_star)
+    if _fixed is not None:
+        model = builder.new_model("minimize-ahc", 1.0)
+        z = model.add_vars(1, 0.0, None)[0]
+        builder.add_split_constraints(model)
+        builder.add_load_constraints(model, mu_star)
         if beta is not None:
-            _warm.scale = mu_star * beta
-        _maximize_direct(builder, _warm, _warm.add_vars(1, 0.0, None)[0])
-        sol = lp.solve(_warm)
-        if sol.optimal:
-            return builder.solution(sol.x, mu_star, beta, normalize=mu_star)
-    model = builder.new_model("minimize-ahc", 1.0)
-    z = model.add_vars(1, 0.0, None)[0]
-    builder.add_split_constraints(model)
-    builder.add_load_constraints(model, mu_star)
-    if beta is not None:
-        builder.add_sensitivity_constraints(model, beta)
+            builder.add_sensitivity_constraints(model, beta)
+    else:
+        model = _warm or _throughput_model(builder, "", beta is not None)
+        model.name = "minimize-ahc-warm"
+        model.set_bounds([builder.stage_col], mu_star, mu_star)
+        if beta is not None:
+            model.scale = mu_star * beta
+        least_total = builder.demand.sum(axis=(1, 2)).min()
+        z = model.add_vars(1, 0.0, mu_star * least_total)[0]
     _maximize_direct(builder, model, z)
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
-    return builder.solution(sol.x, mu_star, beta)
+    return builder.solution(sol.x, mu_star, beta, normalize=None
+                            if _fixed is not None else mu_star)
 
 
 def _stages(phys: PhysicalTopology, crit: CriticalSet, desensitized: bool,

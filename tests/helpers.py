@@ -573,7 +573,9 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
 
     Stage 3 with free link counts is posed on the model of the stage
     before it, stage 2's or, without ``beta``, stage 1's: mu pinned at
-    ``mu``, the caps at ``scale = mu * beta``, then z and its rows."""
+    ``mu``, the caps at ``scale = mu * beta``, then z, at most ``mu``
+    times the least critical total, and its rows.  With fixed link
+    counts it is ``loop_stage3_in_omega``'s model."""
     builder = LoopStageBuilder(phys, crit, fixed)
     if stage == "2" and fixed is not None:
         model = builder.new_model("desensitize", 1.0)
@@ -583,31 +585,50 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
         model.objective("min", {"beta": 1.0})
         return model.model
     if stage == "3" and fixed is not None:
-        model = builder.new_model("minimize-ahc", 1.0)
-        model.var("z", 0.0, None)
-        builder.add_split_constraints(model, 1.0)
-        builder.add_load_constraints(model, mu)
-        if beta is not None:
-            builder.add_sensitivity_constraints(model, beta)
-    else:
-        name = {"1": "maxmin-throughput" if fixed is None
-                else "fixed-throughput",
-                "2": "desensitize", "3": "minimize-ahc-warm"}[stage]
-        model = builder.new_model(name, None)
-        model.var("mu", 0.0, None)
-        builder.add_split_constraints(model, "mu")
-        builder.add_load_constraints(model, 1.0)
-        model.objective("max", {"mu": 1.0})
-        if stage == "1":
-            return model.model
-        if stage == "2" or beta is not None:
-            builder.add_sensitivity_constraints(model)
-            model.model.scale = beta if stage == "2" else mu * beta
-        if stage == "2":
-            return model.model
-        model.model.set_bounds([model.col["mu"]], mu, mu)
-        model.var("z", 0.0, None)
-    for k in range(len(crit)):
+        return loop_stage3_in_omega(phys, crit, fixed, mu, beta).model
+    name = {"1": "maxmin-throughput" if fixed is None
+            else "fixed-throughput",
+            "2": "desensitize", "3": "minimize-ahc-warm"}[stage]
+    model = builder.new_model(name, None)
+    model.var("mu", 0.0, None)
+    builder.add_split_constraints(model, "mu")
+    builder.add_load_constraints(model, 1.0)
+    model.objective("max", {"mu": 1.0})
+    if stage == "1":
+        return model.model
+    if stage == "2" or beta is not None:
+        builder.add_sensitivity_constraints(model)
+        model.model.scale = beta if stage == "2" else mu * beta
+    if stage == "2":
+        return model.model
+    model.model.set_bounds([model.col["mu"]], mu, mu)
+    model.var("z", 0.0, mu * min(t.demand.sum() for t in crit))
+    _add_direct_rows(builder, model)
+    return model.model
+
+
+def loop_stage3_in_omega(phys, crit, fixed=None, mu=None, beta=None
+                         ) -> NamedModel:
+    """Stage 3 in the routing fractions omega, z unbounded: weights
+    summing to one per pair, the loads at ``mu`` and, with ``beta``, the
+    caps at ``beta``.  With fixed link counts this is the model
+    ``optimize`` solves; with free ones, an oracle for the optimum of the
+    model in scaled weights that it solves instead."""
+    builder = LoopStageBuilder(phys, crit, fixed)
+    model = builder.new_model("minimize-ahc", 1.0)
+    model.var("z", 0.0, None)
+    builder.add_split_constraints(model, 1.0)
+    builder.add_load_constraints(model, mu)
+    if beta is not None:
+        builder.add_sensitivity_constraints(model, beta)
+    _add_direct_rows(builder, model)
+    return model
+
+
+def _add_direct_rows(builder: LoopStageBuilder, model: NamedModel):
+    """Stage 3's rows, one per critical: its traffic on direct paths is at
+    least z; and the objective, max z."""
+    for k in range(len(builder.crit)):
         terms = {"z": -1.0}
         for (i, j), paths in builder.pair_paths.items():
             t = builder.demand[k, i, j]
@@ -615,7 +636,6 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
                 terms[wname(paths[0])] = t
         model.row(terms, lp.GE, 0.0)
     model.objective("max", {"z": 1.0})
-    return model.model
 
 
 def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet):

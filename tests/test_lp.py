@@ -868,7 +868,8 @@ def test_rescaled_model_resolves_warm(monkeypatch, seed):
 
     def stage2(scale):
         model = _throughput_model(builder, "desensitize")
-        builder.add_sensitivity_constraints(model, scale)
+        builder.add_sensitivity_constraints(model)
+        model.scale = scale
         return model
 
     calls = record_highs(monkeypatch)

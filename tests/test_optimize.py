@@ -4,9 +4,8 @@ import pytest
 from couder import lp, optimize
 from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
-from couder.model import (FractionalTopology, IntegerTopology, Path,
-                          PhysicalTopology, TrafficMatrix, _tables,
-                          demand_scale)
+from couder.model import (IntegerTopology, Path, PhysicalTopology,
+                          TrafficMatrix, _tables, demand_scale)
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
@@ -15,9 +14,10 @@ from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, frozen,
-                     hetero_fabric, loop_stage_model, make_fabric,
-                     random_criticals, random_fabric, random_fractional,
-                     record_highs, record_highs_models, sparse_tm)
+                     hetero_fabric, loop_stage3_in_omega, loop_stage_model,
+                     make_fabric, random_criticals, random_fabric,
+                     random_fractional, record_highs, record_highs_models,
+                     sparse_tm)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -402,12 +402,8 @@ def direct_traffic(sol, crit) -> float:
 
 
 def within_caps(sol, b: float) -> bool:
-    """Whether ``sensitivity_map`` stays at most beta.  HiGHS holds each
-    cap w_p <= beta b d_ab to 1e-7, which bounds no ratio on a link of
-    almost no capacity, so the map is read with every link count raised
-    by 1e-7 / (beta b)."""
-    d = sol.d.d + 1e-7 / (sol.beta * b) * (1.0 - np.eye(len(sol.d.d)))
-    return bool(sensitivity_map(FractionalTopology(d), sol.omega, b).max()
+    """Whether ``sensitivity_map`` stays at most beta."""
+    return bool(sensitivity_map(sol.d, sol.omega, b).max()
                 <= sol.beta * (1 + 1e-9))
 
 
@@ -416,26 +412,33 @@ class TestStage3Warm:
 
     @pytest.mark.parametrize("first", range(0, 200, 25))
     def test_keeps_the_cold_optimum(self, monkeypatch, first):
-        # The pipeline's stage 3 reaches the optimum of stage 3 built
-        # afresh and solved cold at the same mu and beta; the plan keeps
-        # its port budgets and its sensitivity bound.
+        # The pipeline's stage 3 reaches the optimum of stage 3 in omega,
+        # built one row at a time and solved cold at the same mu and beta;
+        # the plan keeps its port budgets and its sensitivity bound.
         for seed in range(first, first + 25):
             phys, crit = warm_instance(seed)
             b = phys.link_bandwidth
+            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
             for desensitized in (True, False):
                 calls = record_args(monkeypatch, "minimize_ahc")
                 plan = run_pipeline(phys, crit, desensitized)
                 monkeypatch.undo()
-                cold = minimize_ahc(phys, crit, *calls[0][2:4])
-                assert (plan.mu, plan.beta) == (cold.mu, cold.beta)
+                mu, beta = calls[0][2:4]
+                assert plan.mu == pytest.approx(mu, rel=1e-12)
+                assert plan.beta == pytest.approx(beta, rel=1e-12)
+                oracle = loop_stage3_in_omega(
+                    unit_phys, unit_crit, None, mu * (sigma / b),
+                    None if beta is None else beta * b)
+                sol = lp.solve(oracle.model)
+                assert sol.optimal
                 assert direct_traffic(plan, crit) == pytest.approx(
-                    direct_traffic(cold, crit), rel=1e-6)
+                    oracle.value(sol, "z"), rel=1e-6)
                 assert (plan.d.d.sum(axis=1)
                         <= phys.egress_radix + 1e-6).all()
                 assert (plan.d.d.sum(axis=0)
                         <= phys.ingress_radix + 1e-6).all()
                 if desensitized:
-                    assert within_caps(plan, b) and within_caps(cold, b)
+                    assert within_caps(plan, b)
 
     def test_fallback_bracket_hands_on_the_accepted_basis(self,
                                                           monkeypatch):
@@ -465,17 +468,24 @@ class TestStage3Warm:
         assert (handed.col_status, handed.row_status) == want
         assert (last.col_status, last.row_status) != (best.col_status, rows)
 
-    def test_failed_resolve_gives_way_to_the_cold_model(self, monkeypatch):
-        # On 2**50 ports per pod the re-solve does not end optimal; the
-        # cold model then refuses the input as too large for HiGHS.
-        phys = make_fabric(2, 1, 2 ** 50)
-        crit = CriticalSet((TrafficMatrix(1e308 * (np.ones((2, 2))
-                                                   - np.eye(2))),))
-        models = record_solves(monkeypatch)
-        with pytest.raises(InvalidInputError, match="1e\\+15"):
-            run_pipeline(phys, crit)
-        assert [m.name for m in models][-2:] == ["minimize-ahc-warm",
-                                                 "minimize-ahc"]
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_plans_port_counts_up_to_2_pow_50(self, monkeypatch,
+                                              desensitized):
+        # Unbounded, z made HiGHS end the re-solve "unbounded" on these
+        # port counts; bounded, stage 3 is one solve that ends optimal.
+        crit = CriticalSet((TrafficMatrix(np.ones((2, 2)) - np.eye(2)),))
+        for exponent in range(30, 51):
+            phys = make_fabric(2, 1, 2 ** exponent)
+            models, calls = (record_solves(monkeypatch, copy=True),
+                             record_highs(monkeypatch))
+            plan = run_pipeline(phys, crit, desensitized)
+            monkeypatch.undo()
+            assert [res.status for model, (_, res) in zip(models, calls)
+                    if model.name.startswith("minimize-ahc")] == ["optimal"]
+            assert (plan.d.d.sum(axis=1)
+                    <= phys.egress_radix * (1 + 1e-9)).all()
+            assert (plan.d.d.sum(axis=0)
+                    <= phys.ingress_radix * (1 + 1e-9)).all()
 
 
 class TestMinimizeAhc:
@@ -727,6 +737,29 @@ class TestStageModels:
                 assert beta is None
                 assert_same_model(model, loop_stage_model(
                     stage, unit_phys, unit_crit, X, mu, beta))
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_standalone_stage3_is_the_pipelines_model(self, monkeypatch,
+                                                      desensitized):
+        # With free link counts minimize_ahc called on its own builds the
+        # model _stages hands on, stage 1's plus the caps with beta, and
+        # solves it once, cold.
+        for n in (2, 5, 8):
+            phys, crit, _ = sparse_instance(0, n, False)
+            calls = record_args(monkeypatch, "minimize_ahc")
+            run_pipeline(phys, crit, desensitized)
+            monkeypatch.undo()
+            mu, beta = calls[0][2:4]
+            models = record_solves(monkeypatch, copy=True)
+            highs = record_highs(monkeypatch)
+            minimize_ahc(phys, crit, mu, beta)
+            monkeypatch.undo()
+            assert len(models) == 1 and highs[0][0] is None
+            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
+            b = phys.link_bandwidth
+            assert_same_model(models[0], loop_stage_model(
+                "3", unit_phys, unit_crit, None, mu * (sigma / b),
+                None if beta is None else beta * b))
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("n", range(2, 9))
