@@ -48,12 +48,12 @@ objective changes, and not dual feasible, or cold when built alone.  On
 the four days of perfbench plan-mix seed 1 (N = 8; best of 7 on a shared
 2-vCPU Xeon) it took 539, 580, 704 and 7 iterations and 29, 31, 31 and
 4 ms, against 901-1,210 iterations and 43-52 ms for a cold dual simplex
-solve of stage 3 built in omega; dual simplex from the same basis took
-806-938 iterations and 40-85 ms.  Its primal feasibility tolerance is
-1e-8: its weights are mu times the routing fractions, so at HiGHS's
-default of 1e-7 a path weight passed its cap by up to 5.3e-7 of a
-fraction where mu < 1 (200 random fabrics), against 1e-7 for stage 3 in
-omega; at 1e-8 it passed by 5.3e-8, at no measured cost.
+solve of the same stage posed in the routing fractions omega; dual
+simplex from the same basis took 806-938 iterations and 40-85 ms.  Its
+primal feasibility tolerance is 1e-8: its weights are mu times the
+routing fractions, so a fraction may pass its cap by the tolerance over
+mu.  At HiGHS's default of 1e-7 one passed by up to 5.3e-7 where mu < 1
+(200 random fabrics), at 1e-8 by 5.3e-8, at no measured cost.
 
 Presolve is on, as scipy's ``linprog(method="highs")`` set it, except in
 three families, where it was measured to cost more than it saves (HiGHS
@@ -88,16 +88,19 @@ presolve.  Edits carry it over: a change of ``scale``, an objective from
 status, a nonbasic column moved to a finite new bound; a column from
 ``add_vars`` enters nonbasic at a finite bound, and the rows of an
 ``add_rows`` block enter basic, at their place in HiGHS's row order.
-The old basis object, which a solution may hold, is never changed.  A
-model may also own a start basis, which ``set_start`` names by basic
-columns and basic ``add_rows`` blocks, and which ``lp`` maps to HiGHS's
-row order.  ``set_rhs`` replaces one block's right-hand side on a built
-model, in place on its assembled rows, and restores the start basis, or
-leaves the next solve cold without one; ``add_vars``, ``add_rows``,
-``set_bounds`` and ``set_objective`` drop the start basis.  A model
-re-solved for many right-hand sides is thus built and assembled once,
-and each such solve starts from the same point, so its result depends
-only on the model, not on the order of the solves before it.
+The old basis object, which a solution may hold, is never changed.
+Edits keep the statuses as lists, which the next solve makes one
+``HighsBasis``, so a basis is read across the binding (0.5 ms for stage
+2's at N = 8) once per solve, not once per edit.  A model may also own a
+start basis, which ``set_start`` names by basic columns and basic
+``add_rows`` blocks, and which ``lp`` maps to HiGHS's row order.
+``set_rhs`` replaces one block's right-hand side on a built model, in
+place on its assembled rows, and restores the start basis, or leaves the
+next solve cold without one; ``add_vars``, ``add_rows``, ``set_bounds``
+and ``set_objective`` drop the start basis.  A model re-solved for many
+right-hand sides is thus built and assembled once, and each such solve
+starts from the same point, so its result depends only on the model, not
+on the order of the solves before it.
 ``evaluate``'s min-MLU LP starts from its direct-routing basis, which is
 dual feasible for every right-hand side.  Over the 48 held-out matrices
 of perfbench's replay seed 1 on its mesh (best of 5 runs, same machine),
@@ -259,7 +262,7 @@ class LpModel:
         self._assembled = None
         self._formed = None  # the scale the scaled values are formed at
         self._start = None  # the start basis ``set_start`` gave
-        self._basis = None  # the basis the next solve starts from
+        self._basis = None  # the next solve's start: HighsBasis or statuses
 
     @property
     def num_variables(self) -> int:
@@ -274,8 +277,8 @@ class LpModel:
         self._ub = np.concatenate([self._ub, ubs])
         self._assembled = self._start = None
         if self._basis is not None:
-            self._rebase(self._basis.col_status + _nonbasic(lbs, ubs),
-                         self._basis.row_status)
+            col, row = self._statuses()
+            self._basis = (col + _nonbasic(lbs, ubs), row)
         return np.arange(start, start + count)
 
     def set_bounds(self, cols, lb=0.0, ub=None):
@@ -289,11 +292,11 @@ class LpModel:
         self._lb[cols], self._ub[cols] = lbs, ubs
         self._start = None
         if self._basis is not None:
-            status = self._basis.col_status
+            status, row = self._statuses()
             for col, moved in zip(cols.tolist(), _nonbasic(lbs, ubs)):
                 if status[col] != _BASIC:
                     status[col] = moved
-            self._rebase(status, self._basis.row_status)
+            self._basis = (status, row)
 
     def set_basis(self, basis):
         """Start the next solve from ``basis``, the ``LpSolution.basis`` of
@@ -301,13 +304,12 @@ class LpModel:
         as they carry the kept basis."""
         self._basis = basis
 
-    def _rebase(self, col_status: list, row_status: list):
-        """Keep a new basis of these statuses; the old object, which a
-        solution may hold, is not changed."""
-        basis = _highs.HighsBasis()
-        basis.col_status, basis.row_status = col_status, row_status
-        basis.valid, basis.alien = True, False
-        self._basis = basis
+    def _statuses(self) -> tuple:
+        """New (column, row) status lists of the kept basis."""
+        basis = self._basis
+        if isinstance(basis, tuple):
+            return list(basis[0]), list(basis[1])
+        return basis.col_status, basis.row_status
 
     def _check_cols(self, cols: np.ndarray):
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_variables):
@@ -338,10 +340,10 @@ class LpModel:
         self._blocks.append(_Block(relation, terms, scaled, rhs))
         self._assembled = self._start = None
         if self._basis is not None:
-            row_status = self._basis.row_status
+            col, row = self._statuses()
             first = self._first_row(len(self._blocks) - 1)
-            row_status[first:first] = [_BASIC] * len(rhs)
-            self._rebase(self._basis.col_status, row_status)
+            row[first:first] = [_BASIC] * len(rhs)
+            self._basis = (col, row)
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
@@ -395,11 +397,11 @@ class LpModel:
         status = _highs.HighsBasisStatus
         # HiGHS holds every row as <= or ==, so a nonbasic row is at its
         # upper bound.
-        self._rebase([_BASIC if basic else status.kLower
-                      for basic in basic_col.tolist()],
-                     [_BASIC if basic else status.kUpper
-                      for basic in basic_row.tolist()])
-        self._start = self._basis
+        self._basis = self._start = _highs_basis(
+            [_BASIC if basic else status.kLower
+             for basic in basic_col.tolist()],
+            [_BASIC if basic else status.kUpper
+             for basic in basic_row.tolist()])
 
     def _first_row(self, block: int) -> int:
         """The first row of the block ``block`` in HiGHS's row order:
@@ -478,6 +480,14 @@ def _nonbasic(lbs: np.ndarray, ubs: np.ndarray) -> list:
     return [status.kLower if lb > -np.inf else status.kUpper
             if ub < np.inf else status.kZero
             for lb, ub in zip(lbs.tolist(), ubs.tolist())]
+
+
+def _highs_basis(col_status: list, row_status: list) -> _highs.HighsBasis:
+    """A valid ``HighsBasis`` of these statuses."""
+    basis = _highs.HighsBasis()
+    basis.col_status, basis.row_status = col_status, row_status
+    basis.valid, basis.alien = True, False
+    return basis
 
 
 def _assemble(model: LpModel) -> _Assembly:
@@ -717,9 +727,12 @@ def solve(model: LpModel) -> LpSolution:
             sum(len(blk.rhs) for blk in model._blocks)))
     asm = model._assembly()
     A, n = asm.matrix, model.num_variables
+    basis = model._basis
+    if isinstance(basis, tuple):
+        basis = _highs_basis(*basis)
     res = linprog(asm.cost, A_ub=A,
                   options=_FAMILY_OPTIONS.get(model.name, _OPTIONS),
-                  basis=model._basis,
+                  basis=basis,
                   highs_lp=(n, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
                             asm.cost, model._lb, model._ub, *asm.bounds,
                             A.indptr, A.indices, A.data,

@@ -6,34 +6,34 @@ Three LP stages over a set of critical traffic matrices:
    critical matrices (a single routing weight set serves every matrix);
 2. desensitize: find the smallest sensitivity bound beta that still
    supports mu.  The bound caps every path on every link it crosses,
-   w_p <= beta * b * d_ab, so beta bounds the utilization a unit burst on
-   one pair can add to any link: exactly what
-   ``evaluate.sensitivity_map`` reports.  With free link counts the caps
-   are bilinear in (beta, d); written in stage 1's scaled weights as
-   w_p <= gamma * d_ab they are linear for a fixed gamma, and the
+   omega_p <= beta * b * d_ab, so beta bounds the utilization a unit
+   burst on one pair can add to any link: exactly what
+   ``evaluate.sensitivity_map`` reports.  In scaled weights the caps read
+   w_p <= gamma * d_ab, gamma = mu * beta * b.  With free link counts the
    largest throughput F(gamma) under them is one LP whose duals also give
-   F'(gamma).  Stage 2 is a safeguarded Newton root-find of
-   F(gamma) = mu* (Dinkelbach's method), and beta = gamma / F.  With link
-   counts fixed it is one LP minimizing beta;
+   F'(gamma), and stage 2 is a safeguarded Newton root-find of
+   F(gamma) = mu* (Dinkelbach's method), beta = gamma / F.  With link
+   counts fixed it is one LP minimizing the column gamma at mu = mu*;
 3. minimize average hop count by maximizing worst-case direct-path
    traffic subject to mu and beta.
 
 Stage 1 is nonlinear as written (mu * omega products) and is solved in
-scaled weights wp = omega * mu, which linearizes every constraint.
-The same stages rerun with link counts frozen to an integer topology to
-recompute routing after rounding.
+scaled weights w = omega * mu, which linearizes every constraint; every
+stage LP is stage 1's, with the caps from stage 2 on.  The same stages
+rerun with link counts frozen to an integer topology to recompute
+routing after rounding.
 
-With free link counts stage 3 is posed on stage 2's model, or stage 1's
-when not desensitized: mu pinned at the mu* stage 3 is given (F' =
-F (1 - MU_SLACK) after stage 2), the caps at ``scale`` = F' beta, and a
-column z with K direct-traffic rows.  With mu fixed at F', w = F' omega
-maps stage 3's LP in omega onto this one exactly: the split rows sum w
-to F', the load rows read F' T omega <= d, the caps w <= F' beta d, and
-z is F' times the least direct traffic, at most F' min_k sum T_k: its
-bound, without which HiGHS called the LP unbounded from 2**26 ports on.
-``run_pipeline`` re-solves the model the stage before it solved, from
-its basis, which is feasible; a standalone ``minimize_ahc`` builds the
-model and solves it cold.  Fixed link counts pose stage 3 in omega.
+Stage 3 is posed on stage 2's model, or stage 1's when not desensitized:
+mu pinned at the mu* stage 3 is given (F' = F (1 - MU_SLACK) after the
+joint stage 2), the caps at gamma = F' beta (``scale``, or the gamma
+column pinned), and a column z with K direct-traffic rows.  With mu
+fixed at F', w = F' omega maps stage 3's LP in omega onto this one
+exactly: the split rows sum w to F', the load rows read F' T omega <= d,
+the caps w <= F' beta d, and z is F' times the least direct traffic, at
+most F' min_k sum T_k: its bound, without which HiGHS called the LP
+unbounded from 2**26 ports on.  ``_stages`` re-solves the model the
+stage before it solved, from its basis, which is feasible; a standalone
+``minimize_ahc`` builds the model and solves it cold.
 
 Every stage LP is unitless: the criticals over sigma, the largest power
 of two at or below their largest entry (``demand_scale``), capacity in
@@ -80,9 +80,9 @@ class FractionalSolution:
     and sensitivity bound beta (None when not desensitized).  This type is
     the one owner of mu and beta; ``omega`` holds only the split.
 
-    ``_model`` is no part of the plan: stages 1 and 2 with free link counts
-    leave there the model they solved, at the basis they accepted, for
-    ``_stages`` to hand stage 3."""
+    ``_model`` is no part of the plan: stages 1 and 2 leave there the
+    model they solved, at the basis they accepted, for ``_stages`` to hand
+    stage 3."""
 
     d: FractionalTopology
     omega: RoutingWeights
@@ -115,17 +115,17 @@ class _StageBuilder:
     and paths crossing a zero-capacity link are dropped; pairs left with no
     usable path are deferred to a direct-only fallback unless demanded.
 
-    A model from ``new_model`` has a known column layout: one weight per
-    usable path, in path order (``col`` maps each path to its column, or
-    to -1 when it crosses a zero-capacity link); then, unless link counts
-    are fixed, one link count per pair (``_dcol``); then ``stage_col``,
-    the stage's own variable (mu, beta or z).  Every block of rows is one
-    ``LpModel.add_rows`` call whose triplets come from numpy index
-    arithmetic on ``_tables(n)``: the paths in column order, each path's
-    pair and links, and the (link, path) crossing table, built once per
-    pod count and shared read-only.  A builder adds what depends on its
-    topology: ``capacity`` per link when fixed, and ``col``.  Every stage
-    turns its solved vertex into a plan through ``solution``.
+    A model from ``new_model`` has a known column layout: one scaled weight
+    per usable path, in path order (``col`` maps each path to its column,
+    or to -1 when it crosses a zero-capacity link); then, unless link
+    counts are fixed, one link count per pair (``_dcol``); then mu at
+    ``stage_col``, gamma when fixed caps add it, and stage 3's z.  Every
+    block of rows is one ``LpModel.add_rows`` call whose triplets come from
+    numpy index arithmetic on ``_tables(n)``: the paths in column order,
+    each path's pair and links, and the (link, path) crossing table, built
+    once per pod count and shared read-only.  A builder adds what depends
+    on its topology: ``capacity`` per link when fixed, and ``col``.  Every
+    stage turns its solved vertex into a plan through ``solution``.
     """
 
     def __init__(self, phys: PhysicalTopology, crit: CriticalSet,
@@ -179,12 +179,12 @@ class _StageBuilder:
         on = self.col[t.cross_path] >= 0
         return t.cross_link[on], t.cross_path[on]
 
-    def new_model(self, name: str, weight_ub: Optional[float]) -> lp.LpModel:
+    def new_model(self, name: str) -> lp.LpModel:
         """One weight column per usable path, then link-count columns and
         port rows."""
         t = self.tables
         model = lp.LpModel(name)
-        model.add_vars(self.num_weights, 0.0, weight_ub)
+        model.add_vars(self.num_weights, 0.0, None)
         if self.fixed is None:
             r_eg = self.phys.egress_radix
             r_ig = self.phys.ingress_radix
@@ -197,7 +197,7 @@ class _StageBuilder:
                            np.stack([r_eg, r_ig], axis=1).ravel())
         return model
 
-    def add_load_constraints(self, model: lp.LpModel, scale: float):
+    def add_load_constraints(self, model: lp.LpModel):
         """Per-link, per-critical capacity rows: load <= capacity.
 
         Rows run link-major, critical-minor; a row no demanded path
@@ -210,25 +210,23 @@ class _StageBuilder:
         k, c = np.nonzero(demand > 0)
         row_ids, row = np.unique(link[c] * K + k, return_inverse=True)
         row_link = row_ids // K
-        cols = self.col[path[c]]
-        coefs = scale * demand[k, c]
+        terms = row, self.col[path[c]], demand[k, c]
         if self.fixed is None:
-            model.add_rows(*_per_row_term(row, cols, coefs, len(row_ids),
+            model.add_rows(*_per_row_term(*terms, len(row_ids),
                                           self._dcol()[row_link], -1.0),
                            lp.LE, np.zeros(len(row_ids)))
         else:
-            model.add_rows(row, cols, coefs, lp.LE, self.capacity[row_link])
+            model.add_rows(*terms, lp.LE, self.capacity[row_link])
 
-    def add_sensitivity_constraints(self, model: lp.LpModel,
-                                    beta: Optional[float] = None):
-        """Cap each path weight at beta_hat times each link it crosses.
+    def add_sensitivity_constraints(self, model: lp.LpModel):
+        """Cap each scaled path weight at gamma times each link it crosses.
 
-        w_p <= beta_hat * d_ab for each link (a, b) of p, so no link's
-        utilization rises by more than beta = beta_hat / b per unit of one
-        pair's demand; ``evaluate.sensitivity_map`` reports the same
-        quantity.  With free link counts the cap's d term is a scaled term
-        and beta_hat is ``model.scale``.  With fixed link counts beta_hat
-        is a new column, pinned to ``beta`` when given and free otherwise.
+        w_p <= gamma * d_ab for each link (a, b) of p, so at throughput
+        mu_hat no link's utilization rises by more than beta = gamma /
+        (mu_hat * b) per unit of one pair's demand, the quantity
+        ``evaluate.sensitivity_map`` reports.  With free link counts the
+        cap's d term is a scaled term and gamma is ``model.scale``.  With
+        fixed link counts gamma is a new column, the one after mu.
         """
         link, path = self._crossing()
         rows = np.arange(len(path))
@@ -238,33 +236,26 @@ class _StageBuilder:
                            scaled=(rows, self._dcol()[link],
                                    np.full(len(rows), -1.0)))
         else:
-            beta_col = model.add_vars(1, 0.0 if beta is None else beta,
-                                      beta)[0]
+            gamma = model.add_vars(1, 0.0, None)[0]
             model.add_rows(*_per_row_term(rows, self.col[path],
                                           np.ones(len(rows)), len(rows),
-                                          beta_col, -self.capacity[link]),
+                                          gamma, -self.capacity[link]),
                            lp.LE, np.zeros(len(rows)))
 
-    def add_split_constraints(self, model: lp.LpModel,
-                              total: Optional[int] = None):
+    def add_split_constraints(self, model: lp.LpModel, total: int):
         """Per-pair weight sums, one row per routed pair: equal to the
-        column ``total`` when given, else to one."""
-        rows, cols = self.split_row, np.arange(self.num_weights)
-        coefs, num_rows = np.ones(len(rows)), len(self.routed)
-        if total is None:
-            model.add_rows(rows, cols, coefs, lp.EQ, np.ones(num_rows))
-        else:
-            model.add_rows(*_per_row_term(rows, cols, coefs, num_rows,
-                                          total, -1.0),
-                           lp.EQ, np.zeros(num_rows))
+        column ``total``."""
+        w, num_rows = self.num_weights, len(self.routed)
+        model.add_rows(*_per_row_term(self.split_row, np.arange(w), np.ones(w),
+                                      num_rows, total, -1.0),
+                       lp.EQ, np.zeros(num_rows))
 
     def solution(self, x: np.ndarray, mu: float,
-                 beta: Optional[float] = None,
-                 normalize: Optional[float] = None) -> FractionalSolution:
+                 beta: Optional[float] = None) -> FractionalSolution:
         """The plan at a solved model's vertex ``x``, with the unitless
         throughput ``mu`` and bound ``beta`` converted to the plan's units.
 
-        ``normalize`` divides weights (recovering omega from scaled wp).
+        The scaled weights over ``mu`` are omega, up to stage 2's slack.
         ``RoutingWeights.normalized`` then rescales each pair's weights to
         sum to exactly one, adding them in path order; a routed pair whose
         weights sum to almost nothing, and a pair deferred at
@@ -279,9 +270,7 @@ class _StageBuilder:
         """
         t = self.tables
         w = np.zeros(len(t.paths))
-        w[self.col >= 0] = x[:self.num_weights]
-        if normalize is not None:
-            w = w / normalize
+        w[self.col >= 0] = x[:self.num_weights] / mu
         omega = RoutingWeights.normalized(self.n, w, 1e-12)
         d = self.fixed
         if d is None:
@@ -302,11 +291,11 @@ def _throughput_model(builder: _StageBuilder, name: str,
                       caps: bool = False) -> lp.LpModel:
     """Stage 1's LP in scaled weights: maximize mu subject to weights
     summing to mu per pair and every critical's load within capacity;
-    with ``caps``, stage 2's, the caps at ``model.scale`` added."""
-    model = builder.new_model(name, None)
+    with ``caps``, stage 2's, the caps on gamma added."""
+    model = builder.new_model(name)
     mu = model.add_vars(1, 0.0, None)[0]
     builder.add_split_constraints(model, mu)
-    builder.add_load_constraints(model, 1.0)
+    builder.add_load_constraints(model)
     model.set_objective("max", [mu], [1.0])
     if caps:
         builder.add_sensitivity_constraints(model)
@@ -334,8 +323,7 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed")
-    return replace(builder.solution(sol.x, mu, normalize=mu),
-                   _model=model if _fixed is None else None)
+    return replace(builder.solution(sol.x, mu), _model=model)
 
 
 def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
@@ -419,27 +407,28 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     called stage 3 infeasible exactly there, so stage 3 gets that slack.
     Stage 3 re-solves this very model, never one built afresh, from its
     accepted vertex scaled by (1 - MU_SLACK), feasible by construction.
-    With link counts fixed by ``_fixed`` the caps are linear in beta, one
-    LP minimizes it exactly, and mu is the mu* given, not mu_hat converted
-    back an ulp off, so stage 3 gets the very mu stage 1 found.
+    With link counts fixed by ``_fixed`` gamma is a column: one LP
+    minimizes it at mu_hat, and beta_hat = gamma / mu_hat must lie in
+    (0, ``BETA_CAP``].  The solution's mu is the mu* given, not mu_hat
+    converted back an ulp off, so stage 3 gets the very mu stage 1 found.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_hat = builder.unitless(mu_star)[0]
+    model = _throughput_model(builder, "desensitize", caps=True)
     if _fixed is None:
-        model = _throughput_model(builder, "desensitize", caps=True)
         beta, F, best = _newton_beta(builder, model, mu_hat)
-        return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta,
-                                        normalize=F), _model=model)
-    model = builder.new_model("desensitize", 1.0)
-    builder.add_split_constraints(model)
-    builder.add_load_constraints(model, mu_hat)
-    builder.add_sensitivity_constraints(model)
-    model.set_objective("min", [builder.stage_col], [1.0])
+        return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta),
+                       _model=model)
+    gamma = builder.stage_col + 1
+    model.set_bounds([builder.stage_col], mu_hat, mu_hat)
+    model.set_objective("min", [gamma], [1.0])
     best = lp.solve(model)
-    beta = float(best.x[builder.stage_col]) if best.optimal else math.inf
-    if beta > BETA_CAP:
+    beta = float(best.x[gamma]) / mu_hat if best.optimal else math.inf
+    # At a throughput below the solver's tolerances gamma can come out 0.
+    if not 0 < beta <= BETA_CAP:
         raise InternalError("no feasible sensitivity bound below cap")
-    return replace(builder.solution(best.x, mu_hat, beta), mu=mu_star)
+    return replace(builder.solution(best.x, mu_hat, beta), mu=mu_star,
+                   _model=model)
 
 
 def _maximize_direct(builder: _StageBuilder, model: lp.LpModel, z: int):
@@ -462,42 +451,37 @@ def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     """Stage 3: maximize worst-case direct-path traffic at fixed mu* and beta.
 
     ``beta=None`` skips the sensitivity caps (the non-desensitized variant).
-    With free link counts stage 3 is one solve of the model the module
-    docstring describes: ``_warm``, which stage 1, or with ``beta`` stage
-    2, solved, re-solved from its basis; else that model built here and
-    solved cold.  With link counts fixed by ``_fixed`` it is built in omega.
+    Stage 3 is one solve of the model the module docstring describes:
+    ``_warm``, which stage 1, or with ``beta`` stage 2, solved, re-solved
+    from its basis; else that model built here and solved cold.
+    ``_fixed`` fixes the link counts, as it does for stages 1 and 2.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_star, beta = builder.unitless(mu_star, beta)
-    if _fixed is not None:
-        model = builder.new_model("minimize-ahc", 1.0)
-        z = model.add_vars(1, 0.0, None)[0]
-        builder.add_split_constraints(model)
-        builder.add_load_constraints(model, mu_star)
-        if beta is not None:
-            builder.add_sensitivity_constraints(model, beta)
-    else:
-        model = _warm or _throughput_model(builder, "", beta is not None)
-        model.name = "minimize-ahc-warm"
-        model.set_bounds([builder.stage_col], mu_star, mu_star)
-        if beta is not None:
-            model.scale = mu_star * beta
-        least_total = builder.demand.sum(axis=(1, 2)).min()
-        z = model.add_vars(1, 0.0, mu_star * least_total)[0]
+    model = _warm or _throughput_model(builder, "", beta is not None)
+    model.name = "minimize-ahc-warm"
+    model.set_bounds([builder.stage_col], mu_star, mu_star)
+    if beta is not None:
+        gamma = mu_star * beta
+        if _fixed is None:
+            model.scale = gamma
+        else:
+            model.set_bounds([builder.stage_col + 1], gamma, gamma)
+    least_total = builder.demand.sum(axis=(1, 2)).min()
+    z = model.add_vars(1, 0.0, mu_star * least_total)[0]
     _maximize_direct(builder, model, z)
     sol = lp.solve(model)
     if not sol.optimal:
         raise InternalError(f"stage-3 LP ended {sol.status}")
-    return builder.solution(sol.x, mu_star, beta, normalize=None
-                            if _fixed is not None else mu_star)
+    return builder.solution(sol.x, mu_star, beta)
 
 
 def _stages(phys: PhysicalTopology, crit: CriticalSet, desensitized: bool,
             fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 1 -> 2 -> 3, each stage on the mu (and beta) the one before
     found; stage 2 is skipped when not desensitized.  ``fixed`` freezes
-    the link counts of all three.  With free link counts stage 3 re-solves
-    the model of the stage before it."""
+    the link counts of all three.  Stage 3 re-solves the model of the
+    stage before it."""
     step = solve_maxmin_throughput(phys, crit, _fixed=fixed)
     if desensitized:
         step = desensitize(phys, crit, step.mu, _fixed=fixed)

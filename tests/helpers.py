@@ -539,11 +539,13 @@ class LoopStageBuilder:
                     model.row(terms, lp.LE, self.b * self.fixed[a, b])
 
     def add_sensitivity_constraints(self, model, beta=None):
+        """The caps; with fixed link counts on a column "gamma", pinned at
+        ``beta`` when given (omega) and free otherwise (scaled weights)."""
         if self.fixed is None:
             if beta is not None:
                 model.model.scale = beta
         else:
-            model.var("beta", 0.0 if beta is None else beta, beta)
+            model.var("gamma", 0.0 if beta is None else beta, beta)
         for (a, b), paths in self.crossing.items():
             for p in paths:
                 if p not in self.pair_paths.get((p.src, p.dst), ()):
@@ -553,7 +555,7 @@ class LoopStageBuilder:
                               scaled={dname(a, b): -self.b})
                 else:
                     model.row(
-                        {wname(p): 1.0, "beta": -self.b * self.fixed[a, b]},
+                        {wname(p): 1.0, "gamma": -self.b * self.fixed[a, b]},
                         lp.LE, 0.0)
 
     def add_split_constraints(self, model, total):
@@ -568,24 +570,16 @@ class LoopStageBuilder:
 
 def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     """The model each stage of ``optimize`` solves, built by
-    ``LoopStageBuilder``: stage "1" (max mu), "2" (min beta; joint: stage
-    1's model plus the caps at ``model.scale = beta``) or "3" (max z).
+    ``LoopStageBuilder`` in scaled weights: stage "1" (max mu), "2" (stage
+    1's model plus the caps: joint, at ``model.scale = beta``; with fixed
+    link counts on the column gamma, mu pinned at ``mu`` and min gamma) or
+    "3" (max z).
 
-    Stage 3 with free link counts is posed on the model of the stage
-    before it, stage 2's or, without ``beta``, stage 1's: mu pinned at
-    ``mu``, the caps at ``scale = mu * beta``, then z, at most ``mu``
-    times the least critical total, and its rows.  With fixed link
-    counts it is ``loop_stage3_in_omega``'s model."""
+    Stage 3 is posed on the model of the stage before it, stage 2's or,
+    without ``beta``, stage 1's: mu pinned at ``mu``, the caps at gamma =
+    ``mu * beta`` (``scale``, or the gamma column pinned), then z, at
+    most ``mu`` times the least critical total, and its rows."""
     builder = LoopStageBuilder(phys, crit, fixed)
-    if stage == "2" and fixed is not None:
-        model = builder.new_model("desensitize", 1.0)
-        builder.add_split_constraints(model, 1.0)
-        builder.add_load_constraints(model, mu)
-        builder.add_sensitivity_constraints(model)
-        model.objective("min", {"beta": 1.0})
-        return model.model
-    if stage == "3" and fixed is not None:
-        return loop_stage3_in_omega(phys, crit, fixed, mu, beta).model
     name = {"1": "maxmin-throughput" if fixed is None
             else "fixed-throughput",
             "2": "desensitize", "3": "minimize-ahc-warm"}[stage]
@@ -598,10 +592,16 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
         return model.model
     if stage == "2" or beta is not None:
         builder.add_sensitivity_constraints(model)
-        model.model.scale = beta if stage == "2" else mu * beta
+        if fixed is None:
+            model.model.scale = beta if stage == "2" else mu * beta
     if stage == "2":
+        if fixed is not None:
+            model.model.set_bounds([model.col["mu"]], mu, mu)
+            model.objective("min", {"gamma": 1.0})
         return model.model
     model.model.set_bounds([model.col["mu"]], mu, mu)
+    if beta is not None and fixed is not None:
+        model.model.set_bounds([model.col["gamma"]], mu * beta, mu * beta)
     model.var("z", 0.0, mu * min(t.demand.sum() for t in crit))
     _add_direct_rows(builder, model)
     return model.model
@@ -611,9 +611,8 @@ def loop_stage3_in_omega(phys, crit, fixed=None, mu=None, beta=None
                          ) -> NamedModel:
     """Stage 3 in the routing fractions omega, z unbounded: weights
     summing to one per pair, the loads at ``mu`` and, with ``beta``, the
-    caps at ``beta``.  With fixed link counts this is the model
-    ``optimize`` solves; with free ones, an oracle for the optimum of the
-    model in scaled weights that it solves instead."""
+    caps at ``beta``: an oracle for the optimum of the model in scaled
+    weights that ``optimize`` solves instead."""
     builder = LoopStageBuilder(phys, crit, fixed)
     model = builder.new_model("minimize-ahc", 1.0)
     model.var("z", 0.0, None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -605,7 +607,8 @@ class TestRecomputeRouting:
     def test_stages_hand_on_stage1_mu_bit_for_bit(self, bandwidth):
         # Stages 2 and 3 run at the very mu stage 1 found: fixed-link
         # desensitize hands it on unconverted, so re-routing gives the
-        # bits of the three fixed stages chained by hand.
+        # bits of the three fixed stages chained by hand, stage 3 on
+        # stage 2's model as _stages hands it on.
         rng = np.random.default_rng(31)
         for fabric in (random_fabric, hetero_fabric) * 3:
             n = int(rng.integers(3, 6))
@@ -616,11 +619,77 @@ class TestRecomputeRouting:
             mu = solve_maxmin_throughput(phys, crit, _fixed=fixed).mu
             stage2 = desensitize(phys, crit, mu, _fixed=fixed)
             assert stage2.mu == mu
-            want = minimize_ahc(phys, crit, mu, stage2.beta, _fixed=fixed)
+            want = minimize_ahc(phys, crit, stage2.mu, stage2.beta,
+                                _fixed=fixed, _warm=stage2._model)
             got = recompute_routing(phys, topo, crit)
             assert (got.mu, got.beta) == (want.mu, want.beta)
             assert np.array_equal(got.omega.omega, want.omega.omega)
             assert np.array_equal(got.d.d, want.d.d)
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_stage3_resolves_the_model_before_it(self, monkeypatch,
+                                                 desensitized):
+        # Stage 1 solves its model and stage 2 builds and solves its own,
+        # each cold; stage 3 re-solves the last of them from the basis its
+        # solve ended on, z nonbasic at 0 and the K direct rows basic,
+        # which HiGHS holds after the other inequality rows and before the
+        # split rows.  No other model is solved.
+        status = lp._highs.HighsBasisStatus
+        for seed in range(4):
+            phys, crit, topo = rounded_instance(seed, random_fabric)
+            seen, real = [], lp.solve
+
+            def recording(model):
+                seen.append((model, model.name))
+                return real(model)
+
+            monkeypatch.setattr(lp, "solve", recording)
+            calls = record_highs(monkeypatch)
+            recompute_routing(phys, topo, crit, desensitized)
+            monkeypatch.undo()
+            assert [name for _, name in seen] == (
+                ["fixed-throughput"] + ["desensitize"] * desensitized
+                + ["minimize-ahc-warm"])
+            assert seen[-1][0] is seen[-2][0]
+            assert len({id(model) for model, _ in seen}) == 1 + desensitized
+            assert [basis is None for basis, _ in calls[:-1]] == [True] * (
+                1 + desensitized)
+            before, handed = calls[-2][1].basis, calls[-1][0]
+            builder = _StageBuilder(phys, crit, topo.X.astype(float))
+            num_split, weights = len(builder.routed), builder.num_weights
+            rows = before.row_status
+            assert handed.row_status == (rows[:-num_split]
+                                         + [status.kBasic] * len(crit)
+                                         + rows[-num_split:])
+            assert handed.col_status[:weights] == before.col_status[:weights]
+            assert len(handed.col_status) == len(before.col_status) + 1
+            assert handed.col_status[-1] == status.kLower
+            assert calls[-1][1].optimal
+
+    def test_rerouting_keeps_the_cold_optimum_in_omega(self, monkeypatch):
+        # On rounded random fabrics, N = 3-8, re-routing's stage 3 reaches
+        # the optimum of stage 3 in omega, built one row at a time and
+        # solved cold at the same mu and beta, and the plan keeps its
+        # sensitivity bound on every link.
+        for seed in range(16):
+            phys, crit, topo = rerouting_instance(seed)
+            X, b = topo.X.astype(float), phys.link_bandwidth
+            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
+            for desensitized in (True, False):
+                calls = record_args(monkeypatch, "minimize_ahc")
+                routed = recompute_routing(phys, topo, crit, desensitized)
+                monkeypatch.undo()
+                mu, beta = calls[0][2:4]
+                oracle = loop_stage3_in_omega(
+                    unit_phys, unit_crit, X, mu * (sigma / b),
+                    None if beta is None else beta * b)
+                sol = lp.solve(oracle.model)
+                assert sol.optimal
+                assert direct_traffic(routed, crit) == pytest.approx(
+                    oracle.value(sol, "z"), rel=1e-6)
+                if desensitized:
+                    assert sensitivity_map(topo, routed.omega, b).max() \
+                        <= routed.beta * (1 + 1e-6)
 
     def test_infeasible_when_budget_violated(self):
         phys = make_fabric(2, 1, 1)
@@ -630,6 +699,21 @@ class TestRecomputeRouting:
         with pytest.raises(InvalidInputError):
             recompute_routing(phys, IntegerTopology(x),
                               CriticalSet((TrafficMatrix(t),)))
+
+
+def rerouting_instance(seed: int) -> tuple:
+    """A random fabric, criticals and the LDM rounding of their plan:
+    N = 3-8, M = 2-4, 2-4 ports per pod per switch, K = 1-5, dense or
+    30 % sparse criticals.  The rounding connects every demanded pair for
+    seeds 0-15; on fewer switches or ports it can leave a pair without a
+    1- or 2-hop path (ROADMAP item 4)."""
+    rng = np.random.default_rng([8, seed])
+    n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((3, 9), (2, 5),
+                                                        (1, 6)))
+    phys = (random_fabric if seed % 2 else hetero_fabric)(rng, n, m, 2, 4)
+    crit = (random_criticals(rng, n, k) if seed % 4 < 2 else
+            CriticalSet(tuple(sparse_tm(rng, n, 0.3) for _ in range(k))))
+    return phys, crit, ldm_round(phys, run_pipeline(phys, crit).d, 20).topo
 
 
 def sparse_instance(seed: int, n: int, fixed: bool):
@@ -686,8 +770,7 @@ def record_args(monkeypatch, name: str) -> list:
 def stage_models(monkeypatch, phys, crit, X, desensitized=True):
     """{stage: (model as it was solved last, mu_hat, beta_hat)} of the
     stages ``optimize._stages`` runs, at the unitless mu and beta each was
-    given; stage 3 with free link counts is posed on the model of the
-    stage before it."""
+    given; stage 3 is posed on the model of the stage before it."""
     models = record_solves(monkeypatch, copy=True)
     stage2, stage3 = (record_args(monkeypatch, name)
                       for name in ("desensitize", "minimize_ahc"))
@@ -698,9 +781,8 @@ def stage_models(monkeypatch, phys, crit, X, desensitized=True):
     b, sigma = phys.link_bandwidth, unitless_inputs(phys, crit)[2]
     mu, beta = stage3[0][2:4]
     out = {"1": (by_name[stage1], None, None),
-           "3": (by_name["minimize-ahc" if X is not None
-                         else "minimize-ahc-warm"],
-                 mu * (sigma / b), None if beta is None else beta * b)}
+           "3": (by_name["minimize-ahc-warm"], mu * (sigma / b),
+                 None if beta is None else beta * b)}
     if desensitized:
         out["2"] = (by_name["desensitize"], stage2[0][2] * (sigma / b),
                     by_name["desensitize"].scale)
@@ -741,24 +823,24 @@ class TestStageModels:
     @pytest.mark.parametrize("desensitized", [True, False])
     def test_standalone_stage3_is_the_pipelines_model(self, monkeypatch,
                                                       desensitized):
-        # With free link counts minimize_ahc called on its own builds the
-        # model _stages hands on, stage 1's plus the caps with beta, and
-        # solves it once, cold.
-        for n in (2, 5, 8):
-            phys, crit, _ = sparse_instance(0, n, False)
+        # minimize_ahc called on its own builds the model _stages hands
+        # on, stage 1's plus the caps with beta, and solves it once, cold;
+        # with free link counts and with fixed ones.
+        for n, fixed in itertools.product((2, 5, 8), (False, True)):
+            phys, crit, X = sparse_instance(0, n, fixed)
             calls = record_args(monkeypatch, "minimize_ahc")
-            run_pipeline(phys, crit, desensitized)
+            optimize._stages(phys, crit, desensitized, X)
             monkeypatch.undo()
             mu, beta = calls[0][2:4]
             models = record_solves(monkeypatch, copy=True)
             highs = record_highs(monkeypatch)
-            minimize_ahc(phys, crit, mu, beta)
+            minimize_ahc(phys, crit, mu, beta, _fixed=X)
             monkeypatch.undo()
             assert len(models) == 1 and highs[0][0] is None
             unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
             b = phys.link_bandwidth
             assert_same_model(models[0], loop_stage_model(
-                "3", unit_phys, unit_crit, None, mu * (sigma / b),
+                "3", unit_phys, unit_crit, X, mu * (sigma / b),
                 None if beta is None else beta * b))
 
     @pytest.mark.parametrize("fixed", [False, True])
@@ -827,11 +909,14 @@ class TestStageModels:
         second = _StageBuilder(phys, crit2, X2)
         for builder, c, X in ((first, crit, X1), (second, crit2, X2),
                               (first, crit, X1)):
-            model = builder.new_model("desensitize", 1.0)
-            builder.add_split_constraints(model)
-            builder.add_load_constraints(model, 0.5)
+            model = builder.new_model("desensitize")
+            mu = model.add_vars(1, 0.0, None)[0]
+            builder.add_split_constraints(model, mu)
+            builder.add_load_constraints(model)
+            model.set_objective("max", [mu], [1.0])
             builder.add_sensitivity_constraints(model)
-            model.set_objective("min", [builder.stage_col], [1.0])
+            model.set_bounds([mu], 0.5, 0.5)
+            model.set_objective("min", [mu + 1], [1.0])
             unit_phys, unit_crit, _ = unitless_inputs(phys, c)
             assert_same_model(model, loop_stage_model("2", unit_phys,
                                                       unit_crit, X, mu=0.5))
