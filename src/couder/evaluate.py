@@ -287,7 +287,8 @@ def uniform_mesh(phys: PhysicalTopology) -> IntegerTopology:
     The remainder goes round-robin to destinations in ascending order
     starting from each pod's successor (staggering keeps the extra links
     from piling onto one pod's ingress); links are then packed onto
-    switches greedily within port budgets, so the result always validates.
+    switches greedily within port budgets, each pair's in one step
+    (``_fill``), so the result always validates.
     """
     n, M = phys.num_pods, phys.num_ocs
     want = np.zeros((n, n), dtype=int)
@@ -303,17 +304,30 @@ def uniform_mesh(phys: PhysicalTopology) -> IntegerTopology:
         for j in range(n):
             if i == j:
                 continue
-            for _ in range(want[i, j]):
-                # One link at a time onto the switch with the most headroom
-                # for this pair, so no switch strands capacity.
-                headroom = np.minimum(eg_left[:, i], ig_left[:, j])
-                m = int(headroom.argmax())
-                if headroom[m] <= 0:
-                    break
-                x[m, i, j] += 1
-                eg_left[m, i] -= 1
-                ig_left[m, j] -= 1
+            links = _fill(np.minimum(eg_left[:, i], ig_left[:, j]),
+                          int(want[i, j]))
+            x[:, i, j] = links
+            eg_left[:, i] -= links
+            ig_left[:, j] -= links
     return IntegerTopology(x)
+
+
+def _fill(headroom: np.ndarray, w: int) -> np.ndarray:
+    """Links per switch from placing ``w`` links one at a time, each on
+    the switch with the most ``headroom`` left, the lowest index on ties,
+    while that is positive.  Each link lowers its switch's headroom by
+    one, so this lowers every headroom above a level L to L, L the lowest
+    level >= 0 at which that takes at most w links, and then, when L > 0,
+    places the links left one each on the first switches at L by index.
+    The top k headrooms, summing to S_k, give up S_k - k L at level L, so
+    L is the largest ceil((S_k - w) / k), or 0."""
+    top = np.cumsum(np.sort(headroom)[::-1])
+    k = np.arange(1, len(top) + 1)
+    level = int((-((w - top) // k)).max(initial=0))
+    links = np.maximum(headroom - level, 0)
+    if level > 0:
+        links[np.flatnonzero(headroom >= level)[:w - int(links.sum())]] += 1
+    return links
 
 
 def vlb_weights(x: Capacity) -> RoutingWeights:

@@ -24,10 +24,13 @@ Every model reaches HiGHS one way: as the arguments of the binding's
 array ``passModel``, numpy arrays the binding copies once.  An
 ``LpModel`` goes row-wise (``MatrixFormat.kRowwise``).  At its first
 solve after ``add_vars``, ``add_rows`` or ``set_objective`` a model
-assembles its cost and rows (``_Assembly``): the inequalities as <= and
-then the equalities, in one CSR pattern that holds both the fixed and
-the ``scale``d value of each entry, duplicate triplets summed and exact
-zeros dropped.  The matrix values and row bounds of that assembly are
+assembles its cost and rows (``_Assembly``).  The rows reach HiGHS as
+ranges in the order added: each row is one [lower, upper] pair, its
+right-hand side the upper bound of a <= row, the lower bound of a >=
+row and both bounds of an equality row.  They are one CSR pattern that
+holds both the fixed and the ``scale``d value of each entry, duplicate
+triplets summed and exact zeros dropped.  The matrix values and row
+bounds of that assembly are
 the very arrays HiGHS receives: ``set_rhs`` writes new row bounds into
 them and a change of ``scale`` re-forms fixed + scale * scaled in place,
 so no solve joins or converts an array, and none can send a stale one.
@@ -87,13 +90,13 @@ presolve.  Edits carry it over: a change of ``scale``, an objective from
 ``set_objective`` and column bounds from ``set_bounds`` keep every
 status, a nonbasic column moved to a finite new bound; a column from
 ``add_vars`` enters nonbasic at a finite bound, and the rows of an
-``add_rows`` block enter basic, at their place in HiGHS's row order.
+``add_rows`` block enter basic, after every row before them.
 The old basis object, which a solution may hold, is never changed.
 Edits keep the statuses as lists, which the next solve makes one
 ``HighsBasis``, so a basis is read across the binding (0.5 ms for stage
 2's at N = 8) once per solve, not once per edit.  A model may also own a
 start basis, which ``set_start`` names by basic columns and basic
-``add_rows`` blocks, and which ``lp`` maps to HiGHS's row order.
+``add_rows`` blocks, and which ``lp`` maps to HiGHS's rows.
 ``set_rhs`` replaces one block's right-hand side on a built model, in
 place on its assembled rows, and restores the start basis, or leaves the
 next solve cold without one; ``add_vars``, ``add_rows``, ``set_bounds``
@@ -181,7 +184,9 @@ _BASIC = _highs.HighsBasisStatus.kBasic
 _RESIDUAL_TOL = math.sqrt(1e-9) * 10
 
 LE, EQ, GE = "<=", "==", ">="
-_RELATIONS = (LE, EQ, GE)
+#: The rows of ``_Assembly.bounds``, 0 the lower bound and 1 the upper,
+#: that a row's right-hand side sets, by relation.
+_BOUND_ROWS = {LE: [1], EQ: [0, 1], GE: [0]}
 
 
 class _Block(NamedTuple):
@@ -222,25 +227,24 @@ class _Csr:
 
 class _Assembly(NamedTuple):
     """A model as the array ``passModel`` takes it: the cost, and the
-    rows row-wise, the first ``num_ub`` of them the inequality rows as <=
-    and the rest the equality rows.  ``matrix`` and ``bounds`` are the
-    arrays HiGHS receives and the ones ``solve`` checks the vertex
-    against; ``matrix.data`` is ``fixed`` + ``scale`` * ``scaled.data``,
-    or ``fixed`` when the model has no scaled terms."""
+    rows row-wise in the order ``add_rows`` added them, each row one
+    range of its two bounds.  ``matrix`` and ``bounds`` are the arrays
+    HiGHS receives and the ones ``solve`` checks the vertex against;
+    ``matrix.data`` is ``fixed`` + ``scale`` * ``scaled.data``, or
+    ``fixed`` when the model has no scaled terms."""
 
     cost: np.ndarray
     matrix: _Csr  # int32 indptr and indices
     fixed: np.ndarray
     scaled: Optional[_Csr]  # the scaled values on the same pattern
     bounds: np.ndarray  # the row lower bounds, then the upper ones
-    num_ub: int
 
 
 class LpModel:
     """Incrementally built LP: bounded columns, linear rows, objective.
 
     Rows live in one store of blocks, one block per ``add_rows`` call.
-    Assembly stacks the blocks per relation in insertion order.
+    Assembly stacks the blocks in the order they were added.
 
     A row may also carry scaled terms, whose coefficients are multiplied by
     ``scale`` at solve time.  LPs that differ only in that one block of
@@ -325,7 +329,7 @@ class LpModel:
         when given, add terms whose coefficients are multiplied by
         ``scale``.
         """
-        if relation not in _RELATIONS:
+        if relation not in _BOUND_ROWS:
             raise InvalidInputError(f"unknown relation {relation!r}")
         rhs = np.array(rhs, dtype=float, ndmin=1)
         terms, scaled = (None if t is None else _triplets(*t)
@@ -341,17 +345,17 @@ class LpModel:
         self._assembled = self._start = None
         if self._basis is not None:
             col, row = self._statuses()
-            first = self._first_row(len(self._blocks) - 1)
-            row[first:first] = [_BASIC] * len(rhs)
-            self._basis = (col, row)
+            self._basis = (col, row + [_BASIC] * len(rhs))
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
         """Replace the right-hand side of the block ``add_rows`` numbered
         ``block`` by ``rhs``, of the same length.  An assembled model takes
-        the new values, a >= block's negated, in place as the row bounds it
-        hands HiGHS.  The next solve starts from the ``set_start`` basis,
-        or cold without one, so its result depends only on the model."""
+        the new values in place as the row bounds it hands HiGHS: the upper
+        bounds of a <= block, the lower ones of a >= block and both of an
+        equality block.  The next solve starts from the ``set_start``
+        basis, or cold without one, so its result depends only on the
+        model."""
         if not 0 <= block < len(self._blocks):
             raise InvalidInputError(f"no row block {block}")
         blk = self._blocks[block]
@@ -361,11 +365,9 @@ class LpModel:
                                     f" block of {len(blk.rhs)} rows")
         self._blocks[block] = blk._replace(rhs=rhs)
         if self._assembled is not None:
-            first = self._first_row(block)
-            sign = -1.0 if blk.relation == GE else 1.0
-            # An equality row's lower bound is its right-hand side too.
-            self._assembled.bounds[0 if blk.relation == EQ else 1:,
-                                   first:first + len(rhs)] = sign * rhs
+            first = sum(len(other.rhs) for other in self._blocks[:block])
+            self._assembled.bounds[_BOUND_ROWS[blk.relation],
+                                   first:first + len(rhs)] = rhs
         self._basis = self._start
 
     def set_start(self, cols, blocks):
@@ -383,37 +385,22 @@ class LpModel:
         self._check_cols(cols)
         basic_col = np.zeros(self.num_variables, dtype=bool)
         basic_col[cols] = True
-        basic_row = np.zeros(sum(len(blk.rhs) for blk in self._blocks),
-                             dtype=bool)
-        for block in blocks:
-            first = self._first_row(block)
-            basic_row[first:first + len(self._blocks[block].rhs)] = True
-        if basic_col.sum() + basic_row.sum() != len(basic_row):
+        status, blocks = _highs.HighsBasisStatus, set(blocks)
+        # A nonbasic row is at the bound its right-hand side sets.
+        at_rhs = {LE: status.kUpper, EQ: status.kUpper, GE: status.kLower}
+        row_status = []
+        for block, blk in enumerate(self._blocks):
+            at = _BASIC if block in blocks else at_rhs[blk.relation]
+            row_status += [at] * len(blk.rhs)
+        if basic_col.sum() + row_status.count(_BASIC) != len(row_status):
             raise InvalidInputError("a basis has one basic column or row per"
                                     " row")
         if not np.isfinite(self._lb[~basic_col]).all():
             raise InvalidInputError("a nonbasic column needs a finite lower"
                                     " bound")
-        status = _highs.HighsBasisStatus
-        # HiGHS holds every row as <= or ==, so a nonbasic row is at its
-        # upper bound.
         self._basis = self._start = _highs_basis(
             [_BASIC if basic else status.kLower
-             for basic in basic_col.tolist()],
-            [_BASIC if basic else status.kUpper
-             for basic in basic_row.tolist()])
-
-    def _first_row(self, block: int) -> int:
-        """The first row of the block ``block`` in HiGHS's row order:
-        every inequality row, then every equality row, each group in the
-        order ``add_rows`` added them."""
-        equality = self._blocks[block].relation == EQ
-        first = sum(len(other.rhs) for other in self._blocks[:block]
-                    if (other.relation == EQ) == equality)
-        if equality:
-            first += sum(len(other.rhs) for other in self._blocks
-                         if other.relation != EQ)
-        return first
+             for basic in basic_col.tolist()], row_status)
 
     def set_objective(self, sense: str, cols, coefs):
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
@@ -492,8 +479,9 @@ def _highs_basis(col_status: list, row_status: list) -> _highs.HighsBasis:
 
 def _assemble(model: LpModel) -> _Assembly:
     """The ``_Assembly`` of ``model``, its scaled values not yet formed:
-    the blocks stacked in HiGHS's row order, each moved down past the rows
-    before it and a >= block negated.
+    the blocks stacked in the order added, each moved down past the rows
+    before it, and each row's right-hand side the bound or bounds its
+    relation sets.
 
     The pattern holds every (row, column) with a nonzero fixed or scaled
     value.  Triplets on one (row, column) are summed in the order given,
@@ -502,21 +490,18 @@ def _assemble(model: LpModel) -> _Assembly:
     entries, so up to there the values equal those of a CSR matrix built
     per part.
     """
-    num_cols = model.num_variables
-    group = [blk for equality in (False, True) for blk in model._blocks
-             if (blk.relation == EQ) == equality and len(blk.rhs)]
-    offsets = np.cumsum([0] + [len(blk.rhs) for blk in group])
-    signs = [-1.0 if blk.relation == GE else 1.0 for blk in group]
+    num_cols, blocks = model.num_variables, model._blocks
+    offsets = np.cumsum([0] + [len(blk.rhs) for blk in blocks])
     keys, values = [np.zeros(0, dtype=int)], [np.zeros((0, 2))]
     for part in (0, 1):  # the fixed terms, then the scaled ones
-        for blk, offset, sign in zip(group, offsets, signs):
+        for blk, offset in zip(blocks, offsets):
             terms = blk.scaled if part else blk.terms
             if terms is None:
                 continue
             rows, cols, coefs = terms
             keys.append((rows + offset) * num_cols + cols)
             vals = np.zeros((len(rows), 2))
-            vals[:, part] = sign * coefs
+            vals[:, part] = coefs
             values.append(vals)
     key = np.concatenate(keys)
     order = np.argsort(key, kind="stable")
@@ -534,17 +519,16 @@ def _assemble(model: LpModel) -> _Assembly:
         key // num_cols, minlength=num_rows))]).astype(np.int32)
     index = (key % num_cols).astype(np.int32)
     shape = (num_rows, num_cols)
-    upper = np.concatenate([np.zeros(0)] + [s * blk.rhs
-                                            for s, blk in zip(signs, group)])
-    bounds = np.array([upper, upper])
-    num_ub = int(offsets[sum(blk.relation != EQ for blk in group)])
-    bounds[0, :num_ub] = -np.inf
+    bounds = np.repeat([[-np.inf], [np.inf]], num_rows, axis=1)
+    for blk, offset in zip(blocks, offsets):
+        bounds[_BOUND_ROWS[blk.relation], offset:offset + len(blk.rhs)] \
+            = blk.rhs
     cost = np.zeros(num_cols)
     np.add.at(cost, *model._objective)
     return _Assembly((-1.0 if model._sense == "max" else 1.0) * cost,
                      _Csr(fixed.copy(), index, start, shape), fixed,
                      _Csr(scaled, index, start, shape) if scaled.any()
-                     else None, bounds, num_ub)
+                     else None, bounds)
 
 
 _STATUS = _highs.HighsModelStatus
@@ -692,8 +676,8 @@ def linprog(c, A_ub=None, A_eq=None, *, highs_lp, options=_OPTIONS,
             basis=None) -> LpSolution:
     """``_run_highs(highs_lp, options, basis)``: the one call into HiGHS
     for an ``LpModel``, kept as the seam ``perfbench``'s tracer wraps.
-    ``c`` is the cost, and ``A_ub`` every row of ``highs_lp``, the
-    equality rows included, as one ``_Csr``; ``A_eq`` is left None.
+    ``c`` is the cost, and ``A_ub`` every row of ``highs_lp``, whatever
+    its relation, as one ``_Csr``; ``A_eq`` is left None.
     Nothing here reads them: they exist for the tracer, which adds up the
     rows and entries of both, until it reads spans instead (ROADMAP item
     1(b))."""
@@ -706,25 +690,18 @@ def solve(model: LpModel) -> LpSolution:
     Returns ``linprog``'s record in the model's sense: a "max" model's
     objective, slope and duals change sign.  A model without an objective
     is a feasibility check.  At an optimum ``row_dual`` holds
-    y_i = d(objective)/d(b_i) for each row i: every inequality row, a >=
-    row negated into <=, then every equality row, each in the order
-    ``add_rows`` added it.  ``slope``, by the envelope theorem, is
-    -sum_i y_i (A_scaled x)_i, the objective's slope in ``model.scale``.
-    The optimal basis stays with the model for its next solve.  A model
-    without columns is solved here: each row reads 0 (relation) rhs, and
-    at an optimum every dual is 0.
+    y_i = d(objective)/d(rhs_i) for each row i, in the order ``add_rows``
+    added the rows, each row in its own relation.  ``slope``, by the
+    envelope theorem, is -sum_i y_i (A_scaled x)_i, the objective's slope
+    in ``model.scale``.  The optimal basis stays with the model for its
+    next solve.  A model without columns is InvalidInputError.
 
     Like scipy's ``linprog`` it raises SolverLimitError on an optimal
     vertex that misses a column bound or the row bounds HiGHS was given by
     more than sqrt(1e-9) * 10, or whose objective is not finite.
     """
     if model.num_variables == 0:
-        holds = {LE: np.less_equal, EQ: np.equal, GE: np.greater_equal}
-        if not all(holds[blk.relation](0.0, blk.rhs).all()
-                   for blk in model._blocks):
-            return LpSolution("infeasible")
-        return LpSolution("optimal", np.zeros(0), 0.0, row_dual=np.zeros(
-            sum(len(blk.rhs) for blk in model._blocks)))
+        raise InvalidInputError("an LP needs at least one column")
     asm = model._assembly()
     A, n = asm.matrix, model.num_variables
     basis = model._basis

@@ -390,13 +390,9 @@ def validate(phys: PhysicalTopology, topo: IntegerTopology) -> list:
     """
     if topo.num_ocs != phys.num_ocs or topo.num_pods != phys.num_pods:
         raise InvalidInputError("topology shape does not match the fabric")
-    out = []
-    eg_load = topo.x.sum(axis=2)  # (M, N): egress links used per pod per switch
-    ig_load = topo.x.sum(axis=1)  # (M, N): ingress links used per pod per switch
-    for m in range(phys.num_ocs):
-        for i in range(phys.num_pods):
-            if eg_load[m, i] > phys.egress_ports[m, i]:
-                out.append((m, i, "egress"))
-            if ig_load[m, i] > phys.ingress_ports[m, i]:
-                out.append((m, i, "ingress"))
-    return out
+    # (M, N, 2): whether a pod's egress, then ingress, links on a switch
+    # exceed its ports; argwhere lists them switch by switch, pod by pod.
+    over = np.stack([topo.x.sum(axis=2) > phys.egress_ports,
+                     topo.x.sum(axis=1) > phys.ingress_ports], axis=-1)
+    return [(m, i, ("egress", "ingress")[side])
+            for m, i, side in np.argwhere(over).tolist()]

@@ -97,27 +97,25 @@ def extract_critical(seq: TmSequence, k: int, seed: int = 0) -> CriticalSet:
 def _bounded_lp(stack: bytes, shape: tuple) -> tuple:
     """(model, its shortfall block, the lambda columns, sigma) of
     ``check_bounded``'s LP on the criticals whose ``stacked()`` array has
-    these bytes and shape; the block's right-hand side is set per
-    matrix."""
+    these bytes and shape; the shortfall block's right-hand side, the
+    demand over sigma, is set per matrix."""
     K, n = shape[0], shape[1]
     model = lp.LpModel("boundedness")
     lams = model.add_vars(K, 0.0, 1.0)
     s = model.add_vars(1, 0.0, None)[0]
-    # Row 0 is sum(lambda) <= 1.  Then each pair (i, j), row-major, has the
-    # shortfall row t - sum(lambda T) <= s, read as
-    # -sum(lambda T) - s <= -t, all over sigma.
+    model.add_rows(np.zeros(K, dtype=int), lams, np.ones(K), lp.LE, [1.0])
+    # Each pair (i, j), row-major, has the shortfall row
+    # sum(lambda T) + s >= t, all over sigma.
     t = _tables(n)
     crit = np.frombuffer(stack).reshape(shape)
     sigma = demand_scale(crit)
     crit = crit[:, t.pair_src, t.pair_dst] / sigma  # (K, pairs)
-    rows = 1 + np.arange(crit.shape[1])
+    rows = np.arange(crit.shape[1])
     block = model.add_rows(
-        np.concatenate([np.zeros(K, dtype=int), np.tile(rows, K), rows]),
-        np.concatenate([lams, np.repeat(lams, len(rows)),
-                        np.full(len(rows), s)]),
-        np.concatenate([np.ones(K), -crit.ravel(),
-                        np.full(len(rows), -1.0)]),
-        lp.LE, np.zeros(1 + len(rows)))
+        np.concatenate([np.tile(rows, K), rows]),
+        np.concatenate([np.repeat(lams, len(rows)), np.full(len(rows), s)]),
+        np.concatenate([crit.ravel(), np.ones(len(rows))]),
+        lp.GE, np.zeros(len(rows)))
     model.set_objective("min", [s], [1.0])
     return model, block, lams, sigma
 
@@ -148,7 +146,7 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
     if not np.isfinite(demand).all():
         raise InvalidInputError("the matrix over the criticals' scale is"
                                 " past the float range")
-    model.set_rhs(block, np.concatenate([[1.0], -demand]))
+    model.set_rhs(block, demand)
     sol = lp.solve(model)
     return BoundednessResult(sol.x[lams], sol.objective_value * sigma,
                              sol.objective_value <= TOL)

@@ -267,7 +267,8 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress):
                            shape=(2 * n, units))
     limits = np.concatenate([egress - np.bincount(rows, low, n),
                              ingress - np.bincount(cols, low, n)])
-    model = colwise_highs_lp(-(gain + eps), budgets, limits, 0,
+    model = colwise_highs_lp(-(gain + eps), budgets,
+                             np.full(len(limits), -np.inf), limits,
                              np.zeros(units), np.ones(units))
     res = lp._run_highs(model, lp._FAMILY_OPTIONS["ldm-subproblem"])
     assert res.status == "optimal"
@@ -401,6 +402,33 @@ def loop_evaluate_static(cap: np.ndarray, weights: dict, t: np.ndarray
     direct = sum(w * t[p.src, p.dst] for p, w in weights.items()
                  if p.via is None)
     return mlu, (float(direct / t.sum()) if t.sum() > 0 else 1.0)
+
+
+def loop_uniform_mesh(phys: PhysicalTopology) -> np.ndarray:
+    """Reference link counts (M, N, N) of ``evaluate.uniform_mesh``: each
+    pair's links placed one at a time onto the switch with the most
+    headroom for the pair, the lowest index on ties, while it is
+    positive."""
+    n, M = phys.num_pods, phys.num_ocs
+    want = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        base, rem = divmod(int(phys.egress_radix[i]), n - 1)
+        for idx in range(n - 1):
+            want[i, (i + 1 + idx) % n] = base + (1 if idx < rem else 0)
+    x = np.zeros((M, n, n), dtype=int)
+    eg_left = phys.egress_ports.copy()
+    ig_left = phys.ingress_ports.copy()
+    for i in range(n):
+        for j in range(n):
+            for _ in range(want[i, j]):
+                headroom = np.minimum(eg_left[:, i], ig_left[:, j])
+                m = int(headroom.argmax())
+                if headroom[m] <= 0:
+                    break
+                x[m, i, j] += 1
+                eg_left[m, i] -= 1
+                ig_left[m, j] -= 1
+    return x
 
 
 def convex_combination(rng: np.random.Generator, crit: CriticalSet
@@ -671,7 +699,6 @@ def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
     assert model._sense == ref._sense and model.scale == ref.scale
     assert objective(model).tobytes() == objective(ref).tobytes()
     got, want = model._assembly(), ref._assembly()
-    assert got.num_ub == want.num_ub
     assert got.matrix.shape == want.matrix.shape
     for name in ("indptr", "indices", "data"):
         assert (getattr(got.matrix, name).tobytes()
@@ -689,14 +716,14 @@ def objective(model: lp.LpModel) -> np.ndarray:
     return c
 
 
-# An LpModel built column-wise from one sparse matrix per relation and
-# part, stacked: the oracle for the model HiGHS must hold after lp.solve
-# hands it the rows row-wise.
+# An LpModel built column-wise from one sparse matrix per part, the
+# blocks stacked in the order added: the oracle for the model HiGHS must
+# hold after lp.solve hands it the rows row-wise.
 
-def _reference_stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
+def _reference_stack(blocks, offsets, shape) -> sp.csr_matrix:
     """CSR matrix of the blocks' (rows, cols, coefs) triplets, block k's
-    rows moved down by ``offsets[k]`` and its values multiplied by
-    ``signs[k]``; a block may be None, and zero values are dropped."""
+    rows moved down by ``offsets[k]``; a block may be None, and zero
+    values are dropped."""
     kept = [k for k, blk in enumerate(blocks) if blk is not None]
     if not kept:
         return sp.csr_matrix(shape)
@@ -704,54 +731,47 @@ def _reference_stack(blocks, offsets, signs, shape) -> sp.csr_matrix:
     rows, cols, vals = (np.concatenate([blocks[k][part] for k in kept])
                         for part in range(3))
     rows += np.repeat([offsets[k] for k in kept], sizes)
-    vals *= np.repeat([signs[k] for k in kept], sizes)
     keep = vals != 0.0
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def colwise_highs_lp(c, A, b, num_eq: int, lb, ub) -> tuple:
+def colwise_highs_lp(c, A, lower, upper, lb, ub) -> tuple:
     """The array ``passModel`` arguments, column-wise, of: minimize c x
-    subject to A x <= b on all rows but the last ``num_eq``, A x = b on
-    those, and lb <= x <= ub, through ``scipy.sparse``'s CSC form of A."""
+    subject to lower <= A x <= upper and lb <= x <= ub, through
+    ``scipy.sparse``'s CSC form of A."""
     A = sp.csc_array(A)
     num_row, num_col = A.shape
-    upper = np.array(b, dtype=float)
-    lower = upper.copy()
-    lower[:num_row - num_eq] = -np.inf
     return (num_col, num_row, A.nnz, lp._COLWISE, lp._MINIMIZE, 0.0,
             np.asarray(c, dtype=float), np.asarray(lb, dtype=float),
-            np.asarray(ub, dtype=float), lower, upper,
-            A.indptr.astype(np.int32), A.indices.astype(np.int32),
-            A.data.astype(float), np.zeros(num_col, dtype=np.int32))
+            np.asarray(ub, dtype=float), np.asarray(lower, dtype=float),
+            np.asarray(upper, dtype=float), A.indptr.astype(np.int32),
+            A.indices.astype(np.int32), A.data.astype(float),
+            np.zeros(num_col, dtype=np.int32))
 
 
 def reference_highs_lp(model: lp.LpModel):
     """The HiGHS model of ``model`` at its current ``scale``, built from
-    sparse matrices: per relation one CSR matrix of the fixed terms and one of
-    the scaled terms, summed as A + scale * A_scaled, the inequality and
-    equality rows stacked and handed over column-wise."""
-    mats, rhs, num_eq = [], [], 0
-    for equality in (False, True):
-        group = [blk for blk in model._blocks
-                 if (blk.relation == lp.EQ) == equality and len(blk.rhs)]
-        if not group:
-            continue
-        sizes = [len(blk.rhs) for blk in group]
-        offsets = np.cumsum([0] + sizes[:-1])
-        signs = [-1.0 if blk.relation == lp.GE else 1.0 for blk in group]
-        shape = (sum(sizes), model.num_variables)
-        A = _reference_stack([blk.terms for blk in group], offsets, signs,
-                             shape)
-        A_scaled = _reference_stack([blk.scaled for blk in group], offsets,
-                                    signs, shape)
-        mats.append(A + model.scale * A_scaled if A_scaled.nnz else A)
-        rhs.append(np.concatenate([s * blk.rhs
-                                   for s, blk in zip(signs, group)]))
-        num_eq = shape[0] if equality else 0
-    A = sp.vstack(mats) if mats else sp.csc_array((0, model.num_variables))
-    b = np.concatenate(rhs) if rhs else np.zeros(0)
+    sparse matrices: one CSR matrix of the fixed terms and one of the
+    scaled terms, the blocks stacked in the order added, summed as
+    A + scale * A_scaled and handed over column-wise, each row's
+    right-hand side the bound or bounds its relation sets."""
+    blocks = model._blocks
+    sizes = [len(blk.rhs) for blk in blocks]
+    offsets = np.cumsum([0] + sizes)
+    shape = (sum(sizes), model.num_variables)
+    A = _reference_stack([blk.terms for blk in blocks], offsets, shape)
+    A_scaled = _reference_stack([blk.scaled for blk in blocks], offsets,
+                                shape)
+    if A_scaled.nnz:
+        A = A + model.scale * A_scaled
+    lower = np.concatenate([np.zeros(0)] + [
+        np.full(len(blk.rhs), -np.inf) if blk.relation == lp.LE else blk.rhs
+        for blk in blocks])
+    upper = np.concatenate([np.zeros(0)] + [
+        np.full(len(blk.rhs), np.inf) if blk.relation == lp.GE else blk.rhs
+        for blk in blocks])
     sign = -1.0 if model._sense == "max" else 1.0
-    return colwise_highs_lp(sign * objective(model), A, b, num_eq,
+    return colwise_highs_lp(sign * objective(model), A, lower, upper,
                             np.array(model._lb), np.array(model._ub))
 
 

@@ -20,8 +20,9 @@ from couder.model import (IntegerTopology, Path, PhysicalTopology,
 from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
-from helpers import (einsum_link_loads, enumerate_paths, loop_evaluate_static,
-                     loop_restrict_weights, loop_sensitivity_map,
+from helpers import (einsum_link_loads, enumerate_paths, hetero_fabric,
+                     loop_evaluate_static, loop_restrict_weights,
+                     loop_sensitivity_map, loop_uniform_mesh,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
                      random_criticals, random_fabric, random_tm, sparse_tm,
                      stage1_routing_mlu, write_physical_topology,
@@ -680,6 +681,23 @@ class TestUniformMesh:
                                int(rng.integers(1, 4)),
                                rng.integers(2, 9, size=int(1)).item())
             assert validate(phys, uniform_mesh(phys)) == []
+
+    def test_matches_the_link_by_link_loop(self):
+        # Each pair's links, placed in one step, land where placing them
+        # one at a time on the switch with the most headroom puts them.
+        rng = np.random.default_rng(33)
+        for trial in range(450):
+            make = (random_fabric, hetero_fabric)[trial % 2]
+            phys = make(rng, int(rng.integers(2, 8)), int(rng.integers(1, 5)),
+                        qmin=1, qmax=int(rng.integers(1, 9)))
+            np.testing.assert_array_equal(uniform_mesh(phys).x,
+                                          loop_uniform_mesh(phys))
+
+    def test_places_2_pow_50_links_at_once(self):
+        # 2 pods, 1 switch, 2^50 ports each way: one pair takes them all,
+        # which a link-by-link loop would take 2^50 passes to place.
+        mesh = uniform_mesh(make_fabric(2, 1, 2 ** 50))
+        assert mesh.x.tolist() == [[[0, 2 ** 50], [2 ** 50, 0]]]
 
 
 class TestWeightBaselines:

@@ -75,16 +75,14 @@ def test_feasibility_contradiction():
     (lp.GE, [-1.0, 0.0], "optimal"), (lp.GE, [1.0], "infeasible"),
     (lp.EQ, [0.0], "optimal"), (lp.EQ, [0.0, 2.0], "infeasible")])
 def test_model_without_columns_checks_its_rows(relation, rhs, status):
-    # Each row reads 0 (relation) rhs; the LE row is there so that the
-    # duals count every block.
+    # Each row reads 0 (relation) rhs, which holds or not as ``status``
+    # says; either way a model without columns is refused before HiGHS,
+    # which would call it "Empty", sees it.
     m = lp.LpModel()
     m.add_rows([], [], [], lp.LE, [3.0])
     m.add_rows([], [], [], relation, rhs)
-    sol = lp.solve(m)
-    assert sol.status == status
-    if sol.optimal:
-        assert sol.objective_value == 0.0 and sol.x.shape == (0,)
-        assert np.array_equal(sol.row_dual, np.zeros(1 + len(rhs)))
+    with pytest.raises(InvalidInputError, match="at least one column"):
+        lp.solve(m)
 
 
 def test_feasibility_simplex_witness():
@@ -181,19 +179,19 @@ def test_bad_block_of_variables_rejected_whole(lb, ub):
 
 
 def test_block_of_rows_is_the_rows_added_one_by_one():
-    # Zero terms dropped, >= rows negated, blocks stacked in insertion
-    # order per relation: what one add_rows call per row gives.
+    # Zero terms dropped, blocks stacked in the order added: what one
+    # add_rows call per row gives.
     one, block = lp.LpModel(), lp.LpModel()
     for m in (one, block):
         assert list(m.add_vars(3, [0.0, -1.0, -np.inf], 2.0)) == [0, 1, 2]
         m.set_objective("max", [0], [1.0])
-    one.add_rows([0, 0], [0, 1], [1.0, 0.0], lp.LE, [1.0],
+    one.add_rows([0, 0], [0, 1], [1.0, 0.0], lp.GE, [-1.0],
                  scaled=([0], [2], [2.0]))
     one.add_rows([0, 0], [1, 2], [3.0, -1.0], lp.GE, [-2.0])
     one.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
     one.add_rows([0], [2], [4.0], lp.LE, [0.5])
-    block.add_rows([0, 0, 1, 1], [0, 1, 1, 2], [1.0, 0.0, -3.0, 1.0], lp.LE,
-                   [1.0, 2.0], scaled=([0], [2], [2.0]))
+    block.add_rows([0, 0, 1, 1], [0, 1, 1, 2], [1.0, 0.0, 3.0, -1.0], lp.GE,
+                   [-1.0, -2.0], scaled=([0], [2], [2.0]))
     block.add_rows([0, 0], [0, 2], [1.0, 1.0], lp.EQ, [1.5])
     block.add_rows([0], [2], [4.0], lp.LE, [0.5])
     assert num_rows(block) == num_rows(one) == 4
@@ -270,30 +268,33 @@ def test_held_input_is_patched_or_rebuilt_as_a_fresh_build(monkeypatch):
         assert sent == ref
 
 
-def start_model() -> tuple:
+def start_model(relation=lp.EQ) -> tuple:
     """(model, x, == block, <= block): min 3 x0 + 2 x1 + x2 subject to
     x0 + x1 + x2 == 1, x0 <= 0.5, x1 <= 0.25 and x >= 0, the == block
-    added first.  The basis with x2 and the <= rows basic is optimal."""
+    added first, or a block of ``relation`` in its place.  The basis with
+    x2 and the <= rows basic is optimal for == and >=."""
     m = lp.LpModel()
     x = m.add_vars(3, 0.0, None)
-    eq = m.add_rows([0, 0, 0], x, [1.0, 1.0, 1.0], lp.EQ, [1.0])
+    eq = m.add_rows([0, 0, 0], x, [1.0, 1.0, 1.0], relation, [1.0])
     le = m.add_rows([0, 1], x[:2], [1.0, 1.0], lp.LE, [0.5, 0.25])
     m.set_objective("min", x, [3.0, 2.0, 1.0])
     return m, x, eq, le
 
 
 def test_start_basis_maps_blocks_to_highs_rows():
-    # HiGHS holds the <= rows before the == rows, whichever block came
-    # first: the <= block's rows are basic there.
-    m, x, eq, le = start_model()
-    m.set_start([x[2]], [le])
+    # HiGHS holds the rows in the order added, the first block's first:
+    # the <= block's rows after it are basic.  The first row, nonbasic,
+    # sits at the bound its right-hand side sets: the upper one of an
+    # equality row, the lower one of a >= row.
     status = lp._highs.HighsBasisStatus
-    assert m._start.col_status == [status.kLower, status.kLower,
-                                   status.kBasic]
-    assert m._start.row_status == [status.kBasic, status.kBasic,
-                                   status.kUpper]
-    res = lp.solve(m)
-    assert res.optimal and res.nit == 0 and res.x.tolist() == [0, 0, 1]
+    for relation, at in ((lp.EQ, status.kUpper), (lp.GE, status.kLower)):
+        m, x, _, le = start_model(relation)
+        m.set_start([x[2]], [le])
+        assert m._start.col_status == [status.kLower, status.kLower,
+                                       status.kBasic]
+        assert m._start.row_status == [at, status.kBasic, status.kBasic]
+        res = lp.solve(m)
+        assert res.optimal and res.nit == 0 and res.x.tolist() == [0, 0, 1]
 
 
 def test_set_rhs_restores_the_start_basis(monkeypatch):
@@ -339,8 +340,8 @@ def test_start_basis_rejected(cols, lb, match):
 def test_basis_highs_refuses_is_internal_error():
     # Two basic columns for one row: HiGHS's setBasis refuses it, and the
     # solve must not go on cold.
-    model = colwise_highs_lp(np.ones(2), np.ones((1, 2)), np.ones(1), 1,
-                             np.zeros(2), np.ones(2))
+    model = colwise_highs_lp(np.ones(2), np.ones((1, 2)), np.ones(1),
+                             np.ones(1), np.zeros(2), np.ones(2))
     status = lp._highs.HighsBasisStatus
     basis = lp._highs.HighsBasis()
     basis.col_status = [status.kBasic, status.kBasic]
@@ -403,8 +404,8 @@ def test_slope_matches_finite_difference(sense):
 @pytest.mark.parametrize("sense", ["max", "min"])
 def test_row_duals_are_objective_slopes_in_row_order(sense):
     # x - y = 1, x + 2y >= 2, x + y <= 5, added in that order: the duals
-    # list the >= row as HiGHS holds it, -(x + 2y) <= -2, then the <= row,
-    # then the equality.  Max 3x + y binds the <= row, min x + 3y the >=.
+    # list the rows in that order, each the slope in its own right-hand
+    # side.  Max 3x + y binds the <= row, min x + 3y the >=.
     def solve_at(eq, ge, le):
         m = lp.LpModel()
         x, y = m.add_vars(2, 0.0, 10.0)
@@ -417,17 +418,34 @@ def test_row_duals_are_objective_slopes_in_row_order(sense):
 
     base, h = np.array([1.0, 2.0, 5.0]), 1e-4
     sol = solve_at(*base)
-    # Each dual's row, and how its right-hand side as HiGHS holds it moves
-    # the model's.
-    for dual, (row, sign) in zip(sol.row_dual, [(1, -1.0), (2, 1.0),
-                                                (0, 1.0)]):
+    for row, dual in enumerate(sol.row_dual):
         step = np.zeros(3)
-        step[row] = sign * h
+        step[row] = h
         fd = (solve_at(*base + step).objective_value
               - solve_at(*base - step).objective_value) / (2 * h)
         assert dual == pytest.approx(fd, abs=1e-7)
-    assert sol.row_dual == pytest.approx([0.0, 2.0, 1.0] if sense == "max"
-                                         else [-4 / 3, 0.0, -1 / 3])
+    assert sol.row_dual == pytest.approx([1.0, 0.0, 2.0] if sense == "max"
+                                         else [-1 / 3, 4 / 3, 0.0])
+
+
+def test_rows_reach_highs_as_ranges_in_the_order_added():
+    # A >= block, a <= block and an == block, added in that order: HiGHS
+    # gets the rows in that order, none negated, a >= row's right-hand
+    # side as its lower bound, and each dual is the objective's slope in
+    # its row's right-hand side.  Min x + 3y binds the >= and == rows.
+    m = lp.LpModel()
+    x, y = m.add_vars(2, 0.0, 10.0)
+    m.add_rows([0, 0], [x, y], [1.0, 2.0], lp.GE, [2.0])
+    m.add_rows([0, 0], [x, y], [1.0, 1.0], lp.LE, [5.0])
+    m.add_rows([0, 0], [x, y], [1.0, -1.0], lp.EQ, [1.0])
+    m.set_objective("min", [x, y], [1.0, 3.0])
+    sol = lp.solve(m)
+    asm = m._assembly()
+    assert asm.matrix.indptr.tolist() == [0, 2, 4, 6]
+    assert asm.matrix.data.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, -1.0]
+    assert asm.bounds.tolist() == [[2.0, -np.inf, 1.0], [np.inf, 5.0, 1.0]]
+    assert sol.x == pytest.approx([4 / 3, 1 / 3])
+    assert sol.row_dual == pytest.approx([4 / 3, 0.0, -1 / 3])
 
 
 def test_rows_added_after_a_solve_count():
@@ -652,8 +670,8 @@ class FakeSolver:
                          list(_highs.HighsModelStatus.__members__.values()))
 def test_model_status_maps_as_linprog_did(monkeypatch, status):
     code, _ = _highs_to_scipy_status_message(status, "")
-    model = colwise_highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0), 0,
-                             np.zeros(1), np.ones(1))
+    model = colwise_highs_lp(np.zeros(1), np.zeros((0, 1)), np.zeros(0),
+                             np.zeros(0), np.zeros(1), np.ones(1))
     monkeypatch.setattr(lp, "_solver", FakeSolver(status))
     if code in (1, 4):
         with pytest.raises(SolverLimitError):
@@ -791,8 +809,8 @@ def test_shared_solver_ends_where_a_fresh_one_does(monkeypatch, n):
     families = {call[1] for call in calls}
     assert {lp._OPTIONS, lp._FAMILY_OPTIONS["fixed-throughput"]} <= families
     warm = next(call for call in calls if call[2] is not None)
-    refused = colwise_highs_lp(np.zeros(1), np.array([[1e15]]), np.ones(1),
-                               0, np.zeros(1), np.ones(1))
+    refused = colwise_highs_lp(np.zeros(1), np.array([[1e15]]), [-np.inf],
+                               np.ones(1), np.zeros(1), np.ones(1))
 
     def refuse():
         with pytest.raises(InvalidInputError):
@@ -891,8 +909,8 @@ STATUS = lp._highs.HighsBasisStatus
 
 def test_edits_carry_the_basis_over(monkeypatch):
     # Each edit keeps the last optimal basis for the next solve: a new
-    # column enters nonbasic at a finite bound, a new row basic at its
-    # place in HiGHS's row order, and an objective or a column bound
+    # column enters nonbasic at a finite bound, a new row basic after the
+    # rows before it, and an objective or a column bound
     # leaves the statuses as they were, a nonbasic column moved to a finite
     # new bound.  Every solve ends where a cold solve of the model does.
     calls = record_highs(monkeypatch)
@@ -906,7 +924,7 @@ def test_edits_carry_the_basis_over(monkeypatch):
     last = lp.solve(m)
     edits = [
         (lambda: m.add_rows([0], [x], [1.0], lp.LE, [3.0]),
-         lambda col, row: (col, row[:1] + [STATUS.kBasic] + row[1:])),
+         lambda col, row: (col, row + [STATUS.kBasic])),
         (lambda: m.add_vars(3, [0.0, -np.inf, -np.inf], [1.0, 5.0, np.inf]),
          lambda col, row: (col + [STATUS.kLower, STATUS.kUpper,
                                   STATUS.kZero], row)),
@@ -1018,11 +1036,12 @@ def test_set_rhs_patches_the_assembled_rows_in_place():
     assembled = m._assembly()
     for block, rhs in zip(blocks, NEW_RHS):
         m.set_rhs(block, rhs)
-    # The same assembly, patched; >= rows negated into <=.
-    assert m._assembly() is assembled and assembled.num_ub == 5
-    assert assembled.bounds[1].tolist() == [6.0, 2.5, -0.5, -1.0, -1.5, 1.0]
-    # HiGHS takes an equality row's right-hand side as its lower bound too.
-    assert assembled.bounds[0].tolist() == [-np.inf] * 5 + [1.0]
+    # The same assembly, patched in the order added: a <= row's upper
+    # bound, a >= row's lower one and both of an equality row.
+    inf = np.inf
+    assert m._assembly() is assembled
+    assert assembled.bounds.tolist() == [[-inf, -inf, 0.5, 1.0, 1.0, 1.5],
+                                         [6.0, 2.5, inf, inf, 1.0, inf]]
     assert_same_model(m, mixed_model(NEW_RHS)[0])
 
 

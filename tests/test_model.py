@@ -98,6 +98,25 @@ class TestValidate:
         assert (0, 0, "egress") in report
         assert (0, 1, "ingress") in report
 
+    def test_lists_violations_switch_by_switch(self):
+        # Switch by switch, pod by pod, egress before ingress: the order a
+        # loop over the (M, N) port budgets gives.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            eg = rng.integers(0, 4, (m, n))
+            phys = PhysicalTopology(n, m, eg, rng.permuted(eg, axis=1))
+            x = rng.integers(0, 3, (m, n, n))
+            x[:, np.arange(n), np.arange(n)] = 0
+            want = []
+            for sw in range(m):
+                for i in range(n):
+                    if x[sw, i].sum() > phys.egress_ports[sw, i]:
+                        want.append((sw, i, "egress"))
+                    if x[sw, :, i].sum() > phys.ingress_ports[sw, i]:
+                        want.append((sw, i, "ingress"))
+            assert validate(phys, IntegerTopology(x)) == want
+
     def test_aggregate_across_switches_ok(self):
         phys = make_fabric(2, 2, 1)
         x = np.zeros((2, 2, 2), dtype=int)

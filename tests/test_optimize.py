@@ -447,7 +447,7 @@ class TestStage3Warm:
         # Stage 2 ends in its fallback bracket here and accepts a probe
         # before its last; stage 3 starts from that probe's basis with z
         # nonbasic at 0 and the K direct rows basic, which HiGHS holds
-        # after the other inequality rows and before the split rows.
+        # after every other row.
         phys, crit, _ = rounded_instance(3, random_fabric)
         accepted, real = [], optimize._newton_beta
 
@@ -461,11 +461,9 @@ class TestStage3Warm:
         monkeypatch.undo()
         best, last = accepted[0][2].basis, calls[-2][1].basis
         status = lp._highs.HighsBasisStatus
-        num_split = phys.num_pods * (phys.num_pods - 1)
         rows = best.row_status
         want = (best.col_status + [status.kLower],
-                rows[:-num_split] + [status.kBasic] * len(crit)
-                + rows[-num_split:])
+                rows + [status.kBasic] * len(crit))
         handed = calls[-1][0]
         assert (handed.col_status, handed.row_status) == want
         assert (last.col_status, last.row_status) != (best.col_status, rows)
@@ -632,8 +630,8 @@ class TestRecomputeRouting:
         # Stage 1 solves its model and stage 2 builds and solves its own,
         # each cold; stage 3 re-solves the last of them from the basis its
         # solve ended on, z nonbasic at 0 and the K direct rows basic,
-        # which HiGHS holds after the other inequality rows and before the
-        # split rows.  No other model is solved.
+        # which HiGHS holds after every other row.  No other model is
+        # solved.
         status = lp._highs.HighsBasisStatus
         for seed in range(4):
             phys, crit, topo = rounded_instance(seed, random_fabric)
@@ -655,12 +653,10 @@ class TestRecomputeRouting:
             assert [basis is None for basis, _ in calls[:-1]] == [True] * (
                 1 + desensitized)
             before, handed = calls[-2][1].basis, calls[-1][0]
-            builder = _StageBuilder(phys, crit, topo.X.astype(float))
-            num_split, weights = len(builder.routed), builder.num_weights
-            rows = before.row_status
-            assert handed.row_status == (rows[:-num_split]
-                                         + [status.kBasic] * len(crit)
-                                         + rows[-num_split:])
+            weights = _StageBuilder(phys, crit,
+                                    topo.X.astype(float)).num_weights
+            assert handed.row_status == (before.row_status
+                                         + [status.kBasic] * len(crit))
             assert handed.col_status[:weights] == before.col_status[:weights]
             assert len(handed.col_status) == len(before.col_status) + 1
             assert handed.col_status[-1] == status.kLower
