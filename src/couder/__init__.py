@@ -14,7 +14,7 @@ from .traffic import (BoundednessResult, CriticalSet, check_bounded,
 from .optimize import (FractionalSolution, desensitize, minimize_ahc,
                        recompute_routing, run_pipeline,
                        solve_maxmin_throughput)
-from .round import RoundingReport, greedy_round, ldm_round
+from .round import RoundingReport, ldm_round
 from .evaluate import (EvalRecord, ReconfigPolicy, direct_only_weights,
                        evaluate_static, fat_tree_eval, ideal_toe_mlu,
                        num_stages, optimal_routing_mlu, sensitivity_map,
@@ -29,7 +29,7 @@ __all__ = [
     "gen_burst_tms", "gen_storage_tms",
     "FractionalSolution", "desensitize", "minimize_ahc", "recompute_routing",
     "run_pipeline", "solve_maxmin_throughput",
-    "RoundingReport", "greedy_round", "ldm_round",
+    "RoundingReport", "ldm_round",
     "EvalRecord", "ReconfigPolicy", "direct_only_weights", "evaluate_static",
     "fat_tree_eval", "ideal_toe_mlu", "num_stages", "optimal_routing_mlu",
     "sensitivity_map", "simulate_reconfig", "uniform_mesh", "vlb_weights",

@@ -272,10 +272,7 @@ def _cmd_round(args) -> int:
     phys = read_physical_topology(args.phys_file)
     sol = read_solution(args.solution_file)
     crit = read_critical_set(args.crit_file) if args.crit_file else None
-    if args.method == "ldm":
-        report = rounding.ldm_round(phys, sol.d, args.ldm_iterations)
-    else:
-        report = rounding.greedy_round(phys, sol.d)
+    report = rounding.ldm_round(phys, sol.d, args.ldm_iterations)
     routed = None
     if crit is not None:  # desensitized when the fractional plan was
         routed = optimize.recompute_routing(
@@ -429,7 +426,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--lookback", type=float, default=3600.0,
                         help="history window in seconds")
     parser.add_argument("--ldm-iterations", type=int, default=50,
-                        dest="ldm_iterations")
+                        dest="ldm_iterations",
+                        help="dual iterations of LDM rounding; 0 rounds"
+                             " greedily, largest residual first")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="cluster a sequence into criticals")
@@ -450,7 +449,6 @@ def _build_parser() -> _Parser:
     p.add_argument("crit_file", nargs="?",
                    help="critical set: recompute routing on the rounded"
                         " topology and write it beside X")
-    p.add_argument("--method", choices=["ldm", "greedy"], default="ldm")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_round)
 

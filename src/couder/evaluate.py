@@ -425,11 +425,17 @@ def _restrict_weights(omega: RoutingWeights, cap: np.ndarray) -> RoutingWeights:
         omega.num_pods, np.where(live, omega.omega, 0.0))
 
 
-def _changing_circuits(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Old circuits that must be torn down as (i, j, m) rows, one per
-    circuit, in (i, j, m) order."""
-    drop = np.maximum(old - new, 0).transpose(1, 2, 0)
-    return np.repeat(np.argwhere(drop), drop[drop > 0], axis=0)
+def _stage_shares(drop: np.ndarray, stages: int) -> np.ndarray:
+    """``drop``, the circuits to tear down per (m, i, j), in ``stages``
+    shares: the ``np.array_split`` pieces of those circuits listed in
+    (i, j, m) order, cut from the running sums of the counts instead."""
+    count = drop.transpose(1, 2, 0).ravel()
+    after = np.cumsum(count)
+    s = np.arange(stages + 1)[:, None]
+    edge = s * (after[-1] // stages) + np.minimum(s, after[-1] % stages)
+    share = np.minimum(after, edge[1:]) - np.maximum(after - count, edge[:-1])
+    return np.maximum(share, 0).reshape(stages, *drop.shape[1:], -1
+                                        ).transpose(0, 3, 1, 2)
 
 
 def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
@@ -492,17 +498,13 @@ def simulate_reconfig(phys: PhysicalTopology, seq: TmSequence,
             p, stages = 0.0, 0
             if installed is not None:
                 old, old_omega = installed[0].x, installed[1].omega
-                changing = _changing_circuits(old, topo.x)
+                drop = np.maximum(old - topo.x, 0)
                 total_old = int(old.sum())
-                p = len(changing) / total_old if total_old else 0.0
+                p = int(drop.sum()) / total_old if total_old else 0.0
                 stages = num_stages(min(p, 1.0), policy.alpha_pred)
-            # np.array_split takes no zero section count.
             if stages and policy.stage_latency > 0:
-                for s, chunk in enumerate(np.array_split(changing, stages)):
-                    stage_x = old.copy()
-                    i, j, m = chunk.T
-                    np.subtract.at(stage_x, (m, i, j), 1)
-                    cap = stage_x.sum(axis=0).astype(float)
+                for s, share in enumerate(_stage_shares(drop, stages)):
+                    cap = (old - share).sum(axis=0).astype(float)
                     schedule.append((etime + s * policy.stage_latency, cap,
                                      _restrict_weights(old_omega, cap), s,
                                      len(epochs)))

@@ -26,7 +26,7 @@ routing after rounding.
 Stage 3 is posed on stage 2's model, or stage 1's when not desensitized:
 mu pinned at the mu* stage 3 is given (F' = F (1 - MU_SLACK) after the
 joint stage 2), the caps at gamma = F' beta (``scale``, or the gamma
-column pinned), and a column z with K direct-traffic rows.  With mu
+column pinned), and a column z with its direct-traffic rows.  With mu
 fixed at F', w = F' omega maps stage 3's LP in omega onto this one
 exactly: the split rows sum w to F', the load rows read F' T omega <= d,
 the caps w <= F' beta d, and z is F' times the least direct traffic, at
@@ -133,15 +133,17 @@ class _StageBuilder:
         if crit.num_pods != phys.num_pods:
             raise InvalidInputError("critical set does not match the fabric")
         self.phys = phys
-        self.crit = crit
         self.fixed = None if fixed is None else np.asarray(fixed, dtype=float)
         self.n = phys.num_pods
         self.bandwidth = phys.link_bandwidth
         self.tables = t = _tables(self.n)
         demand = crit.stacked()
         self.sigma = demand_scale(demand)
-        self.demand = demand / self.sigma
-        self.demanded = self.demand.max(axis=0) > 0
+        # A critical without traffic would pin stage 3's z at 0.
+        self.demand = demand[demand.any(axis=(1, 2))] / self.sigma
+        self.demanded = self.demand.any(axis=0)
+        if not self.demanded.any():
+            raise UnboundedThroughputError("all critical matrices are zero")
         if self.fixed is None:
             self.capacity = None
             usable = np.ones(len(t.paths), dtype=bool)
@@ -205,7 +207,7 @@ class _StageBuilder:
         """
         t = self.tables
         link, path = self._crossing()
-        K = len(self.crit)
+        K = len(self.demand)
         demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair[path]]
         k, c = np.nonzero(demand > 0)
         row_ids, row = np.unique(link[c] * K + k, return_inverse=True)
@@ -311,8 +313,6 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     weights are chosen.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
-    if not builder.demanded.any():
-        raise UnboundedThroughputError("all critical matrices are zero")
     name = "maxmin-throughput" if _fixed is None else "fixed-throughput"
     model = _throughput_model(builder, name)
     sol = lp.solve(model)
@@ -433,14 +433,14 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
 
 def _maximize_direct(builder: _StageBuilder, model: lp.LpModel, z: int):
     """Stage 3's rows and objective on the column ``z``: maximize z, with
-    row k: critical k's traffic on direct paths is at least z."""
+    row k: the k-th critical with traffic puts at least z on direct paths."""
     t = builder.tables
     direct = builder.col[np.arange(len(t.pairs)) * (builder.n - 1)]
     demand = builder.demand[:, t.pair_src, t.pair_dst]
     k, q = np.nonzero((demand > 0) & (direct >= 0))
     model.add_rows(*_per_row_term(k, direct[q], demand[k, q],
-                                  len(builder.crit), z, -1.0),
-                   lp.GE, np.zeros(len(builder.crit)))
+                                  len(demand), z, -1.0),
+                   lp.GE, np.zeros(len(demand)))
     model.set_objective("max", [z], [1.0])
 
 

@@ -49,7 +49,7 @@ The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
 prices grow as far as the brackets need.
 
-Both rounders share one completion pass.  The dual method stops at the
+A completion pass ends every rounding.  The dual method stops at the
 first iterate that meets every bracket, which can leave ports idle on
 pods whose d* row is small, and its best iterate may hold more than
 ceil(d*) links on a pair.  The pass first trims every pair down to its
@@ -58,7 +58,7 @@ pairs still below their ceiling, largest residual d* - X first.  The
 result stays within the ceilings and the port budgets, so it still
 validates, and matching-constraint goodness never drops: a trimmed pair
 now meets its bracket, and a link added below the ceiling cannot break
-one.  Run from an empty assignment, the same pass is the greedy baseline.
+one.  From an empty assignment (``tau_max`` 0) it is the greedy baseline.
 """
 
 from __future__ import annotations
@@ -122,30 +122,41 @@ def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
     spare ingress port on j and X_ij < c+_ij; ties break
     lexicographically.  Afterwards X <= c+ and no switch can serve another
     such pair.
+
+    Grants come in whole bands, with the same result.  An open pair has
+    0 < d_ij - X_ij <= d_ij, exact while d < 2**53, and a grant lowers it
+    by one, so each pair keeps the fractional part of d_ij and, within a
+    band [b, b + 1) of residuals, the order is fixed: larger fractional
+    part first, then lower pair index.  Each pair of the top band thus
+    takes ``runs`` links at once: the least of the gap to the next band,
+    its room below c+, and each port's spare count over the top pairs on
+    it.  At 0 the single next grant is made.  A switch takes a number of
+    passes polynomial in N, whatever its port counts.
     """
-    x = x.copy()
-    excess = x.sum(axis=0) - c_plus
-    for i, j in zip(*np.nonzero(excess > 0)):
-        for m in reversed(range(phys.num_ocs)):
-            cut = min(x[m, i, j], excess[i, j])
-            x[m, i, j] -= cut
-            excess[i, j] -= cut
+    before = np.cumsum(x, axis=0) - x  # links on lower-index switches
+    x = np.clip(c_plus - before, 0, x)
     totals = x.sum(axis=0)
     off_diag = ~np.eye(x.shape[1], dtype=bool)
     for m in range(phys.num_ocs):
-        eg_left = phys.egress_ports[m] - x[m].sum(axis=1)
-        ig_left = phys.ingress_ports[m] - x[m].sum(axis=0)
         while True:
+            eg_left = phys.egress_ports[m] - x[m].sum(axis=1)
+            ig_left = phys.ingress_ports[m] - x[m].sum(axis=0)
             open_pairs = ((eg_left[:, None] > 0) & (ig_left[None, :] > 0)
                           & (totals < c_plus) & off_diag)
             if not open_pairs.any():
                 break
             residual = np.where(open_pairs, d - totals, -np.inf)
-            i, j = np.unravel_index(np.argmax(residual), residual.shape)
-            x[m, i, j] += 1
-            totals[i, j] += 1
-            eg_left[i] -= 1
-            ig_left[j] -= 1
+            band = np.floor(residual)
+            i, j = np.nonzero(band == band.max())
+            runs = int(min(band.max() - band[band < band.max()].max(),
+                           (c_plus - totals)[i, j].min(),
+                           (eg_left[i] // np.bincount(i)[i]).min(),
+                           (ig_left[j] // np.bincount(j)[j]).min()))
+            if runs == 0:  # the loop's next grant
+                k = np.argmax(residual[i, j])
+                i, j, runs = i[k:k + 1], j[k:k + 1], 1
+            x[m, i, j] += runs
+            totals[i, j] += runs
     return x
 
 
@@ -287,11 +298,12 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     result stays within ceil(d*) and every port budget, and its goodness
     is no lower than the kept iterate's.  The loop works on vectors over
     the off-diagonal pod pairs and keeps the per-pair link totals up to
-    date after each visit.
+    date after each visit.  At ``tau_max`` 0 the result is the completion
+    pass from an empty assignment: the greedy baseline.
     """
     _check_inputs(phys, d_star)
-    if tau_max < 1:
-        raise InvalidInputError("need at least one iteration")
+    if tau_max < 0:
+        raise InvalidInputError("iteration count must not be negative")
     n, M = phys.num_pods, phys.num_ocs
     c_minus, c_plus = _brackets(d_star.d)
     rows, cols = _tables(n).pair_src, _tables(n).pair_dst
@@ -332,20 +344,3 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     x[:, rows, cols] = best
     return _report(_complete(phys, d_star.d, x, c_plus), c_minus, c_plus,
                    iterations)
-
-
-def greedy_round(phys: PhysicalTopology, d_star: FractionalTopology
-                 ) -> RoundingReport:
-    """Largest-residual-first matching baseline.
-
-    Each switch in index order repeatedly grants one link to the pod pair
-    with the largest remaining fractional demand that its ports can still
-    serve; ties break lexicographically.  This is the completion pass run
-    from an empty assignment, so the result stays within ceil(d*) and the
-    port budgets, and no switch is left with ports it could still pair.
-    """
-    _check_inputs(phys, d_star)
-    n, M = phys.num_pods, phys.num_ocs
-    c_minus, c_plus = _brackets(d_star.d)
-    x = _complete(phys, d_star.d, np.zeros((M, n, n), dtype=int), c_plus)
-    return _report(x, c_minus, c_plus, 0)

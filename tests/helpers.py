@@ -320,6 +320,45 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         iterations)
 
 
+def loop_complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
+                  c_plus: np.ndarray) -> np.ndarray:
+    """Reference of ``round._complete``, one link per pass: after the
+    same trim, each switch in turn grants one link to the open pair with
+    the largest residual d - X, the first in row-major order on ties."""
+    x = x.copy()
+    excess = x.sum(axis=0) - c_plus
+    for i, j in zip(*np.nonzero(excess > 0)):
+        for m in reversed(range(phys.num_ocs)):
+            cut = min(x[m, i, j], excess[i, j])
+            x[m, i, j] -= cut
+            excess[i, j] -= cut
+    totals = x.sum(axis=0)
+    off_diag = ~np.eye(x.shape[1], dtype=bool)
+    for m in range(phys.num_ocs):
+        eg_left = phys.egress_ports[m] - x[m].sum(axis=1)
+        ig_left = phys.ingress_ports[m] - x[m].sum(axis=0)
+        while True:
+            open_pairs = ((eg_left[:, None] > 0) & (ig_left[None, :] > 0)
+                          & (totals < c_plus) & off_diag)
+            if not open_pairs.any():
+                break
+            residual = np.where(open_pairs, d - totals, -np.inf)
+            i, j = np.unravel_index(np.argmax(residual), residual.shape)
+            x[m, i, j] += 1
+            totals[i, j] += 1
+            eg_left[i] -= 1
+            ig_left[j] -= 1
+    return x
+
+
+def loop_changing_circuits(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The old circuits that must be torn down, one (i, j, m) row per
+    circuit, in (i, j, m) order: the list whose ``np.array_split`` pieces
+    are the shares of a staged switch-over."""
+    drop = np.maximum(old - new, 0).transpose(1, 2, 0)
+    return np.repeat(np.argwhere(drop), drop[drop > 0], axis=0)
+
+
 def loop_vlb_weights(cap: np.ndarray) -> dict:
     """Reference of ``evaluate.vlb_weights`` as a ``{Path: w}`` map: one
     loop over the pairs, each path weighted by its thinnest link."""
@@ -606,7 +645,7 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     Stage 3 is posed on the model of the stage before it, stage 2's or,
     without ``beta``, stage 1's: mu pinned at ``mu``, the caps at gamma =
     ``mu * beta`` (``scale``, or the gamma column pinned), then z, at
-    most ``mu`` times the least critical total, and its rows."""
+    most ``mu`` times the least positive critical total, and its rows."""
     builder = LoopStageBuilder(phys, crit, fixed)
     name = {"1": "maxmin-throughput" if fixed is None
             else "fixed-throughput",
@@ -630,7 +669,8 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     model.model.set_bounds([model.col["mu"]], mu, mu)
     if beta is not None and fixed is not None:
         model.model.set_bounds([model.col["gamma"]], mu * beta, mu * beta)
-    model.var("z", 0.0, mu * min(t.demand.sum() for t in crit))
+    model.var("z", 0.0, mu * min(t.demand.sum() for t in crit
+                                  if t.demand.any()))
     _add_direct_rows(builder, model)
     return model.model
 
@@ -653,9 +693,11 @@ def loop_stage3_in_omega(phys, crit, fixed=None, mu=None, beta=None
 
 
 def _add_direct_rows(builder: LoopStageBuilder, model: NamedModel):
-    """Stage 3's rows, one per critical: its traffic on direct paths is at
-    least z; and the objective, max z."""
+    """Stage 3's rows, one per critical that carries traffic: its traffic
+    on direct paths is at least z; and the objective, max z."""
     for k in range(len(builder.crit)):
+        if not builder.demand[k].any():
+            continue
         terms = {"z": -1.0}
         for (i, j), paths in builder.pair_paths.items():
             t = builder.demand[k, i, j]

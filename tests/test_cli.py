@@ -153,8 +153,8 @@ class TestCommands:
                              str(seqfile), "--out", str(crit)]) == 0
             assert cli.main(["optimize", str(physfile), str(crit),
                              "--out", str(sol)]) == 0
-            assert cli.main(["round", str(physfile), str(sol), "--method",
-                             "ldm", "--out", str(topo)]) == 0
+            assert cli.main(["round", str(physfile), str(sol), "--out",
+                             str(topo)]) == 0
             return (crit.read_bytes(), sol.read_bytes(), topo.read_bytes())
 
         assert run("a") == run("b")
@@ -169,8 +169,8 @@ class TestCommands:
         solfile = tmp_path / "sol.json"
         cli.write_solution(str(solfile), sol)
         topofile = tmp_path / "topo.json"
-        rc = cli.main(["round", str(physfile), str(solfile), "--method",
-                       "ldm", "--out", str(topofile)])
+        rc = cli.main(["round", str(physfile), str(solfile), "--out",
+                       str(topofile)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["violation_ratio"] == 0.0
@@ -390,6 +390,19 @@ class TestExitCodes:
         assert capsys.readouterr().err \
             == "couder: seed must be non-negative, not -1\n"
 
+    def test_negative_ldm_iterations_exits_1(self, tmp_path, capsys):
+        physfile, solfile = tmp_path / "phys.json", tmp_path / "sol.json"
+        write_physical_topology(str(physfile), make_fabric(2, 1, 4))
+        cli.write_solution(str(solfile), FractionalSolution(
+            FractionalTopology(np.array([[0.0, 4.0], [4.0, 0.0]])),
+            RoutingWeights.of({Path(0, 1): 1.0, Path(1, 0): 1.0}, 2), 0.5))
+        topofile = tmp_path / "topo.json"
+        assert cli.main(["--ldm-iterations", "-1", "round", str(physfile),
+                         str(solfile), "--out", str(topofile)]) == 1
+        assert not topofile.exists()
+        assert capsys.readouterr().err \
+            == "couder: iteration count must not be negative\n"
+
     def test_bad_file_contents_exit_1(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -603,6 +616,29 @@ class TestExitCodes:
                          str(out)]) == 0
         assert cli.read_solution(str(out)).mu == pytest.approx(
             2 ** 50 * b / t, rel=2 * optimize.MU_SLACK)
+
+    def test_2_pow_50_ports_plan_rounds(self, tmp_path, capsys):
+        # The plan gives each pair all 2**50 ports of its pod, and round
+        # places them on the switch at once.  Re-routing on that topology
+        # needs a coefficient of 2**50, past the LP solver's limit.
+        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
+        solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
+        q = 2 ** 50
+        write_physical_topology(str(physfile), make_fabric(2, 1, q))
+        cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(
+            np.ones((2, 2)) - np.eye(2)),)))
+        assert cli.main(["optimize", str(physfile), str(critfile), "--out",
+                         str(solfile)]) == 0
+        assert cli.main(["round", str(physfile), str(solfile), "--out",
+                         str(topofile)]) == 0
+        topo, _ = cli.read_integer_topology(str(topofile))
+        assert topo.x.tolist() == [[[0, q], [q, 0]]]
+        capsys.readouterr()
+        routed = tmp_path / "routed.json"
+        assert cli.main(["round", str(physfile), str(solfile), str(critfile),
+                         "--out", str(routed)]) == 1
+        assert not routed.exists()
+        assert "coefficient must be below 1e+15" in capsys.readouterr().err
 
     def test_round_routes_pair_without_direct_link(self, tmp_path):
         # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a

@@ -10,8 +10,8 @@ import pytest
 
 from couder import cli, evaluate, lp, optimize
 from couder.errors import InvalidInputError
-from couder.evaluate import (EvalRecord, ReconfigPolicy, _changing_circuits,
-                             _restrict_weights, direct_only_weights,
+from couder.evaluate import (EvalRecord, ReconfigPolicy, _restrict_weights,
+                             _stage_shares, direct_only_weights,
                              evaluate_static, fat_tree_eval, ideal_toe_mlu,
                              num_stages, optimal_routing_mlu, sensitivity_map,
                              simulate_reconfig, uniform_mesh, vlb_weights)
@@ -21,7 +21,8 @@ from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
 from helpers import (einsum_link_loads, enumerate_paths, hetero_fabric,
-                     loop_evaluate_static, loop_restrict_weights,
+                     loop_changing_circuits, loop_evaluate_static,
+                     loop_restrict_weights,
                      loop_sensitivity_map, loop_uniform_mesh,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
                      random_criticals, random_fabric, random_tm, sparse_tm,
@@ -817,12 +818,38 @@ class TestStaging:
             num_stages(0.5, 1.0)
 
     def test_changing_circuits_as_the_loop(self):
-        old, new = np.random.default_rng(0).integers(0, 3, (2, 3, 4, 4))
-        want = [(i, j, m) for i in range(4) for j in range(4)
-                for m in range(3)
+        # Each stage's share of the torn-down circuits, cut from counts, is
+        # the np.array_split piece of the list of those circuits.
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            m_, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            old, new = rng.integers(0, 5, (2, m_, n, n))
+            stages = int(rng.integers(1, 9))
+            circuits = loop_changing_circuits(old, new)
+            assert circuits.tolist() == [
+                [i, j, m] for i in range(n) for j in range(n)
+                for m in range(m_)
                 for _ in range(max(old[m, i, j] - new[m, i, j], 0))]
-        assert _changing_circuits(old, new).tolist() == [list(c) for c in
-                                                         want]
+            shares = _stage_shares(np.maximum(old - new, 0), stages)
+            assert len(shares) == stages
+            for share, piece in zip(shares,
+                                    np.array_split(circuits, stages)):
+                want = np.zeros_like(old)
+                np.add.at(want, (piece[:, 2], piece[:, 0], piece[:, 1]), 1)
+                np.testing.assert_array_equal(share, want)
+
+    def test_stage_shares_of_2_pow_51_circuits(self):
+        # Two cells of 2**50 circuits each, split into 5 stages without
+        # listing them: the first 2**51 mod 5 stages take one more.
+        drop = np.zeros((2, 2, 2), dtype=np.int64)
+        drop[0, 0, 1] = drop[1, 1, 0] = 2 ** 50
+        size, extra = divmod(2 ** 51, 5)
+        shares = _stage_shares(drop, 5)
+        assert [int(s.sum()) for s in shares] \
+            == [size + (s < extra) for s in range(5)]
+        np.testing.assert_array_equal(sum(shares), drop)
+        assert [int(s[0, 0, 1]) for s in shares] \
+            == [size + 1, size + 1, 2 ** 50 - 2 * size - 2, 0, 0]
 
     def test_restrict_weights_drops_paths_on_removed_links(self):
         full = np.full((3, 3), 2.0) - 2.0 * np.eye(3)

@@ -734,7 +734,7 @@ def plan_highs_calls(monkeypatch, n: int) -> list:
     fixed at its greedy rounding.  On these fabrics stage 2 re-solves its
     model warm at least once."""
     from couder.optimize import recompute_routing, run_pipeline
-    from couder.round import greedy_round
+    from couder.round import ldm_round
     from helpers import random_criticals, random_fabric
     rng = np.random.default_rng(40 + n)
     phys = random_fabric(rng, n, 2, qmin=2, qmax=5)
@@ -750,7 +750,7 @@ def plan_highs_calls(monkeypatch, n: int) -> list:
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_run_highs", record)
         frac = run_pipeline(phys, crit)
-        recompute_routing(phys, greedy_round(phys, frac.d).topo, crit)
+        recompute_routing(phys, ldm_round(phys, frac.d, 0).topo, crit)
     return calls
 
 
@@ -766,7 +766,7 @@ def test_solve_returns_the_highs_record_in_the_model_sense(monkeypatch, n):
     # objective and duals negated, and its iterations and basis as they
     # are.
     from couder.optimize import recompute_routing, run_pipeline
-    from couder.round import greedy_round
+    from couder.round import ldm_round
     from helpers import random_criticals, random_fabric
     rng = np.random.default_rng(40 + n)
     phys = random_fabric(rng, n, 2, qmin=2, qmax=5)
@@ -787,7 +787,7 @@ def test_solve_returns_the_highs_record_in_the_model_sense(monkeypatch, n):
     monkeypatch.setattr(lp, "_run_highs", recording_run)
     monkeypatch.setattr(lp, "solve", recording_solve)
     frac = run_pipeline(phys, crit)
-    recompute_routing(phys, greedy_round(phys, frac.d).topo, crit)
+    recompute_routing(phys, ldm_round(phys, frac.d, 0).topo, crit)
     assert len(raw) == len(solved)
     assert {sense for sense, _ in solved} == {"max", "min"}
     for (status, x, objective, duals, nit, basis), (sense, res) in zip(

@@ -11,7 +11,7 @@ from couder.model import (IntegerTopology, Path, PhysicalTopology,
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
-from couder.round import greedy_round, ldm_round
+from couder.round import ldm_round
 from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
@@ -97,6 +97,11 @@ class TestMaxminThroughput:
         crit = CriticalSet((TrafficMatrix(np.zeros((3, 3))),))
         with pytest.raises(UnboundedThroughputError):
             solve_maxmin_throughput(phys, crit)
+        # Stages 2 and 3 called alone refuse it too.
+        with pytest.raises(UnboundedThroughputError):
+            desensitize(phys, crit, 1.0)
+        with pytest.raises(UnboundedThroughputError):
+            minimize_ahc(phys, crit, 1.0, None)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -207,7 +212,7 @@ def rounded_instance(seed: int, fabric):
     rng = np.random.default_rng(500 + seed)
     phys = fabric(rng, 4, 2, qmin=2, qmax=6)
     crit = random_criticals(rng, 4, 2)
-    topo = greedy_round(phys, random_fractional(rng, phys)).topo
+    topo = ldm_round(phys, random_fractional(rng, phys), 0).topo
     return phys, crit, topo
 
 
@@ -396,10 +401,11 @@ def warm_instance(seed: int) -> tuple:
 
 def direct_traffic(sol, crit) -> float:
     """Stage 3's z in a plan: the least traffic, as a share of demand
-    over sigma, that any critical puts on direct paths."""
+    over sigma, that any critical with traffic puts on direct paths."""
     t = _tables(crit.num_pods)
     direct = sol.omega.omega[np.arange(len(t.pairs)) * (crit.num_pods - 1)]
     demand = crit.stacked()[:, t.pair_src, t.pair_dst]
+    demand = demand[demand.any(axis=1)]
     return float((demand @ direct).min() / demand_scale(crit.stacked()))
 
 
@@ -539,6 +545,27 @@ class TestMinimizeAhc:
         sol = run_pipeline(phys, crit)
         sen = sensitivity_map(sol.d, sol.omega, phys.link_bandwidth)
         assert sen[np.isfinite(sen)].max() <= sol.beta + 1e-6
+
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_critical_without_traffic_changes_no_plan(self, desensitized):
+        # Such a critical adds no load row and no direct-traffic row: a row
+        # z <= 0 would leave stage 3 nothing to maximize.
+        rng = np.random.default_rng(0)
+        phys = make_fabric(5, 2, 3)
+        busy = random_criticals(rng, 5, 2).matrices
+        idle = CriticalSet((busy[0], TrafficMatrix(np.zeros((5, 5))),
+                            busy[1]))
+        crit = CriticalSet(busy)
+        plan = run_pipeline(phys, crit, desensitized)
+        topo = ldm_round(phys, plan.d, 50).topo
+        for got, want in (
+                (run_pipeline(phys, idle, desensitized), plan),
+                (recompute_routing(phys, topo, idle, desensitized),
+                 recompute_routing(phys, topo, crit, desensitized))):
+            np.testing.assert_array_equal(got.d.d, want.d.d)
+            np.testing.assert_array_equal(got.omega.omega, want.omega.omega)
+            assert (got.mu, got.beta) == (want.mu, want.beta)
 
 
 class TestLemma2Property:

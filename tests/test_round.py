@@ -8,10 +8,9 @@ from couder.errors import InvalidInputError, UnboundedThroughputError
 from couder.model import (FractionalTopology, IntegerTopology,
                           PhysicalTopology, TrafficMatrix, validate)
 from couder.optimize import recompute_routing, solve_maxmin_throughput
-from couder.round import (_brackets, _complete, _goodness, greedy_round,
-                          ldm_round)
+from couder.round import _brackets, _complete, _goodness, ldm_round
 from couder.traffic import CriticalSet
-from helpers import (held_lp, hetero_fabric, loop_ldm_round,
+from helpers import (held_lp, hetero_fabric, loop_complete, loop_ldm_round,
                      loop_switch_subproblem, make_fabric, random_criticals,
                      random_fabric, random_fractional, random_window_instance,
                      window_subproblem)
@@ -69,12 +68,31 @@ class TestLdmRound:
         with pytest.raises(InvalidInputError):
             ldm_round(phys, FractionalTopology(overfull), tau_max=5)
 
+    def test_rejects_negative_iteration_count(self):
+        phys = make_fabric(3, 1, 2)
+        d = np.full((3, 3), 1.0) - np.eye(3)
+        with pytest.raises(InvalidInputError):
+            ldm_round(phys, FractionalTopology(d), tau_max=-1)
+
+    @pytest.mark.parametrize("tau", [0, 50])
+    def test_2_pow_50_ports_each_way(self, tau):
+        # One pair each way, each with every port of its pod: the
+        # completion pass grants all 2**50 links of a pair at once.
+        q = 2 ** 50
+        d = np.array([[0.0, q], [q, 0.0]])
+        report = ldm_round(make_fabric(2, 1, q), FractionalTopology(d), tau)
+        assert report.topo.x.tolist() == [[[0, q], [q, 0]]]
+        assert report.goodness == 2
+
 
 class TestGreedyRound:
+    """The greedy baseline: ``ldm_round`` at zero iterations, the
+    completion pass from an empty assignment."""
+
     def test_integer_feasible_input_matches(self):
         phys = make_fabric(3, 1, 4)
         d = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]], dtype=float)
-        report = greedy_round(phys, FractionalTopology(d))
+        report = ldm_round(phys, FractionalTopology(d), 0)
         np.testing.assert_array_equal(report.topo.X, d.astype(int))
         assert report.violation_ratio == 0.0
 
@@ -89,7 +107,7 @@ class TestGreedyRound:
         d = np.zeros((3, 3))
         d[0, 1] = 1.0
         d[2, 1] = 1.0
-        report = greedy_round(phys, FractionalTopology(d))
+        report = ldm_round(phys, FractionalTopology(d), 0)
         assert validate(phys, report.topo) == []
         assert report.topo.X[0, 1] == 1
         assert report.topo.X[2, 1] == 0  # starved below its floor
@@ -103,7 +121,7 @@ class TestGreedyRound:
         rng = np.random.default_rng(seed)
         phys = random_fabric(rng, int(rng.integers(3, 6)),
                              int(rng.integers(1, 4)))
-        report = greedy_round(phys, random_fractional(rng, phys))
+        report = ldm_round(phys, random_fractional(rng, phys), 0)
         assert validate(phys, report.topo) == []
 
     def test_never_overshoots_ceiling_by_more_than_residual_rule(self):
@@ -112,8 +130,9 @@ class TestGreedyRound:
         rng = np.random.default_rng(99)
         phys = random_fabric(rng, 4, 3)
         d_star = random_fractional(rng, phys)
-        report = greedy_round(phys, d_star)
+        report = ldm_round(phys, d_star, 0)
         assert (report.topo.X <= np.ceil(d_star.d - 1e-9) + 0).all()
+        assert report.iterations_run == 0
 
 
 def _has_short_path(X, i, j):
@@ -132,12 +151,10 @@ class TestCompletion:
                           [0.104, 2.936, 0, 2.96],
                           [0.107, 0.104, 0.104, 0]])
 
-    @pytest.mark.parametrize("rounder", ["ldm", "greedy"])
-    def test_thin_rows_leave_no_pair_stranded(self, rounder):
+    @pytest.mark.parametrize("tau", [50, 0], ids=["ldm", "greedy"])
+    def test_thin_rows_leave_no_pair_stranded(self, tau):
         phys = make_fabric(4, 2, 3)
-        d_star = FractionalTopology(self.THIN_ROWS)
-        report = ldm_round(phys, d_star, tau_max=50) if rounder == "ldm" \
-            else greedy_round(phys, d_star)
+        report = ldm_round(phys, FractionalTopology(self.THIN_ROWS), tau)
         assert validate(phys, report.topo) == []
         assert report.goodness == 12
         X = report.topo.X
@@ -156,7 +173,7 @@ class TestCompletion:
         _, c_plus = _brackets(d_star.d)
         off_diag = ~np.eye(phys.num_pods, dtype=bool)
         for report in (ldm_round(phys, d_star, tau_max=15),
-                       greedy_round(phys, d_star)):
+                       ldm_round(phys, d_star, 0)):
             assert validate(phys, report.topo) == []
             X = report.topo.X
             assert (X <= c_plus).all()
@@ -195,6 +212,81 @@ class TestCompletion:
         lo, hi = c_minus[off], c_plus[off]
         assert _goodness(done.sum(axis=0)[off], lo, hi) \
             >= _goodness(x.sum(axis=0)[off], lo, hi)
+
+
+def band_instance(rng: np.random.Generator):
+    """A fabric with 1 to 3, 8 or 39 ports per pod per switch and a skewed
+    d* within its degrees, on a third of the draws floored to halves so
+    that residuals tie exactly."""
+    make = hetero_fabric if rng.random() < 0.5 else random_fabric
+    phys = make(rng, int(rng.integers(2, 8)), int(rng.integers(1, 5)),
+                qmin=1, qmax=int(rng.choice([3, 8, 39])))
+    d = random_fractional(rng, phys, fill=float(rng.uniform(0.05, 1.0))).d
+    d = d * rng.uniform(0.2, 1.0, d.shape) ** 2
+    if rng.random() < 1 / 3:
+        d = np.floor(2 * d) / 2
+    return phys, FractionalTopology(d)
+
+
+class TestBandFill:
+    """``_complete`` grants whole bands of residuals at once and
+    ``helpers.loop_complete`` one link per pass; the links they grant are
+    the same."""
+
+    def test_same_result_as_the_loop_from_any_start(self):
+        # Starts are empty or random port-feasible assignments, several
+        # links per cell, often above the ceilings.
+        rng = np.random.default_rng(1234)
+        for _ in range(300):
+            phys, d_star = band_instance(rng)
+            n, M = phys.num_pods, phys.num_ocs
+            x = np.zeros((M, n, n), dtype=int)
+            for m in range(M * int(rng.integers(0, 2))):
+                eg_left = phys.egress_ports[m].copy()
+                ig_left = phys.ingress_ports[m].copy()
+                for _ in range(int(rng.integers(0, 6 * n))):
+                    i, j = rng.choice(n, size=2, replace=False)
+                    top = min(eg_left[i], ig_left[j])
+                    if top > 0:
+                        k = int(rng.integers(1, top + 1))
+                        x[m, i, j] += k
+                        eg_left[i] -= k
+                        ig_left[j] -= k
+            c_plus = _brackets(d_star.d)[1]
+            np.testing.assert_array_equal(
+                _complete(phys, d_star.d, x, c_plus),
+                loop_complete(phys, d_star.d, x, c_plus))
+
+    def test_ldm_iterates_complete_as_the_loop(self, monkeypatch):
+        # Every completion ldm_round makes, at zero iterations and after a
+        # few, against the loop on the same start.  At zero iterations the
+        # report is the per-link greedy rounder's, bit for bit.
+        calls = []
+        complete = rounding._complete
+
+        def check(phys, d, x, c_plus):
+            got = complete(phys, d, x, c_plus)
+            np.testing.assert_array_equal(got, loop_complete(phys, d, x,
+                                                             c_plus))
+            calls.append(x.any())
+            return got
+
+        monkeypatch.setattr(rounding, "_complete", check)
+        rng = np.random.default_rng(4321)
+        for _ in range(100):
+            phys, d_star = band_instance(rng)
+            n, M = phys.num_pods, phys.num_ocs
+            c_minus, c_plus = _brackets(d_star.d)
+            greedy = ldm_round(phys, d_star, 0)
+            ref = rounding._report(
+                loop_complete(phys, d_star.d,
+                              np.zeros((M, n, n), dtype=int), c_plus),
+                c_minus, c_plus, 0)
+            np.testing.assert_array_equal(greedy.topo.x, ref.topo.x)
+            assert (greedy.goodness, greedy.iterations_run) \
+                == (ref.goodness, 0)
+            ldm_round(phys, d_star, int(rng.integers(1, 11)))
+        assert len(calls) == 200 and sum(calls) > 50
 
 
 class TestPairVectorLoop:
@@ -361,14 +453,14 @@ class TestOptimalityGap:
         d_star = random_fractional(rng, phys)
         mu_star = solve_maxmin_throughput(phys, crit).mu
         for report in (ldm_round(phys, d_star, 15),
-                       greedy_round(phys, d_star)):
+                       ldm_round(phys, d_star, 0)):
             mu_int = recompute_routing(phys, report.topo, crit).mu
             assert 0.0 < mu_int <= mu_star * (1.0 + 1e-9)
 
     def test_all_zero_criticals_are_unbounded(self):
         phys = make_fabric(3, 1, 2)
         d = np.full((3, 3), 1.0) - np.eye(3)
-        report = greedy_round(phys, FractionalTopology(d))
+        report = ldm_round(phys, FractionalTopology(d), 0)
         crit = CriticalSet((TrafficMatrix(np.zeros((3, 3))),))
         with pytest.raises(UnboundedThroughputError):
             recompute_routing(phys, report.topo, crit)
@@ -383,7 +475,7 @@ class TestPairedComparison:
             phys = random_fabric(rng, int(rng.integers(3, 5)), 2)
             d_star = random_fractional(rng, phys)
             ldm = ldm_round(phys, d_star, tau_max=25)
-            greedy = greedy_round(phys, d_star)
+            greedy = ldm_round(phys, d_star, 0)
             if ldm.violation_ratio < greedy.violation_ratio - 1e-12:
                 wins += 1
             elif ldm.violation_ratio <= greedy.violation_ratio + 1e-12:
