@@ -427,8 +427,9 @@ def _build_parser() -> _Parser:
                         help="history window in seconds")
     parser.add_argument("--ldm-iterations", type=int, default=50,
                         dest="ldm_iterations",
-                        help="dual iterations of LDM rounding; 0 rounds"
-                             " greedily, largest residual first")
+                        help="at most this many dual iterations of LDM"
+                             " rounding; 0 rounds greedily, largest"
+                             " residual first")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="cluster a sequence into criticals")

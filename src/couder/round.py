@@ -11,10 +11,12 @@ matching-constraint goodness is kept.
 The per-switch utility -(x - h)^2 is concave, so inside the move window
 it decomposes exactly into per-unit variables with decreasing gains
 (2h + 1 - 2a for the a-th link).  A midpoint linearization would price
-"keep the current link" and "add one more" identically, which lets the
-solver flip cells freely once the dual prices balance and keeps the
-iteration from ever settling; the exact unit gains leave a stability
-band of width 2 around the current state.
+"keep the current link" and "add one more" identically within a cell;
+the exact unit gains tell them apart by 2.  Across cells they do not
+settle the iteration: keeping a cell's only link and opening a link on
+an empty cell of the same h both gain 2h - 1, so the prices move links
+between cells at no cost in utility, and a visit may change many cells
+of its switch.
 
 Each subproblem is a small LP solved by HiGHS dual simplex: one [0, 1]
 variable per unit, one egress and one ingress budget row per pod.  Every
@@ -49,16 +51,25 @@ The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
 prices grow as far as the brackets need.
 
-A completion pass ends every rounding.  The dual method stops at the
-first iterate that meets every bracket, which can leave ports idle on
-pods whose d* row is small, and its best iterate may hold more than
-ceil(d*) links on a pair.  The pass first trims every pair down to its
-ceiling, then pairs each switch's idle egress and ingress ports onto pod
-pairs still below their ceiling, largest residual d* - X first.  The
-result stays within the ceilings and the port budgets, so it still
-validates, and matching-constraint goodness never drops: a trimmed pair
-now meets its bracket, and a link added below the ceiling cannot break
-one.  From an empty assignment (``tau_max`` 0) it is the greedy baseline.
+A completion pass ends every rounding.  The best iterate can leave ports
+idle on pods whose d* row is small, and may hold more than ceil(d*)
+links on a pair.  The pass first trims every pair down to its ceiling,
+then pairs each switch's idle egress and ingress ports onto pod pairs
+still below their ceiling, largest residual d* - X first.  The result
+stays within the ceilings and the port budgets, so it still validates,
+and matching-constraint goodness never drops: a trimmed pair now meets
+its bracket, and a link added below the ceiling cannot break one.  From
+an empty assignment (``tau_max`` 0) it is the greedy baseline.
+
+The dual method stops early in two ways, each checked after a whole
+iteration.  Once the best iterate meets every bracket no later one can
+replace it.  And the best iterate is completed whenever it has changed
+since its last completion: once that completion meets every bracket and
+gives every ordered pod pair a direct link or a 2-hop path, no later
+iterate could give a better answer, so it is returned as it is.  Without
+the connectivity clause the run would stop on completions that strand a
+pair, which re-routing cannot serve.  When neither stop fires the result
+is the completion of the best of all ``tau_max`` iterations.
 """
 
 from __future__ import annotations
@@ -101,6 +112,15 @@ def _goodness(totals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     """Pod pairs whose link total lies in its bracket [lo, hi]; one entry
     per off-diagonal pair in each vector."""
     return int(np.count_nonzero((lo <= totals) & (totals <= hi)))
+
+
+def _short_paths(X: np.ndarray) -> bool:
+    """Whether link totals X give every ordered pod pair a direct link or
+    a 2-hop path."""
+    linked = (X > 0).astype(int)
+    reach = linked + linked @ linked > 0
+    np.fill_diagonal(reach, True)
+    return bool(reach.all())
 
 
 def _report(x: np.ndarray, c_minus, c_plus, iterations: int) -> RoundingReport:
@@ -293,13 +313,16 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     Each iteration re-optimizes every switch in turn with an LP that HiGHS
     dual simplex solves to an integral vertex (the budget matrix is totally
     unimodular), with tolerances tight enough to honour the tie reward.
-    Keeps the iterate with the best goodness, stopping early once every
-    matching constraint holds, then applies the completion pass: the
-    result stays within ceil(d*) and every port budget, and its goodness
-    is no lower than the kept iterate's.  The loop works on vectors over
-    the off-diagonal pod pairs and keeps the per-pair link totals up to
-    date after each visit.  At ``tau_max`` 0 the result is the completion
-    pass from an empty assignment: the greedy baseline.
+    Keeps the iterate with the best goodness and returns its completion:
+    the result stays within ceil(d*) and every port budget, and its
+    goodness is no lower than the kept iterate's.  Runs at most
+    ``tau_max`` iterations.  After each one it stops if the kept iterate
+    meets every matching constraint, or if the completion of the kept
+    iterate, made once per kept iterate, meets every matching constraint
+    and links every ordered pod pair in one or two hops.  The loop works
+    on vectors over the off-diagonal pod pairs and keeps the per-pair link
+    totals up to date after each visit.  At ``tau_max`` 0 the result is
+    the completion pass from an empty assignment: the greedy baseline.
     """
     _check_inputs(phys, d_star)
     if tau_max < 0:
@@ -321,7 +344,12 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     best_good = _goodness(totals, lo, hi)
     p_plus, p_minus = np.zeros(len(rows)), np.zeros(len(rows))
 
-    iterations = 0
+    def complete(best):
+        x = np.zeros((M, n, n), dtype=int)
+        x[:, rows, cols] = best
+        return _complete(phys, d_star.d, x, c_plus)
+
+    iterations, done = 0, None  # done: the completion of best, once made
     for tau in range(1, tau_max + 1):
         iterations = tau
         step = 1.0 / tau
@@ -334,13 +362,17 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
             x_hat[m] = x
             good = _goodness(totals, lo, hi)
             if good > best_good:
-                best_good = good
-                best = x_hat.copy()
+                best_good, best, done = good, x_hat.copy(), None
             p_plus = np.maximum(p_plus - step * (hi - totals), 0.0)
             p_minus = np.maximum(p_minus - step * (totals - lo), 0.0)
         if best_good == len(rows):
-            break  # every matching constraint already satisfied
-    x = np.zeros((M, n, n), dtype=int)
-    x[:, rows, cols] = best
-    return _report(_complete(phys, d_star.d, x, c_plus), c_minus, c_plus,
-                   iterations)
+            break  # no later iterate can replace best
+        if done is None:
+            done = complete(best)
+            X = done.sum(axis=0)
+            if _goodness(X[rows, cols], lo, hi) == len(rows) \
+                    and _short_paths(X):
+                break  # no later iterate can do better
+    if done is None:
+        done = complete(best)
+    return _report(done, c_minus, c_plus, iterations)

@@ -278,11 +278,21 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress):
     return x
 
 
+def has_short_path(X: np.ndarray, i: int, j: int) -> bool:
+    """Whether link totals X give pod pair (i, j) a direct link or a 2-hop
+    path."""
+    return X[i, j] > 0 or any(X[i, k] > 0 and X[k, j] > 0
+                              for k in range(len(X)) if k not in (i, j))
+
+
 def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
                    tau_max: int) -> rounding.RoundingReport:
     """``round.ldm_round`` over n x n matrices, summing every switch's links
     again after each visit: the reference for its pair-vector loop.  The
-    prices take a projected subgradient step of 1/tau after each visit."""
+    prices take a projected subgradient step of 1/tau after each visit.
+    After each iteration it completes the best iterate and stops when that
+    completion meets every bracket and gives every pod pair a direct link
+    or a 2-hop path."""
     n, M = phys.num_pods, phys.num_ocs
     c_minus, c_plus = rounding._brackets(d_star.d)
     np.fill_diagonal(c_minus, 0)
@@ -314,6 +324,10 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
             p_plus = np.maximum(p_plus - step * (c_plus - totals), 0.0)
             p_minus = np.maximum(p_minus - step * (totals - c_minus), 0.0)
         if best_good == n * (n - 1):
+            break
+        X = rounding._complete(phys, d_star.d, best, c_plus).sum(axis=0)
+        if goodness(X) == n * (n - 1) and all(
+                has_short_path(X, i, j) for i, j in _pairs(n)):
             break
     return rounding._report(
         rounding._complete(phys, d_star.d, best, c_plus), c_minus, c_plus,

@@ -223,9 +223,14 @@ class TestCommands:
         # Stage-3 weights of this plan cross links that rounding removes:
         # scored on the rounded X they load a dead link.  round with the
         # critical set writes weights recomputed on X, which evaluate uses.
-        rng = np.random.default_rng(4)
-        phys = make_fabric(4, 1, 3)
-        crit = random_criticals(rng, 4, 2, scale=5.0)
+        # By construction: on one switch with 2 ports per pod, X holds at
+        # most 8 links over the 12 pairs of 4 pods.  The uniform critical
+        # reaches mu* = 8 / 12 only with every pair sent direct; a pair
+        # sent over 2 hops alone would hold mu to 8 / 13, far below the
+        # mu* (1 - MU_SLACK) of stage 3.  So stage 3 puts weight on all 12
+        # direct links, of which at least 4 are dead on X.
+        phys = make_fabric(4, 1, 2)
+        crit = CriticalSet((TrafficMatrix(np.ones((4, 4)) - np.eye(4)),))
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
         write_physical_topology(str(physfile), phys)
@@ -619,8 +624,9 @@ class TestExitCodes:
 
     def test_2_pow_50_ports_plan_rounds(self, tmp_path, capsys):
         # The plan gives each pair all 2**50 ports of its pod, and round
-        # places them on the switch at once.  Re-routing on that topology
-        # needs a coefficient of 2**50, past the LP solver's limit.
+        # places them on the switch at once, after one dual iteration of
+        # the 50 allowed.  Re-routing on that topology needs a coefficient
+        # of 2**50, past the LP solver's limit.
         physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
         solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
         q = 2 ** 50
@@ -633,7 +639,8 @@ class TestExitCodes:
                          str(topofile)]) == 0
         topo, _ = cli.read_integer_topology(str(topofile))
         assert topo.x.tolist() == [[[0, q], [q, 0]]]
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+            "goodness": 2, "violation_ratio": 0.0, "iterations_run": 1}
         routed = tmp_path / "routed.json"
         assert cli.main(["round", str(physfile), str(solfile), str(critfile),
                          "--out", str(routed)]) == 1

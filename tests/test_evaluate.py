@@ -8,7 +8,7 @@ from pathlib import Path as FilePath
 import numpy as np
 import pytest
 
-from couder import cli, evaluate, lp, optimize
+from couder import cli, evaluate, lp, optimize, round as rounding
 from couder.errors import InvalidInputError
 from couder.evaluate import (EvalRecord, ReconfigPolicy, _restrict_weights,
                              _stage_shares, direct_only_weights,
@@ -20,9 +20,9 @@ from couder.model import (IntegerTopology, Path, PhysicalTopology,
 from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
-from helpers import (einsum_link_loads, enumerate_paths, hetero_fabric,
-                     loop_changing_circuits, loop_evaluate_static,
-                     loop_restrict_weights,
+from helpers import (einsum_link_loads, enumerate_paths, has_short_path,
+                     hetero_fabric, loop_changing_circuits,
+                     loop_evaluate_static, loop_restrict_weights,
                      loop_sensitivity_map, loop_uniform_mesh,
                      loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
                      random_criticals, random_fabric, random_tm, sparse_tm,
@@ -987,6 +987,29 @@ class TestSimulateReconfig:
         for ep in changing:
             assert ep.stages == num_stages(min(ep.changed_fraction, 1.0),
                                            policy.alpha_pred)
+
+    def test_first_plan_keeps_a_path_for_every_pair(self, monkeypatch):
+        # A guard on LDM's early stop.  At the first epoch of this instance
+        # the completion of the first dual iterate already meets every
+        # bracket but leaves pairs (0, 3) and (2, 1) without a 1- or 2-hop
+        # path.  LDM runs on to iteration 9, whose completion links every
+        # pair.  This passes with or without the early stop, and fails
+        # under a stop on the brackets alone.
+        reports = []
+        ldm_round = rounding.ldm_round
+
+        def recording(*args):
+            reports.append(ldm_round(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(rounding, "ldm_round", recording)
+        policy = ReconfigPolicy(frequency=10.0, stage_latency=0.0,
+                                alpha_pred=0.8, lookback=5.5, k=2)
+        simulate_reconfig(make_fabric(4, 2, 3), two_regime_sequence(),
+                          policy, seed=9)
+        X = reports[0].topo.X
+        for i, j in itertools.permutations(range(4), 2):
+            assert has_short_path(X, i, j), (i, j)
 
     @pytest.mark.parametrize("latency, alpha, longest", [
         (3.0, 0.8, "15"), (1.01, 0.7, "4.04")])

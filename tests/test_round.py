@@ -10,10 +10,10 @@ from couder.model import (FractionalTopology, IntegerTopology,
 from couder.optimize import recompute_routing, solve_maxmin_throughput
 from couder.round import _brackets, _complete, _goodness, ldm_round
 from couder.traffic import CriticalSet
-from helpers import (held_lp, hetero_fabric, loop_complete, loop_ldm_round,
-                     loop_switch_subproblem, make_fabric, random_criticals,
-                     random_fabric, random_fractional, random_window_instance,
-                     window_subproblem)
+from helpers import (has_short_path, held_lp, hetero_fabric, loop_complete,
+                     loop_ldm_round, loop_switch_subproblem, make_fabric,
+                     random_criticals, random_fabric, random_fractional,
+                     random_window_instance, window_subproblem)
 
 
 class TestLdmRound:
@@ -77,12 +77,36 @@ class TestLdmRound:
     @pytest.mark.parametrize("tau", [0, 50])
     def test_2_pow_50_ports_each_way(self, tau):
         # One pair each way, each with every port of its pod: the
-        # completion pass grants all 2**50 links of a pair at once.
+        # completion pass grants all 2**50 links of a pair at once.  The
+        # one-link move window meets no bracket of 2**50, so the best
+        # iterate stays the empty one; its completion after iteration 1
+        # meets both brackets and links both pods, so LDM stops there.
         q = 2 ** 50
         d = np.array([[0.0, q], [q, 0.0]])
         report = ldm_round(make_fabric(2, 1, q), FractionalTopology(d), tau)
         assert report.topo.x.tolist() == [[[0, q], [q, 0]]]
         assert report.goodness == 2
+        assert report.iterations_run == min(tau, 1)
+
+    def test_stops_once_the_completion_is_full_and_linked(self):
+        # Degree-saturated targets on an evenly striped 8-pod fabric, as
+        # the benchmark rounds them.  No dual iterate meets every bracket
+        # within 50 iterations, yet the completion of the best one often
+        # does.  A run that stops before tau_max has a completion that
+        # meets every bracket and gives every pod pair a direct link or a
+        # 2-hop path.
+        phys = make_fabric(8, 4, 4)
+        early = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            report = ldm_round(phys, random_fractional(rng, phys), 50)
+            if report.iterations_run < 50:
+                early += 1
+                assert report.goodness == 8 * 7
+                X = report.topo.X
+                for i, j in itertools.permutations(range(8), 2):
+                    assert has_short_path(X, i, j), (seed, i, j)
+        assert early > 0
 
 
 class TestGreedyRound:
@@ -135,12 +159,6 @@ class TestGreedyRound:
         assert report.iterations_run == 0
 
 
-def _has_short_path(X, i, j):
-    n = X.shape[0]
-    return X[i, j] > 0 or any(X[i, k] > 0 and X[k, j] > 0
-                              for k in range(n) if k not in (i, j))
-
-
 class TestCompletion:
     # A stage-3 d* whose rows 1 and 3 are thin (about 0.1 per pair): every
     # bracket [0, 1] there is met with X = 0, so a rounder that stops at
@@ -159,7 +177,7 @@ class TestCompletion:
         assert report.goodness == 12
         X = report.topo.X
         for i, j in itertools.permutations(range(4), 2):
-            assert _has_short_path(X, i, j), (i, j)
+            assert has_short_path(X, i, j), (i, j)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_no_switch_can_add_a_link_below_ceiling(self, seed):
@@ -260,24 +278,31 @@ class TestBandFill:
     def test_ldm_iterates_complete_as_the_loop(self, monkeypatch):
         # Every completion ldm_round makes, at zero iterations and after a
         # few, against the loop on the same start.  At zero iterations the
-        # report is the per-link greedy rounder's, bit for bit.
-        calls = []
+        # report is the per-link greedy rounder's, bit for bit.  A run
+        # completes each best iterate once, at most one per iteration, and
+        # reports the last completion it made.  A run that stops after its
+        # first iteration may complete only the empty iterate; these 100
+        # runs complete 46 non-empty ones.
+        starts, done = [], []
         complete = rounding._complete
 
         def check(phys, d, x, c_plus):
             got = complete(phys, d, x, c_plus)
             np.testing.assert_array_equal(got, loop_complete(phys, d, x,
                                                              c_plus))
-            calls.append(x.any())
+            starts.append(x)
+            done.append(got)
             return got
 
         monkeypatch.setattr(rounding, "_complete", check)
         rng = np.random.default_rng(4321)
+        nonempty = 0
         for _ in range(100):
             phys, d_star = band_instance(rng)
             n, M = phys.num_pods, phys.num_ocs
             c_minus, c_plus = _brackets(d_star.d)
             greedy = ldm_round(phys, d_star, 0)
+            assert len(starts) == 1 and not starts[0].any()
             ref = rounding._report(
                 loop_complete(phys, d_star.d,
                               np.zeros((M, n, n), dtype=int), c_plus),
@@ -285,8 +310,16 @@ class TestBandFill:
             np.testing.assert_array_equal(greedy.topo.x, ref.topo.x)
             assert (greedy.goodness, greedy.iterations_run) \
                 == (ref.goodness, 0)
-            ldm_round(phys, d_star, int(rng.integers(1, 11)))
-        assert len(calls) == 200 and sum(calls) > 50
+            starts.clear()
+            done.clear()
+            report = ldm_round(phys, d_star, int(rng.integers(1, 11)))
+            assert 1 <= len(starts) <= report.iterations_run
+            assert len({x.tobytes() for x in starts}) == len(starts)
+            np.testing.assert_array_equal(report.topo.x, done[-1])
+            nonempty += sum(x.any() for x in starts)
+            starts.clear()
+            done.clear()
+        assert nonempty > 40
 
 
 class TestPairVectorLoop:
@@ -318,7 +351,7 @@ class TestPairVectorLoop:
         monkeypatch.setattr(rounding._Subproblems, "solve", record)
         got = ldm_round(phys, d_star, tau_max=30)
         if seed >= 40:
-            assert len(binding) == 30 * 4 and all(binding)
+            assert len(binding) == got.iterations_run * 4 and all(binding)
         ref = loop_ldm_round(phys, d_star, tau_max=30)
         np.testing.assert_array_equal(got.topo.x, ref.topo.x)
         assert got.goodness == ref.goodness
