@@ -51,25 +51,37 @@ The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
 prices grow as far as the brackets need.
 
-A completion pass ends every rounding.  The best iterate can leave ports
-idle on pods whose d* row is small, and may hold more than ceil(d*)
-links on a pair.  The pass first trims every pair down to its ceiling,
-then pairs each switch's idle egress and ingress ports onto pod pairs
-still below their ceiling, largest residual d* - X first.  The result
-stays within the ceilings and the port budgets, so it still validates,
-and matching-constraint goodness never drops: a trimmed pair now meets
-its bracket, and a link added below the ceiling cannot break one.  From
-an empty assignment (``tau_max`` 0) it is the greedy baseline.
+A completion pass and a repair end every rounding.  The best iterate can
+leave ports idle on pods whose d* row is small, and may hold more than
+ceil(d*) links on a pair.  The completion first trims every pair down to
+its ceiling, then pairs each switch's idle egress and ingress ports onto
+pod pairs still below their ceiling, largest residual d* - X first.  The
+result stays within the ceilings and the port budgets, so it still
+validates, and matching-constraint goodness never drops: a trimmed pair
+now meets its bracket, and a link added below the ceiling cannot break
+one.  It can still leave a pair below its floor, where the ports it
+needs went to other pairs first, and it can strand an ordered pod pair
+with no direct link and no 2-hop path, which re-routing cannot serve.
+The repair then moves links within a switch: onto each pair below its
+floor from pairs above theirs, and then onto each stranded pair, or onto
+a leg that completes a 2-hop path for it, where that lowers the count of
+stranded pairs.  Freed ports go back through the completion's fill.
+Every move keeps the port budgets, the ceilings and each bracket that
+was met, so goodness never drops and no pair is newly stranded.  From
+an empty assignment (``tau_max`` 0) completion and repair are the
+greedy baseline.
 
 The dual method stops early in two ways, each checked after a whole
 iteration.  Once the best iterate meets every bracket no later one can
-replace it.  And the best iterate is completed whenever it has changed
-since its last completion: once that completion meets every bracket and
+replace it.  And the best iterate is completed and repaired whenever it
+has changed since it last was: once the result meets every bracket and
 gives every ordered pod pair a direct link or a 2-hop path, no later
-iterate could give a better answer, so it is returned as it is.  Without
-the connectivity clause the run would stop on completions that strand a
-pair, which re-routing cannot serve.  When neither stop fires the result
-is the completion of the best of all ``tau_max`` iterations.
+iterate could give a better answer, so it is returned as it is.  On
+every degree-saturated target measured, evenly and unevenly striped,
+N = 8 to 24, the repaired first iterate does, so LDM stops after one
+iteration.  Without the connectivity clause the run would stop on
+results that strand a pair.  When neither stop fires the result is the
+repaired completion of the best of all ``tau_max`` iterations.
 """
 
 from __future__ import annotations
@@ -114,13 +126,13 @@ def _goodness(totals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     return int(np.count_nonzero((lo <= totals) & (totals <= hi)))
 
 
-def _short_paths(X: np.ndarray) -> bool:
-    """Whether link totals X give every ordered pod pair a direct link or
-    a 2-hop path."""
+def _stranded(X: np.ndarray) -> np.ndarray:
+    """The ordered pod pairs that link totals X give neither a direct link
+    nor a 2-hop path."""
     linked = (X > 0).astype(int)
-    reach = linked + linked @ linked > 0
-    np.fill_diagonal(reach, True)
-    return bool(reach.all())
+    stranded = linked + linked @ linked == 0
+    np.fill_diagonal(stranded, False)
+    return stranded
 
 
 def _report(x: np.ndarray, c_minus, c_plus, iterations: int) -> RoundingReport:
@@ -136,11 +148,24 @@ def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
     """Trim links above the ceilings, then pair idle ports onto pairs below.
 
     A pair holding more than c+_ij links loses the excess, highest switch
-    index first; that pair then meets its bracket.  Each switch in turn
-    then repeatedly grants one link to the pair (i != j) with the largest
-    residual d_ij - X_ij among those with a spare egress port on i, a
-    spare ingress port on j and X_ij < c+_ij; ties break
-    lexicographically.  Afterwards X <= c+ and no switch can serve another
+    index first; that pair then meets its bracket.  ``_fill`` then pairs
+    the idle ports, so afterwards X <= c+ and no switch can serve another
+    pair below its ceiling.  The result can still leave a pair below its
+    floor, or an ordered pod pair with no 1- or 2-hop path: ``_repair``
+    takes it from there.
+    """
+    before = np.cumsum(x, axis=0) - x  # links on lower-index switches
+    return _fill(phys, d, np.clip(c_plus - before, 0, x), c_plus)
+
+
+def _fill(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
+          c_plus: np.ndarray) -> np.ndarray:
+    """Pair each switch's idle ports onto pairs below their ceiling, in place.
+
+    Takes X <= c+.  Each switch in turn repeatedly grants one link to the
+    pair (i != j) with the largest residual d_ij - X_ij among those with a
+    spare egress port on i, a spare ingress port on j and X_ij < c+_ij;
+    ties break lexicographically.  Afterwards no switch can serve another
     such pair.
 
     Grants come in whole bands, with the same result.  An open pair has
@@ -153,8 +178,6 @@ def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
     it.  At 0 the single next grant is made.  A switch takes a number of
     passes polynomial in N, whatever its port counts.
     """
-    before = np.cumsum(x, axis=0) - x  # links on lower-index switches
-    x = np.clip(c_plus - before, 0, x)
     totals = x.sum(axis=0)
     off_diag = ~np.eye(x.shape[1], dtype=bool)
     for m in range(phys.num_ocs):
@@ -178,6 +201,112 @@ def _complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
             x[m, i, j] += runs
             totals[i, j] += runs
     return x
+
+
+def _moves(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
+           c_minus: np.ndarray, c_plus: np.ndarray, i: int, j: int):
+    """The moves within one switch that give pair (i, j) one more link,
+    best first, each as the cells (m, a, b) it takes a link from and the
+    cells it adds one to.  Every move keeps the port budgets.
+
+    A donor is a cell whose pair holds more than c- links, so it stays at
+    or above its floor.  First the moves with one donor: k -> j becomes
+    i -> j on a switch where i has an idle egress port, or i -> j' becomes
+    i -> j on one where j has an idle ingress port, the donor with the
+    least residual r = d - X first.  Then the swaps (i -> j', k -> j) ->
+    (i -> j, k -> j'), with (k, j') below its ceiling, least
+    r_ij' + r_kj - r_kj' first.  Each kind thus lowers sum (d - X)^2 most
+    first.  Ties go to the k -> j moves, then by switch and pod index.
+    """
+    X = x.sum(axis=0)
+    r = d - X
+    give = (x > 0) & (X > c_minus)
+    eg_idle = phys.egress_ports[:, i] > x[:, i].sum(axis=1)
+    ig_idle = phys.ingress_ports[:, j] > x[:, :, j].sum(axis=1)
+    m1, k = np.nonzero(give[:, :, j] & eg_idle[:, None])
+    m2, j2 = np.nonzero(give[:, i, :] & ig_idle[:, None])
+    m = np.concatenate([m1, m2])
+    src = np.concatenate([k, np.full_like(j2, i)])
+    dst = np.concatenate([np.full_like(k, j), j2])
+    for s in np.argsort(r[src, dst], kind="stable"):
+        yield (m[s], src[s], dst[s]), (m[s], i, j)
+    m, k, j2 = np.nonzero(give[:, :, j, None] & give[:, None, i, :]
+                          & (X < c_plus))
+    for s in np.argsort(r[i, j2] + r[k, j] - r[k, j2], kind="stable"):
+        both = (m[s], m[s])
+        yield (both, (i, k[s]), (j2[s], j)), (both, (i, k[s]), (j, j2[s]))
+
+
+def _repair(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
+            c_minus: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
+    """Raise pairs below their floor, then link stranded pod pairs.
+
+    Takes ``_complete``'s output, so X <= c+.  First, while some pair is
+    below its floor, the one with the largest residual d - X (ties as
+    ``_fill`` breaks them) takes the first of its ``_moves`` that strands
+    no more ordered pod pairs than before; ``_fill`` then pairs the ports
+    these moves freed.  Then, while some pod pair has no 1- or 2-hop
+    path, the one with the largest residual takes the first move that,
+    followed by ``_fill``, lowers the count of such pairs: a move onto
+    the pair itself, else onto a pair (i, k) or (k, j) whose other leg is
+    linked, largest residual first, each below its ceiling.  A pair that
+    no move can raise is given up on.
+
+    Every move keeps the port budgets, keeps X <= c+ and leaves each
+    bracket that was met met, so goodness never drops and the count of
+    stranded pairs never rises.  A donor holds at most one link above its
+    floor, as c+ <= c- + 1, so each move shifts one link.  Each move of
+    the first stage lowers the count of links held above the floors, at
+    most N(N - 1), by at least one, and each of the second the count of
+    stranded pairs; each stage gives up on at most N(N - 1) pairs.  The
+    loops thus run a number of times polynomial in N and M, whatever the
+    port counts.
+    """
+    for floor in (True, False):
+        given_up = np.zeros(x.shape[1:], dtype=bool)
+        while True:
+            X = x.sum(axis=0)
+            stranded = _stranded(X)
+            todo = (X < c_minus if floor else stranded) & ~given_up
+            if not todo.any():
+                break
+            r = d - X
+            i, j = np.unravel_index(np.argmax(np.where(todo, r, -np.inf)),
+                                    X.shape)
+            legs = np.zeros_like(todo)
+            if not floor:
+                legs[i, X[:, j] > 0] = legs[X[i] > 0, j] = True
+            src, dst = np.nonzero(legs & (X < c_plus))
+            order = np.argsort(-r[src, dst], kind="stable")
+            targets = [(i, j)] * bool(X[i, j] < c_plus[i, j]) \
+                + list(zip(src[order], dst[order]))
+            moved = _first_move(phys, d, x, c_minus, c_plus, targets,
+                                stranded.sum() - (not floor), refill=not floor)
+            if moved is None:
+                given_up[i, j] = True
+            else:
+                x = moved
+        if floor:
+            x = _fill(phys, d, x.copy(), c_plus)
+    return x
+
+
+def _first_move(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
+                c_minus: np.ndarray, c_plus: np.ndarray, targets: list,
+                limit: int, refill: bool) -> Optional[np.ndarray]:
+    """x after the first of the ``_moves`` onto ``targets``, in order,
+    that leaves at most ``limit`` stranded pairs, ``_fill`` included when
+    ``refill``; None when there is no such move."""
+    for a, b in targets:
+        for take, put in _moves(phys, d, x, c_minus, c_plus, a, b):
+            moved = x.copy()
+            moved[take] -= 1
+            moved[put] += 1
+            if refill:
+                _fill(phys, d, moved, c_plus)
+            if _stranded(moved.sum(axis=0)).sum() <= limit:
+                return moved
+    return None
 
 
 def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
@@ -313,16 +442,17 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     Each iteration re-optimizes every switch in turn with an LP that HiGHS
     dual simplex solves to an integral vertex (the budget matrix is totally
     unimodular), with tolerances tight enough to honour the tie reward.
-    Keeps the iterate with the best goodness and returns its completion:
-    the result stays within ceil(d*) and every port budget, and its
-    goodness is no lower than the kept iterate's.  Runs at most
-    ``tau_max`` iterations.  After each one it stops if the kept iterate
-    meets every matching constraint, or if the completion of the kept
+    Keeps the iterate with the best goodness and returns its completion
+    (``_complete``) after ``_repair``: the result stays within ceil(d*)
+    and every port budget, its goodness is no lower than the completion's
+    and it strands no more pod pairs.  Runs at most ``tau_max``
+    iterations.  After each one it stops if the kept iterate meets every
+    matching constraint, or if the repaired completion of the kept
     iterate, made once per kept iterate, meets every matching constraint
     and links every ordered pod pair in one or two hops.  The loop works
     on vectors over the off-diagonal pod pairs and keeps the per-pair link
     totals up to date after each visit.  At ``tau_max`` 0 the result is
-    the completion pass from an empty assignment: the greedy baseline.
+    the repaired completion of an empty assignment: the greedy baseline.
     """
     _check_inputs(phys, d_star)
     if tau_max < 0:
@@ -347,7 +477,8 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     def complete(best):
         x = np.zeros((M, n, n), dtype=int)
         x[:, rows, cols] = best
-        return _complete(phys, d_star.d, x, c_plus)
+        return _repair(phys, d_star.d, _complete(phys, d_star.d, x, c_plus),
+                       c_minus, c_plus)
 
     iterations, done = 0, None  # done: the completion of best, once made
     for tau in range(1, tau_max + 1):
@@ -371,7 +502,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
             done = complete(best)
             X = done.sum(axis=0)
             if _goodness(X[rows, cols], lo, hi) == len(rows) \
-                    and _short_paths(X):
+                    and not _stranded(X).any():
                 break  # no later iterate can do better
     if done is None:
         done = complete(best)

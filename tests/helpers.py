@@ -290,9 +290,9 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     """``round.ldm_round`` over n x n matrices, summing every switch's links
     again after each visit: the reference for its pair-vector loop.  The
     prices take a projected subgradient step of 1/tau after each visit.
-    After each iteration it completes the best iterate and stops when that
-    completion meets every bracket and gives every pod pair a direct link
-    or a 2-hop path."""
+    After each iteration it completes and repairs the best iterate and
+    stops when that result meets every bracket and gives every pod pair a
+    direct link or a 2-hop path."""
     n, M = phys.num_pods, phys.num_ocs
     c_minus, c_plus = rounding._brackets(d_star.d)
     np.fill_diagonal(c_minus, 0)
@@ -305,6 +305,11 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
 
     def goodness(totals):
         return int(((c_minus <= totals) & (totals <= c_plus))[off].sum())
+
+    def complete(best):
+        return rounding._repair(
+            phys, d_star.d, rounding._complete(phys, d_star.d, best, c_plus),
+            c_minus, c_plus)
 
     best_good = goodness(x_hat.sum(axis=0))
     p_plus, p_minus = np.zeros((n, n)), np.zeros((n, n))
@@ -325,13 +330,11 @@ def loop_ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
             p_minus = np.maximum(p_minus - step * (totals - c_minus), 0.0)
         if best_good == n * (n - 1):
             break
-        X = rounding._complete(phys, d_star.d, best, c_plus).sum(axis=0)
+        X = complete(best).sum(axis=0)
         if goodness(X) == n * (n - 1) and all(
                 has_short_path(X, i, j) for i, j in _pairs(n)):
             break
-    return rounding._report(
-        rounding._complete(phys, d_star.d, best, c_plus), c_minus, c_plus,
-        iterations)
+    return rounding._report(complete(best), c_minus, c_plus, iterations)
 
 
 def loop_complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,

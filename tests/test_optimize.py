@@ -714,6 +714,29 @@ class TestRecomputeRouting:
                     assert sensitivity_map(topo, routed.omega, b).max() \
                         <= routed.beta * (1 + 1e-6)
 
+    @pytest.mark.parametrize("case", ["5 pods", "6 pods", "seed 26",
+                                      "seed 85"])
+    def test_rounded_plans_link_every_demanded_pair(self, case):
+        # One switch with 2 ports per pod and one uniform critical gives
+        # d* = 0.5 (5 pods) or 0.4 (6 pods) on every pair, whose brackets
+        # [0, 1] the empty assignment already meets.  rerouting_instance
+        # 26 and 85 are random 8-pod fabrics on two switches; some of
+        # their roundings leave a demanded pair without a 1- or 2-hop path
+        # unless the repair links it.  Every rounding here re-routes.
+        if case.endswith("pods"):
+            n = int(case.split()[0])
+            phys = make_fabric(n, 1, 2)
+            crit = CriticalSet((TrafficMatrix(np.ones((n, n)) - np.eye(n)),))
+        else:
+            phys, crit, _ = rerouting_instance(int(case.split()[1]))
+        d_star = run_pipeline(phys, crit).d
+        demanded = sum(t.demand for t in crit.matrices) > 0
+        for tau in (0, 1, 2, 3, 20, 50):
+            topo = ldm_round(phys, d_star, tau).topo
+            linked = (topo.X > 0).astype(int)
+            assert (linked + linked @ linked > 0)[demanded].all(), tau
+            assert recompute_routing(phys, topo, crit).mu > 0
+
     def test_infeasible_when_budget_violated(self):
         phys = make_fabric(2, 1, 1)
         x = np.full((1, 2, 2), 5)
@@ -727,9 +750,7 @@ class TestRecomputeRouting:
 def rerouting_instance(seed: int) -> tuple:
     """A random fabric, criticals and the LDM rounding of their plan:
     N = 3-8, M = 2-4, 2-4 ports per pod per switch, K = 1-5, dense or
-    30 % sparse criticals.  The rounding connects every demanded pair for
-    seeds 0-15; on fewer switches or ports it can leave a pair without a
-    1- or 2-hop path (ROADMAP item 4)."""
+    30 % sparse criticals."""
     rng = np.random.default_rng([8, seed])
     n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((3, 9), (2, 5),
                                                         (1, 6)))
