@@ -36,16 +36,12 @@ model resets it, so every solve is cold and ends on the vertex a fresh
 solver would.
 
 The model reaches HiGHS as numpy arrays, through ``lp._run_highs``, in
-column-wise (CSC) form.  What every switch visit of one ``ldm_round``
-shares is built once: 2h + 1 per switch and pair, and in
-``_Subproblems`` each pair's two budget rows as int32 and read-only
-buffers of zeros, ones, column starts and integrality flags for two
-units per pair, of which each visit passes slices.  A visit lists its
-units with one window mask and ``nonzero`` and gathers their gains and
-budget rows.  Measured, keep: fresh buffers per visit give the same bits
-but, on a shared 2-vCPU Xeon, cost 5-15 us more per visit outside
-HiGHS's ``run`` (per-visit minima 124-136 -> 129-142 us), about 2-4 % of
-a round-saturated round.
+column-wise (CSC) form.  ``ldm_round`` builds 2h + 1 and each pair's two
+budget rows (int32) once; every visit builds the rest of its LP afresh.
+Against read-only buffers made once per rounding and passed as slices,
+which hand HiGHS the same values, that measured the same on a shared
+2-vCPU Xeon: over 16 alternating runs on 48 round-saturated targets
+(best of 15 each) the median per-rounding CPU ratio was +0.1 %.
 
 The prices take a projected subgradient step of 1/tau at iteration tau
 after every switch visit: a harmonic step, whose diverging sum lets the
@@ -317,24 +313,8 @@ def _check_inputs(phys: PhysicalTopology, d_star: FractionalTopology):
         raise InvalidInputError("fractional topology violates degree bounds")
 
 
-class _Buffers:
-    """Arrays that circulation LPs of up to ``units`` units and ``rows``
-    rows take their HiGHS input from as slices.  They are read-only, so a
-    slice handed to HiGHS keeps its values."""
-
-    def __init__(self, units: int, rows: int):
-        self.zero = np.zeros(units)  # column lower bounds
-        # Column upper bounds, and budget entries at 2 per unit.
-        self.one = np.ones(2 * units)
-        self.start = np.arange(0, 2 * units + 1, 2, dtype=np.int32)
-        self.integrality = np.zeros(units, dtype=np.int32)  # continuous
-        self.no_lower = np.full(rows, -np.inf)  # row lower bounds
-        for array in vars(self).values():
-            array.flags.writeable = False
-
-
-def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
-                      buffers: Optional[_Buffers] = None) -> np.ndarray:
+def solve_circulation(cost: np.ndarray, budgets: tuple,
+                      limits: np.ndarray) -> np.ndarray:
     """Minimize cost . f over unit flows 0 <= f <= 1 with budgets f <= limits.
 
     ``budgets`` is the budget matrix as its CSC arrays ``(data, indices,
@@ -348,23 +328,20 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     ports and a sink.
 
     The model goes to HiGHS as arrays, through ``lp._run_highs`` on
-    ``lp``'s one HiGHS object: the cost, the limits and the CSC arrays as
-    they are, and the column bounds, integrality and row lower bounds as
-    slices of ``buffers`` (``_Buffers`` of this LP's size when None).
-    HiGHS runs the simplex solver, presolve off and feasibility
-    tolerances of 1e-10; the solve is cold, and only the vertex is read
-    back.  ``_run_highs`` refuses non-finite data as InternalError.
+    ``lp``'s one HiGHS object, with column bounds [0, 1], no row lower
+    bounds and every column continuous.  The simplex solver runs with
+    presolve off and feasibility tolerances of 1e-10; the solve is cold,
+    and only the vertex is read back.  ``_run_highs`` refuses non-finite
+    data as InternalError.
     """
     value, index, start = budgets
     cost = np.asarray(cost, dtype=float)
     limits = np.asarray(limits, dtype=float)
     units, rows = len(cost), len(limits)
-    if buffers is None:
-        buffers = _Buffers(units, rows)
     res = lp._run_highs(
         (units, rows, len(value), lp._COLWISE, lp._MINIMIZE, 0.0, cost,
-         buffers.zero[:units], buffers.one[:units], buffers.no_lower[:rows],
-         limits, start, index, value, buffers.integrality[:units]),
+         np.zeros(units), np.ones(units), np.full(rows, -np.inf), limits,
+         start, index, value, np.zeros(units, dtype=np.int32)),
         lp._FAMILY_OPTIONS["ldm-subproblem"], vertex_only=True)
     if res.status != "optimal":
         raise InternalError(f"per-switch subproblem ended {res.status}")
@@ -374,65 +351,39 @@ def solve_circulation(cost: np.ndarray, budgets: tuple, limits: np.ndarray,
     return flows.astype(int)
 
 
-class _Subproblems:
-    """The per-switch subproblems of one ``ldm_round`` over the pod pairs
-    (rows[k], cols[k]) of an n-pod fabric, with what every switch visit
-    shares built once: each pair's budget rows as int32, egress row i then
-    ingress row n + j; the window mask, one row per pair and one column
-    per unit a window can hold; and ``_Buffers`` for two units per pair.
-    The window max(x̂-1, 0) <= x <= x̂+1 above its fixed lower part holds
-    min(x̂, 1) + 1 units, so never more than two."""
+def _solve_switch(budget_rows: np.ndarray, two_h1: np.ndarray,
+                  p_net: np.ndarray, x_hat: np.ndarray,
+                  ports: np.ndarray) -> np.ndarray:
+    """Re-optimize one switch's cells within a one-link move window.
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
-        self.budget_rows = np.column_stack([rows, n + cols]).astype(np.int32)
-        self.num_rows = 2 * n
-        self.window = np.ones((len(rows), 2), dtype=bool)
-        self.buffers = _Buffers(2 * len(rows), self.num_rows)
-
-    def usage(self, x: np.ndarray) -> np.ndarray:
-        """The ports that ``x`` links per pair take on one switch: egress
-        per pod, then ingress per pod."""
-        return np.bincount(self.budget_rows.ravel(), x.repeat(2),
-                           self.num_rows)
-
-    def solve(self, two_h1: np.ndarray, p_net: np.ndarray,
-              x_hat: np.ndarray, ports: np.ndarray) -> np.ndarray:
-        """Re-optimize one switch's cells within a one-link move window.
-
-        ``two_h1`` (2h + 1), ``p_net`` and ``x_hat`` hold one entry per
-        pair, and ``ports`` the switch's egress then ingress ports per pod,
-        as floats.  The result is the new link count per pair.  Maximizes
-        sum of -(x - h)^2 + p_net * x per cell subject to the switch's port
-        budgets and max(x̂-1, 0) <= x <= x̂+1.  The concave utility splits
-        into one [0, 1] variable per unit of the window, with gains
-        2h + 1 - 2a for the a-th link, so the LP over the units is exact.
-        The window mask and ``nonzero`` list the units pair by pair.  The
-        window's fixed lower part comes off the port budgets.  A reward
-        eps <= 1e-9 per unit breaks exact ties toward more links; it stays
-        under a quarter of the smallest gap between distinct gains.  HiGHS
-        dual simplex solves the LP (``solve_circulation``) with presolve
-        off and feasibility tolerances of 1e-10, since at the default 1e-7
-        it would ignore eps; its vertex is integral because the budget rows
-        form a bipartite incidence matrix, here in CSC with two entries per
-        unit.
-        """
-        linked = x_hat > 0
-        low = x_hat - linked
-        self.window[:, 1] = linked
-        cell, slot = self.window.nonzero()
-        gain = two_h1[cell] - 2.0 * (low[cell] + 1 + slot) + p_net[cell]
-        # The gaps between consecutive distinct gains, read off the sorted
-        # ones.
-        ranked = gain.round(12)
-        ranked.sort()
-        steps = ranked[1:] - ranked[:-1]
-        eps = min(1e-9, float(steps[steps > 0].min(initial=np.inf)) / 4)
-        units, buffers = len(cell), self.buffers
-        budgets = (buffers.one[:2 * units], self.budget_rows[cell].ravel(),
-                   buffers.start[:units + 1])
-        flows = solve_circulation(-(gain + eps), budgets,
-                                  ports - self.usage(low), buffers)
-        return low + np.bincount(cell, flows, len(x_hat)).astype(int)
+    ``budget_rows`` holds each pair's egress row i and ingress row n + j
+    as int32, ``two_h1`` (2h + 1), ``p_net`` and ``x_hat`` one entry per
+    pair, and ``ports`` the switch's egress then ingress ports per pod, as
+    floats.  Returns the new link count per pair: the x that maximizes
+    sum of -(x - h)^2 + p_net * x within the port budgets and
+    max(x̂-1, 0) <= x <= x̂+1, from the LP over the window's units (see the
+    module docstring).  Above its fixed lower part, which comes off the
+    port budgets, a window holds min(x̂, 1) + 1 units, so a two-column
+    window mask and ``nonzero`` list them pair by pair.  The tie reward
+    eps stays under a quarter of the smallest gap between distinct gains.
+    """
+    linked = x_hat > 0
+    low = x_hat - linked
+    window = np.ones((len(x_hat), 2), dtype=bool)
+    window[:, 1] = linked
+    cell, slot = window.nonzero()
+    gain = two_h1[cell] - 2.0 * (low[cell] + 1 + slot) + p_net[cell]
+    # The gaps between consecutive distinct gains, read off the sorted ones.
+    ranked = gain.round(12)
+    ranked.sort()
+    steps = ranked[1:] - ranked[:-1]
+    eps = min(1e-9, float(steps[steps > 0].min(initial=np.inf)) / 4)
+    units = len(cell)
+    budgets = (np.ones(2 * units), budget_rows[cell].ravel(),
+               np.arange(0, 2 * units + 1, 2, dtype=np.int32))
+    used = np.bincount(budget_rows.ravel(), low.repeat(2), len(ports))
+    flows = solve_circulation(-(gain + eps), budgets, ports - used)
+    return low + np.bincount(cell, flows, len(x_hat)).astype(int)
 
 
 def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
@@ -466,7 +417,7 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
     h = np.minimum(phys.egress_ports[:, rows], phys.ingress_ports[:, cols])
     two_h1 = 2.0 * h + 1.0
     ports = np.hstack([phys.egress_ports, phys.ingress_ports]).astype(float)
-    subproblems = _Subproblems(rows, cols, n)
+    budget_rows = np.column_stack([rows, n + cols]).astype(np.int32)
 
     x_hat = np.zeros((M, len(rows)), dtype=int)
     totals = np.zeros(len(rows), dtype=int)
@@ -485,9 +436,10 @@ def ldm_round(phys: PhysicalTopology, d_star: FractionalTopology,
         iterations = tau
         step = 1.0 / tau
         for m in range(M):
-            x = subproblems.solve(two_h1[m], p_minus - p_plus, x_hat[m],
-                                  ports[m])
-            if (subproblems.usage(x) > ports[m]).any():
+            x = _solve_switch(budget_rows, two_h1[m], p_minus - p_plus,
+                              x_hat[m], ports[m])
+            if (np.bincount(budget_rows.ravel(), x.repeat(2), 2 * n)
+                    > ports[m]).any():
                 raise InternalError("port budget violated after subproblem")
             totals += x - x_hat[m]
             x_hat[m] = x

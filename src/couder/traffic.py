@@ -157,17 +157,17 @@ def gen_storage_tms(num_pods: int, count: int, seed: int = 0,
     """Disaggregated-storage traffic: compute pods read/write to storage pods.
 
     Pods [0, N/2) are compute, [N/2, N) storage.  Each compute pod draws one
-    read and one write demand uniformly from ``demand_range`` and spreads each
-    evenly over every storage pod; storage and compute pods never talk among
-    themselves.
+    read and one write demand uniformly from ``demand_range``, finite with
+    0 <= min <= max, and spreads each evenly over every storage pod; storage
+    and compute pods never talk among themselves.
     """
     if num_pods < 4 or num_pods % 2:
         raise InvalidInputError("need an even pod count of at least 4")
     if count < 1:
         raise InvalidInputError("need at least one matrix")
     lo, hi = demand_range
-    if not 0 <= lo <= hi:
-        raise InvalidInputError("invalid demand range")
+    if not 0 <= lo <= hi < np.inf:
+        raise InvalidInputError(f"invalid demand range [{lo:g}, {hi:g}]")
     rng = np.random.default_rng(seed)
     half = num_pods // 2
     mats = []
@@ -188,17 +188,25 @@ def gen_burst_tms(seq: TmSequence, burst_factor: float,
 
     Every burst set of one (and optionally two) off-diagonal pairs gets the
     baseline demand plus ``burst_factor`` standard deviations on its pairs.
-    Returns (burst_set, TrafficMatrix) tuples in deterministic order.
+    Returns (burst_set, TrafficMatrix) tuples in deterministic order.  A
+    factor that is negative or not finite, or whose burst on some pair
+    passes the float range, is InvalidInputError.
     """
-    if burst_factor < 0:
-        raise InvalidInputError("burst factor must be nonnegative")
+    if not 0 <= burst_factor < np.inf:
+        raise InvalidInputError(
+            f"burst factor {burst_factor:g} must be finite and nonnegative")
     if max_burst_pairs not in (1, 2):
         raise InvalidInputError("burst sets hold 1 or 2 pairs")
     if len(seq) < 2:
         raise InvalidInputError("need at least two matrices for a stddev")
     demands = seq.stacked()
     base = demands.max(axis=0)
-    sigma = demands.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = demands.std(axis=0, ddof=1)
+        peak = base + burst_factor * sigma
+    if not np.isfinite(peak).all():
+        raise InvalidInputError(f"burst factor {burst_factor:g} takes a"
+                                " demand past the float range")
     n = seq.num_pods
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     sets = [(p,) for p in pairs]
@@ -209,6 +217,6 @@ def gen_burst_tms(seq: TmSequence, burst_factor: float,
     for burst_set in sets:
         t = base.copy()
         for i, j in burst_set:
-            t[i, j] += burst_factor * sigma[i, j]
+            t[i, j] = peak[i, j]
         out.append((burst_set, TrafficMatrix(t)))
     return out

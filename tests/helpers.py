@@ -231,12 +231,13 @@ def csc_arrays(dense) -> tuple:
 
 
 def window_subproblem(h, p_net, x_hat, ingress, egress):
-    """``round._Subproblems.solve`` on n x n matrices of h, p_net and x̂:
-    the result holds its link count per pod pair off the diagonal."""
+    """``round._solve_switch`` on n x n matrices of h, p_net and x̂: the
+    result holds its link count per pod pair off the diagonal."""
     n = len(h)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     x = np.zeros((n, n), dtype=int)
-    x[rows, cols] = rounding._Subproblems(rows, cols, n).solve(
+    x[rows, cols] = rounding._solve_switch(
+        np.column_stack([rows, n + cols]).astype(np.int32),
         2.0 * h[rows, cols] + 1.0, p_net[rows, cols], x_hat[rows, cols],
         np.concatenate([egress, ingress]).astype(float))
     return x
@@ -246,7 +247,7 @@ def loop_switch_subproblem(h, p_net, x_hat, ingress, egress):
     """The per-switch subproblem built over n x n matrices, its budget
     matrix through ``scipy.sparse`` and ``colwise_highs_lp`` and its tie
     reward through ``np.unique``, solved with the rounder's subproblem
-    options: the reference for ``round._Subproblems.solve``."""
+    options: the reference for ``round._solve_switch``."""
     n = h.shape[0]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     low = np.maximum(x_hat[rows, cols] - 1, 0)

@@ -2,8 +2,8 @@
 
 ``round.solve_circulation`` is a min-cost circulation through a source,
 one switch's egress ports, its ingress ports and a sink, written as an LP
-over unit arcs; ``round._Subproblems.solve`` builds that LP from a
-switch's move window.
+over unit arcs; ``round._solve_switch`` builds that LP from a switch's
+move window.
 """
 
 import numpy as np

@@ -336,6 +336,36 @@ class TestCommands:
         assert len(lines) == 6  # N=3 -> 6 single-pair burst sets
         assert all("burst_set" in l for l in lines)
 
+    @pytest.mark.parametrize("factor", ["inf", "1e308", "nan"])
+    def test_synth_burst_non_finite_exits_1(self, tmp_path, capsys, factor):
+        # inf and 1e308 overflowed in numpy, a traceback under -W error;
+        # nan ended with a message about the demand, not the factor.  Every
+        # sigma here is above 2, so 1e308 sigma passes the float range.
+        seqfile, out = tmp_path / "in.jsonl", tmp_path / "burst.jsonl"
+        t = np.ones((3, 3)) - np.eye(3)
+        write_seq(seqfile, [t, 6 * t])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["synth", "--mode", "burst", "--tm-file",
+                           str(seqfile), "--burst-factor", factor,
+                           "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"burst factor {float(factor):g} " in err
+
+    def test_synth_storage_infinite_demand_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "seq.jsonl"
+        rc = cli.main(["synth", "--mode", "storage", "--pods", "4",
+                       "--count", "2", "--demand-max", "inf",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "demand range [1, inf]" in err
+
     def test_simulate_smoke(self, tmp_path):
         physfile = tmp_path / "phys.json"
         write_physical_topology(str(physfile), make_fabric(4, 1, 4))
@@ -646,6 +676,67 @@ class TestExitCodes:
                          "--out", str(routed)]) == 1
         assert not routed.exists()
         assert "coefficient must be below 1e+15" in capsys.readouterr().err
+
+    @staticmethod
+    def two_pow_50_plan(tmp_path) -> dict:
+        """The 2-pod, 1-switch fabric with 2**50 ports, its uniform
+        critical repeated as a 12-matrix sequence, the plan and its
+        rounding without the critical file: the files by name."""
+        files = {name: tmp_path / name for name in
+                 ("phys.json", "crit.json", "seq.jsonl", "sol.json",
+                  "topo.json")}
+        write_physical_topology(str(files["phys.json"]),
+                                make_fabric(2, 1, 2 ** 50))
+        t = np.ones((2, 2)) - np.eye(2)
+        cli.write_critical_set(str(files["crit.json"]),
+                               CriticalSet((TrafficMatrix(t),)))
+        write_seq(files["seq.jsonl"], [t] * 12)
+        files = {name: str(path) for name, path in files.items()}
+        assert cli.main(["optimize", files["phys.json"], files["crit.json"],
+                         "--out", files["sol.json"]]) == 0
+        assert cli.main(["round", files["phys.json"], files["sol.json"],
+                         "--out", files["topo.json"]]) == 0
+        return files
+
+    @pytest.mark.parametrize("baseline", ["direct", "vlb", "fattree",
+                                          "ideal"])
+    def test_2_pow_50_ports_topology_evaluates(self, tmp_path, baseline):
+        # Every baseline with fixed weights or a closed form scores the
+        # rounded 2**50-port plan: all its links carry one demand unit.
+        files = self.two_pow_50_plan(tmp_path)
+        out = tmp_path / "metrics.jsonl"
+        assert cli.main(["evaluate", files["phys.json"], files["seq.jsonl"],
+                         "--topology", files["topo.json"], "--baseline",
+                         baseline, "--out", str(out)]) == 0
+        mlus = [json.loads(l)["mlu"] for l in out.read_text().splitlines()]
+        assert len(mlus) == 12
+        assert all(mlu is not None and 0 < mlu < 1e-14 for mlu in mlus)
+
+    def test_2_pow_50_ports_topology_without_weights_exits_1(
+            self, tmp_path, capsys):
+        # Rounded without the critical file, the topology holds no routing
+        # weights for baseline none to score.
+        files = self.two_pow_50_plan(tmp_path)
+        out = tmp_path / "metrics.jsonl"
+        assert cli.main(["evaluate", files["phys.json"], files["seq.jsonl"],
+                         "--topology", files["topo.json"], "--baseline",
+                         "none", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "no routing weights" in capsys.readouterr().err
+
+    def test_2_pow_50_ports_staged_simulate_exits_1(self, tmp_path, capsys):
+        # The first epoch plans and rounds as above, then re-routes on
+        # 2**50 links per pair, past the LP solver's coefficient limit.
+        files = self.two_pow_50_plan(tmp_path)
+        out = tmp_path / "sim.jsonl"
+        assert cli.main(["--lookback", "2", "--k", "1", "simulate",
+                         files["phys.json"], files["seq.jsonl"],
+                         "--frequency", "4", "--stage-latency", "0.5",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "coefficient must be below 1e+15" in err
 
     def test_round_routes_pair_without_direct_link(self, tmp_path):
         # On the ring 0 -> 1 -> 2 -> 0 pair (0, 2) has no direct link but a

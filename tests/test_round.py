@@ -403,9 +403,9 @@ class TestPairVectorLoop:
     @pytest.mark.parametrize("seed", range(43))
     def test_same_result_as_matrix_loop(self, monkeypatch, seed):
         # The pair-vector loop keeps running totals and hands HiGHS each
-        # subproblem as arrays sliced from per-round buffers; the matrix
-        # loop in helpers re-sums every switch after each visit and goes
-        # through scipy.sparse and colwise_highs_lp.  With the same subproblem
+        # subproblem as arrays built per visit; the matrix loop in helpers
+        # re-sums every switch after each visit and goes through
+        # scipy.sparse and colwise_highs_lp.  With the same subproblem
         # options both must walk the same iterates.  Seeds 40-42 round as
         # the benchmark's round-saturated workload does: d* at 95 % of every
         # degree of an evenly striped 8-pod fabric with 4 switches, where
@@ -418,14 +418,15 @@ class TestPairVectorLoop:
             phys = fabric(rng, 4 + seed % 5, 2 + seed % 3, qmin=1, qmax=5)
         d_star = random_fractional(rng, phys)
         binding = []
-        solve = rounding._Subproblems.solve
+        solve = rounding._solve_switch
 
-        def record(subproblems, two_h1, p_net, x_hat, ports):
-            x = solve(subproblems, two_h1, p_net, x_hat, ports)
-            binding.append((subproblems.usage(x) == ports).all())
+        def record(budget_rows, two_h1, p_net, x_hat, ports):
+            x = solve(budget_rows, two_h1, p_net, x_hat, ports)
+            usage = np.bincount(budget_rows.ravel(), x.repeat(2), len(ports))
+            binding.append((usage == ports).all())
             return x
 
-        monkeypatch.setattr(rounding._Subproblems, "solve", record)
+        monkeypatch.setattr(rounding, "_solve_switch", record)
         got = ldm_round(phys, d_star, tau_max=30)
         if seed >= 40:
             assert len(binding) == got.iterations_run * 4 and all(binding)

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +262,12 @@ class TestGenStorage:
         with pytest.raises(InvalidInputError):
             gen_storage_tms(2, 2)
 
+    @pytest.mark.parametrize("hi", [np.inf, np.nan])
+    def test_non_finite_demand_range_rejected(self, hi):
+        # numpy's uniform raised OverflowError on an infinite range.
+        with pytest.raises(InvalidInputError, match=r"demand range \[1, "):
+            gen_storage_tms(4, 2, demand_range=(1.0, hi))
+
 
 class TestGenBurst:
     def test_zero_factor_equals_base(self):
@@ -294,6 +302,20 @@ class TestGenBurst:
         seq = seq_of([np.zeros((3, 3))] * 2)
         with pytest.raises(InvalidInputError):
             gen_burst_tms(seq, -1.0)
+
+    @pytest.mark.parametrize("factor", [np.inf, np.nan, 1e308])
+    def test_non_finite_burst_rejected_without_warning(self, factor):
+        # An infinite factor times a zero sigma is NaN, and 1e308 times
+        # sigma passes the float range: either one a numpy RuntimeWarning
+        # before the factor was checked.
+        rng = np.random.default_rng(11)
+        seq = seq_of([random_tm(rng, 3).demand for _ in range(3)]
+                     + [np.zeros((3, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"burst factor {factor:g} ")):
+                gen_burst_tms(seq, factor)
 
     def test_burst_spec_validates(self):
         seq = seq_of([np.zeros((3, 3))] * 2)
