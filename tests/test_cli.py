@@ -652,31 +652,6 @@ class TestExitCodes:
         assert cli.read_solution(str(out)).mu == pytest.approx(
             2 ** 50 * b / t, rel=2 * optimize.MU_SLACK)
 
-    def test_2_pow_50_ports_plan_rounds(self, tmp_path, capsys):
-        # The plan gives each pair all 2**50 ports of its pod, and round
-        # places them on the switch at once, after one dual iteration of
-        # the 50 allowed.  Re-routing on that topology needs a coefficient
-        # of 2**50, past the LP solver's limit.
-        physfile, critfile = tmp_path / "phys.json", tmp_path / "crit.json"
-        solfile, topofile = tmp_path / "sol.json", tmp_path / "topo.json"
-        q = 2 ** 50
-        write_physical_topology(str(physfile), make_fabric(2, 1, q))
-        cli.write_critical_set(str(critfile), CriticalSet((TrafficMatrix(
-            np.ones((2, 2)) - np.eye(2)),)))
-        assert cli.main(["optimize", str(physfile), str(critfile), "--out",
-                         str(solfile)]) == 0
-        assert cli.main(["round", str(physfile), str(solfile), "--out",
-                         str(topofile)]) == 0
-        topo, _ = cli.read_integer_topology(str(topofile))
-        assert topo.x.tolist() == [[[0, q], [q, 0]]]
-        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
-            "goodness": 2, "violation_ratio": 0.0, "iterations_run": 1}
-        routed = tmp_path / "routed.json"
-        assert cli.main(["round", str(physfile), str(solfile), str(critfile),
-                         "--out", str(routed)]) == 1
-        assert not routed.exists()
-        assert "coefficient must be below 1e+15" in capsys.readouterr().err
-
     @staticmethod
     def two_pow_50_plan(tmp_path) -> dict:
         """The 2-pod, 1-switch fabric with 2**50 ports, its uniform
@@ -697,6 +672,23 @@ class TestExitCodes:
         assert cli.main(["round", files["phys.json"], files["sol.json"],
                          "--out", files["topo.json"]]) == 0
         return files
+
+    def test_2_pow_50_ports_plan_rounds(self, tmp_path, capsys):
+        # The plan gives each pair all 2**50 ports of its pod, and round
+        # places them on the switch at once, after one dual iteration of
+        # the 50 allowed.  Re-routing on that topology needs a coefficient
+        # of 2**50, past the LP solver's limit.
+        files = self.two_pow_50_plan(tmp_path)
+        q = 2 ** 50
+        topo, _ = cli.read_integer_topology(files["topo.json"])
+        assert topo.x.tolist() == [[[0, q], [q, 0]]]
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+            "goodness": 2, "violation_ratio": 0.0, "iterations_run": 1}
+        routed = tmp_path / "routed.json"
+        assert cli.main(["round", files["phys.json"], files["sol.json"],
+                         files["crit.json"], "--out", str(routed)]) == 1
+        assert not routed.exists()
+        assert "coefficient must be below 1e+15" in capsys.readouterr().err
 
     @pytest.mark.parametrize("baseline", ["direct", "vlb", "fattree",
                                           "ideal"])
