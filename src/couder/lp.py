@@ -43,45 +43,81 @@ tests keep that construction as their oracle.
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
 per-switch subproblem, which it hands ``_run_highs`` column-wise and
-reads only the vertex of.  Every family but one runs dual simplex with
-output off.  "minimize-ahc-warm", stage 3 on the model of the stage
-before it (see the optimize module), runs primal simplex: it starts from
-that stage's optimal basis, which stays primal feasible when only the
-objective changes, and not dual feasible, or cold when built alone.  On
-the four days of perfbench plan-mix seed 1 (N = 8; best of 7 on a shared
-2-vCPU Xeon) it took 539, 580, 704 and 7 iterations and 29, 31, 31 and
-4 ms, against 901-1,210 iterations and 43-52 ms for a cold dual simplex
-solve of the same stage posed in the routing fractions omega; dual
-simplex from the same basis took 806-938 iterations and 40-85 ms.  Its
-primal feasibility tolerance is 1e-8: its weights are mu times the
-routing fractions, so a fraction may pass its cap by the tolerance over
-mu.  At HiGHS's default of 1e-7 one passed by up to 5.3e-7 where mu < 1
-(200 random fabrics), at 1e-8 by 5.3e-8, at no measured cost.
+reads only the vertex of.  A family without an entry runs ``_OPTIONS``,
+as scipy's ``linprog(method="highs")`` set them: dual simplex with
+HiGHS's steepest-edge pricing, presolve on, output off.  IPM cannot
+start from a basis, so a solve from one runs ``_OPTIONS`` in an IPM
+family too.  Each family runs the method measured fastest on it (HiGHS
+time per LP on a shared 2-vCPU Xeon; perfbench days: M = 4, 4 ports per
+pod per switch, K = 5; N = 8 is gravity days 1 and 2 and storage days 0
+and 1, larger N one gravity and one storage day):
 
-Presolve is on, as scipy's ``linprog(method="highs")`` set it, except in
-three families, where it was measured to cost more than it saves (HiGHS
-time per LP, N = 8, on a shared 2-vCPU Xeon; perfbench seed 2):
-
-- "fixed-throughput", stage 1 with link counts fixed: recompute's first
-  LP (336 rows), 4.23 -> 3.32 ms, although presolve reduced 2 of 5 and
-  its iterations rose from 120 to 150;
-- "boundedness", ``traffic.check_bounded`` (57 rows): 0.37 -> 0.19 ms,
-  the same 3.8 iterations, nothing removed;
+- "maxmin-throughput", stage 1 with free link counts, and
+  "fixed-throughput" and "fixed-desensitize", re-routing's cold stages 1
+  and 2: dual simplex, presolve off.  Stage 1 (352 rows at N = 8) took
+  17.2 -> 15.5, 8.8 -> 7.0, 4.1 -> 3.8 and 5.2 -> 3.6 ms, 36.6 -> 31.1
+  and 11.7 -> 10.8 ms at N = 12, 142 -> 125 and 47 -> 44 ms at N = 16.
+  Re-routing's stage 2 (693-728 rows) took 15.8 -> 10.9, 15.5 -> 10.7,
+  7.2 -> 5.6 and 7.5 -> 5.5 ms, 103 -> 86 and 48 -> 43 ms at N = 12, and
+  558 -> 524 but 61 -> 78 ms at N = 16.  Re-routing's stage 1 (336
+  rows, perfbench seed 2) took 4.23 -> 3.32 ms, although presolve
+  reduced 2 of 5 and its iterations rose from 120 to 150.
+- "desensitize", stage 2 with free link counts: its first probe, the
+  model's one cold solve, runs IPM with crossover, which ends on a
+  vertex and its basis.  On the gravity and storage day dual simplex
+  took 61 and 45 ms at N = 8, 0.80 and 0.47 s at N = 12 and 8.9 and
+  4.0 s at N = 16; IPM 54 and 40 ms, 0.30 and 0.15 s, and 1.4 and
+  0.62 s, with the same F.  Presolve stays on: it
+  cost IPM nothing measurable (12 plan-mix probes, 481-502 ms on and
+  508-528 ms off), and with it off stage 3 from crossover's basis ended
+  "infeasible" on the 2-pod plans of 2^40, 2^49, 2^53 and 2^57-2^59
+  ports.  The first re-solve, from that far-off vertex, runs
+  ``_OPTIONS``: Devex pricing took 14-31 ms against steepest edge's
+  15-25 ms at N = 8, but 181 and 273 ms against 165 and 252 ms at N = 12
+  and 2.18 and 2.89 s against 1.42 and 2.06 s at N = 16.
+- "desensitize-late", stage 2's later re-solves and bracket probes
+  (``optimize._newton_beta`` renames its model after the first re-solve):
+  dual simplex with Devex pricing.  Steepest edge computes exact weights
+  before its first pivot, at about the cost of one solve per row, which
+  these short re-solves do not pay back: 9.3 -> 4.4, 9.7 -> 2.1,
+  7.7 -> 2.0, 8.7 -> 6.7, 14.4 -> 11.1 and 7.4 -> 2.6 ms at N = 8;
+  99.6 -> 64.0, 95.2 -> 89.9 and 49.5 -> 15.1 ms at N = 12; at N = 16
+  828 -> 898, 723 -> 606 and 743 -> 479 ms on the gravity day and
+  710 -> 940 and 259 -> 54 ms on the storage day.
+- "boundedness", ``traffic.check_bounded`` (57 rows): presolve off,
+  0.37 -> 0.19 ms, the same 3.8 iterations, nothing removed.
 - "ldm-subproblem": see the rounding module.
+- "minimize-ahc-warm", stage 3 on the model of the stage before it (see
+  the optimize module): primal simplex.  It starts from that stage's
+  optimal basis, which stays primal feasible when only the objective
+  changes, and not dual feasible, or cold when built alone.  On the four
+  days of perfbench plan-mix seed 1 (best of 7) it took 539, 580, 704
+  and 7 iterations and 29, 31, 31 and 4 ms, against 901-1,210 iterations
+  and 43-52 ms for a cold dual simplex solve of the same stage posed in
+  the routing fractions omega; dual simplex from the same basis took
+  806-938 iterations and 40-85 ms.  Its primal feasibility tolerance is
+  1e-8: its weights are mu times the routing fractions, so a fraction
+  may pass its cap by the tolerance over mu.  At HiGHS's default of 1e-7
+  one passed by up to 5.3e-7 where mu < 1 (200 random fabrics), at 1e-8
+  by 5.3e-8, at no measured cost.
 
 ``evaluate.optimal_routing_mlu``'s min-MLU LP needs no entry: each of its
-solves starts from a basis, with which HiGHS skips presolve.
+solves starts from a basis, with which HiGHS skips presolve.  An IPM
+solve's ``LpSolution.nit`` is its IPM iterations, not crossover's, or
+the simplex iterations when simplex finished from crossover's basis.
 
-What these families return is mostly a value no optimal vertex
-changes: mu, a slack, an integral subproblem vertex.  One of
-their results is a vertex, the boundedness witness; it was identical
-with presolve on and off on the 288 replay matrices of perfbench seeds
-0-5.  The mesh baseline's weights, which ``couder evaluate --baseline
-mesh`` scores, come from ``optimize.recompute_routing(...,
-desensitized=False)``: stage 3 on the MLU that stage 1 gives, so their
-AHC is the fewest hops at that MLU whatever vertex stage 1 ends on.
-The stages with free link counts hand their vertex on to rounding, and
-keep presolve on.
+Crossover keeps every stage output a vertex, but another method, or
+presolve, can end on another optimal vertex (ROADMAP item 3).  mu, beta,
+a slack and an integral subproblem vertex are the same at every one.  On
+the 24 plan-mix days of seeds 1-3, 5, 501 and 502 the rounded topology
+was the same as with dual simplex and presolve on throughout, and the
+routing recomputed on it moved plan-mix throughput per plan by -1.3 % to
++2.1 %.  The boundedness witness was identical with presolve on and off
+on the 288 replay matrices of perfbench seeds 0-5.  The mesh baseline's
+weights, which ``couder evaluate --baseline mesh`` scores, come from
+``optimize.recompute_routing(..., desensitized=False)``: stage 3 on the
+MLU that stage 1 gives, so their AHC is the fewest hops at that MLU
+whatever vertex stage 1 ends on.
 
 A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
 optimal basis of its last solve, or the one ``set_basis`` gives, and
@@ -548,17 +584,24 @@ def _highs_options(**extra) -> _highs.HighsOptions:
 
 
 _OPTIONS = _highs_options()
+#: Presolve off, for the families whose LPs it removes nothing from.
+_PRESOLVE_OFF = _highs_options(presolve="off")
 #: HiGHS's default feasibility tolerances (1e-7) would ignore the LDM
 #: subproblem's tie reward of at most 1e-9 toward more links; these
 #: resolve it.
 _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
                 "primal_feasibility_tolerance": 1e-10}
 #: HiGHS options by LP family, the ``LpModel.name``; every other family
-#: runs with ``_OPTIONS``.  Presolve off where it removes nothing from the
-#: family's LPs yet costs time; see the module docstring.
+#: runs with ``_OPTIONS``, and so does a solve from a basis of a family
+#: that runs IPM.  See the module docstring for the measurements.
 _FAMILY_OPTIONS = {
-    "fixed-throughput": _highs_options(presolve="off"),
-    "boundedness": _highs_options(presolve="off"),
+    "maxmin-throughput": _PRESOLVE_OFF,
+    "fixed-throughput": _PRESOLVE_OFF,
+    "desensitize": _highs_options(solver="ipm", run_crossover="on"),
+    "desensitize-late": _highs_options(
+        simplex_dual_edge_weight_strategy=1),  # Devex
+    "fixed-desensitize": _PRESOLVE_OFF,
+    "boundedness": _PRESOLVE_OFF,
     "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
                                      **_HIGHS_TIGHT),
     "minimize-ahc-warm": _highs_options(simplex_strategy=4,  # primal
@@ -578,7 +621,9 @@ class LpSolution:
     #: d(objective)/d(``model.scale``) at an optimum; 0 without scaled terms.
     slope: float = 0.0
     row_dual: Optional[np.ndarray] = None
-    nit: int = 0  # simplex iterations, or IPM iterations if HiGHS chose IPM
+    #: Simplex iterations; after IPM and crossover, the IPM iterations
+    #: unless simplex finished from crossover's basis.
+    nit: int = 0
     basis: Optional[_highs.HighsBasis] = None
 
     @property
@@ -707,9 +752,10 @@ def solve(model: LpModel) -> LpSolution:
     basis = model._basis
     if isinstance(basis, tuple):
         basis = _highs_basis(*basis)
-    res = linprog(asm.cost, A_ub=A,
-                  options=_FAMILY_OPTIONS.get(model.name, _OPTIONS),
-                  basis=basis,
+    options = _FAMILY_OPTIONS.get(model.name, _OPTIONS)
+    if basis is not None and options.solver == "ipm":
+        options = _OPTIONS  # IPM would drop the basis; dual simplex keeps it
+    res = linprog(asm.cost, A_ub=A, options=options, basis=basis,
                   highs_lp=(n, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
                             asm.cost, model._lb, model._ub, *asm.bounds,
                             A.indptr, A.indices, A.data,

@@ -13,7 +13,9 @@ Three LP stages over a set of critical traffic matrices:
    largest throughput F(gamma) under them is one LP whose duals also give
    F'(gamma), and stage 2 is a safeguarded Newton root-find of
    F(gamma) = mu* (Dinkelbach's method), beta = gamma / F.  With link
-   counts fixed it is one LP minimizing the column gamma at mu = mu*;
+   counts fixed it is one LP minimizing the column gamma at mu = mu*,
+   and d is constant, so each path's caps are one row at its least
+   link count;
 3. minimize average hop count by maximizing worst-case direct-path
    traffic subject to mu and beta.
 
@@ -50,6 +52,7 @@ says of the min-MLU LP.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -227,22 +230,26 @@ class _StageBuilder:
         mu_hat no link's utilization rises by more than beta = gamma /
         (mu_hat * b) per unit of one pair's demand, the quantity
         ``evaluate.sensitivity_map`` reports.  With free link counts the
-        cap's d term is a scaled term and gamma is ``model.scale``.  With
-        fixed link counts gamma is a new column, the one after mu.
+        cap's d term is a scaled term and gamma is ``model.scale``: one row
+        per (link, path) crossing.  With fixed link counts gamma is a new
+        column, the one after mu, and d is constant, so a path's caps are
+        one row, w_p <= gamma * min over its links of d: one row per
+        usable path, in column order.
         """
-        link, path = self._crossing()
-        rows = np.arange(len(path))
         if self.fixed is None:
+            link, path = self._crossing()
+            rows = np.arange(len(path))
             model.add_rows(rows, self.col[path], np.ones(len(rows)), lp.LE,
                            np.zeros(len(rows)),
                            scaled=(rows, self._dcol()[link],
                                    np.full(len(rows), -1.0)))
         else:
             gamma = model.add_vars(1, 0.0, None)[0]
-            model.add_rows(*_per_row_term(rows, self.col[path],
-                                          np.ones(len(rows)), len(rows),
-                                          gamma, -self.capacity[link]),
-                           lp.LE, np.zeros(len(rows)))
+            usable, w = self.col >= 0, self.num_weights
+            least = self.capacity[self.tables.path_links[usable]].min(axis=1)
+            model.add_rows(*_per_row_term(np.arange(w), np.arange(w),
+                                          np.ones(w), w, gamma, -least),
+                           lp.LE, np.zeros(w))
 
     def add_split_constraints(self, model: lp.LpModel, total: int):
         """Per-pair weight sums, one row per routed pair: equal to the
@@ -345,6 +352,12 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     gamma probes hi (1 - ``BETA_TOL``): if F falls short there, that
     closes the bracket.  The model is left at the accepted gamma and the
     basis of its solution, for stage 3 to start from.
+
+    The solves are three LP families (see the lp module): the first is
+    the model's one cold solve, "desensitize"; the second, the first
+    re-solve, starts from that far-off vertex under the same name; the
+    model is then renamed "desensitize-late" for the rest, which start
+    near their optimum.
     """
     radix = int(min(builder.phys.egress_radix.min(),
                     builder.phys.ingress_radix.min()))
@@ -355,13 +368,15 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     gamma = lo = mu_star * beta_lo
     hi = math.inf
     newton = False  # whether gamma came from a Newton step
-    while True:
+    for solves in itertools.count(1):
         if gamma > BETA_CAP * mu_star:
             raise InternalError("no feasible sensitivity bound below cap")
         model.scale = gamma
         sol = lp.solve(model)
         if not sol.optimal:
             raise InternalError(f"stage-2 LP ended {sol.status}")
+        if solves == 2:
+            model.name = "desensitize-late"
         F = float(sol.x[builder.stage_col])
         # A slope this small moves F by less than the slack as gamma doubles.
         rising = sol.slope * gamma > MU_SLACK * F
@@ -407,14 +422,16 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     called stage 3 infeasible exactly there, so stage 3 gets that slack.
     Stage 3 re-solves this very model, never one built afresh, from its
     accepted vertex scaled by (1 - MU_SLACK), feasible by construction.
-    With link counts fixed by ``_fixed`` gamma is a column: one LP
-    minimizes it at mu_hat, and beta_hat = gamma / mu_hat must lie in
-    (0, ``BETA_CAP``].  The solution's mu is the mu* given, not mu_hat
-    converted back an ulp off, so stage 3 gets the very mu stage 1 found.
+    With link counts fixed by ``_fixed`` gamma is a column: one cold LP,
+    family "fixed-desensitize", minimizes it at mu_hat, and beta_hat =
+    gamma / mu_hat must lie in (0, ``BETA_CAP``].  The solution's mu is
+    the mu* given, not mu_hat converted back an ulp off, so stage 3 gets
+    the very mu stage 1 found.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
     mu_hat = builder.unitless(mu_star)[0]
-    model = _throughput_model(builder, "desensitize", caps=True)
+    model = _throughput_model(builder, "desensitize" if _fixed is None
+                              else "fixed-desensitize", caps=True)
     if _fixed is None:
         beta, F, best = _newton_beta(builder, model, mu_hat)
         return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta),

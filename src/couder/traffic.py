@@ -201,9 +201,13 @@ def gen_burst_tms(seq: TmSequence, burst_factor: float,
         raise InvalidInputError("need at least two matrices for a stddev")
     demands = seq.stacked()
     base = demands.max(axis=0)
+    # std squares the deviations, past the float range from demands of
+    # about 1e154 on; over their power-of-two scale it does not, and
+    # scaling back is exact.
+    scale = demand_scale(demands)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = demands.std(axis=0, ddof=1)
-        peak = base + burst_factor * sigma
+        sigma = (demands / scale).std(axis=0, ddof=1)
+        peak = base + burst_factor * sigma * scale
     if not np.isfinite(peak).all():
         raise InvalidInputError(f"burst factor {burst_factor:g} takes a"
                                 " demand past the float range")

@@ -623,14 +623,26 @@ class LoopStageBuilder:
                 else:
                     model.row(terms, lp.LE, self.b * self.fixed[a, b])
 
-    def add_sensitivity_constraints(self, model, beta=None):
+    def add_sensitivity_constraints(self, model, beta=None,
+                                    per_crossing=False):
         """The caps; with fixed link counts on a column "gamma", pinned at
-        ``beta`` when given (omega) and free otherwise (scaled weights)."""
+        ``beta`` when given (omega) and free otherwise (scaled weights).
+        One row per (link, path) crossing, except with fixed link counts:
+        there one row per usable path, in column order, at the least link
+        count on it, unless ``per_crossing`` asks for the crossing rows,
+        the oracle those per-path rows must match."""
         if self.fixed is None:
             if beta is not None:
                 model.model.scale = beta
         else:
             model.var("gamma", 0.0 if beta is None else beta, beta)
+            if not per_crossing:
+                for paths in self.pair_paths.values():
+                    for p in paths:
+                        least = min(self.fixed[a, b] for a, b in p.links())
+                        model.row({wname(p): 1.0, "gamma": -self.b * least},
+                                  lp.LE, 0.0)
+                return
         for (a, b), paths in self.crossing.items():
             for p in paths:
                 if p not in self.pair_paths.get((p.src, p.dst), ()):
@@ -653,12 +665,14 @@ class LoopStageBuilder:
                 model.row(expr, lp.EQ, float(total))
 
 
-def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
+def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None,
+                     per_crossing=False):
     """The model each stage of ``optimize`` solves, built by
     ``LoopStageBuilder`` in scaled weights: stage "1" (max mu), "2" (stage
     1's model plus the caps: joint, at ``model.scale = beta``; with fixed
     link counts on the column gamma, mu pinned at ``mu`` and min gamma) or
-    "3" (max z).
+    "3" (max z).  ``per_crossing`` poses fixed link counts' caps one row
+    per (link, path) crossing.
 
     Stage 3 is posed on the model of the stage before it, stage 2's or,
     without ``beta``, stage 1's: mu pinned at ``mu``, the caps at gamma =
@@ -667,7 +681,8 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     builder = LoopStageBuilder(phys, crit, fixed)
     name = {"1": "maxmin-throughput" if fixed is None
             else "fixed-throughput",
-            "2": "desensitize", "3": "minimize-ahc-warm"}[stage]
+            "2": "desensitize" if fixed is None else "fixed-desensitize",
+            "3": "minimize-ahc-warm"}[stage]
     model = builder.new_model(name, None)
     model.var("mu", 0.0, None)
     builder.add_split_constraints(model, "mu")
@@ -676,7 +691,7 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None):
     if stage == "1":
         return model.model
     if stage == "2" or beta is not None:
-        builder.add_sensitivity_constraints(model)
+        builder.add_sensitivity_constraints(model, per_crossing=per_crossing)
         if fixed is None:
             model.model.scale = beta if stage == "2" else mu * beta
     if stage == "2":

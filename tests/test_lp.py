@@ -477,7 +477,8 @@ def test_private_highs_api_used_is_present():
     options = _highs.HighsOptions()
     for name in ("presolve", "simplex_strategy", "output_flag",
                  "log_to_console", "solver", "dual_feasibility_tolerance",
-                 "primal_feasibility_tolerance"):
+                 "primal_feasibility_tolerance", "run_crossover",
+                 "simplex_dual_edge_weight_strategy"):
         assert hasattr(options, name), name
     info = solver.getInfo()
     for name in ("simplex_iteration_count", "ipm_iteration_count",
@@ -517,6 +518,24 @@ def test_private_highs_api_used_is_present():
         assert list(held.a_matrix_.start_) == list(range(num_col + 1))
         assert list(held.a_matrix_.index_) == [0] * num_col
         assert list(held.a_matrix_.value_) == [2.0, 1.0][:num_col]
+    # Stage 2's first probe runs IPM with crossover, which must end on a
+    # basis that a warm dual simplex re-solve, Devex pricing or not, starts
+    # from without an iteration.  Presolve off, so that IPM runs at all.
+    ipm = lp._highs_options(solver="ipm", run_crossover="on", presolve="off")
+    assert solver.passOptions(ipm) == _highs.HighsStatus.kOk
+    assert solver.passModel(*rowwise_lp()) == _highs.HighsStatus.kOk
+    assert solver.run() == _highs.HighsStatus.kOk
+    assert solver.getInfo().ipm_iteration_count > 0
+    basis, x = solver.getBasis(), list(solver.getSolution().col_value)
+    assert basis.valid
+    for options in (lp._OPTIONS, lp._FAMILY_OPTIONS["desensitize-late"]):
+        assert solver.passOptions(options) == _highs.HighsStatus.kOk
+        assert solver.passModel(*rowwise_lp()) == _highs.HighsStatus.kOk
+        assert solver.setBasis(basis) == _highs.HighsStatus.kOk
+        assert solver.run() == _highs.HighsStatus.kOk
+        assert solver.getModelStatus() == _highs.HighsModelStatus.kOptimal
+        assert solver.getInfo().simplex_iteration_count == 0
+        assert list(solver.getSolution().col_value) == x
 
 
 def array_lp(entry=2.0, lower=-np.inf, upper=0.5, col_lower=0.0,
@@ -878,6 +897,7 @@ def warm_flags(calls: list) -> list:
 def test_rescaled_model_resolves_warm(monkeypatch, seed):
     # Stage 2's model re-solved after a change of scale: the same optimum
     # as the model built afresh and solved cold, in no more iterations.
+    # Its family runs dual simplex cold too, so the counts compare.
     from couder.optimize import _StageBuilder, _throughput_model
     from helpers import random_criticals, random_fabric
     rng = np.random.default_rng(seed)
@@ -885,7 +905,7 @@ def test_rescaled_model_resolves_warm(monkeypatch, seed):
     builder = _StageBuilder(phys, random_criticals(rng, 5, 3))
 
     def stage2(scale):
-        model = _throughput_model(builder, "desensitize")
+        model = _throughput_model(builder, "stage-2")
         builder.add_sensitivity_constraints(model)
         model.scale = scale
         return model

@@ -19,7 +19,7 @@ from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      hetero_fabric, loop_stage3_in_omega, loop_stage_model,
                      make_fabric, random_criticals, random_fabric,
                      random_fractional, record_highs, record_highs_models,
-                     sparse_tm)
+                     sparse_tm, zero_radix_fabric)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -229,7 +229,7 @@ class TestStage2Bracket:
             beta = desensitize(phys, crit, mu, _fixed=X).beta
             assert beta <= oracle * (1 + 1e-7)
             assert within_tol(beta, oracle)
-            assert [m.name for m in models] == ["desensitize"]
+            assert [m.name for m in models] == ["fixed-desensitize"]
             monkeypatch.undo()
 
     @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
@@ -308,6 +308,10 @@ class TestStage2Bracket:
             desensitize(phys, crit, 2 * mu, _fixed=X)
 
 
+#: The LP families of the joint stage 2's solves, by ``model.name``.
+STAGE2_FAMILIES = ("desensitize", "desensitize-late")
+
+
 def record_stage2(monkeypatch) -> list:
     """(gamma, F, slope) of each solve of the joint stage-2 model."""
     steps = []
@@ -315,7 +319,7 @@ def record_stage2(monkeypatch) -> list:
 
     def recording(model):
         sol = real(model)
-        if model.name == "desensitize":
+        if model.name in STAGE2_FAMILIES:
             # mu is the joint model's last column.
             steps.append((model.scale, sol.x[-1], sol.slope))
         return sol
@@ -385,6 +389,118 @@ class TestStage2Newton:
             crit = CriticalSet((TrafficMatrix(demand),))
             mu = solve_maxmin_throughput(phys, crit).mu
             assert desensitize(phys, crit, mu).beta >= 1.0 / ports
+
+
+def record_methods(monkeypatch) -> list:
+    """(model name, whether a basis was given, options) of each
+    ``lp.solve`` from now on, the options those ``lp._run_highs`` got."""
+    calls, solve, run = [], lp.solve, lp._run_highs
+
+    def recording_solve(model):
+        calls.append([model.name])
+        return solve(model)
+
+    def recording_run(model, options, basis=None, **kwargs):
+        calls[-1] += [basis is not None, options]
+        return run(model, options, basis, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    monkeypatch.setattr(lp, "_run_highs", recording_run)
+    return calls
+
+
+class RecordingTable(dict):
+    """``lp._FAMILY_OPTIONS``, noting each family looked up in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.asked = set()
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+
+def stage2_instances():
+    """The joint stage-2 instances, the unit instances and random fabrics
+    of 3-8 pods."""
+    yield from joint_instances()
+    yield from unit_instances()
+    for seed in range(8):
+        yield rerouting_instance(seed)[:2]
+
+
+class TestStageMethods:
+    """Each stage LP runs the HiGHS method of its family."""
+
+    def test_joint_stage2_probe_is_ipm_then_steepest_edge_then_devex(
+            self, monkeypatch):
+        # The cold first probe runs IPM with crossover; the first re-solve
+        # dual simplex from its basis with HiGHS's steepest edge; every
+        # later one dual simplex with Devex pricing.
+        late = 0
+        for phys, crit in joint_instances():
+            mu = solve_maxmin_throughput(phys, crit).mu
+            calls = record_methods(monkeypatch)
+            desensitize(phys, crit, mu)
+            monkeypatch.undo()
+            names, warm, options = zip(*calls)
+            count = len(calls)
+            assert names == ("desensitize",) * min(count, 2) \
+                + ("desensitize-late",) * (count - 2)
+            assert warm == (False,) + (True,) * (count - 1)
+            assert (options[0].solver, options[0].run_crossover) \
+                == ("ipm", "on")
+            for k, used in enumerate(options[1:]):
+                assert used.solver != "ipm" and used.simplex_strategy == 1
+                # -1: HiGHS chooses, steepest edge; 1: Devex.
+                assert used.simplex_dual_edge_weight_strategy \
+                    == (-1 if k == 0 else 1)
+            late += count > 2
+        assert late
+
+    def test_ipm_probe_keeps_dual_simplex_results(self, monkeypatch):
+        # Against dual simplex for every stage-2 solve: the first probe's F
+        # within 1e-9 and beta within BETA_TOL, since a Newton path may
+        # meet another slope at a kink of F.
+        def stage2(phys, crit, mu):
+            steps = record_stage2(monkeypatch)
+            beta = desensitize(phys, crit, mu).beta
+            monkeypatch.undo()
+            return steps[0][1], beta
+
+        dual = {name: options for name, options in lp._FAMILY_OPTIONS.items()
+                if name not in STAGE2_FAMILIES}
+        for phys, crit in stage2_instances():
+            mu = solve_maxmin_throughput(phys, crit).mu
+            F, beta = stage2(phys, crit, mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_FAMILY_OPTIONS", dual)
+                want_F, want_beta = stage2(phys, crit, mu)
+            assert F == pytest.approx(want_F, rel=1e-9)
+            assert within_tol(beta, want_beta)
+
+    def test_every_family_is_some_models(self, monkeypatch):
+        # A plan, its rounding and re-routing, a boundedness check and a
+        # min-MLU LP look up every family in the table.
+        from couder.evaluate import optimal_routing_mlu
+        from couder.traffic import check_bounded
+        table = RecordingTable(lp._FAMILY_OPTIONS)
+        monkeypatch.setattr(lp, "_FAMILY_OPTIONS", table)
+        phys, crit = next(joint_instances())
+        calls = record_stage2(monkeypatch)
+        plan = run_pipeline(phys, crit)
+        assert len(calls) > 2
+        topo = ldm_round(phys, plan.d, 50).topo
+        recompute_routing(phys, topo, crit)
+        recompute_routing(phys, topo, crit, desensitized=False)
+        check_bounded(crit.matrices[0], crit)
+        optimal_routing_mlu(topo, crit.matrices[0])
+        assert set(table) <= table.asked
 
 
 def warm_instance(seed: int) -> tuple:
@@ -599,6 +715,39 @@ class TestLemma2Property:
 
 
 class TestRecomputeRouting:
+    @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric,
+                                        zero_radix_fabric])
+    def test_per_path_caps_match_the_per_crossing_caps(self, fabric):
+        # Link counts are constant, so a path's caps on its links are one
+        # row at the least of them: mu and beta as the oracle with one row
+        # per (link, path) crossing gives them, and the plan keeps beta on
+        # every link.  A pair without demand or a path goes direct, over
+        # no link.
+        rng = np.random.default_rng(41)
+        for _ in range(8):
+            n, m = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+            phys = (fabric(rng, n, m) if fabric is zero_radix_fabric
+                    else fabric(rng, n, m, 1, 4))
+            topo = ldm_round(phys, random_fractional(rng, phys), 0).topo
+            linked = (topo.X > 0).astype(int)
+            routed = (linked + linked @ linked) > 0
+            crit = CriticalSet(tuple(TrafficMatrix(t.demand * routed)
+                                     for t in random_criticals(rng, n, 2)))
+            if not routed.any():
+                continue
+            plan = recompute_routing(phys, topo, crit)
+            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
+            X, b = topo.X.astype(float), phys.link_bandwidth
+            mu = lp.solve(loop_stage_model("1", unit_phys, unit_crit, X))
+            mu_hat = float(mu.x[-1])
+            caps = loop_stage_model("2", unit_phys, unit_crit, X, mu_hat,
+                                    per_crossing=True)
+            gamma = lp.solve(caps).objective_value
+            assert plan.mu * (sigma / b) == pytest.approx(mu_hat, rel=1e-9)
+            assert plan.beta * b == pytest.approx(gamma / mu_hat, rel=1e-9)
+            assert sensitivity_map(topo, plan.omega, b)[X > 0].max() \
+                <= plan.beta * (1 + 1e-6)
+
     def test_integral_fractional_topology_keeps_mu_and_beta(self):
         phys, crit = n2_instance()
         sol = run_pipeline(phys, crit)
@@ -673,7 +822,7 @@ class TestRecomputeRouting:
             recompute_routing(phys, topo, crit, desensitized)
             monkeypatch.undo()
             assert [name for _, name in seen] == (
-                ["fixed-throughput"] + ["desensitize"] * desensitized
+                ["fixed-throughput"] + ["fixed-desensitize"] * desensitized
                 + ["minimize-ahc-warm"])
             assert seen[-1][0] is seen[-2][0]
             assert len({id(model) for model, _ in seen}) == 1 + desensitized
@@ -822,14 +971,16 @@ def stage_models(monkeypatch, phys, crit, X, desensitized=True):
     monkeypatch.undo()
     by_name = {m.name: m for m in models}
     stage1 = "maxmin-throughput" if X is None else "fixed-throughput"
+    # The last model solved under a stage-2 family.
+    last2 = [m for m in models if m.name in STAGE2_FAMILIES
+             + ("fixed-desensitize",)][-1:]
     b, sigma = phys.link_bandwidth, unitless_inputs(phys, crit)[2]
     mu, beta = stage3[0][2:4]
     out = {"1": (by_name[stage1], None, None),
            "3": (by_name["minimize-ahc-warm"], mu * (sigma / b),
                  None if beta is None else beta * b)}
     if desensitized:
-        out["2"] = (by_name["desensitize"], stage2[0][2] * (sigma / b),
-                    by_name["desensitize"].scale)
+        out["2"] = (last2[0], stage2[0][2] * (sigma / b), last2[0].scale)
     return out
 
 
@@ -953,7 +1104,7 @@ class TestStageModels:
         second = _StageBuilder(phys, crit2, X2)
         for builder, c, X in ((first, crit, X1), (second, crit2, X2),
                               (first, crit, X1)):
-            model = builder.new_model("desensitize")
+            model = builder.new_model("fixed-desensitize")
             mu = model.add_vars(1, 0.0, None)[0]
             builder.add_split_constraints(model, mu)
             builder.add_load_constraints(model)

@@ -317,6 +317,25 @@ class TestGenBurst:
                                match=re.escape(f"burst factor {factor:g} ")):
                 gen_burst_tms(seq, factor)
 
+    def test_sigma_of_huge_demands_stays_in_range(self):
+        # std of 0 and 1e155 squares a deviation past the float range; over
+        # the demands' scale it does not.  A burst that itself passes the
+        # range is still refused.
+        off = np.ones((2, 2)) - np.eye(2)
+        seq = seq_of([0.0 * off, 1e155 * off])
+        base = 1e155 * off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(t.demand.tobytes() == base.tobytes()
+                       for _, t in gen_burst_tms(seq, 0.0, 1))
+            for burst_set, t in gen_burst_tms(seq, 1.0, 1):
+                (pair,) = burst_set
+                assert t.demand[pair] == pytest.approx(
+                    1e155 * (1 + np.sqrt(0.5)), rel=1e-15)
+            with pytest.raises(InvalidInputError,
+                               match="past the float range"):
+                gen_burst_tms(seq_of([0.0 * off, 1e308 * off]), 2.0, 1)
+
     def test_burst_spec_validates(self):
         seq = seq_of([np.zeros((3, 3))] * 2)
         for pairs in (0, 3):
