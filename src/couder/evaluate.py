@@ -135,6 +135,7 @@ class _RoutingLp(NamedTuple):
     routed: np.ndarray  # per pair: has a usable path, and so a split row
     u: int  # U's column
     c_max: float
+    start: lp._highs.HighsBasis  # direct routing, each solve's start
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,8 +168,8 @@ def _routing_lp(cap: bytes, n: int) -> _RoutingLp:
     model.set_objective("min", [u], [1.0])
     # Paths come in pair order: the first usable path of each routed pair.
     first = np.flatnonzero(np.diff(pair, prepend=-1))
-    model.set_start(flows[first], [link_rows])
-    return _RoutingLp(model, split, routed, u, c_max)
+    return _RoutingLp(model, split, routed, u, c_max,
+                      model.start_basis(flows[first], [link_rows]))
 
 
 def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
@@ -232,6 +233,7 @@ def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
     if demand[~routing.routed].any():
         return math.inf
     routing.model.set_rhs(routing.split, demand[routing.routed] / sigma)
+    routing.model.set_basis(routing.start)
     sol = lp.solve(routing.model)
     if not sol.optimal:
         raise InternalError(f"min-MLU LP ended {sol.status}")
@@ -351,8 +353,10 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
                   oversub: float = 2.0) -> EvalRecord:
     """Abstract oversubscribed fat tree: a non-blocking spine behind
     per-pod effective capacity uplinks*b/oversub; every hop count is 2.
-    ``pod_uplinks`` is one count for every pod, or one count per pod.  A
-    pod with demand and no effective capacity (underflow) has MLU inf."""
+    ``pod_uplinks`` is one count for every pod, or one count per pod, none
+    negative.  A pod without effective capacity, from no uplinks or from
+    underflow, adds nothing without demand and makes the MLU inf with
+    it."""
     if not 0 < oversub < math.inf:
         raise InvalidInputError("oversubscription must be positive and"
                                 " finite")
@@ -362,8 +366,8 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
         raise InvalidInputError(f"{up.size} pod uplink counts for a matrix"
                                 f" of {n} pods")
     up = np.broadcast_to(up, (n,))
-    if (up <= 0).any():
-        raise InvalidInputError("pod uplink counts must be positive")
+    if (up < 0).any():
+        raise InvalidInputError("pod uplink counts must not be negative")
     effective = up * bandwidth / oversub
     load = np.maximum(t.demand.sum(axis=1), t.demand.sum(axis=0))
     with np.errstate(over="ignore"):  # past the float range is inf

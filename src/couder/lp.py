@@ -119,29 +119,32 @@ weights, which ``couder evaluate --baseline mesh`` scores, come from
 MLU that stage 1 gives, so their AHC is the fewest hops at that MLU
 whatever vertex stage 1 ends on.
 
-A solve is cold unless it is given a basis.  An ``LpModel`` keeps the
-optimal basis of its last solve, or the one ``set_basis`` gives, and
-hands it to the next solve; HiGHS then starts from that vertex and skips
-presolve.  Edits carry it over: a change of ``scale``, an objective from
-``set_objective`` and column bounds from ``set_bounds`` keep every
-status, a nonbasic column moved to a finite new bound; a column from
-``add_vars`` enters nonbasic at a finite bound, and the rows of an
-``add_rows`` block enter basic, after every row before them.
-The old basis object, which a solution may hold, is never changed.
-Edits keep the statuses as lists, which the next solve makes one
-``HighsBasis``, so a basis is read across the binding (0.5 ms for stage
-2's at N = 8) once per solve, not once per edit.  A model may also own a
-start basis, which ``set_start`` names by basic columns and basic
-``add_rows`` blocks, and which ``lp`` maps to HiGHS's rows.
-``set_rhs`` replaces one block's right-hand side on a built model, in
-place on its assembled rows, and restores the start basis, or leaves the
-next solve cold without one; ``add_vars``, ``add_rows``, ``set_bounds``
-and ``set_objective`` drop the start basis.  A model re-solved for many
-right-hand sides is thus built and assembled once, and each such solve
-starts from the same point, so its result depends only on the model, not
-on the order of the solves before it.
-``evaluate``'s min-MLU LP starts from its direct-routing basis, which is
-dual feasible for every right-hand side.  Over the 48 held-out matrices
+A solve is cold unless it is given a basis; from one, HiGHS starts at
+that vertex and skips presolve.  An ``LpModel`` keeps one start basis,
+a ``HighsBasis`` or None, with the model's size when it was set, and
+three rules govern it:
+
+- a solve leaves its optimal basis there, or None when it ends
+  otherwise;
+- ``set_basis`` replaces it, None making the next solve cold;
+- nothing else touches it: no edit reads or writes it.
+
+Columns and rows added since the basis was set are the one thing a
+solve pads it for, told by the size kept with it: a new column enters
+nonbasic at a finite bound and a new row basic, after the rows before
+it.  Only then does a solve read the basis's statuses across the
+binding (0.41 ms for stage 2's at N = 8); the basis object, which a
+solution may hold, is never changed.  A change of ``scale``,
+``set_objective``, ``set_bounds`` and ``set_rhs`` keep every status, so
+a caller whose solves must each start from one point, whatever the
+solves before them ended on, hands that basis to ``set_basis`` before
+each: ``start_basis`` builds one from basic columns and basic
+``add_rows`` blocks, mapped to HiGHS's rows.  ``set_rhs`` replaces one
+block's right-hand side in place on the assembled rows, so a model
+re-solved for many right-hand sides is built and assembled once.
+``traffic.check_bounded`` hands ``set_basis`` None, and ``evaluate``'s
+min-MLU LP its direct-routing basis, which is dual feasible for every
+right-hand side.  Over the 48 held-out matrices
 of perfbench's replay seed 1 on its mesh (best of 5 runs, same machine),
 the kept assembly and that start basis together took the LP from 97.9
 to 27.0 dual simplex iterations and from 1.35 to 0.84 ms per solve; each
@@ -301,8 +304,8 @@ class LpModel:
         self._objective = (np.zeros(0, dtype=int), np.zeros(0))  # cols, coefs
         self._assembled = None
         self._formed = None  # the scale the scaled values are formed at
-        self._start = None  # the start basis ``set_start`` gave
-        self._basis = None  # the next solve's start: HighsBasis or statuses
+        self._basis = None  # the next solve's start, a HighsBasis or None
+        self._basis_size = (0, 0)  # the (columns, rows) it covers
 
     @property
     def num_variables(self) -> int:
@@ -315,41 +318,25 @@ class LpModel:
         lbs, ubs = _bounds(count, lb, ub)
         self._lb = np.concatenate([self._lb, lbs])
         self._ub = np.concatenate([self._ub, ubs])
-        self._assembled = self._start = None
-        if self._basis is not None:
-            col, row = self._statuses()
-            self._basis = (col + _nonbasic(lbs, ubs), row)
+        self._assembled = None
         return np.arange(start, start + count)
 
     def set_bounds(self, cols, lb=0.0, ub=None):
         """Give the columns ``cols`` the bounds ``lb`` and ``ub``, broadcast
-        as ``add_vars`` takes them.  The kept basis stays: a basic column
-        stays basic, a nonbasic one moves to a finite new bound."""
+        as ``add_vars`` takes them."""
         cols = _indices(cols)
         self._check_cols(cols)
         lbs, ubs = _bounds(len(cols), lb, ub)
         self._lb, self._ub = self._lb.copy(), self._ub.copy()
         self._lb[cols], self._ub[cols] = lbs, ubs
-        self._start = None
-        if self._basis is not None:
-            status, row = self._statuses()
-            for col, moved in zip(cols.tolist(), _nonbasic(lbs, ubs)):
-                if status[col] != _BASIC:
-                    status[col] = moved
-            self._basis = (status, row)
 
     def set_basis(self, basis):
-        """Start the next solve from ``basis``, the ``LpSolution.basis`` of
-        an earlier solve of this model as it stands; edits carry it over
-        as they carry the kept basis."""
+        """Start the next solve from ``basis``, a ``HighsBasis`` of this
+        model as it stands (an ``LpSolution.basis`` or ``start_basis``),
+        or cold when None."""
         self._basis = basis
-
-    def _statuses(self) -> tuple:
-        """New (column, row) status lists of the kept basis."""
-        basis = self._basis
-        if isinstance(basis, tuple):
-            return list(basis[0]), list(basis[1])
-        return basis.col_status, basis.row_status
+        self._basis_size = (self.num_variables,
+                            sum(len(blk.rhs) for blk in self._blocks))
 
     def _check_cols(self, cols: np.ndarray):
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_variables):
@@ -378,10 +365,7 @@ class LpModel:
                 raise InvalidInputError("row index out of range")
             self._check_cols(c)
         self._blocks.append(_Block(relation, terms, scaled, rhs))
-        self._assembled = self._start = None
-        if self._basis is not None:
-            col, row = self._statuses()
-            self._basis = (col, row + [_BASIC] * len(rhs))
+        self._assembled = None
         return len(self._blocks) - 1
 
     def set_rhs(self, block: int, rhs):
@@ -389,9 +373,7 @@ class LpModel:
         ``block`` by ``rhs``, of the same length.  An assembled model takes
         the new values in place as the row bounds it hands HiGHS: the upper
         bounds of a <= block, the lower ones of a >= block and both of an
-        equality block.  The next solve starts from the ``set_start``
-        basis, or cold without one, so its result depends only on the
-        model."""
+        equality block."""
         if not 0 <= block < len(self._blocks):
             raise InvalidInputError(f"no row block {block}")
         blk = self._blocks[block]
@@ -404,19 +386,14 @@ class LpModel:
             first = sum(len(other.rhs) for other in self._blocks[:block])
             self._assembled.bounds[_BOUND_ROWS[blk.relation],
                                    first:first + len(rhs)] = rhs
-        self._basis = self._start
 
-    def set_start(self, cols, blocks):
-        """Start each solve that follows ``set_rhs`` from the basis in which
-        the columns ``cols`` and every row of the blocks ``blocks`` (as
-        ``add_rows`` numbered them) are basic, every other column is at its
-        lower bound, which must be finite, and every other row at its
-        right-hand side; the solve right after this call starts there too.
-        The caller vouches that the basis is nonsingular.  One that is dual
-        feasible for every right-hand side makes each solve a dual simplex
-        run from a fixed start, so its result still depends only on the
-        model.  ``add_vars``, ``add_rows``, ``set_bounds`` and
-        ``set_objective`` drop it."""
+    def start_basis(self, cols, blocks) -> _highs.HighsBasis:
+        """The basis of this model as it stands in which the columns
+        ``cols`` and every row of the blocks ``blocks`` (as ``add_rows``
+        numbered them) are basic, every other column is at its lower
+        bound, which must be finite, and every other row at its right-hand
+        side; for ``set_basis``.  The caller vouches that it is
+        nonsingular."""
         cols = _indices(cols)
         self._check_cols(cols)
         basic_col = np.zeros(self.num_variables, dtype=bool)
@@ -434,9 +411,8 @@ class LpModel:
         if not np.isfinite(self._lb[~basic_col]).all():
             raise InvalidInputError("a nonbasic column needs a finite lower"
                                     " bound")
-        self._basis = self._start = _highs_basis(
-            [_BASIC if basic else status.kLower
-             for basic in basic_col.tolist()], row_status)
+        return _highs_basis([_BASIC if basic else status.kLower
+                             for basic in basic_col.tolist()], row_status)
 
     def set_objective(self, sense: str, cols, coefs):
         """Minimize or maximize ``sum(coefs[t] * x[cols[t]])``."""
@@ -450,7 +426,7 @@ class LpModel:
         self._check_cols(cols)
         self._sense = sense
         self._objective = (cols, coefs)
-        self._assembled = self._start = None
+        self._assembled = None
 
     def _assembly(self) -> _Assembly:
         """The model's ``_Assembly`` at the current ``scale``.  It is
@@ -738,8 +714,10 @@ def solve(model: LpModel) -> LpSolution:
     y_i = d(objective)/d(rhs_i) for each row i, in the order ``add_rows``
     added the rows, each row in its own relation.  ``slope``, by the
     envelope theorem, is -sum_i y_i (A_scaled x)_i, the objective's slope
-    in ``model.scale``.  The optimal basis stays with the model for its
-    next solve.  A model without columns is InvalidInputError.
+    in ``model.scale``.  The optimal basis, or None when the solve ends
+    otherwise, becomes the model's start basis, padded at the next solve
+    for what was added since (see the module docstring).  A model without
+    columns is InvalidInputError.
 
     Like scipy's ``linprog`` it raises SolverLimitError on an optimal
     vertex that misses a column bound or the row bounds HiGHS was given by
@@ -749,9 +727,12 @@ def solve(model: LpModel) -> LpSolution:
         raise InvalidInputError("an LP needs at least one column")
     asm = model._assembly()
     A, n = asm.matrix, model.num_variables
-    basis = model._basis
-    if isinstance(basis, tuple):
-        basis = _highs_basis(*basis)
+    basis, (cols, rows) = model._basis, model._basis_size
+    if basis is not None and (cols, rows) != (n, A.shape[0]):
+        # Columns added since enter nonbasic at a finite bound, rows basic.
+        basis = _highs_basis(
+            basis.col_status + _nonbasic(model._lb[cols:], model._ub[cols:]),
+            basis.row_status + [_BASIC] * (A.shape[0] - rows))
     options = _FAMILY_OPTIONS.get(model.name, _OPTIONS)
     if basis is not None and options.solver == "ipm":
         options = _OPTIONS  # IPM would drop the basis; dual simplex keeps it
@@ -760,7 +741,7 @@ def solve(model: LpModel) -> LpSolution:
                             asm.cost, model._lb, model._ub, *asm.bounds,
                             A.indptr, A.indices, A.data,
                             np.zeros(n, dtype=np.int32)))
-    model._basis = res.basis
+    model.set_basis(res.basis)
     if res.optimal:
         x, tol = res.x, _RESIDUAL_TOL
         row = A @ x

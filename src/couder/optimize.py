@@ -114,13 +114,16 @@ def _in_range(value: float, name: str) -> float:
 class _StageBuilder:
     """Shared constraint blocks for the three unitless LP stages.
 
-    When ``fixed`` is given, link counts are constants (routing-only mode)
-    and paths crossing a zero-capacity link are dropped; pairs left with no
-    usable path are deferred to a direct-only fallback unless demanded.
+    When ``fixed`` is given, link counts are constants (routing-only mode).
+    A path is usable when each of its links can hold a link: a positive
+    fixed count, or with free counts a positive radix at both ends,
+    min(r_eg[a], r_ig[b]) > 0.  Other paths are dropped, and pairs left
+    with no usable path are deferred to a direct-only fallback unless
+    demanded.
 
     A model from ``new_model`` has a known column layout: one scaled weight
     per usable path, in path order (``col`` maps each path to its column,
-    or to -1 when it crosses a zero-capacity link); then, unless link
+    or to -1 when it crosses a link that can hold none); then, unless link
     counts are fixed, one link count per pair (``_dcol``); then mu at
     ``stage_col``, gamma when fixed caps add it, and stage 3's z.  Every
     block of rows is one ``LpModel.add_rows`` call whose triplets come from
@@ -149,10 +152,12 @@ class _StageBuilder:
             raise UnboundedThroughputError("all critical matrices are zero")
         if self.fixed is None:
             self.capacity = None
-            usable = np.ones(len(t.paths), dtype=bool)
+            # The most links each link can hold: its pods' radices.
+            room = np.minimum(phys.egress_radix[t.pair_src],
+                              phys.ingress_radix[t.pair_dst])
         else:
-            self.capacity = self.fixed[t.pair_src, t.pair_dst]  # per link
-            usable = (self.capacity[t.path_links] > 0).all(axis=1)
+            self.capacity = room = self.fixed[t.pair_src, t.pair_dst]
+        usable = (room[t.path_links] > 0).all(axis=1)
         self.col = np.where(usable, np.cumsum(usable) - 1, -1)
         self.num_weights = int(usable.sum())
         self.stage_col = self.num_weights + (
@@ -273,9 +278,11 @@ class _StageBuilder:
 
         With free link counts d is then raised to cover, in links, the
         critical loads at ``mu`` and, with ``beta``, the caps: d_ab >=
-        omega_p / beta on each link of p.  That clears sub-tolerance LP
-        residue, so the throughput guarantee and the sensitivity bound hold
-        on every link; the lift is bounded by the solver's tolerance.
+        omega_p / beta on each link of a usable path p.  That clears
+        sub-tolerance LP residue, so the throughput guarantee and the
+        sensitivity bound hold on every link; the lift is bounded by the
+        solver's tolerance.  A deferred pair's direct path is not usable,
+        so d stays 0 on links no path may cross.
         """
         t = self.tables
         w = np.zeros(len(t.paths))
@@ -286,8 +293,9 @@ class _StageBuilder:
             links = np.maximum(np.maximum(x[self._dcol()], 0.0),
                                omega.loads(self.demand, mu).max(axis=0))
             if beta is not None:
-                np.maximum.at(links, t.hop_link,
-                              omega.omega[t.hop_path] / beta)
+                hop = self.col[t.hop_path] >= 0
+                np.maximum.at(links, t.hop_link[hop],
+                              omega.omega[t.hop_path[hop]] / beta)
             d = np.zeros((self.n, self.n))
             d[t.pair_src, t.pair_dst] = links
         return FractionalSolution(
@@ -339,10 +347,12 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     ``model`` is stage 1's LP plus the caps w_p <= gamma * d_ab, gamma
     being ``model.scale``; its optimum F(gamma) does not decrease in gamma
     and each solve gives the slope F'(gamma).  A point (F, gamma) has
-    beta = gamma / F.  The search starts at the radix bound: pod i splits
-    F over each of its n - 1 pairs, and each path is capped at its first
-    link (i, x), the first link of n - 1 of those paths, so
-    F <= gamma * sum_x d_ix <= gamma * r_eg[i]; ingress likewise.
+    beta = gamma / F.  The search starts at the radix bound: a routed
+    pair (i, j) splits F over its usable paths, each capped at its first
+    link (i, x), a different one for each path, so
+    F <= gamma * sum_x d_ix <= gamma * r_eg[i]; r_ig[j] likewise.  The
+    bound runs over the sources and destinations of routed pairs only,
+    whose radices are positive, since each has a usable path.
     Below target, gamma takes the Newton step gamma + (mu* - F) / F' when
     F' > 0 and the step stays inside the bracket (lo, hi); otherwise it
     doubles while there is no upper end and bisects once there is.  At or
@@ -359,10 +369,9 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
     model is then renamed "desensitize-late" for the rest, which start
     near their optimum.
     """
-    radix = int(min(builder.phys.egress_radix.min(),
-                    builder.phys.ingress_radix.min()))
-    if radix <= 0:
-        raise InternalError("no feasible sensitivity bound below cap")
+    t, routed = builder.tables, builder.routed
+    radix = int(min(builder.phys.egress_radix[t.pair_src[routed]].min(),
+                    builder.phys.ingress_radix[t.pair_dst[routed]].min()))
     beta_lo = 1.0 / radix
     target = mu_star * (1.0 - MU_SLACK)
     gamma = lo = mu_star * beta_lo

@@ -147,6 +147,7 @@ def check_bounded(t: TrafficMatrix, crit: CriticalSet) -> BoundednessResult:
         raise InvalidInputError("the matrix over the criticals' scale is"
                                 " past the float range")
     model.set_rhs(block, demand)
+    model.set_basis(None)
     sol = lp.solve(model)
     return BoundednessResult(sol.x[lams], sol.objective_value * sigma,
                              sol.objective_value <= TOL)

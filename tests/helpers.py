@@ -551,10 +551,9 @@ def crossing_paths(n: int) -> dict:
     return out
 
 
-def _usable(p: Path, cap) -> bool:
-    if cap is None:
-        return True
-    return all(cap[a, b] > 0 for a, b in p.links())
+def _usable(p: Path, room) -> bool:
+    """Whether each link of ``p`` can hold a link: ``room[a, b] > 0``."""
+    return all(room[a, b] > 0 for a, b in p.links())
 
 
 class LoopStageBuilder:
@@ -576,8 +575,11 @@ class LoopStageBuilder:
         self.demanded = self.demand.max(axis=0) > 0
         self.pair_paths = {}
         self.fallback_pairs = []
+        # With free link counts a link can hold as many as its pods' radices.
+        room = np.minimum.outer(phys.egress_radix, phys.ingress_radix) \
+            if self.fixed is None else self.fixed
         for (i, j) in _pairs(self.n):
-            usable = [p for p in self.paths[(i, j)] if _usable(p, self.fixed)]
+            usable = [p for p in self.paths[(i, j)] if _usable(p, room)]
             if usable:
                 self.pair_paths[(i, j)] = usable
             elif self.demanded[i, j]:

@@ -385,7 +385,8 @@ class TestOptimalRouting:
                                                             monkeypatch):
         # Every min-MLU solve starts from one basis: each routed pair's
         # first usable path basic, the other flows and U at 0.  Its MLU is
-        # a cold solve's within 1e-12 relative.
+        # a cold solve's within 1e-12 relative; without a start basis
+        # set_basis(None) makes every solve cold.
         cases = self.thinned_meshes(8, 40)
         starts, run = [], lp._run_highs
 
@@ -410,10 +411,13 @@ class TestOptimalRouting:
             two_hop_first += sum(p.via is not None for p in first)
         assert len(starts) == len(cases) and two_hop_first >= 20
         evaluate._routing_lp.cache_clear()
+        starts.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(lp.LpModel, "set_start", lambda *args: None)
+            patch.setattr(lp, "_run_highs", record)
+            patch.setattr(lp.LpModel, "start_basis", lambda *args: None)
             cold = [optimal_routing_mlu(X, t) for X, t in cases]
         evaluate._routing_lp.cache_clear()
+        assert starts == [None] * len(cases)
         for got, want in zip(warm, cold):
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -760,6 +764,18 @@ class TestFatTree:
         assert rec.mlu == fat_tree_eval(t, 16, 1.0, 2.0).mlu
         with pytest.raises(InvalidInputError, match="6 pod uplink counts"):
             fat_tree_eval(t, np.full(6, 16), 1.0, 2.0)
+
+    def test_pod_without_uplinks(self):
+        # A pod with no uplinks scores 0 without demand and inf with it; a
+        # negative count is refused.
+        t = np.zeros((3, 3))
+        t[0, 1] = 8.0
+        up = np.array([16, 16, 0])
+        assert fat_tree_eval(TrafficMatrix(t), up, 1.0, 2.0).mlu == 1.0
+        t[1, 2] = 1.0
+        assert fat_tree_eval(TrafficMatrix(t), up, 1.0, 2.0).mlu == math.inf
+        with pytest.raises(InvalidInputError, match="must not be negative"):
+            fat_tree_eval(TrafficMatrix(t), [16, 16, -1], 1.0, 2.0)
 
     def test_capacity_underflow(self):
         # 4 * 1e-320 / 1e10 is 0: a pod with demand is infinitely loaded,

@@ -285,45 +285,44 @@ def test_start_basis_maps_blocks_to_highs_rows():
     # HiGHS holds the rows in the order added, the first block's first:
     # the <= block's rows after it are basic.  The first row, nonbasic,
     # sits at the bound its right-hand side sets: the upper one of an
-    # equality row, the lower one of a >= row.
+    # equality row, the lower one of a >= row.  The basis is returned, not
+    # kept: the next solve starts there only through set_basis.
     status = lp._highs.HighsBasisStatus
     for relation, at in ((lp.EQ, status.kUpper), (lp.GE, status.kLower)):
         m, x, _, le = start_model(relation)
-        m.set_start([x[2]], [le])
-        assert m._start.col_status == [status.kLower, status.kLower,
-                                       status.kBasic]
-        assert m._start.row_status == [at, status.kBasic, status.kBasic]
+        start = m.start_basis([x[2]], [le])
+        assert m._basis is None
+        assert start.col_status == [status.kLower, status.kLower,
+                                    status.kBasic]
+        assert start.row_status == [at, status.kBasic, status.kBasic]
+        m.set_basis(start)
         res = lp.solve(m)
         assert res.optimal and res.nit == 0 and res.x.tolist() == [0, 0, 1]
 
 
-def test_set_rhs_restores_the_start_basis(monkeypatch):
-    # Every solve after set_rhs starts from the set_start basis, whatever
-    # the solves before it ended on; add_rows, add_vars, set_objective and
-    # set_bounds drop it.
+def test_set_basis_restores_the_start_basis(monkeypatch):
+    # set_rhs leaves the kept basis, the last solve's, alone; set_basis
+    # before each solve starts every one from the start basis, whatever
+    # the solves before it ended on, and set_basis(None) makes it cold.
     calls = record_highs(monkeypatch)
     m, x, eq, le = start_model()
-    m.set_start([x[2]], [le])
-    start = m._start
+    start = m.start_basis([x[2]], [le])
     for rhs in ([2.0], [0.5], [3.0]):
         m.set_rhs(eq, rhs)
+        m.set_basis(start)
         got = lp.solve(m)
+        m.set_rhs(eq, [1.0])
+        assert lp.solve(m).optimal  # starts from got's basis
         cold, _, _, _ = start_model()
         cold.set_rhs(eq, rhs)
         assert got.objective_value == lp.solve(cold).objective_value
     bases = [basis for basis, _ in calls]
-    assert bases[::2] == [start] * 3 and bases[1::2] == [None] * 3
-    for change in (lambda m: m.add_rows([0], [0], [1.0], lp.LE, [1.0]),
-                   lambda m: m.add_vars(1, 0.0, 1.0),
-                   lambda m: m.set_objective("min", x, [1.0, 1.0, 1.0]),
-                   lambda m: m.set_bounds([x[0]], 0.0, 2.0)):
-        m, x, eq, le = start_model()
-        m.set_start([x[2]], [le])
-        change(m)
-        assert m._start is None
-        m.set_rhs(eq, [1.0])
-        lp.solve(m)
-        assert calls[-1][0] is None
+    assert bases[::3] == [start] * 3 and bases[2::3] == [None] * 3
+    assert [basis is res.basis for basis, (_, res)
+            in zip(bases[1::3], calls[::3])] == [True] * 3
+    m.set_basis(None)
+    lp.solve(m)
+    assert calls[-1][0] is None
 
 
 @pytest.mark.parametrize("cols, lb, match", [
@@ -334,7 +333,8 @@ def test_start_basis_rejected(cols, lb, match):
     m, x, eq, le = start_model()
     m.add_vars(1, lb, 1.0)
     with pytest.raises(InvalidInputError, match=match):
-        m.set_start(cols, [le])
+        m.start_basis(cols, [le])
+    assert m._basis is None
 
 
 def test_basis_highs_refuses_is_internal_error():
@@ -928,43 +928,52 @@ STATUS = lp._highs.HighsBasisStatus
 
 
 def test_edits_carry_the_basis_over(monkeypatch):
-    # Each edit keeps the last optimal basis for the next solve: a new
-    # column enters nonbasic at a finite bound, a new row basic after the
-    # rows before it, and an objective or a column bound
-    # leaves the statuses as they were, a nonbasic column moved to a finite
-    # new bound.  Every solve ends where a cold solve of the model does.
+    # No edit reads or writes the kept basis: the next solve starts from
+    # the very basis the last one left, padded for what was added since.
+    # A new column enters nonbasic at a finite bound, a new row basic
+    # after the rows before it; an objective, a column bound, a
+    # right-hand side or a scale leaves every status as it was.  Every
+    # solve ends where a cold solve of the model does.
     calls = record_highs(monkeypatch)
     m = lp.LpModel()
     x, y = m.add_vars(2, 0.0, [np.inf, 2.0])
     m.add_rows([0, 0], [x, y], [1.0, -1.0], lp.EQ, [0.0])
-    m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
+    le = m.add_rows([0], [x], [1.0], lp.LE, [0.0], scaled=([0], [y], [-1.0]))
     m.set_objective("max", [x], [1.0])
     lp.solve(m)
     m.scale = 2.0
     last = lp.solve(m)
+    assert calls[-1][0] is calls[0][1].basis
     edits = [
         (lambda: m.add_rows([0], [x], [1.0], lp.LE, [3.0]),
          lambda col, row: (col, row + [STATUS.kBasic])),
         (lambda: m.add_vars(3, [0.0, -np.inf, -np.inf], [1.0, 5.0, np.inf]),
          lambda col, row: (col + [STATUS.kLower, STATUS.kUpper,
                                   STATUS.kZero], row)),
-        (lambda: m.set_objective("min", [x, 2], [1.0, -1.0]),
-         lambda col, row: (col, row)),
-        (lambda: m.set_bounds([2, 3], [-np.inf, -4.0], [0.5, 5.0]),
-         lambda col, row: (col[:2] + [STATUS.kUpper, STATUS.kLower]
-                           + col[4:], row)),
+        (lambda: (m.add_vars(1, -1.0, 1.0),
+                  m.add_rows([0, 1], [x, 5], [1.0, 1.0], lp.LE, [4.0, 1.0])),
+         lambda col, row: (col + [STATUS.kLower], row + [STATUS.kBasic] * 2)),
+        (lambda: m.set_objective("min", [x, 2], [1.0, -1.0]), None),
+        (lambda: m.set_bounds([2, 3], [-np.inf, -4.0], [0.5, 5.0]), None),
+        (lambda: m.set_rhs(le, [1.0]), None),
+        (lambda: setattr(m, "scale", 1.5), None),
     ]
     for edit, extend in edits:
-        want = extend(last.basis.col_status, last.basis.row_status)
+        kept = (m._basis, m._basis_size)
         edit()
+        assert m._basis is kept[0] and m._basis_size == kept[1]
         last = lp.solve(m)
         basis = calls[-1][0]
-        assert (basis.col_status, basis.row_status) == want
+        if extend is None:
+            assert basis is kept[0]
+        else:
+            assert (basis.col_status, basis.row_status) \
+                == extend(kept[0].col_status, kept[0].row_status)
         cold = lp.LpModel()
         cold.__dict__.update(m.__dict__, _assembled=None, _basis=None)
         assert last.optimal and last.objective_value == pytest.approx(
             lp.solve(cold).objective_value, abs=1e-9)
-    assert warm_flags(calls) == [False, True] + [True, False] * 4
+    assert warm_flags(calls) == [False, True] + [True, False] * len(edits)
 
 
 def test_edits_leave_a_solutions_basis_alone():
@@ -1068,7 +1077,8 @@ def test_set_rhs_patches_the_assembled_rows_in_place():
 @pytest.mark.parametrize("solved_first", [False, True])
 def test_set_rhs_gives_what_a_fresh_build_gives(monkeypatch, solved_first):
     # HiGHS holds the model a fresh build hands it, and the solve after
-    # set_rhs is cold: the same vertex, objective and duals to the bit.
+    # set_rhs, cold since set_basis(None) drops the basis a solve left,
+    # gives the same vertex, objective and duals to the bit.
     m, blocks = mixed_model(MIXED_RHS)
     if solved_first:
         lp.solve(m)
@@ -1076,6 +1086,7 @@ def test_set_rhs_gives_what_a_fresh_build_gives(monkeypatch, solved_first):
     calls = record_highs(monkeypatch)
     for block, rhs in zip(blocks, NEW_RHS):
         m.set_rhs(block, rhs)
+    m.set_basis(None)
     got = lp.solve(m)
     want = lp.solve(mixed_model(NEW_RHS)[0])
     assert warm_flags(calls) == [False, False]

@@ -37,6 +37,17 @@ def n3_instance():
     return phys, CriticalSet((TrafficMatrix(t),))
 
 
+def idle_pod_instance():
+    """4 pods on 1 switch with 3 ports each, but pod 3 has none and no
+    traffic; one critical, 1 on every pair of the other pods."""
+    ports = np.array([[3, 3, 3, 0]])
+    t = np.ones((4, 4))
+    t[3, :] = t[:, 3] = 0.0
+    np.fill_diagonal(t, 0.0)
+    return (PhysicalTopology(4, 1, ports, ports),
+            CriticalSet((TrafficMatrix(t),)))
+
+
 def oracle_step3_direct_weight(beta: float):
     """0.05-grid brute force for the single-demand N=3 instance.
 
@@ -186,6 +197,48 @@ class TestDesensitize:
         sen1 = sensitivity_map(s1.d, s1.omega, phys.link_bandwidth)
         s2 = desensitize(phys, crit, s1.mu)
         assert s2.beta <= sen1[np.isfinite(sen1)].max() * (1 + 2e-3) + 1e-12
+
+    def test_idle_pod_plans(self):
+        # No path through a pod without ports is usable, so every pair
+        # touching it is deferred, the radix bound runs over the pods of
+        # routed pairs, and the plan leaves the idle pod's links at 0.
+        phys, crit = idle_pod_instance()
+        plain = run_pipeline(phys, crit, desensitized=False)
+        sol = run_pipeline(phys, crit)
+        assert plain.mu == 1.5
+        assert sol.mu == pytest.approx(1.5 * (1.0 - MU_SLACK), rel=1e-12)
+        assert sol.beta == pytest.approx(2.0 / 3.0, rel=1e-12)
+        for d in (plain.d.d, sol.d.d):
+            assert not d[3].any() and not d[:, 3].any()
+
+    def test_zero_radix_fabrics_plan_desensitized(self):
+        # Pods without egress or ingress ports, criticals only from pods
+        # with egress to pods with ingress: the desensitized plan keeps the
+        # plain mu, its sensitivity bound on every link with circuits and
+        # the port budgets, and puts no circuit where a radix is 0.
+        rng = np.random.default_rng(5)
+        planned = 0
+        for _ in range(60):
+            n, m = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+            phys = zero_radix_fabric(rng, n, m, dead=0.2)
+            r_eg, r_ig = phys.egress_radix, phys.ingress_radix
+            room = np.minimum.outer(r_eg, r_ig)
+            crit = CriticalSet(tuple(TrafficMatrix(t.demand * (room > 0))
+                                     for t in random_criticals(rng, n, 2)))
+            if not any(t.demand.any() for t in crit):
+                continue
+            plain = run_pipeline(phys, crit, desensitized=False)
+            sol = run_pipeline(phys, crit)
+            assert sol.mu == pytest.approx(plain.mu, rel=1e-6)
+            d = sol.d.d
+            sen = sensitivity_map(sol.d, sol.omega, phys.link_bandwidth)
+            assert (sen[d > 0] <= sol.beta * (1 + 1e-9)).all()
+            assert (d[room == 0] == 0).all()
+            # The lift past the LP's vertex is within HiGHS's tolerance.
+            assert (d.sum(axis=1) <= r_eg + 1e-7).all()
+            assert (d.sum(axis=0) <= r_ig + 1e-7).all()
+            planned += 1
+        assert planned >= 50
 
 
 def record_solves(monkeypatch, copy=False) -> list:
@@ -999,6 +1052,18 @@ class TestStageModels:
                 ref = loop_stage_model(stage, unit_phys, unit_crit, X, mu,
                                        beta)
                 assert_same_model(model, ref)
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_idle_pod_stages_match_loop_builder(self, monkeypatch,
+                                                desensitized):
+        # Free link counts: neither builder gives a path through the idle
+        # pod, or to or from it, a column.
+        phys, crit = idle_pod_instance()
+        models = stage_models(monkeypatch, phys, crit, None, desensitized)
+        assert len(models) == 2 + desensitized
+        for stage, (model, mu, beta) in models.items():
+            assert_same_model(model, loop_stage_model(stage, phys, crit,
+                                                      None, mu, beta))
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("n", [2, 5, 8])

@@ -11,7 +11,7 @@ from couder.model import TmSequence, TrafficMatrix, demand_scale
 from couder.traffic import (CriticalSet, _kmeans, check_bounded,
                             extract_critical, gen_burst_tms, gen_storage_tms)
 from helpers import (assert_same_model, loop_check_bounded, random_criticals,
-                     random_tm, record_highs_models)
+                     random_tm, record_highs, record_highs_models)
 
 
 def seq_of(demands, window=1.0):
@@ -216,6 +216,19 @@ class TestCheckBounded:
                 assert res.lambdas.tobytes() == lambdas.tobytes()
                 assert res.slack == slack
                 models.clear()
+
+    def test_every_check_solves_cold(self, monkeypatch):
+        # The model is built once per critical set and solved cold for each
+        # matrix, so a check does not hinge on the checks before it.
+        calls = record_highs(monkeypatch)
+        rng = np.random.default_rng(13)
+        crit = random_criticals(rng, 4, 3)
+        tms = [random_tm(rng, 4) for _ in range(3)]
+        first = [check_bounded(t, crit).lambdas.tobytes() for t in tms]
+        again = [check_bounded(t, crit).lambdas.tobytes()
+                 for t in reversed(tms)]
+        assert [basis for basis, _ in calls] == [None] * 6
+        assert again[::-1] == first
 
     def test_highs_holds_the_reference_model(self, monkeypatch):
         pairs = record_highs_models(monkeypatch)
