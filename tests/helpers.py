@@ -87,6 +87,18 @@ def hetero_fabric(rng: np.random.Generator, n: int, m: int,
     return PhysicalTopology(n, m, h_eg, h_ig, bandwidth)
 
 
+def idle_pod_instance() -> tuple:
+    """(fabric, critical set): 4 pods on 1 switch with 3 ports each, but
+    pod 3 has none and no traffic; one critical, 1 on every pair of the
+    other pods."""
+    ports = np.array([[3, 3, 3, 0]])
+    t = np.ones((4, 4))
+    t[3, :] = t[:, 3] = 0.0
+    np.fill_diagonal(t, 0.0)
+    return (PhysicalTopology(4, 1, ports, ports),
+            CriticalSet((TrafficMatrix(t),)))
+
+
 def zero_radix_fabric(rng: np.random.Generator, n: int, m: int,
                       dead: float = 0.1) -> PhysicalTopology:
     """Heterogeneous striping where some pods may have no egress or no

@@ -13,8 +13,8 @@ from couder.model import (FractionalTopology, IntegerTopology, Path,
                           TrafficMatrix)
 from couder.optimize import FractionalSolution
 from couder.traffic import CriticalSet
-from helpers import (make_fabric, random_criticals, random_tm,
-                     write_physical_topology)
+from helpers import (idle_pod_instance, make_fabric, random_criticals,
+                     random_tm, write_physical_topology)
 
 
 def write_seq(path, demands, times=None):
@@ -123,17 +123,13 @@ class TestCommands:
         # Pod 3 has no ports and no traffic.  The desensitized plan, its
         # rounding and re-routing, baselines none and fattree, and a
         # simulation all exit 0, and the plan gives pod 3 no link.
-        ports = np.array([[3, 3, 3, 0]])
-        t = np.ones((4, 4))
-        t[3, :] = t[:, 3] = 0.0
-        np.fill_diagonal(t, 0.0)
+        phys, crit = idle_pod_instance()
         f = {name: str(tmp_path / name) for name in
              ("phys.json", "crit.json", "seq.jsonl", "sol.json", "topo.json",
               "none.jsonl", "fattree.jsonl", "sim.jsonl")}
-        write_physical_topology(f["phys.json"],
-                                PhysicalTopology(4, 1, ports, ports))
-        cli.write_critical_set(f["crit.json"],
-                               CriticalSet((TrafficMatrix(t),)))
+        write_physical_topology(f["phys.json"], phys)
+        cli.write_critical_set(f["crit.json"], crit)
+        t = crit.matrices[0].demand
         write_seq(f["seq.jsonl"], [t * (1 + 0.1 * k) for k in range(8)])
         for argv in (["optimize", f["phys.json"], f["crit.json"],
                       "--out", f["sol.json"]],

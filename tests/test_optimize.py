@@ -16,10 +16,10 @@ from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
                      convex_combination, feasible_at_beta, frozen,
-                     hetero_fabric, loop_stage3_in_omega, loop_stage_model,
-                     make_fabric, random_criticals, random_fabric,
-                     random_fractional, record_highs, record_highs_models,
-                     sparse_tm, zero_radix_fabric)
+                     hetero_fabric, idle_pod_instance, loop_stage3_in_omega,
+                     loop_stage_model, make_fabric, random_criticals,
+                     random_fabric, random_fractional, record_highs,
+                     record_highs_models, sparse_tm, zero_radix_fabric)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -35,17 +35,6 @@ def n3_instance():
     t = np.zeros((3, 3))
     t[0, 1] = 4.0
     return phys, CriticalSet((TrafficMatrix(t),))
-
-
-def idle_pod_instance():
-    """4 pods on 1 switch with 3 ports each, but pod 3 has none and no
-    traffic; one critical, 1 on every pair of the other pods."""
-    ports = np.array([[3, 3, 3, 0]])
-    t = np.ones((4, 4))
-    t[3, :] = t[:, 3] = 0.0
-    np.fill_diagonal(t, 0.0)
-    return (PhysicalTopology(4, 1, ports, ports),
-            CriticalSet((TrafficMatrix(t),)))
 
 
 def oracle_step3_direct_weight(beta: float):
