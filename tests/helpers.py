@@ -381,14 +381,6 @@ def loop_complete(phys: PhysicalTopology, d: np.ndarray, x: np.ndarray,
     return x
 
 
-def loop_changing_circuits(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """The old circuits that must be torn down, one (i, j, m) row per
-    circuit, in (i, j, m) order: the list whose ``np.array_split`` pieces
-    are the shares of a staged switch-over."""
-    drop = np.maximum(old - new, 0).transpose(1, 2, 0)
-    return np.repeat(np.argwhere(drop), drop[drop > 0], axis=0)
-
-
 def loop_vlb_weights(cap: np.ndarray) -> dict:
     """Reference of ``evaluate.vlb_weights`` as a ``{Path: w}`` map: one
     loop over the pairs, each path weighted by its thinnest link."""
@@ -471,33 +463,6 @@ def loop_evaluate_static(cap: np.ndarray, weights: dict, t: np.ndarray
     direct = sum(w * t[p.src, p.dst] for p, w in weights.items()
                  if p.via is None)
     return mlu, (float(direct / t.sum()) if t.sum() > 0 else 1.0)
-
-
-def loop_uniform_mesh(phys: PhysicalTopology) -> np.ndarray:
-    """Reference link counts (M, N, N) of ``evaluate.uniform_mesh``: each
-    pair's links placed one at a time onto the switch with the most
-    headroom for the pair, the lowest index on ties, while it is
-    positive."""
-    n, M = phys.num_pods, phys.num_ocs
-    want = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        base, rem = divmod(int(phys.egress_radix[i]), n - 1)
-        for idx in range(n - 1):
-            want[i, (i + 1 + idx) % n] = base + (1 if idx < rem else 0)
-    x = np.zeros((M, n, n), dtype=int)
-    eg_left = phys.egress_ports.copy()
-    ig_left = phys.ingress_ports.copy()
-    for i in range(n):
-        for j in range(n):
-            for _ in range(want[i, j]):
-                headroom = np.minimum(eg_left[:, i], ig_left[:, j])
-                m = int(headroom.argmax())
-                if headroom[m] <= 0:
-                    break
-                x[m, i, j] += 1
-                eg_left[m, i] -= 1
-                ig_left[m, j] -= 1
-    return x
 
 
 def convex_combination(rng: np.random.Generator, crit: CriticalSet
@@ -637,37 +602,27 @@ class LoopStageBuilder:
                 else:
                     model.row(terms, lp.LE, self.b * self.fixed[a, b])
 
-    def add_sensitivity_constraints(self, model, beta=None,
-                                    per_crossing=False):
+    def add_sensitivity_constraints(self, model, beta=None):
         """The caps; with fixed link counts on a column "gamma", pinned at
         ``beta`` when given (omega) and free otherwise (scaled weights).
         One row per (link, path) crossing, except with fixed link counts:
         there one row per usable path, in column order, at the least link
-        count on it, unless ``per_crossing`` asks for the crossing rows,
-        the oracle those per-path rows must match."""
-        if self.fixed is None:
-            if beta is not None:
-                model.model.scale = beta
-        else:
+        count on it."""
+        if self.fixed is not None:
             model.var("gamma", 0.0 if beta is None else beta, beta)
-            if not per_crossing:
-                for paths in self.pair_paths.values():
-                    for p in paths:
-                        least = min(self.fixed[a, b] for a, b in p.links())
-                        model.row({wname(p): 1.0, "gamma": -self.b * least},
-                                  lp.LE, 0.0)
-                return
+            for paths in self.pair_paths.values():
+                for p in paths:
+                    least = min(self.fixed[a, b] for a, b in p.links())
+                    model.row({wname(p): 1.0, "gamma": -self.b * least},
+                              lp.LE, 0.0)
+            return
+        if beta is not None:
+            model.model.scale = beta
         for (a, b), paths in self.crossing.items():
             for p in paths:
-                if p not in self.pair_paths.get((p.src, p.dst), ()):
-                    continue
-                if self.fixed is None:
+                if p in self.pair_paths.get((p.src, p.dst), ()):
                     model.row({wname(p): 1.0}, lp.LE, 0.0,
                               scaled={dname(a, b): -self.b})
-                else:
-                    model.row(
-                        {wname(p): 1.0, "gamma": -self.b * self.fixed[a, b]},
-                        lp.LE, 0.0)
 
     def add_split_constraints(self, model, total):
         for pair, paths in self.pair_paths.items():
@@ -679,14 +634,13 @@ class LoopStageBuilder:
                 model.row(expr, lp.EQ, float(total))
 
 
-def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None,
-                     per_crossing=False):
+def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None,
+                     beta=None):
     """The model each stage of ``optimize`` solves, built by
     ``LoopStageBuilder`` in scaled weights: stage "1" (max mu), "2" (stage
     1's model plus the caps: joint, at ``model.scale = beta``; with fixed
     link counts on the column gamma, mu pinned at ``mu`` and min gamma) or
-    "3" (max z).  ``per_crossing`` poses fixed link counts' caps one row
-    per (link, path) crossing.
+    "3" (max z).
 
     Stage 3 is posed on the model of the stage before it, stage 2's or,
     without ``beta``, stage 1's: mu pinned at ``mu``, the caps at gamma =
@@ -705,7 +659,7 @@ def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None, beta=None,
     if stage == "1":
         return model.model
     if stage == "2" or beta is not None:
-        builder.add_sensitivity_constraints(model, per_crossing=per_crossing)
+        builder.add_sensitivity_constraints(model)
         if fixed is None:
             model.model.scale = beta if stage == "2" else mu * beta
     if stage == "2":
@@ -752,30 +706,6 @@ def _add_direct_rows(builder: LoopStageBuilder, model: NamedModel):
                 terms[wname(paths[0])] = t
         model.row(terms, lp.GE, 0.0)
     model.objective("max", {"z": 1.0})
-
-
-def loop_check_bounded(t: TrafficMatrix, crit: CriticalSet):
-    """(lambdas, slack, model) of ``traffic.check_bounded``'s LP built one
-    row at a time: the sum row, then per pair the shortfall row as >=,
-    demand over the criticals' ``demand_scale``; the slack is back in the
-    demand's unit."""
-    K, n = len(crit), t.num_pods
-    model = NamedModel("boundedness")
-    lams = [model.var(f"l{k}", 0.0, 1.0) for k in range(K)]
-    s = model.var("s", 0.0, None)
-    model.row({name: 1.0 for name in lams}, lp.LE, 1.0)
-    stack = crit.stacked()
-    sigma = demand_scale(stack)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            expr = {lams[k]: stack[k, i, j] / sigma for k in range(K)}
-            model.row(dict(expr, **{s: 1.0}), lp.GE, t.demand[i, j] / sigma)
-    model.objective("min", {s: 1.0})
-    sol = lp.solve(model.model)
-    return (np.array([model.value(sol, name) for name in lams]),
-            sol.objective_value * sigma, model.model)
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):

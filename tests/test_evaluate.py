@@ -21,13 +21,11 @@ from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
 from helpers import (einsum_link_loads, enumerate_paths, has_short_path,
-                     hetero_fabric, loop_changing_circuits,
                      loop_evaluate_static, loop_restrict_weights,
-                     loop_sensitivity_map, loop_uniform_mesh,
-                     loop_vlb_weights, lp_ideal_toe_mlu, make_fabric,
-                     random_criticals, random_fabric, random_tm, sparse_tm,
-                     stage1_routing_mlu, write_physical_topology,
-                     zero_radix_fabric)
+                     loop_sensitivity_map, loop_vlb_weights,
+                     lp_ideal_toe_mlu, make_fabric, random_criticals,
+                     random_fabric, random_tm, sparse_tm, stage1_routing_mlu,
+                     write_physical_topology, zero_radix_fabric)
 
 
 def mesh_topology(n, links_per_pair):
@@ -687,17 +685,6 @@ class TestUniformMesh:
                                rng.integers(2, 9, size=int(1)).item())
             assert validate(phys, uniform_mesh(phys)) == []
 
-    def test_matches_the_link_by_link_loop(self):
-        # Each pair's links, placed in one step, land where placing them
-        # one at a time on the switch with the most headroom puts them.
-        rng = np.random.default_rng(33)
-        for trial in range(450):
-            make = (random_fabric, hetero_fabric)[trial % 2]
-            phys = make(rng, int(rng.integers(2, 8)), int(rng.integers(1, 5)),
-                        qmin=1, qmax=int(rng.integers(1, 9)))
-            np.testing.assert_array_equal(uniform_mesh(phys).x,
-                                          loop_uniform_mesh(phys))
-
     def test_places_2_pow_50_links_at_once(self):
         # 2 pods, 1 switch, 2^50 ports each way: one pair takes them all,
         # which a link-by-link loop would take 2^50 passes to place.
@@ -832,27 +819,6 @@ class TestStaging:
     def test_bad_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
             num_stages(0.5, 1.0)
-
-    def test_changing_circuits_as_the_loop(self):
-        # Each stage's share of the torn-down circuits, cut from counts, is
-        # the np.array_split piece of the list of those circuits.
-        rng = np.random.default_rng(0)
-        for _ in range(400):
-            m_, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            old, new = rng.integers(0, 5, (2, m_, n, n))
-            stages = int(rng.integers(1, 9))
-            circuits = loop_changing_circuits(old, new)
-            assert circuits.tolist() == [
-                [i, j, m] for i in range(n) for j in range(n)
-                for m in range(m_)
-                for _ in range(max(old[m, i, j] - new[m, i, j], 0))]
-            shares = _stage_shares(np.maximum(old - new, 0), stages)
-            assert len(shares) == stages
-            for share, piece in zip(shares,
-                                    np.array_split(circuits, stages)):
-                want = np.zeros_like(old)
-                np.add.at(want, (piece[:, 2], piece[:, 0], piece[:, 1]), 1)
-                np.testing.assert_array_equal(share, want)
 
     def test_stage_shares_of_2_pow_51_circuits(self):
         # Two cells of 2**50 circuits each, split into 5 stages without

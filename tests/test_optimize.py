@@ -580,8 +580,9 @@ class TestStage3Warm:
     def test_keeps_the_cold_optimum(self, monkeypatch, first):
         # The pipeline's stage 3 reaches the optimum of stage 3 in omega,
         # built one row at a time and solved cold at the same mu and beta;
-        # the plan keeps its port budgets and its sensitivity bound.
-        for seed in range(first, first + 25):
+        # the plan keeps its port budgets and its sensitivity bound.  Three
+        # fabrics a case: more kill no seeded mutant that other tests miss.
+        for seed in range(first, first + 3):
             phys, crit = warm_instance(seed)
             b = phys.link_bandwidth
             unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
@@ -757,39 +758,6 @@ class TestLemma2Property:
 
 
 class TestRecomputeRouting:
-    @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric,
-                                        zero_radix_fabric])
-    def test_per_path_caps_match_the_per_crossing_caps(self, fabric):
-        # Link counts are constant, so a path's caps on its links are one
-        # row at the least of them: mu and beta as the oracle with one row
-        # per (link, path) crossing gives them, and the plan keeps beta on
-        # every link.  A pair without demand or a path goes direct, over
-        # no link.
-        rng = np.random.default_rng(41)
-        for _ in range(8):
-            n, m = int(rng.integers(3, 8)), int(rng.integers(1, 4))
-            phys = (fabric(rng, n, m) if fabric is zero_radix_fabric
-                    else fabric(rng, n, m, 1, 4))
-            topo = ldm_round(phys, random_fractional(rng, phys), 0).topo
-            linked = (topo.X > 0).astype(int)
-            routed = (linked + linked @ linked) > 0
-            crit = CriticalSet(tuple(TrafficMatrix(t.demand * routed)
-                                     for t in random_criticals(rng, n, 2)))
-            if not routed.any():
-                continue
-            plan = recompute_routing(phys, topo, crit)
-            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
-            X, b = topo.X.astype(float), phys.link_bandwidth
-            mu = lp.solve(loop_stage_model("1", unit_phys, unit_crit, X))
-            mu_hat = float(mu.x[-1])
-            caps = loop_stage_model("2", unit_phys, unit_crit, X, mu_hat,
-                                    per_crossing=True)
-            gamma = lp.solve(caps).objective_value
-            assert plan.mu * (sigma / b) == pytest.approx(mu_hat, rel=1e-9)
-            assert plan.beta * b == pytest.approx(gamma / mu_hat, rel=1e-9)
-            assert sensitivity_map(topo, plan.omega, b)[X > 0].max() \
-                <= plan.beta * (1 + 1e-6)
-
     def test_integral_fractional_topology_keeps_mu_and_beta(self):
         phys, crit = n2_instance()
         sol = run_pipeline(phys, crit)

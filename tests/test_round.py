@@ -275,6 +275,43 @@ class TestRepair:
             greedy, _repair(phys, d, _complete(phys, d, starts[0], c_plus),
                             c_minus, c_plus))
 
+    def test_moves_come_best_first(self):
+        # ``_moves`` lists the one-donor moves by the donor's residual
+        # d - X, then the swaps (i -> j', k -> j) by r_ij' + r_kj - r_kj',
+        # each least first, on random port-feasible assignments.
+        rng = np.random.default_rng(3)
+        distinct = set()  # the kinds seen with two or more distinct keys
+        for _ in range(30):
+            n, M = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+            phys = random_fabric(rng, n, M, qmin=1, qmax=4)
+            d = random_fractional(rng, phys).d
+            c_minus, c_plus = _brackets(d)
+            x = np.zeros((M, n, n), dtype=int)
+            for m in range(M):
+                eg = phys.egress_ports[m].copy()
+                ig = phys.ingress_ports[m].copy()
+                for _ in range(3 * n):
+                    a, b = rng.choice(n, size=2, replace=False)
+                    if eg[a] and ig[b]:
+                        x[m, a, b] += 1
+                        eg[a] -= 1
+                        ig[b] -= 1
+            r = d - x.sum(axis=0)
+            for i, j in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+                keys = []
+                for take, _ in rounding._moves(phys, d, x, c_minus, c_plus,
+                                               i, j):
+                    if np.ndim(take[0]) == 0:  # one donor, cell (m, a, b)
+                        keys.append((1, r[take[1], take[2]]))
+                    else:  # a swap taking (i, j') and (k, j)
+                        k, j2 = take[1][1], take[2][0]
+                        keys.append((2, r[i, j2] + r[k, j] - r[k, j2]))
+                assert keys == sorted(keys)
+                for kind in (1, 2):
+                    if len({key for of, key in keys if of == kind}) > 1:
+                        distinct.add(kind)
+        assert distinct == {1, 2}
+
     def test_2_pow_50_ports_starved_pair_is_raised(self):
         # Three pods on three switches, q = 2**49 links on four pairs, so
         # pod 2 has 2**50 + 2 egress ports.  The completion leaves (2, 0)
@@ -434,6 +471,21 @@ class TestPairVectorLoop:
         np.testing.assert_array_equal(got.topo.x, ref.topo.x)
         assert got.goodness == ref.goodness
         assert got.iterations_run == ref.iterations_run
+
+    def test_same_walk_past_the_first_iteration(self):
+        # Most targets stop after one iteration, where the step 1/tau is 1
+        # whatever its rule.  On this 6-pod, one-switch fabric, filled
+        # below its degrees, LDM runs all 50, so the later steps count.
+        rng = np.random.default_rng([17, 177])
+        n, m = int(rng.integers(3, 9)), int(rng.integers(1, 5))
+        phys = hetero_fabric(rng, n, m, qmin=1, qmax=4)
+        d_star = random_fractional(rng, phys,
+                                   fill=float(rng.uniform(0.3, 1.0)))
+        got = ldm_round(phys, d_star, tau_max=50)
+        ref = loop_ldm_round(phys, d_star, tau_max=50)
+        assert got.iterations_run == ref.iterations_run == 50
+        np.testing.assert_array_equal(got.topo.x, ref.topo.x)
+        assert got.goodness == ref.goodness
 
     def test_highs_holds_the_reference_subproblem(self, monkeypatch):
         # The subproblem model handed over as arrays is, once HiGHS holds

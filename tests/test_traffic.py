@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from couder import lp
 from couder.errors import InvalidInputError
 from couder.model import TmSequence, TrafficMatrix, demand_scale
 from couder.traffic import (CriticalSet, _kmeans, check_bounded,
                             extract_critical, gen_burst_tms, gen_storage_tms)
-from helpers import (assert_same_model, loop_check_bounded, random_criticals,
-                     random_tm, record_highs, record_highs_models)
+from helpers import (random_criticals, random_tm, record_highs,
+                     record_highs_models)
 
 
 def seq_of(demands, window=1.0):
@@ -75,6 +74,20 @@ class TestExtractCritical:
         crit = extract_critical(seq, 4, seed=3)
         for t, c in zip(seq, labels_of(seq, 4, 3)):
             assert (t.demand <= crit.matrices[c].demand).all()
+
+    def test_each_point_is_nearest_its_cluster_mean(self):
+        # Lloyd's iterations stop at a fixed point: against the means of
+        # the clusters returned, each point's own cluster is the nearest.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            points = rng.lognormal(size=(40, 12))
+            k = 2 + seed % 4
+            labels = _kmeans(points, k, seed)
+            means = np.array([points[labels == c].mean(axis=0)
+                              for c in range(k)])
+            dist = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+            np.testing.assert_allclose(dist[np.arange(len(points)), labels],
+                                       dist.min(axis=1), rtol=1e-12)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(9)
@@ -190,32 +203,6 @@ class TestCheckBounded:
                              + 0.1 * self.crit.matrices[1].demand)
         shrunk = TrafficMatrix(half.demand * 0.9)
         assert check_bounded(shrunk, self.crit).bounded
-
-    def test_witness_matches_loop_builder(self, monkeypatch):
-        # One add_rows block must hand HiGHS the rows the per-row builder
-        # did, so the witness is the same to the bit.
-        models = []
-        real = lp.solve
-
-        def recording(model):
-            models.append(model)
-            return real(model)
-
-        monkeypatch.setattr(lp, "solve", recording)
-        rng = np.random.default_rng(11)
-        for n, k in ((2, 1), (4, 3), (6, 5), (8, 5)):
-            crit = random_criticals(rng, n, k)
-            mask = rng.random((k, n, n)) < 0.7
-            crit = CriticalSet(tuple(TrafficMatrix(t * m) for t, m
-                                     in zip(crit.stacked(), mask)))
-            for t in (random_tm(rng, n), TrafficMatrix(
-                    0.4 * crit.matrices[0].demand)):
-                res = check_bounded(t, crit)
-                lambdas, slack, ref = loop_check_bounded(t, crit)
-                assert_same_model(models[0], ref)
-                assert res.lambdas.tobytes() == lambdas.tobytes()
-                assert res.slack == slack
-                models.clear()
 
     def test_every_check_solves_cold(self, monkeypatch):
         # The model is built once per critical set and solved cold for each
