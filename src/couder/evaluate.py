@@ -75,11 +75,17 @@ def num_stages(p: float, alpha_pred: float) -> int:
     """
     if not 0 < alpha_pred < 1:
         raise InvalidInputError("alpha_pred must lie in (0, 1)")
-    if p < 0 or p > 1 + 1e-9:
+    if not 0 <= p <= 1 + 1e-9:  # False for NaN too
         raise InvalidInputError("changed-link fraction must lie in [0, 1]")
     if p <= 0:
         return 0
     return max(1, math.ceil(p / (1.0 - alpha_pred) - 1e-9))
+
+
+def _check_bandwidth(bandwidth: float):
+    """Refuse a link bandwidth that is not a positive finite number."""
+    if not 0 < bandwidth < math.inf:  # False for NaN too
+        raise InvalidInputError("link bandwidth must be positive and finite")
 
 
 def _capacity_matrix(x: Capacity) -> np.ndarray:
@@ -93,6 +99,7 @@ def _capacity_matrix(x: Capacity) -> np.ndarray:
 def evaluate_static(x: Capacity, omega: RoutingWeights, t: TrafficMatrix,
                     bandwidth: float = 1.0) -> EvalRecord:
     """Utilization, hop count, and feasibility of one matrix on fixed routes."""
+    _check_bandwidth(bandwidth)
     cap = _capacity_matrix(x) * bandwidth
     if cap.shape != t.demand.shape:
         raise InvalidInputError("topology and matrix shapes differ")
@@ -217,8 +224,7 @@ def optimal_routing_mlu(x: Capacity, t: TrafficMatrix,
     sigma c_l U / c_max, an MLU of at most U sigma / (b c_max).  The tests
     keep stage 1 as the oracle.
     """
-    if not 0 < bandwidth < math.inf:  # False for NaN too
-        raise InvalidInputError("link bandwidth must be positive and finite")
+    _check_bandwidth(bandwidth)
     cap = np.ascontiguousarray(_capacity_matrix(x), dtype=float)
     if cap.shape != t.demand.shape:
         raise InvalidInputError("topology and matrix shapes differ")
@@ -357,6 +363,7 @@ def fat_tree_eval(t: TrafficMatrix, pod_uplinks, bandwidth: float = 1.0,
     negative.  A pod without effective capacity, from no uplinks or from
     underflow, adds nothing without demand and makes the MLU inf with
     it."""
+    _check_bandwidth(bandwidth)
     if not 0 < oversub < math.inf:
         raise InvalidInputError("oversubscription must be positive and"
                                 " finite")
@@ -380,6 +387,7 @@ def sensitivity_map(x: Capacity, omega: RoutingWeights,
                     bandwidth: float = 1.0) -> np.ndarray:
     """Worst utilization increase per unit demand surge, per link: the
     largest w / capacity of a path of weight w > 0 crossing it."""
+    _check_bandwidth(bandwidth)
     cap = _capacity_matrix(x) * bandwidth
     n = cap.shape[0]
     if omega.num_pods != n:

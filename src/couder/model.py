@@ -161,8 +161,9 @@ class TmSequence:
             raise InvalidInputError("timestamps must be finite numbers")
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise InvalidInputError("timestamps must be strictly increasing")
-        if self.aggregation_window <= 0:
-            raise InvalidInputError("aggregation window must be positive")
+        if not 0 < self.aggregation_window < math.inf:  # False for NaN too
+            raise InvalidInputError("aggregation window must be positive and"
+                                    " finite")
         object.__setattr__(self, "matrices", mats)
 
     def __len__(self) -> int:

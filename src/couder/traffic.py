@@ -157,10 +157,11 @@ def gen_storage_tms(num_pods: int, count: int, seed: int = 0,
                     demand_range: tuple = (1.0, 100.0)) -> TmSequence:
     """Disaggregated-storage traffic: compute pods read/write to storage pods.
 
-    Pods [0, N/2) are compute, [N/2, N) storage.  Each compute pod draws one
-    read and one write demand uniformly from ``demand_range``, finite with
-    0 <= min <= max, and spreads each evenly over every storage pod; storage
-    and compute pods never talk among themselves.
+    Pods [0, N/2) are compute, [N/2, N) storage.  Each compute pod in turn
+    draws its write demand, then its read demand, uniformly from
+    ``demand_range``, finite with 0 <= min <= max, and spreads each evenly
+    over every storage pod; storage and compute pods never talk among
+    themselves.
     """
     if num_pods < 4 or num_pods % 2:
         raise InvalidInputError("need an even pod count of at least 4")

@@ -13,8 +13,8 @@ from couder.errors import (InfeasibleRoutingError, InvalidInputError,
                            UnboundedThroughputError)
 from couder.evaluate import _capacity_matrix
 from couder.model import (FractionalTopology, Path, PhysicalTopology,
-                          TrafficMatrix, demand_scale)
-from couder.optimize import BETA_CAP, solve_maxmin_throughput
+                          TrafficMatrix)
+from couder.optimize import solve_maxmin_throughput
 from couder.traffic import CriticalSet
 
 
@@ -430,41 +430,6 @@ def loop_restrict_weights(weights: dict, cap: np.ndarray) -> dict:
     return out
 
 
-def einsum_link_loads(weights: dict, t: np.ndarray) -> np.ndarray:
-    """Reference of ``RoutingWeights.loads`` for one matrix ``t``, as an
-    (N, N) array: dense direct and [src, dst, via] weights contracted with
-    t."""
-    n = t.shape[0]
-    direct, via = np.zeros((n, n)), np.zeros((n, n, n))
-    for p, w in weights.items():
-        if p.via is None:
-            direct[p.src, p.dst] = w
-        else:
-            via[p.src, p.dst, p.via] = w
-    load = direct * t
-    # 2-hop paths: first link (src, via), second link (via, dst).
-    load += np.einsum("ijk,ij->ik", via, t)
-    load += np.einsum("ijk,ij->kj", via, t)
-    return load
-
-
-def loop_evaluate_static(cap: np.ndarray, weights: dict, t: np.ndarray
-                         ) -> tuple:
-    """Reference (mlu, direct fraction) of ``evaluate.evaluate_static`` on
-    capacities ``cap`` (bandwidth applied), from ``einsum_link_loads``."""
-    load = einsum_link_loads(weights, t)
-    util = np.zeros_like(load)
-    live = cap > 0
-    util[live] = load[live] / cap[live]
-    if ((~live) & (load > 0)).any():
-        mlu = math.inf
-    else:
-        mlu = float(util.max(initial=0.0))
-    direct = sum(w * t[p.src, p.dst] for p, w in weights.items()
-                 if p.via is None)
-    return mlu, (float(direct / t.sum()) if t.sum() > 0 else 1.0)
-
-
 def convex_combination(rng: np.random.Generator, crit: CriticalSet
                        ) -> TrafficMatrix:
     """Random demand inside the critical set: lambda >= 0, sum lambda <= 1."""
@@ -473,48 +438,6 @@ def convex_combination(rng: np.random.Generator, crit: CriticalSet
     t = np.tensordot(lam, crit.stacked(), axes=1)
     np.fill_diagonal(t, 0.0)
     return TrafficMatrix(t)
-
-
-def wname(p: Path) -> str:
-    """Name of a path's weight in the references below."""
-    if p.via is None:
-        return f"w_{p.src}.{p.dst}"
-    return f"w_{p.src}.{p.via}.{p.dst}"
-
-
-def dname(i: int, j: int) -> str:
-    """Name of a link count in the references below."""
-    return f"d_{i}.{j}"
-
-
-class NamedModel:
-    """An ``lp.LpModel`` built from variable names through a name -> column
-    map of its own, one ``add_rows`` call per row: how the references
-    below build the models the index-array code must reproduce."""
-
-    def __init__(self, name: str):
-        self.model = lp.LpModel(name)
-        self.col = {}
-
-    def var(self, name: str, lb=0.0, ub=None) -> str:
-        assert name not in self.col, name
-        self.col[name] = int(self.model.add_vars(1, lb, ub)[0])
-        return name
-
-    def _terms(self, expr: dict) -> tuple:
-        return ([0] * len(expr), [self.col[name] for name in expr],
-                list(expr.values()))
-
-    def row(self, expr: dict, relation: str, rhs: float, scaled=None):
-        """Add ``expr + scale * scaled  relation  rhs``."""
-        self.model.add_rows(*self._terms(expr), relation, [rhs],
-                            scaled=self._terms(scaled) if scaled else None)
-
-    def objective(self, sense: str, expr: dict):
-        self.model.set_objective(sense, *self._terms(expr)[1:])
-
-    def value(self, sol: lp.LpSolution, name: str) -> float:
-        return float(sol.x[self.col[name]])
 
 
 def crossing_paths(n: int) -> dict:
@@ -526,186 +449,6 @@ def crossing_paths(n: int) -> dict:
         paths.extend(Path(i, b, a) for i in range(n) if i not in (a, b))
         out[(a, b)] = paths
     return out
-
-
-def _usable(p: Path, room) -> bool:
-    """Whether each link of ``p`` can hold a link: ``room[a, b] > 0``."""
-    return all(room[a, b] > 0 for a, b in p.links())
-
-
-class LoopStageBuilder:
-    """Reference for ``optimize._StageBuilder``'s blocks: one row at a
-    time from named terms, the rows in the order the index-array builder
-    must reproduce."""
-
-    def __init__(self, phys, crit, fixed=None):
-        if crit.num_pods != phys.num_pods:
-            raise InvalidInputError("critical set does not match the fabric")
-        self.phys = phys
-        self.crit = crit
-        self.fixed = None if fixed is None else np.asarray(fixed, dtype=float)
-        self.n = phys.num_pods
-        self.b = phys.link_bandwidth
-        self.paths = enumerate_paths(self.n)
-        self.crossing = crossing_paths(self.n)
-        self.demand = crit.stacked()
-        self.demanded = self.demand.max(axis=0) > 0
-        self.pair_paths = {}
-        self.fallback_pairs = []
-        # With free link counts a link can hold as many as its pods' radices.
-        room = np.minimum.outer(phys.egress_radix, phys.ingress_radix) \
-            if self.fixed is None else self.fixed
-        for (i, j) in _pairs(self.n):
-            usable = [p for p in self.paths[(i, j)] if _usable(p, room)]
-            if usable:
-                self.pair_paths[(i, j)] = usable
-            elif self.demanded[i, j]:
-                raise InfeasibleRoutingError(
-                    f"no usable path for demanded pair ({i}, {j})", mu=0.0)
-            else:
-                self.fallback_pairs.append((i, j))
-
-    def new_model(self, name, weight_ub) -> NamedModel:
-        model = NamedModel(name)
-        for paths in self.pair_paths.values():
-            for p in paths:
-                model.var(wname(p), 0.0, weight_ub)
-        if self.fixed is None:
-            r_eg = self.phys.egress_radix
-            r_ig = self.phys.ingress_radix
-            for i, j in _pairs(self.n):
-                model.var(dname(i, j), 0.0, float(min(r_eg[i], r_ig[j])))
-            for i in range(self.n):
-                model.row({dname(i, j): 1.0 for j in range(self.n) if j != i},
-                          lp.LE, float(r_eg[i]))
-                model.row({dname(j, i): 1.0 for j in range(self.n) if j != i},
-                          lp.LE, float(r_ig[i]))
-        return model
-
-    def add_load_constraints(self, model, scale):
-        for a, b in _pairs(self.n):
-            for k in range(len(self.crit)):
-                terms = {}
-                for p in self.crossing[(a, b)]:
-                    if (p.src, p.dst) not in self.pair_paths:
-                        continue
-                    if p not in self.pair_paths[(p.src, p.dst)]:
-                        continue
-                    t = self.demand[k, p.src, p.dst]
-                    if t > 0:
-                        terms[wname(p)] = scale * t
-                if not terms:
-                    continue
-                if self.fixed is None:
-                    terms[dname(a, b)] = -self.b
-                    model.row(terms, lp.LE, 0.0)
-                else:
-                    model.row(terms, lp.LE, self.b * self.fixed[a, b])
-
-    def add_sensitivity_constraints(self, model, beta=None):
-        """The caps; with fixed link counts on a column "gamma", pinned at
-        ``beta`` when given (omega) and free otherwise (scaled weights).
-        One row per (link, path) crossing, except with fixed link counts:
-        there one row per usable path, in column order, at the least link
-        count on it."""
-        if self.fixed is not None:
-            model.var("gamma", 0.0 if beta is None else beta, beta)
-            for paths in self.pair_paths.values():
-                for p in paths:
-                    least = min(self.fixed[a, b] for a, b in p.links())
-                    model.row({wname(p): 1.0, "gamma": -self.b * least},
-                              lp.LE, 0.0)
-            return
-        if beta is not None:
-            model.model.scale = beta
-        for (a, b), paths in self.crossing.items():
-            for p in paths:
-                if p in self.pair_paths.get((p.src, p.dst), ()):
-                    model.row({wname(p): 1.0}, lp.LE, 0.0,
-                              scaled={dname(a, b): -self.b})
-
-    def add_split_constraints(self, model, total):
-        for pair, paths in self.pair_paths.items():
-            expr = {wname(p): 1.0 for p in paths}
-            if isinstance(total, str):
-                expr[total] = -1.0
-                model.row(expr, lp.EQ, 0.0)
-            else:
-                model.row(expr, lp.EQ, float(total))
-
-
-def loop_stage_model(stage: str, phys, crit, fixed=None, mu=None,
-                     beta=None):
-    """The model each stage of ``optimize`` solves, built by
-    ``LoopStageBuilder`` in scaled weights: stage "1" (max mu), "2" (stage
-    1's model plus the caps: joint, at ``model.scale = beta``; with fixed
-    link counts on the column gamma, mu pinned at ``mu`` and min gamma) or
-    "3" (max z).
-
-    Stage 3 is posed on the model of the stage before it, stage 2's or,
-    without ``beta``, stage 1's: mu pinned at ``mu``, the caps at gamma =
-    ``mu * beta`` (``scale``, or the gamma column pinned), then z, at
-    most ``mu`` times the least positive critical total, and its rows."""
-    builder = LoopStageBuilder(phys, crit, fixed)
-    name = {"1": "maxmin-throughput" if fixed is None
-            else "fixed-throughput",
-            "2": "desensitize" if fixed is None else "fixed-desensitize",
-            "3": "minimize-ahc-warm"}[stage]
-    model = builder.new_model(name, None)
-    model.var("mu", 0.0, None)
-    builder.add_split_constraints(model, "mu")
-    builder.add_load_constraints(model, 1.0)
-    model.objective("max", {"mu": 1.0})
-    if stage == "1":
-        return model.model
-    if stage == "2" or beta is not None:
-        builder.add_sensitivity_constraints(model)
-        if fixed is None:
-            model.model.scale = beta if stage == "2" else mu * beta
-    if stage == "2":
-        if fixed is not None:
-            model.model.set_bounds([model.col["mu"]], mu, mu)
-            model.objective("min", {"gamma": 1.0})
-        return model.model
-    model.model.set_bounds([model.col["mu"]], mu, mu)
-    if beta is not None and fixed is not None:
-        model.model.set_bounds([model.col["gamma"]], mu * beta, mu * beta)
-    model.var("z", 0.0, mu * min(t.demand.sum() for t in crit
-                                  if t.demand.any()))
-    _add_direct_rows(builder, model)
-    return model.model
-
-
-def loop_stage3_in_omega(phys, crit, fixed=None, mu=None, beta=None
-                         ) -> NamedModel:
-    """Stage 3 in the routing fractions omega, z unbounded: weights
-    summing to one per pair, the loads at ``mu`` and, with ``beta``, the
-    caps at ``beta``: an oracle for the optimum of the model in scaled
-    weights that ``optimize`` solves instead."""
-    builder = LoopStageBuilder(phys, crit, fixed)
-    model = builder.new_model("minimize-ahc", 1.0)
-    model.var("z", 0.0, None)
-    builder.add_split_constraints(model, 1.0)
-    builder.add_load_constraints(model, mu)
-    if beta is not None:
-        builder.add_sensitivity_constraints(model, beta)
-    _add_direct_rows(builder, model)
-    return model
-
-
-def _add_direct_rows(builder: LoopStageBuilder, model: NamedModel):
-    """Stage 3's rows, one per critical that carries traffic: its traffic
-    on direct paths is at least z; and the objective, max z."""
-    for k in range(len(builder.crit)):
-        if not builder.demand[k].any():
-            continue
-        terms = {"z": -1.0}
-        for (i, j), paths in builder.pair_paths.items():
-            t = builder.demand[k, i, j]
-            if t > 0 and paths[0].via is None:
-                terms[wname(paths[0])] = t
-        model.row(terms, lp.GE, 0.0)
-    model.objective("max", {"z": 1.0})
 
 
 def assert_same_model(model: lp.LpModel, ref: lp.LpModel):
@@ -859,43 +602,3 @@ def frozen(model: lp.LpModel) -> lp.LpModel:
     copy.__dict__.update(model.__dict__, _blocks=list(model._blocks),
                          _assembled=None)
     return copy
-
-
-def feasible_at_beta(builder: LoopStageBuilder, mu_star: float,
-                     beta: float) -> bool:
-    """Whether stage 2's rows admit weights at this beta: one feasibility
-    LP built from scratch, the caps written with beta as a constant."""
-    model = builder.new_model("oracle", 1.0)
-    builder.add_split_constraints(model, 1.0)
-    builder.add_load_constraints(model, mu_star)
-    for a, b in _pairs(builder.n):
-        for p in builder.crossing[(a, b)]:
-            if p not in builder.pair_paths.get((p.src, p.dst), ()):
-                continue
-            if builder.fixed is None:
-                model.row({wname(p): 1.0, dname(a, b): -beta * builder.b},
-                          lp.LE, 0.0)
-            else:
-                model.row({wname(p): 1.0}, lp.LE,
-                          beta * builder.b * builder.fixed[a, b])
-    return lp.solve(model.model).optimal
-
-
-def bisect_beta(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
-                fixed=None, tol: float = 1e-3):
-    """Smallest feasible beta by bisection from the bracket [0, 1], whose
-    upper end doubles until feasible; stops at relative width ``tol``.
-    None when no beta up to ``BETA_CAP`` is feasible."""
-    builder = LoopStageBuilder(phys, crit, fixed=fixed)
-    lo, hi = 0.0, 1.0
-    while not feasible_at_beta(builder, mu_star, hi):
-        lo, hi = hi, 2 * hi
-        if hi > BETA_CAP:
-            return None
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2
-        if feasible_at_beta(builder, mu_star, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -41,6 +41,11 @@ class TestRoundTrips:
         assert len(seq) == 5
         np.testing.assert_allclose(seq.stacked(), np.stack(demands))
 
+    def test_window_is_the_least_timestamp_step(self, tmp_path):
+        p = tmp_path / "seq.jsonl"
+        write_seq(p, constant_seq(2, 3), times=[0.0, 1.0, 3.0])
+        assert cli.read_tm_sequence(str(p)).aggregation_window == 1.0
+
     def test_physical_topology(self, tmp_path):
         phys = make_fabric(3, 2, [2, 4, 3], bandwidth=25.0)
         p = tmp_path / "phys.json"
@@ -186,6 +191,22 @@ class TestCommands:
 
         assert run("a") == run("b")
 
+    def test_round_reroutes_a_plain_plan_plain(self, tmp_path):
+        # Re-routing on the rounded topology is desensitized exactly when
+        # the fractional plan was.
+        phys = make_fabric(4, 1, 3)
+        f = {name: str(tmp_path / name)
+             for name in ("phys.json", "crit.json", "sol.json", "topo.json")}
+        write_physical_topology(f["phys.json"], phys)
+        cli.write_critical_set(f["crit.json"], random_criticals(
+            np.random.default_rng(4), 4, 2))
+        assert cli.main(["optimize", f["phys.json"], f["crit.json"], "--out",
+                         f["sol.json"], "--no-desensitize"]) == 0
+        assert cli.main(["round", f["phys.json"], f["sol.json"],
+                         f["crit.json"], "--out", f["topo.json"]]) == 0
+        with open(f["topo.json"], encoding="utf-8") as fh:
+            assert json.load(fh)["beta"] is None
+
     def test_round_integral_case(self, tmp_path, capsys):
         physfile = tmp_path / "phys.json"
         write_physical_topology(str(physfile), make_fabric(2, 1, 4))
@@ -217,7 +238,13 @@ class TestCommands:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == 5
         assert all(line["ahc"] == 2.0 for line in lines)
-        assert (tmp_path / "metrics.jsonl.mlu_ccdf.txt").exists()
+        # The CCDF: the sorted MLUs, each with the share of MLUs above it.
+        ccdf = np.loadtxt(tmp_path / "metrics.jsonl.mlu_ccdf.txt")
+        np.testing.assert_allclose(ccdf[:, 0], sorted(line["mlu"]
+                                                      for line in lines),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(ccdf[:, 1], [0.8, 0.6, 0.4, 0.2, 0.0],
+                                   atol=1e-12)
         assert (tmp_path / "metrics.jsonl.ahc_pct.txt").exists()
 
     def test_evaluate_static_solution(self, tmp_path):
@@ -893,6 +920,7 @@ class TestMalformedFiles:
         "w-nan": ({"src": 0, "dst": 2, "via": 1, "w": math.nan}, False),
         "path-repeated": ({"src": 0, "dst": 2, "via": None, "w": 0.0}, False),
         "w-negative": ({"src": 0, "dst": 2, "via": None, "w": -1.0}, True),
+        "w-above-one": ({"src": 0, "dst": 2, "via": None, "w": 1.5}, True),
     }
 
     @pytest.mark.parametrize("case", BAD_OMEGA)

@@ -20,8 +20,7 @@ from couder.model import (IntegerTopology, Path, PhysicalTopology,
 from couder.optimize import recompute_routing, run_pipeline
 from couder.traffic import (CriticalSet, check_bounded, extract_critical,
                             gen_storage_tms)
-from helpers import (einsum_link_loads, enumerate_paths, has_short_path,
-                     loop_evaluate_static, loop_restrict_weights,
+from helpers import (enumerate_paths, has_short_path, loop_restrict_weights,
                      loop_sensitivity_map, loop_vlb_weights,
                      lp_ideal_toe_mlu, make_fabric, random_criticals,
                      random_fabric, random_tm, sparse_tm, stage1_routing_mlu,
@@ -142,8 +141,8 @@ def random_routing(rng, n) -> dict:
 
 
 class TestRoutingArithmetic:
-    """The baselines, sensitivity map, restriction and evaluation on the
-    path vector against reference loops over ``{Path: w}`` maps."""
+    """The baselines, sensitivity map and restriction on the path vector
+    against reference loops over ``{Path: w}`` maps."""
 
     CASES = [(n, seed) for n in range(3, 10) for seed in range(4)]
 
@@ -161,34 +160,6 @@ class TestRoutingArithmetic:
             assert sen.tobytes() == want.tobytes()
             kept = _restrict_weights(omega, other)
             assert dict(kept.weights) == loop_restrict_weights(weights, other)
-
-    @pytest.mark.parametrize("n, seed", CASES)
-    def test_evaluate_static_as_the_einsum(self, n, seed):
-        rng = np.random.default_rng([n, seed, 1])
-        cap = random_capacity(rng, n)
-        bandwidth = float(rng.uniform(0.5, 4.0))
-        raw = random_routing(rng, n)
-        # The raw routing mostly loads a dead link; restricted to live
-        # links, it is mostly feasible.
-        for weights, t in itertools.product(
-                (raw, loop_restrict_weights(raw, cap)),
-                (random_tm(rng, n), sparse_tm(rng, n, 0.3))):
-            omega = RoutingWeights.of(weights, n)
-            load = np.zeros((n, n))
-            tables = _tables(n)
-            load[tables.pair_src, tables.pair_dst] = omega.loads(
-                t.demand[None])[0]
-            np.testing.assert_allclose(
-                load, einsum_link_loads(weights, t.demand), rtol=1e-15,
-                atol=0.0)
-            rec = evaluate_static(cap, omega, t, bandwidth)
-            mlu, direct = loop_evaluate_static(cap * bandwidth, weights,
-                                               t.demand)
-            assert rec.feasible == math.isfinite(mlu)
-            if rec.feasible:
-                assert rec.mlu == pytest.approx(mlu, rel=1e-15, abs=0.0)
-            assert rec.direct_fraction == pytest.approx(direct, rel=1e-15,
-                                                        abs=0.0)
 
     def test_pod_count_mismatch_rejected(self):
         omega = direct_only_weights(mesh_topology(3, 1))
@@ -300,9 +271,15 @@ class TestOptimalRouting:
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bandwidth_not_positive_and_finite(self, bandwidth):
-        t = random_tm(np.random.default_rng(0), 3)
-        with pytest.raises(InvalidInputError, match="bandwidth"):
-            optimal_routing_mlu(mesh_topology(3, 2), t, bandwidth)
+        # Every public function that takes a bandwidth refuses it alike.
+        t, topo = random_tm(np.random.default_rng(0), 3), mesh_topology(3, 2)
+        omega = vlb_weights(topo)
+        for call in (lambda: optimal_routing_mlu(topo, t, bandwidth),
+                     lambda: evaluate_static(topo, omega, t, bandwidth),
+                     lambda: sensitivity_map(topo, omega, bandwidth),
+                     lambda: fat_tree_eval(t, 4, bandwidth)):
+            with pytest.raises(InvalidInputError, match="link bandwidth"):
+                call()
 
     def test_rejects_shape_mismatch(self):
         t = random_tm(np.random.default_rng(0), 4)
@@ -819,6 +796,11 @@ class TestStaging:
     def test_bad_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
             num_stages(0.5, 1.0)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1.5])
+    def test_fraction_outside_0_1_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="fraction"):
+            num_stages(p, 0.8)
 
     def test_stage_shares_of_2_pow_51_circuits(self):
         # Two cells of 2**50 circuits each, split into 5 stages without

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from couder.errors import InvalidInputError
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
                           RoutingWeights, TmSequence, TrafficMatrix, _tables,
-                          validate)
+                          demand_scale, validate)
 from helpers import crossing_paths, enumerate_paths, make_fabric
 
 
@@ -269,6 +269,21 @@ class TestTmSequence:
         seq = TmSequence((TrafficMatrix(np.zeros((2, 2))),) * 3,
                          aggregation_window=2.0)
         assert seq.times().tolist() == [0.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, np.nan, np.inf])
+    def test_window_not_positive_and_finite_rejected(self, window):
+        with pytest.raises(InvalidInputError, match="aggregation window"):
+            TmSequence((TrafficMatrix(np.zeros((2, 2))),),
+                       aggregation_window=window)
+
+
+@pytest.mark.parametrize("top, want", [
+    (1.0, 1.0), (1.5, 1.0), (2.0, 2.0), (3.9, 2.0), (0.7, 0.5),
+    (2.0 ** -1030, 2.0 ** -1030), (1e300, 2.0 ** 996), (0.0, 1.0)])
+def test_demand_scale_is_the_power_of_two_at_or_below_the_top(top, want):
+    demand = np.zeros((2, 3, 3))
+    demand[1, 0, 2] = top
+    assert demand_scale(demand) == want
 
 
 class TestPath:

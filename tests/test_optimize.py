@@ -14,12 +14,11 @@ from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
 from couder.round import ldm_round
 from couder.evaluate import evaluate_static, ideal_toe_mlu, sensitivity_map
 from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
-from helpers import (LoopStageBuilder, assert_same_model, bisect_beta,
-                     convex_combination, feasible_at_beta, frozen,
-                     hetero_fabric, idle_pod_instance, loop_stage3_in_omega,
-                     loop_stage_model, make_fabric, random_criticals,
-                     random_fabric, random_fractional, record_highs,
-                     record_highs_models, sparse_tm, zero_radix_fabric)
+from helpers import (assert_same_model, convex_combination, frozen,
+                     hetero_fabric, idle_pod_instance, make_fabric,
+                     random_criticals, random_fabric, random_fractional,
+                     record_highs, record_highs_models, sparse_tm,
+                     zero_radix_fabric)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -113,6 +112,21 @@ class TestMaxminThroughput:
             sums[(p.src, p.dst)] = sums.get((p.src, p.dst), 0.0) + w
         assert len(sums) == 20
         assert all(abs(s - 1.0) <= 1e-9 for s in sums.values())
+
+    def test_solution_lifts_d_to_the_critical_loads(self):
+        # A vertex routing every pair direct at mu, with its link counts at
+        # 0: the plan's d is raised to each link's largest critical load at
+        # mu, in links.
+        rng = np.random.default_rng(2)
+        phys, crit = make_fabric(4, 1, 6), random_criticals(rng, 4, 3)
+        builder = _StageBuilder(phys, crit)
+        t, mu = builder.tables, 0.75
+        x = np.zeros(builder.stage_col + 1)
+        x[builder.col[np.arange(len(t.pairs)) * (builder.n - 1)]] = mu
+        d = builder.solution(x, mu).d.d
+        want = mu * builder.demand.max(axis=0)
+        np.testing.assert_allclose(d[t.pair_src, t.pair_dst],
+                                   want[t.pair_src, t.pair_dst], rtol=1e-15)
 
     @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
     @pytest.mark.parametrize("sparse", [False, True])
@@ -250,6 +264,26 @@ def within_tol(a: float, b: float) -> bool:
     return abs(a - b) <= BETA_TOL * max(a, b)
 
 
+def stage2_reaches(phys, crit, mu: float, beta: float, fixed=None) -> bool:
+    """Whether stage 2's own model, built afresh, keeps throughput mu
+    under the bound beta (both in the plan's units): with free link counts
+    its largest throughput at the cap gamma = mu beta is at least
+    mu (1 - MU_SLACK); with fixed ones some weights meet mu with gamma
+    pinned there."""
+    builder = _StageBuilder(phys, crit, fixed)
+    mu_hat, beta_hat = builder.unitless(mu, beta)
+    model = _throughput_model(builder, "desensitize" if fixed is None
+                              else "fixed-desensitize", caps=True)
+    gamma = mu_hat * beta_hat
+    if fixed is None:
+        model.scale = gamma
+        sol = lp.solve(model)
+        return sol.x[builder.stage_col] >= mu_hat * (1 - MU_SLACK)
+    model.set_bounds([builder.stage_col], mu_hat, mu_hat)
+    model.set_bounds([builder.stage_col + 1], gamma, gamma)
+    return lp.solve(model).optimal
+
+
 def rounded_instance(seed: int, fabric):
     rng = np.random.default_rng(500 + seed)
     phys = fabric(rng, 4, 2, qmin=2, qmax=6)
@@ -266,13 +300,14 @@ class TestStage2Bracket:
             phys, crit, topo = rounded_instance(seed, fabric)
             X = topo.X.astype(float)
             mu = solve_maxmin_throughput(phys, crit, _fixed=X).mu
-            oracle = bisect_beta(phys, crit, mu, fixed=X)
             models = record_solves(monkeypatch)
             beta = desensitize(phys, crit, mu, _fixed=X).beta
-            assert beta <= oracle * (1 + 1e-7)
-            assert within_tol(beta, oracle)
             assert [m.name for m in models] == ["fixed-desensitize"]
             monkeypatch.undo()
+            # The one LP's beta is the least feasible: stage 2's model
+            # keeps mu at it, and not just below it.
+            assert stage2_reaches(phys, crit, mu, beta, X)
+            assert not stage2_reaches(phys, crit, mu, beta * (1 - 1e-6), X)
 
     @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
     def test_recompute_stage3_feasible_at_exact_fixed_beta(self, fabric):
@@ -303,18 +338,24 @@ class TestStage2Bracket:
         mu = solve_maxmin_throughput(phys, crit).mu
         radix = min(phys.egress_radix.min(), phys.ingress_radix.min())
         bound = 1.0 / (phys.link_bandwidth * radix)
-        builder = LoopStageBuilder(phys, crit)
         beta = desensitize(phys, crit, mu).beta
         assert beta >= bound
-        assert not feasible_at_beta(builder, mu, bound * (1 - 1e-3))
-        assert within_tol(beta, bisect_beta(phys, crit, mu))
+        assert not stage2_reaches(phys, crit, mu, bound * (1 - 1e-3))
+        assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_n2_lower_bracket_is_optimal_after_one_lp(self, monkeypatch):
-        phys, crit = n2_instance()
-        models = record_solves(monkeypatch)
-        sol = desensitize(phys, crit, 0.5)
-        assert sol.beta == 0.25
-        assert [m.name for m in models] == ["desensitize"]
+        # Also with uneven radices: egress 4 and 3, ingress 5 and 2.  The
+        # bound is the least radix, 2, over either side, and stage 2 meets
+        # it with d_01 at its most, 2.
+        uneven = PhysicalTopology(2, 1, [[4, 3]], [[5, 2]])
+        for phys, crit in (n2_instance(), (uneven, n2_instance()[1])):
+            mu = solve_maxmin_throughput(phys, crit).mu
+            models = record_solves(monkeypatch)
+            sol = desensitize(phys, crit, mu)
+            monkeypatch.undo()
+            assert sol.beta == 1.0 / min(phys.egress_radix.min(),
+                                         phys.ingress_radix.min())
+            assert [m.name for m in models] == ["desensitize"]
 
     def test_joint_newton_reuses_one_model(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -396,7 +437,7 @@ class TestStage2Newton:
         monkeypatch.undo()
         assert any(F >= mu * (1 - MU_SLACK) and slope * gamma <= MU_SLACK * F
                    for gamma, F, slope in steps[:-1])
-        assert within_tol(beta, bisect_beta(phys, crit, mu))
+        assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_probe_below_newton_overshoot_closes_bracket(self, monkeypatch):
         # F is convex just below the root here, so Newton steps overshoot
@@ -410,7 +451,7 @@ class TestStage2Newton:
         beta = desensitize(phys, crit, mu).beta
         monkeypatch.undo()
         assert len(steps) <= 13
-        assert within_tol(beta, bisect_beta(phys, crit, mu))
+        assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_stage3_solves_at_stage2_output(self):
         for phys, crit in joint_instances():
@@ -557,6 +598,37 @@ def warm_instance(seed: int) -> tuple:
     return phys, CriticalSet(tuple(sparse_tm(rng, n, 0.3) for _ in range(k)))
 
 
+def warm_and_cold_stage3(monkeypatch, phys, crit, desensitized, topo=None):
+    """(the plan of ``run_pipeline``, or of ``recompute_routing`` on
+    ``topo``, and a standalone ``minimize_ahc``, solved cold, at the mu
+    and beta the plan's stage 3 was given)."""
+    fixed = None if topo is None else topo.X.astype(float)
+    calls = record_args(monkeypatch, "minimize_ahc")
+    if topo is None:
+        plan = run_pipeline(phys, crit, desensitized)
+    else:
+        plan = recompute_routing(phys, topo, crit, desensitized)
+    monkeypatch.undo()
+    mu, beta = calls[0][2:4]
+    assert plan.mu == pytest.approx(mu, rel=1e-12)
+    assert plan.beta == pytest.approx(beta, rel=1e-12)
+    return plan, minimize_ahc(phys, crit, mu, beta, _fixed=fixed)
+
+
+def assert_stage3_invariants(plan, cold, x, crit, b: float, sen_tol: float):
+    """``plan``'s z is the cold stage 3's, each critical at ``plan.mu``
+    fits the capacities ``x``, and, desensitized, no link's sensitivity
+    passes beta by more than ``sen_tol`` of it."""
+    assert direct_traffic(plan, crit) == pytest.approx(
+        direct_traffic(cold, crit), rel=1e-6)
+    for t in crit:
+        assert evaluate_static(x, plan.omega, t, b).mlu \
+            <= (1 + 1e-6) / plan.mu
+    if plan.beta is not None:
+        assert sensitivity_map(x, plan.omega, b).max() \
+            <= plan.beta * (1 + sen_tol)
+
+
 def direct_traffic(sol, crit) -> float:
     """Stage 3's z in a plan: the least traffic, as a share of demand
     over sigma, that any critical with traffic puts on direct paths."""
@@ -567,45 +639,26 @@ def direct_traffic(sol, crit) -> float:
     return float((demand @ direct).min() / demand_scale(crit.stacked()))
 
 
-def within_caps(sol, b: float) -> bool:
-    """Whether ``sensitivity_map`` stays at most beta."""
-    return bool(sensitivity_map(sol.d, sol.omega, b).max()
-                <= sol.beta * (1 + 1e-9))
-
-
 class TestStage3Warm:
     """Stage 3 re-solved on the model of the stage before it."""
 
     @pytest.mark.parametrize("first", range(0, 200, 25))
     def test_keeps_the_cold_optimum(self, monkeypatch, first):
-        # The pipeline's stage 3 reaches the optimum of stage 3 in omega,
-        # built one row at a time and solved cold at the same mu and beta;
-        # the plan keeps its port budgets and its sensitivity bound.  Three
+        # The pipeline's stage 3, re-solved warm, reaches the z of a cold
+        # standalone stage 3 at the same mu and beta; the plan keeps its
+        # port budgets, its sensitivity bound and its throughput.  Three
         # fabrics a case: more kill no seeded mutant that other tests miss.
         for seed in range(first, first + 3):
             phys, crit = warm_instance(seed)
-            b = phys.link_bandwidth
-            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
             for desensitized in (True, False):
-                calls = record_args(monkeypatch, "minimize_ahc")
-                plan = run_pipeline(phys, crit, desensitized)
-                monkeypatch.undo()
-                mu, beta = calls[0][2:4]
-                assert plan.mu == pytest.approx(mu, rel=1e-12)
-                assert plan.beta == pytest.approx(beta, rel=1e-12)
-                oracle = loop_stage3_in_omega(
-                    unit_phys, unit_crit, None, mu * (sigma / b),
-                    None if beta is None else beta * b)
-                sol = lp.solve(oracle.model)
-                assert sol.optimal
-                assert direct_traffic(plan, crit) == pytest.approx(
-                    oracle.value(sol, "z"), rel=1e-6)
+                plan, cold = warm_and_cold_stage3(monkeypatch, phys, crit,
+                                                  desensitized)
                 assert (plan.d.d.sum(axis=1)
                         <= phys.egress_radix + 1e-6).all()
                 assert (plan.d.d.sum(axis=0)
                         <= phys.ingress_radix + 1e-6).all()
-                if desensitized:
-                    assert within_caps(plan, b)
+                assert_stage3_invariants(plan, cold, plan.d, crit,
+                                         phys.link_bandwidth, 1e-9)
 
     def test_fallback_bracket_hands_on_the_accepted_basis(self,
                                                           monkeypatch):
@@ -850,28 +903,16 @@ class TestRecomputeRouting:
 
     def test_rerouting_keeps_the_cold_optimum_in_omega(self, monkeypatch):
         # On rounded random fabrics, N = 3-8, re-routing's stage 3 reaches
-        # the optimum of stage 3 in omega, built one row at a time and
-        # solved cold at the same mu and beta, and the plan keeps its
+        # the z of a cold standalone stage 3 at the same mu and beta, and
+        # the routing keeps its throughput on every critical and its
         # sensitivity bound on every link.
         for seed in range(16):
             phys, crit, topo = rerouting_instance(seed)
-            X, b = topo.X.astype(float), phys.link_bandwidth
-            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
             for desensitized in (True, False):
-                calls = record_args(monkeypatch, "minimize_ahc")
-                routed = recompute_routing(phys, topo, crit, desensitized)
-                monkeypatch.undo()
-                mu, beta = calls[0][2:4]
-                oracle = loop_stage3_in_omega(
-                    unit_phys, unit_crit, X, mu * (sigma / b),
-                    None if beta is None else beta * b)
-                sol = lp.solve(oracle.model)
-                assert sol.optimal
-                assert direct_traffic(routed, crit) == pytest.approx(
-                    oracle.value(sol, "z"), rel=1e-6)
-                if desensitized:
-                    assert sensitivity_map(topo, routed.omega, b).max() \
-                        <= routed.beta * (1 + 1e-6)
+                routed, cold = warm_and_cold_stage3(
+                    monkeypatch, phys, crit, desensitized, topo)
+                assert_stage3_invariants(routed, cold, topo, crit,
+                                         phys.link_bandwidth, 1e-6)
 
     @pytest.mark.parametrize("case", ["5 pods", "6 pods", "seed 26",
                                       "seed 85"])
@@ -942,21 +983,6 @@ def sparse_instance(seed: int, n: int, fixed: bool):
     return phys, CriticalSet(tuple(TrafficMatrix(t) for t in demand)), X
 
 
-def unitless_inputs(phys, crit):
-    """(phys at b = 1, the criticals over sigma, sigma): the stage LPs'
-    inputs, sigma being the largest power of two at or below the largest
-    critical entry."""
-    top, sigma = crit.stacked().max(), 1.0
-    while sigma > top:
-        sigma /= 2
-    while 2 * sigma <= top:
-        sigma *= 2
-    unit_phys = PhysicalTopology(phys.num_pods, phys.num_ocs,
-                                 phys.egress_ports, phys.ingress_ports)
-    return unit_phys, CriticalSet(tuple(TrafficMatrix(t.demand / sigma)
-                                        for t in crit)), sigma
-
-
 def record_args(monkeypatch, name: str) -> list:
     """The positional arguments of each call of ``optimize.<name>`` from
     now on, which ``optimize._stages`` makes by that module attribute."""
@@ -970,72 +996,9 @@ def record_args(monkeypatch, name: str) -> list:
     return calls
 
 
-def stage_models(monkeypatch, phys, crit, X, desensitized=True):
-    """{stage: (model as it was solved last, mu_hat, beta_hat)} of the
-    stages ``optimize._stages`` runs, at the unitless mu and beta each was
-    given; stage 3 is posed on the model of the stage before it."""
-    models = record_solves(monkeypatch, copy=True)
-    stage2, stage3 = (record_args(monkeypatch, name)
-                      for name in ("desensitize", "minimize_ahc"))
-    optimize._stages(phys, crit, desensitized, X)
-    monkeypatch.undo()
-    by_name = {m.name: m for m in models}
-    stage1 = "maxmin-throughput" if X is None else "fixed-throughput"
-    # The last model solved under a stage-2 family.
-    last2 = [m for m in models if m.name in STAGE2_FAMILIES
-             + ("fixed-desensitize",)][-1:]
-    b, sigma = phys.link_bandwidth, unitless_inputs(phys, crit)[2]
-    mu, beta = stage3[0][2:4]
-    out = {"1": (by_name[stage1], None, None),
-           "3": (by_name["minimize-ahc-warm"], mu * (sigma / b),
-                 None if beta is None else beta * b)}
-    if desensitized:
-        out["2"] = (last2[0], stage2[0][2] * (sigma / b), last2[0].scale)
-    return out
-
-
 class TestStageModels:
-    """The index-array builder against the loop builder in helpers."""
-
-    @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_every_stage_matches_loop_builder(self, monkeypatch, n, fixed):
-        # The reference builds the unitless LP from unitless inputs.
-        for seed in range(2):
-            phys, crit, X = sparse_instance(seed, n, fixed)
-            unit_phys, unit_crit, _ = unitless_inputs(phys, crit)
-            for stage, (model, mu, beta) in stage_models(
-                    monkeypatch, phys, crit, X).items():
-                ref = loop_stage_model(stage, unit_phys, unit_crit, X, mu,
-                                       beta)
-                assert_same_model(model, ref)
-
-    @pytest.mark.parametrize("desensitized", [True, False])
-    def test_idle_pod_stages_match_loop_builder(self, monkeypatch,
-                                                desensitized):
-        # Free link counts: neither builder gives a path through the idle
-        # pod, or to or from it, a column.
-        phys, crit = idle_pod_instance()
-        models = stage_models(monkeypatch, phys, crit, None, desensitized)
-        assert len(models) == 2 + desensitized
-        for stage, (model, mu, beta) in models.items():
-            assert_same_model(model, loop_stage_model(stage, phys, crit,
-                                                      None, mu, beta))
-
-    @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_plain_stages_match_loop_builder(self, monkeypatch, n, fixed):
-        # Without stage 2, stage 3 with free link counts is posed on stage
-        # 1's model, without caps.
-        for seed in range(2):
-            phys, crit, X = sparse_instance(seed, n, fixed)
-            unit_phys, unit_crit, _ = unitless_inputs(phys, crit)
-            models = stage_models(monkeypatch, phys, crit, X, False)
-            assert sorted(models) == ["1", "3"]
-            for stage, (model, mu, beta) in models.items():
-                assert beta is None
-                assert_same_model(model, loop_stage_model(
-                    stage, unit_phys, unit_crit, X, mu, beta))
+    """The stage models: what HiGHS holds of them, and one model per
+    stage however it is reached."""
 
     @pytest.mark.parametrize("desensitized", [True, False])
     def test_standalone_stage3_is_the_pipelines_model(self, monkeypatch,
@@ -1046,6 +1009,7 @@ class TestStageModels:
         for n, fixed in itertools.product((2, 5, 8), (False, True)):
             phys, crit, X = sparse_instance(0, n, fixed)
             calls = record_args(monkeypatch, "minimize_ahc")
+            pipeline = record_solves(monkeypatch, copy=True)
             optimize._stages(phys, crit, desensitized, X)
             monkeypatch.undo()
             mu, beta = calls[0][2:4]
@@ -1054,11 +1018,8 @@ class TestStageModels:
             minimize_ahc(phys, crit, mu, beta, _fixed=X)
             monkeypatch.undo()
             assert len(models) == 1 and highs[0][0] is None
-            unit_phys, unit_crit, sigma = unitless_inputs(phys, crit)
-            b = phys.link_bandwidth
-            assert_same_model(models[0], loop_stage_model(
-                "3", unit_phys, unit_crit, X, mu * (sigma / b),
-                None if beta is None else beta * b))
+            assert pipeline[-1].name == "minimize-ahc-warm"
+            assert_same_model(models[0], pipeline[-1])
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -1092,18 +1053,18 @@ class TestStageModels:
         assert len({h[-1] for h in held}) == 4
 
     def test_instances_have_fallback_pairs_and_empty_load_rows(self):
+        # sparse_instance leaves some pair without a usable path, so it
+        # falls back to its direct path, and some (link, critical) without
+        # a load row.
         fallback = empty_row = False
         for n in range(2, 9):
             for seed, fixed in ((0, False), (1, False), (0, True), (1, True)):
-                phys, crit, X = sparse_instance(seed, n, fixed)
-                ref = LoopStageBuilder(phys, crit, X)
-                fallback |= bool(ref.fallback_pairs)
-                for paths in ref.crossing.values():
-                    usable = [p for p in paths if p in
-                              ref.pair_paths.get((p.src, p.dst), ())]
-                    for t in ref.demand:
-                        empty_row |= all(t[p.src, p.dst] == 0
-                                         for p in usable)
+                builder = _StageBuilder(*sparse_instance(seed, n, fixed))
+                fallback |= len(builder.routed) < len(builder.tables.pairs)
+                model = builder.new_model("")
+                builder.add_load_constraints(model)
+                empty_row |= len(model._blocks[-1].rhs) \
+                    < len(builder.tables.pairs) * len(builder.demand)
         assert fallback and empty_row
 
     def test_tables_are_read_only_and_cached(self):
@@ -1117,6 +1078,8 @@ class TestStageModels:
                 assert isinstance(value, tuple), name
 
     def test_builders_on_different_topologies_share_nothing(self):
+        # A builder used after another topology's builder gives the model
+        # a fresh builder gives.
         phys, crit, X1 = sparse_instance(0, 6, True)
         _, _, X2 = sparse_instance(1, 6, True)
         crit2 = CriticalSet(tuple(TrafficMatrix(t * (X2 > 0))
@@ -1126,17 +1089,10 @@ class TestStageModels:
         second = _StageBuilder(phys, crit2, X2)
         for builder, c, X in ((first, crit, X1), (second, crit2, X2),
                               (first, crit, X1)):
-            model = builder.new_model("fixed-desensitize")
-            mu = model.add_vars(1, 0.0, None)[0]
-            builder.add_split_constraints(model, mu)
-            builder.add_load_constraints(model)
-            model.set_objective("max", [mu], [1.0])
-            builder.add_sensitivity_constraints(model)
-            model.set_bounds([mu], 0.5, 0.5)
-            model.set_objective("min", [mu + 1], [1.0])
-            unit_phys, unit_crit, _ = unitless_inputs(phys, c)
-            assert_same_model(model, loop_stage_model("2", unit_phys,
-                                                      unit_crit, X, mu=0.5))
+            assert_same_model(
+                _throughput_model(builder, "fixed-desensitize", caps=True),
+                _throughput_model(_StageBuilder(phys, c, X),
+                                  "fixed-desensitize", caps=True))
 
 
 def unit_instances():

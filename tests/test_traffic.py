@@ -89,6 +89,16 @@ class TestExtractCritical:
             np.testing.assert_allclose(dist[np.arange(len(points)), labels],
                                        dist.min(axis=1), rtol=1e-12)
 
+    def test_empty_cluster_takes_the_farthest_point(self):
+        # On seed 0, cluster 0 is empty at the second assignment.  Of the
+        # points whose cluster can spare one, (1, 10) lies farthest from
+        # its centroid (12.5 squared), so it re-seeds cluster 0 and stays
+        # alone there; the nearest such point would share a cluster.
+        points = np.array([[2.0, 3.0], [1.0, 1.0], [9.0, 8.0], [1.0, 10.0],
+                           [2.0, 9.0], [7.0, 6.0]])
+        labels = _kmeans(points, 4, 0)
+        assert np.count_nonzero(labels == labels[3]) == 1
+
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(9)
         seq = seq_of([random_tm(rng, 4).demand for _ in range(15)])
@@ -250,6 +260,15 @@ class TestGenStorage:
         seq = gen_storage_tms(8, 3, seed=2, demand_range=(4.0, 4.0))
         d = seq[0].demand
         assert d[0, 4] == pytest.approx(4.0 / 4)
+
+    def test_draws_write_then_read_per_compute_pod(self):
+        # The first matrix of seed 0 holds the seed's first draws, in order:
+        # each compute pod's write demand, then its read demand.
+        t = gen_storage_tms(4, 1, seed=0, demand_range=(1.0, 9.0))[0].demand
+        draws = np.random.default_rng(0).uniform(1.0, 9.0, size=(2, 2))
+        for c, (write, read) in enumerate(draws):
+            np.testing.assert_array_equal(t[c, 2:], write / 2)
+            np.testing.assert_array_equal(t[2:, c], read / 2)
 
     def test_deterministic(self):
         a = gen_storage_tms(6, 4, seed=33)
