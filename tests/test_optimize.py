@@ -296,6 +296,8 @@ class TestStage2Bracket:
     @pytest.mark.parametrize("fabric", [random_fabric, hetero_fabric])
     def test_fixed_topology_one_lp_matches_bisection(self, monkeypatch,
                                                      fabric):
+        # The bisection is stage 2's own model, probed at beta and just
+        # below it.
         for seed in range(6):
             phys, crit, topo = rounded_instance(seed, fabric)
             X = topo.X.astype(float)
@@ -340,7 +342,10 @@ class TestStage2Bracket:
         bound = 1.0 / (phys.link_bandwidth * radix)
         beta = desensitize(phys, crit, mu).beta
         assert beta >= bound
+        # The unit bracket is stage 2's own model: it reaches mu at beta,
+        # and not just below it or below the radix bound.
         assert not stage2_reaches(phys, crit, mu, bound * (1 - 1e-3))
+        assert stage2_reaches(phys, crit, mu, beta)
         assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_n2_lower_bracket_is_optimal_after_one_lp(self, monkeypatch):
@@ -437,6 +442,7 @@ class TestStage2Newton:
         monkeypatch.undo()
         assert any(F >= mu * (1 - MU_SLACK) and slope * gamma <= MU_SLACK * F
                    for gamma, F, slope in steps[:-1])
+        assert stage2_reaches(phys, crit, mu, beta)
         assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_probe_below_newton_overshoot_closes_bracket(self, monkeypatch):
@@ -451,6 +457,7 @@ class TestStage2Newton:
         beta = desensitize(phys, crit, mu).beta
         monkeypatch.undo()
         assert len(steps) <= 13
+        assert stage2_reaches(phys, crit, mu, beta)
         assert not stage2_reaches(phys, crit, mu, beta * (1 - BETA_TOL))
 
     def test_stage3_solves_at_stage2_output(self):

@@ -10,11 +10,11 @@ that fails there is no kill of any mutant.  The matrix is written as
 JSON: per mutant its file and the ids it kills.
 
     python tools/kill_matrix.py --check
-    python tools/kill_matrix.py --out matrix.json [--jobs 2] [--only a,b]
+    python tools/kill_matrix.py --out matrix.json [--only a,b]
     python tools/kill_matrix.py --compare parent.json change.json
 
-``--check`` only confirms that every old string occurs once.  At most two
-copies run at a time.  Tier-1 runs ``tests/`` alone (``testpaths`` in
+``--check`` only confirms that every old string occurs once.  At most
+``JOBS`` copies run at a time.  Tier-1 runs ``tests/`` alone (``testpaths`` in
 pyproject.toml), so this script is no part of it.  ``mutmut`` is not a
 dependency of the project; the table below is the fixed mutant list.
 """
@@ -41,6 +41,8 @@ TEST_LIMIT = 60
 #: Seconds a whole Tier-1 run of one copy may take: the per-test alarm
 #: cannot stop a test inside one HiGHS call, which holds the interpreter.
 RUN_LIMIT = 1800
+#: Copies that run Tier-1 at a time.
+JOBS = 2
 
 # (name, file under src/couder, old string, new string).
 MUTANTS = [
@@ -267,16 +269,16 @@ def run_mutant(root: Path, work: Path, mutant) -> dict:
     return {"file": file, "failed": failed, "seconds": seconds}
 
 
-def build_matrix(root: Path, work: Path, mutants: list, jobs: int) -> dict:
-    """Run the unmutated copy, then each mutant, at most ``jobs`` (<= 2)
-    at a time; a mutant's kills leave out what fails unmutated."""
+def build_matrix(root: Path, work: Path, mutants: list) -> dict:
+    """Run the unmutated copy, then each mutant, at most ``JOBS`` at a
+    time; a mutant's kills leave out what fails unmutated."""
     base = work / "unmutated"
     _copy(root, base)
     baseline, seconds = run_tier1(base)
     shutil.rmtree(base)
     print(f"unmutated: {len(baseline)} failed, {seconds} s", flush=True)
     out = {}
-    with concurrent.futures.ThreadPoolExecutor(min(jobs, 2)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         futures = {pool.submit(run_mutant, root, work, m): m[0]
                    for m in mutants}
         for future in concurrent.futures.as_completed(futures):
@@ -311,7 +313,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--jobs", type=int, default=2, choices=[1, 2])
     parser.add_argument("--only", help="comma-separated mutant names")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the tree to mutate (default: this checkout)")
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         if len(mutants) != len(wanted):
             parser.error(f"unknown mutants: {wanted - {m[0] for m in MUTANTS}}")
     with tempfile.TemporaryDirectory(prefix="kill-matrix-") as work:
-        matrix = build_matrix(args.root, Path(work), mutants, args.jobs)
+        matrix = build_matrix(args.root, Path(work), mutants)
     args.out.write_text(json.dumps(matrix, indent=1) + "\n")
     return 0
 
