@@ -43,9 +43,10 @@ tests keep that construction as their oracle.
 HiGHS options are one table, ``_FAMILY_OPTIONS``, keyed by LP family:
 an ``LpModel``'s name, and "ldm-subproblem" for the rounding module's
 per-switch subproblem, which it hands ``_run_highs`` column-wise and
-reads only the vertex of.  A family without an entry runs ``_OPTIONS``,
-as scipy's ``linprog(method="highs")`` set them: dual simplex with
-HiGHS's steepest-edge pricing, presolve on, output off.  IPM cannot
+reads only the vertex of.  A family without an entry runs ``_OPTIONS``:
+dual simplex with HiGHS's steepest-edge pricing, presolve on and output
+off, as scipy's ``linprog(method="highs")`` set them, and the simplex
+unscaled, as in every family (see below the list).  IPM cannot
 start from a basis, so a solve from one runs ``_OPTIONS`` in an IPM
 family too.  Each family runs the method measured fastest on it (HiGHS
 time per LP on a shared 2-vCPU Xeon; perfbench days: M = 4, 4 ports per
@@ -53,13 +54,26 @@ pod per switch, K = 5; N = 8 is gravity days 1 and 2 and storage days 0
 and 1, larger N one gravity and one storage day):
 
 - "maxmin-throughput", stage 1 with free link counts, and
-  "fixed-throughput" and "fixed-desensitize", re-routing's cold stages 1
-  and 2: dual simplex, presolve off.  Stage 1 (352 rows at N = 8) took
+  "fixed-throughput" and "fixed-desensitize", re-routing's cold stages
+  1 and 2: dual simplex with Dantzig pricing, presolve off.  Against
+  HiGHS's own choice, steepest edge, which costs an extra solve per
+  iteration to update its weights, Dantzig pricing took less time on
+  every one of these LPs but re-routing's stage 1 on the N = 12 gravity
+  day (it took 310 -> 360 iterations there): summed over the 12 plans
+  of perfbench seeds 1-3 at N = 8, stage 1 46.8 -> 27.4 ms (3,078 ->
+  2,554 iterations), re-routing's stage 1 25.6 -> 17.0 ms and its stage
+  2 84.2 -> 51.8 ms (median of 20 alternating replays); at N = 12
+  (gravity, storage) 19.5 -> 9.4 and 13.3 -> 4.3 ms, 5.0 -> 5.2 and 4.5
+  -> 2.5 ms, 75.0 -> 36.3 and 36.2 -> 13.8 ms; at N = 16 103 -> 67 and
+  30.3 -> 7.8 ms, 81.7 -> 39.9 and 4.8 -> 4.2 ms, 430 -> 274 and 18.1
+  -> 15.1 ms; stage 1 at N = 24 0.69 -> 0.13 s and 0.33 -> 0.054 s.
+  Devex was slower than steepest edge on 4 of the 6 N = 16 LPs.
+  Presolve off, with steepest edge: stage 1 (352 rows at N = 8) took
   17.2 -> 15.5, 8.8 -> 7.0, 4.1 -> 3.8 and 5.2 -> 3.6 ms, 36.6 -> 31.1
   and 11.7 -> 10.8 ms at N = 12, 142 -> 125 and 47 -> 44 ms at N = 16.
   Re-routing's stage 2 (693-728 rows) took 15.8 -> 10.9, 15.5 -> 10.7,
-  7.2 -> 5.6 and 7.5 -> 5.5 ms, 103 -> 86 and 48 -> 43 ms at N = 12, and
-  558 -> 524 but 61 -> 78 ms at N = 16.  Re-routing's stage 1 (336
+  7.2 -> 5.6 and 7.5 -> 5.5 ms, 103 -> 86 and 48 -> 43 ms at N = 12,
+  and 558 -> 524 but 61 -> 78 ms at N = 16.  Re-routing's stage 1 (336
   rows, perfbench seed 2) took 4.23 -> 3.32 ms, although presolve
   reduced 2 of 5 and its iterations rose from 120 to 150.
 - "desensitize", stage 2 with free link counts: its first probe, the
@@ -100,6 +114,40 @@ and 1, larger N one gravity and one storage day):
   may pass its cap by the tolerance over mu.  At HiGHS's default of 1e-7
   one passed by up to 5.3e-7 where mu < 1 (200 random fabrics), at 1e-8
   by 5.3e-8, at no measured cost.
+
+Every family runs the simplex unscaled: ``_highs_options`` sets
+``simplex_scale_strategy`` to 0 once, where HiGHS's default, 2, first
+equilibrates rows and columns by powers of two.  The stage LPs are
+unitless already (see the optimize module: demand over sigma, below 2,
+and capacity in links), which leaves scaling little to even out.  It
+is a simplex option: stage 2's 12 IPM probes below took the same 262
+IPM iterations either way, and 480 -> 494 ms by themselves.  HiGHS time
+of the calls the perfbench rounds make, each call replayed on a fresh
+solver from its recorded basis, scaled -> unscaled, median of 20
+alternating replays on a shared 2-vCPU Xeon, with the options above and
+implied load rows left out (the optimize module).  Plan-mix, summed over
+seeds 1-3 (four N = 8 plans each):
+
+- "maxmin-throughput" 44.9 -> 28.6 ms, "fixed-throughput" 40.0 -> 18.0
+  ms and "fixed-desensitize" 111 -> 55.3 ms, with 25 %, 38 % and 19 %
+  fewer iterations;
+- "desensitize", the IPM probe and the first re-solve, 631 -> 626 ms;
+- "desensitize-late" 82.7 -> 62.9 ms, 21 % fewer iterations;
+- "minimize-ahc-warm" 294 -> 288 ms, though 0.8 % more iterations, and
+  slower on seeds 2 and 3 (95.7 -> 99.0 and 86.8 -> 87.9 ms);
+- "ldm-subproblem" 11.7 -> 11.7 ms, the same iterations;
+- in all 1,215 -> 1,090 ms; whole plans, the 12 round by round in one
+  process, took 0.90 of the scaled time (median of 10 rounds each).
+
+Replay, the 144 held-out matrices of seeds 1-3: "boundedness" 21.7 ->
+18.7 ms, and "optimal-routing", the min-MLU LP, 89.3 -> 88.7 ms with the
+same iterations; every objective within 1.2e-13 relative.  That LP's
+link rows hold c_l / c_max, down to ``evaluate._SMALL_CAPACITY``; its
+tests check it against stage 1's LP on links of 1.5e-8 to 5e-8 of the
+largest.  ``evaluate.ideal_toe_mlu`` solves no LP; stage 1's, its test
+oracle, is "maxmin-throughput".  Stage 3 is the one family that lost on
+some seeds, by under 4 %, so one setting serves all.  Round-saturated's
+roundings were bit-identical on seeds 1-5.
 
 ``evaluate.optimal_routing_mlu``'s min-MLU LP needs no entry: each of its
 solves starts from a basis, with which HiGHS skips presolve.  An IPM
@@ -547,11 +595,13 @@ _STATUS = _highs.HighsModelStatus
 
 
 def _highs_options(**extra) -> _highs.HighsOptions:
-    """HiGHS options as scipy's ``linprog`` set them: dual simplex,
-    presolve on and no output, plus ``extra`` by option name."""
+    """HiGHS options: dual simplex, presolve on and no output, as scipy's
+    ``linprog`` set them, and the simplex unscaled (see the module
+    docstring), plus ``extra`` by option name."""
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = 1  # dual
+    options.simplex_scale_strategy = 0
     options.output_flag = False
     options.log_to_console = False
     for name, value in extra.items():
@@ -562,6 +612,9 @@ def _highs_options(**extra) -> _highs.HighsOptions:
 _OPTIONS = _highs_options()
 #: Presolve off, for the families whose LPs it removes nothing from.
 _PRESOLVE_OFF = _highs_options(presolve="off")
+#: Presolve off and Dantzig pricing, for the cold dual simplex stage LPs.
+_COLD_DUAL = _highs_options(presolve="off",
+                            simplex_dual_edge_weight_strategy=0)
 #: HiGHS's default feasibility tolerances (1e-7) would ignore the LDM
 #: subproblem's tie reward of at most 1e-9 toward more links; these
 #: resolve it.
@@ -571,12 +624,12 @@ _HIGHS_TIGHT = {"dual_feasibility_tolerance": 1e-10,
 #: runs with ``_OPTIONS``, and so does a solve from a basis of a family
 #: that runs IPM.  See the module docstring for the measurements.
 _FAMILY_OPTIONS = {
-    "maxmin-throughput": _PRESOLVE_OFF,
-    "fixed-throughput": _PRESOLVE_OFF,
+    "maxmin-throughput": _COLD_DUAL,
+    "fixed-throughput": _COLD_DUAL,
     "desensitize": _highs_options(solver="ipm", run_crossover="on"),
     "desensitize-late": _highs_options(
         simplex_dual_edge_weight_strategy=1),  # Devex
-    "fixed-desensitize": _PRESOLVE_OFF,
+    "fixed-desensitize": _COLD_DUAL,
     "boundedness": _PRESOLVE_OFF,
     "ldm-subproblem": _highs_options(solver="simplex", presolve="off",
                                      **_HIGHS_TIGHT),

@@ -145,8 +145,13 @@ class _StageBuilder:
         self.tables = t = _tables(self.n)
         demand = crit.stacked()
         self.sigma = demand_scale(demand)
-        # A critical without traffic would pin stage 3's z at 0.
-        self.demand = demand[demand.any(axis=(1, 2))] / self.sigma
+        # A critical without traffic would pin stage 3's z at 0, and a
+        # repeat would double its rows: the first copy of each stays, in
+        # order.
+        flat = demand.reshape(len(demand), -1)
+        repeat = np.triu((flat[:, None] == flat[None]).all(axis=2), 1)
+        self.demand = demand[flat.any(axis=1) & ~repeat.any(axis=0)] \
+            / self.sigma
         self.demanded = self.demand.any(axis=0)
         if not self.demanded.any():
             raise UnboundedThroughputError("all critical matrices are zero")
@@ -210,14 +215,25 @@ class _StageBuilder:
     def add_load_constraints(self, model: lp.LpModel):
         """Per-link, per-critical capacity rows: load <= capacity.
 
-        Rows run link-major, critical-minor; a row no demanded path
-        crosses is left out.
+        Rows run link-major, critical-minor.  Row (l, k) is left out when
+        no demanded path crosses l, and when another critical k' implies
+        it: T_k' is at least T_k on the pair of every usable path crossing
+        l, so with weights >= 0 the row of k' holds it.  Between criticals
+        equal on those pairs the lowest k keeps its row.
         """
         t = self.tables
         link, path = self._crossing()
-        K = len(self.demand)
+        K, num_links = len(self.demand), len(t.pairs)
         demand = self.demand[:, t.pair_src, t.pair_dst][:, t.path_pair[path]]
-        k, c = np.nonzero(demand > 0)
+        # covers[a, b, l]: T_a is at least T_b on every crossing of l.
+        pos = (np.arange(K)[:, None] * num_links + link).ravel()
+        covers = np.stack([
+            np.bincount(pos, (row < demand).ravel(), K * num_links) == 0
+            for row in demand]).reshape(K, K, num_links)
+        earlier = np.arange(K)[:, None] < np.arange(K)
+        implied = (covers & (~covers.transpose(1, 0, 2)
+                             | earlier[..., None])).any(axis=0)
+        k, c = np.nonzero((demand > 0) & ~implied[:, link])
         row_ids, row = np.unique(link[c] * K + k, return_inverse=True)
         row_link = row_ids // K
         terms = row, self.col[path[c]], demand[k, c]

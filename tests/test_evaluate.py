@@ -309,6 +309,26 @@ class TestOptimalRouting:
         assert checked_mlu(X, TrafficMatrix(t)) == pytest.approx(0.01,
                                                                  rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_links_near_the_cutoff_match_stage1(self, seed):
+        # Up to three links at 1.5e-8 to 5e-8 of the largest capacity:
+        # rows of the min-MLU LP with coefficients that small, solved
+        # unscaled like every LP, still give stage 1's MLU.  The first
+        # pair's direct link is one of them, so its demand mostly detours.
+        rng = np.random.default_rng([11, seed])
+        n = 5
+        X = rng.uniform(1.0, 10.0, (n, n))
+        np.fill_diagonal(X, 0.0)
+        off = np.argwhere(~np.eye(n, dtype=bool))
+        src, dst = np.vstack([[0, 1], off[rng.choice(len(off), 2,
+                                                     replace=False)]]).T
+        X[src, dst] = X.max() * rng.uniform(1.5e-8, 5e-8, 3)
+        detour = np.zeros((n, n))
+        detour[0, 1] = 1.0
+        for t in (random_tm(rng, n), sparse_tm(rng, n, 0.4),
+                  TrafficMatrix(detour)):
+            assert 0 < checked_mlu(X, t) < math.inf
+
     def test_results_do_not_hinge_on_call_order(self):
         # The cached models keep no right-hand side or basis of an earlier
         # call: forward, shuffled, and interleaved with a second topology

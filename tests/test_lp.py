@@ -478,7 +478,8 @@ def test_private_highs_api_used_is_present():
     for name in ("presolve", "simplex_strategy", "output_flag",
                  "log_to_console", "solver", "dual_feasibility_tolerance",
                  "primal_feasibility_tolerance", "run_crossover",
-                 "simplex_dual_edge_weight_strategy"):
+                 "simplex_dual_edge_weight_strategy",
+                 "simplex_scale_strategy"):
         assert hasattr(options, name), name
     info = solver.getInfo()
     for name in ("simplex_iteration_count", "ipm_iteration_count",

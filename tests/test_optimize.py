@@ -7,7 +7,8 @@ from couder import lp, optimize
 from couder.errors import (InfeasibleRoutingError, InternalError,
                            InvalidInputError, UnboundedThroughputError)
 from couder.model import (IntegerTopology, Path, PhysicalTopology,
-                          TrafficMatrix, _tables, demand_scale)
+                          RoutingWeights, TrafficMatrix, _tables,
+                          demand_scale)
 from couder.optimize import (BETA_TOL, MU_SLACK, _StageBuilder,
                              _throughput_model, desensitize, minimize_ahc, recompute_routing,
                              run_pipeline, solve_maxmin_throughput)
@@ -17,8 +18,8 @@ from couder.traffic import CriticalSet, extract_critical, gen_storage_tms
 from helpers import (assert_same_model, convex_combination, frozen,
                      hetero_fabric, idle_pod_instance, make_fabric,
                      random_criticals, random_fabric, random_fractional,
-                     record_highs, record_highs_models, sparse_tm,
-                     zero_radix_fabric)
+                     random_tm, record_highs, record_highs_models,
+                     sparse_tm, zero_radix_fabric)
 
 GRID = np.arange(0.0, 2.0001, 0.05)
 
@@ -552,6 +553,28 @@ class TestStageMethods:
                     == (-1 if k == 0 else 1)
             late += count > 2
         assert late
+
+    def test_cold_simplex_stages_run_dantzig_pricing(self, monkeypatch):
+        # Stage 1 and re-routing's stages 1 and 2 solve cold with dual
+        # simplex, Dantzig pricing and presolve off.
+        cold = {}
+        for phys, crit in itertools.islice(joint_instances(), 3):
+            calls = record_methods(monkeypatch)
+            plan = run_pipeline(phys, crit)
+            monkeypatch.undo()
+            topo = ldm_round(phys, plan.d, 50).topo
+            rerouted = record_methods(monkeypatch)
+            recompute_routing(phys, topo, crit)
+            monkeypatch.undo()
+            cold.update((name, options) for name, warm, options
+                        in calls + rerouted
+                        if not warm and name != "desensitize")
+        assert sorted(cold) == ["fixed-desensitize", "fixed-throughput",
+                                "maxmin-throughput"]
+        for used in cold.values():
+            assert used.solver != "ipm" and used.simplex_strategy == 1
+            assert used.presolve == "off"
+            assert used.simplex_dual_edge_weight_strategy == 0
 
     def test_ipm_probe_keeps_dual_simplex_results(self, monkeypatch):
         # Against dual simplex for every stage-2 solve: the first probe's F
@@ -1100,6 +1123,103 @@ class TestStageModels:
                 _throughput_model(builder, "fixed-desensitize", caps=True),
                 _throughput_model(_StageBuilder(phys, c, X),
                                   "fixed-desensitize", caps=True))
+
+
+def planted_instance(seed: int) -> tuple:
+    """(fabric, criticals W, A, B, P, link counts X) on a random, hetero
+    or zero-radix fabric of 4-7 pods, with dense or 30 % sparse A and B
+    on the pairs whose link can hold one.  W = A / 2 is below A
+    everywhere.  P is B with one pair doubled and another halved, so on
+    each link P is above B, below it, tied with it or neither, by which of
+    the two pairs' paths cross it.  X links every such pair, for the
+    fixed-link stages."""
+    rng = np.random.default_rng([44, seed])
+    n = int(rng.integers(4, 8))
+    fabric = (random_fabric, hetero_fabric, zero_radix_fabric)[seed % 3]
+    phys = fabric(rng, n, 2)
+    room = np.minimum.outer(phys.egress_radix, phys.ingress_radix) > 0
+    np.fill_diagonal(room, False)
+    A, B = ((sparse_tm(rng, n, 0.3) if seed // 3 % 2 else random_tm(rng, n))
+            .demand * room for _ in range(2))
+    pairs = np.argwhere(room)
+    up, down = map(tuple, pairs[rng.choice(len(pairs), 2, replace=False)])
+    B[up], B[down] = max(B[up], 1.0), max(B[down], 1.0)
+    P = B.copy()
+    P[up] *= 2.0
+    P[down] *= 0.5
+    crit = CriticalSet(tuple(TrafficMatrix(t) for t in (A / 2, A, B, P)))
+    X = rng.integers(1, 4, size=(n, n)) * room
+    return phys, crit, X.astype(float)
+
+
+def lp_loads(builder: _StageBuilder, crit: CriticalSet,
+             x: np.ndarray) -> np.ndarray:
+    """(critical, link) loads, over the builder's sigma, of every critical
+    of ``crit`` at the scaled weights of a stage LP's vertex ``x``."""
+    w = np.zeros(len(builder.tables.paths))
+    w[builder.col >= 0] = x[:builder.num_weights]
+    return RoutingWeights(builder.n, w).loads(crit.stacked() / builder.sigma)
+
+
+class TestImpliedLoadRows:
+    """A load row another critical implies on its link is left out."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lp_link_counts_cover_every_critical(self, monkeypatch, seed):
+        # Every stage LP's own link counts (or the fixed ones) carry the
+        # load of every critical at its weights, those without a row
+        # included, so the plan's lift moves nothing past tolerance.
+        phys, crit, X = planted_instance(seed)
+        for fixed in (None, X):
+            builder = _StageBuilder(phys, crit, fixed)
+            calls = record_highs(monkeypatch)
+            optimize._stages(phys, crit, True, fixed)
+            monkeypatch.undo()
+            for _, sol in calls:
+                cap = (sol.x[builder._dcol()] if fixed is None
+                       else builder.capacity)
+                assert (lp_loads(builder, crit, sol.x) <= cap + 1e-9).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_of_the_criticals_moves_no_mu_or_beta(self, seed):
+        phys, crit, X = planted_instance(seed)
+        back = CriticalSet(crit.matrices[::-1])
+        for fixed in (None, X):
+            got = optimize._stages(phys, back, True, fixed)
+            want = optimize._stages(phys, crit, True, fixed)
+            assert got.mu == pytest.approx(want.mu, rel=1e-9)
+            assert got.beta == pytest.approx(want.beta, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wholly_dominated_critical_adds_no_load_row(self, seed):
+        # W = A / 2 comes first; the stage-1 model is the one without it,
+        # bit for bit, with free link counts and with fixed ones.
+        phys, crit, X = planted_instance(seed)
+        rest = CriticalSet(crit.matrices[1:])
+        for fixed in (None, X):
+            assert_same_model(
+                _throughput_model(_StageBuilder(phys, crit, fixed), ""),
+                _throughput_model(_StageBuilder(phys, rest, fixed), ""))
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_repeated_critical_builds_the_model_without_it(
+            self, monkeypatch, desensitized):
+        # The first copy of a repeated critical stays: stage 3 carries
+        # its load rows and its direct-traffic row once.
+        phys, crit, X = planted_instance(1)
+        a, b = crit.matrices[1:3]
+        for fixed in (None, X):
+            plan = optimize._stages(phys, CriticalSet((a, b)), desensitized,
+                                    fixed)
+            models = []
+            for repeated in ((a, b), (a, b, a), (a, a, b)):
+                solved = record_solves(monkeypatch, copy=True)
+                minimize_ahc(phys, CriticalSet(repeated), plan.mu,
+                             plan.beta, _fixed=fixed)
+                monkeypatch.undo()
+                models += solved
+            assert_same_model(models[1], models[0])
+            assert_same_model(models[2], models[0])
 
 
 def unit_instances():

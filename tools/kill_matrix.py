@@ -94,7 +94,19 @@ MUTANTS = [
     ("newton-probe", "optimize.py",
      "probe = F >= target and newton", "probe = False"),
     ("load-rows-drop", "optimize.py",
-     "k, c = np.nonzero(demand > 0)", "k, c = np.nonzero(demand > 0.01)"),
+     "k, c = np.nonzero((demand > 0) & ~implied[:, link])",
+     "k, c = np.nonzero((demand > 0.01) & ~implied[:, link])"),
+    ("implied-ties", "optimize.py",
+     "earlier = np.arange(K)[:, None] < np.arange(K)",
+     "earlier = np.arange(K)[:, None] != np.arange(K)"),
+    ("implied-flip", "optimize.py",
+     "(row < demand).ravel()", "(row > demand).ravel()"),
+    ("implied-off", "optimize.py",
+     "K * num_links) == 0", "K * num_links) < 0"),
+    ("implied-later", "optimize.py",
+     "covers & (~covers.transpose(1, 0, 2)", "covers & (~covers"),
+    ("repeat-keep", "optimize.py",
+     "flat.any(axis=1) & ~repeat.any(axis=0)", "flat.any(axis=1)"),
     ("no-load-lift", "optimize.py",
      "omega.loads(self.demand, mu).max(axis=0))", "0.0)"),
     ("direct-le", "optimize.py",
@@ -146,6 +158,9 @@ MUTANTS = [
     ("rhs-first", "lp.py",
      "for other in self._blocks[:block])",
      "for other in self._blocks[:block + 1])"),
+    ("cold-pricing", "lp.py",
+     "simplex_dual_edge_weight_strategy=0)",
+     "simplex_dual_edge_weight_strategy=-1)"),
     # traffic.py
     ("kmeans-max", "traffic.py",
      "centroids[c] = points[new_labels == c].mean(axis=0)",
