@@ -20,22 +20,22 @@ Three LP stages over a set of critical traffic matrices:
    traffic subject to mu and beta.
 
 Stage 1 is nonlinear as written (mu * omega products) and is solved in
-scaled weights w = omega * mu, which linearizes every constraint; every
-stage LP is stage 1's, with the caps from stage 2 on.  The same stages
-rerun with link counts frozen to an integer topology to recompute
-routing after rounding.
+scaled weights w = omega * mu, which linearizes every constraint.  The
+same stages rerun with link counts frozen to an integer topology to
+recompute routing after rounding.  ``_stages`` chains them on one
+``_StageBuilder`` and its model, stage 1's LP, which each stage extends:
+stage 2 adds the caps and drops stage 1's basis, so its first solve is
+cold; stage 3 re-solves from the basis the stage before it accepted,
+which is feasible.  A stage called alone builds that model, solved cold.
 
-Stage 3 is posed on stage 2's model, or stage 1's when not desensitized:
-mu pinned at the mu* stage 3 is given (F' = F (1 - MU_SLACK) after the
-joint stage 2), the caps at gamma = F' beta (``scale``, or the gamma
-column pinned), and a column z with its direct-traffic rows.  With mu
-fixed at F', w = F' omega maps stage 3's LP in omega onto this one
+Stage 3 pins mu at the mu* it is given (F' = F (1 - MU_SLACK) after the
+joint stage 2) and the caps at gamma = F' beta (``scale``, or the gamma
+column pinned), and adds a column z with its direct-traffic rows.  With
+mu fixed at F', w = F' omega maps stage 3's LP in omega onto this one
 exactly: the split rows sum w to F', the load rows read F' T omega <= d,
 the caps w <= F' beta d, and z is F' times the least direct traffic, at
 most F' min_k sum T_k: its bound, without which HiGHS called the LP
-unbounded from 2**26 ports on.  ``_stages`` re-solves the model the
-stage before it solved, from its basis, which is feasible; a standalone
-``minimize_ahc`` builds the model and solves it cold.
+unbounded from 2**26 ports on.
 
 Every stage LP is unitless: the criticals over sigma, the largest power
 of two at or below their largest entry (``demand_scale``), capacity in
@@ -83,16 +83,15 @@ class FractionalSolution:
     and sensitivity bound beta (None when not desensitized).  This type is
     the one owner of mu and beta; ``omega`` holds only the split.
 
-    ``_model`` is no part of the plan: stages 1 and 2 leave there the
-    model they solved, at the basis they accepted, for ``_stages`` to hand
-    stage 3."""
+    ``_warm`` is no part of the plan: the ``_StageBuilder`` stages 1 and 2
+    leave for the next, its model at the basis they accepted."""
 
     d: FractionalTopology
     omega: RoutingWeights
     mu: float
     beta: Optional[float] = None
-    _model: Optional[lp.LpModel] = field(default=None, repr=False,
-                                         compare=False)
+    _warm: Optional[_StageBuilder] = field(default=None, repr=False,
+                                           compare=False)
 
 
 def _per_row_term(rows, cols, coefs, num_rows: int, col, coef) -> tuple:
@@ -131,7 +130,7 @@ class _StageBuilder:
     each path's pair and links, and the (link, path) crossing table, built
     once per pod count and shared read-only.  A builder adds what depends
     on its topology: ``capacity`` per link when fixed, and ``col``.  Every
-    stage turns its solved vertex into a plan through ``solution``.
+    stage extends ``model``, stage 1's LP, and makes its plan by ``solution``.
     """
 
     def __init__(self, phys: PhysicalTopology, crit: CriticalSet,
@@ -177,6 +176,7 @@ class _StageBuilder:
         # its split row.
         self.routed, self.split_row = np.unique(t.path_pair[usable],
                                                 return_inverse=True)
+        self.model = _throughput_model(self, "")
 
     def unitless(self, mu: float, beta: Optional[float] = None) -> tuple:
         """(mu_hat, beta_hat) of a plan's throughput and bound."""
@@ -320,18 +320,14 @@ class _StageBuilder:
             None if beta is None else _in_range(beta / self.bandwidth, "beta"))
 
 
-def _throughput_model(builder: _StageBuilder, name: str,
-                      caps: bool = False) -> lp.LpModel:
+def _throughput_model(builder: _StageBuilder, name: str) -> lp.LpModel:
     """Stage 1's LP in scaled weights: maximize mu subject to weights
-    summing to mu per pair and every critical's load within capacity;
-    with ``caps``, stage 2's, the caps on gamma added."""
+    summing to mu per pair and every critical's load within capacity."""
     model = builder.new_model(name)
     mu = model.add_vars(1, 0.0, None)[0]
     builder.add_split_constraints(model, mu)
     builder.add_load_constraints(model)
     model.set_objective("max", [mu], [1.0])
-    if caps:
-        builder.add_sensitivity_constraints(model)
     return model
 
 
@@ -344,9 +340,9 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     weights are chosen.
     """
     builder = _StageBuilder(phys, crit, fixed=_fixed)
-    name = "maxmin-throughput" if _fixed is None else "fixed-throughput"
-    model = _throughput_model(builder, name)
-    sol = lp.solve(model)
+    builder.model.name = ("maxmin-throughput" if _fixed is None
+                          else "fixed-throughput")
+    sol = lp.solve(builder.model)
     if sol.status == "unbounded":
         raise UnboundedThroughputError("throughput is unbounded")
     if not sol.optimal:
@@ -354,7 +350,7 @@ def solve_maxmin_throughput(phys: PhysicalTopology, crit: CriticalSet,
     mu = float(sol.x[builder.stage_col])
     if mu <= 1e-12:
         raise InfeasibleRoutingError("critical demand cannot be routed")
-    return replace(builder.solution(sol.x, mu), _model=model)
+    return replace(builder.solution(sol.x, mu), _warm=builder)
 
 
 def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
@@ -437,30 +433,33 @@ def _newton_beta(builder: _StageBuilder, model: lp.LpModel, mu_star: float):
 
 
 def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
-                _fixed: Optional[np.ndarray] = None) -> FractionalSolution:
+                _fixed: Optional[np.ndarray] = None,
+                _warm: Optional[_StageBuilder] = None) -> FractionalSolution:
     """Stage 2: smallest sensitivity bound beta preserving throughput mu*.
 
-    With free link counts this is ``_newton_beta``'s root-find of
-    F(gamma) = mu*, one re-solve of one model per step.  The solution has
+    Its model is stage 1's, ``_warm``'s or built here, plus the caps, first
+    solved cold.  With free link counts this is ``_newton_beta``'s
+    root-find of F(gamma) = mu*, one re-solve per step.  The solution has
     beta = gamma / F and mu = F (1 - MU_SLACK), both meant for stage 3:
     stage 2's own solution proves (F, gamma / F) feasible, yet HiGHS once
-    called stage 3 infeasible exactly there, so stage 3 gets that slack.
-    Stage 3 re-solves this very model, never one built afresh, from its
-    accepted vertex scaled by (1 - MU_SLACK), feasible by construction.
-    With link counts fixed by ``_fixed`` gamma is a column: one cold LP,
-    family "fixed-desensitize", minimizes it at mu_hat, and beta_hat =
-    gamma / mu_hat must lie in (0, ``BETA_CAP``].  The solution's mu is
-    the mu* given, not mu_hat converted back an ulp off, so stage 3 gets
-    the very mu stage 1 found.
+    called stage 3 infeasible exactly there, so stage 3 gets that slack,
+    and re-solves this model from its accepted vertex scaled by
+    (1 - MU_SLACK), feasible by construction.  With link counts fixed by
+    ``_fixed`` gamma is a column: one cold LP, family "fixed-desensitize",
+    minimizes it at mu_hat, and beta_hat = gamma / mu_hat must lie in
+    (0, ``BETA_CAP``].  The solution's mu is the mu* given, not mu_hat
+    converted back an ulp off, so stage 3 gets the very mu stage 1 found.
     """
-    builder = _StageBuilder(phys, crit, fixed=_fixed)
+    builder = _warm or _StageBuilder(phys, crit, fixed=_fixed)
     mu_hat = builder.unitless(mu_star)[0]
-    model = _throughput_model(builder, "desensitize" if _fixed is None
-                              else "fixed-desensitize", caps=True)
+    model = builder.model
+    model.name = "desensitize" if _fixed is None else "fixed-desensitize"
+    model.set_basis(None)
+    builder.add_sensitivity_constraints(model)
     if _fixed is None:
         beta, F, best = _newton_beta(builder, model, mu_hat)
         return replace(builder.solution(best.x, F * (1.0 - MU_SLACK), beta),
-                       _model=model)
+                       _warm=builder)
     gamma = builder.stage_col + 1
     model.set_bounds([builder.stage_col], mu_hat, mu_hat)
     model.set_objective("min", [gamma], [1.0])
@@ -470,7 +469,7 @@ def desensitize(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
     if not 0 < beta <= BETA_CAP:
         raise InternalError("no feasible sensitivity bound below cap")
     return replace(builder.solution(best.x, mu_hat, beta), mu=mu_star,
-                   _model=model)
+                   _warm=builder)
 
 
 def _maximize_direct(builder: _StageBuilder, model: lp.LpModel, z: int):
@@ -489,18 +488,18 @@ def _maximize_direct(builder: _StageBuilder, model: lp.LpModel, z: int):
 def minimize_ahc(phys: PhysicalTopology, crit: CriticalSet, mu_star: float,
                  beta: Optional[float],
                  _fixed: Optional[np.ndarray] = None,
-                 _warm: Optional[lp.LpModel] = None) -> FractionalSolution:
+                 _warm: Optional[_StageBuilder] = None) -> FractionalSolution:
     """Stage 3: maximize worst-case direct-path traffic at fixed mu* and beta.
 
-    ``beta=None`` skips the sensitivity caps (the non-desensitized variant).
-    Stage 3 is one solve of the model the module docstring describes:
-    ``_warm``, which stage 1, or with ``beta`` stage 2, solved, re-solved
-    from its basis; else that model built here and solved cold.
-    ``_fixed`` fixes the link counts, as it does for stages 1 and 2.
+    ``beta=None`` skips the caps (the non-desensitized variant).  Stage 3
+    is one solve of the model the module docstring describes, ``_warm``'s
+    from its basis or built here, cold; ``_fixed`` fixes the link counts.
     """
-    builder = _StageBuilder(phys, crit, fixed=_fixed)
+    builder = _warm or _StageBuilder(phys, crit, fixed=_fixed)
     mu_star, beta = builder.unitless(mu_star, beta)
-    model = _warm or _throughput_model(builder, "", beta is not None)
+    model = builder.model
+    if _warm is None and beta is not None:
+        builder.add_sensitivity_constraints(model)
     model.name = "minimize-ahc-warm"
     model.set_bounds([builder.stage_col], mu_star, mu_star)
     if beta is not None:
@@ -522,13 +521,14 @@ def _stages(phys: PhysicalTopology, crit: CriticalSet, desensitized: bool,
             fixed: Optional[np.ndarray] = None) -> FractionalSolution:
     """Stage 1 -> 2 -> 3, each stage on the mu (and beta) the one before
     found; stage 2 is skipped when not desensitized.  ``fixed`` freezes
-    the link counts of all three.  Stage 3 re-solves the model of the
-    stage before it."""
+    the link counts of all three.  Each extends the model of the one
+    before, which it hands on in ``_warm``."""
     step = solve_maxmin_throughput(phys, crit, _fixed=fixed)
     if desensitized:
-        step = desensitize(phys, crit, step.mu, _fixed=fixed)
+        step = desensitize(phys, crit, step.mu, _fixed=fixed,
+                           _warm=step._warm)
     return minimize_ahc(phys, crit, step.mu, step.beta, _fixed=fixed,
-                        _warm=step._model)
+                        _warm=step._warm)
 
 
 def run_pipeline(phys: PhysicalTopology, crit: CriticalSet,

@@ -919,10 +919,10 @@ class TestSimulateReconfig:
         calls = []
         real = optimize.desensitize
 
-        def recording(phys, crit, mu_star, _fixed=None):
+        def recording(phys, crit, mu_star, _fixed=None, _warm=None):
             if _fixed is None:
                 calls.append((phys, crit, mu_star))
-            return real(phys, crit, mu_star, _fixed)
+            return real(phys, crit, mu_star, _fixed, _warm)
 
         monkeypatch.setattr(optimize, "desensitize", recording)
         phys = make_fabric(4, 2, 4)

@@ -265,6 +265,15 @@ def within_tol(a: float, b: float) -> bool:
     return abs(a - b) <= BETA_TOL * max(a, b)
 
 
+def capped_model(builder: _StageBuilder) -> lp.LpModel:
+    """Stage 2's model built afresh under its family's name: stage 1's LP
+    plus the caps."""
+    model = _throughput_model(builder, "desensitize" if builder.fixed is None
+                              else "fixed-desensitize")
+    builder.add_sensitivity_constraints(model)
+    return model
+
+
 def stage2_reaches(phys, crit, mu: float, beta: float, fixed=None) -> bool:
     """Whether stage 2's own model, built afresh, keeps throughput mu
     under the bound beta (both in the plan's units): with free link counts
@@ -273,8 +282,7 @@ def stage2_reaches(phys, crit, mu: float, beta: float, fixed=None) -> bool:
     pinned there."""
     builder = _StageBuilder(phys, crit, fixed)
     mu_hat, beta_hat = builder.unitless(mu, beta)
-    model = _throughput_model(builder, "desensitize" if fixed is None
-                              else "fixed-desensitize", caps=True)
+    model = capped_model(builder)
     gamma = mu_hat * beta_hat
     if fixed is None:
         model.scale = gamma
@@ -875,7 +883,7 @@ class TestRecomputeRouting:
         # Stages 2 and 3 run at the very mu stage 1 found: fixed-link
         # desensitize hands it on unconverted, so re-routing gives the
         # bits of the three fixed stages chained by hand, stage 3 on
-        # stage 2's model as _stages hands it on.
+        # stage 2's builder and model as _stages hands them on.
         rng = np.random.default_rng(31)
         for fabric in (random_fabric, hetero_fabric) * 3:
             n = int(rng.integers(3, 6))
@@ -887,7 +895,7 @@ class TestRecomputeRouting:
             stage2 = desensitize(phys, crit, mu, _fixed=fixed)
             assert stage2.mu == mu
             want = minimize_ahc(phys, crit, stage2.mu, stage2.beta,
-                                _fixed=fixed, _warm=stage2._model)
+                                _fixed=fixed, _warm=stage2._warm)
             got = recompute_routing(phys, topo, crit)
             assert (got.mu, got.beta) == (want.mu, want.beta)
             assert np.array_equal(got.omega.omega, want.omega.omega)
@@ -896,29 +904,21 @@ class TestRecomputeRouting:
     @pytest.mark.parametrize("desensitized", [True, False])
     def test_stage3_resolves_the_model_before_it(self, monkeypatch,
                                                  desensitized):
-        # Stage 1 solves its model and stage 2 builds and solves its own,
-        # each cold; stage 3 re-solves the last of them from the basis its
-        # solve ended on, z nonbasic at 0 and the K direct rows basic,
-        # which HiGHS holds after every other row.  No other model is
-        # solved.
+        # The chain solves one model.  Stage 1 solves it cold, and stage 2
+        # adds its caps and solves it cold too, handed no basis; stage 3
+        # re-solves it from the basis the solve before it ended on, z
+        # nonbasic at 0 and the K direct rows basic, which HiGHS holds
+        # after every other row.
         status = lp._highs.HighsBasisStatus
         for seed in range(4):
             phys, crit, topo = rounded_instance(seed, random_fabric)
-            seen, real = [], lp.solve
-
-            def recording(model):
-                seen.append((model, model.name))
-                return real(model)
-
-            monkeypatch.setattr(lp, "solve", recording)
-            calls = record_highs(monkeypatch)
+            seen, calls = record_chain(monkeypatch)
             recompute_routing(phys, topo, crit, desensitized)
             monkeypatch.undo()
             assert [name for _, name in seen] == (
                 ["fixed-throughput"] + ["fixed-desensitize"] * desensitized
                 + ["minimize-ahc-warm"])
-            assert seen[-1][0] is seen[-2][0]
-            assert len({id(model) for model, _ in seen}) == 1 + desensitized
+            assert all(model is seen[0][0] for model, _ in seen)
             assert [basis is None for basis, _ in calls[:-1]] == [True] * (
                 1 + desensitized)
             before, handed = calls[-2][1].basis, calls[-1][0]
@@ -1013,6 +1013,19 @@ def sparse_instance(seed: int, n: int, fixed: bool):
     return phys, CriticalSet(tuple(TrafficMatrix(t) for t in demand)), X
 
 
+def record_chain(monkeypatch) -> tuple:
+    """(model, name) of each ``lp.solve`` from now on, and
+    ``record_highs``'s (basis, solution) of each of its HiGHS calls."""
+    seen, real = [], lp.solve
+
+    def recording(model):
+        seen.append((model, model.name))
+        return real(model)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return seen, record_highs(monkeypatch)
+
+
 def record_args(monkeypatch, name: str) -> list:
     """The positional arguments of each call of ``optimize.<name>`` from
     now on, which ``optimize._stages`` makes by that module attribute."""
@@ -1069,9 +1082,7 @@ class TestStageModels:
     def test_stage2_resolves_hold_the_reference_model(self, monkeypatch):
         # One stage-2 model re-solved at several caps gamma.
         phys, crit, _ = sparse_instance(0, 6, False)
-        builder = _StageBuilder(phys, crit)
-        model = _throughput_model(builder, "desensitize")
-        builder.add_sensitivity_constraints(model)
+        model = capped_model(_StageBuilder(phys, crit))
         pairs = record_highs_models(monkeypatch)
         for gamma in (0.05, 0.2, 0.1, 1.0):
             model.scale = gamma
@@ -1119,10 +1130,8 @@ class TestStageModels:
         second = _StageBuilder(phys, crit2, X2)
         for builder, c, X in ((first, crit, X1), (second, crit2, X2),
                               (first, crit, X1)):
-            assert_same_model(
-                _throughput_model(builder, "fixed-desensitize", caps=True),
-                _throughput_model(_StageBuilder(phys, c, X),
-                                  "fixed-desensitize", caps=True))
+            assert_same_model(capped_model(builder),
+                              capped_model(_StageBuilder(phys, c, X)))
 
 
 def planted_instance(seed: int) -> tuple:
@@ -1197,9 +1206,8 @@ class TestImpliedLoadRows:
         phys, crit, X = planted_instance(seed)
         rest = CriticalSet(crit.matrices[1:])
         for fixed in (None, X):
-            assert_same_model(
-                _throughput_model(_StageBuilder(phys, crit, fixed), ""),
-                _throughput_model(_StageBuilder(phys, rest, fixed), ""))
+            assert_same_model(_StageBuilder(phys, crit, fixed).model,
+                              _StageBuilder(phys, rest, fixed).model)
 
     @pytest.mark.parametrize("desensitized", [True, False])
     def test_repeated_critical_builds_the_model_without_it(
@@ -1220,6 +1228,74 @@ class TestImpliedLoadRows:
                 models += solved
             assert_same_model(models[1], models[0])
             assert_same_model(models[2], models[0])
+
+
+class TestStageChain:
+    """``_stages`` runs each chain on one builder and one model."""
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_free_link_chain_solves_one_model(self, monkeypatch,
+                                              desensitized):
+        # run_pipeline's twin of re-routing's chain: stage 1 and stage 2's
+        # first probe solve the one model cold, every later solve starts
+        # from a basis.
+        for seed in range(4):
+            phys, crit, _ = rounded_instance(seed, random_fabric)
+            seen, calls = record_chain(monkeypatch)
+            run_pipeline(phys, crit, desensitized)
+            monkeypatch.undo()
+            names = [name for _, name in seen]
+            assert names[0] == "maxmin-throughput"
+            assert names[-1] == "minimize-ahc-warm"
+            assert len(names) > 2 if desensitized else len(names) == 2
+            assert set(names[1:-1]) <= set(STAGE2_FAMILIES)
+            assert all(model is seen[0][0] for model, _ in seen)
+            cold = 1 + desensitized
+            assert [basis is None for basis, _ in calls] == (
+                [True] * cold + [False] * (len(calls) - cold))
+            assert calls[-1][1].optimal
+
+    @pytest.mark.parametrize("desensitized", [True, False])
+    def test_one_builder_and_load_pass_per_chain(self, monkeypatch,
+                                                 desensitized):
+        # Each run_pipeline and each recompute_routing builds one
+        # _StageBuilder and computes the load rows once.
+        counts = {}
+        for name in ("__init__", "add_load_constraints"):
+            def counting(self, *args, _real=getattr(_StageBuilder, name),
+                         _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(_StageBuilder, name, counting)
+        for seed in range(2):
+            phys, crit, topo = rounded_instance(seed, random_fabric)
+            for run in (lambda: run_pipeline(phys, crit, desensitized),
+                        lambda: recompute_routing(phys, topo, crit,
+                                                  desensitized)):
+                counts.clear()
+                run()
+                assert counts == {"__init__": 1, "add_load_constraints": 1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chained_stage2_is_the_standalone_model(self, monkeypatch, seed):
+        # Stage 2 on the model stage 1 solved hands HiGHS, solve by solve,
+        # the model a standalone desensitize builds at the same mu, bit
+        # for bit; on random, hetero and zero-radix fabrics, with free link
+        # counts and with fixed ones.
+        phys, crit, X = planted_instance(seed)
+        for fixed in (None, X):
+            args = record_args(monkeypatch, "desensitize")
+            chain = record_solves(monkeypatch, copy=True)
+            optimize._stages(phys, crit, True, fixed)
+            monkeypatch.undo()
+            alone = record_solves(monkeypatch, copy=True)
+            desensitize(*args[0], _fixed=fixed)
+            monkeypatch.undo()
+            assert len(chain) == len(alone) + 2
+            for got, want in zip(chain[1:], alone):
+                assert got.name == want.name
+                assert_same_model(got, want)
 
 
 def unit_instances():

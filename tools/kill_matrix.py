@@ -119,6 +119,7 @@ MUTANTS = [
     ("radix-max", "optimize.py",
      "radix = int(min(builder.phys.egress_radix",
      "radix = int(max(builder.phys.egress_radix"),
+    ("chain-warm", "optimize.py", "model.set_basis(None)\n    ", ""),
     # evaluate.py
     ("sens-add", "evaluate.py",
      "np.maximum.at(sen, ", "np.add.at(sen, "),
